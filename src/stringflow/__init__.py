@@ -4,17 +4,17 @@ and rewriting diagnostics."""
 
 from .action import (CONSTRAINT_TOL, LEDGER_COLUMNS, EnergyLedger,
                      EnergyRecord, EnergyTerms, FlowConfig, FlowState,
-                     MapField, action_value, cfl_bound, dirichlet_energy,
-                     el_residual, energies, flow_rhs,
+                     MapField, Workspace, action_value, cfl_bound,
+                     dirichlet_energy, el_residual, energies, flow_rhs,
                      gradient_consistency_check, init_state, local_energy,
                      local_energy_map, monotonicity_check, run, step)
 from .cli import compare_runs, main, run_scenario
 from .config import (PRESETS, build_objects, default_config, load_config,
                      preset_config, save_config, validate_config)
 from .errors import (ConfigError, GridError, HypothesisError,
-                     OffManifoldError, ProjectionError, ShapeError,
-                     SnapshotError, StringFlowError, TangencyError,
-                     UnsupportedConfigurationError)
+                     NonFiniteStateError, OffManifoldError, ProjectionError,
+                     ShapeError, SnapshotError, StringFlowError,
+                     TangencyError, UnsupportedConfigurationError)
 from .fields import (FieldBackground, ScalarPotential, SupNorms, TwoFormField,
                      delta_constants, make_potential, make_two_form,
                      pullback_integral, smallness_report, sup_norms,

@@ -12,6 +12,9 @@ Discretization notes (the choices here are load-bearing):
   Z(du(e1) ^ du(e2)) up to O(dx^2).  This makes the discrete flow an exact
   gradient flow of the ledger action, so the dissipation identity defect is
   pure O(dt) and the gradient-consistency check is exact up to O(eps^2).
+* flow_rhs and action_value each shift u once (grid.Stencil) and take every
+  difference from those shifts.  Their buffers live in a Workspace that a
+  run allocates once; called on their own, they build a fresh one.
 """
 
 from __future__ import annotations
@@ -21,19 +24,19 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .errors import GridError
-from .fields import (FieldBackground, delta_constants, pullback_integral,
-                     tangential_grad_V)
-from .grid import (SurfaceGrid, ball_mask, ball_sum_map, d0x, d0y, dpx, dpy,
-                   frame_derivatives, grad_sq_density, hessian_sq_density,
-                   l2_inner, l2_norm, laplace_beltrami)
+from .errors import GridError, NonFiniteStateError
+from .fields import (FieldBackground, TwoFormField, delta_constants,
+                     pullback_integral, tangential_grad_V, wedge)
+from .grid import (Stencil, SurfaceGrid, ball_mask, ball_sum_map, d0x, d0y,
+                   dpx, dpy, grad_sq_density, hessian_sq_density, l2_inner,
+                   l2_norm)
 from .targets import TargetManifold, tangent_project
 
 __all__ = [
-    "MapField", "FlowConfig", "FlowState", "EnergyTerms", "EnergyRecord",
-    "EnergyLedger", "energies", "action_value", "local_energy", "flow_rhs",
-    "gradient_consistency_check", "step", "run", "el_residual",
-    "monotonicity_check", "delta_constants", "cfl_bound",
+    "MapField", "FlowConfig", "FlowState", "Workspace", "EnergyTerms",
+    "EnergyRecord", "EnergyLedger", "energies", "action_value",
+    "local_energy", "flow_rhs", "gradient_consistency_check", "step", "run",
+    "el_residual", "monotonicity_check", "delta_constants", "cfl_bound",
 ]
 
 CONSTRAINT_TOL = 1e-9
@@ -97,12 +100,38 @@ def energies(u: MapField, grid: SurfaceGrid, fields: FieldBackground) -> EnergyT
                        S_tilde=S, S_raw=S - fields.V.shift * grid.total_volume)
 
 
+class Workspace:
+    """Buffers reused by the flow_rhs and action_value calls of one run.
+
+    init_state allocates one per run.  flow_rhs and action_value called
+    without one build a fresh workspace; either way, the arrays they return
+    are never workspace buffers.
+    """
+
+    def __init__(self, grid: SurfaceGrid, shape, fields: FieldBackground):
+        self.stencil = Stencil(grid, shape)
+        self.trial = np.empty(shape)        # u + dt rhs in step
+        if not fields.b.is_zero:
+            # B-force: gradient g and the fluxes differenced along x and y
+            self.g, self.flux_x, self.flux_y = (np.empty(shape)
+                                                for _ in range(3))
+
+
 def action_value(vals: np.ndarray, grid: SurfaceGrid,
-                 fields: FieldBackground) -> float:
-    """Shifted action S_tilde; fast path used inside the stepper."""
-    S = 0.5 * dirichlet_energy(vals, grid)
+                 fields: FieldBackground, work: Workspace | None = None) -> float:
+    """Shifted action S_tilde; one set of shifts gives the forward
+    differences (Dirichlet term) and the centred ones (pullback)."""
+    if work is None:
+        work = Workspace(grid, vals.shape, fields)
+    st = work.stencil.load(vals)
+    gx, gy = st.forward()
+    gx *= gx
+    gy *= gy
+    gx += gy
+    S = 0.5 * float(np.sum(gx) * (grid.dx * grid.dy))
     if not fields.b.is_zero:
-        S += pullback_integral(vals, fields.b, grid)
+        ux, uy = st.centred()
+        S += float(np.sum(fields.b.pullback(vals, ux, uy)) * grid.dx * grid.dy)
     if not fields.V.is_zero:
         S += float(np.sum(fields.V.shifted(vals) * grid.w))
     return S
@@ -123,39 +152,56 @@ def local_energy_map(u: MapField, grid: SurfaceGrid, R: float) -> np.ndarray:
 
 # -- flow right-hand side ---------------------------------------------------------
 
-def _bfield_force(vals: np.ndarray, grid: SurfaceGrid, target: TargetManifold,
-                  fields: FieldBackground) -> np.ndarray:
-    """Exact w-metric gradient of the discrete B-term, tangentially projected.
+def _bfield_force(work: Workspace, vals: np.ndarray, target: TargetManifold,
+                  b: TwoFormField) -> np.ndarray:
+    """P(u) g, with g the coordinate gradient of the discrete B-term.
 
-    Coordinate gradient of sum_n (D0x u)^T b(u) (D0y u):
-        g^k = d_k b_ij ux^i uy^j - D0x(b_kj uy^j) - D0y(ux^i b_ik)
-    which converges to Omega_kij ux^i uy^j; the force in the flow is
-    e^{-2 lam} P(u) g = Z(du(e1) ^ du(e2)) + O(dx^2).
+    Gradient of sum_n (D0x u)^T b(u) (D0y u), b_ij(u) = u^k C_kij:
+        g^k = C_kij ux^i uy^j - D0x(b_kj uy^j) - D0y(ux^i b_ik),
+    which converges to Omega_kij ux^i uy^j.  In the flow, e^{-2 lam} P(u) g
+    = Z(du(e1) ^ du(e2)) + O(dx^2).  ux, uy are the centred differences
+    already in the workspace stencil; its scratch buffer takes the flux
+    differences.
     """
-    b = fields.b
-    ux = d0x(vals, grid)
-    uy = d0y(vals, grid)
-    bu = b.coeff(vals)
-    g = np.einsum("...kij,...i,...j->...k", b.dcoeff(vals), ux, uy)
-    g -= d0x(np.einsum("...kj,...j->...k", bu, uy), grid)
-    g -= d0y(np.einsum("...ik,...i->...k", bu, ux), grid)
-    g *= grid.em2l[..., None]
+    st = work.stencil
+    ux, uy = st.gx, st.gy
+    g, fx, fy = work.g, work.flux_x, work.flux_y
+    g.fill(0.0)
+    fx.fill(0.0)
+    fy.fill(0.0)
+    for k, i, j, c in b.terms:          # C_kij = c = -C_kji
+        g[..., k] += c * wedge(ux, uy, i, j)
+        cu = c * vals[..., k]
+        fx[..., i] += cu * uy[..., j]
+        fx[..., j] -= cu * uy[..., i]
+        fy[..., j] += cu * ux[..., i]
+        fy[..., i] -= cu * ux[..., j]
+    g -= d0x(fx, st.grid, out=st.tmp)
+    g -= d0y(fy, st.grid, out=st.tmp)
     return tangent_project(target, vals, g)
 
 
 def flow_rhs(u: MapField, grid: SurfaceGrid, target: TargetManifold,
-             fields: FieldBackground) -> np.ndarray:
+             fields: FieldBackground, work: Workspace | None = None) -> np.ndarray:
     """Delta_h u - II(du, du) - Z(du(e1) ^ du(e2)) - P grad V(u).
 
     The result need not be pointwise tangent: the normal part of Delta_h u
-    balances the II term up to truncation error.
+    balances the II term up to truncation error.  All metric weights are
+    one factor e^{-2 lam}: with du(e_a) = e^{-lam} D0 u and II bilinear,
+    the rhs is e^{-2 lam} (lap u - II(ux, ux) - II(uy, uy) - P g) - P grad V.
     """
     vals = u.values
-    rhs = laplace_beltrami(vals, grid)
-    du1, du2 = frame_derivatives(vals, grid)
-    rhs -= target.sff(vals, du1, du1) + target.sff(vals, du2, du2)
+    if work is None:
+        work = Workspace(grid, vals.shape, fields)
+    st = work.stencil.load(vals)
+    rhs = st.laplacian(np.empty_like(vals))
+    ux, uy = st.centred()
+    rhs -= target.sff(vals, ux, ux)
+    rhs -= target.sff(vals, uy, uy)
     if not fields.b.is_zero:
-        rhs -= _bfield_force(vals, grid, target, fields)
+        rhs -= _bfield_force(work, vals, target, fields.b)
+    if not grid.is_flat:
+        rhs *= grid.em2l[..., None]
     if not fields.V.is_zero:
         rhs -= tangential_grad_V(vals, fields.V, target)
     return rhs
@@ -177,12 +223,14 @@ def gradient_consistency_check(u: MapField, v: np.ndarray, grid: SurfaceGrid,
     against -<flow_rhs(u), v> for tangent v.
     """
     v = tangent_project(target, u.values, v)
-    inner = -l2_inner(flow_rhs(u, grid, target, fields), v, grid)
+    work = Workspace(grid, u.values.shape, fields)
+    inner = -l2_inner(flow_rhs(u, grid, target, fields, work), v, grid)
     rows = []
     for eps in eps_list:
         up = target.project(u.values + eps * v)
         um = target.project(u.values - eps * v)
-        fd = (action_value(up, grid, fields) - action_value(um, grid, fields)) / (2 * eps)
+        fd = (action_value(up, grid, fields, work)
+              - action_value(um, grid, fields, work)) / (2 * eps)
         rel = abs(fd - inner) / max(abs(inner), 1e-300)
         rows.append({"eps": eps, "fd": fd, "inner": inner, "rel_err": rel})
     return {"rows": rows, "min_rel_err": min(r["rel_err"] for r in rows),
@@ -305,6 +353,7 @@ class FlowState:
     S_current: float = 0.0
     S0: float = 0.0
     converged: bool = False
+    work: Workspace | None = dc_field(default=None, repr=False)
 
 
 def init_state(u0: MapField, grid: SurfaceGrid, target: TargetManifold,
@@ -314,7 +363,8 @@ def init_state(u0: MapField, grid: SurfaceGrid, target: TargetManifold,
     S0 = action_value(u.values, grid, fields)
     dt = config.dt_init if config.dt_init is not None else cfl_bound(grid, config.cfl)
     state = FlowState(t=0.0, u=u, dt=dt, grid=grid, target=target,
-                      fields=fields, config=config, S_current=S0, S0=S0)
+                      fields=fields, config=config, S_current=S0, S0=S0,
+                      work=Workspace(grid, u.values.shape, fields))
     _record(state)
     _snapshot(state)
     return state
@@ -341,39 +391,68 @@ def _snapshot(state: FlowState):
         state.snapshots = old[::2] + state.snapshots[-cap:]
 
 
+def _trial(state: FlowState, rhs: np.ndarray, dt: float):
+    """Projected Euler candidate pi(u + dt rhs) and its action.
+
+    Raises NonFiniteStateError, naming t, the step and a node, when the
+    action is not finite: every acceptance test would fail on a NaN and dt
+    would collapse to dt_min without end.
+    """
+    trial = state.work.trial
+    np.multiply(rhs, dt, out=trial)
+    trial += state.u.values
+    new_vals = state.target.project(trial)
+    S_new = action_value(new_vals, state.grid, state.fields, state.work)
+    if not math.isfinite(S_new):
+        where = "no non-finite node"
+        for name, a in (("u", state.u.values), ("rhs", rhs),
+                        ("trial map", new_vals)):
+            bad = np.argwhere(~np.isfinite(a))
+            if len(bad):
+                ix, iy = (int(v) for v in bad[0][:2])
+                where = f"first non-finite {name} value at node ({ix}, {iy})"
+                break
+        raise NonFiniteStateError(
+            f"non-finite action S={S_new} in step {state.steps + 1} from "
+            f"t={state.t:.9g} (dt={dt:.3g}); {where}")
+    return new_vals, S_new
+
+
 def step(state: FlowState) -> FlowState:
     """One projected explicit Euler step with adaptive dt.
 
     Halves dt (and retries) when S_tilde increases beyond tolerance; grows dt
     1.1x after `grow_after` stable steps, capped by the CFL bound.  A dt
     collapse below dt_min raises a stiffness event and the step is accepted,
-    matching the restart-past-singular-time semantics.
+    matching the restart-past-singular-time semantics.  A step that would
+    pass t_end is shortened to end exactly there; that is not a halving,
+    so state.dt and the stable-step count are left as they were.
     """
     cfg = state.config
     vals = state.u.values
-    rhs = flow_rhs(state.u, state.grid, state.target, state.fields)
+    rhs = flow_rhs(state.u, state.grid, state.target, state.fields, state.work)
     tol_up = cfg.tol_up * (1.0 + state.S0)
-    dt = state.dt
+    remaining = cfg.t_end - state.t
+    dt0 = min(state.dt, remaining) if remaining > 0.0 else state.dt
+    dt = dt0
     collapsed = False
     while True:
-        new_vals = state.target.project(vals + dt * rhs)
-        S_new = action_value(new_vals, state.grid, state.fields)
+        new_vals, S_new = _trial(state, rhs, dt)
         if S_new <= state.S_current + tol_up:
             break
         dt *= 0.5
         if dt < cfg.dt_min:
             collapsed = True
-            dt = cfg.dt_min
-            new_vals = state.target.project(vals + dt * rhs)
-            S_new = action_value(new_vals, state.grid, state.fields)
+            dt = min(cfg.dt_min, dt0)
+            new_vals, S_new = _trial(state, rhs, dt)
             break
 
-    diff = new_vals - vals
+    diff = np.subtract(new_vals, vals, out=state.work.trial)
     kinetic = l2_inner(diff, diff, state.grid) / dt**2
     state.cum_dissipation += kinetic * dt
     state.last_kinetic = kinetic
     state.u = MapField(new_vals, state.target)
-    state.t += dt
+    state.t = cfg.t_end if dt == remaining else state.t + dt
     state.S_current = S_new
     state.steps += 1
 
@@ -391,10 +470,10 @@ def step(state: FlowState) -> FlowState:
         state.dt = dt
         return state
 
-    if dt < state.dt:
+    if dt < dt0:
         state.stable_steps = 0
         state.dt = dt
-    else:
+    elif dt0 == state.dt:
         state.stable_steps += 1
         if state.stable_steps >= cfg.grow_after:
             state.dt = min(state.dt * 1.1, cfl_bound(state.grid, cfg.cfl))
@@ -404,13 +483,13 @@ def step(state: FlowState) -> FlowState:
 
 def run(u0: MapField, grid: SurfaceGrid, target: TargetManifold,
         fields: FieldBackground, config: FlowConfig) -> FlowState:
-    """Advance the flow to t_end (or convergence).  Deterministic."""
+    """Advance the flow to exactly t_end (or convergence).  Deterministic."""
     from .singular import convergence_probe
 
     state = init_state(u0, grid, target, fields, config)
-    while state.t < config.t_end - 1e-15 and not state.converged:
+    while state.t < config.t_end and not state.converged:
         step(state)
-        if state.steps % config.record_every == 0 or state.t >= config.t_end - 1e-15:
+        if state.steps % config.record_every == 0 or state.t >= config.t_end:
             _record(state)
             _snapshot(state)
             if config.conv_tol > 0.0:

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -54,8 +55,11 @@ def _hypothesis_report(grid, target, fields, u0, flow_cfg) -> dict:
         report["smallness_ok"] = small.passes
         terms = energies(u0, grid, fields)
         report["S0"] = terms.S_tilde
-        report["k_bound"] = k_bound(terms.S_tilde, flow_cfg.delta1, d2)
-        report["ok"] = bool(small.passes)
+        # a non-finite u0 has no bound; the run then fails at its first step
+        finite = math.isfinite(terms.S_tilde)
+        report["k_bound"] = (k_bound(terms.S_tilde, flow_cfg.delta1, d2)
+                             if finite else None)
+        report["ok"] = bool(small.passes) and finite
     except HypothesisError as e:
         report["ok"] = False
         report["error"] = str(e)
@@ -201,10 +205,6 @@ def build_parser() -> argparse.ArgumentParser:
                                 description="Geometric flow simulator for "
                                 "maps of a flat torus with two-form and "
                                 "potential backgrounds.")
-    p.add_argument("--threads", type=int, default=None,
-                   help="thread count hint for the numeric backend")
-    p.add_argument("--seed", type=int, default=0,
-                   help="default seed for stochastic diagnostics")
     sub = p.add_subparsers(dest="command", required=True)
 
     def common(sp):
@@ -250,8 +250,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.threads is not None:
-        os.environ["OMP_NUM_THREADS"] = str(args.threads)
     try:
         return args.func(args)
     except ConfigError as e:

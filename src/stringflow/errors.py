@@ -33,6 +33,10 @@ class UnsupportedConfigurationError(StringFlowError):
     """Operation requested outside its supported configuration (e.g. non-flat grid)."""
 
 
+class NonFiniteStateError(StringFlowError, FloatingPointError):
+    """The flow produced a NaN or infinite value (names t, step and node)."""
+
+
 class ConfigError(StringFlowError, ValueError):
     """Bad run configuration (unknown key, wrong type, missing field)."""
 

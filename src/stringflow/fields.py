@@ -3,8 +3,10 @@ Z-operator, the scalar potential with its nonnegative shift, and sup-norm
 estimates entering the hypothesis checks.
 
 The B-field is given by an ambient skew coefficient matrix b(y) restricted to
-the target, B(xi, eta) = xi^T b(y) eta.  The three-form Omega = dB has
-coefficients Omega_kij = d_k b_ij + d_i b_jk + d_j b_ki.
+the target, B(xi, eta) = xi^T b(y) eta.  Every two-form here is linear,
+b_ij(y) = y^k C_kij with a constant tensor C skew in (i, j), so d_k b_ij =
+C_kij and the three-form Omega = dB has the constant coefficients
+Omega_kij = C_kij + C_ijk + C_jki.
 """
 
 from __future__ import annotations
@@ -22,25 +24,55 @@ from .targets import TargetManifold, tangent_project
 
 # -- two-form -----------------------------------------------------------------
 
-@dataclass
+@dataclass(eq=False)
 class TwoFormField:
-    """Skew coefficient field b(y) with ambient derivatives d_k b_ij."""
+    """Linear skew coefficient field b_ij(y) = y^k C_kij.
+
+    `C` has shape (q, q, q) and must be skew in its last two indices.  The
+    contractions below loop over `terms`, the nonzero C_kij with i < j (the
+    skew partner C_kji = -C_kij is folded in), each a few whole-plane
+    multiply-adds.
+    """
 
     name: str
-    q: int
-    coeff: Callable[[np.ndarray], np.ndarray]     # (..., q) -> (..., q, q), skew
-    dcoeff: Callable[[np.ndarray], np.ndarray]    # (..., q) -> (..., q, q, q) [k,i,j]
+    C: np.ndarray
+    terms: tuple = field(init=False, repr=False)
+    Omega: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        C = np.array(self.C, dtype=float)
+        if C.ndim != 3 or not C.shape[0] == C.shape[1] == C.shape[2]:
+            raise ValueError(f"two-form tensor must have shape (q, q, q), "
+                             f"got {C.shape}")
+        if not np.array_equal(C, -np.swapaxes(C, 1, 2)):
+            raise ValueError("two-form tensor C_kij must be skew in (i, j)")
+        Omega = C + np.moveaxis(C, (0, 1, 2), (1, 2, 0)) \
+                  + np.moveaxis(C, (0, 1, 2), (2, 0, 1))
+        for a in (C, Omega):
+            a.setflags(write=False)
+        self.C, self.Omega = C, Omega
+        self.terms = tuple((int(k), int(i), int(j), float(C[k, i, j]))
+                           for k, i, j in zip(*np.nonzero(C)) if i < j)
+
+    @property
+    def q(self) -> int:
+        return self.C.shape[0]
 
     @property
     def is_zero(self) -> bool:
-        return self.name == "zero"
+        return not self.C.any()
+
+    def coeff(self, y: np.ndarray) -> np.ndarray:
+        """b(y), shape (..., q, q)."""
+        return np.tensordot(y, self.C, axes=(-1, 0))
+
+    def dcoeff(self, y: np.ndarray) -> np.ndarray:
+        """d_k b_ij = C_kij at every point, shape (..., q, q, q) (read-only)."""
+        return np.broadcast_to(self.C, y.shape[:-1] + self.C.shape)
 
     def omega(self, y: np.ndarray) -> np.ndarray:
         """Omega_kij = dB coefficients, fully antisymmetric. Shape (..., q, q, q)."""
-        d = self.dcoeff(y)
-        # d[k, i, j] = d_k b_ij
-        return d + np.moveaxis(d, (-3, -2, -1), (-2, -1, -3)) \
-                 + np.moveaxis(d, (-3, -2, -1), (-1, -3, -2))
+        return np.broadcast_to(self.Omega, y.shape[:-1] + self.Omega.shape)
 
     def dcoeff_fd(self, y: np.ndarray, step: float = 1e-6) -> np.ndarray:
         """Central-difference derivative oracle for dcoeff."""
@@ -51,35 +83,34 @@ class TwoFormField:
             out[..., k, :, :] = (self.coeff(y + e) - self.coeff(y - e)) / (2 * step)
         return out
 
+    def pullback(self, u: np.ndarray, ux: np.ndarray,
+                 uy: np.ndarray) -> np.ndarray:
+        """ux^i b_ij(u) uy^j = sum over terms of C_kij u^k (ux^i uy^j - ux^j uy^i)."""
+        dens = np.zeros(u.shape[:-1])
+        for k, i, j, c in self.terms:
+            dens += (c * u[..., k]) * wedge(ux, uy, i, j)
+        return dens
+
+
+def wedge(ux: np.ndarray, uy: np.ndarray, i: int, j: int) -> np.ndarray:
+    """The plane ux^i uy^j - ux^j uy^i."""
+    w = ux[..., i] * uy[..., j]
+    w -= ux[..., j] * uy[..., i]
+    return w
+
 
 def zero_two_form(q: int) -> TwoFormField:
-    def coeff(y):
-        return np.zeros(y.shape[:-1] + (q, q))
-
-    def dcoeff(y):
-        return np.zeros(y.shape[:-1] + (q, q, q))
-
-    return TwoFormField("zero", q, coeff, dcoeff)
+    return TwoFormField("zero", np.zeros((q, q, q)))
 
 
 def y4_two_form(beta: float, q: int = 4) -> TwoFormField:
     """b_12(y) = beta * y^4 (so Omega = beta dy^1 ^ dy^2 ^ dy^4)."""
     if q < 4:
         raise ValueError("y4 two-form needs q >= 4")
-
-    def coeff(y):
-        b = np.zeros(y.shape[:-1] + (q, q))
-        b[..., 0, 1] = beta * y[..., 3]
-        b[..., 1, 0] = -beta * y[..., 3]
-        return b
-
-    def dcoeff(y):
-        d = np.zeros(y.shape[:-1] + (q, q, q))
-        d[..., 3, 0, 1] = beta
-        d[..., 3, 1, 0] = -beta
-        return d
-
-    return TwoFormField("y4", q, coeff, dcoeff)
+    C = np.zeros((q, q, q))
+    C[3, 0, 1] = beta
+    C[3, 1, 0] = -beta
+    return TwoFormField("y4", C)
 
 
 def make_two_form(kind: str, q: int, beta: float = 0.0) -> TwoFormField:
@@ -179,9 +210,7 @@ def pullback_density(u: np.ndarray, b: TwoFormField,
     The pullback integral is sum(density) * dx * dy, with no conformal
     weight: the B-term is conformally invariant.
     """
-    ux = d0x(u, grid)
-    uy = d0y(u, grid)
-    return np.einsum("...i,...ij,...j->...", ux, b.coeff(u), uy)
+    return b.pullback(u, d0x(u, grid), d0y(u, grid))
 
 
 def pullback_integral(u: np.ndarray, b: TwoFormField, grid: SurfaceGrid) -> float:

@@ -106,13 +106,26 @@ def conformal_rescale(grid: SurfaceGrid, a: float) -> SurfaceGrid:
 # -- stencils -----------------------------------------------------------------
 # np.roll(f, -1, axis) brings f[i+1] to slot i; all stencils are exactly periodic.
 
-def d0x(f: np.ndarray, grid: SurfaceGrid) -> np.ndarray:
+def _centred(f: np.ndarray, axis: int, h: float, out=None) -> np.ndarray:
+    """(f[i+1] - f[i-1]) / (2h) along `axis`, by slicing into `out`."""
+    if out is None:
+        out = np.empty_like(f)
+    a = np.moveaxis(f, axis, 0)
+    o = np.moveaxis(out, axis, 0)
+    np.subtract(a[2:], a[:-2], out=o[1:-1])
+    np.subtract(a[1], a[-1], out=o[0])
+    np.subtract(a[0], a[-2], out=o[-1])
+    out /= 2.0 * h
+    return out
+
+
+def d0x(f: np.ndarray, grid: SurfaceGrid, out=None) -> np.ndarray:
     """Centered x-derivative (coordinate, not frame)."""
-    return (np.roll(f, -1, axis=0) - np.roll(f, 1, axis=0)) / (2.0 * grid.dx)
+    return _centred(f, 0, grid.dx, out)
 
 
-def d0y(f: np.ndarray, grid: SurfaceGrid) -> np.ndarray:
-    return (np.roll(f, -1, axis=1) - np.roll(f, 1, axis=1)) / (2.0 * grid.dy)
+def d0y(f: np.ndarray, grid: SurfaceGrid, out=None) -> np.ndarray:
+    return _centred(f, 1, grid.dy, out)
 
 
 def dpx(f: np.ndarray, grid: SurfaceGrid) -> np.ndarray:
@@ -141,6 +154,20 @@ def dxy(f: np.ndarray, grid: SurfaceGrid) -> np.ndarray:
     return (fpp - fpm - fmp + fmm) / (4.0 * grid.dx * grid.dy)
 
 
+def component_dot(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """<X, Y> over the trailing component axis, one plane at a time.
+
+    Whole-plane multiply-adds; numpy's reduction over a short trailing axis
+    is several times slower.  The order of the sum is the same.
+    """
+    out = X[..., 0] * Y[..., 0]
+    tmp = np.empty_like(out)
+    for i in range(1, X.shape[-1]):
+        np.multiply(X[..., i], Y[..., i], out=tmp)
+        out += tmp
+    return out
+
+
 def _comp_weight(a: np.ndarray, f: np.ndarray) -> np.ndarray:
     """Broadcast a node-scalar over an optional trailing component axis."""
     return a if f.ndim == 2 else a[..., None]
@@ -158,6 +185,69 @@ def frame_derivatives(u: np.ndarray, grid: SurfaceGrid):
     """Orthonormal-frame derivatives du(e1), du(e2), e_alpha = e^{-lam} d/dx_alpha."""
     s = _comp_weight(grid.eml, u)
     return s * d0x(u, grid), s * d0y(u, grid)
+
+
+class Stencil:
+    """The four periodic neighbour shifts of one field, in reusable buffers.
+
+    `load(f)` fills xp[i] = f[i+1] and xm[i] = f[i-1] along x, and yp, ym
+    along y, by slicing.  The Laplacian and the forward and centred
+    differences are then all formed from these shifts, so one pass over f
+    serves every first- and second-order term.  `forward` and `centred`
+    write into the same pair of buffers (gx, gy); each call overwrites what
+    the previous one left there.  `tmp` is scratch: the Laplacian uses it,
+    and so may a caller once the Laplacian is formed.
+    """
+
+    def __init__(self, grid: SurfaceGrid, shape):
+        self.grid = grid
+        self.xp, self.xm, self.yp, self.ym, self.gx, self.gy, self.tmp = (
+            np.empty(shape) for _ in range(7))
+        self.f = None
+
+    def load(self, f: np.ndarray) -> "Stencil":
+        if f.shape != self.xp.shape:
+            raise ShapeError(f"stencil holds {self.xp.shape}, got {f.shape}")
+        self.xp[:-1] = f[1:]
+        self.xp[-1] = f[0]
+        self.xm[1:] = f[:-1]
+        self.xm[0] = f[-1]
+        self.yp[:, :-1] = f[:, 1:]
+        self.yp[:, -1] = f[:, 0]
+        self.ym[:, 1:] = f[:, :-1]
+        self.ym[:, 0] = f[:, -1]
+        self.f = f
+        return self
+
+    def forward(self):
+        """(D+x f, D+y f), equal to dpx and dpy."""
+        np.subtract(self.xp, self.f, out=self.gx)
+        self.gx /= self.grid.dx
+        np.subtract(self.yp, self.f, out=self.gy)
+        self.gy /= self.grid.dy
+        return self.gx, self.gy
+
+    def centred(self):
+        """(D0x f, D0y f), equal to d0x and d0y."""
+        np.subtract(self.xp, self.xm, out=self.gx)
+        self.gx /= 2.0 * self.grid.dx
+        np.subtract(self.yp, self.ym, out=self.gy)
+        self.gy /= 2.0 * self.grid.dy
+        return self.gx, self.gy
+
+    def laplacian(self, out: np.ndarray) -> np.ndarray:
+        """Flat 5-point Laplacian f_xx + f_yy into `out` (no conformal factor)."""
+        f, tmp = self.f, self.tmp
+        np.add(self.xp, self.xm, out=out)
+        out -= f
+        out -= f
+        out /= self.grid.dx ** 2
+        np.add(self.yp, self.ym, out=tmp)
+        tmp -= f
+        tmp -= f
+        tmp /= self.grid.dy ** 2
+        out += tmp
+        return out
 
 
 def grad_sq_density(u: np.ndarray, grid: SurfaceGrid) -> np.ndarray:
@@ -190,9 +280,7 @@ def l2_inner(f: np.ndarray, g: np.ndarray, grid: SurfaceGrid) -> float:
     """
     if f.shape != g.shape:
         raise ShapeError(f"shape mismatch: {f.shape} vs {g.shape}")
-    pw = f * g
-    if pw.ndim == 3:
-        pw = np.sum(pw, axis=-1)
+    pw = component_dot(f, g) if f.ndim == 3 else f * g
     return float(np.sum(pw * grid.w))
 
 

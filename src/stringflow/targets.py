@@ -11,6 +11,7 @@ from abc import ABC, abstractmethod
 import numpy as np
 
 from .errors import OffManifoldError, ProjectionError, TangencyError
+from .grid import component_dot
 
 ON_MANIFOLD_TOL = 1e-8
 TANGENT_TOL = 1e-6
@@ -44,6 +45,10 @@ class TargetManifold(ABC):
         projection on tangent vectors, so for the unit sphere
         II(X, Y) = -<X, Y> u.
         """
+
+    def tangent_project(self, u: np.ndarray, X: np.ndarray) -> np.ndarray:
+        """P(u) X through the full projector; subclasses may use a closed form."""
+        return np.einsum("...ij,...j->...i", self.tangent_projector(u), X)
 
     @abstractmethod
     def normal_frame(self, u: np.ndarray) -> np.ndarray:
@@ -125,7 +130,7 @@ class SphereTarget(TargetManifold):
         self.name = "sphere"
 
     def project(self, y: np.ndarray) -> np.ndarray:
-        r = np.linalg.norm(y, axis=-1)
+        r = np.sqrt(component_dot(y, y))
         if np.any(r < 1e-8):
             raise ProjectionError("projection undefined near the sphere center")
         return y / r[..., None]
@@ -138,7 +143,10 @@ class SphereTarget(TargetManifold):
         return eye - u[..., :, None] * u[..., None, :]
 
     def sff(self, u, X, Y):
-        return -np.sum(X * Y, axis=-1)[..., None] * u
+        return -component_dot(X, Y)[..., None] * u
+
+    def tangent_project(self, u: np.ndarray, X: np.ndarray) -> np.ndarray:
+        return X - component_dot(X, u)[..., None] * u
 
     def normal_frame(self, u: np.ndarray) -> np.ndarray:
         return u[..., None, :]
@@ -152,11 +160,9 @@ class SphereTarget(TargetManifold):
 
 def tangent_project(target: TargetManifold, u: np.ndarray,
                     X: np.ndarray) -> np.ndarray:
-    """P(u) X without forming the full projector when a closed form exists."""
-    if isinstance(target, SphereTarget):
-        return X - np.sum(X * u, axis=-1)[..., None] * u
-    P = target.tangent_projector(u)
-    return np.einsum("...ij,...j->...i", P, X)
+    """P(u) X; the target's method, which avoids the full projector when a
+    closed form exists."""
+    return target.tangent_project(u, X)
 
 
 def make_target(kind: str, q: int = 4) -> TargetManifold:

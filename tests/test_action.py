@@ -115,3 +115,56 @@ def test_run_convergence_probe_stops_early(grid, sphere):
     cfg = sf.FlowConfig(t_end=50.0, record_every=20, conv_tol=1e-8)
     st = sf.run(u0, grid, sphere, sf.zero_background(4), cfg)
     assert st.converged and st.t < 50.0
+
+
+def test_flow_rhs_result_is_not_a_workspace_buffer(grid, sphere):
+    fields = sf.FieldBackground(b=sf.make_two_form("y4", 4, beta=0.2),
+                                V=sf.make_potential("height", 4, epsilon=0.1))
+    u1 = sf.random_smooth_map(grid, sphere, seed=7, amplitude=0.3)
+    u2 = sf.random_smooth_map(grid, sphere, seed=8, amplitude=0.3)
+    work = sf.Workspace(grid, u1.values.shape, fields)
+    for w in (None, work):
+        r1 = sf.flow_rhs(u1, grid, sphere, fields, w)
+        kept = r1.copy()
+        sf.action_value(u2.values, grid, fields, w)
+        r2 = sf.flow_rhs(u2, grid, sphere, fields, w)
+        assert np.array_equal(r1, kept)
+        assert not np.array_equal(r1, r2)
+    # a shared workspace gives the same numbers as a fresh one
+    assert np.array_equal(sf.flow_rhs(u1, grid, sphere, fields, work), kept)
+    assert sf.action_value(u1.values, grid, fields, work) == \
+        sf.action_value(u1.values, grid, fields)
+
+
+def test_run_stops_exactly_at_t_end(grid, sphere):
+    u0 = sf.random_smooth_map(grid, sphere, seed=5, amplitude=0.2)
+    cfg = sf.FlowConfig(t_end=0.0105, record_every=5)
+    dt = sf.cfl_bound(grid, cfg.cfl)
+    assert (cfg.t_end / dt) % 1.0 > 0.1      # not a multiple of dt
+    st = sf.run(u0, grid, sphere, sf.zero_background(4), cfg)
+    assert st.t == cfg.t_end
+    assert st.ledger.records[-1].t == cfg.t_end
+    # the shortened last step is neither a dt halving nor a stable step
+    st = sf.init_state(u0, grid, sphere, sf.zero_background(4), cfg)
+    while st.t + st.dt < cfg.t_end:
+        sf.step(st)
+    before = (st.dt, st.stable_steps)
+    sf.step(st)
+    assert st.t == cfg.t_end
+    assert (st.dt, st.stable_steps) == before == (dt, st.steps - 1)
+
+
+def test_non_finite_map_raises_within_one_step(grid, sphere):
+    vals = sf.random_smooth_map(grid, sphere, seed=9, amplitude=0.2).values
+    vals[5, 7, 1] = np.nan
+    u0 = sf.MapField(vals, sphere)
+    state = sf.init_state(u0, grid, sphere, sf.zero_background(4),
+                          sf.FlowConfig(t_end=1.0))
+    with pytest.raises(sf.NonFiniteStateError) as err:
+        sf.step(state)
+    msg = str(err.value)
+    assert "step 1" in msg and "t=0" in msg and "(5, 7)" in msg
+    assert state.steps == 0
+    with pytest.raises(sf.NonFiniteStateError):
+        sf.run(u0, grid, sphere, sf.zero_background(4),
+               sf.FlowConfig(t_end=1.0))

@@ -122,3 +122,27 @@ def test_run_with_preset(tmp_path):
     code = main(["check", "--preset", "gap_smallness", "--out", out])
     assert code == 0
     assert os.path.exists(os.path.join(out, "hypothesis.json"))
+
+
+def test_run_non_finite_initial_map_exit_three(tmp_path, monkeypatch, capsys):
+    import stringflow.config as config
+
+    build = config.build_objects
+
+    def with_nan(cfg):
+        grid, target, fields, u0, flow_cfg = build(cfg)
+        u0.values[3, 4, 0] = float("nan")
+        return grid, target, fields, u0, flow_cfg
+
+    monkeypatch.setattr(config, "build_objects", with_nan)
+    cfgp = small_cfg(tmp_path)
+    assert main(["run", "--config", cfgp, "--out", str(tmp_path / "o")]) == 3
+    err = capsys.readouterr().err
+    assert "numeric failure" in err and "step 1" in err and "(3, 4)" in err
+
+
+@pytest.mark.parametrize("flag", ["--threads", "--seed"])
+def test_removed_global_flags_are_rejected(tmp_path, flag):
+    cfgp = small_cfg(tmp_path)
+    with pytest.raises(SystemExit):
+        main([flag, "1", "check", "--config", cfgp])

@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 
 import stringflow as sf
+from stringflow.action import Workspace, _bfield_force
 from stringflow.errors import HypothesisError
-from stringflow.fields import pullback_density
+from stringflow.fields import pullback_density, y4_two_form
+from stringflow.grid import d0x, d0y
 from stringflow.targets import tangent_project
 
 
@@ -122,3 +124,56 @@ def test_smallness_report(sphere):
     # |B| >= 1/2 fails outright
     rep3 = sf.smallness_report(u.values, g, fields, 0.5, 0.6)
     assert not rep3.passes
+
+
+def test_linear_two_form_is_a_constant_skew_tensor():
+    assert y4_two_form(0.0).is_zero
+    assert sf.zero_two_form(4).is_zero
+    assert not y4_two_form(0.1).is_zero
+    # one term: C[3, 0, 1] = -C[3, 1, 0] = beta
+    assert len(y4_two_form(0.1).terms) == 1
+    C = np.zeros((4, 4, 4))
+    C[3, 0, 1] = 0.2          # no skew partner
+    with pytest.raises(ValueError):
+        sf.TwoFormField("bad", C)
+    with pytest.raises(ValueError):
+        sf.TwoFormField("bad", np.zeros((4, 4)))
+
+
+def _parent_pullback_density(u, b, g):
+    """Dense per-node contraction (d_x u)^T b(u) (d_y u)."""
+    return np.einsum("...i,...ij,...j->...", d0x(u, g), b.coeff(u), d0y(u, g))
+
+
+def _parent_bfield_force(u, b, g, target):
+    """e^{-2 lam} P(u) g with g^k = d_k b_ij ux^i uy^j - D0x(b_kj uy^j)
+    - D0y(ux^i b_ik), from the dense per-node tensors."""
+    ux, uy = d0x(u, g), d0y(u, g)
+    bu = b.coeff(u)
+    # b is linear, so the central difference is exact at any step; a unit
+    # step keeps its rounding error at the 1e-16 level
+    dcoeff = b.dcoeff_fd(u, step=1.0)
+    grad = np.einsum("...kij,...i,...j->...k", dcoeff, ux, uy)
+    grad -= d0x(np.einsum("...kj,...j->...k", bu, uy), g)
+    grad -= d0y(np.einsum("...ik,...i->...k", bu, ux), g)
+    grad *= g.em2l[..., None]
+    return tangent_project(target, u, grad)
+
+
+@pytest.mark.parametrize("lam", [None, lambda x, y: 0.3 * np.sin(x) * np.cos(y)])
+def test_bfield_force_and_pullback_match_dense_formulas(sphere, lam):
+    g = sf.build_grid(24, 20, lam=lam)
+    fields = sf.FieldBackground(b=sf.make_two_form("y4", 4, beta=0.3),
+                                V=sf.zero_potential(4))
+    b = fields.b
+    for seed in (0, 1, 2):
+        u = sf.random_smooth_map(g, sphere, seed=seed, amplitude=0.4).values
+        dens = pullback_density(u, b, g)
+        ref = _parent_pullback_density(u, b, g)
+        assert np.max(np.abs(dens - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+        work = Workspace(g, u.shape, fields)
+        work.stencil.load(u).centred()
+        force = g.em2l[..., None] * _bfield_force(work, u, sphere, b)
+        ref = _parent_bfield_force(u, b, g, sphere)
+        assert np.max(np.abs(force - ref)) <= 1e-13 * np.max(np.abs(ref))

@@ -135,3 +135,17 @@ def test_stiffness_event_on_dt_collapse(sphere):
     assert st.t >= 5e-4 - 1e-12
     for ev in st.events:
         assert ev.kind in ("concentration", "stiffness")
+
+
+def test_dt_min_collapse_records_event_and_is_not_an_error(sphere):
+    # a stationary map cannot decrease the action by the demanded margin
+    # (tol_up < 0), so every halving fails and dt collapses to dt_min; the
+    # state stays finite, so the step is accepted with an event
+    g = sf.build_grid(32, 32)
+    u = sf.geodesic_wrap(g, sphere, m=1, n=0)
+    cfg = sf.FlowConfig(t_end=1.0, dt_min=1e-12, tol_up=-1e-12,
+                        ball_radius=0.4)
+    st = sf.init_state(u, g, sphere, sf.zero_background(4), cfg)
+    sf.step(st)
+    assert st.dt == 1e-12 and st.t == 1e-12
+    assert [ev.kind for ev in st.events] in (["stiffness"], ["concentration"])

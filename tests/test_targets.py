@@ -78,3 +78,14 @@ def test_tangent_project_fast_path_matches_projector(sphere):
     fast = tangent_project(sphere, u, X)
     P = sphere.tangent_projector(u)
     assert np.allclose(fast, np.einsum("...ij,...j->...i", P, X), atol=1e-14)
+
+
+def test_tangent_project_dispatches_to_target_method(sphere):
+    # the base-class projector path and the sphere's closed form agree, and
+    # the module-level function is the target's method
+    u = rand_points(sphere, n=10, seed=6)
+    X = np.random.default_rng(7).standard_normal(u.shape)
+    generic = sf.TargetManifold.tangent_project(sphere, u, X)
+    assert np.allclose(sphere.tangent_project(u, X), generic, atol=1e-14)
+    assert np.array_equal(tangent_project(sphere, u, X),
+                          sphere.tangent_project(u, X))
