@@ -12,9 +12,10 @@ Discretization notes (the choices here are load-bearing):
   Z(du(e1) ^ du(e2)) up to O(dx^2).  This makes the discrete flow an exact
   gradient flow of the ledger action, so the dissipation identity defect is
   pure O(dt) and the gradient-consistency check is exact up to O(eps^2).
-* flow_rhs and action_value each shift u once (grid.Stencil) and take every
-  difference from those shifts.  Their buffers live in a Workspace that a
-  run allocates once; called on their own, they build a fresh one.
+* flow_rhs, action_value and each ledger record shift u once
+  (grid.Stencil) and take every difference from those shifts.  Their
+  buffers live in a Workspace that a run allocates once; called on their
+  own, flow_rhs and action_value build a fresh one.
 """
 
 from __future__ import annotations
@@ -26,10 +27,9 @@ import numpy as np
 
 from .errors import GridError, NonFiniteStateError
 from .fields import (FieldBackground, TwoFormField, delta_constants,
-                     pullback_integral, tangential_grad_V, wedge)
+                     tangential_grad_V, wedge)
 from .grid import (Stencil, SurfaceGrid, ball_mask, ball_sum_map, d0x, d0y,
-                   dpx, dpy, grad_sq_density, hessian_sq_density, l2_inner,
-                   l2_norm)
+                   dpx, dpy, grad_sq_density, l2_inner, l2_norm)
 from .targets import TargetManifold, tangent_project
 
 __all__ = [
@@ -80,28 +80,47 @@ class EnergyTerms:
     S_raw: float        # S_tilde - A1 * vol(M)
 
 
+def _dirichlet(gx: np.ndarray, gy: np.ndarray, grid: SurfaceGrid) -> float:
+    """sum(|gx|^2 + |gy|^2) dx dy of the forward differences; squares them
+    in place."""
+    gx *= gx
+    gy *= gy
+    gx += gy
+    return float(np.sum(gx) * (grid.dx * grid.dy))
+
+
 def dirichlet_energy(u: np.ndarray, grid: SurfaceGrid) -> float:
     """int |du|^2 dvol with forward differences; conformally invariant."""
-    gx = dpx(u, grid)
-    gy = dpy(u, grid)
-    return float(np.sum(gx * gx + gy * gy) * (grid.dx * grid.dy))
+    return _dirichlet(dpx(u, grid), dpy(u, grid), grid)
 
 
-def energies(u: MapField, grid: SurfaceGrid, fields: FieldBackground) -> EnergyTerms:
-    vals = u.values
-    E = dirichlet_energy(vals, grid)
-    B_term = pullback_integral(vals, fields.b, grid)
-    if fields.V.is_zero:
-        V_term = 0.0
-    else:
+def _energy_terms(st: Stencil, vals: np.ndarray,
+                  fields: FieldBackground) -> EnergyTerms:
+    """Energy terms of `vals`, loaded in `st`: E from the forward
+    differences, the pullback from the centred ones."""
+    grid = st.grid
+    E = _dirichlet(*st.forward(), grid)
+    B_term = 0.0
+    if not fields.b.is_zero:
+        ux, uy = st.centred()
+        B_term = float(np.sum(fields.b.pullback(vals, ux, uy))
+                       * grid.dx * grid.dy)
+    V_term = 0.0
+    if not fields.V.is_zero:
         V_term = float(np.sum(fields.V.shifted(vals) * grid.w))
     S = 0.5 * E + B_term + V_term
     return EnergyTerms(E=E, dirichlet=0.5 * E, B_term=B_term, V_term=V_term,
                        S_tilde=S, S_raw=S - fields.V.shift * grid.total_volume)
 
 
+def energies(u: MapField, grid: SurfaceGrid, fields: FieldBackground) -> EnergyTerms:
+    vals = u.values
+    return _energy_terms(Stencil(grid, vals.shape).load(vals), vals, fields)
+
+
 class Workspace:
-    """Buffers reused by the flow_rhs and action_value calls of one run.
+    """Buffers reused by the flow_rhs, action_value and ledger-record calls
+    of one run.
 
     init_state allocates one per run.  flow_rhs and action_value called
     without one build a fresh workspace; either way, the arrays they return
@@ -123,18 +142,7 @@ def action_value(vals: np.ndarray, grid: SurfaceGrid,
     differences (Dirichlet term) and the centred ones (pullback)."""
     if work is None:
         work = Workspace(grid, vals.shape, fields)
-    st = work.stencil.load(vals)
-    gx, gy = st.forward()
-    gx *= gx
-    gy *= gy
-    gx += gy
-    S = 0.5 * float(np.sum(gx) * (grid.dx * grid.dy))
-    if not fields.b.is_zero:
-        ux, uy = st.centred()
-        S += float(np.sum(fields.b.pullback(vals, ux, uy)) * grid.dx * grid.dy)
-    if not fields.V.is_zero:
-        S += float(np.sum(fields.V.shifted(vals) * grid.w))
-    return S
+    return _energy_terms(work.stencil.load(vals), vals, fields).S_tilde
 
 
 def local_energy(u: MapField, grid: SurfaceGrid, x0, R: float) -> float:
@@ -371,10 +379,16 @@ def init_state(u0: MapField, grid: SurfaceGrid, target: TargetManifold,
 
 
 def _record(state: FlowState):
-    terms = energies(state.u, state.grid, state.fields)
-    sup_loc = float(np.max(local_energy_map(state.u, state.grid,
-                                            state.config.ball_radius)))
-    hd = float(np.sum(hessian_sq_density(state.u.values, state.grid) * state.grid.w))
+    """Append a ledger row; every column comes from one load of the
+    workspace stencil.  The ball map sums |du|^2 dvol, which is conformally
+    invariant: grad_sq * dx dy."""
+    grid, vals = state.grid, state.u.values
+    st = state.work.stencil.load(vals)
+    terms = _energy_terms(st, vals, state.fields)
+    dens = st.grad_sq()
+    dens *= grid.dx * grid.dy
+    sup_loc = float(np.max(ball_sum_map(dens, grid, state.config.ball_radius)))
+    hd = float(np.sum(st.hessian_sq() * grid.w))
     state.ledger.append(EnergyRecord(
         t=state.t, E=terms.E, dirichlet=terms.dirichlet, B_term=terms.B_term,
         V_term=terms.V_term, S_tilde=terms.S_tilde, kinetic=state.last_kinetic,

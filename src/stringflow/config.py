@@ -9,8 +9,7 @@ from .action import FlowConfig
 from .errors import ConfigError
 from .fields import FieldBackground, make_potential, make_two_form
 from .grid import build_grid
-from .initial_data import (bump_map, constant_map, geodesic_wrap, noisy_wrap,
-                           random_smooth_map, small_energy_map)
+from .initial_data import MAP_BUILDERS
 from .targets import make_target
 
 # schema: section -> key -> (type(s), default).  Defaults of None mean the
@@ -57,10 +56,6 @@ _SCHEMA = {
     },
 }
 
-_INITIAL_KINDS = {"constant", "geodesic_wrap", "bump", "random_smooth",
-                  "noisy_wrap", "small_energy"}
-
-
 def _check_type(value, types, path):
     if isinstance(types, tuple):
         ok = isinstance(value, types)
@@ -103,8 +98,8 @@ def validate_config(raw: dict) -> dict:
             sec[key] = copy.deepcopy(val)
         out[section] = sec
     kind = out["initial"]["kind"]
-    if kind not in _INITIAL_KINDS:
-        raise ConfigError(f"initial.kind must be one of {sorted(_INITIAL_KINDS)}")
+    if kind not in MAP_BUILDERS:
+        raise ConfigError(f"initial.kind must be one of {sorted(MAP_BUILDERS)}")
     return out
 
 
@@ -139,25 +134,8 @@ def build_objects(cfg: dict):
                              V=make_potential(f["v_kind"], target.q,
                                               epsilon=f["epsilon"]))
     i = cfg["initial"]
-    point = None if i["point"] is None else i["point"]
-    kind = i["kind"]
-    if kind == "constant":
-        u0 = constant_map(grid, target, point=point)
-    elif kind == "geodesic_wrap":
-        u0 = geodesic_wrap(grid, target, m=i["m"], n=i["n"])
-    elif kind == "bump":
-        u0 = bump_map(grid, target, scale=i["scale"])
-    elif kind == "random_smooth":
-        u0 = random_smooth_map(grid, target, seed=i["seed"],
-                               amplitude=i["amplitude"],
-                               max_mode=i["max_mode"], point=point)
-    elif kind == "noisy_wrap":
-        u0 = noisy_wrap(grid, target, m=i["m"], n=i["n"], seed=i["seed"],
-                        amplitude=i["amplitude"], max_mode=i["max_mode"])
-    else:  # small_energy
-        u0 = small_energy_map(grid, target, energy=i["energy"],
-                              seed=i["seed"], max_mode=i["max_mode"],
-                              point=point)
+    builder, keys = MAP_BUILDERS[i["kind"]]
+    u0 = builder(grid, target, **{k: i[k] for k in keys})
     fl = cfg["flow"]
     flow_cfg = FlowConfig(t_end=fl["t_end"], cfl=fl["cfl"], dt_init=fl["dt_init"],
                           dt_min=fl["dt_min"], delta1=fl["delta1"],

@@ -38,6 +38,7 @@ class TwoFormField:
     C: np.ndarray
     terms: tuple = field(init=False, repr=False)
     Omega: np.ndarray = field(init=False, repr=False)
+    is_zero: bool = field(init=False, repr=False)
 
     def __post_init__(self):
         C = np.array(self.C, dtype=float)
@@ -53,14 +54,11 @@ class TwoFormField:
         self.C, self.Omega = C, Omega
         self.terms = tuple((int(k), int(i), int(j), float(C[k, i, j]))
                            for k, i, j in zip(*np.nonzero(C)) if i < j)
+        self.is_zero = not C.any()
 
     @property
     def q(self) -> int:
         return self.C.shape[0]
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.C.any()
 
     def coeff(self, y: np.ndarray) -> np.ndarray:
         """b(y), shape (..., q, q)."""

@@ -7,6 +7,7 @@ Vector fields carry a trailing component axis.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -21,7 +22,8 @@ TWO_PI = 2.0 * math.pi
 class SurfaceGrid:
     """Periodic rectangular grid carrying a conformal factor and quadrature weights.
 
-    Immutable after construction; the held arrays are marked read-only.
+    Immutable after construction; the held arrays are marked read-only, so
+    the properties derived from them are computed once.
     """
 
     nx: int
@@ -38,11 +40,11 @@ class SurfaceGrid:
     eml: np.ndarray      # e^{-lam}
     w: np.ndarray        # quadrature weights e^{2 lam} dx dy
 
-    @property
+    @functools.cached_property
     def is_flat(self) -> bool:
         return bool(np.all(self.lam == 0.0))
 
-    @property
+    @functools.cached_property
     def total_volume(self) -> float:
         return float(np.sum(self.w))
 
@@ -106,8 +108,8 @@ def conformal_rescale(grid: SurfaceGrid, a: float) -> SurfaceGrid:
 # -- stencils -----------------------------------------------------------------
 # np.roll(f, -1, axis) brings f[i+1] to slot i; all stencils are exactly periodic.
 
-def _centred(f: np.ndarray, axis: int, h: float, out=None) -> np.ndarray:
-    """(f[i+1] - f[i-1]) / (2h) along `axis`, by slicing into `out`."""
+def _centred_diff(f: np.ndarray, axis: int, out=None) -> np.ndarray:
+    """f[i+1] - f[i-1] along `axis`, by slicing into `out`."""
     if out is None:
         out = np.empty_like(f)
     a = np.moveaxis(f, axis, 0)
@@ -115,6 +117,12 @@ def _centred(f: np.ndarray, axis: int, h: float, out=None) -> np.ndarray:
     np.subtract(a[2:], a[:-2], out=o[1:-1])
     np.subtract(a[1], a[-1], out=o[0])
     np.subtract(a[0], a[-2], out=o[-1])
+    return out
+
+
+def _centred(f: np.ndarray, axis: int, h: float, out=None) -> np.ndarray:
+    """(f[i+1] - f[i-1]) / (2h) along `axis`, by slicing into `out`."""
+    out = _centred_diff(f, axis, out)
     out /= 2.0 * h
     return out
 
@@ -128,13 +136,24 @@ def d0y(f: np.ndarray, grid: SurfaceGrid, out=None) -> np.ndarray:
     return _centred(f, 1, grid.dy, out)
 
 
+def _forward(f: np.ndarray, axis: int, h: float) -> np.ndarray:
+    """(f[i+1] - f[i]) / h along `axis`, by slicing."""
+    out = np.empty_like(f)
+    a = np.moveaxis(f, axis, 0)
+    o = np.moveaxis(out, axis, 0)
+    np.subtract(a[1:], a[:-1], out=o[:-1])
+    np.subtract(a[0], a[-1], out=o[-1])
+    out /= h
+    return out
+
+
 def dpx(f: np.ndarray, grid: SurfaceGrid) -> np.ndarray:
     """Forward x-difference."""
-    return (np.roll(f, -1, axis=0) - f) / grid.dx
+    return _forward(f, 0, grid.dx)
 
 
 def dpy(f: np.ndarray, grid: SurfaceGrid) -> np.ndarray:
-    return (np.roll(f, -1, axis=1) - f) / grid.dy
+    return _forward(f, 1, grid.dy)
 
 
 def dxx(f: np.ndarray, grid: SurfaceGrid) -> np.ndarray:
@@ -143,15 +162,6 @@ def dxx(f: np.ndarray, grid: SurfaceGrid) -> np.ndarray:
 
 def dyy(f: np.ndarray, grid: SurfaceGrid) -> np.ndarray:
     return (np.roll(f, -1, axis=1) + np.roll(f, 1, axis=1) - 2.0 * f) / grid.dy**2
-
-
-def dxy(f: np.ndarray, grid: SurfaceGrid) -> np.ndarray:
-    """Centered cross derivative."""
-    fpp = np.roll(np.roll(f, -1, axis=0), -1, axis=1)
-    fpm = np.roll(np.roll(f, -1, axis=0), 1, axis=1)
-    fmp = np.roll(np.roll(f, 1, axis=0), -1, axis=1)
-    fmm = np.roll(np.roll(f, 1, axis=0), 1, axis=1)
-    return (fpp - fpm - fmp + fmm) / (4.0 * grid.dx * grid.dy)
 
 
 def component_dot(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
@@ -165,6 +175,18 @@ def component_dot(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     for i in range(1, X.shape[-1]):
         np.multiply(X[..., i], Y[..., i], out=tmp)
         out += tmp
+    return out
+
+
+def _sum_components(a: np.ndarray) -> np.ndarray:
+    """Fresh node-scalar sum over the trailing component axis, one plane at
+    a time in index order (numpy's order for a short trailing axis); a
+    scalar field is copied."""
+    if a.ndim == 2:
+        return a.copy()
+    out = a[..., 0].copy()
+    for i in range(1, a.shape[-1]):
+        out += a[..., i]
     return out
 
 
@@ -195,8 +217,10 @@ class Stencil:
     differences are then all formed from these shifts, so one pass over f
     serves every first- and second-order term.  `forward` and `centred`
     write into the same pair of buffers (gx, gy); each call overwrites what
-    the previous one left there.  `tmp` is scratch: the Laplacian uses it,
-    and so may a caller once the Laplacian is formed.
+    the previous one left there, and so does `grad_sq`.  `tmp` is scratch:
+    the Laplacian uses it, and so may a caller once the Laplacian is formed.
+    `hessian_sq` overwrites every buffer, the shifts included, so it comes
+    last before the next `load`.
     """
 
     def __init__(self, grid: SurfaceGrid, shape):
@@ -249,27 +273,63 @@ class Stencil:
         out += tmp
         return out
 
+    def grad_sq(self) -> np.ndarray:
+        """|D0x f|^2 + |D0y f|^2 at each node, summed over components.
+
+        This is the coordinate density; the frame density |df|^2 is
+        e^{-2 lam} times it, so |df|^2 dvol = grad_sq * dx dy on any
+        conformal grid.  Squares the unscaled differences, then scales.
+        """
+        gx, gy = self.gx, self.gy
+        np.subtract(self.xp, self.xm, out=gx)
+        np.subtract(self.yp, self.ym, out=gy)
+        gx *= gx
+        gx *= 0.25 / self.grid.dx ** 2
+        gy *= gy
+        gy *= 0.25 / self.grid.dy ** 2
+        gx += gy
+        return _sum_components(gx)
+
+    def hessian_sq(self) -> np.ndarray:
+        """Flat Hessian density f_xx^2 + 2 f_xy^2 + f_yy^2, summed over components.
+
+        f_xx and f_yy are the second differences of the shifts; f_xy is the
+        centred 4-corner cross difference D0x(D0y f) = D0y(D0x f), taken
+        along the contiguous x axis.  Squares the unscaled differences,
+        then scales.
+        """
+        grid = self.grid
+        nxx, nxy, nyy, f2 = self.xp, self.gy, self.yp, self.tmp
+        np.subtract(self.yp, self.ym, out=self.gx)
+        _centred_diff(self.gx, 0, out=nxy)
+        np.multiply(self.f, 2.0, out=f2)
+        nxx += self.xm
+        nxx -= f2
+        nyy += self.ym
+        nyy -= f2
+        nxx *= nxx
+        nxx *= 1.0 / grid.dx ** 4
+        nxy *= nxy
+        nxy *= 0.125 / (grid.dx * grid.dy) ** 2
+        nyy *= nyy
+        nyy *= 1.0 / grid.dy ** 4
+        nxx += nxy
+        nxx += nyy
+        self.f = None       # the shifts are spent
+        return _sum_components(nxx)
+
 
 def grad_sq_density(u: np.ndarray, grid: SurfaceGrid) -> np.ndarray:
     """Pointwise |du|^2 = |du(e1)|^2 + |du(e2)|^2 (centered differences)."""
-    du1, du2 = frame_derivatives(u, grid)
-    if u.ndim == 2:
-        return du1**2 + du2**2
-    return np.sum(du1**2 + du2**2, axis=-1)
-
-
-def second_differences(f: np.ndarray, grid: SurfaceGrid):
-    """(f_xx, f_xy, f_yy) flat second-difference Hessian components."""
-    return dxx(f, grid), dxy(f, grid), dyy(f, grid)
+    d = Stencil(grid, u.shape).load(u).grad_sq()
+    if not grid.is_flat:
+        d *= grid.em2l
+    return d
 
 
 def hessian_sq_density(u: np.ndarray, grid: SurfaceGrid) -> np.ndarray:
     """Pointwise |flat Hessian|^2 = u_xx^2 + 2 u_xy^2 + u_yy^2."""
-    hxx, hxy, hyy = second_differences(u, grid)
-    d = hxx**2 + 2.0 * hxy**2 + hyy**2
-    if u.ndim == 3:
-        d = np.sum(d, axis=-1)
-    return d
+    return Stencil(grid, u.shape).load(u).hessian_sq()
 
 
 def l2_inner(f: np.ndarray, g: np.ndarray, grid: SurfaceGrid) -> float:
@@ -330,12 +390,28 @@ def ball_kernel(grid: SurfaceGrid, R: float) -> np.ndarray:
     return ball_mask(grid, (0, 0), R).astype(float)
 
 
+@functools.lru_cache(maxsize=8)
+def _kernel_transform(nx: int, ny: int, Lx: float, Ly: float,
+                      R: float) -> np.ndarray:
+    K = np.fft.rfft2(ball_kernel(build_grid(nx, ny, Lx, Ly), R))
+    K.setflags(write=False)
+    return K
+
+
+def ball_kernel_transform(grid: SurfaceGrid, R: float) -> np.ndarray:
+    """rfft2 of ball_kernel(grid, R), read-only and cached.
+
+    The ball ignores lam, so the kernel depends only on (nx, ny, Lx, Ly, R);
+    a bounded cache keyed on those serves every grid that shares them.
+    """
+    return _kernel_transform(grid.nx, grid.ny, grid.Lx, grid.Ly, R)
+
+
 def ball_sum_map(density: np.ndarray, grid: SurfaceGrid, R: float) -> np.ndarray:
     """S[ix, iy] = sum of `density` over the ball of radius R around each node.
 
     Computed by circular FFT convolution with the (symmetric) ball indicator;
     agrees with direct masked sums to roundoff.
     """
-    K = ball_kernel(grid, R)
-    S = np.fft.irfft2(np.fft.rfft2(density) * np.fft.rfft2(K), s=density.shape)
-    return S
+    return np.fft.irfft2(np.fft.rfft2(density) * ball_kernel_transform(grid, R),
+                         s=density.shape)

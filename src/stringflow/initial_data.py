@@ -150,11 +150,13 @@ def small_energy_map(grid: SurfaceGrid, target: TargetManifold,
     return MapField(target.project(p + a * noise), target)
 
 
+# initial.kind -> (builder, the `initial` config keys it takes as keywords)
 MAP_BUILDERS = {
-    "constant": constant_map,
-    "geodesic_wrap": geodesic_wrap,
-    "bump": bump_map,
-    "random_smooth": random_smooth_map,
-    "noisy_wrap": noisy_wrap,
-    "small_energy": small_energy_map,
+    "constant": (constant_map, ("point",)),
+    "geodesic_wrap": (geodesic_wrap, ("m", "n")),
+    "bump": (bump_map, ("scale",)),
+    "random_smooth": (random_smooth_map,
+                      ("seed", "amplitude", "max_mode", "point")),
+    "noisy_wrap": (noisy_wrap, ("m", "n", "seed", "amplitude", "max_mode")),
+    "small_energy": (small_energy_map, ("energy", "seed", "max_mode", "point")),
 }

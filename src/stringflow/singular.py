@@ -145,9 +145,12 @@ def convergence_probe(kinetic: float, el_residual_l2: float,
 
 # -- parabolic rescaling -----------------------------------------------------------
 
-def _bilinear_periodic(vals: np.ndarray, grid: SurfaceGrid,
-                       px: np.ndarray, py: np.ndarray) -> np.ndarray:
-    """Bilinear interpolation of a node field at points (px, py), periodic."""
+def _bilinear_periodic(grid: SurfaceGrid, px: np.ndarray, py: np.ndarray):
+    """Periodic bilinear interpolation at the points (px, py).
+
+    Builds the corner indices and weights once and returns the function
+    that applies them to a node field of shape (nx, ny, q).
+    """
     fx = (px / grid.dx) % grid.nx
     fy = (py / grid.dy) % grid.ny
     i0 = np.floor(fx).astype(int) % grid.nx
@@ -156,12 +159,21 @@ def _bilinear_periodic(vals: np.ndarray, grid: SurfaceGrid,
     j1 = (j0 + 1) % grid.ny
     tx = (fx - np.floor(fx))[..., None]
     ty = (fy - np.floor(fy))[..., None]
-    v00 = vals[i0, j0]
-    v10 = vals[i1, j0]
-    v01 = vals[i0, j1]
-    v11 = vals[i1, j1]
-    return ((1 - tx) * (1 - ty) * v00 + tx * (1 - ty) * v10
-            + (1 - tx) * ty * v01 + tx * ty * v11)
+    # corner (flat node index, weight) pairs; each weight keeps the
+    # product order ((1 - tx) * (1 - ty)) * v00 of the plain formula
+    corners = [(i * grid.ny + j, w) for (i, j), w in (
+        ((i0, j0), (1 - tx) * (1 - ty)), ((i1, j0), tx * (1 - ty)),
+        ((i0, j1), (1 - tx) * ty), ((i1, j1), tx * ty))]
+
+    def interpolate(vals: np.ndarray) -> np.ndarray:
+        flat = vals.reshape(grid.nx * grid.ny, vals.shape[-1])
+        (k, w), *rest = corners
+        out = w * flat.take(k, axis=0)
+        for k, w in rest:
+            out += w * flat.take(k, axis=0)
+        return out
+
+    return interpolate
 
 
 def rescale_out_grid(grid: SurfaceGrid, r: float, nx: int | None = None,
@@ -192,10 +204,11 @@ def parabolic_rescale(snapshots, z0, r: float, grid: SurfaceGrid,
     dys = periodic_delta(out_grid.y, out_grid.y[cy], out_grid.Ly)
     px = (grid.x[ix] + r * dxs)[:, None] + np.zeros((1, out_grid.ny))
     py = (grid.y[iy] + r * dys)[None, :] + np.zeros((out_grid.nx, 1))
+    interpolate = _bilinear_periodic(grid, px, py)
     seq = []
     for t, vals in snapshots:
         if t0 - r * r - 1e-12 <= t <= t0 + 1e-12:
-            seq.append(((t - t0) / r ** 2, _bilinear_periodic(vals, grid, px, py)))
+            seq.append(((t - t0) / r ** 2, interpolate(vals)))
     gradV_factor = 1.0 / r ** 2
     return {"sequence": seq, "center": (cx, cy), "r": r,
             "gradV_factor": gradV_factor,

@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 import stringflow as sf
+from stringflow.action import _record
 from stringflow.errors import GridError
+from stringflow.grid import ball_mask
 
 
 @pytest.fixture
@@ -168,3 +170,49 @@ def test_non_finite_map_raises_within_one_step(grid, sphere):
     with pytest.raises(sf.NonFiniteStateError):
         sf.run(u0, grid, sphere, sf.zero_background(4),
                sf.FlowConfig(t_end=1.0))
+
+
+def _shift(f, sx, sy):
+    """f[i + sx, j + sy], periodic."""
+    return np.roll(np.roll(f, -sx, axis=0), -sy, axis=1)
+
+
+@pytest.mark.parametrize("lam", [None, lambda x, y: 0.2 * np.sin(x) * np.cos(2 * y)])
+def test_record_matches_separate_formulas(sphere, lam):
+    # each ledger column against its own formula, with every difference
+    # taken by np.roll and a freshly built ball kernel
+    g = sf.build_grid(32, 32, lam=lam)
+    fields = sf.FieldBackground(b=sf.make_two_form("y4", 4, beta=0.2),
+                                V=sf.make_potential("height", 4, epsilon=0.1))
+    u0 = sf.random_smooth_map(g, sphere, seed=4, amplitude=0.3)
+    cfg = sf.FlowConfig(t_end=1.0, ball_radius=0.5)
+    st = sf.init_state(u0, g, sphere, fields, cfg)
+    for _ in range(3):
+        sf.step(st)
+    _record(st)
+    rec, v = st.ledger.records[-1], st.u.values
+
+    gx = (_shift(v, 1, 0) - v) / g.dx
+    gy = (_shift(v, 0, 1) - v) / g.dy
+    E = float(np.sum(gx * gx + gy * gy) * (g.dx * g.dy))
+    B = sf.pullback_integral(v, fields.b, g)
+    V = float(np.sum(fields.V.shifted(v) * g.w))
+    assert (rec.E, rec.dirichlet, rec.B_term, rec.V_term, rec.S_tilde) == \
+        (E, 0.5 * E, B, V, 0.5 * E + B + V)
+
+    hxx = (_shift(v, 1, 0) + _shift(v, -1, 0) - 2.0 * v) / g.dx ** 2
+    hyy = (_shift(v, 0, 1) + _shift(v, 0, -1) - 2.0 * v) / g.dy ** 2
+    hxy = (_shift(v, 1, 1) - _shift(v, 1, -1) - _shift(v, -1, 1)
+           + _shift(v, -1, -1)) / (4.0 * g.dx * g.dy)
+    hess = float(np.sum(np.sum(hxx ** 2 + 2.0 * hxy ** 2 + hyy ** 2, axis=-1)
+                        * g.w))
+    assert rec.hess_diag == pytest.approx(hess, rel=1e-13)
+
+    e = g.eml[..., None]
+    du1 = e * (_shift(v, 1, 0) - _shift(v, -1, 0)) / (2.0 * g.dx)
+    du2 = e * (_shift(v, 0, 1) - _shift(v, 0, -1)) / (2.0 * g.dy)
+    dens = np.sum(du1 ** 2 + du2 ** 2, axis=-1) * g.w
+    K = ball_mask(g, (0, 0), cfg.ball_radius).astype(float)
+    balls = np.fft.irfft2(np.fft.rfft2(dens) * np.fft.rfft2(K), s=dens.shape)
+    assert rec.sup_local_energy == pytest.approx(float(np.max(balls)),
+                                                 rel=1e-13)

@@ -40,6 +40,21 @@ def test_bad_initial_kind():
         sf.validate_config({"initial": {"kind": "vortex"}})
 
 
+def test_every_registered_initial_kind_builds():
+    from stringflow.initial_data import MAP_BUILDERS
+    kinds = sorted(MAP_BUILDERS)
+    assert kinds == ["bump", "constant", "geodesic_wrap", "noisy_wrap",
+                     "random_smooth", "small_energy"]
+    with pytest.raises(ConfigError) as err:
+        sf.validate_config({"initial": {"kind": "vortex"}})
+    assert str(err.value) == f"initial.kind must be one of {kinds}"
+    for kind in kinds:
+        grid, target, _, u0, _ = sf.build_objects(
+            {"grid": {"nx": 16, "ny": 16}, "initial": {"kind": kind}})
+        assert u0.values.shape == (16, 16, target.q)
+        u0.check()
+
+
 def test_all_presets_validate_and_build():
     for name in sf.PRESETS:
         cfg = sf.preset_config(name)

@@ -3,7 +3,8 @@ import pytest
 
 import stringflow as sf
 from stringflow.errors import GridError, ShapeError, UnsupportedConfigurationError
-from stringflow.grid import ball_mask, ball_sum_map, d0x, dxx
+from stringflow.grid import (Stencil, ball_kernel_transform, ball_mask,
+                             ball_sum_map, d0x, dpx, dpy, dxx)
 
 
 def test_build_grid_basic():
@@ -103,3 +104,63 @@ def test_stencils_second_order_on_mixed_mode():
     v = np.sin(g.x)[:, None] * np.cos(g.y)[None, :]
     assert np.max(np.abs(d0x(v, g) - np.cos(g.x)[:, None] * np.cos(g.y)[None, :])) < 2e-3
     assert np.max(np.abs(dxx(v, g) + v)) < 2e-3
+
+
+def test_ball_sum_map_cache_keys_on_grid_and_radius():
+    # two grids with the same node count but different periods, two radii,
+    # interleaved: each map still matches the direct masked sums
+    rng = np.random.default_rng(3)
+    grids = [sf.build_grid(16, 16), sf.build_grid(16, 16, Lx=3.0, Ly=4.0)]
+    dens = rng.random((16, 16))
+    for _ in range(2):
+        for g in grids:
+            for R in (0.5, 0.9):
+                m = ball_sum_map(dens, g, R)
+                direct = [[np.sum(dens[ball_mask(g, (i, j), R)])
+                           for j in range(16)] for i in range(16)]
+                assert np.allclose(m, direct, rtol=0.0, atol=1e-12)
+    K = ball_kernel_transform(grids[0], 0.5)
+    assert not K.flags.writeable
+    with pytest.raises(ValueError):
+        K[0, 0] = 0.0
+    # the ball ignores lam, so a conformal grid of the same shape shares it
+    assert ball_kernel_transform(sf.build_grid(16, 16, lam=0.3), 0.5) is K
+    assert ball_kernel_transform(grids[1], 0.5) is not K
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_forward_differences_and_dirichlet_energy_match_roll_bitwise(seed):
+    # values over six decades, so that any change of operation order shows
+    rng = np.random.default_rng(seed)
+    g = sf.build_grid(24, 20, Lx=5.0, Ly=3.0)
+    u = rng.standard_normal((24, 20, 4)) * 10.0 ** rng.uniform(-3, 3, (24, 20, 4))
+    gx = (np.roll(u, -1, axis=0) - u) / g.dx
+    gy = (np.roll(u, -1, axis=1) - u) / g.dy
+    fx, fy = Stencil(g, u.shape).load(u).forward()
+    assert np.array_equal(fx, gx) and np.array_equal(fy, gy)
+    assert np.array_equal(dpx(u, g), gx) and np.array_equal(dpy(u, g), gy)
+    assert sf.dirichlet_energy(u, g) == \
+        float(np.sum(gx * gx + gy * gy) * (g.dx * g.dy))
+
+
+@pytest.mark.parametrize("shape", [(24, 20), (24, 20, 3)])
+def test_density_wrappers_match_roll_formulas(shape):
+    rng = np.random.default_rng(5)
+    g = sf.build_grid(24, 20, lam=lambda x, y: 0.3 * np.cos(x) * np.sin(y))
+    f = rng.standard_normal(shape)
+
+    def sh(sx, sy):
+        return np.roll(np.roll(f, -sx, axis=0), -sy, axis=1)
+
+    e = g.eml if f.ndim == 2 else g.eml[..., None]
+    du1 = e * (sh(1, 0) - sh(-1, 0)) / (2.0 * g.dx)
+    du2 = e * (sh(0, 1) - sh(0, -1)) / (2.0 * g.dy)
+    hxx = (sh(1, 0) + sh(-1, 0) - 2.0 * f) / g.dx ** 2
+    hyy = (sh(0, 1) + sh(0, -1) - 2.0 * f) / g.dy ** 2
+    hxy = (sh(1, 1) - sh(1, -1) - sh(-1, 1) + sh(-1, -1)) / (4.0 * g.dx * g.dy)
+    grad2, hess2 = du1 ** 2 + du2 ** 2, hxx ** 2 + 2.0 * hxy ** 2 + hyy ** 2
+    if f.ndim == 3:
+        grad2, hess2 = grad2.sum(axis=-1), hess2.sum(axis=-1)
+    assert np.allclose(sf.grad_sq_density(f, g), grad2, rtol=1e-13, atol=0.0)
+    assert np.allclose(sf.hessian_sq_density(f, g), hess2, rtol=1e-13,
+                       atol=0.0)

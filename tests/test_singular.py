@@ -3,6 +3,7 @@ import pytest
 
 import stringflow as sf
 from stringflow.errors import GridError
+from stringflow.grid import periodic_delta
 from stringflow.singular import ConcentrationMonitor, local_action_density
 
 
@@ -149,3 +150,38 @@ def test_dt_min_collapse_records_event_and_is_not_an_error(sphere):
     sf.step(st)
     assert st.dt == 1e-12 and st.t == 1e-12
     assert [ev.kind for ev in st.events] in (["stiffness"], ["concentration"])
+
+
+def _bilinear_reference(vals, grid, px, py):
+    """Per-snapshot bilinear interpolation, every index and weight rebuilt."""
+    fx = (px / grid.dx) % grid.nx
+    fy = (py / grid.dy) % grid.ny
+    i0 = np.floor(fx).astype(int) % grid.nx
+    j0 = np.floor(fy).astype(int) % grid.ny
+    i1 = (i0 + 1) % grid.nx
+    j1 = (j0 + 1) % grid.ny
+    tx = (fx - np.floor(fx))[..., None]
+    ty = (fy - np.floor(fy))[..., None]
+    return ((1 - tx) * (1 - ty) * vals[i0, j0] + tx * (1 - ty) * vals[i1, j0]
+            + (1 - tx) * ty * vals[i0, j1] + tx * ty * vals[i1, j1])
+
+
+def test_parabolic_rescale_matches_per_snapshot_interpolation(sphere):
+    # a non-commensurate out-grid, so every bilinear weight is in play
+    g = sf.build_grid(32, 24, Lx=5.0, Ly=4.0)
+    snaps = [(0.03 * k, sf.random_smooth_map(g, sphere, seed=k,
+                                             amplitude=0.3).values)
+             for k in range(8)]
+    r, (ix, iy), t0 = 0.37, (5, 19), 0.18
+    og = sf.build_grid(20, 18, Lx=3.3, Ly=2.9)
+    res = sf.parabolic_rescale(snaps, ((ix, iy), t0), r, g, og)
+    cx, cy = res["center"]
+    px = (g.x[ix] + r * periodic_delta(og.x, og.x[cx], og.Lx))[:, None] \
+        + np.zeros((1, og.ny))
+    py = (g.y[iy] + r * periodic_delta(og.y, og.y[cy], og.Ly))[None, :] \
+        + np.zeros((og.nx, 1))
+    kept = [(t, v) for t, v in snaps if t0 - r * r - 1e-12 <= t <= t0 + 1e-12]
+    assert len(res["sequence"]) == len(kept) >= 2
+    for (s, v), (t, vals) in zip(res["sequence"], kept):
+        assert s == (t - t0) / r ** 2
+        assert np.array_equal(v, _bilinear_reference(vals, g, px, py))
