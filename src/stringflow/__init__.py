@@ -21,8 +21,9 @@ from .fields import (FieldBackground, ScalarPotential, SupNorms, TwoFormField,
                      tangential_grad_V, z_operator, zero_background,
                      zero_potential, zero_two_form)
 from .grid import (SurfaceGrid, ball_mask, ball_sum_map, build_grid,
-                   conformal_rescale, grad_sq_density, hessian_sq_density,
-                   l2_inner, l2_norm, laplace_beltrami, ricci_identity_check)
+                   conformal_rescale, empty_map, grad_sq_density,
+                   hessian_sq_density, l2_inner, l2_norm, laplace_beltrami,
+                   ricci_identity_check)
 from .initial_data import (bump_map, constant_map, geodesic_wrap, noisy_wrap,
                            random_smooth_map, small_energy_map)
 from .io import (export_csv, export_snapshot, read_events_jsonl,

@@ -15,7 +15,10 @@ Discretization notes (the choices here are load-bearing):
 * flow_rhs, action_value and each ledger record shift u once
   (grid.Stencil) and take every difference from those shifts.  Their
   buffers live in a Workspace that a run allocates once; called on their
-  own, flow_rhs and action_value build a fresh one.
+  own, flow_rhs and action_value build a fresh one.  Inside a run the map
+  is component-major (grid.empty_map), and the rhs of the next step and
+  each ledger record reuse the shifts that the accepted trial's
+  action_value loaded.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ from .errors import GridError, NonFiniteStateError
 from .fields import (FieldBackground, TwoFormField, delta_constants,
                      tangential_grad_V, wedge)
 from .grid import (Stencil, SurfaceGrid, ball_mask, ball_sum_map, d0x, d0y,
-                   dpx, dpy, grad_sq_density, l2_inner, l2_norm)
+                   dpx, dpy, empty_map, grad_sq_density, l2_inner, l2_norm)
 from .targets import TargetManifold, tangent_project
 
 __all__ = [
@@ -120,20 +123,35 @@ def energies(u: MapField, grid: SurfaceGrid, fields: FieldBackground) -> EnergyT
 
 class Workspace:
     """Buffers reused by the flow_rhs, action_value and ledger-record calls
-    of one run.
+    of one run, all component-major.
 
     init_state allocates one per run.  flow_rhs and action_value called
     without one build a fresh workspace; either way, the arrays they return
-    are never workspace buffers.
+    are never workspace buffers.  flow_rhs writes its II, B-force and
+    potential terms into the stencil's scratch `tmp`.
+
+    Reuse rule: `shifts(vals, reuse=True)` keeps the stencil's shifts when
+    they were loaded from this very array.  Only run() and its helpers pass
+    reuse=True: a run never writes a map in place, so an array that is
+    still the stencil's `f` still holds what was loaded.  `hessian_sq`
+    spends the shifts, and the next call reloads.
     """
 
     def __init__(self, grid: SurfaceGrid, shape, fields: FieldBackground):
         self.stencil = Stencil(grid, shape)
-        self.trial = np.empty(shape)        # u + dt rhs in step
+        self.trial = empty_map(shape)       # u + dt rhs in step
         if not fields.b.is_zero:
             # B-force: gradient g and the fluxes differenced along x and y
-            self.g, self.flux_x, self.flux_y = (np.empty(shape)
+            self.g, self.flux_x, self.flux_y = (empty_map(shape)
                                                 for _ in range(3))
+
+    def shifts(self, vals: np.ndarray, reuse: bool = False) -> Stencil:
+        """The stencil loaded with vals; with reuse, shifts already loaded
+        from this very array are kept (see the reuse rule above)."""
+        st = self.stencil
+        if not (reuse and st.f is vals):
+            st.load(vals)
+        return st
 
 
 def action_value(vals: np.ndarray, grid: SurfaceGrid,
@@ -142,7 +160,7 @@ def action_value(vals: np.ndarray, grid: SurfaceGrid,
     differences (Dirichlet term) and the centred ones (pullback)."""
     if work is None:
         work = Workspace(grid, vals.shape, fields)
-    return _energy_terms(work.stencil.load(vals), vals, fields).S_tilde
+    return _energy_terms(work.shifts(vals), vals, fields).S_tilde
 
 
 def local_energy(u: MapField, grid: SurfaceGrid, x0, R: float) -> float:
@@ -169,7 +187,7 @@ def _bfield_force(work: Workspace, vals: np.ndarray, target: TargetManifold,
     which converges to Omega_kij ux^i uy^j.  In the flow, e^{-2 lam} P(u) g
     = Z(du(e1) ^ du(e2)) + O(dx^2).  ux, uy are the centred differences
     already in the workspace stencil; its scratch buffer takes the flux
-    differences.
+    differences, then the projected force.
     """
     st = work.stencil
     ux, uy = st.gx, st.gy
@@ -186,32 +204,35 @@ def _bfield_force(work: Workspace, vals: np.ndarray, target: TargetManifold,
         fy[..., i] -= cu * ux[..., j]
     g -= d0x(fx, st.grid, out=st.tmp)
     g -= d0y(fy, st.grid, out=st.tmp)
-    return tangent_project(target, vals, g)
+    return tangent_project(target, vals, g, out=st.tmp)
 
 
 def flow_rhs(u: MapField, grid: SurfaceGrid, target: TargetManifold,
-             fields: FieldBackground, work: Workspace | None = None) -> np.ndarray:
+             fields: FieldBackground, work: Workspace | None = None,
+             reuse: bool = False) -> np.ndarray:
     """Delta_h u - II(du, du) - Z(du(e1) ^ du(e2)) - P grad V(u).
 
     The result need not be pointwise tangent: the normal part of Delta_h u
     balances the II term up to truncation error.  All metric weights are
     one factor e^{-2 lam}: with du(e_a) = e^{-lam} D0 u and II bilinear,
     the rhs is e^{-2 lam} (lap u - II(ux, ux) - II(uy, uy) - P g) - P grad V.
+    Each term is formed in the stencil's scratch and subtracted; the rhs
+    itself is a fresh array in the layout of u.  `reuse` follows the
+    Workspace reuse rule.
     """
     vals = u.values
     if work is None:
         work = Workspace(grid, vals.shape, fields)
-    st = work.stencil.load(vals)
+    st = work.shifts(vals, reuse)
     rhs = st.laplacian(np.empty_like(vals))
     ux, uy = st.centred()
-    rhs -= target.sff(vals, ux, ux)
-    rhs -= target.sff(vals, uy, uy)
+    rhs -= target.sff_trace(vals, ux, uy, out=st.tmp)
     if not fields.b.is_zero:
         rhs -= _bfield_force(work, vals, target, fields.b)
     if not grid.is_flat:
         rhs *= grid.em2l[..., None]
     if not fields.V.is_zero:
-        rhs -= tangential_grad_V(vals, fields.V, target)
+        rhs -= tangential_grad_V(vals, fields.V, target, out=st.tmp)
     return rhs
 
 
@@ -367,12 +388,15 @@ class FlowState:
 def init_state(u0: MapField, grid: SurfaceGrid, target: TargetManifold,
                fields: FieldBackground, config: FlowConfig) -> FlowState:
     config.validate(grid)
-    u = MapField(target.project(u0.values), target)
-    S0 = action_value(u.values, grid, fields)
+    vals = empty_map(u0.values.shape)
+    vals[...] = u0.values
+    u = MapField(target.project(vals), target)
+    work = Workspace(grid, vals.shape, fields)
+    S0 = action_value(u.values, grid, fields, work)
     dt = config.dt_init if config.dt_init is not None else cfl_bound(grid, config.cfl)
     state = FlowState(t=0.0, u=u, dt=dt, grid=grid, target=target,
                       fields=fields, config=config, S_current=S0, S0=S0,
-                      work=Workspace(grid, u.values.shape, fields))
+                      work=work)
     _record(state)
     _snapshot(state)
     return state
@@ -380,10 +404,11 @@ def init_state(u0: MapField, grid: SurfaceGrid, target: TargetManifold,
 
 def _record(state: FlowState):
     """Append a ledger row; every column comes from one load of the
-    workspace stencil.  The ball map sums |du|^2 dvol, which is conformally
-    invariant: grad_sq * dx dy."""
+    workspace stencil, reused from the last action_value when it holds u.
+    The ball map sums |du|^2 dvol, which is conformally invariant:
+    grad_sq * dx dy."""
     grid, vals = state.grid, state.u.values
-    st = state.work.stencil.load(vals)
+    st = state.work.shifts(vals, reuse=True)
     terms = _energy_terms(st, vals, state.fields)
     dens = st.grad_sq()
     dens *= grid.dx * grid.dy
@@ -397,7 +422,7 @@ def _record(state: FlowState):
 
 
 def _snapshot(state: FlowState):
-    state.snapshots.append((state.t, state.u.values.copy()))
+    state.snapshots.append((state.t, state.u.values.copy(order="K")))
     cap = state.config.snapshot_cap
     if len(state.snapshots) > 2 * cap:
         # dyadic thinning: keep the newest cap entries, halve the older ones
@@ -440,11 +465,13 @@ def step(state: FlowState) -> FlowState:
     collapse below dt_min raises a stiffness event and the step is accepted,
     matching the restart-past-singular-time semantics.  A step that would
     pass t_end is shortened to end exactly there; that is not a halving,
-    so state.dt and the stable-step count are left as they were.
+    so state.dt and the stable-step count are left as they were.  The rhs
+    reuses the shifts that the previous step's accepted trial loaded.
     """
     cfg = state.config
     vals = state.u.values
-    rhs = flow_rhs(state.u, state.grid, state.target, state.fields, state.work)
+    rhs = flow_rhs(state.u, state.grid, state.target, state.fields, state.work,
+                   reuse=True)
     tol_up = cfg.tol_up * (1.0 + state.S0)
     remaining = cfg.t_end - state.t
     dt0 = min(state.dt, remaining) if remaining > 0.0 else state.dt

@@ -7,10 +7,11 @@ import json
 
 from .action import FlowConfig
 from .errors import ConfigError
-from .fields import FieldBackground, make_potential, make_two_form
+from .fields import POTENTIALS, TWO_FORMS, FieldBackground
 from .grid import build_grid
 from .initial_data import MAP_BUILDERS
-from .targets import make_target
+from .registry import build_kind, check_kind
+from .targets import TARGETS
 
 # schema: section -> key -> (type(s), default).  Defaults of None mean the
 # key is optional with no value; a missing section uses all defaults.
@@ -56,6 +57,15 @@ _SCHEMA = {
     },
 }
 
+# "section.key" of each kind -> the registry of its builders
+_KINDS = {
+    "target.kind": TARGETS,
+    "fields.b_kind": TWO_FORMS,
+    "fields.v_kind": POTENTIALS,
+    "initial.kind": MAP_BUILDERS,
+}
+
+
 def _check_type(value, types, path):
     if isinstance(types, tuple):
         ok = isinstance(value, types)
@@ -97,9 +107,9 @@ def validate_config(raw: dict) -> dict:
                 _check_type(val, types, f"{section}.{key}")
             sec[key] = copy.deepcopy(val)
         out[section] = sec
-    kind = out["initial"]["kind"]
-    if kind not in MAP_BUILDERS:
-        raise ConfigError(f"initial.kind must be one of {sorted(MAP_BUILDERS)}")
+    for path, registry in _KINDS.items():
+        section, key = path.split(".")
+        check_kind(registry, path, out[section][key])
     return out
 
 
@@ -127,15 +137,13 @@ def build_objects(cfg: dict):
     cfg = validate_config(cfg)
     g = cfg["grid"]
     grid = build_grid(g["nx"], g["ny"], Lx=g["Lx"], Ly=g["Ly"], lam=g["lam"])
-    t = cfg["target"]
-    target = make_target(t["kind"], q=t["q"])
-    f = cfg["fields"]
-    fields = FieldBackground(b=make_two_form(f["b_kind"], target.q, beta=f["beta"]),
-                             V=make_potential(f["v_kind"], target.q,
-                                              epsilon=f["epsilon"]))
-    i = cfg["initial"]
-    builder, keys = MAP_BUILDERS[i["kind"]]
-    u0 = builder(grid, target, **{k: i[k] for k in keys})
+    t, f, i = cfg["target"], cfg["fields"], cfg["initial"]
+    target = build_kind(TARGETS, "target.kind", t["kind"], t)
+    fields = FieldBackground(
+        b=build_kind(TWO_FORMS, "fields.b_kind", f["b_kind"], f, q=target.q),
+        V=build_kind(POTENTIALS, "fields.v_kind", f["v_kind"], f, q=target.q))
+    u0 = build_kind(MAP_BUILDERS, "initial.kind", i["kind"], i, grid=grid,
+                    target=target)
     fl = cfg["flow"]
     flow_cfg = FlowConfig(t_end=fl["t_end"], cfl=fl["cfl"], dt_init=fl["dt_init"],
                           dt_min=fl["dt_min"], delta1=fl["delta1"],

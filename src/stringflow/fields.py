@@ -6,19 +6,20 @@ The B-field is given by an ambient skew coefficient matrix b(y) restricted to
 the target, B(xi, eta) = xi^T b(y) eta.  Every two-form here is linear,
 b_ij(y) = y^k C_kij with a constant tensor C skew in (i, j), so d_k b_ij =
 C_kij and the three-form Omega = dB has the constant coefficients
-Omega_kij = C_kij + C_ijk + C_jki.
+Omega_kij = C_kij + C_ijk + C_jki.  Every potential is linear too,
+V(y) = <a, y>, with the constant gradient a.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
 from .errors import HypothesisError
 from .grid import SurfaceGrid, d0x, d0y
+from .registry import build_kind
 from .targets import TargetManifold, tangent_project
 
 
@@ -111,34 +112,61 @@ def y4_two_form(beta: float, q: int = 4) -> TwoFormField:
     return TwoFormField("y4", C)
 
 
+# fields.b_kind -> (builder, the `fields` config keys it takes as keywords)
+TWO_FORMS = {
+    "zero": (zero_two_form, ()),
+    "y4": (y4_two_form, ("beta",)),
+}
+
+
 def make_two_form(kind: str, q: int, beta: float = 0.0) -> TwoFormField:
-    if kind == "zero":
-        return zero_two_form(q)
-    if kind == "y4":
-        return y4_two_form(beta, q)
-    raise ValueError(f"unknown bfield kind {kind!r}")
+    return build_kind(TWO_FORMS, "fields.b_kind", kind, {"beta": beta}, q=q)
 
 
 # -- scalar potential ----------------------------------------------------------
 
-@dataclass
+@dataclass(eq=False)
 class ScalarPotential:
-    """Scalar potential V on the ambient space with gradient and Hessian.
+    """Linear scalar potential V(y) = <a, y> on the ambient space.
 
-    `shift` is A1 = -min_N V >= 0, so V + shift >= 0 on N; known exactly for
-    the built-in kinds, otherwise estimated by sampling.
+    V is held by its constant gradient `a`, as a two-form is by its tensor
+    C; the Hessian vanishes, and `is_zero` is `not a.any()`.  `shift` is
+    A1 = -min_N V >= 0, so V + shift >= 0 on N; |a| on the unit sphere.
     """
 
     name: str
-    q: int
-    value: Callable[[np.ndarray], np.ndarray]
-    grad: Callable[[np.ndarray], np.ndarray]
-    hess: Callable[[np.ndarray], np.ndarray]
+    a: np.ndarray
     shift: float
+    terms: tuple = field(init=False, repr=False)
+    is_zero: bool = field(init=False, repr=False)
+
+    def __post_init__(self):
+        a = np.array(self.a, dtype=float)
+        if a.ndim != 1:
+            raise ValueError(f"potential gradient must be a vector, "
+                             f"got shape {a.shape}")
+        a.setflags(write=False)
+        self.a = a
+        self.terms = tuple((int(k), float(a[k])) for k in np.flatnonzero(a))
+        self.is_zero = not a.any()
 
     @property
-    def is_zero(self) -> bool:
-        return self.name == "zero"
+    def q(self) -> int:
+        return self.a.shape[0]
+
+    def value(self, y: np.ndarray) -> np.ndarray:
+        """<a, y>, the nonzero a_k y^k summed in index order."""
+        out = np.zeros(y.shape[:-1])
+        for k, a_k in self.terms:
+            out += a_k * y[..., k]
+        return out
+
+    def grad(self, y: np.ndarray) -> np.ndarray:
+        """a at every point, a read-only broadcast of y's shape."""
+        return np.broadcast_to(self.a, y.shape)
+
+    def hess(self, y: np.ndarray) -> np.ndarray:
+        return np.zeros(y.shape[:-1] + (self.q, self.q))
 
     def shifted(self, y: np.ndarray) -> np.ndarray:
         return self.value(y) + self.shift
@@ -153,34 +181,26 @@ class ScalarPotential:
 
 
 def zero_potential(q: int) -> ScalarPotential:
-    return ScalarPotential(
-        "zero", q,
-        value=lambda y: np.zeros(y.shape[:-1]),
-        grad=lambda y: np.zeros(y.shape[:-1] + (q,)),
-        hess=lambda y: np.zeros(y.shape[:-1] + (q, q)),
-        shift=0.0,
-    )
+    return ScalarPotential("zero", np.zeros(q), shift=0.0)
 
 
 def height_potential(epsilon: float, q: int = 4) -> ScalarPotential:
-    """V(y) = epsilon * y^1; on the unit sphere min V = -epsilon."""
-    e1 = np.zeros(q)
-    e1[0] = 1.0
-    return ScalarPotential(
-        "height", q,
-        value=lambda y: epsilon * y[..., 0],
-        grad=lambda y: np.broadcast_to(epsilon * e1, y.shape).copy(),
-        hess=lambda y: np.zeros(y.shape[:-1] + (q, q)),
-        shift=abs(epsilon),
-    )
+    """V(y) = epsilon * y^1; on the unit sphere min V = -|epsilon|."""
+    a = np.zeros(q)
+    a[0] = epsilon
+    return ScalarPotential("height", a, shift=abs(epsilon))
+
+
+# fields.v_kind -> (builder, the `fields` config keys it takes as keywords)
+POTENTIALS = {
+    "zero": (zero_potential, ()),
+    "height": (height_potential, ("epsilon",)),
+}
 
 
 def make_potential(kind: str, q: int, epsilon: float = 0.0) -> ScalarPotential:
-    if kind == "zero":
-        return zero_potential(q)
-    if kind == "height":
-        return height_potential(epsilon, q)
-    raise ValueError(f"unknown potential kind {kind!r}")
+    return build_kind(POTENTIALS, "fields.v_kind", kind, {"epsilon": epsilon},
+                      q=q)
 
 
 @dataclass
@@ -230,9 +250,9 @@ def z_operator(u: np.ndarray, xi1: np.ndarray, xi2: np.ndarray,
 
 
 def tangential_grad_V(u: np.ndarray, V: ScalarPotential,
-                      target: TargetManifold) -> np.ndarray:
-    """P(u) grad V(u)."""
-    return tangent_project(target, u, V.grad(u))
+                      target: TargetManifold, out=None) -> np.ndarray:
+    """P(u) grad V(u), into `out` when given (not aliasing u)."""
+    return tangent_project(target, u, V.grad(u), out=out)
 
 
 # -- sup norms -----------------------------------------------------------------

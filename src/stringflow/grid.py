@@ -2,7 +2,10 @@
 
 The metric is h = e^{2*lam} (dx^2 + dy^2) on a periodic rectangle of size
 Lx x Ly.  Fields live on an nx x ny node grid; axis 0 is x, axis 1 is y.
-Vector fields carry a trailing component axis.
+Vector fields carry a trailing component axis.  Inside a run every map is
+component-major (`empty_map`): the logical shape stays (nx, ny, q), but each
+component plane is contiguous, so plane-wise arithmetic streams through
+memory.  Every function here accepts either layout and gives the same values.
 """
 
 from __future__ import annotations
@@ -164,11 +167,23 @@ def dyy(f: np.ndarray, grid: SurfaceGrid) -> np.ndarray:
     return (np.roll(f, -1, axis=1) + np.roll(f, 1, axis=1) - 2.0 * f) / grid.dy**2
 
 
+def empty_map(shape) -> np.ndarray:
+    """Uninitialised array of logical shape (nx, ny, q) whose component
+    planes are each contiguous (component-major); a node-scalar shape
+    (nx, ny) gives a plain C-order array.  np.empty_like keeps the layout."""
+    shape = tuple(shape)
+    if len(shape) < 3:
+        return np.empty(shape)
+    a = np.empty(shape[-1:] + shape[:-1])
+    return a.transpose(tuple(range(1, a.ndim)) + (0,))
+
+
 def component_dot(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     """<X, Y> over the trailing component axis, one plane at a time.
 
-    Whole-plane multiply-adds; numpy's reduction over a short trailing axis
-    is several times slower.  The order of the sum is the same.
+    Whole-plane multiply-adds in index order, so the value does not depend
+    on the layout; on a component-major map every plane is contiguous.
+    numpy's reduction over a short trailing axis is several times slower.
     """
     out = X[..., 0] * Y[..., 0]
     tmp = np.empty_like(out)
@@ -180,8 +195,8 @@ def component_dot(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
 
 def _sum_components(a: np.ndarray) -> np.ndarray:
     """Fresh node-scalar sum over the trailing component axis, one plane at
-    a time in index order (numpy's order for a short trailing axis); a
-    scalar field is copied."""
+    a time in index order whatever the layout (numpy's order for a short
+    trailing axis); a scalar field is copied."""
     if a.ndim == 2:
         return a.copy()
     out = a[..., 0].copy()
@@ -221,12 +236,18 @@ class Stencil:
     the Laplacian uses it, and so may a caller once the Laplacian is formed.
     `hessian_sq` overwrites every buffer, the shifts included, so it comes
     last before the next `load`.
+
+    The buffers are component-major (`empty_map`).  `f` is the array whose
+    shifts are loaded, or None once they are spent.  `forward`, `centred`,
+    `grad_sq` and the use of `tmp` leave the shifts intact, so a caller that
+    knows f has not been written since `load` may reuse them; `f is a`
+    proves that only when nothing mutates `a` in place, as inside a run.
     """
 
     def __init__(self, grid: SurfaceGrid, shape):
         self.grid = grid
         self.xp, self.xm, self.yp, self.ym, self.gx, self.gy, self.tmp = (
-            np.empty(shape) for _ in range(7))
+            empty_map(shape) for _ in range(7))
         self.f = None
 
     def load(self, f: np.ndarray) -> "Stencil":

@@ -12,6 +12,7 @@ import numpy as np
 
 from .errors import OffManifoldError, ProjectionError, TangencyError
 from .grid import component_dot
+from .registry import build_kind
 
 ON_MANIFOLD_TOL = 1e-8
 TANGENT_TOL = 1e-6
@@ -46,9 +47,20 @@ class TargetManifold(ABC):
         II(X, Y) = -<X, Y> u.
         """
 
-    def tangent_project(self, u: np.ndarray, X: np.ndarray) -> np.ndarray:
-        """P(u) X through the full projector; subclasses may use a closed form."""
-        return np.einsum("...ij,...j->...i", self.tangent_projector(u), X)
+    def sff_trace(self, u: np.ndarray, X1: np.ndarray, X2: np.ndarray,
+                  out=None) -> np.ndarray:
+        """II(X1, X1) + II(X2, X2), the II term of the tension field for
+        frame derivatives X1, X2; into `out` when given.  Subclasses may
+        use a closed form."""
+        return np.add(self.sff(u, X1, X1), self.sff(u, X2, X2), out=out)
+
+    def tangent_project(self, u: np.ndarray, X: np.ndarray,
+                        out=None) -> np.ndarray:
+        """P(u) X through the full projector; subclasses may use a closed
+        form.  `out`, when given, receives the result and may not share
+        memory with X or u."""
+        return np.einsum("...ij,...j->...i", self.tangent_projector(u), X,
+                         out=out)
 
     @abstractmethod
     def normal_frame(self, u: np.ndarray) -> np.ndarray:
@@ -130,10 +142,11 @@ class SphereTarget(TargetManifold):
         self.name = "sphere"
 
     def project(self, y: np.ndarray) -> np.ndarray:
+        """y / |y|, a fresh array in the layout of y."""
         r = np.sqrt(component_dot(y, y))
         if np.any(r < 1e-8):
             raise ProjectionError("projection undefined near the sphere center")
-        return y / r[..., None]
+        return np.divide(y, r[..., None], out=np.empty_like(y, dtype=float))
 
     def distance(self, y: np.ndarray) -> np.ndarray:
         return np.abs(np.linalg.norm(y, axis=-1) - 1.0)
@@ -145,8 +158,22 @@ class SphereTarget(TargetManifold):
     def sff(self, u, X, Y):
         return -component_dot(X, Y)[..., None] * u
 
-    def tangent_project(self, u: np.ndarray, X: np.ndarray) -> np.ndarray:
-        return X - component_dot(X, u)[..., None] * u
+    def sff_trace(self, u, X1, X2, out=None):
+        """-(|X1|^2 + |X2|^2) u: one multiply of u instead of two."""
+        s = component_dot(X1, X1)
+        s += component_dot(X2, X2)
+        np.negative(s, out=s)
+        if out is None:
+            out = np.empty_like(u)
+        return np.multiply(u, s[..., None], out=out)
+
+    def tangent_project(self, u, X, out=None):
+        """X - <X, u> u; X has the shape of u and may be a read-only
+        broadcast.  A fresh result takes the layout of u."""
+        if out is None:
+            out = np.empty_like(u)
+        np.multiply(u, component_dot(X, u)[..., None], out=out)
+        return np.subtract(X, out, out=out)
 
     def normal_frame(self, u: np.ndarray) -> np.ndarray:
         return u[..., None, :]
@@ -158,14 +185,21 @@ class SphereTarget(TargetManifold):
         return J[..., None, :, :]  # (..., 1, q, q)
 
 
-def tangent_project(target: TargetManifold, u: np.ndarray,
-                    X: np.ndarray) -> np.ndarray:
+def tangent_project(target: TargetManifold, u: np.ndarray, X: np.ndarray,
+                    out=None) -> np.ndarray:
     """P(u) X; the target's method, which avoids the full projector when a
-    closed form exists."""
-    return target.tangent_project(u, X)
+    closed form exists.  With `out`, the result is written there; `out` may
+    not share memory with X or u (ValueError), since the closed forms write
+    it before they have read all of X."""
+    if out is not None and (np.may_share_memory(out, X)
+                            or np.may_share_memory(out, u)):
+        raise ValueError("tangent_project: out may not alias X or u")
+    return target.tangent_project(u, X, out=out)
+
+
+# target.kind -> (builder, the `target` config keys it takes as keywords)
+TARGETS = {"sphere": (SphereTarget, ("q",))}
 
 
 def make_target(kind: str, q: int = 4) -> TargetManifold:
-    if kind == "sphere":
-        return SphereTarget(q=q)
-    raise ValueError(f"unknown target kind {kind!r}")
+    return build_kind(TARGETS, "target.kind", kind, {"q": q})

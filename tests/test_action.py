@@ -216,3 +216,79 @@ def test_record_matches_separate_formulas(sphere, lam):
     balls = np.fft.irfft2(np.fft.rfft2(dens) * np.fft.rfft2(K), s=dens.shape)
     assert rec.sup_local_energy == pytest.approx(float(np.max(balls)),
                                                  rel=1e-13)
+
+
+def _component_major(v):
+    cm = sf.empty_map(v.shape)
+    cm[...] = v
+    return cm
+
+
+def _is_component_major(v):
+    nx, ny, q = v.shape
+    return v.strides == (8 * ny, 8, 8 * nx * ny)
+
+
+@pytest.mark.parametrize("lam", [None, lambda x, y: 0.2 * np.sin(x) * np.cos(2 * y)])
+def test_results_do_not_depend_on_the_map_layout(sphere, lam, tmp_path):
+    g = sf.build_grid(32, 24, lam=lam)
+    fields = sf.FieldBackground(b=sf.make_two_form("y4", 4, beta=0.2),
+                                V=sf.make_potential("height", 4, epsilon=0.1))
+    c = sf.random_smooth_map(g, sphere, seed=11, amplitude=0.3).values
+    cm = _component_major(c)
+    assert c.flags.c_contiguous and _is_component_major(cm)
+    rc = sf.flow_rhs(sf.MapField(c, sphere), g, sphere, fields)
+    rcm = sf.flow_rhs(sf.MapField(cm, sphere), g, sphere, fields)
+    assert np.array_equal(rc, rcm)
+    assert _is_component_major(rcm)          # the rhs keeps the layout of u
+    assert _is_component_major(sphere.project(cm))
+    ec = sf.energies(sf.MapField(c, sphere), g, fields)
+    ecm = sf.energies(sf.MapField(cm, sphere), g, fields)
+    for name in ("E", "B_term", "V_term", "S_tilde"):
+        a, b = getattr(ec, name), getattr(ecm, name)
+        assert abs(a - b) <= 1e-15 * abs(a), name
+    a, b = sf.action_value(c, g, fields), sf.action_value(cm, g, fields)
+    assert abs(a - b) <= 1e-15 * abs(a)
+    # snapshots are row-major, node before component, in either layout
+    sf.write_snapshot(str(tmp_path / "c.snap"), c, 0.5, "sphere")
+    sf.write_snapshot(str(tmp_path / "cm.snap"), cm, 0.5, "sphere")
+    assert (tmp_path / "c.snap").read_bytes() == \
+        (tmp_path / "cm.snap").read_bytes()
+
+
+def test_run_from_either_layout_is_bit_identical(grid, sphere):
+    fields = sf.FieldBackground(b=sf.make_two_form("y4", 4, beta=0.2),
+                                V=sf.make_potential("height", 4, epsilon=0.1))
+    c = sf.random_smooth_map(grid, sphere, seed=12, amplitude=0.3).values
+    cfg = sf.FlowConfig(t_end=0.01, record_every=4)
+    st_c = sf.run(sf.MapField(c, sphere), grid, sphere, fields, cfg)
+    st_cm = sf.run(sf.MapField(_component_major(c), sphere), grid, sphere,
+                   fields, cfg)
+    assert st_c.steps == st_cm.steps > 4
+    assert np.array_equal(st_c.u.values, st_cm.u.values)
+    assert np.array_equal(st_c.ledger.as_array(), st_cm.ledger.as_array())
+    # inside the run every map and snapshot is component-major
+    assert _is_component_major(st_c.u.values)
+    assert all(_is_component_major(v) for _, v in st_c.snapshots)
+
+
+def test_step_reuses_only_shifts_it_may_reuse(grid, sphere):
+    # step takes the rhs from the shifts the accepted trial loaded; after a
+    # ledger record has spent them it reloads.  Either way it must match a
+    # step that starts from a fresh workspace.
+    from dataclasses import replace
+    fields = sf.FieldBackground(b=sf.make_two_form("y4", 4, beta=0.2),
+                                V=sf.make_potential("height", 4, epsilon=0.1))
+    u0 = sf.random_smooth_map(grid, sphere, seed=13, amplitude=0.3)
+    st = sf.init_state(u0, grid, sphere, fields, sf.FlowConfig(t_end=1.0))
+    for spend in (False, True):
+        sf.step(st)
+        assert st.work.stencil.f is st.u.values
+        if spend:
+            _record(st)
+            assert st.work.stencil.f is None
+        fresh = replace(st, work=sf.Workspace(grid, st.u.values.shape, fields))
+        sf.step(st)
+        sf.step(fresh)
+        assert np.array_equal(st.u.values, fresh.u.values)
+        assert st.S_current == fresh.S_current

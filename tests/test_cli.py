@@ -36,6 +36,21 @@ def test_run_bad_config_exit_one(tmp_path):
     assert main(["run", "--config", str(p), "--preset", "flat_harmonic"]) == 1
 
 
+@pytest.mark.parametrize("section,key", [("target", "kind"),
+                                         ("fields", "b_kind"),
+                                         ("fields", "v_kind")])
+def test_run_unknown_kind_is_a_config_error(tmp_path, capsys, section, key):
+    # exit 1 with a one-line message naming the key and the valid kinds,
+    # not a traceback from build_objects
+    cfgp = small_cfg(tmp_path, **{section: {key: "vortex"}})
+    assert main(["run", "--config", cfgp, "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"configuration error: {section}.{key} must be "
+                          "one of [")
+    assert "Traceback" not in err
+    assert not os.path.exists(tmp_path / "o" / "run_ledger.csv")
+
+
 def test_check_hypothesis_warning_exit_two(tmp_path, capsys):
     # beta large enough that |B|_inf >= 1/2
     cfgp = small_cfg(tmp_path, fields={"b_kind": "y4", "beta": 2.0})

@@ -89,3 +89,26 @@ def test_build_objects_respects_fields():
     assert not fields.b.is_zero
     assert not fields.V.is_zero
     assert json.dumps(cfg)  # serializable
+
+
+@pytest.mark.parametrize("section,key,kinds", [
+    ("target", "kind", ["sphere"]),
+    ("fields", "b_kind", ["y4", "zero"]),
+    ("fields", "v_kind", ["height", "zero"]),
+])
+def test_unknown_kind_is_a_config_error(section, key, kinds):
+    with pytest.raises(ConfigError) as err:
+        sf.validate_config({section: {key: "vortex"}})
+    assert str(err.value) == f"{section}.{key} must be one of {kinds}"
+    # every registered kind builds
+    for kind in kinds:
+        grid, target, fields, u0, _ = sf.build_objects(
+            {"grid": {"nx": 16, "ny": 16}, section: {key: kind}})
+        assert u0.values.shape == (16, 16, target.q)
+
+
+def test_height_with_zero_epsilon_builds_a_zero_potential():
+    _, _, fields, _, _ = sf.build_objects(
+        {"grid": {"nx": 16, "ny": 16},
+         "fields": {"v_kind": "height", "epsilon": 0.0}})
+    assert fields.V.name == "height" and fields.V.is_zero

@@ -177,3 +177,36 @@ def test_bfield_force_and_pullback_match_dense_formulas(sphere, lam):
         force = g.em2l[..., None] * _bfield_force(work, u, sphere, b)
         ref = _parent_bfield_force(u, b, g, sphere)
         assert np.max(np.abs(force - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+def test_potential_is_linear_with_constant_gradient(sphere):
+    V = sf.make_potential("height", 4, epsilon=0.2)
+    rng = np.random.default_rng(14)
+    u = sphere.project(rng.standard_normal((6, 5, 4)))
+    assert np.array_equal(V.a, [0.2, 0.0, 0.0, 0.0])
+    assert np.array_equal(V.value(u), 0.2 * u[..., 0])
+    grad = V.grad(u)
+    assert grad.shape == u.shape and not grad.flags.writeable
+    assert np.max(np.abs(V.grad_fd(u) - grad)) < 1e-9
+    assert not np.any(V.hess(u))
+    assert V.shift == 0.2 and not V.is_zero
+
+
+def test_zero_potential_found_by_structure():
+    # a height potential with epsilon = 0 costs nothing in the flow
+    assert sf.make_potential("height", 4, epsilon=0.0).is_zero
+    assert sf.make_potential("zero", 4).is_zero
+    assert not sf.make_potential("height", 4, epsilon=-1e-12).is_zero
+    assert sf.ScalarPotential("tilted", np.array([0.0, 0.0, 1.0, 0.0]),
+                              shift=1.0).q == 4
+    with pytest.raises(ValueError):
+        sf.ScalarPotential("bad", np.zeros((4, 4)), shift=0.0)
+
+
+def test_unknown_field_kinds_list_the_kinds():
+    with pytest.raises(sf.ConfigError) as err:
+        sf.make_two_form("vortex", 4)
+    assert str(err.value) == "fields.b_kind must be one of ['y4', 'zero']"
+    with pytest.raises(sf.ConfigError) as err:
+        sf.make_potential("quadratic", 4)
+    assert str(err.value) == "fields.v_kind must be one of ['height', 'zero']"

@@ -89,3 +89,59 @@ def test_tangent_project_dispatches_to_target_method(sphere):
     assert np.allclose(sphere.tangent_project(u, X), generic, atol=1e-14)
     assert np.array_equal(tangent_project(sphere, u, X),
                           sphere.tangent_project(u, X))
+
+
+def test_sff_trace_matches_fd_oracle_on_both_paths(sphere):
+    # II(X1, X1) + II(X2, X2): the sphere's closed form and the base-class
+    # sum of two sff calls, against second differences of the projection
+    u = rand_points(sphere, n=20, seed=8)
+    rng = np.random.default_rng(9)
+    X1 = tangent_project(sphere, u, rng.standard_normal(u.shape))
+    X2 = tangent_project(sphere, u, rng.standard_normal(u.shape))
+    fd = (sphere.second_fundamental_form_fd(u, X1, X1)
+          + sphere.second_fundamental_form_fd(u, X2, X2))
+    closed = sphere.sff_trace(u, X1, X2)
+    generic = sf.TargetManifold.sff_trace(sphere, u, X1, X2)
+    assert np.max(np.abs(closed - fd)) < 1e-6
+    assert np.max(np.abs(generic - fd)) < 1e-6
+    for path in (sphere.sff_trace,
+                 lambda *a, **k: sf.TargetManifold.sff_trace(sphere, *a, **k)):
+        out = np.full_like(u, np.nan)
+        assert path(u, X1, X2, out=out) is out
+        assert np.array_equal(out, path(u, X1, X2))
+
+
+def test_tangent_project_out_is_bitwise_the_fresh_result(sphere):
+    u = rand_points(sphere, n=30, seed=10)
+    X = np.random.default_rng(11).standard_normal(u.shape)
+    fresh = tangent_project(sphere, u, X)
+    out = np.full_like(u, np.nan)
+    assert tangent_project(sphere, u, X, out=out) is out
+    assert np.array_equal(out, fresh)
+    # the projector path of the base class takes out= as well
+    generic = sf.TargetManifold.tangent_project(sphere, u, X)
+    out = np.full_like(u, np.nan)
+    sf.TargetManifold.tangent_project(sphere, u, X, out=out)
+    assert np.array_equal(out, generic)
+    # a read-only broadcast argument is accepted
+    a = np.array([0.3, 0.0, -0.2, 0.0])
+    Xb = np.broadcast_to(a, u.shape)
+    assert np.array_equal(tangent_project(sphere, u, Xb),
+                          tangent_project(sphere, u, Xb.copy()))
+
+
+def test_tangent_project_out_may_not_alias_its_inputs(sphere):
+    u = rand_points(sphere, n=30, seed=12)
+    X = np.random.default_rng(13).standard_normal(u.shape)
+    kept_u, kept_X = u.copy(), X.copy()
+    for out in (X, X[::-1], u):
+        with pytest.raises(ValueError, match="alias"):
+            tangent_project(sphere, u, X, out=out)
+    # refused before anything was written
+    assert np.array_equal(u, kept_u) and np.array_equal(X, kept_X)
+
+
+def test_make_target_unknown_kind_lists_the_kinds():
+    with pytest.raises(sf.ConfigError) as err:
+        sf.make_target("torus")
+    assert str(err.value) == "target.kind must be one of ['sphere']"
