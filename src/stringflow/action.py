@@ -19,6 +19,11 @@ Discretization notes (the choices here are load-bearing):
   is component-major (grid.empty_map), and the rhs of the next step and
   each ledger record reuse the shifts that the accepted trial's
   action_value loaded.
+* The ledger's E is pinned bit for bit to the forward differences divided
+  by dx and dy.  action_value, which every step's acceptance test
+  evaluates, sums the squared undivided differences and scales each
+  direction once (grid.Stencil.dirichlet): the same E up to rounding, at
+  no full-map divide.
 """
 
 from __future__ import annotations
@@ -31,8 +36,9 @@ import numpy as np
 from .errors import GridError, NonFiniteStateError
 from .fields import (FieldBackground, TwoFormField, delta_constants,
                      tangential_grad_V, wedge)
-from .grid import (Stencil, SurfaceGrid, ball_mask, ball_sum_map, d0x, d0y,
-                   dpx, dpy, empty_map, grad_sq_density, l2_inner, l2_norm)
+from .grid import (Stencil, SurfaceGrid, ball_mask, ball_sum_map,
+                   component_first, d0x, d0y, dpx, dpy, empty_map,
+                   grad_sq_density, l2_inner, l2_norm)
 from .targets import TargetManifold, tangent_project
 
 __all__ = [
@@ -97,12 +103,11 @@ def dirichlet_energy(u: np.ndarray, grid: SurfaceGrid) -> float:
     return _dirichlet(dpx(u, grid), dpy(u, grid), grid)
 
 
-def _energy_terms(st: Stencil, vals: np.ndarray,
-                  fields: FieldBackground) -> EnergyTerms:
-    """Energy terms of `vals`, loaded in `st`: E from the forward
-    differences, the pullback from the centred ones."""
+def _field_terms(st: Stencil, vals: np.ndarray,
+                 fields: FieldBackground) -> tuple:
+    """(B_term, V_term) of `vals`, loaded in `st`; the pullback from the
+    centred differences."""
     grid = st.grid
-    E = _dirichlet(*st.forward(), grid)
     B_term = 0.0
     if not fields.b.is_zero:
         ux, uy = st.centred()
@@ -111,6 +116,16 @@ def _energy_terms(st: Stencil, vals: np.ndarray,
     V_term = 0.0
     if not fields.V.is_zero:
         V_term = float(np.sum(fields.V.shifted(vals) * grid.w))
+    return B_term, V_term
+
+
+def _energy_terms(st: Stencil, vals: np.ndarray,
+                  fields: FieldBackground) -> EnergyTerms:
+    """Energy terms of `vals`, loaded in `st`: E from the forward
+    differences, the pullback from the centred ones."""
+    grid = st.grid
+    E = _dirichlet(*st.forward(), grid)
+    B_term, V_term = _field_terms(st, vals, fields)
     S = 0.5 * E + B_term + V_term
     return EnergyTerms(E=E, dirichlet=0.5 * E, B_term=B_term, V_term=V_term,
                        S_tilde=S, S_raw=S - fields.V.shift * grid.total_volume)
@@ -125,10 +140,12 @@ class Workspace:
     """Buffers reused by the flow_rhs, action_value and ledger-record calls
     of one run, all component-major.
 
-    init_state allocates one per run.  flow_rhs and action_value called
-    without one build a fresh workspace; either way, the arrays they return
-    are never workspace buffers.  flow_rhs writes its II, B-force and
-    potential terms into the stencil's scratch `tmp`.
+    init_state allocates one per run, and el_residual and the steps of
+    the run share it.  flow_rhs and action_value called without one build
+    a fresh workspace; either way, the arrays they return are never
+    workspace buffers.  flow_rhs writes its II, B-force and potential terms
+    into the stencil's scratch `tmp`.  The B-force planes that no term of
+    the two-form writes are zeroed here, once.
 
     Reuse rule: `shifts(vals, reuse=True)` keeps the stencil's shifts when
     they were loaded from this very array.  Only run() and its helpers pass
@@ -144,6 +161,8 @@ class Workspace:
             # B-force: gradient g and the fluxes differenced along x and y
             self.g, self.flux_x, self.flux_y = (empty_map(shape)
                                                 for _ in range(3))
+            for a in (self.g, self.flux_x, self.flux_y):
+                a.fill(0.0)
 
     def shifts(self, vals: np.ndarray, reuse: bool = False) -> Stencil:
         """The stencil loaded with vals; with reuse, shifts already loaded
@@ -157,10 +176,18 @@ class Workspace:
 def action_value(vals: np.ndarray, grid: SurfaceGrid,
                  fields: FieldBackground, work: Workspace | None = None) -> float:
     """Shifted action S_tilde; one set of shifts gives the forward
-    differences (Dirichlet term) and the centred ones (pullback)."""
+    differences (Dirichlet term) and the centred ones (pullback).
+
+    The Dirichlet term comes from `Stencil.dirichlet`, which divides no
+    full map; it agrees with the ledger's E (`energies`) to rounding, not
+    bit for bit.  Every acceptance test compares values of this function
+    only.
+    """
     if work is None:
         work = Workspace(grid, vals.shape, fields)
-    return _energy_terms(work.shifts(vals), vals, fields).S_tilde
+    st = work.shifts(vals)
+    B_term, V_term = _field_terms(st, vals, fields)
+    return 0.5 * st.dirichlet() + B_term + V_term
 
 
 def local_energy(u: MapField, grid: SurfaceGrid, x0, R: float) -> float:
@@ -187,14 +214,18 @@ def _bfield_force(work: Workspace, vals: np.ndarray, target: TargetManifold,
     which converges to Omega_kij ux^i uy^j.  In the flow, e^{-2 lam} P(u) g
     = Z(du(e1) ^ du(e2)) + O(dx^2).  ux, uy are the centred differences
     already in the workspace stencil; its scratch buffer takes the flux
-    differences, then the projected force.
+    differences, then the projected force.  Only the planes that the terms
+    of b write are zeroed and differenced (b.force_planes, b.flux_planes);
+    the workspace zeroed the others once.
     """
     st = work.stencil
     ux, uy = st.gx, st.gy
     g, fx, fy = work.g, work.flux_x, work.flux_y
-    g.fill(0.0)
-    fx.fill(0.0)
-    fy.fill(0.0)
+    span = b.flux_planes
+    for k in b.force_planes:
+        g[..., k].fill(0.0)
+    fx[..., span].fill(0.0)
+    fy[..., span].fill(0.0)
     for k, i, j, c in b.terms:          # C_kij = c = -C_kji
         g[..., k] += c * wedge(ux, uy, i, j)
         cu = c * vals[..., k]
@@ -202,8 +233,9 @@ def _bfield_force(work: Workspace, vals: np.ndarray, target: TargetManifold,
         fx[..., j] -= cu * uy[..., i]
         fy[..., j] += cu * ux[..., i]
         fy[..., i] -= cu * ux[..., j]
-    g -= d0x(fx, st.grid, out=st.tmp)
-    g -= d0y(fy, st.grid, out=st.tmp)
+    diff = st.tmp[..., span]
+    g[..., span] -= d0x(fx[..., span], st.grid, out=diff)
+    g[..., span] -= d0y(fy[..., span], st.grid, out=diff)
     return tangent_project(target, vals, g, out=st.tmp)
 
 
@@ -216,30 +248,33 @@ def flow_rhs(u: MapField, grid: SurfaceGrid, target: TargetManifold,
     balances the II term up to truncation error.  All metric weights are
     one factor e^{-2 lam}: with du(e_a) = e^{-lam} D0 u and II bilinear,
     the rhs is e^{-2 lam} (lap u - II(ux, ux) - II(uy, uy) - P g) - P grad V.
-    Each term is formed in the stencil's scratch and subtracted; the rhs
-    itself is a fresh array in the layout of u.  `reuse` follows the
-    Workspace reuse rule.
+    Each term is formed in the stencil's scratch and subtracted, plane by
+    plane on the component-first views; the rhs itself is a fresh array in
+    the layout of u.  `reuse` follows the Workspace reuse rule.
     """
     vals = u.values
     if work is None:
         work = Workspace(grid, vals.shape, fields)
     st = work.shifts(vals, reuse)
     rhs = st.laplacian(np.empty_like(vals))
+    R = component_first(rhs)
     ux, uy = st.centred()
-    rhs -= target.sff_trace(vals, ux, uy, out=st.tmp)
+    R -= component_first(target.sff_trace(vals, ux, uy, out=st.tmp))
     if not fields.b.is_zero:
-        rhs -= _bfield_force(work, vals, target, fields.b)
+        R -= component_first(_bfield_force(work, vals, target, fields.b))
     if not grid.is_flat:
-        rhs *= grid.em2l[..., None]
+        R *= grid.em2l
     if not fields.V.is_zero:
-        rhs -= tangential_grad_V(vals, fields.V, target, out=st.tmp)
+        R -= component_first(tangential_grad_V(vals, fields.V, target,
+                                               out=st.tmp))
     return rhs
 
 
 def el_residual(u: MapField, grid: SurfaceGrid, target: TargetManifold,
-                fields: FieldBackground):
-    """Euler-Lagrange residual field with its L2 and Linf norms."""
-    r = flow_rhs(u, grid, target, fields)
+                fields: FieldBackground, work: Workspace | None = None):
+    """Euler-Lagrange residual field with its L2 and Linf norms; `work` is
+    the run's workspace, or None for a fresh one."""
+    r = flow_rhs(u, grid, target, fields, work)
     return r, l2_norm(r, grid), float(np.max(np.abs(r)))
 
 
@@ -331,7 +366,7 @@ def monotonicity_check(ledger: EnergyLedger, delta2: float, S0: float,
 # -- time stepping -----------------------------------------------------------------
 
 def cfl_bound(grid: SurfaceGrid, cfl: float) -> float:
-    return cfl * min(grid.dx, grid.dy) ** 2 * math.exp(2.0 * float(np.min(grid.lam))) / 4.0
+    return cfl * min(grid.dx, grid.dy) ** 2 * math.exp(2.0 * grid.lam_min) / 4.0
 
 
 @dataclass
@@ -438,8 +473,9 @@ def _trial(state: FlowState, rhs: np.ndarray, dt: float):
     would collapse to dt_min without end.
     """
     trial = state.work.trial
-    np.multiply(rhs, dt, out=trial)
-    trial += state.u.values
+    T = component_first(trial)
+    np.multiply(component_first(rhs), dt, out=T)
+    T += component_first(state.u.values)
     new_vals = state.target.project(trial)
     S_new = action_value(new_vals, state.grid, state.fields, state.work)
     if not math.isfinite(S_new):
@@ -488,7 +524,9 @@ def step(state: FlowState) -> FlowState:
             new_vals, S_new = _trial(state, rhs, dt)
             break
 
-    diff = np.subtract(new_vals, vals, out=state.work.trial)
+    diff = state.work.trial
+    np.subtract(component_first(new_vals), component_first(vals),
+                out=component_first(diff))
     kinetic = l2_inner(diff, diff, state.grid) / dt**2
     state.cum_dissipation += kinetic * dt
     state.last_kinetic = kinetic
@@ -534,7 +572,8 @@ def run(u0: MapField, grid: SurfaceGrid, target: TargetManifold,
             _record(state)
             _snapshot(state)
             if config.conv_tol > 0.0:
-                _, res_l2, _ = el_residual(state.u, grid, target, fields)
+                _, res_l2, _ = el_residual(state.u, grid, target, fields,
+                                           state.work)
                 probe = convergence_probe(state.last_kinetic, res_l2,
                                           config.conv_tol)
                 state.converged = probe["converged"]

@@ -6,6 +6,16 @@ Vector fields carry a trailing component axis.  Inside a run every map is
 component-major (`empty_map`): the logical shape stays (nx, ny, q), but each
 component plane is contiguous, so plane-wise arithmetic streams through
 memory.  Every function here accepts either layout and gives the same values.
+
+Hot loops work on the component-first view (`component_first`: (q, nx, ny),
+C-contiguous for a component-major map), where numpy takes its contiguous
+fast path, and the `Stencil` stacks the shifts and differences of both
+directions so that one call serves x and y.  Sums over components go along
+the leading axis of that view, plane by plane in index order in either
+layout (`component_dot`).  Grid constants enter as precomputed reciprocals
+(a multiply costs about half a divide).  Only the forward differences
+(`dpx`, `dpy`, `Stencil.forward`) still divide a full map by dx and dy:
+the ledger's Dirichlet term is pinned bit for bit to (f[i+1] - f[i]) / dx.
 """
 
 from __future__ import annotations
@@ -42,6 +52,7 @@ class SurfaceGrid:
     em2l: np.ndarray     # e^{-2 lam}
     eml: np.ndarray      # e^{-lam}
     w: np.ndarray        # quadrature weights e^{2 lam} dx dy
+    lam_min: float       # min lam, which sets the CFL bound
 
     @functools.cached_property
     def is_flat(self) -> bool:
@@ -97,7 +108,8 @@ def build_grid(nx: int, ny: int, Lx: float = TWO_PI, Ly: float = TWO_PI,
     for a in (lam_arr, x, y, e2l, em2l, eml, w):
         a.setflags(write=False)
     return SurfaceGrid(nx=nx, ny=ny, Lx=float(Lx), Ly=float(Ly), lam=lam_arr,
-                       dx=dx, dy=dy, x=x, y=y, e2l=e2l, em2l=em2l, eml=eml, w=w)
+                       dx=dx, dy=dy, x=x, y=y, e2l=e2l, em2l=em2l, eml=eml, w=w,
+                       lam_min=float(np.min(lam_arr)))
 
 
 def conformal_rescale(grid: SurfaceGrid, a: float) -> SurfaceGrid:
@@ -124,9 +136,10 @@ def _centred_diff(f: np.ndarray, axis: int, out=None) -> np.ndarray:
 
 
 def _centred(f: np.ndarray, axis: int, h: float, out=None) -> np.ndarray:
-    """(f[i+1] - f[i-1]) / (2h) along `axis`, by slicing into `out`."""
+    """(f[i+1] - f[i-1]) * (0.5/h) along `axis`, by slicing into `out`;
+    the same operations as Stencil.centred."""
     out = _centred_diff(f, axis, out)
-    out /= 2.0 * h
+    out *= 0.5 / h
     return out
 
 
@@ -160,11 +173,13 @@ def dpy(f: np.ndarray, grid: SurfaceGrid) -> np.ndarray:
 
 
 def dxx(f: np.ndarray, grid: SurfaceGrid) -> np.ndarray:
-    return (np.roll(f, -1, axis=0) + np.roll(f, 1, axis=0) - 2.0 * f) / grid.dx**2
+    return (np.roll(f, -1, axis=0) + np.roll(f, 1, axis=0) - 2.0 * f) \
+        * (1.0 / grid.dx ** 2)
 
 
 def dyy(f: np.ndarray, grid: SurfaceGrid) -> np.ndarray:
-    return (np.roll(f, -1, axis=1) + np.roll(f, 1, axis=1) - 2.0 * f) / grid.dy**2
+    return (np.roll(f, -1, axis=1) + np.roll(f, 1, axis=1) - 2.0 * f) \
+        * (1.0 / grid.dy ** 2)
 
 
 def empty_map(shape) -> np.ndarray:
@@ -178,31 +193,38 @@ def empty_map(shape) -> np.ndarray:
     return a.transpose(tuple(range(1, a.ndim)) + (0,))
 
 
-def component_dot(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    """<X, Y> over the trailing component axis, one plane at a time.
+# transpose axes that bring the trailing axis first, indexed by ndim - 1
+_COMPONENT_FIRST = tuple((n - 1,) + tuple(range(n - 1)) for n in range(1, 33))
 
-    Whole-plane multiply-adds in index order, so the value does not depend
-    on the layout; on a component-major map every plane is contiguous.
-    numpy's reduction over a short trailing axis is several times slower.
+
+def component_first(a: np.ndarray) -> np.ndarray:
+    """The view of a (..., q) array with the component axis first, so that
+    plane i is [i]; C-contiguous when `a` is component-major."""
+    return a.transpose(_COMPONENT_FIRST[a.ndim - 1])
+
+
+def component_dot(X: np.ndarray, Y: np.ndarray, scratch=None) -> np.ndarray:
+    """<X, Y> over the trailing component axis.
+
+    The products are summed along the leading axis of the component-first
+    view, which numpy does plane by plane in index order in either layout;
+    so the value does not depend on the layout.  They go to `scratch` (an
+    array of the shape of X, whose values are then lost) when it is
+    component-major, else to a component-first temporary: summing strided
+    planes of a row-major buffer is several times slower.
     """
-    out = X[..., 0] * Y[..., 0]
-    tmp = np.empty_like(out)
-    for i in range(1, X.shape[-1]):
-        np.multiply(X[..., i], Y[..., i], out=tmp)
-        out += tmp
-    return out
+    x = component_first(X)
+    P = None if scratch is None else component_first(scratch)
+    if P is None or not P.flags.c_contiguous:
+        P = np.empty(x.shape)
+    np.multiply(x, x if Y is X else component_first(Y), out=P)
+    return np.add.reduce(P, axis=0)
 
 
 def _sum_components(a: np.ndarray) -> np.ndarray:
-    """Fresh node-scalar sum over the trailing component axis, one plane at
-    a time in index order whatever the layout (numpy's order for a short
-    trailing axis); a scalar field is copied."""
-    if a.ndim == 2:
-        return a.copy()
-    out = a[..., 0].copy()
-    for i in range(1, a.shape[-1]):
-        out += a[..., i]
-    return out
+    """Fresh sum over the trailing component axis, in index order as
+    component_dot sums."""
+    return np.add.reduce(component_first(a), axis=0)
 
 
 def _comp_weight(a: np.ndarray, f: np.ndarray) -> np.ndarray:
@@ -227,71 +249,135 @@ def frame_derivatives(u: np.ndarray, grid: SurfaceGrid):
 class Stencil:
     """The four periodic neighbour shifts of one field, in reusable buffers.
 
-    `load(f)` fills xp[i] = f[i+1] and xm[i] = f[i-1] along x, and yp, ym
-    along y, by slicing.  The Laplacian and the forward and centred
-    differences are then all formed from these shifts, so one pass over f
-    serves every first- and second-order term.  `forward` and `centred`
-    write into the same pair of buffers (gx, gy); each call overwrites what
-    the previous one left there, and so does `grad_sq`.  `tmp` is scratch:
-    the Laplacian uses it, and so may a caller once the Laplacian is formed.
+    Inside, every buffer is component-first: a map of shape (nx, ny, q) is
+    held as (q, nx, ny), a node scalar as (nx, ny), so x is axis -2 and y
+    is axis -1 and each plane is contiguous.  `shifts` stacks
+    [xp, yp, xm, ym] (xp[i] = f[i+1] and xm[i] = f[i-1] along x, yp and ym
+    along y) and `grads` stacks [gx, gy]; an operator works on both
+    directions at once, the plus pair `shifts[:2]` against the minus pair
+    `shifts[2:]` or against f, with the x and y grid constants broadcast
+    along the stack axis.  `scratch` is one more component-first buffer.
+    The attributes xp, yp, xm, ym, gx, gy and tmp are the same buffers in
+    the logical (nx, ny, q) layout, as `empty_map` gives them.
+
+    `load(f)` fills the shifts by slicing; a component-major f gives its y
+    shifts by one flat contiguous copy plus the wrap column.  Every first-
+    and second-order term is then formed from these shifts, so one pass
+    over f serves them all.  Grid constants enter as precomputed
+    reciprocals (1/dx^2, 0.5/dx, ...); only `forward` divides a full map by
+    dx and dy, because the forward differences of the ledger's Dirichlet
+    term are pinned bit for bit to (f[i+1] - f[i]) / dx.  `dirichlet` gives
+    the same energy without that divide, equal up to rounding.
+
+    `forward`, `dirichlet`, `centred` and `grad_sq` write (gx, gy);
+    `laplacian` uses (gx, gy) and tmp as scratch; each call overwrites what
+    the previous one left there.  A caller may use tmp once the Laplacian
+    is formed.
     `hessian_sq` overwrites every buffer, the shifts included, so it comes
     last before the next `load`.
 
-    The buffers are component-major (`empty_map`).  `f` is the array whose
-    shifts are loaded, or None once they are spent.  `forward`, `centred`,
-    `grad_sq` and the use of `tmp` leave the shifts intact, so a caller that
-    knows f has not been written since `load` may reuse them; `f is a`
+    `f` is the array whose shifts are loaded, or None once they are spent.
+    Every operator but `hessian_sq` leaves the shifts intact, so a caller
+    that knows f has not been written since `load` may reuse them; `f is a`
     proves that only when nothing mutates `a` in place, as inside a run.
     """
 
     def __init__(self, grid: SurfaceGrid, shape):
+        shape = tuple(shape)
         self.grid = grid
-        self.xp, self.xm, self.yp, self.ym, self.gx, self.gy, self.tmp = (
-            empty_map(shape) for _ in range(7))
-        self.f = None
+        self.shape = shape
+        self._is_map = len(shape) == 3
+        planes = shape[-1:] + shape[:-1] if self._is_map else shape
+        self.shifts = np.empty((4,) + planes)
+        self.grads = np.empty((2,) + planes)
+        self.scratch = np.empty(planes)
+        self._plus, self._minus = self.shifts[:2], self.shifts[2:]
+        self.xp, self.yp, self.xm, self.ym = (self._logical(a)
+                                              for a in self.shifts)
+        self.gx, self.gy = (self._logical(a) for a in self.grads)
+        self.tmp = self._logical(self.scratch)
+        self.f = self._F = None
+
+    @functools.cached_property
+    def _h(self) -> np.ndarray:
+        """(dx, dy), shaped to broadcast along the stack axis; made on first
+        use, so that building a stencil does no arithmetic."""
+        return np.array([self.grid.dx, self.grid.dy]).reshape(
+            (2,) + (1,) * self.scratch.ndim)
+
+    @functools.cached_property
+    def _half_inv_h(self) -> np.ndarray:
+        return 0.5 / self._h
+
+    @functools.cached_property
+    def _inv_h2(self) -> np.ndarray:
+        return 1.0 / (self._h * self._h)
+
+    def _logical(self, a: np.ndarray) -> np.ndarray:
+        """The (nx, ny, q) view of a component-first buffer."""
+        return a.transpose(1, 2, 0) if self._is_map else a
+
+    def _node_sum(self, a: np.ndarray) -> np.ndarray:
+        """Fresh node scalar: a component-first buffer summed over its
+        components, or a copy of a node-scalar one."""
+        return _sum_components(self._logical(a)) if self._is_map else a.copy()
 
     def load(self, f: np.ndarray) -> "Stencil":
-        if f.shape != self.xp.shape:
-            raise ShapeError(f"stencil holds {self.xp.shape}, got {f.shape}")
-        self.xp[:-1] = f[1:]
-        self.xp[-1] = f[0]
-        self.xm[1:] = f[:-1]
-        self.xm[0] = f[-1]
-        self.yp[:, :-1] = f[:, 1:]
-        self.yp[:, -1] = f[:, 0]
-        self.ym[:, 1:] = f[:, :-1]
-        self.ym[:, 0] = f[:, -1]
-        self.f = f
+        if f.shape != self.shape:
+            raise ShapeError(f"stencil holds {self.shape}, got {f.shape}")
+        F = f.transpose(2, 0, 1) if self._is_map else f
+        xp, yp, xm, ym = self.shifts
+        xp[..., :-1, :] = F[..., 1:, :]
+        xp[..., -1, :] = F[..., 0, :]
+        xm[..., 1:, :] = F[..., :-1, :]
+        xm[..., 0, :] = F[..., -1, :]
+        if F.flags.c_contiguous:
+            # flat copies; only the wrap column is then wrong
+            flat = F.reshape(-1)
+            yp.reshape(-1)[:-1] = flat[1:]
+            ym.reshape(-1)[1:] = flat[:-1]
+        else:
+            yp[..., :-1] = F[..., 1:]
+            ym[..., 1:] = F[..., :-1]
+        yp[..., -1] = F[..., 0]
+        ym[..., 0] = F[..., -1]
+        self.f, self._F = f, F
         return self
 
     def forward(self):
         """(D+x f, D+y f), equal to dpx and dpy."""
-        np.subtract(self.xp, self.f, out=self.gx)
-        self.gx /= self.grid.dx
-        np.subtract(self.yp, self.f, out=self.gy)
-        self.gy /= self.grid.dy
+        G = self.grads
+        np.subtract(self._plus, self._F, out=G)
+        G /= self._h
         return self.gx, self.gy
+
+    def dirichlet(self) -> float:
+        """sum(|D+x f|^2 + |D+y f|^2) dx dy, the Dirichlet energy of the
+        forward differences.  Squares the unscaled differences and scales
+        the sum of each direction once, so no full map is divided; equal
+        to squaring `forward()` up to rounding, not bit for bit."""
+        G = self.grads
+        np.subtract(self._plus, self._F, out=G)
+        G *= G
+        dx, dy = self.grid.dx, self.grid.dy
+        return float(G[0].sum() * (dy / dx) + G[1].sum() * (dx / dy))
 
     def centred(self):
         """(D0x f, D0y f), equal to d0x and d0y."""
-        np.subtract(self.xp, self.xm, out=self.gx)
-        self.gx /= 2.0 * self.grid.dx
-        np.subtract(self.yp, self.ym, out=self.gy)
-        self.gy /= 2.0 * self.grid.dy
+        G = self.grads
+        np.subtract(self._plus, self._minus, out=G)
+        G *= self._half_inv_h
         return self.gx, self.gy
 
     def laplacian(self, out: np.ndarray) -> np.ndarray:
-        """Flat 5-point Laplacian f_xx + f_yy into `out` (no conformal factor)."""
-        f, tmp = self.f, self.tmp
-        np.add(self.xp, self.xm, out=out)
-        out -= f
-        out -= f
-        out /= self.grid.dx ** 2
-        np.add(self.yp, self.ym, out=tmp)
-        tmp -= f
-        tmp -= f
-        tmp /= self.grid.dy ** 2
-        out += tmp
+        """Flat 5-point Laplacian f_xx + f_yy into `out` (no conformal
+        factor): ((xp + xm - 2f) / dx^2) + ((yp + ym - 2f) / dy^2)."""
+        G, f2 = self.grads, self.scratch
+        np.add(self._plus, self._minus, out=G)
+        np.add(self._F, self._F, out=f2)
+        G -= f2
+        G *= self._inv_h2
+        np.add(G[0], G[1], out=out.transpose(2, 0, 1) if self._is_map else out)
         return out
 
     def grad_sq(self) -> np.ndarray:
@@ -301,43 +387,37 @@ class Stencil:
         e^{-2 lam} times it, so |df|^2 dvol = grad_sq * dx dy on any
         conformal grid.  Squares the unscaled differences, then scales.
         """
-        gx, gy = self.gx, self.gy
-        np.subtract(self.xp, self.xm, out=gx)
-        np.subtract(self.yp, self.ym, out=gy)
-        gx *= gx
-        gx *= 0.25 / self.grid.dx ** 2
-        gy *= gy
-        gy *= 0.25 / self.grid.dy ** 2
-        gx += gy
-        return _sum_components(gx)
+        G = self.grads
+        np.subtract(self._plus, self._minus, out=G)
+        G *= G
+        G *= 0.25 * self._inv_h2
+        G[0] += G[1]
+        return self._node_sum(G[0])
 
     def hessian_sq(self) -> np.ndarray:
         """Flat Hessian density f_xx^2 + 2 f_xy^2 + f_yy^2, summed over components.
 
         f_xx and f_yy are the second differences of the shifts; f_xy is the
         centred 4-corner cross difference D0x(D0y f) = D0y(D0x f), taken
-        along the contiguous x axis.  Squares the unscaled differences,
-        then scales.
+        along x.  Squares the unscaled differences, then scales.
         """
         grid = self.grid
-        nxx, nxy, nyy, f2 = self.xp, self.gy, self.yp, self.tmp
-        np.subtract(self.yp, self.ym, out=self.gx)
-        _centred_diff(self.gx, 0, out=nxy)
-        np.multiply(self.f, 2.0, out=f2)
-        nxx += self.xm
-        nxx -= f2
-        nyy += self.ym
-        nyy -= f2
-        nxx *= nxx
-        nxx *= 1.0 / grid.dx ** 4
+        second, f2 = self._plus, self.scratch
+        dy_f, nxy = self.grads
+        np.subtract(self.shifts[1], self.shifts[3], out=dy_f)
+        _centred_diff(dy_f, -2, out=nxy)
+        np.add(self._F, self._F, out=f2)
+        second += self._minus
+        second -= f2
+        second *= second
+        second *= self._inv_h2 * self._inv_h2
         nxy *= nxy
         nxy *= 0.125 / (grid.dx * grid.dy) ** 2
-        nyy *= nyy
-        nyy *= 1.0 / grid.dy ** 4
+        nxx = second[0]
         nxx += nxy
-        nxx += nyy
-        self.f = None       # the shifts are spent
-        return _sum_components(nxx)
+        nxx += second[1]
+        self.f = self._F = None       # the shifts are spent
+        return self._node_sum(nxx)
 
 
 def grad_sq_density(u: np.ndarray, grid: SurfaceGrid) -> np.ndarray:

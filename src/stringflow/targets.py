@@ -11,7 +11,7 @@ from abc import ABC, abstractmethod
 import numpy as np
 
 from .errors import OffManifoldError, ProjectionError, TangencyError
-from .grid import component_dot
+from .grid import component_dot, component_first
 from .registry import build_kind
 
 ON_MANIFOLD_TOL = 1e-8
@@ -50,8 +50,8 @@ class TargetManifold(ABC):
     def sff_trace(self, u: np.ndarray, X1: np.ndarray, X2: np.ndarray,
                   out=None) -> np.ndarray:
         """II(X1, X1) + II(X2, X2), the II term of the tension field for
-        frame derivatives X1, X2; into `out` when given.  Subclasses may
-        use a closed form."""
+        frame derivatives X1, X2; into `out` when given, which may not
+        share memory with u, X1 or X2.  Subclasses may use a closed form."""
         return np.add(self.sff(u, X1, X1), self.sff(u, X2, X2), out=out)
 
     def tangent_project(self, u: np.ndarray, X: np.ndarray,
@@ -142,11 +142,14 @@ class SphereTarget(TargetManifold):
         self.name = "sphere"
 
     def project(self, y: np.ndarray) -> np.ndarray:
-        """y / |y|, a fresh array in the layout of y."""
-        r = np.sqrt(component_dot(y, y))
-        if np.any(r < 1e-8):
+        """y * (1 / |y|), a fresh array in the layout of y; the reciprocal
+        is taken once per point."""
+        out = np.empty_like(y, dtype=float)
+        r = np.sqrt(component_dot(y, y, out))
+        if r.min() < 1e-8:
             raise ProjectionError("projection undefined near the sphere center")
-        return np.divide(y, r[..., None], out=np.empty_like(y, dtype=float))
+        np.multiply(component_first(y), 1.0 / r, out=component_first(out))
+        return out
 
     def distance(self, y: np.ndarray) -> np.ndarray:
         return np.abs(np.linalg.norm(y, axis=-1) - 1.0)
@@ -159,21 +162,25 @@ class SphereTarget(TargetManifold):
         return -component_dot(X, Y)[..., None] * u
 
     def sff_trace(self, u, X1, X2, out=None):
-        """-(|X1|^2 + |X2|^2) u: one multiply of u instead of two."""
-        s = component_dot(X1, X1)
-        s += component_dot(X2, X2)
-        np.negative(s, out=s)
+        """-(|X1|^2 + |X2|^2) u: one multiply of u instead of two; `out`
+        holds the squares first."""
         if out is None:
             out = np.empty_like(u)
-        return np.multiply(u, s[..., None], out=out)
+        s = component_dot(X1, X1, out)
+        s += component_dot(X2, X2, out)
+        np.negative(s, out=s)
+        np.multiply(component_first(u), s, out=component_first(out))
+        return out
 
     def tangent_project(self, u, X, out=None):
         """X - <X, u> u; X has the shape of u and may be a read-only
         broadcast.  A fresh result takes the layout of u."""
         if out is None:
             out = np.empty_like(u)
-        np.multiply(u, component_dot(X, u)[..., None], out=out)
-        return np.subtract(X, out, out=out)
+        P = component_first(out)
+        np.multiply(component_first(u), component_dot(X, u, out), out=P)
+        np.subtract(component_first(X), P, out=P)
+        return out
 
     def normal_frame(self, u: np.ndarray) -> np.ndarray:
         return u[..., None, :]

@@ -292,3 +292,26 @@ def test_step_reuses_only_shifts_it_may_reuse(grid, sphere):
         sf.step(fresh)
         assert np.array_equal(st.u.values, fresh.u.values)
         assert st.S_current == fresh.S_current
+
+
+def test_el_residual_in_the_run_workspace_matches_a_fresh_one(grid, sphere):
+    # run() passes its workspace to el_residual at each record; the
+    # residual and the step after it must not depend on that
+    from dataclasses import replace
+    fields = sf.FieldBackground(b=sf.make_two_form("y4", 4, beta=0.2),
+                                V=sf.make_potential("height", 4, epsilon=0.1))
+    u0 = sf.random_smooth_map(grid, sphere, seed=14, amplitude=0.3)
+    st = sf.init_state(u0, grid, sphere, fields, sf.FlowConfig(t_end=1.0))
+    for spend in (False, True):
+        sf.step(st)
+        if spend:
+            _record(st)
+        shared = sf.el_residual(st.u, grid, sphere, fields, st.work)
+        fresh = sf.el_residual(st.u, grid, sphere, fields)
+        assert np.array_equal(shared[0], fresh[0])
+        assert shared[1:] == fresh[1:]
+        other = replace(st, work=sf.Workspace(grid, st.u.values.shape, fields))
+        sf.step(st)
+        sf.step(other)
+        assert np.array_equal(st.u.values, other.u.values)
+        assert st.S_current == other.S_current

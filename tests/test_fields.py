@@ -179,6 +179,40 @@ def test_bfield_force_and_pullback_match_dense_formulas(sphere, lam):
         assert np.max(np.abs(force - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
+def test_bfield_force_zeroes_and_differences_only_the_planes_it_writes():
+    # y4 writes g in planes {0, 1, 3} and the fluxes in {0, 1}; a skew C
+    # with every entry nonzero writes all of them
+    y4 = y4_two_form(0.3)
+    assert y4.force_planes == (0, 1, 3) and y4.flux_planes == slice(0, 2)
+    rng = np.random.default_rng(21)
+    C = rng.standard_normal((4, 4, 4))
+    b = sf.TwoFormField("dense", 0.1 * (C - np.swapaxes(C, 1, 2)))
+    assert b.force_planes == (0, 1, 2, 3) and b.flux_planes == slice(0, 4)
+
+
+@pytest.mark.parametrize("layout", ["C", "component-major"])
+@pytest.mark.parametrize("lam", [None, lambda x, y: 0.3 * np.sin(x) * np.cos(y)])
+def test_bfield_force_of_a_dense_two_form_matches_dense_formula(sphere, lam,
+                                                                layout):
+    g = sf.build_grid(24, 20, lam=lam)
+    rng = np.random.default_rng(22)
+    C = rng.standard_normal((4, 4, 4))
+    b = sf.TwoFormField("dense", 0.1 * (C - np.swapaxes(C, 1, 2)))
+    fields = sf.FieldBackground(b=b, V=sf.zero_potential(4))
+    work = Workspace(g, (24, 20, 4), fields)
+    # one workspace for several maps: no plane may carry a stale value
+    for seed in (3, 4, 5):
+        u = sf.random_smooth_map(g, sphere, seed=seed, amplitude=0.4).values
+        if layout != "C":
+            cm = sf.empty_map(u.shape)
+            cm[...] = u
+            u = cm
+        work.stencil.load(u).centred()
+        force = g.em2l[..., None] * _bfield_force(work, u, sphere, b)
+        ref = _parent_bfield_force(u, b, g, sphere)
+        assert np.max(np.abs(force - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
 def test_potential_is_linear_with_constant_gradient(sphere):
     V = sf.make_potential("height", 4, epsilon=0.2)
     rng = np.random.default_rng(14)

@@ -3,8 +3,9 @@ import pytest
 
 import stringflow as sf
 from stringflow.errors import GridError, ShapeError, UnsupportedConfigurationError
-from stringflow.grid import (Stencil, ball_kernel_transform, ball_mask,
-                             ball_sum_map, d0x, dpx, dpy, dxx)
+from stringflow.grid import (Stencil, _sum_components, ball_kernel_transform,
+                             ball_mask, ball_sum_map, component_dot, d0x, d0y,
+                             dpx, dpy, dxx)
 
 
 def test_build_grid_basic():
@@ -164,3 +165,87 @@ def test_density_wrappers_match_roll_formulas(shape):
     assert np.allclose(sf.grad_sq_density(f, g), grad2, rtol=1e-13, atol=0.0)
     assert np.allclose(sf.hessian_sq_density(f, g), hess2, rtol=1e-13,
                        atol=0.0)
+
+
+def _six_decades(rng, shape):
+    return rng.standard_normal(shape) * 10.0 ** rng.uniform(-3, 3, shape)
+
+
+def _component_major(a):
+    cm = sf.empty_map(a.shape)
+    cm[...] = a
+    return cm
+
+
+def _plane_loop_dot(X, Y):
+    """<X, Y> as whole-plane multiply-adds in component index order."""
+    out = X[..., 0] * Y[..., 0]
+    for i in range(1, X.shape[-1]):
+        out = out + X[..., i] * Y[..., i]
+    return out
+
+
+def _plane_loop_sum(a):
+    out = a[..., 0].copy()
+    for i in range(1, a.shape[-1]):
+        out = out + a[..., i]
+    return out
+
+
+@pytest.mark.parametrize("layout", ["C", "component-major", "points", "point"])
+def test_component_reductions_sum_planes_in_index_order(layout):
+    # the layout contract of the module docstring: every layout sums the
+    # components one plane at a time in index order, bit for bit
+    rng = np.random.default_rng(30)
+    shape = {"points": (37, 4), "point": (4,)}.get(layout, (24, 20, 4))
+    X, Y = _six_decades(rng, shape), _six_decades(rng, shape)
+    if layout == "component-major":
+        X, Y = _component_major(X), _component_major(Y)
+    assert np.array_equal(component_dot(X, Y), _plane_loop_dot(X, Y))
+    assert np.array_equal(_sum_components(X), _plane_loop_sum(X))
+    scratch = np.empty_like(X)
+    assert np.array_equal(component_dot(X, Y, scratch), _plane_loop_dot(X, Y))
+    if len(shape) == 3:
+        g = sf.build_grid(24, 20, lam=lambda x, y: 0.3 * np.cos(x) * np.sin(y))
+        assert sf.l2_inner(X, Y, g) == \
+            float(np.sum(_plane_loop_dot(X, Y) * g.w))
+
+
+@pytest.mark.parametrize("layout", ["C", "component-major"])
+def test_stencil_centred_matches_d0_bitwise(layout):
+    rng = np.random.default_rng(31)
+    g = sf.build_grid(24, 20, Lx=5.0, Ly=3.0)
+    u = _six_decades(rng, (24, 20, 4))
+    if layout == "component-major":
+        u = _component_major(u)
+    ux, uy = Stencil(g, u.shape).load(u).centred()
+    assert np.array_equal(ux, d0x(u, g)) and np.array_equal(uy, d0y(u, g))
+
+
+@pytest.mark.parametrize("shape", [(24, 20), (24, 20, 3)])
+def test_stencil_laplacian_matches_roll_formula(shape):
+    # non-square conformal grid, dx != dy; the stencil Laplacian is flat
+    rng = np.random.default_rng(32)
+    g = sf.build_grid(24, 20, Lx=5.0, Ly=3.0,
+                      lam=lambda x, y: 0.2 * np.sin(x) * np.cos(y))
+    assert g.dx != g.dy
+    f = rng.standard_normal(shape)
+    ref = (np.roll(f, -1, axis=0) + np.roll(f, 1, axis=0) - 2.0 * f) / g.dx ** 2 \
+        + (np.roll(f, -1, axis=1) + np.roll(f, 1, axis=1) - 2.0 * f) / g.dy ** 2
+    for a in (f, _component_major(f) if f.ndim == 3 else f):
+        lap = Stencil(g, shape).load(a).laplacian(np.empty_like(a))
+        assert np.max(np.abs(lap - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("layout", ["C", "component-major"])
+def test_stencil_dirichlet_matches_forward_differences(layout):
+    # the action's division-free Dirichlet sum against the ledger's pinned
+    # forward-difference form, to rounding
+    rng = np.random.default_rng(33)
+    g = sf.build_grid(24, 20, Lx=5.0, Ly=3.0)
+    u = rng.standard_normal((24, 20, 4))
+    if layout == "component-major":
+        u = _component_major(u)
+    ref = sf.dirichlet_energy(u, g)
+    E = Stencil(g, u.shape).load(u).dirichlet()
+    assert abs(E - ref) <= 1e-14 * ref
