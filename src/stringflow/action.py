@@ -36,9 +36,9 @@ import numpy as np
 from .errors import GridError, NonFiniteStateError
 from .fields import (FieldBackground, TwoFormField, delta_constants,
                      tangential_grad_V, wedge)
-from .grid import (Stencil, SurfaceGrid, ball_mask, ball_sum_map,
-                   component_first, d0x, d0y, dpx, dpy, empty_map,
-                   grad_sq_density, l2_inner, l2_norm)
+from .grid import (Stencil, SurfaceGrid, ball_mask, ball_sum_map, centred,
+                   component_first, empty_map, grad_sq_density, l2_inner,
+                   l2_norm)
 from .targets import TargetManifold, tangent_project
 
 __all__ = [
@@ -99,8 +99,18 @@ def _dirichlet(gx: np.ndarray, gy: np.ndarray, grid: SurfaceGrid) -> float:
 
 
 def dirichlet_energy(u: np.ndarray, grid: SurfaceGrid) -> float:
-    """int |du|^2 dvol with forward differences; conformally invariant."""
-    return _dirichlet(dpx(u, grid), dpy(u, grid), grid)
+    """int |du|^2 dvol with forward differences; conformally invariant.
+
+    The squares are copied into the layout of u, so the sum runs in u's
+    memory order.
+    """
+    gx, gy = Stencil(grid, u.shape).load(u).forward()
+    gx *= gx
+    gy *= gy
+    gx += gy
+    sq = np.empty_like(u)
+    sq[...] = gx
+    return float(np.sum(sq) * (grid.dx * grid.dy))
 
 
 def _field_terms(st: Stencil, vals: np.ndarray,
@@ -234,8 +244,8 @@ def _bfield_force(work: Workspace, vals: np.ndarray, target: TargetManifold,
         fy[..., j] += cu * ux[..., i]
         fy[..., i] -= cu * ux[..., j]
     diff = st.tmp[..., span]
-    g[..., span] -= d0x(fx[..., span], st.grid, out=diff)
-    g[..., span] -= d0y(fy[..., span], st.grid, out=diff)
+    g[..., span] -= centred(fx[..., span], 0, st.grid.dx, out=diff)
+    g[..., span] -= centred(fy[..., span], 1, st.grid.dy, out=diff)
     return tangent_project(target, vals, g, out=st.tmp)
 
 
@@ -537,9 +547,8 @@ def step(state: FlowState) -> FlowState:
 
     if collapsed:
         from .singular import SingularEvent  # avoid a module cycle
-        dens = grad_sq_density(new_vals, state.grid) * state.grid.w
-        ix, iy = np.unravel_index(int(np.argmax(
-            ball_sum_map(dens, state.grid, cfg.ball_radius))), dens.shape)
+        loc = local_energy_map(state.u, state.grid, cfg.ball_radius)
+        ix, iy = np.unravel_index(int(np.argmax(loc)), loc.shape)
         le = local_energy(state.u, state.grid, (ix, iy), cfg.ball_radius)
         kind = "concentration" if le >= cfg.delta1 else "stiffness"
         state.events.append(SingularEvent(t=state.t, ix=int(ix), iy=int(iy),

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import HypothesisError
-from .grid import SurfaceGrid, d0x, d0y
+from .grid import Stencil, SurfaceGrid
 from .registry import build_kind
 from .targets import TargetManifold, tangent_project
 
@@ -236,7 +236,7 @@ def pullback_density(u: np.ndarray, b: TwoFormField,
     The pullback integral is sum(density) * dx * dy, with no conformal
     weight: the B-term is conformally invariant.
     """
-    return b.pullback(u, d0x(u, grid), d0y(u, grid))
+    return b.pullback(u, *Stencil(grid, u.shape).load(u).centred())
 
 
 def pullback_integral(u: np.ndarray, b: TwoFormField, grid: SurfaceGrid) -> float:

@@ -7,6 +7,12 @@ component-major (`empty_map`): the logical shape stays (nx, ny, q), but each
 component plane is contiguous, so plane-wise arithmetic streams through
 memory.  Every function here accepts either layout and gives the same values.
 
+Every difference of a field comes from a `Stencil`, which loads the four
+periodic shifts once; the free functions below (the Laplace-Beltrami
+operator, the frame derivatives, the densities) load one per call.  The one
+exception is `centred`, a single-axis difference for a field whose other
+shifts are never needed (the flux divergence of the B-force).
+
 Hot loops work on the component-first view (`component_first`: (q, nx, ny),
 C-contiguous for a component-major map), where numpy takes its contiguous
 fast path, and the `Stencil` stacks the shifts and differences of both
@@ -14,8 +20,8 @@ directions so that one call serves x and y.  Sums over components go along
 the leading axis of that view, plane by plane in index order in either
 layout (`component_dot`).  Grid constants enter as precomputed reciprocals
 (a multiply costs about half a divide).  Only the forward differences
-(`dpx`, `dpy`, `Stencil.forward`) still divide a full map by dx and dy:
-the ledger's Dirichlet term is pinned bit for bit to (f[i+1] - f[i]) / dx.
+(`Stencil.forward`) still divide a full map by dx and dy: the ledger's
+Dirichlet term is pinned bit for bit to (f[i+1] - f[i]) / dx.
 """
 
 from __future__ import annotations
@@ -121,10 +127,9 @@ def conformal_rescale(grid: SurfaceGrid, a: float) -> SurfaceGrid:
 
 
 # -- stencils -----------------------------------------------------------------
-# np.roll(f, -1, axis) brings f[i+1] to slot i; all stencils are exactly periodic.
 
 def _centred_diff(f: np.ndarray, axis: int, out=None) -> np.ndarray:
-    """f[i+1] - f[i-1] along `axis`, by slicing into `out`."""
+    """f[i+1] - f[i-1] along `axis`, periodic, by slicing into `out`."""
     if out is None:
         out = np.empty_like(f)
     a = np.moveaxis(f, axis, 0)
@@ -135,51 +140,14 @@ def _centred_diff(f: np.ndarray, axis: int, out=None) -> np.ndarray:
     return out
 
 
-def _centred(f: np.ndarray, axis: int, h: float, out=None) -> np.ndarray:
-    """(f[i+1] - f[i-1]) * (0.5/h) along `axis`, by slicing into `out`;
-    the same operations as Stencil.centred."""
+def centred(f: np.ndarray, axis: int, h: float, out=None) -> np.ndarray:
+    """(f[i+1] - f[i-1]) * (0.5/h) along one axis, by slicing into `out`;
+    the same operations as Stencil.centred.  For a field whose shifts along
+    the other axis are never needed, where loading a Stencil would copy
+    four shifts to use one difference."""
     out = _centred_diff(f, axis, out)
     out *= 0.5 / h
     return out
-
-
-def d0x(f: np.ndarray, grid: SurfaceGrid, out=None) -> np.ndarray:
-    """Centered x-derivative (coordinate, not frame)."""
-    return _centred(f, 0, grid.dx, out)
-
-
-def d0y(f: np.ndarray, grid: SurfaceGrid, out=None) -> np.ndarray:
-    return _centred(f, 1, grid.dy, out)
-
-
-def _forward(f: np.ndarray, axis: int, h: float) -> np.ndarray:
-    """(f[i+1] - f[i]) / h along `axis`, by slicing."""
-    out = np.empty_like(f)
-    a = np.moveaxis(f, axis, 0)
-    o = np.moveaxis(out, axis, 0)
-    np.subtract(a[1:], a[:-1], out=o[:-1])
-    np.subtract(a[0], a[-1], out=o[-1])
-    out /= h
-    return out
-
-
-def dpx(f: np.ndarray, grid: SurfaceGrid) -> np.ndarray:
-    """Forward x-difference."""
-    return _forward(f, 0, grid.dx)
-
-
-def dpy(f: np.ndarray, grid: SurfaceGrid) -> np.ndarray:
-    return _forward(f, 1, grid.dy)
-
-
-def dxx(f: np.ndarray, grid: SurfaceGrid) -> np.ndarray:
-    return (np.roll(f, -1, axis=0) + np.roll(f, 1, axis=0) - 2.0 * f) \
-        * (1.0 / grid.dx ** 2)
-
-
-def dyy(f: np.ndarray, grid: SurfaceGrid) -> np.ndarray:
-    return (np.roll(f, -1, axis=1) + np.roll(f, 1, axis=1) - 2.0 * f) \
-        * (1.0 / grid.dy ** 2)
 
 
 def empty_map(shape) -> np.ndarray:
@@ -230,20 +198,6 @@ def _sum_components(a: np.ndarray) -> np.ndarray:
 def _comp_weight(a: np.ndarray, f: np.ndarray) -> np.ndarray:
     """Broadcast a node-scalar over an optional trailing component axis."""
     return a if f.ndim == 2 else a[..., None]
-
-
-def laplace_beltrami(f: np.ndarray, grid: SurfaceGrid) -> np.ndarray:
-    """e^{-2 lam} (f_xx + f_yy) with the 5-point periodic stencil.
-
-    Self-adjoint in the e^{2 lam}-weighted inner product by construction.
-    """
-    return _comp_weight(grid.em2l, f) * (dxx(f, grid) + dyy(f, grid))
-
-
-def frame_derivatives(u: np.ndarray, grid: SurfaceGrid):
-    """Orthonormal-frame derivatives du(e1), du(e2), e_alpha = e^{-lam} d/dx_alpha."""
-    s = _comp_weight(grid.eml, u)
-    return s * d0x(u, grid), s * d0y(u, grid)
 
 
 class Stencil:
@@ -345,7 +299,7 @@ class Stencil:
         return self
 
     def forward(self):
-        """(D+x f, D+y f), equal to dpx and dpy."""
+        """(D+x f, D+y f) = ((xp - f) / dx, (yp - f) / dy)."""
         G = self.grads
         np.subtract(self._plus, self._F, out=G)
         G /= self._h
@@ -363,7 +317,7 @@ class Stencil:
         return float(G[0].sum() * (dy / dx) + G[1].sum() * (dx / dy))
 
     def centred(self):
-        """(D0x f, D0y f), equal to d0x and d0y."""
+        """(D0x f, D0y f) = ((xp - xm) * (0.5/dx), (yp - ym) * (0.5/dy))."""
         G = self.grads
         np.subtract(self._plus, self._minus, out=G)
         G *= self._half_inv_h
@@ -418,6 +372,27 @@ class Stencil:
         nxx += second[1]
         self.f = self._F = None       # the shifts are spent
         return self._node_sum(nxx)
+
+
+def laplace_beltrami(f: np.ndarray, grid: SurfaceGrid) -> np.ndarray:
+    """e^{-2 lam} (f_xx + f_yy) with the 5-point periodic stencil, in the
+    layout of f.
+
+    Self-adjoint in the e^{2 lam}-weighted inner product by construction.
+    """
+    lap = Stencil(grid, f.shape).load(f).laplacian(np.empty_like(f))
+    if not grid.is_flat:
+        lap *= _comp_weight(grid.em2l, f)
+    return lap
+
+
+def frame_derivatives(u: np.ndarray, grid: SurfaceGrid):
+    """Orthonormal-frame derivatives du(e1), du(e2), e_alpha = e^{-lam} d/dx_alpha."""
+    # no caller in the package: kept because the benchmark's tracer wraps
+    # it by name
+    ux, uy = Stencil(grid, u.shape).load(u).centred()
+    s = _comp_weight(grid.eml, u)
+    return s * ux, s * uy
 
 
 def grad_sq_density(u: np.ndarray, grid: SurfaceGrid) -> np.ndarray:

@@ -16,8 +16,8 @@ import numpy as np
 
 from .errors import UnsupportedConfigurationError
 from .fields import FieldBackground, tangential_grad_V
-from .grid import (SurfaceGrid, d0x, d0y, grad_sq_density,
-                   hessian_sq_density, l2_norm, laplace_beltrami)
+from .grid import (Stencil, SurfaceGrid, grad_sq_density, hessian_sq_density,
+                   l2_norm, laplace_beltrami)
 from .targets import TargetManifold
 
 
@@ -44,8 +44,7 @@ def assemble_A(u_values: np.ndarray, grid: SurfaceGrid, target: TargetManifold,
     """
     if not grid.is_flat:
         raise UnsupportedConfigurationError("assemble_A requires a flat grid")
-    ux = d0x(u_values, grid)
-    uy = d0y(u_values, grid)
+    ux, uy = Stencil(grid, u_values.shape).load(u_values).centred()
     nu = target.normal_frame(u_values)          # (..., L, q)
     dnu = target.frame_jacobian(u_values)       # (..., L, q, q) [l, i, j]
     # C[m, i, j] = sum_l dnu[l, i, j] nu[l, m] - dnu[l, m, j] nu[l, i]
@@ -69,8 +68,7 @@ def rewrite_residual(u_values: np.ndarray, A: AntisymmetricPotential,
     Vanishes to O(dx^2) for smooth critical points; `drop_F` ablates the F
     term (negative control).
     """
-    ux = d0x(u_values, grid)
-    uy = d0y(u_values, grid)
+    ux, uy = Stencil(grid, u_values.shape).load(u_values).centred()
     res = laplace_beltrami(u_values, grid)
     if not drop_F:
         res = res + np.einsum("...mi,...i->...m", A.F, ux)

@@ -5,7 +5,6 @@ import stringflow as sf
 from stringflow.action import Workspace, _bfield_force
 from stringflow.errors import HypothesisError
 from stringflow.fields import pullback_density, y4_two_form
-from stringflow.grid import d0x, d0y
 from stringflow.targets import tangent_project
 
 
@@ -140,22 +139,28 @@ def test_linear_two_form_is_a_constant_skew_tensor():
         sf.TwoFormField("bad", np.zeros((4, 4)))
 
 
+def _d0(f, axis, h):
+    """Centred difference (f[i+1] - f[i-1]) * (0.5/h), by np.roll."""
+    return (np.roll(f, -1, axis) - np.roll(f, 1, axis)) * (0.5 / h)
+
+
 def _parent_pullback_density(u, b, g):
     """Dense per-node contraction (d_x u)^T b(u) (d_y u)."""
-    return np.einsum("...i,...ij,...j->...", d0x(u, g), b.coeff(u), d0y(u, g))
+    return np.einsum("...i,...ij,...j->...", _d0(u, 0, g.dx), b.coeff(u),
+                     _d0(u, 1, g.dy))
 
 
 def _parent_bfield_force(u, b, g, target):
     """e^{-2 lam} P(u) g with g^k = d_k b_ij ux^i uy^j - D0x(b_kj uy^j)
     - D0y(ux^i b_ik), from the dense per-node tensors."""
-    ux, uy = d0x(u, g), d0y(u, g)
+    ux, uy = _d0(u, 0, g.dx), _d0(u, 1, g.dy)
     bu = b.coeff(u)
     # b is linear, so the central difference is exact at any step; a unit
     # step keeps its rounding error at the 1e-16 level
     dcoeff = b.dcoeff_fd(u, step=1.0)
     grad = np.einsum("...kij,...i,...j->...k", dcoeff, ux, uy)
-    grad -= d0x(np.einsum("...kj,...j->...k", bu, uy), g)
-    grad -= d0y(np.einsum("...ik,...i->...k", bu, ux), g)
+    grad -= _d0(np.einsum("...kj,...j->...k", bu, uy), 0, g.dx)
+    grad -= _d0(np.einsum("...ik,...i->...k", bu, ux), 1, g.dy)
     grad *= g.em2l[..., None]
     return tangent_project(target, u, grad)
 

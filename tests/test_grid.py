@@ -4,8 +4,9 @@ import pytest
 import stringflow as sf
 from stringflow.errors import GridError, ShapeError, UnsupportedConfigurationError
 from stringflow.grid import (Stencil, _sum_components, ball_kernel_transform,
-                             ball_mask, ball_sum_map, component_dot, d0x, d0y,
-                             dpx, dpy, dxx)
+                             ball_mask, ball_sum_map, component_dot,
+                             frame_derivatives)
+from stringflow.fields import pullback_density
 
 
 def test_build_grid_basic():
@@ -100,11 +101,28 @@ def test_l2_inner_shape_mismatch():
         sf.l2_inner(np.zeros((16, 16)), np.zeros((16, 15)), g)
 
 
+def _roll_d0(f, axis, h):
+    """Centred difference (f[i+1] - f[i-1]) * (0.5/h), by np.roll."""
+    return (np.roll(f, -1, axis) - np.roll(f, 1, axis)) * (0.5 / h)
+
+
+def _roll_d2(f, axis, h):
+    """Second difference (f[i+1] + f[i-1] - 2 f[i]) * (1/h^2), by np.roll."""
+    return (np.roll(f, -1, axis) + np.roll(f, 1, axis) - 2.0 * f) \
+        * (1.0 / h ** 2)
+
+
 def test_stencils_second_order_on_mixed_mode():
     g = sf.build_grid(64, 64)
     v = np.sin(g.x)[:, None] * np.cos(g.y)[None, :]
-    assert np.max(np.abs(d0x(v, g) - np.cos(g.x)[:, None] * np.cos(g.y)[None, :])) < 2e-3
-    assert np.max(np.abs(dxx(v, g) + v)) < 2e-3
+    assert np.max(np.abs(_roll_d0(v, 0, g.dx)
+                         - np.cos(g.x)[:, None] * np.cos(g.y)[None, :])) < 2e-3
+    assert np.max(np.abs(_roll_d2(v, 0, g.dx) + v)) < 2e-3
+    # the package's operators are these formulas, bit for bit
+    du1, _ = frame_derivatives(v, g)
+    assert np.array_equal(du1, _roll_d0(v, 0, g.dx))
+    assert np.array_equal(sf.laplace_beltrami(v, g),
+                          _roll_d2(v, 0, g.dx) + _roll_d2(v, 1, g.dy))
 
 
 def test_ball_sum_map_cache_keys_on_grid_and_radius():
@@ -139,7 +157,6 @@ def test_forward_differences_and_dirichlet_energy_match_roll_bitwise(seed):
     gy = (np.roll(u, -1, axis=1) - u) / g.dy
     fx, fy = Stencil(g, u.shape).load(u).forward()
     assert np.array_equal(fx, gx) and np.array_equal(fy, gy)
-    assert np.array_equal(dpx(u, g), gx) and np.array_equal(dpy(u, g), gy)
     assert sf.dirichlet_energy(u, g) == \
         float(np.sum(gx * gx + gy * gy) * (g.dx * g.dy))
 
@@ -219,7 +236,36 @@ def test_stencil_centred_matches_d0_bitwise(layout):
     if layout == "component-major":
         u = _component_major(u)
     ux, uy = Stencil(g, u.shape).load(u).centred()
-    assert np.array_equal(ux, d0x(u, g)) and np.array_equal(uy, d0y(u, g))
+    assert np.array_equal(ux, _roll_d0(u, 0, g.dx))
+    assert np.array_equal(uy, _roll_d0(u, 1, g.dy))
+
+
+@pytest.mark.parametrize("layout", ["scalar", "C", "component-major"])
+def test_operators_match_roll_formulas_bitwise(layout):
+    # non-square conformal grid (dx != dy), values over six decades
+    rng = np.random.default_rng(34)
+    g = sf.build_grid(24, 20, Lx=5.0, Ly=3.0,
+                      lam=lambda x, y: 0.2 * np.sin(x) * np.cos(y))
+    u = _six_decades(rng, (24, 20) if layout == "scalar" else (24, 20, 4))
+    if layout == "component-major":
+        u = _component_major(u)
+
+    def node(a):
+        return a if u.ndim == 2 else a[..., None]
+
+    lap = node(g.em2l) * (_roll_d2(u, 0, g.dx) + _roll_d2(u, 1, g.dy))
+    assert np.array_equal(sf.laplace_beltrami(u, g), lap)
+    ux, uy = _roll_d0(u, 0, g.dx), _roll_d0(u, 1, g.dy)
+    du1, du2 = frame_derivatives(u, g)
+    assert np.array_equal(du1, node(g.eml) * ux)
+    assert np.array_equal(du2, node(g.eml) * uy)
+    gx = (np.roll(u, -1, axis=0) - u) / g.dx
+    gy = (np.roll(u, -1, axis=1) - u) / g.dy
+    assert sf.dirichlet_energy(u, g) == \
+        float(np.sum(gx * gx + gy * gy) * (g.dx * g.dy))
+    if u.ndim == 3:
+        b = sf.make_two_form("y4", 4, beta=0.3)
+        assert np.array_equal(pullback_density(u, b, g), b.pullback(u, ux, uy))
 
 
 @pytest.mark.parametrize("shape", [(24, 20), (24, 20, 3)])

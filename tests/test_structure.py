@@ -24,8 +24,7 @@ def test_assemble_A_matches_sphere_closed_form(sphere):
     g = sf.build_grid(24, 24)
     u = sf.random_smooth_map(g, sphere, seed=7, amplitude=0.3)
     A = sf.assemble_A(u.values, g, sphere, sf.zero_background(4))
-    from stringflow.grid import d0x
-    ux = d0x(u.values, g)
+    ux = (np.roll(u.values, -1, 0) - np.roll(u.values, 1, 0)) * (0.5 / g.dx)
     expected = (u.values[..., :, None] * ux[..., None, :]
                 - u.values[..., None, :] * ux[..., :, None])
     assert np.max(np.abs(A.F - expected)) < 1e-12
