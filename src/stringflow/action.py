@@ -18,12 +18,18 @@ Discretization notes (the choices here are load-bearing):
   own, flow_rhs and action_value build a fresh one.  Inside a run the map
   is component-major (grid.empty_map), and the rhs of the next step and
   each ledger record reuse the shifts that the accepted trial's
-  action_value loaded.
+  action_value loaded.  action_value forms the centred differences last,
+  so with a two-form the next rhs also reuses those; flow_rhs takes them
+  before its Laplacian, which spends the shifts.  After a convergence
+  probe the next step takes the probe's rhs.
+* With both a two-form and a potential, flow_rhs projects their ambient
+  forces once: P(u) is linear, so e^{-2 lam} P(u) g + P(u) a =
+  P(u)(e^{-2 lam} g + a).  This moves the rhs by rounding only.
 * The ledger's E is pinned bit for bit to the forward differences divided
   by dx and dy.  action_value, which every step's acceptance test
-  evaluates, sums the squared undivided differences and scales each
-  direction once (grid.Stencil.dirichlet): the same E up to rounding, at
-  no full-map divide.
+  evaluates, contracts the undivided differences of each direction in one
+  einsum and scales each direction's sum once (grid.Stencil.dirichlet):
+  the same E up to rounding, at no full-map divide or square.
 """
 
 from __future__ import annotations
@@ -34,8 +40,8 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .errors import GridError, NonFiniteStateError
-from .fields import (FieldBackground, TwoFormField, delta_constants,
-                     tangential_grad_V, wedge)
+from .fields import (FieldBackground, ScalarPotential, TwoFormField,
+                     delta_constants, tangential_grad_V, wedge)
 from .grid import (Stencil, SurfaceGrid, ball_mask, ball_sum_map, centred,
                    component_first, empty_map, grad_sq_density, l2_inner,
                    l2_norm)
@@ -154,25 +160,33 @@ class Workspace:
     the run share it.  flow_rhs and action_value called without one build
     a fresh workspace; either way, the arrays they return are never
     workspace buffers.  flow_rhs writes its II, B-force and potential terms
-    into the stencil's scratch `tmp`.  The B-force planes that no term of
-    the two-form writes are zeroed here, once.
+    into the stencil's scratch `tmp`.  The gradient planes that the B-force
+    writes, `force_planes` (those of the two-form, plus the potential's
+    when the run has one, since flow_rhs then adds a into g), are zeroed
+    per call; the others are zeroed here, once.
 
-    Reuse rule: `shifts(vals, reuse=True)` keeps the stencil's shifts when
-    they were loaded from this very array.  Only run() and its helpers pass
-    reuse=True: a run never writes a map in place, so an array that is
-    still the stencil's `f` still holds what was loaded.  `hessian_sq`
-    spends the shifts, and the next call reloads.
+    Reuse rule: `shifts(vals, reuse=True)` keeps the stencil's shifts, and
+    the centred differences it holds, when they were loaded from this very
+    array; `take_rhs(vals)` hands back the rhs that run() kept for it in
+    `kept_rhs`.  Only run() and its helpers reuse: a run never writes a
+    map in place, so an array that is still the stencil's `f` still holds
+    what was loaded.  flow_rhs (its Laplacian) and a ledger record (its
+    Hessian) spend the shifts, and the next call reloads.
     """
 
     def __init__(self, grid: SurfaceGrid, shape, fields: FieldBackground):
         self.stencil = Stencil(grid, shape)
         self.trial = empty_map(shape)       # u + dt rhs in step
-        if not fields.b.is_zero:
+        self.kept_rhs = None                # (vals, flow_rhs of vals)
+        b, V = fields.b, fields.V
+        if not b.is_zero:
             # B-force: gradient g and the fluxes differenced along x and y
             self.g, self.flux_x, self.flux_y = (empty_map(shape)
                                                 for _ in range(3))
             for a in (self.g, self.flux_x, self.flux_y):
                 a.fill(0.0)
+            self.force_planes = tuple(sorted(
+                set(b.force_planes) | {k for k, _ in V.terms}))
 
     def shifts(self, vals: np.ndarray, reuse: bool = False) -> Stencil:
         """The stencil loaded with vals; with reuse, shifts already loaded
@@ -181,6 +195,12 @@ class Workspace:
         if not (reuse and st.f is vals):
             st.load(vals)
         return st
+
+    def take_rhs(self, vals: np.ndarray):
+        """The kept rhs when it was computed from this very array, else
+        None; nothing is kept afterwards."""
+        kept, self.kept_rhs = self.kept_rhs, None
+        return kept[1] if kept is not None and kept[0] is vals else None
 
 
 def action_value(vals: np.ndarray, grid: SurfaceGrid,
@@ -191,13 +211,15 @@ def action_value(vals: np.ndarray, grid: SurfaceGrid,
     The Dirichlet term comes from `Stencil.dirichlet`, which divides no
     full map; it agrees with the ledger's E (`energies`) to rounding, not
     bit for bit.  Every acceptance test compares values of this function
-    only.
+    only.  It is formed first, so that the centred differences are what
+    the stencil holds at the end, for the rhs of the next step.
     """
     if work is None:
         work = Workspace(grid, vals.shape, fields)
     st = work.shifts(vals)
+    dirichlet = st.dirichlet()
     B_term, V_term = _field_terms(st, vals, fields)
-    return 0.5 * st.dirichlet() + B_term + V_term
+    return 0.5 * dirichlet + B_term + V_term
 
 
 def local_energy(u: MapField, grid: SurfaceGrid, x0, R: float) -> float:
@@ -216,8 +238,10 @@ def local_energy_map(u: MapField, grid: SurfaceGrid, R: float) -> np.ndarray:
 # -- flow right-hand side ---------------------------------------------------------
 
 def _bfield_force(work: Workspace, vals: np.ndarray, target: TargetManifold,
-                  b: TwoFormField) -> np.ndarray:
-    """P(u) g, with g the coordinate gradient of the discrete B-term.
+                  b: TwoFormField, V: ScalarPotential | None = None) -> np.ndarray:
+    """P(u) g, with g the coordinate gradient of the discrete B-term; with a
+    potential V, P(u)(e^{-2 lam} g + a), both ambient forces in one
+    projection.
 
     Gradient of sum_n (D0x u)^T b(u) (D0y u), b_ij(u) = u^k C_kij:
         g^k = C_kij ux^i uy^j - D0x(b_kj uy^j) - D0y(ux^i b_ik),
@@ -225,14 +249,16 @@ def _bfield_force(work: Workspace, vals: np.ndarray, target: TargetManifold,
     = Z(du(e1) ^ du(e2)) + O(dx^2).  ux, uy are the centred differences
     already in the workspace stencil; its scratch buffer takes the flux
     differences, then the projected force.  Only the planes that the terms
-    of b write are zeroed and differenced (b.force_planes, b.flux_planes);
-    the workspace zeroed the others once.
+    of b (and V's gradient) write are zeroed (work.force_planes), and only
+    the flux planes of b are differenced (b.flux_planes); the workspace
+    zeroed the others once.
     """
     st = work.stencil
+    grid = st.grid
     ux, uy = st.gx, st.gy
     g, fx, fy = work.g, work.flux_x, work.flux_y
     span = b.flux_planes
-    for k in b.force_planes:
+    for k in work.force_planes:
         g[..., k].fill(0.0)
     fx[..., span].fill(0.0)
     fy[..., span].fill(0.0)
@@ -244,8 +270,14 @@ def _bfield_force(work: Workspace, vals: np.ndarray, target: TargetManifold,
         fy[..., j] += cu * ux[..., i]
         fy[..., i] -= cu * ux[..., j]
     diff = st.tmp[..., span]
-    g[..., span] -= centred(fx[..., span], 0, st.grid.dx, out=diff)
-    g[..., span] -= centred(fy[..., span], 1, st.grid.dy, out=diff)
+    g[..., span] -= centred(fx[..., span], 0, grid.dx, out=diff)
+    g[..., span] -= centred(fy[..., span], 1, grid.dy, out=diff)
+    if V is not None:
+        if not grid.is_flat:
+            for k in b.force_planes:
+                g[..., k] *= grid.em2l
+        for k, a_k in V.terms:
+            g[..., k] += a_k
     return tangent_project(target, vals, g, out=st.tmp)
 
 
@@ -257,26 +289,33 @@ def flow_rhs(u: MapField, grid: SurfaceGrid, target: TargetManifold,
     The result need not be pointwise tangent: the normal part of Delta_h u
     balances the II term up to truncation error.  All metric weights are
     one factor e^{-2 lam}: with du(e_a) = e^{-lam} D0 u and II bilinear,
-    the rhs is e^{-2 lam} (lap u - II(ux, ux) - II(uy, uy) - P g) - P grad V.
-    Each term is formed in the stencil's scratch and subtracted, plane by
-    plane on the component-first views; the rhs itself is a fresh array in
-    the layout of u.  `reuse` follows the Workspace reuse rule.
+    the rhs is e^{-2 lam} (lap u - II(ux, ux) - II(uy, uy) - P g) - P a.
+    With both fields it is formed as e^{-2 lam} (lap u - II) -
+    P(e^{-2 lam} g + a), one projection instead of two (P is linear); with
+    one field, the formula above.  Each term is formed in the stencil's
+    scratch and subtracted, plane by plane on the component-first views;
+    the rhs itself is a fresh array in the layout of u.  The centred
+    differences come first: they may be the ones the stencil already
+    holds, and the Laplacian then spends the shifts.  `reuse` follows the
+    Workspace reuse rule.
     """
     vals = u.values
     if work is None:
         work = Workspace(grid, vals.shape, fields)
     st = work.shifts(vals, reuse)
+    ux, uy = st.centred()
     rhs = st.laplacian(np.empty_like(vals))
     R = component_first(rhs)
-    ux, uy = st.centred()
     R -= component_first(target.sff_trace(vals, ux, uy, out=st.tmp))
-    if not fields.b.is_zero:
-        R -= component_first(_bfield_force(work, vals, target, fields.b))
+    b, V = fields.b, fields.V
+    if not b.is_zero and V.is_zero:
+        R -= component_first(_bfield_force(work, vals, target, b))
     if not grid.is_flat:
         R *= grid.em2l
-    if not fields.V.is_zero:
-        R -= component_first(tangential_grad_V(vals, fields.V, target,
-                                               out=st.tmp))
+    if not (b.is_zero or V.is_zero):
+        R -= component_first(_bfield_force(work, vals, target, b, V))
+    elif not V.is_zero:
+        R -= component_first(tangential_grad_V(vals, V, target, out=st.tmp))
     return rhs
 
 
@@ -512,12 +551,15 @@ def step(state: FlowState) -> FlowState:
     matching the restart-past-singular-time semantics.  A step that would
     pass t_end is shortened to end exactly there; that is not a halving,
     so state.dt and the stable-step count are left as they were.  The rhs
-    reuses the shifts that the previous step's accepted trial loaded.
+    is the one a convergence probe kept for this map, or else is formed
+    from the shifts that the previous step's accepted trial loaded.
     """
     cfg = state.config
     vals = state.u.values
-    rhs = flow_rhs(state.u, state.grid, state.target, state.fields, state.work,
-                   reuse=True)
+    rhs = state.work.take_rhs(vals)
+    if rhs is None:
+        rhs = flow_rhs(state.u, state.grid, state.target, state.fields,
+                       state.work, reuse=True)
     tol_up = cfg.tol_up * (1.0 + state.S0)
     remaining = cfg.t_end - state.t
     dt0 = min(state.dt, remaining) if remaining > 0.0 else state.dt
@@ -581,8 +623,9 @@ def run(u0: MapField, grid: SurfaceGrid, target: TargetManifold,
             _record(state)
             _snapshot(state)
             if config.conv_tol > 0.0:
-                _, res_l2, _ = el_residual(state.u, grid, target, fields,
-                                           state.work)
+                rhs, res_l2, _ = el_residual(state.u, grid, target, fields,
+                                             state.work)
+                state.work.kept_rhs = (state.u.values, rhs)
                 probe = convergence_probe(state.last_kinetic, res_l2,
                                           config.conv_tol)
                 state.converged = probe["converged"]

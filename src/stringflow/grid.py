@@ -18,10 +18,18 @@ C-contiguous for a component-major map), where numpy takes its contiguous
 fast path, and the `Stencil` stacks the shifts and differences of both
 directions so that one call serves x and y.  Sums over components go along
 the leading axis of that view, plane by plane in index order in either
-layout (`component_dot`).  Grid constants enter as precomputed reciprocals
-(a multiply costs about half a divide).  Only the forward differences
-(`Stencil.forward`) still divide a full map by dx and dy: the ledger's
-Dirichlet term is pinned bit for bit to (f[i+1] - f[i]) / dx.
+layout (`component_dot`).  On contiguous operands a contraction is one
+`np.einsum`, which writes no product array: einsum adds the planes of two
+C-contiguous (q, nx, ny) operands in index order, bit for bit as
+`np.add.reduce` does, and the tests pin that contract.  Grid constants
+enter as precomputed reciprocals (a multiply costs about half a divide).
+Only the forward differences (`Stencil.forward`) still divide a full map by
+dx and dy: the ledger's Dirichlet term is pinned bit for bit to
+(f[i+1] - f[i]) / dx.
+
+A `Stencil` forms the centred differences once per load and hands the same
+stack to every later caller; its Laplacian and Hessian work in the shift
+stack and spend it, so they come last before the next load.
 """
 
 from __future__ import annotations
@@ -171,28 +179,41 @@ def component_first(a: np.ndarray) -> np.ndarray:
     return a.transpose(_COMPONENT_FIRST[a.ndim - 1])
 
 
-def component_dot(X: np.ndarray, Y: np.ndarray, scratch=None) -> np.ndarray:
-    """<X, Y> over the trailing component axis.
+def _plane_sum(P: np.ndarray) -> np.ndarray:
+    """Sum of a C-contiguous component-first array along its leading axis,
+    plane by plane in index order.  np.add.reduce does that when a plane
+    holds more than one element; a lone vector it sums pairwise, so that
+    one is accumulated instead."""
+    if P.size > len(P):
+        return np.add.reduce(P, axis=0)
+    return np.add.accumulate(P, axis=0)[-1]
+
+
+def component_dot(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """<X, Y> over the trailing component axis, a fresh node array.
 
     The products are summed along the leading axis of the component-first
-    view, which numpy does plane by plane in index order in either layout;
-    so the value does not depend on the layout.  They go to `scratch` (an
-    array of the shape of X, whose values are then lost) when it is
-    component-major, else to a component-first temporary: summing strided
-    planes of a row-major buffer is several times slower.
+    views, plane by plane in index order, so the value does not depend on
+    the layout.  When both views are C-contiguous, as for component-major
+    maps, this is one `np.einsum`, which forms no product array; over such
+    operands einsum adds the planes in index order, bit for bit as the
+    plane sum does (the tests pin this).  A lone point is not such an
+    operand: einsum reduces a single vector with several accumulators.
+    Strided input and single points are multiplied into a component-first
+    temporary and summed plane by plane.
     """
     x = component_first(X)
-    P = None if scratch is None else component_first(scratch)
-    if P is None or not P.flags.c_contiguous:
-        P = np.empty(x.shape)
-    np.multiply(x, x if Y is X else component_first(Y), out=P)
-    return np.add.reduce(P, axis=0)
+    y = x if Y is X else component_first(Y)
+    if x.size > len(x) and x.flags.c_contiguous and y.flags.c_contiguous:
+        return np.einsum("i...,i...->...", x, y)
+    return _plane_sum(np.multiply(x, y, out=np.empty(x.shape)))
 
 
 def _sum_components(a: np.ndarray) -> np.ndarray:
     """Fresh sum over the trailing component axis, in index order as
-    component_dot sums."""
-    return np.add.reduce(component_first(a), axis=0)
+    component_dot sums; a row-major map is copied component-first, since
+    numpy sums a contiguous component axis pairwise."""
+    return _plane_sum(np.ascontiguousarray(component_first(a)))
 
 
 def _comp_weight(a: np.ndarray, f: np.ndarray) -> np.ndarray:
@@ -223,17 +244,22 @@ class Stencil:
     term are pinned bit for bit to (f[i+1] - f[i]) / dx.  `dirichlet` gives
     the same energy without that divide, equal up to rounding.
 
-    `forward`, `dirichlet`, `centred` and `grad_sq` write (gx, gy);
-    `laplacian` uses (gx, gy) and tmp as scratch; each call overwrites what
-    the previous one left there.  A caller may use tmp once the Laplacian
-    is formed.
-    `hessian_sq` overwrites every buffer, the shifts included, so it comes
-    last before the next `load`.
+    `forward`, `dirichlet`, `centred`, `grad_sq` and `hessian_sq` write
+    (gx, gy), each over what the previous one left there.  `centred`
+    remembers that (gx, gy) hold the centred differences of the loaded f
+    and returns them again without a pass, until `load` or another
+    operator writes the stack.  `laplacian` and `hessian_sq` work in the
+    shift stack itself, so they spend the shifts and come last before the
+    next `load`; the Laplacian leaves (gx, gy) alone, so centred
+    differences asked for before it are still valid after it.
+    `laplacian` and `hessian_sq` use tmp as scratch; a caller may use tmp
+    once they are done.  An operator that needs the shifts raises
+    GridError once they are spent.
 
     `f` is the array whose shifts are loaded, or None once they are spent.
-    Every operator but `hessian_sq` leaves the shifts intact, so a caller
-    that knows f has not been written since `load` may reuse them; `f is a`
-    proves that only when nothing mutates `a` in place, as inside a run.
+    A caller that knows f has not been written since `load` may reuse the
+    shifts; `f is a` proves that only when nothing mutates `a` in place,
+    as inside a run.
     """
 
     def __init__(self, grid: SurfaceGrid, shape):
@@ -251,6 +277,7 @@ class Stencil:
         self.gx, self.gy = (self._logical(a) for a in self.grads)
         self.tmp = self._logical(self.scratch)
         self.f = self._F = None
+        self._centred = False       # (gx, gy) hold D0 of the loaded f
 
     @functools.cached_property
     def _h(self) -> np.ndarray:
@@ -276,6 +303,21 @@ class Stencil:
         components, or a copy of a node-scalar one."""
         return _sum_components(self._logical(a)) if self._is_map else a.copy()
 
+    def _loaded(self) -> np.ndarray:
+        """The component-first view of the loaded f; GridError once the
+        shifts are spent."""
+        if self._F is None:
+            raise GridError("the stencil's shifts are spent (laplacian or "
+                            "hessian_sq) or were never loaded; load a field "
+                            "first")
+        return self._F
+
+    def _write_grads(self) -> np.ndarray:
+        """The gradient stack, for an operator about to overwrite it."""
+        self._loaded()
+        self._centred = False
+        return self.grads
+
     def load(self, f: np.ndarray) -> "Stencil":
         if f.shape != self.shape:
             raise ShapeError(f"stencil holds {self.shape}, got {f.shape}")
@@ -296,42 +338,55 @@ class Stencil:
         yp[..., -1] = F[..., 0]
         ym[..., 0] = F[..., -1]
         self.f, self._F = f, F
+        self._centred = False
         return self
 
     def forward(self):
         """(D+x f, D+y f) = ((xp - f) / dx, (yp - f) / dy)."""
-        G = self.grads
+        G = self._write_grads()
         np.subtract(self._plus, self._F, out=G)
         G /= self._h
         return self.gx, self.gy
 
     def dirichlet(self) -> float:
         """sum(|D+x f|^2 + |D+y f|^2) dx dy, the Dirichlet energy of the
-        forward differences.  Squares the unscaled differences and scales
-        the sum of each direction once, so no full map is divided; equal
+        forward differences.  One einsum contracts the unscaled differences
+        of each direction with themselves, and each direction's sum is
+        scaled once, so no full map is divided or squared in place; equal
         to squaring `forward()` up to rounding, not bit for bit."""
-        G = self.grads
+        G = self._write_grads()
         np.subtract(self._plus, self._F, out=G)
-        G *= G
+        Gf = G.reshape(2, -1)
+        sx, sy = np.einsum("dk,dk->d", Gf, Gf)
         dx, dy = self.grid.dx, self.grid.dy
-        return float(G[0].sum() * (dy / dx) + G[1].sum() * (dx / dy))
+        return float(sx * (dy / dx) + sy * (dx / dy))
 
     def centred(self):
-        """(D0x f, D0y f) = ((xp - xm) * (0.5/dx), (yp - ym) * (0.5/dy))."""
-        G = self.grads
-        np.subtract(self._plus, self._minus, out=G)
-        G *= self._half_inv_h
+        """(D0x f, D0y f) = ((xp - xm) * (0.5/dx), (yp - ym) * (0.5/dy)).
+
+        Formed once per load: while (gx, gy) still hold them, a second call
+        returns them without a pass."""
+        if not self._centred:
+            G = self._write_grads()
+            np.subtract(self._plus, self._minus, out=G)
+            G *= self._half_inv_h
+            self._centred = True
         return self.gx, self.gy
 
     def laplacian(self, out: np.ndarray) -> np.ndarray:
         """Flat 5-point Laplacian f_xx + f_yy into `out` (no conformal
-        factor): ((xp + xm - 2f) / dx^2) + ((yp + ym - 2f) / dy^2)."""
-        G, f2 = self.grads, self.scratch
-        np.add(self._plus, self._minus, out=G)
-        np.add(self._F, self._F, out=f2)
-        G -= f2
-        G *= self._inv_h2
-        np.add(G[0], G[1], out=out.transpose(2, 0, 1) if self._is_map else out)
+        factor): ((xp + xm - 2f) / dx^2) + ((yp + ym - 2f) / dy^2).
+
+        Formed in the plus shifts, which spends them; (gx, gy) are left as
+        they were."""
+        F = self._loaded()
+        P, f2 = self._plus, self.scratch
+        P += self._minus
+        np.add(F, F, out=f2)
+        P -= f2
+        P *= self._inv_h2
+        np.add(P[0], P[1], out=out.transpose(2, 0, 1) if self._is_map else out)
+        self.f = self._F = None       # the shifts are spent
         return out
 
     def grad_sq(self) -> np.ndarray:
@@ -341,7 +396,7 @@ class Stencil:
         e^{-2 lam} times it, so |df|^2 dvol = grad_sq * dx dy on any
         conformal grid.  Squares the unscaled differences, then scales.
         """
-        G = self.grads
+        G = self._write_grads()
         np.subtract(self._plus, self._minus, out=G)
         G *= G
         G *= 0.25 * self._inv_h2
@@ -353,14 +408,15 @@ class Stencil:
 
         f_xx and f_yy are the second differences of the shifts; f_xy is the
         centred 4-corner cross difference D0x(D0y f) = D0y(D0x f), taken
-        along x.  Squares the unscaled differences, then scales.
+        along x.  Squares the unscaled differences, then scales.  Spends
+        the shifts.
         """
         grid = self.grid
-        second, f2 = self._plus, self.scratch
-        dy_f, nxy = self.grads
+        dy_f, nxy = self._write_grads()
+        F, second, f2 = self._F, self._plus, self.scratch
         np.subtract(self.shifts[1], self.shifts[3], out=dy_f)
         _centred_diff(dy_f, -2, out=nxy)
-        np.add(self._F, self._F, out=f2)
+        np.add(F, F, out=f2)
         second += self._minus
         second -= f2
         second *= second

@@ -12,8 +12,8 @@ import numpy as np
 
 from .errors import GridError, UnsupportedConfigurationError
 from .fields import FieldBackground
-from .grid import (SurfaceGrid, ball_sum_map,
-                   build_grid, grad_sq_density, hessian_sq_density,
+from .grid import (SurfaceGrid, ball_sum_map, build_grid, component_first,
+                   empty_map, grad_sq_density, hessian_sq_density,
                    periodic_delta)
 
 __all__ = [
@@ -149,7 +149,10 @@ def _bilinear_periodic(grid: SurfaceGrid, px: np.ndarray, py: np.ndarray):
     """Periodic bilinear interpolation at the points (px, py).
 
     Builds the corner indices and weights once and returns the function
-    that applies them to a node field of shape (nx, ny, q).
+    that applies them to a node field of shape (nx, ny, q).  The result is
+    component-major: every plane of the component-first view (a flat
+    reshape, no copy, for a component-major snapshot) is gathered at once
+    by `np.take` along axis 1, so later stencils read it contiguously.
     """
     fx = (px / grid.dx) % grid.nx
     fy = (py / grid.dy) % grid.ny
@@ -157,8 +160,8 @@ def _bilinear_periodic(grid: SurfaceGrid, px: np.ndarray, py: np.ndarray):
     j0 = np.floor(fy).astype(int) % grid.ny
     i1 = (i0 + 1) % grid.nx
     j1 = (j0 + 1) % grid.ny
-    tx = (fx - np.floor(fx))[..., None]
-    ty = (fy - np.floor(fy))[..., None]
+    tx = fx - np.floor(fx)
+    ty = fy - np.floor(fy)
     # corner (flat node index, weight) pairs; each weight keeps the
     # product order ((1 - tx) * (1 - ty)) * v00 of the plain formula
     corners = [(i * grid.ny + j, w) for (i, j), w in (
@@ -166,11 +169,18 @@ def _bilinear_periodic(grid: SurfaceGrid, px: np.ndarray, py: np.ndarray):
         ((i0, j1), (1 - tx) * ty), ((i1, j1), tx * ty))]
 
     def interpolate(vals: np.ndarray) -> np.ndarray:
-        flat = vals.reshape(grid.nx * grid.ny, vals.shape[-1])
+        V = component_first(vals).reshape(vals.shape[-1], -1)
+        out = empty_map(px.shape + vals.shape[-1:])
+        O = component_first(out)
+        T = np.empty(O.shape)
+        # the indices are in range; "clip" spares the default mode's copy
         (k, w), *rest = corners
-        out = w * flat.take(k, axis=0)
+        np.take(V, k, axis=1, out=O, mode="clip")
+        O *= w
         for k, w in rest:
-            out += w * flat.take(k, axis=0)
+            np.take(V, k, axis=1, out=T, mode="clip")
+            T *= w
+            O += T
         return out
 
     return interpolate

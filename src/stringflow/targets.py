@@ -145,7 +145,7 @@ class SphereTarget(TargetManifold):
         """y * (1 / |y|), a fresh array in the layout of y; the reciprocal
         is taken once per point."""
         out = np.empty_like(y, dtype=float)
-        r = np.sqrt(component_dot(y, y, out))
+        r = np.sqrt(component_dot(y, y))
         if r.min() < 1e-8:
             raise ProjectionError("projection undefined near the sphere center")
         np.multiply(component_first(y), 1.0 / r, out=component_first(out))
@@ -162,12 +162,12 @@ class SphereTarget(TargetManifold):
         return -component_dot(X, Y)[..., None] * u
 
     def sff_trace(self, u, X1, X2, out=None):
-        """-(|X1|^2 + |X2|^2) u: one multiply of u instead of two; `out`
-        holds the squares first."""
+        """-(|X1|^2 + |X2|^2) u: two contractions and one multiply of u,
+        instead of two multiplies."""
         if out is None:
             out = np.empty_like(u)
-        s = component_dot(X1, X1, out)
-        s += component_dot(X2, X2, out)
+        s = component_dot(X1, X1)
+        s += component_dot(X2, X2)
         np.negative(s, out=s)
         np.multiply(component_first(u), s, out=component_first(out))
         return out
@@ -178,7 +178,7 @@ class SphereTarget(TargetManifold):
         if out is None:
             out = np.empty_like(u)
         P = component_first(out)
-        np.multiply(component_first(u), component_dot(X, u, out), out=P)
+        np.multiply(component_first(u), component_dot(X, u), out=P)
         np.subtract(component_first(X), P, out=P)
         return out
 

@@ -212,20 +212,26 @@ def _plane_loop_sum(a):
 @pytest.mark.parametrize("layout", ["C", "component-major", "points", "point"])
 def test_component_reductions_sum_planes_in_index_order(layout):
     # the layout contract of the module docstring: every layout sums the
-    # components one plane at a time in index order, bit for bit
+    # components one plane at a time in index order, bit for bit.  On
+    # component-major maps component_dot is one einsum, so this pins
+    # einsum's loop order, for several q and grid sizes.
     rng = np.random.default_rng(30)
-    shape = {"points": (37, 4), "point": (4,)}.get(layout, (24, 20, 4))
-    X, Y = _six_decades(rng, shape), _six_decades(rng, shape)
-    if layout == "component-major":
-        X, Y = _component_major(X), _component_major(Y)
-    assert np.array_equal(component_dot(X, Y), _plane_loop_dot(X, Y))
-    assert np.array_equal(_sum_components(X), _plane_loop_sum(X))
-    scratch = np.empty_like(X)
-    assert np.array_equal(component_dot(X, Y, scratch), _plane_loop_dot(X, Y))
-    if len(shape) == 3:
-        g = sf.build_grid(24, 20, lam=lambda x, y: 0.3 * np.cos(x) * np.sin(y))
-        assert sf.l2_inner(X, Y, g) == \
-            float(np.sum(_plane_loop_dot(X, Y) * g.w))
+    nodes = {"points": [(37,)], "point": [()]}.get(layout,
+                                                  [(24, 20), (64, 64)])
+    for node_shape in nodes:
+        for q in (4, 5, 8):
+            shape = node_shape + (q,)
+            X, Y = _six_decades(rng, shape), _six_decades(rng, shape)
+            if layout == "component-major":
+                X, Y = _component_major(X), _component_major(Y)
+            assert np.array_equal(component_dot(X, Y), _plane_loop_dot(X, Y))
+            assert np.array_equal(component_dot(X, X), _plane_loop_dot(X, X))
+            assert np.array_equal(_sum_components(X), _plane_loop_sum(X))
+            if len(shape) == 3:
+                g = sf.build_grid(*node_shape,
+                                  lam=lambda x, y: 0.3 * np.cos(x) * np.sin(y))
+                assert sf.l2_inner(X, Y, g) == \
+                    float(np.sum(_plane_loop_dot(X, Y) * g.w))
 
 
 @pytest.mark.parametrize("layout", ["C", "component-major"])
@@ -295,3 +301,58 @@ def test_stencil_dirichlet_matches_forward_differences(layout):
     ref = sf.dirichlet_energy(u, g)
     E = Stencil(g, u.shape).load(u).dirichlet()
     assert abs(E - ref) <= 1e-14 * ref
+
+
+@pytest.mark.parametrize("op", ["load", "forward", "dirichlet", "grad_sq",
+                                "hessian_sq", "laplacian"])
+def test_centred_after_each_operator_matches_a_fresh_stencil(op):
+    # centred() hands back the stack it formed for this load while that
+    # stack is intact; a load or an operator that writes (gx, gy) forgets
+    # it, and once the shifts are spent it raises instead of going stale
+    rng = np.random.default_rng(35)
+    g = sf.build_grid(24, 20, Lx=5.0, Ly=3.0)
+    u, v = (_component_major(_six_decades(rng, (24, 20, 4)))
+            for _ in range(2))
+    ref = [a.copy() for a in Stencil(g, u.shape).load(u).centred()]
+    run = {"load": lambda st: st.load(u),
+           "forward": Stencil.forward, "dirichlet": Stencil.dirichlet,
+           "grad_sq": Stencil.grad_sq, "hessian_sq": Stencil.hessian_sq,
+           "laplacian": lambda st: st.laplacian(sf.empty_map(u.shape))}[op]
+    for primed in (False, True):
+        st = Stencil(g, u.shape).load(v if op == "load" else u)
+        if primed:
+            st.centred()
+        run(st)
+        # the Laplacian spends the shifts but leaves (gx, gy) alone
+        if op == "hessian_sq" or (op == "laplacian" and not primed):
+            with pytest.raises(GridError, match="spent"):
+                st.centred()
+            st.load(u)
+        ux, uy = st.centred()
+        assert np.array_equal(ux, ref[0]) and np.array_equal(uy, ref[1])
+    # a repeated call makes no pass over the shifts
+    st.shifts[...] = np.nan
+    ux, uy = st.centred()
+    assert np.array_equal(ux, ref[0]) and np.array_equal(uy, ref[1])
+
+
+def test_operators_on_spent_shifts_raise_a_grid_error():
+    rng = np.random.default_rng(36)
+    g = sf.build_grid(24, 20)
+    u = _component_major(rng.standard_normal((24, 20, 4)))
+    st = Stencil(g, u.shape)
+
+    def laplacian(s):
+        return s.laplacian(sf.empty_map(u.shape))
+
+    ops = (Stencil.forward, Stencil.dirichlet, Stencil.centred,
+           Stencil.grad_sq, Stencil.hessian_sq, laplacian)
+    for op in ops:
+        with pytest.raises(GridError, match="never loaded"):
+            op(st)
+    for spend in (Stencil.hessian_sq, laplacian):
+        for op in ops:
+            spend(st.load(u))
+            assert st.f is None
+            with pytest.raises(GridError, match="spent"):
+                op(st)
