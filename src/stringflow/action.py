@@ -20,11 +20,10 @@ Discretization notes (the choices here are load-bearing):
   each ledger record reuse the shifts that the accepted trial's
   action_value loaded.  action_value forms the centred differences last,
   so with a two-form the next rhs also reuses those; flow_rhs takes them
-  before its Laplacian, which spends the shifts.  After a convergence
-  probe the next step takes the probe's rhs.
-* With both a two-form and a potential, flow_rhs projects their ambient
-  forces once: P(u) is linear, so e^{-2 lam} P(u) g + P(u) a =
-  P(u)(e^{-2 lam} g + a).  This moves the rhs by rounding only.
+  before its Laplacian, which spends the shifts.
+* With a two-form, flow_rhs projects the B-force and the potential's force
+  (when there is one) once: P(u) is linear, so e^{-2 lam} P(u) g + P(u) a
+  = P(u)(e^{-2 lam} g + a).  This moves the rhs by rounding only.
 * The ledger's E is pinned bit for bit to the forward differences divided
   by dx and dy.  action_value, which every step's acceptance test
   evaluates, contracts the undivided differences of each direction in one
@@ -167,17 +166,15 @@ class Workspace:
 
     Reuse rule: `shifts(vals, reuse=True)` keeps the stencil's shifts, and
     the centred differences it holds, when they were loaded from this very
-    array; `take_rhs(vals)` hands back the rhs that run() kept for it in
-    `kept_rhs`.  Only run() and its helpers reuse: a run never writes a
-    map in place, so an array that is still the stencil's `f` still holds
-    what was loaded.  flow_rhs (its Laplacian) and a ledger record (its
+    array.  Only run() and its helpers reuse: a run never writes a map in
+    place, so an array that is still the stencil's `f` still holds what
+    was loaded.  flow_rhs (its Laplacian) and a ledger record (its
     Hessian) spend the shifts, and the next call reloads.
     """
 
     def __init__(self, grid: SurfaceGrid, shape, fields: FieldBackground):
         self.stencil = Stencil(grid, shape)
         self.trial = empty_map(shape)       # u + dt rhs in step
-        self.kept_rhs = None                # (vals, flow_rhs of vals)
         b, V = fields.b, fields.V
         if not b.is_zero:
             # B-force: gradient g and the fluxes differenced along x and y
@@ -195,12 +192,6 @@ class Workspace:
         if not (reuse and st.f is vals):
             st.load(vals)
         return st
-
-    def take_rhs(self, vals: np.ndarray):
-        """The kept rhs when it was computed from this very array, else
-        None; nothing is kept afterwards."""
-        kept, self.kept_rhs = self.kept_rhs, None
-        return kept[1] if kept is not None and kept[0] is vals else None
 
 
 def action_value(vals: np.ndarray, grid: SurfaceGrid,
@@ -239,9 +230,9 @@ def local_energy_map(u: MapField, grid: SurfaceGrid, R: float) -> np.ndarray:
 
 def _bfield_force(work: Workspace, vals: np.ndarray, target: TargetManifold,
                   b: TwoFormField, V: ScalarPotential | None = None) -> np.ndarray:
-    """P(u) g, with g the coordinate gradient of the discrete B-term; with a
-    potential V, P(u)(e^{-2 lam} g + a), both ambient forces in one
-    projection.
+    """P(u) g, with g the coordinate gradient of the discrete B-term; given
+    the run's potential V (zero or not), as flow_rhs gives it,
+    P(u)(e^{-2 lam} g + a), both ambient forces in one projection.
 
     Gradient of sum_n (D0x u)^T b(u) (D0y u), b_ij(u) = u^k C_kij:
         g^k = C_kij ux^i uy^j - D0x(b_kj uy^j) - D0y(ux^i b_ik),
@@ -290,14 +281,13 @@ def flow_rhs(u: MapField, grid: SurfaceGrid, target: TargetManifold,
     balances the II term up to truncation error.  All metric weights are
     one factor e^{-2 lam}: with du(e_a) = e^{-lam} D0 u and II bilinear,
     the rhs is e^{-2 lam} (lap u - II(ux, ux) - II(uy, uy) - P g) - P a.
-    With both fields it is formed as e^{-2 lam} (lap u - II) -
-    P(e^{-2 lam} g + a), one projection instead of two (P is linear); with
-    one field, the formula above.  Each term is formed in the stencil's
-    scratch and subtracted, plane by plane on the component-first views;
-    the rhs itself is a fresh array in the layout of u.  The centred
-    differences come first: they may be the ones the stencil already
-    holds, and the Laplacian then spends the shifts.  `reuse` follows the
-    Workspace reuse rule.
+    With a two-form it is formed as e^{-2 lam} (lap u - II) -
+    P(e^{-2 lam} g + a), one projection for both forces (P is linear).
+    Each term is formed in the stencil's scratch and subtracted, plane by
+    plane on the component-first views; the rhs itself is a fresh array in
+    the layout of u.  The centred differences come first: they may be the
+    ones the stencil already holds, and the Laplacian then spends the
+    shifts.  `reuse` follows the Workspace reuse rule.
     """
     vals = u.values
     if work is None:
@@ -307,12 +297,10 @@ def flow_rhs(u: MapField, grid: SurfaceGrid, target: TargetManifold,
     rhs = st.laplacian(np.empty_like(vals))
     R = component_first(rhs)
     R -= component_first(target.sff_trace(vals, ux, uy, out=st.tmp))
-    b, V = fields.b, fields.V
-    if not b.is_zero and V.is_zero:
-        R -= component_first(_bfield_force(work, vals, target, b))
     if not grid.is_flat:
         R *= grid.em2l
-    if not (b.is_zero or V.is_zero):
+    b, V = fields.b, fields.V
+    if not b.is_zero:
         R -= component_first(_bfield_force(work, vals, target, b, V))
     elif not V.is_zero:
         R -= component_first(tangential_grad_V(vals, V, target, out=st.tmp))
@@ -551,15 +539,12 @@ def step(state: FlowState) -> FlowState:
     matching the restart-past-singular-time semantics.  A step that would
     pass t_end is shortened to end exactly there; that is not a halving,
     so state.dt and the stable-step count are left as they were.  The rhs
-    is the one a convergence probe kept for this map, or else is formed
-    from the shifts that the previous step's accepted trial loaded.
+    reuses the shifts that the previous step's accepted trial loaded.
     """
     cfg = state.config
     vals = state.u.values
-    rhs = state.work.take_rhs(vals)
-    if rhs is None:
-        rhs = flow_rhs(state.u, state.grid, state.target, state.fields,
-                       state.work, reuse=True)
+    rhs = flow_rhs(state.u, state.grid, state.target, state.fields, state.work,
+                   reuse=True)
     tol_up = cfg.tol_up * (1.0 + state.S0)
     remaining = cfg.t_end - state.t
     dt0 = min(state.dt, remaining) if remaining > 0.0 else state.dt
@@ -623,9 +608,8 @@ def run(u0: MapField, grid: SurfaceGrid, target: TargetManifold,
             _record(state)
             _snapshot(state)
             if config.conv_tol > 0.0:
-                rhs, res_l2, _ = el_residual(state.u, grid, target, fields,
-                                             state.work)
-                state.work.kept_rhs = (state.u.values, rhs)
+                _, res_l2, _ = el_residual(state.u, grid, target, fields,
+                                           state.work)
                 probe = convergence_probe(state.last_kinetic, res_l2,
                                           config.conv_tol)
                 state.converged = probe["converged"]

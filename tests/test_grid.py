@@ -216,8 +216,8 @@ def test_component_reductions_sum_planes_in_index_order(layout):
     # component-major maps component_dot is one einsum, so this pins
     # einsum's loop order, for several q and grid sizes.
     rng = np.random.default_rng(30)
-    nodes = {"points": [(37,)], "point": [()]}.get(layout,
-                                                  [(24, 20), (64, 64)])
+    nodes = {"points": [(37,)], "point": [()]}.get(
+        layout, [(24, 20), (64, 64), (128, 128)])
     for node_shape in nodes:
         for q in (4, 5, 8):
             shape = node_shape + (q,)
