@@ -1,4 +1,5 @@
-"""Microbenchmarks of the per-step kernels, at 48^2, 64^2 and 128^2.
+"""Microbenchmarks of the per-step kernels, at 48^2, 64^2 and 128^2, and of
+the singular-point analysis at 64^2 and 128^2.
 
     PYTHONPATH=src python -m pytest bench --benchmark-columns=min,median,iqr
 
@@ -92,3 +93,36 @@ def test_step(benchmark, case):
                           sf.zero_background(4),
                           sf.FlowConfig(t_end=1e9, record_every=10**9))
     benchmark(sf.step, state)
+
+
+@pytest.fixture(params=(64, 128), ids=lambda n: f"{n}x{n}")
+def analysis_case(request):
+    n = request.param
+    grid = sf.build_grid(n, n)
+    sphere = sf.make_target("sphere", 4)
+    u = sf.empty_map((n, n, 4))
+    u[...] = sf.bump_map(grid, sphere, scale=0.3).values
+    return grid, sphere, u
+
+
+def test_assemble_A(benchmark, analysis_case):
+    grid, sphere, u = analysis_case
+    fields = sf.FieldBackground(b=sf.make_two_form("y4", 4, beta=0.2),
+                                V=sf.zero_potential(4))
+    benchmark(sf.assemble_A, u, grid, sphere, fields)
+
+
+def test_rescale_window_dirichlet_energy(benchmark, analysis_case):
+    # the bubble workload's analysis of one radius: a 16-entry window on the
+    # commensurate out-grid, each entry interpolated and its energy taken
+    grid, _, u = analysis_case
+    r = 4 * grid.dx
+    snaps = [(r * r * k / 15, u) for k in range(16)]
+    og = sf.rescale_out_grid(grid, r)
+
+    def window():
+        seq = sf.parabolic_rescale(snaps, ((grid.nx // 3, grid.ny // 2),
+                                           r * r), r, grid, og)["sequence"]
+        return [sf.dirichlet_energy(v, og) for _, v in seq]
+
+    benchmark(window)

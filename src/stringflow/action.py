@@ -106,15 +106,18 @@ def _dirichlet(gx: np.ndarray, gy: np.ndarray, grid: SurfaceGrid) -> float:
 def dirichlet_energy(u: np.ndarray, grid: SurfaceGrid) -> float:
     """int |du|^2 dvol with forward differences; conformally invariant.
 
-    The squares are copied into the layout of u, so the sum runs in u's
-    memory order.
+    The sum runs in u's memory order.  The stencil's component-first
+    buffer already has the layout of a component-major u; for any other
+    layout the squares are first copied into the layout of u.
     """
     gx, gy = Stencil(grid, u.shape).load(u).forward()
     gx *= gx
     gy *= gy
     gx += gy
-    sq = np.empty_like(u)
-    sq[...] = gx
+    sq = gx
+    if not (u.ndim == 3 and component_first(u).flags.c_contiguous):
+        sq = np.empty_like(u)
+        sq[...] = gx
     return float(np.sum(sq) * (grid.dx * grid.dy))
 
 

@@ -16,6 +16,7 @@ import numpy as np
 
 from .action import LEDGER_COLUMNS, EnergyLedger, EnergyRecord
 from .errors import SnapshotError
+from .grid import empty_map
 from .singular import SingularEvent
 
 
@@ -52,7 +53,7 @@ def write_snapshot(path: str, values: np.ndarray, t: float, target_name: str):
 
 
 def read_snapshot(path: str):
-    """Returns (values, header_dict)."""
+    """Returns (values, header_dict); values is a component-major map."""
     with open(path, "rb") as f:
         line = f.readline()
         try:
@@ -70,7 +71,10 @@ def read_snapshot(path: str):
     if len(raw) != expected:
         raise SnapshotError(f"snapshot {path} truncated: expected {expected} "
                             f"payload bytes at offset {len(line)}, got {len(raw)}")
-    values = np.frombuffer(raw, dtype="<f8").reshape(nx, ny, q).astype(float)
+    # one copy from the file's row-major bytes into a component-major map,
+    # the layout the stencils read contiguously
+    values = empty_map((nx, ny, q))
+    values[...] = np.frombuffer(raw, dtype="<f8").reshape(nx, ny, q)
     return values, header
 
 

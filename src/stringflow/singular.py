@@ -6,6 +6,7 @@ local Sobolev (Ladyzhenskaya) diagnostic.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
@@ -19,6 +20,7 @@ from .grid import (SurfaceGrid, ball_sum_map, build_grid, component_first,
 __all__ = [
     "SingularEvent", "ConcentrationMonitor", "concentration_scan", "k_bound",
     "choose_R1_T1", "convergence_probe", "parabolic_rescale",
+    "RescaledSequence",
     "ladyzhenskaya_ratio", "local_action_density",
 ]
 
@@ -193,6 +195,34 @@ def rescale_out_grid(grid: SurfaceGrid, r: float, nx: int | None = None,
     return build_grid(nx or grid.nx, ny or grid.ny, grid.Lx / r, grid.Ly / r)
 
 
+class RescaledSequence:
+    """The rescaled maps (s, v) of a parabolic window, made on access.
+
+    Holds the window's (t, values) snapshots by reference (a later write to
+    one shows in its entry) and the interpolation from `_bilinear_periodic`;
+    `seq[k]` interpolates entry k afresh each time it is asked for, so
+    iterating holds one rescaled map at a time.  Supports len, integer
+    indices (negative ones too) and repeated iteration; entry k is
+    (s_k, v_k) with s_k = (t_k - t0) / r^2.
+    """
+
+    def __init__(self, kept, t0: float, r: float, interpolate):
+        self._kept = tuple(kept)
+        self._t0, self._r2 = t0, r ** 2
+        self._interpolate = interpolate
+
+    def __len__(self) -> int:
+        return len(self._kept)
+
+    def __getitem__(self, k: int):
+        t, vals = self._kept[operator.index(k)]
+        return (t - self._t0) / self._r2, self._interpolate(vals)
+
+    def __iter__(self):
+        for k in range(len(self._kept)):
+            yield self[k]
+
+
 def parabolic_rescale(snapshots, z0, r: float, grid: SurfaceGrid,
                       out_grid: SurfaceGrid, fields: FieldBackground | None = None):
     """Zoom v(x, t) = u(x0 + r x, t0 + r^2 t) onto out_grid.
@@ -200,8 +230,9 @@ def parabolic_rescale(snapshots, z0, r: float, grid: SurfaceGrid,
     `snapshots` is a time-sorted list of (t, values); z0 = ((ix, iy), t0).
     The zoom center lands on the out-grid node (nx/2, ny/2).  Requires
     r >= 2 dx and snapshot coverage of [t0 - r^2, t0].  Returns a dict with
-    the rescaled sequence, the center node, and the 1/r^2 factor multiplying
-    grad V in the rescaled equation (the tool does not evolve v).
+    the rescaled sequence (a lazy `RescaledSequence` over the snapshots in
+    the window), the center node, and the 1/r^2 factor multiplying grad V
+    in the rescaled equation (the tool does not evolve v).
     """
     if r < 2.0 * max(grid.dx, grid.dy):
         raise GridError(f"rescale radius {r} below 2*dx")
@@ -214,11 +245,9 @@ def parabolic_rescale(snapshots, z0, r: float, grid: SurfaceGrid,
     dys = periodic_delta(out_grid.y, out_grid.y[cy], out_grid.Ly)
     px = (grid.x[ix] + r * dxs)[:, None] + np.zeros((1, out_grid.ny))
     py = (grid.y[iy] + r * dys)[None, :] + np.zeros((out_grid.nx, 1))
-    interpolate = _bilinear_periodic(grid, px, py)
-    seq = []
-    for t, vals in snapshots:
-        if t0 - r * r - 1e-12 <= t <= t0 + 1e-12:
-            seq.append(((t - t0) / r ** 2, interpolate(vals)))
+    kept = [(t, vals) for t, vals in snapshots
+            if t0 - r * r - 1e-12 <= t <= t0 + 1e-12]
+    seq = RescaledSequence(kept, t0, r, _bilinear_periodic(grid, px, py))
     gradV_factor = 1.0 / r ** 2
     return {"sequence": seq, "center": (cx, cy), "r": r,
             "gradV_factor": gradV_factor,

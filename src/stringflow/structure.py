@@ -41,21 +41,28 @@ def assemble_A(u_values: np.ndarray, grid: SurfaceGrid, target: TargetManifold,
     G^m_i = K^m_i(u_y) + 1/2 Omega_mij u_x^j,
     with K^m_i(X) = sum_{l,j} (dnu_l^i/dy^j nu_l^m - dnu_l^m/dy^j nu_l^i) X^j.
     Then A . grad u = -II(du, du) - Omega(., du_x, du_y), each term skew.
+
+    K(X) = T - T^T with T^m_i = sum_l a_l^i nu_l^m and a_l^i = dnu_l^i/dy^j
+    X^j, so no per-node (q, q, q) tensor is formed: the memory per node is
+    O(q^2).  Omega is constant and contracts with u_x and u_y directly.
     """
     if not grid.is_flat:
         raise UnsupportedConfigurationError("assemble_A requires a flat grid")
     ux, uy = Stencil(grid, u_values.shape).load(u_values).centred()
     nu = target.normal_frame(u_values)          # (..., L, q)
     dnu = target.frame_jacobian(u_values)       # (..., L, q, q) [l, i, j]
-    # C[m, i, j] = sum_l dnu[l, i, j] nu[l, m] - dnu[l, m, j] nu[l, i]
-    t1 = np.einsum("...lij,...lm->...mij", dnu, nu)
-    C = t1 - np.swapaxes(t1, -3, -2)  # second term is t1 with (m, i) swapped
-    F = np.einsum("...mij,...j->...mi", C, ux)
-    G = np.einsum("...mij,...j->...mi", C, uy)
+
+    def K(X):
+        a = np.einsum("...lij,...j->...li", dnu, X)
+        T = np.einsum("...li,...lm->...mi", a, nu)
+        return T - np.swapaxes(T, -1, -2)
+
+    F, G = K(ux), K(uy)
     if not fields.b.is_zero:
-        om = fields.b.omega(u_values)           # (..., m, i, j)
-        F = F - 0.5 * np.einsum("...mij,...j->...mi", om, uy)
-        G = G + 0.5 * np.einsum("...mij,...j->...mi", om, ux)
+        # 0.5 Omega is exact, so this is 0.5 (Omega . X) bit for bit
+        half_om = 0.5 * fields.b.Omega            # (m, i, j)
+        F -= np.einsum("mij,...j->...mi", half_om, uy)
+        G += np.einsum("mij,...j->...mi", half_om, ux)
     return AntisymmetricPotential(F=F, G=G)
 
 
@@ -66,15 +73,21 @@ def rewrite_residual(u_values: np.ndarray, A: AntisymmetricPotential,
     """L2 norm of Delta u + F . u_x + G . u_y - P grad V(u).
 
     Vanishes to O(dx^2) for smooth critical points; `drop_F` ablates the F
-    term (negative control).
+    term (negative control).  One stencil gives the centred differences,
+    then the Laplacian, which spends the shifts but leaves the differences
+    alone; the terms are added into the Laplacian in the order written.
     """
-    ux, uy = Stencil(grid, u_values.shape).load(u_values).centred()
-    res = laplace_beltrami(u_values, grid)
+    st = Stencil(grid, u_values.shape).load(u_values)
+    ux, uy = st.centred()
+    res = st.laplacian(np.empty_like(u_values))
+    if not grid.is_flat:
+        res *= grid.em2l[..., None]          # as laplace_beltrami does
+    term = st.tmp
     if not drop_F:
-        res = res + np.einsum("...mi,...i->...m", A.F, ux)
-    res = res + np.einsum("...mi,...i->...m", A.G, uy)
+        res += np.einsum("...mi,...i->...m", A.F, ux, out=term)
+    res += np.einsum("...mi,...i->...m", A.G, uy, out=term)
     if not fields.V.is_zero:
-        res = res - tangential_grad_V(u_values, fields.V, target)
+        res -= tangential_grad_V(u_values, fields.V, target)
     return l2_norm(res, grid)
 
 

@@ -5,6 +5,7 @@ import pytest
 
 import stringflow as sf
 from stringflow.errors import SnapshotError
+from stringflow.grid import component_first
 from stringflow.singular import SingularEvent
 
 
@@ -39,6 +40,12 @@ def test_snapshot_roundtrip_bitwise(run_state, tmp_path):
     sf.write_snapshot(str(p), run_state.u.values, run_state.t, "sphere")
     vals, header = sf.read_snapshot(str(p))
     assert vals.tobytes() == run_state.u.values.tobytes()
+    # read back component-major, the layout the stencils read contiguously,
+    # and written again byte for byte
+    assert component_first(vals).flags.c_contiguous
+    p2 = tmp_path / "again.snap"
+    sf.write_snapshot(str(p2), vals, run_state.t, "sphere")
+    assert p2.read_bytes() == p.read_bytes()
     assert header["t"] == run_state.t
     assert header["target"] == "sphere"
     assert header["endianness"] == "little"

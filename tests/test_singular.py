@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -185,3 +187,60 @@ def test_parabolic_rescale_matches_per_snapshot_interpolation(sphere):
     for (s, v), (t, vals) in zip(res["sequence"], kept):
         assert s == (t - t0) / r ** 2
         assert np.array_equal(v, _bilinear_reference(vals, g, px, py))
+
+
+def _window(sphere, n_snaps, dt):
+    """A 32^2 grid and n_snaps component-major snapshots dt apart."""
+    g = sf.build_grid(32, 32)
+    snaps = []
+    for k in range(n_snaps):
+        v = sf.empty_map((32, 32, 4))
+        v[...] = sf.random_smooth_map(g, sphere, seed=k, amplitude=0.3).values
+        snaps.append((dt * k, v))
+    return g, snaps
+
+
+def test_rescaled_sequence_len_indices_and_repeated_iteration(sphere):
+    g, snaps = _window(sphere, 6, 0.2)
+    r, t0 = 4 * g.dx, snaps[-1][0]
+    og = sf.rescale_out_grid(g, r)
+    seq = sf.parabolic_rescale(snaps, ((9, 21), t0), r, g, og)["sequence"]
+    kept = [(t, v) for t, v in snaps if t0 - r * r - 1e-12 <= t <= t0 + 1e-12]
+    assert len(seq) == len(kept) >= 2
+    s0, v0 = seq[0]
+    s_last, v_last = seq[-1]
+    assert s0 == (kept[0][0] - t0) / r ** 2 and s_last == 0.0
+    assert np.array_equal(seq[len(seq) - 1][1], v_last)
+    assert np.array_equal(seq[-len(seq)][1], v0)
+    for k in (len(seq), -len(seq) - 1):
+        with pytest.raises(IndexError):
+            seq[k]
+    first, second = list(seq), list(seq)
+    assert len(first) == len(second) == len(seq)
+    for (sa, va), (sb, vb) in zip(first, second):
+        assert sa == sb and va.tobytes() == vb.tobytes()
+    # every entry is a fresh component-major map
+    assert first[0][1] is not second[0][1]
+    assert sf.grid.component_first(v0).flags.c_contiguous
+
+
+def test_iterating_a_rescale_window_holds_few_maps(sphere):
+    # the sequence keeps the snapshots and interpolates an entry when it is
+    # asked for, so a pass over a 40-entry window holds a few maps at once
+    # (the corner indices and weights, the entry, its scratch), not 40
+    g, snaps = _window(sphere, 40, 0.02)
+    t0 = snaps[-1][0]
+    r = np.sqrt(t0)
+    og = sf.rescale_out_grid(g, r)
+    map_bytes = snaps[0][1].nbytes
+    tracemalloc.start()
+    try:
+        seq = sf.parabolic_rescale(snaps, ((3, 30), t0), r, g, og)["sequence"]
+        n = 0
+        for _, v in seq:
+            n += 1
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert n == 40
+    assert peak < 8 * map_bytes

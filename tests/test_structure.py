@@ -1,7 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 import stringflow as sf
+from stringflow import structure
+from stringflow.errors import UnsupportedConfigurationError
+from stringflow.grid import Stencil
 
 
 @pytest.fixture
@@ -30,6 +35,59 @@ def test_assemble_A_matches_sphere_closed_form(sphere):
     assert np.max(np.abs(A.F - expected)) < 1e-12
 
 
+
+def _assemble_A_rank3(u, grid, target, fields):
+    """The rank-3 formula: C[m, i, j] = sum_l dnu[l, i, j] nu[l, m]
+    - dnu[l, m, j] nu[l, i] per node, contracted with u_x and u_y, and the
+    two-form term from the per-node broadcast of Omega."""
+    ux = (np.roll(u, -1, 0) - np.roll(u, 1, 0)) * (0.5 / grid.dx)
+    uy = (np.roll(u, -1, 1) - np.roll(u, 1, 1)) * (0.5 / grid.dy)
+    nu = target.normal_frame(u)
+    dnu = target.frame_jacobian(u)
+    t1 = np.einsum("...lij,...lm->...mij", dnu, nu)
+    C = t1 - np.swapaxes(t1, -3, -2)
+    F = np.einsum("...mij,...j->...mi", C, ux)
+    G = np.einsum("...mij,...j->...mi", C, uy)
+    if not fields.b.is_zero:
+        om = fields.b.omega(u)
+        F = F - 0.5 * np.einsum("...mij,...j->...mi", om, uy)
+        G = G + 0.5 * np.einsum("...mij,...j->...mi", om, ux)
+    return F, G
+
+
+@pytest.mark.parametrize("b_kind", ["zero", "y4"])
+def test_assemble_A_matches_the_rank3_formula(sphere, b_kind):
+    g = sf.build_grid(32, 24)
+    fields = sf.FieldBackground(b=sf.make_two_form(b_kind, 4, beta=0.3),
+                                V=sf.zero_potential(4))
+    for seed in range(3):
+        u = sf.random_smooth_map(g, sphere, seed=seed, amplitude=0.4).values
+        A = sf.assemble_A(u, g, sphere, fields)
+        F, G = _assemble_A_rank3(u, g, sphere, fields)
+        scale = max(np.max(np.abs(F)), np.max(np.abs(G)))
+        assert np.max(np.abs(A.F - F)) <= 1e-15 * scale
+        assert np.max(np.abs(A.G - G)) <= 1e-15 * scale
+        assert A.skew_defect() == 0.0
+    with pytest.raises(UnsupportedConfigurationError):
+        sf.assemble_A(u, sf.build_grid(32, 24, lam=0.1), sphere, fields)
+
+
+def test_assemble_A_memory_is_quadratic_in_q_per_node(sphere):
+    # the result is two (nx, ny, q, q) arrays; the rank-3 formula held
+    # (nx, ny, q, q, q) tensors on top (1.5-1.8 MB at 32^2, q = 4)
+    g = sf.build_grid(32, 32)
+    fields = sf.FieldBackground(b=sf.make_two_form("y4", 4, beta=0.3),
+                                V=sf.zero_potential(4))
+    u = sf.empty_map((32, 32, 4))
+    u[...] = sf.random_smooth_map(g, sphere, seed=3, amplitude=0.4).values
+    tracemalloc.start()
+    try:
+        sf.assemble_A(u, g, sphere, fields)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * g.nx * g.ny * 4 ** 2 * 8
+
 def test_rewrite_residual_second_order_and_ablation(sphere):
     fields = sf.zero_background(4)
     res = []
@@ -46,6 +104,37 @@ def test_rewrite_residual_second_order_and_ablation(sphere):
     ablated = sf.rewrite_residual(u.values, A, g, sphere, fields, drop_F=True)
     assert ablated > 10 * res[0] and ablated > 1.0
 
+
+
+@pytest.mark.parametrize("component_major", [False, True])
+def test_rewrite_residual_matches_the_term_by_term_sum(sphere, monkeypatch,
+                                                       component_major):
+    # the residual field is accumulated in place; it is the plain sum of
+    # fresh terms bit for bit, on a conformal grid too.  Its L2 norm hides
+    # last-bit differences, so the field itself is taken where the norm is
+    fields = sf.FieldBackground(b=sf.zero_two_form(4),
+                                V=sf.make_potential("height", 4, epsilon=0.1))
+    monkeypatch.setattr(structure, "l2_norm", lambda res, grid: res.copy())
+    for lam in (0.0, lambda x, y: 0.2 * np.sin(x) * np.cos(y)):
+        g = sf.build_grid(24, 20, lam=lam)
+        u = sf.random_smooth_map(g, sphere, seed=5, amplitude=0.4).values
+        if component_major:
+            u, row_major = sf.empty_map(u.shape), u
+            u[...] = row_major
+        rng = np.random.default_rng(1)
+        A = sf.AntisymmetricPotential(F=rng.standard_normal(u.shape + (4,)),
+                                      G=rng.standard_normal(u.shape + (4,)))
+        # einsum's sums depend on the operands' strides, so the terms take
+        # the centred differences in the stencil's own layout
+        ux, uy = Stencil(g, u.shape).load(u).centred()
+        Fux = np.einsum("...mi,...i->...m", A.F, ux)
+        Guy = np.einsum("...mi,...i->...m", A.G, uy)
+        gv = sf.tangential_grad_V(u, fields.V, sphere)
+        lap = sf.laplace_beltrami(u, g)
+        for drop_F, ref in ((False, lap + Fux + Guy - gv),
+                            (True, lap + Guy - gv)):
+            res = sf.rewrite_residual(u, A, g, sphere, fields, drop_F)
+            assert np.array_equal(res, ref)
 
 def test_gap_check_constant_map(sphere):
     g = sf.build_grid(24, 24)
