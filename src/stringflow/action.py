@@ -16,11 +16,15 @@ Discretization notes (the choices here are load-bearing):
   (grid.Stencil) and take every difference from those shifts.  Their
   buffers live in a Workspace that a run allocates once; called on their
   own, flow_rhs and action_value build a fresh one.  Inside a run the map
-  is component-major (grid.empty_map), and the rhs of the next step and
-  each ledger record reuse the shifts that the accepted trial's
-  action_value loaded.  action_value forms the centred differences last,
-  so with a two-form the next rhs also reuses those; flow_rhs takes them
-  before its Laplacian, which spends the shifts.
+  is component-major (grid.empty_map).  A run never writes a map in
+  place, so values are carried forward, not re-derived: a step forms the
+  rhs of its new map from the shifts that the accepted trial's
+  action_value loaded, and keeps it in FlowState.rhs for the next step
+  and the convergence probe.  action_value forms the centred differences
+  last, so with a two-form that rhs also uses those; the rhs takes them
+  before its Laplacian, which spends the shifts.  A ledger record loads
+  its own shifts, and the snapshot ring keeps the run's maps by
+  reference.
 * With a two-form, flow_rhs projects the B-force and the potential's force
   (when there is one) once: P(u) is linear, so e^{-2 lam} P(u) g + P(u) a
   = P(u)(e^{-2 lam} g + a).  This moves the rhs by rounding only.
@@ -158,8 +162,8 @@ class Workspace:
     """Buffers reused by the flow_rhs, action_value and ledger-record calls
     of one run, all component-major.
 
-    init_state allocates one per run, and el_residual and the steps of
-    the run share it.  flow_rhs and action_value called without one build
+    init_state allocates one per run, and the steps and records of the
+    run share it.  flow_rhs and action_value called without one build
     a fresh workspace; either way, the arrays they return are never
     workspace buffers.  flow_rhs writes its II, B-force and potential terms
     into the stencil's scratch `tmp`.  The gradient planes that the B-force
@@ -167,12 +171,9 @@ class Workspace:
     when the run has one, since flow_rhs then adds a into g), are zeroed
     per call; the others are zeroed here, once.
 
-    Reuse rule: `shifts(vals, reuse=True)` keeps the stencil's shifts, and
-    the centred differences it holds, when they were loaded from this very
-    array.  Only run() and its helpers reuse: a run never writes a map in
-    place, so an array that is still the stencil's `f` still holds what
-    was loaded.  flow_rhs (its Laplacian) and a ledger record (its
-    Hessian) spend the shifts, and the next call reloads.
+    Every call loads the stencil itself, except the rhs that a step forms
+    from the shifts its accepted trial's action_value just loaded.  The rhs
+    (its Laplacian) and a ledger record (its Hessian) spend the shifts.
     """
 
     def __init__(self, grid: SurfaceGrid, shape, fields: FieldBackground):
@@ -188,14 +189,6 @@ class Workspace:
             self.force_planes = tuple(sorted(
                 set(b.force_planes) | {k for k, _ in V.terms}))
 
-    def shifts(self, vals: np.ndarray, reuse: bool = False) -> Stencil:
-        """The stencil loaded with vals; with reuse, shifts already loaded
-        from this very array are kept (see the reuse rule above)."""
-        st = self.stencil
-        if not (reuse and st.f is vals):
-            st.load(vals)
-        return st
-
 
 def action_value(vals: np.ndarray, grid: SurfaceGrid,
                  fields: FieldBackground, work: Workspace | None = None) -> float:
@@ -206,11 +199,12 @@ def action_value(vals: np.ndarray, grid: SurfaceGrid,
     full map; it agrees with the ledger's E (`energies`) to rounding, not
     bit for bit.  Every acceptance test compares values of this function
     only.  It is formed first, so that the centred differences are what
-    the stencil holds at the end, for the rhs of the next step.
+    the stencil holds at the end, for the rhs that a step forms from the
+    accepted trial.
     """
     if work is None:
         work = Workspace(grid, vals.shape, fields)
-    st = work.shifts(vals)
+    st = work.stencil.load(vals)
     dirichlet = st.dirichlet()
     B_term, V_term = _field_terms(st, vals, fields)
     return 0.5 * dirichlet + B_term + V_term
@@ -276,8 +270,7 @@ def _bfield_force(work: Workspace, vals: np.ndarray, target: TargetManifold,
 
 
 def flow_rhs(u: MapField, grid: SurfaceGrid, target: TargetManifold,
-             fields: FieldBackground, work: Workspace | None = None,
-             reuse: bool = False) -> np.ndarray:
+             fields: FieldBackground, work: Workspace | None = None) -> np.ndarray:
     """Delta_h u - II(du, du) - Z(du(e1) ^ du(e2)) - P grad V(u).
 
     The result need not be pointwise tangent: the normal part of Delta_h u
@@ -288,14 +281,22 @@ def flow_rhs(u: MapField, grid: SurfaceGrid, target: TargetManifold,
     P(e^{-2 lam} g + a), one projection for both forces (P is linear).
     Each term is formed in the stencil's scratch and subtracted, plane by
     plane on the component-first views; the rhs itself is a fresh array in
-    the layout of u.  The centred differences come first: they may be the
-    ones the stencil already holds, and the Laplacian then spends the
-    shifts.  `reuse` follows the Workspace reuse rule.
+    the layout of u.
     """
     vals = u.values
     if work is None:
         work = Workspace(grid, vals.shape, fields)
-    st = work.shifts(vals, reuse)
+    work.stencil.load(vals)
+    return _rhs(work, vals, target, fields)
+
+
+def _rhs(work: Workspace, vals: np.ndarray, target: TargetManifold,
+         fields: FieldBackground) -> np.ndarray:
+    """flow_rhs of vals, whose shifts the workspace stencil holds.  The
+    centred differences come first: they may be the ones the stencil
+    already holds, and the Laplacian then spends the shifts."""
+    st = work.stencil
+    grid = st.grid
     ux, uy = st.centred()
     rhs = st.laplacian(np.empty_like(vals))
     R = component_first(rhs)
@@ -311,10 +312,9 @@ def flow_rhs(u: MapField, grid: SurfaceGrid, target: TargetManifold,
 
 
 def el_residual(u: MapField, grid: SurfaceGrid, target: TargetManifold,
-                fields: FieldBackground, work: Workspace | None = None):
-    """Euler-Lagrange residual field with its L2 and Linf norms; `work` is
-    the run's workspace, or None for a fresh one."""
-    r = flow_rhs(u, grid, target, fields, work)
+                fields: FieldBackground):
+    """Euler-Lagrange residual field with its L2 and Linf norms."""
+    r = flow_rhs(u, grid, target, fields)
     return r, l2_norm(r, grid), float(np.max(np.abs(r)))
 
 
@@ -421,7 +421,6 @@ class FlowConfig:
     record_every: int = 10
     tol_up: float = 1e-10           # relative slack for per-step S increase
     grow_after: int = 50            # stable steps before dt growth
-    monitor: bool = False           # concentration scan at record times
     snapshot_cap: int = 32          # dyadic ring size
 
     def validate(self, grid: SurfaceGrid):
@@ -458,6 +457,7 @@ class FlowState:
     S0: float = 0.0
     converged: bool = False
     work: Workspace | None = dc_field(default=None, repr=False)
+    rhs: np.ndarray | None = dc_field(default=None, repr=False)   # flow_rhs(u)
 
 
 def init_state(u0: MapField, grid: SurfaceGrid, target: TargetManifold,
@@ -468,10 +468,11 @@ def init_state(u0: MapField, grid: SurfaceGrid, target: TargetManifold,
     u = MapField(target.project(vals), target)
     work = Workspace(grid, vals.shape, fields)
     S0 = action_value(u.values, grid, fields, work)
+    rhs = _rhs(work, u.values, target, fields)
     dt = config.dt_init if config.dt_init is not None else cfl_bound(grid, config.cfl)
     state = FlowState(t=0.0, u=u, dt=dt, grid=grid, target=target,
                       fields=fields, config=config, S_current=S0, S0=S0,
-                      work=work)
+                      work=work, rhs=rhs)
     _record(state)
     _snapshot(state)
     return state
@@ -479,11 +480,10 @@ def init_state(u0: MapField, grid: SurfaceGrid, target: TargetManifold,
 
 def _record(state: FlowState):
     """Append a ledger row; every column comes from one load of the
-    workspace stencil, reused from the last action_value when it holds u.
-    The ball map sums |du|^2 dvol, which is conformally invariant:
-    grad_sq * dx dy."""
+    workspace stencil.  The ball map sums |du|^2 dvol, which is conformally
+    invariant: grad_sq * dx dy."""
     grid, vals = state.grid, state.u.values
-    st = state.work.shifts(vals, reuse=True)
+    st = state.work.stencil.load(vals)
     terms = _energy_terms(st, vals, state.fields)
     dens = st.grad_sq()
     dens *= grid.dx * grid.dy
@@ -497,7 +497,8 @@ def _record(state: FlowState):
 
 
 def _snapshot(state: FlowState):
-    state.snapshots.append((state.t, state.u.values.copy(order="K")))
+    """Keep the map by reference: a run never writes a map in place."""
+    state.snapshots.append((state.t, state.u.values))
     cap = state.config.snapshot_cap
     if len(state.snapshots) > 2 * cap:
         # dyadic thinning: keep the newest cap entries, halve the older ones
@@ -506,7 +507,9 @@ def _snapshot(state: FlowState):
 
 
 def _trial(state: FlowState, rhs: np.ndarray, dt: float):
-    """Projected Euler candidate pi(u + dt rhs) and its action.
+    """Projected Euler candidate pi(u + dt rhs) and its action; the
+    workspace stencil is left holding the candidate's shifts, from which
+    step forms the rhs of the trial it accepts.
 
     Raises NonFiniteStateError, naming t, the step and a node, when the
     action is not finite: every acceptance test would fail on a NaN and dt
@@ -541,13 +544,12 @@ def step(state: FlowState) -> FlowState:
     collapse below dt_min raises a stiffness event and the step is accepted,
     matching the restart-past-singular-time semantics.  A step that would
     pass t_end is shortened to end exactly there; that is not a halving,
-    so state.dt and the stable-step count are left as they were.  The rhs
-    reuses the shifts that the previous step's accepted trial loaded.
+    so state.dt and the stable-step count are left as they were.  The step
+    starts from state.rhs, and replaces it with a fresh array, the rhs of
+    the new map, formed from the shifts the accepted trial loaded.
     """
     cfg = state.config
-    vals = state.u.values
-    rhs = flow_rhs(state.u, state.grid, state.target, state.fields, state.work,
-                   reuse=True)
+    vals, rhs = state.u.values, state.rhs
     tol_up = cfg.tol_up * (1.0 + state.S0)
     remaining = cfg.t_end - state.t
     dt0 = min(state.dt, remaining) if remaining > 0.0 else state.dt
@@ -563,6 +565,9 @@ def step(state: FlowState) -> FlowState:
             dt = min(cfg.dt_min, dt0)
             new_vals, S_new = _trial(state, rhs, dt)
             break
+    # free the old rhs first, so that the new one can take its memory
+    state.rhs = rhs = None
+    state.rhs = _rhs(state.work, new_vals, state.target, state.fields)
 
     diff = state.work.trial
     np.subtract(component_first(new_vals), component_first(vals),
@@ -611,9 +616,8 @@ def run(u0: MapField, grid: SurfaceGrid, target: TargetManifold,
             _record(state)
             _snapshot(state)
             if config.conv_tol > 0.0:
-                _, res_l2, _ = el_residual(state.u, grid, target, fields,
-                                           state.work)
-                probe = convergence_probe(state.last_kinetic, res_l2,
+                probe = convergence_probe(state.last_kinetic,
+                                          l2_norm(state.rhs, grid),
                                           config.conv_tol)
                 state.converged = probe["converged"]
     if state.ledger.records[-1].t < state.t:

@@ -53,7 +53,6 @@ _SCHEMA = {
         "ball_radius": (float, 0.5),
         "conv_tol": (float, 0.0),
         "record_every": (int, 10),
-        "monitor": (bool, False),
     },
 }
 
@@ -148,7 +147,7 @@ def build_objects(cfg: dict):
     flow_cfg = FlowConfig(t_end=fl["t_end"], cfl=fl["cfl"], dt_init=fl["dt_init"],
                           dt_min=fl["dt_min"], delta1=fl["delta1"],
                           ball_radius=fl["ball_radius"], conv_tol=fl["conv_tol"],
-                          record_every=fl["record_every"], monitor=fl["monitor"])
+                          record_every=fl["record_every"])
     return grid, target, fields, u0, flow_cfg
 
 
@@ -180,8 +179,7 @@ PRESETS = {
     "concentration": {
         "grid": {"nx": 96, "ny": 96},
         "initial": {"kind": "bump", "scale": 0.15},
-        "flow": {"t_end": 0.05, "record_every": 10, "monitor": True,
-                 "ball_radius": 0.4},
+        "flow": {"t_end": 0.05, "record_every": 10, "ball_radius": 0.4},
     },
     # tiny-energy start; the small-energy gap predicts decay to a constant
     "gap_smallness": {

@@ -218,10 +218,6 @@ class FieldBackground:
     b: TwoFormField
     V: ScalarPotential
 
-    @property
-    def trivial(self) -> bool:
-        return self.b.is_zero and self.V.is_zero
-
 
 def zero_background(q: int) -> FieldBackground:
     return FieldBackground(zero_two_form(q), zero_potential(q))

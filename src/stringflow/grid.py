@@ -258,11 +258,6 @@ class Stencil:
     `laplacian` and `hessian_sq` use tmp as scratch; a caller may use tmp
     once they are done.  An operator that needs the shifts raises
     GridError once they are spent.
-
-    `f` is the array whose shifts are loaded, or None once they are spent.
-    A caller that knows f has not been written since `load` may reuse the
-    shifts; `f is a` proves that only when nothing mutates `a` in place,
-    as inside a run.
     """
 
     def __init__(self, grid: SurfaceGrid, shape):
@@ -279,7 +274,7 @@ class Stencil:
                                               for a in self.shifts)
         self.gx, self.gy = (self._logical(a) for a in self.grads)
         self.tmp = self._logical(self.scratch)
-        self.f = self._F = None
+        self._F = None
         self._centred = False       # (gx, gy) hold D0 of the loaded f
 
     @functools.cached_property
@@ -340,7 +335,7 @@ class Stencil:
             ym[..., 1:] = F[..., :-1]
         yp[..., -1] = F[..., 0]
         ym[..., 0] = F[..., -1]
-        self.f, self._F = f, F
+        self._F = F
         self._centred = False
         return self
 
@@ -389,7 +384,7 @@ class Stencil:
         P -= f2
         P *= self._inv_h2
         np.add(P[0], P[1], out=out.transpose(2, 0, 1) if self._is_map else out)
-        self.f = self._F = None       # the shifts are spent
+        self._F = None       # the shifts are spent
         return out
 
     def grad_sq(self) -> np.ndarray:
@@ -429,7 +424,7 @@ class Stencil:
         nxx = second[0]
         nxx += nxy
         nxx += second[1]
-        self.f = self._F = None       # the shifts are spent
+        self._F = None       # the shifts are spent
         return self._node_sum(nxx)
 
 

@@ -49,7 +49,8 @@ def write_snapshot(path: str, values: np.ndarray, t: float, target_name: str):
               "target": target_name, "endianness": "little"}
     with open(path, "wb") as f:
         f.write((json.dumps(header) + "\n").encode("utf-8"))
-        f.write(np.ascontiguousarray(values, dtype="<f8").tobytes())
+        # the row-major copy's own buffer: no second copy through bytes
+        f.write(np.ascontiguousarray(values, dtype="<f8").data)
 
 
 def read_snapshot(path: str):

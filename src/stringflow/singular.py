@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,7 +18,7 @@ from .grid import (SurfaceGrid, ball_sum_map, build_grid, component_first,
                    periodic_delta)
 
 __all__ = [
-    "SingularEvent", "ConcentrationMonitor", "concentration_scan", "k_bound",
+    "SingularEvent", "concentration_scan", "k_bound",
     "choose_R1_T1", "convergence_probe", "parabolic_rescale",
     "RescaledSequence",
     "ladyzhenskaya_ratio", "local_action_density",
@@ -75,24 +75,6 @@ def k_bound(S0: float, delta1: float, delta2: float) -> int:
     if S0 <= 0:
         return 0
     return int(math.floor(2.0 * delta2 * S0 / delta1))
-
-
-@dataclass
-class ConcentrationMonitor:
-    """Tracks concentration events against the finite-singularity bound."""
-
-    delta1: float
-    R: float
-    k_max: int
-    events: list = dc_field(default_factory=list)
-
-    @classmethod
-    def create(cls, S0: float, delta1: float, delta2: float, R: float):
-        return cls(delta1=delta1, R=R, k_max=k_bound(S0, delta1, delta2))
-
-    def within_bound(self) -> bool:
-        conc = [e for e in self.events if e.kind == "concentration"]
-        return len(conc) <= self.k_max
 
 
 def local_action_density(u_values: np.ndarray, grid: SurfaceGrid,

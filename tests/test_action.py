@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import stringflow as sf
-from stringflow.action import _bfield_force, _record
+from stringflow.action import _bfield_force, _record, _snapshot
 from stringflow.errors import GridError
 from stringflow.grid import ball_mask
 
@@ -112,11 +112,24 @@ def test_local_energy_map_matches_direct(grid, sphere):
     assert m[16, 16] == pytest.approx(direct, rel=1e-10, abs=1e-12)
 
 
-def test_run_convergence_probe_stops_early(grid, sphere):
+def test_run_convergence_probe_stops_early(grid, sphere, monkeypatch):
+    # the probe reads the rhs the step carries, so a run evaluates one rhs
+    # per step plus the initial one (each ends in a Laplacian)
+    from stringflow.grid import Stencil
+    laplacians = []
+    laplacian = Stencil.laplacian
+
+    def counted(self, out):
+        laplacians.append(1)
+        return laplacian(self, out)
+
+    monkeypatch.setattr(Stencil, "laplacian", counted)
     u0 = sf.small_energy_map(grid, sphere, energy=1e-4, seed=6)
     cfg = sf.FlowConfig(t_end=50.0, record_every=20, conv_tol=1e-8)
     st = sf.run(u0, grid, sphere, sf.zero_background(4), cfg)
     assert st.converged and st.t < 50.0
+    assert st.steps == 6440
+    assert len(laplacians) == st.steps + 1
 
 
 def test_flow_rhs_result_is_not_a_workspace_buffer(grid, sphere):
@@ -273,10 +286,10 @@ def test_run_from_either_layout_is_bit_identical(grid, sphere):
 
 
 def test_step_reuses_only_shifts_it_may_reuse(grid, sphere):
-    # step takes the rhs from the shifts (and, with a two-form, the centred
-    # differences) the accepted trial loaded; after a ledger record has
-    # spent them it reloads.  Either way it must match a step that starts
-    # from a fresh workspace, on a flat and on a conformal grid.
+    # step forms the next rhs from the shifts (and, with a two-form, the
+    # centred differences) the accepted trial loaded; a ledger record loads
+    # its own.  Either way the next step must match one that starts from a
+    # fresh workspace and a fresh rhs, on a flat and on a conformal grid.
     from dataclasses import replace
     fields = sf.FieldBackground(b=sf.make_two_form("y4", 4, beta=0.2),
                                 V=sf.make_potential("height", 4, epsilon=0.1))
@@ -285,21 +298,22 @@ def test_step_reuses_only_shifts_it_may_reuse(grid, sphere):
         st = sf.init_state(u0, g, sphere, fields, sf.FlowConfig(t_end=1.0))
         for spend in (False, True):
             sf.step(st)
-            assert st.work.stencil.f is st.u.values
             if spend:
                 _record(st)
-                assert st.work.stencil.f is None
             fresh = replace(st, work=sf.Workspace(g, st.u.values.shape,
-                                                  fields))
+                                                  fields),
+                            rhs=sf.flow_rhs(st.u, g, sphere, fields))
             sf.step(st)
             sf.step(fresh)
             assert np.array_equal(st.u.values, fresh.u.values)
+            assert np.array_equal(st.rhs, fresh.rhs)
             assert st.S_current == fresh.S_current
 
 
 def test_el_residual_in_the_run_workspace_matches_a_fresh_one(grid, sphere):
-    # run() passes its workspace to el_residual at each record; the
-    # residual and the step after it must not depend on that
+    # the convergence probe reads the rhs that the run's workspace formed;
+    # it must be el_residual's field from a fresh one.  The next step must
+    # not write the carried array in place: a copy of the state shares it
     from dataclasses import replace
     fields = sf.FieldBackground(b=sf.make_two_form("y4", 4, beta=0.2),
                                 V=sf.make_potential("height", 4, epsilon=0.1))
@@ -309,15 +323,71 @@ def test_el_residual_in_the_run_workspace_matches_a_fresh_one(grid, sphere):
         sf.step(st)
         if spend:
             _record(st)
-        shared = sf.el_residual(st.u, grid, sphere, fields, st.work)
-        fresh = sf.el_residual(st.u, grid, sphere, fields)
-        assert np.array_equal(shared[0], fresh[0])
-        assert shared[1:] == fresh[1:]
+        fresh, l2, _ = sf.el_residual(st.u, grid, sphere, fields)
+        assert np.array_equal(st.rhs, fresh)
+        assert sf.l2_norm(st.rhs, grid) == l2
         other = replace(st, work=sf.Workspace(grid, st.u.values.shape, fields))
         sf.step(st)
+        assert np.array_equal(other.rhs, fresh)
         sf.step(other)
         assert np.array_equal(st.u.values, other.u.values)
         assert st.S_current == other.S_current
+
+
+@pytest.mark.parametrize("lam", [None, lambda x, y: 0.2 * np.sin(x) * np.cos(y)],
+                         ids=["flat", "conformal"])
+@pytest.mark.parametrize("with_fields", [False, True],
+                         ids=["zero_fields", "y4_height"])
+def test_carried_rhs_is_the_rhs_of_the_map(sphere, lam, with_fields):
+    # after a plain step, a record, a halved step and a dt_min collapse the
+    # carried rhs equals a fresh flow_rhs of the state's map, bit for bit
+    from dataclasses import replace
+    g = sf.build_grid(24, 24, lam=lam)
+    fields = sf.zero_background(4)
+    if with_fields:
+        fields = sf.FieldBackground(
+            b=sf.make_two_form("y4", 4, beta=0.2),
+            V=sf.make_potential("height", 4, epsilon=0.1))
+    u0 = sf.random_smooth_map(g, sphere, seed=15, amplitude=0.3)
+    cfg = sf.FlowConfig(t_end=1.0)
+    st = sf.init_state(u0, g, sphere, fields, cfg)
+
+    def check():
+        assert np.array_equal(st.rhs, sf.flow_rhs(st.u, g, sphere, fields))
+
+    check()
+    sf.step(st)
+    check()
+    _record(st)
+    check()
+    # far above the CFL bound the action rises, so the step halves dt
+    dt0 = st.dt = 64 * sf.cfl_bound(g, cfg.cfl)
+    sf.step(st)
+    assert st.dt < dt0 and not st.events
+    check()
+    # no trial can lower the action by this margin, so dt collapses
+    st.config = replace(cfg, tol_up=-1e3)
+    sf.step(st)
+    assert st.dt == cfg.dt_min and len(st.events) == 1
+    check()
+
+
+def test_snapshot_ring_keeps_the_run_maps_by_reference(grid, sphere):
+    # a run never writes a map in place, so the ring holds the maps
+    # themselves, and a later step leaves every earlier entry as it was
+    u0 = sf.random_smooth_map(grid, sphere, seed=16, amplitude=0.3)
+    st = sf.init_state(u0, grid, sphere, sf.zero_background(4),
+                       sf.FlowConfig(t_end=1.0))
+    assert st.snapshots[-1][1] is st.u.values
+    kept = [(t, v.copy()) for t, v in st.snapshots]
+    for _ in range(3):
+        sf.step(st)
+        _snapshot(st)
+        assert st.snapshots[-1][1] is st.u.values
+        for (t, v), (t_kept, v_kept) in zip(st.snapshots, kept):
+            assert t == t_kept and np.array_equal(v, v_kept)
+        kept = [(t, v.copy()) for t, v in st.snapshots]
+    assert len(st.snapshots) == 4
 
 
 def _conformal(grid):

@@ -23,8 +23,11 @@ def test_unknown_section_and_key_rejected():
 def test_type_errors_report_path():
     with pytest.raises(ConfigError, match="grid.nx"):
         sf.validate_config({"grid": {"nx": "64"}})
-    with pytest.raises(ConfigError, match="flow.monitor"):
-        sf.validate_config({"flow": {"monitor": 3}})
+    with pytest.raises(ConfigError, match="flow.record_every"):
+        sf.validate_config({"flow": {"record_every": 3.5}})
+    # flow.monitor is not a key; a saved config that still names it fails
+    with pytest.raises(ConfigError, match="unknown key flow.monitor"):
+        sf.validate_config({"flow": {"monitor": True}})
     # bool is not accepted where int is expected
     with pytest.raises(ConfigError, match="grid.nx"):
         sf.validate_config({"grid": {"nx": True}})

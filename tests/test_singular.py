@@ -6,7 +6,7 @@ import pytest
 import stringflow as sf
 from stringflow.errors import GridError
 from stringflow.grid import periodic_delta
-from stringflow.singular import ConcentrationMonitor, local_action_density
+from stringflow.singular import local_action_density
 
 
 @pytest.fixture
@@ -45,15 +45,6 @@ def test_concentration_scan_deterministic(sphere):
     a = sf.concentration_scan(u.values, g, 0.5, 0.5)
     b = sf.concentration_scan(u.values, g, 0.5, 0.5)
     assert a == b
-
-
-def test_monitor_within_bound(sphere):
-    mon = ConcentrationMonitor(delta1=0.5, R=0.5, k_max=2)
-    assert mon.within_bound()
-    mon.events.extend(sf.SingularEvent(t=0.1 * k, ix=0, iy=0, R=0.5,
-                                       local_energy=0.6, kind="concentration")
-                      for k in range(3))
-    assert not mon.within_bound()
 
 
 def test_choose_R1_T1_small_data(sphere):
@@ -152,6 +143,9 @@ def test_dt_min_collapse_records_event_and_is_not_an_error(sphere):
     sf.step(st)
     assert st.dt == 1e-12 and st.t == 1e-12
     assert [ev.kind for ev in st.events] in (["stiffness"], ["concentration"])
+    # the rhs carried to the next step is that of the accepted map
+    assert np.array_equal(st.rhs, sf.flow_rhs(st.u, g, sphere,
+                                              sf.zero_background(4)))
 
 
 def _bilinear_reference(vals, grid, px, py):
