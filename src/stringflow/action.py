@@ -20,7 +20,8 @@ Discretization notes (the choices here are load-bearing):
   place, so values are carried forward, not re-derived: a step forms the
   rhs of its new map from the shifts that the accepted trial's
   action_value loaded, and keeps it in FlowState.rhs for the next step
-  and the convergence probe.  action_value forms the centred differences
+  and the convergence probe; init_state forms the first one with
+  flow_rhs, which loads u0 itself.  action_value forms the centred differences
   last, so with a two-form that rhs also uses those; the rhs takes them
   before its Laplacian, which spends the shifts.  A ledger record loads
   its own shifts, and the snapshot ring keeps the run's maps by
@@ -439,6 +440,14 @@ class FlowConfig:
 
 @dataclass
 class FlowState:
+    """The state of a run between steps.
+
+    A run never writes a map in place, and neither may its caller: u.values
+    is the newest entry of the snapshot ring, which holds the run's maps by
+    reference, and rhs is flow_rhs(u), which the next step starts from.  A
+    caller that wants to alter a map writes to a copy and, to go on, starts
+    a new run from it.
+    """
     t: float
     u: MapField
     dt: float
@@ -468,7 +477,7 @@ def init_state(u0: MapField, grid: SurfaceGrid, target: TargetManifold,
     u = MapField(target.project(vals), target)
     work = Workspace(grid, vals.shape, fields)
     S0 = action_value(u.values, grid, fields, work)
-    rhs = _rhs(work, u.values, target, fields)
+    rhs = flow_rhs(u, grid, target, fields, work)
     dt = config.dt_init if config.dt_init is not None else cfl_bound(grid, config.cfl)
     state = FlowState(t=0.0, u=u, dt=dt, grid=grid, target=target,
                       fields=fields, config=config, S_current=S0, S0=S0,
