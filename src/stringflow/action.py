@@ -3,10 +3,10 @@ and the energy/dissipation ledger.
 
 Discretization notes (the choices here are load-bearing):
 
-* The ledger Dirichlet term uses forward differences,
-  E = sum(|D+x u|^2 + |D+y u|^2) dx dy, whose exact gradient in the
-  e^{2 lam}-weighted inner product is -laplace_beltrami(u).  Both the
-  Dirichlet and B terms carry no conformal weight (conformal invariance).
+* The Dirichlet term is E = sum(|D+x u|^2 + |D+y u|^2) dx dy with forward
+  differences, whose exact gradient in the e^{2 lam}-weighted inner product
+  is -laplace_beltrami(u).  Both the Dirichlet and B terms carry no
+  conformal weight (conformal invariance).
 * The B-field force in flow_rhs is the exact discrete gradient of the
   discrete pullback integral; it equals the Z-operator term
   Z(du(e1) ^ du(e2)) up to O(dx^2).  This makes the discrete flow an exact
@@ -29,11 +29,12 @@ Discretization notes (the choices here are load-bearing):
 * With a two-form, flow_rhs projects the B-force and the potential's force
   (when there is one) once: P(u) is linear, so e^{-2 lam} P(u) g + P(u) a
   = P(u)(e^{-2 lam} g + a).  This moves the rhs by rounding only.
-* The ledger's E is pinned bit for bit to the forward differences divided
-  by dx and dy.  action_value, which every step's acceptance test
-  evaluates, contracts the undivided differences of each direction in one
-  einsum and scales each direction's sum once (grid.Stencil.dirichlet):
-  the same E up to rounding, at no full-map divide or square.
+* The action has one formula, _action_terms: E from grid.Stencil.dirichlet
+  and S_tilde = 0.5*E + B + V, in that order.  action_value, which every
+  step's acceptance test evaluates, and the ledger record both take it from
+  there, so a ledger row's S_tilde is the S_current that the step accepted,
+  bit for bit.  The ledger's |du|^2 density is grid.Stencil.grad_sq, the
+  contraction that the rhs's II term uses.
 """
 
 from __future__ import annotations
@@ -99,38 +100,21 @@ class EnergyTerms:
     S_raw: float        # S_tilde - A1 * vol(M)
 
 
-def _dirichlet(gx: np.ndarray, gy: np.ndarray, grid: SurfaceGrid) -> float:
-    """sum(|gx|^2 + |gy|^2) dx dy of the forward differences; squares them
-    in place."""
-    gx *= gx
-    gy *= gy
-    gx += gy
-    return float(np.sum(gx) * (grid.dx * grid.dy))
-
-
 def dirichlet_energy(u: np.ndarray, grid: SurfaceGrid) -> float:
-    """int |du|^2 dvol with forward differences; conformally invariant.
-
-    The sum runs in u's memory order.  The stencil's component-first
-    buffer already has the layout of a component-major u; for any other
-    layout the squares are first copied into the layout of u.
-    """
-    gx, gy = Stencil(grid, u.shape).load(u).forward()
-    gx *= gx
-    gy *= gy
-    gx += gy
-    sq = gx
-    if not (u.ndim == 3 and component_first(u).flags.c_contiguous):
-        sq = np.empty_like(u)
-        sq[...] = gx
-    return float(np.sum(sq) * (grid.dx * grid.dy))
+    """int |du|^2 dvol with forward differences; conformally invariant, and
+    the same bits for either layout of u (grid.Stencil.dirichlet)."""
+    return Stencil(grid, u.shape).load(u).dirichlet()
 
 
-def _field_terms(st: Stencil, vals: np.ndarray,
-                 fields: FieldBackground) -> tuple:
-    """(B_term, V_term) of `vals`, loaded in `st`; the pullback from the
-    centred differences."""
+def _action_terms(st: Stencil, vals: np.ndarray,
+                  fields: FieldBackground) -> tuple:
+    """(E, B_term, V_term, S_tilde) of `vals`, loaded in `st`: E from the
+    forward differences, the pullback from the centred ones.  The one
+    formula of the action: action_value and the ledger both sum it here.
+    The centred differences are formed last, for the rhs that a step forms
+    from the accepted trial."""
     grid = st.grid
+    E = st.dirichlet()
     B_term = 0.0
     if not fields.b.is_zero:
         ux, uy = st.centred()
@@ -139,24 +123,15 @@ def _field_terms(st: Stencil, vals: np.ndarray,
     V_term = 0.0
     if not fields.V.is_zero:
         V_term = float(np.sum(fields.V.shifted(vals) * grid.w))
-    return B_term, V_term
-
-
-def _energy_terms(st: Stencil, vals: np.ndarray,
-                  fields: FieldBackground) -> EnergyTerms:
-    """Energy terms of `vals`, loaded in `st`: E from the forward
-    differences, the pullback from the centred ones."""
-    grid = st.grid
-    E = _dirichlet(*st.forward(), grid)
-    B_term, V_term = _field_terms(st, vals, fields)
-    S = 0.5 * E + B_term + V_term
-    return EnergyTerms(E=E, dirichlet=0.5 * E, B_term=B_term, V_term=V_term,
-                       S_tilde=S, S_raw=S - fields.V.shift * grid.total_volume)
+    return E, B_term, V_term, 0.5 * E + B_term + V_term
 
 
 def energies(u: MapField, grid: SurfaceGrid, fields: FieldBackground) -> EnergyTerms:
     vals = u.values
-    return _energy_terms(Stencil(grid, vals.shape).load(vals), vals, fields)
+    E, B_term, V_term, S = _action_terms(Stencil(grid, vals.shape).load(vals),
+                                         vals, fields)
+    return EnergyTerms(E=E, dirichlet=0.5 * E, B_term=B_term, V_term=V_term,
+                       S_tilde=S, S_raw=S - fields.V.shift * grid.total_volume)
 
 
 class Workspace:
@@ -193,22 +168,15 @@ class Workspace:
 
 def action_value(vals: np.ndarray, grid: SurfaceGrid,
                  fields: FieldBackground, work: Workspace | None = None) -> float:
-    """Shifted action S_tilde; one set of shifts gives the forward
-    differences (Dirichlet term) and the centred ones (pullback).
-
-    The Dirichlet term comes from `Stencil.dirichlet`, which divides no
-    full map; it agrees with the ledger's E (`energies`) to rounding, not
-    bit for bit.  Every acceptance test compares values of this function
-    only.  It is formed first, so that the centred differences are what
-    the stencil holds at the end, for the rhs that a step forms from the
-    accepted trial.
+    """Shifted action S_tilde, the S_tilde of the ledger bit for bit
+    (_action_terms).  Every acceptance test compares values of this
+    function; it leaves the stencil holding the centred differences when
+    there is a two-form, for the rhs that a step forms from the accepted
+    trial.
     """
     if work is None:
         work = Workspace(grid, vals.shape, fields)
-    st = work.stencil.load(vals)
-    dirichlet = st.dirichlet()
-    B_term, V_term = _field_terms(st, vals, fields)
-    return 0.5 * dirichlet + B_term + V_term
+    return _action_terms(work.stencil.load(vals), vals, fields)[3]
 
 
 def local_energy(u: MapField, grid: SurfaceGrid, x0, R: float) -> float:
@@ -489,18 +457,20 @@ def init_state(u0: MapField, grid: SurfaceGrid, target: TargetManifold,
 
 def _record(state: FlowState):
     """Append a ledger row; every column comes from one load of the
-    workspace stencil.  The ball map sums |du|^2 dvol, which is conformally
-    invariant: grad_sq * dx dy."""
+    workspace stencil, and E and S_tilde from the action's own formula.
+    The ball map sums |du|^2 dvol, which is conformally invariant:
+    grad_sq * dx dy, from the centred differences that the pullback formed
+    when there is a two-form."""
     grid, vals = state.grid, state.u.values
     st = state.work.stencil.load(vals)
-    terms = _energy_terms(st, vals, state.fields)
+    E, B_term, V_term, S = _action_terms(st, vals, state.fields)
     dens = st.grad_sq()
     dens *= grid.dx * grid.dy
     sup_loc = float(np.max(ball_sum_map(dens, grid, state.config.ball_radius)))
     hd = float(np.sum(st.hessian_sq() * grid.w))
     state.ledger.append(EnergyRecord(
-        t=state.t, E=terms.E, dirichlet=terms.dirichlet, B_term=terms.B_term,
-        V_term=terms.V_term, S_tilde=terms.S_tilde, kinetic=state.last_kinetic,
+        t=state.t, E=E, dirichlet=0.5 * E, B_term=B_term, V_term=V_term,
+        S_tilde=S, kinetic=state.last_kinetic,
         cum_dissipation=state.cum_dissipation, hess_diag=hd,
         sup_local_energy=sup_loc, dt=state.dt))
 
@@ -593,7 +563,7 @@ def step(state: FlowState) -> FlowState:
         from .singular import SingularEvent  # avoid a module cycle
         loc = local_energy_map(state.u, state.grid, cfg.ball_radius)
         ix, iy = np.unravel_index(int(np.argmax(loc)), loc.shape)
-        le = local_energy(state.u, state.grid, (ix, iy), cfg.ball_radius)
+        le = float(loc[ix, iy])
         kind = "concentration" if le >= cfg.delta1 else "stiffness"
         state.events.append(SingularEvent(t=state.t, ix=int(ix), iy=int(iy),
                                           R=cfg.ball_radius, local_energy=le,

@@ -22,10 +22,17 @@ layout (`component_dot`).  On contiguous operands a contraction is one
 `np.einsum`, which writes no product array: einsum adds the planes of two
 C-contiguous (q, nx, ny) operands in index order, bit for bit as
 `np.add.reduce` does, and the tests pin that contract.  Grid constants
-enter as precomputed reciprocals (a multiply costs about half a divide).
-Only the forward differences (`Stencil.forward`) still divide a full map by
-dx and dy: the ledger's Dirichlet term is pinned bit for bit to
-(f[i+1] - f[i]) / dx.
+enter as precomputed reciprocals (a multiply costs about half a divide),
+and no full map is divided.
+
+Each energy quantity has one formula.  The Dirichlet energy is
+`Stencil.dirichlet`, which contracts the undivided forward differences and
+scales each direction's sum once; the action, the ledger and
+`dirichlet_energy` all take it from there.  The |du|^2 density is
+`Stencil.grad_sq`, the centred differences contracted with themselves as
+the II term of the flow contracts them.  Both work in the stencil's
+component-first buffers, so their bits do not depend on the layout of the
+input.
 
 A `Stencil` forms the centred differences once per load and hands the same
 stack to every later caller; its Laplacian and Hessian work in the shift
@@ -242,15 +249,14 @@ class Stencil:
     shifts by one flat contiguous copy plus the wrap column.  Every first-
     and second-order term is then formed from these shifts, so one pass
     over f serves them all.  Grid constants enter as precomputed
-    reciprocals (1/dx^2, 0.5/dx, ...); only `forward` divides a full map by
-    dx and dy, because the forward differences of the ledger's Dirichlet
-    term are pinned bit for bit to (f[i+1] - f[i]) / dx.  `dirichlet` gives
-    the same energy without that divide, equal up to rounding.
+    reciprocals (1/dx^2, 0.5/dx, ...) or scale a sum once, so no operator
+    divides a full map.  Every result is formed in these component-first
+    buffers, so it has the same bits for either layout of f.
 
-    `forward`, `dirichlet`, `centred`, `grad_sq` and `hessian_sq` write
-    (gx, gy), each over what the previous one left there.  `centred`
-    remembers that (gx, gy) hold the centred differences of the loaded f
-    and returns them again without a pass, until `load` or another
+    `dirichlet`, `centred` and `hessian_sq` write (gx, gy), each over what
+    the previous one left there; `grad_sq` reads them through `centred`.
+    `centred` remembers that (gx, gy) hold the centred differences of the
+    loaded f and returns them again without a pass, until `load` or another
     operator writes the stack.  `laplacian` and `hessian_sq` work in the
     shift stack itself, so they spend the shifts and come last before the
     next `load`; the Laplacian leaves (gx, gy) alone, so centred
@@ -339,19 +345,12 @@ class Stencil:
         self._centred = False
         return self
 
-    def forward(self):
-        """(D+x f, D+y f) = ((xp - f) / dx, (yp - f) / dy)."""
-        G = self._write_grads()
-        np.subtract(self._plus, self._F, out=G)
-        G /= self._h
-        return self.gx, self.gy
-
     def dirichlet(self) -> float:
         """sum(|D+x f|^2 + |D+y f|^2) dx dy, the Dirichlet energy of the
-        forward differences.  One einsum contracts the unscaled differences
-        of each direction with themselves, and each direction's sum is
-        scaled once, so no full map is divided or squared in place; equal
-        to squaring `forward()` up to rounding, not bit for bit."""
+        forward differences D+x f = (xp - f) / dx.  One einsum contracts the
+        undivided differences of each direction with themselves, and each
+        direction's sum is scaled once, so no full map is divided or
+        squared in place."""
         G = self._write_grads()
         np.subtract(self._plus, self._F, out=G)
         Gf = G.reshape(2, -1)
@@ -392,14 +391,17 @@ class Stencil:
 
         This is the coordinate density; the frame density |df|^2 is
         e^{-2 lam} times it, so |df|^2 dvol = grad_sq * dx dy on any
-        conformal grid.  Squares the unscaled differences, then scales.
+        conformal grid.  The centred differences come from `centred`, so
+        ones already formed for this load are reused, and a map's are
+        contracted with themselves as the II term of the flow contracts
+        them (`SphereTarget.sff_trace`); a node scalar's are squared.
         """
-        G = self._write_grads()
-        np.subtract(self._plus, self._minus, out=G)
-        G *= G
-        G *= 0.25 * self._inv_h2
-        G[0] += G[1]
-        return self._node_sum(G[0])
+        gx, gy = self.centred()
+        if not self._is_map:
+            return gx * gx + gy * gy
+        d = component_dot(gx, gx)
+        d += component_dot(gy, gy)
+        return d
 
     def hessian_sq(self) -> np.ndarray:
         """Flat Hessian density f_xx^2 + 2 f_xy^2 + f_yy^2, summed over components.

@@ -1,5 +1,9 @@
 """Canonical initial maps: constants, geodesic wraps, stereographic bubbles,
-and seeded smooth random perturbations."""
+and seeded smooth random perturbations.
+
+Every map is built component-major (grid.empty_map), the layout a run
+uses, so the stencils that read it (the `small_energy` bisection, a run's
+first copy) stream through contiguous planes."""
 
 from __future__ import annotations
 
@@ -7,7 +11,7 @@ import numpy as np
 
 from .action import MapField, dirichlet_energy
 from .errors import GridError
-from .grid import SurfaceGrid
+from .grid import SurfaceGrid, empty_map
 from .targets import TargetManifold
 
 
@@ -24,8 +28,8 @@ def _basepoint(target: TargetManifold, point=None) -> np.ndarray:
 
 def constant_map(grid: SurfaceGrid, target: TargetManifold,
                  point=None) -> MapField:
-    p = _basepoint(target, point)
-    vals = np.broadcast_to(p, (grid.nx, grid.ny, target.q)).copy()
+    vals = empty_map((grid.nx, grid.ny, target.q))
+    vals[...] = _basepoint(target, point)
     return MapField(vals, target)
 
 
@@ -41,7 +45,8 @@ def geodesic_wrap(grid: SurfaceGrid, target: TargetManifold,
     i, j = plane
     theta = (m * 2.0 * np.pi / grid.Lx) * grid.x[:, None] \
         + (n * 2.0 * np.pi / grid.Ly) * grid.y[None, :] + phase
-    vals = np.zeros((grid.nx, grid.ny, target.q))
+    vals = empty_map((grid.nx, grid.ny, target.q))
+    vals.fill(0.0)
     vals[..., i] = np.cos(theta)
     vals[..., j] = np.sin(theta)
     return MapField(vals, target)
@@ -77,7 +82,8 @@ def bump_map(grid: SurfaceGrid, target: TargetManifold,
                        (rho2 - 1.0) / denom], axis=-1)
     pole = np.array([0.0, 0.0, 1.0])
     blended = chi[..., None] * bubble + (1.0 - chi[..., None]) * pole
-    vals = np.zeros((grid.nx, grid.ny, target.q))
+    vals = empty_map((grid.nx, grid.ny, target.q))
+    vals.fill(0.0)
     vals[..., :3] = blended
     vals = target.project(vals)
     return MapField(vals, target)
@@ -90,7 +96,7 @@ def _lowpass_noise(grid: SurfaceGrid, q: int, seed: int,
     kx = np.fft.fftfreq(grid.nx, d=1.0 / grid.nx)
     ky = np.fft.rfftfreq(grid.ny, d=1.0 / grid.ny)
     mask = (np.abs(kx)[:, None] <= max_mode) & (np.abs(ky)[None, :] <= max_mode)
-    out = np.empty((grid.nx, grid.ny, q))
+    out = empty_map((grid.nx, grid.ny, q))
     for c in range(q):
         white = rng.standard_normal((grid.nx, grid.ny))
         spec = np.fft.rfft2(white) * mask

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import stringflow as sf
+from stringflow import action, initial_data
 from stringflow.action import _bfield_force, _record, _snapshot
 from stringflow.errors import GridError
 from stringflow.grid import ball_mask
@@ -205,13 +206,21 @@ def test_record_matches_separate_formulas(sphere, lam):
     _record(st)
     rec, v = st.ledger.records[-1], st.u.values
 
-    gx = (_shift(v, 1, 0) - v) / g.dx
-    gy = (_shift(v, 0, 1) - v) / g.dy
-    E = float(np.sum(gx * gx + gy * gy) * (g.dx * g.dy))
+    # E division-free: the undivided forward differences, component-first,
+    # contracted by one einsum and each direction's sum scaled once
+    D = np.stack([_shift(v, 1, 0) - v, _shift(v, 0, 1) - v])
+    D = np.ascontiguousarray(np.moveaxis(D, -1, 1)).reshape(2, -1)
+    sx, sy = np.einsum("dk,dk->d", D, D)
+    E = float(sx * (g.dy / g.dx) + sy * (g.dx / g.dy))
     B = sf.pullback_integral(v, fields.b, g)
     V = float(np.sum(fields.V.shifted(v) * g.w))
     assert (rec.E, rec.dirichlet, rec.B_term, rec.V_term, rec.S_tilde) == \
         (E, 0.5 * E, B, V, 0.5 * E + B + V)
+    # the textbook form, (u[i+1] - u[i]) / dx squared and summed
+    gx = (_shift(v, 1, 0) - v) / g.dx
+    gy = (_shift(v, 0, 1) - v) / g.dy
+    assert abs(rec.E - float(np.sum(gx * gx + gy * gy) * (g.dx * g.dy))) \
+        <= 1e-14 * rec.E
 
     hxx = (_shift(v, 1, 0) + _shift(v, -1, 0) - 2.0 * v) / g.dx ** 2
     hyy = (_shift(v, 0, 1) + _shift(v, 0, -1) - 2.0 * v) / g.dy ** 2
@@ -247,7 +256,8 @@ def test_results_do_not_depend_on_the_map_layout(sphere, lam, tmp_path):
     g = sf.build_grid(32, 24, lam=lam)
     fields = sf.FieldBackground(b=sf.make_two_form("y4", 4, beta=0.2),
                                 V=sf.make_potential("height", 4, epsilon=0.1))
-    c = sf.random_smooth_map(g, sphere, seed=11, amplitude=0.3).values
+    c = np.ascontiguousarray(
+        sf.random_smooth_map(g, sphere, seed=11, amplitude=0.3).values)
     cm = _component_major(c)
     assert c.flags.c_contiguous and _is_component_major(cm)
     rc = sf.flow_rhs(sf.MapField(c, sphere), g, sphere, fields)
@@ -272,7 +282,9 @@ def test_results_do_not_depend_on_the_map_layout(sphere, lam, tmp_path):
 def test_run_from_either_layout_is_bit_identical(grid, sphere):
     fields = sf.FieldBackground(b=sf.make_two_form("y4", 4, beta=0.2),
                                 V=sf.make_potential("height", 4, epsilon=0.1))
-    c = sf.random_smooth_map(grid, sphere, seed=12, amplitude=0.3).values
+    c = np.ascontiguousarray(
+        sf.random_smooth_map(grid, sphere, seed=12, amplitude=0.3).values)
+    assert c.flags.c_contiguous
     cfg = sf.FlowConfig(t_end=0.01, record_every=4)
     st_c = sf.run(sf.MapField(c, sphere), grid, sphere, fields, cfg)
     st_cm = sf.run(sf.MapField(_component_major(c), sphere), grid, sphere,
@@ -283,6 +295,55 @@ def test_run_from_either_layout_is_bit_identical(grid, sphere):
     # inside the run every map and snapshot is component-major
     assert _is_component_major(st_c.u.values)
     assert all(_is_component_major(v) for _, v in st_c.snapshots)
+
+
+def test_initial_maps_are_component_major_with_row_major_values(monkeypatch):
+    # every builder fills an empty_map; built into row-major buffers instead,
+    # each gives the same value at every node, bit for bit
+    g = sf.build_grid(24, 20, Lx=5.0, Ly=3.0)
+    s5 = sf.make_target("sphere", 5)
+    builds = {
+        "constant": lambda: sf.constant_map(g, s5, point=[1, 2, 3, 4, 5]),
+        "geodesic_wrap": lambda: sf.geodesic_wrap(g, s5, m=2, n=1),
+        "bump": lambda: sf.bump_map(g, s5, scale=0.3),
+        "random_smooth": lambda: sf.random_smooth_map(g, s5, seed=3),
+        "noisy_wrap": lambda: sf.noisy_wrap(g, s5, seed=3, amplitude=0.1),
+        "small_energy": lambda: sf.small_energy_map(g, s5, 0.01, seed=2),
+    }
+    built = {kind: b().values for kind, b in builds.items()}
+    monkeypatch.setattr(initial_data, "empty_map", np.empty)
+    for kind, b in builds.items():
+        row_major = b().values
+        assert _is_component_major(built[kind]), kind
+        assert row_major.flags.c_contiguous, kind
+        assert np.array_equal(built[kind], row_major), kind
+
+
+@pytest.mark.parametrize("lam", [None, lambda x, y: 0.2 * np.sin(x) * np.cos(2 * y)],
+                         ids=["flat", "conformal"])
+def test_ledger_action_is_the_accepted_action_bitwise(sphere, lam, monkeypatch):
+    # the step's acceptance test and the ledger evaluate the action with one
+    # formula, so every row holds the S_current that the step accepted
+    g = sf.build_grid(32, 32, lam=lam)
+    fields = sf.FieldBackground(b=sf.make_two_form("y4", 4, beta=0.2),
+                                V=sf.make_potential("height", 4, epsilon=0.1))
+    u0 = sf.random_smooth_map(g, sphere, seed=16, amplitude=0.3)
+    accepted = {}
+    step = action.step
+
+    def step_and_keep(state):
+        step(state)
+        accepted[state.t] = state.S_current
+        return state
+
+    monkeypatch.setattr(action, "step", step_and_keep)
+    st = sf.run(u0, g, sphere, fields, sf.FlowConfig(t_end=0.05,
+                                                     record_every=3))
+    rows = st.ledger.records
+    assert len(rows) > 5 and rows[0].t == 0.0
+    assert rows[0].S_tilde == st.S0
+    for rec in rows[1:]:
+        assert rec.S_tilde == accepted[rec.t], rec.t
 
 
 def test_step_reuses_only_shifts_it_may_reuse(grid, sphere):

@@ -147,18 +147,35 @@ def test_ball_sum_map_cache_keys_on_grid_and_radius():
     assert ball_kernel_transform(grids[1], 0.5) is not K
 
 
+def _roll_dirichlet(u, g):
+    """The Dirichlet sum from np.roll forward differences, division-free:
+    the undivided differences of each direction, component-first,
+    contracted by one einsum, each direction's sum scaled once."""
+    D = np.stack([np.roll(u, -1, axis) - u for axis in (0, 1)])
+    if u.ndim == 3:
+        D = np.moveaxis(D, -1, 1)
+    D = np.ascontiguousarray(D).reshape(2, -1)
+    sx, sy = np.einsum("dk,dk->d", D, D)
+    return float(sx * (g.dy / g.dx) + sy * (g.dx / g.dy))
+
+
+def _textbook_dirichlet(u, g):
+    """sum(|D+x u|^2 + |D+y u|^2) dx dy with (u[i+1] - u[i]) / dx."""
+    gx = (np.roll(u, -1, axis=0) - u) / g.dx
+    gy = (np.roll(u, -1, axis=1) - u) / g.dy
+    return float(np.sum(gx * gx + gy * gy) * (g.dx * g.dy))
+
+
 @pytest.mark.parametrize("seed", range(4))
 def test_forward_differences_and_dirichlet_energy_match_roll_bitwise(seed):
     # values over six decades, so that any change of operation order shows
     rng = np.random.default_rng(seed)
     g = sf.build_grid(24, 20, Lx=5.0, Ly=3.0)
     u = rng.standard_normal((24, 20, 4)) * 10.0 ** rng.uniform(-3, 3, (24, 20, 4))
-    gx = (np.roll(u, -1, axis=0) - u) / g.dx
-    gy = (np.roll(u, -1, axis=1) - u) / g.dy
-    fx, fy = Stencil(g, u.shape).load(u).forward()
-    assert np.array_equal(fx, gx) and np.array_equal(fy, gy)
-    assert sf.dirichlet_energy(u, g) == \
-        float(np.sum(gx * gx + gy * gy) * (g.dx * g.dy))
+    E = sf.dirichlet_energy(u, g)
+    assert E == _roll_dirichlet(u, g)
+    assert Stencil(g, u.shape).load(u).dirichlet() == E
+    assert abs(E - _textbook_dirichlet(u, g)) <= 1e-14 * E
 
 
 @pytest.mark.parametrize("shape", [(24, 20), (24, 20, 3)])
@@ -265,10 +282,7 @@ def test_operators_match_roll_formulas_bitwise(layout):
     du1, du2 = frame_derivatives(u, g)
     assert np.array_equal(du1, node(g.eml) * ux)
     assert np.array_equal(du2, node(g.eml) * uy)
-    gx = (np.roll(u, -1, axis=0) - u) / g.dx
-    gy = (np.roll(u, -1, axis=1) - u) / g.dy
-    assert sf.dirichlet_energy(u, g) == \
-        float(np.sum(gx * gx + gy * gy) * (g.dx * g.dy))
+    assert sf.dirichlet_energy(u, g) == _roll_dirichlet(u, g)
     if u.ndim == 3:
         b = sf.make_two_form("y4", 4, beta=0.3)
         assert np.array_equal(pullback_density(u, b, g), b.pullback(u, ux, uy))
@@ -291,20 +305,42 @@ def test_stencil_laplacian_matches_roll_formula(shape):
 
 @pytest.mark.parametrize("layout", ["C", "component-major"])
 def test_stencil_dirichlet_matches_forward_differences(layout):
-    # the action's division-free Dirichlet sum against the ledger's pinned
-    # forward-difference form, to rounding
+    # the division-free Dirichlet sum against the textbook forward-difference
+    # form, (u[i+1] - u[i]) / dx squared and summed, to rounding
     rng = np.random.default_rng(33)
     g = sf.build_grid(24, 20, Lx=5.0, Ly=3.0)
     u = rng.standard_normal((24, 20, 4))
     if layout == "component-major":
         u = _component_major(u)
-    ref = sf.dirichlet_energy(u, g)
+    ref = _textbook_dirichlet(u, g)
     E = Stencil(g, u.shape).load(u).dirichlet()
     assert abs(E - ref) <= 1e-14 * ref
 
 
-@pytest.mark.parametrize("op", ["load", "forward", "dirichlet", "grad_sq",
-                                "hessian_sq", "laplacian"])
+@pytest.mark.parametrize("lam", [None, lambda x, y: 0.3 * np.cos(x) * np.sin(y)],
+                         ids=["flat", "conformal"])
+def test_energy_and_density_bits_do_not_depend_on_the_layout(lam):
+    # E and |du|^2 are formed in the stencil's component-first buffers, so
+    # a row-major map and a component-major copy give the same bits; a sum
+    # in the map's memory order differs in the last bit for many such maps
+    rng = np.random.default_rng(37)
+    g = sf.build_grid(24, 20, Lx=5.0, Ly=3.0, lam=lam)
+    sphere = sf.make_target("sphere", 4)
+    fields = sf.FieldBackground(b=sf.make_two_form("y4", 4, beta=0.2),
+                                V=sf.make_potential("height", 4, epsilon=0.1))
+    for _ in range(8):
+        c = _six_decades(rng, (24, 20, 4))
+        cm = _component_major(c)
+        assert c.flags.c_contiguous and not cm.flags.c_contiguous
+        assert sf.dirichlet_energy(c, g) == sf.dirichlet_energy(cm, g)
+        assert sf.energies(sf.MapField(c, sphere), g, fields).E == \
+            sf.energies(sf.MapField(cm, sphere), g, fields).E
+        assert np.array_equal(sf.grad_sq_density(c, g),
+                              sf.grad_sq_density(cm, g))
+
+
+@pytest.mark.parametrize("op", ["load", "dirichlet", "grad_sq", "hessian_sq",
+                                "laplacian"])
 def test_centred_after_each_operator_matches_a_fresh_stencil(op):
     # centred() hands back the stack it formed for this load while that
     # stack is intact; a load or an operator that writes (gx, gy) forgets
@@ -315,7 +351,7 @@ def test_centred_after_each_operator_matches_a_fresh_stencil(op):
             for _ in range(2))
     ref = [a.copy() for a in Stencil(g, u.shape).load(u).centred()]
     run = {"load": lambda st: st.load(u),
-           "forward": Stencil.forward, "dirichlet": Stencil.dirichlet,
+           "dirichlet": Stencil.dirichlet,
            "grad_sq": Stencil.grad_sq, "hessian_sq": Stencil.hessian_sq,
            "laplacian": lambda st: st.laplacian(sf.empty_map(u.shape))}[op]
     for primed in (False, True):
@@ -345,7 +381,7 @@ def test_operators_on_spent_shifts_raise_a_grid_error():
     def laplacian(s):
         return s.laplacian(sf.empty_map(u.shape))
 
-    ops = (Stencil.forward, Stencil.dirichlet, Stencil.centred,
+    ops = (Stencil.dirichlet, Stencil.centred,
            Stencil.grad_sq, Stencil.hessian_sq, laplacian)
     for op in ops:
         with pytest.raises(GridError, match="never loaded"):

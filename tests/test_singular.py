@@ -143,6 +143,9 @@ def test_dt_min_collapse_records_event_and_is_not_an_error(sphere):
     sf.step(st)
     assert st.dt == 1e-12 and st.t == 1e-12
     assert [ev.kind for ev in st.events] in (["stiffness"], ["concentration"])
+    # the event's energy is the largest ball energy, from the one ball map
+    loc = sf.local_energy_map(st.u, g, cfg.ball_radius)
+    assert st.events[0].local_energy == float(np.max(loc))
     # the rhs carried to the next step is that of the accepted map
     assert np.array_equal(st.rhs, sf.flow_rhs(st.u, g, sphere,
                                               sf.zero_background(4)))
