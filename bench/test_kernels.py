@@ -19,6 +19,7 @@ import numpy as np  # noqa: E402
 import pytest  # noqa: E402
 
 import stringflow as sf  # noqa: E402
+from stringflow.action import _bfield_force  # noqa: E402
 from stringflow.grid import Stencil, component_dot  # noqa: E402
 
 SIZES = (48, 64, 128)
@@ -96,6 +97,18 @@ def test_flow_rhs_two_form_and_potential(benchmark, case):
                                                     epsilon=5e-3))
     work = sf.Workspace(grid, u.shape, fields)
     benchmark(sf.flow_rhs, sf.MapField(u, sphere), grid, sphere, fields, work)
+
+
+def test_bfield_force(benchmark, case):
+    # the B-force and the potential's force as flow_rhs forms them, from
+    # centred differences formed outside the timed call
+    grid, sphere, u = case
+    fields = sf.FieldBackground(b=sf.make_two_form("y4", 4, beta=0.2),
+                                V=sf.make_potential("height", 4,
+                                                    epsilon=5e-3))
+    work = sf.Workspace(grid, u.shape, fields)
+    work.stencil.load(u).centred()
+    benchmark(_bfield_force, work, u, sphere, fields.b, fields.V)
 
 
 def test_step(benchmark, case):

@@ -136,16 +136,14 @@ def energies(u: MapField, grid: SurfaceGrid, fields: FieldBackground) -> EnergyT
 
 class Workspace:
     """Buffers reused by the flow_rhs, action_value and ledger-record calls
-    of one run, all component-major.
+    of one run, all component-major: the stencil, the trial map of a step
+    and, with a two-form, the B-force's gradient g.
 
     init_state allocates one per run, and the steps and records of the
     run share it.  flow_rhs and action_value called without one build
     a fresh workspace; either way, the arrays they return are never
     workspace buffers.  flow_rhs writes its II, B-force and potential terms
-    into the stencil's scratch `tmp`.  The gradient planes that the B-force
-    writes, `force_planes` (those of the two-form, plus the potential's
-    when the run has one, since flow_rhs then adds a into g), are zeroed
-    per call; the others are zeroed here, once.
+    into the stencil's scratch `tmp`.
 
     Every call loads the stencil itself, except the rhs that a step forms
     from the shifts its accepted trial's action_value just loaded.  The rhs
@@ -155,15 +153,8 @@ class Workspace:
     def __init__(self, grid: SurfaceGrid, shape, fields: FieldBackground):
         self.stencil = Stencil(grid, shape)
         self.trial = empty_map(shape)       # u + dt rhs in step
-        b, V = fields.b, fields.V
-        if not b.is_zero:
-            # B-force: gradient g and the fluxes differenced along x and y
-            self.g, self.flux_x, self.flux_y = (empty_map(shape)
-                                                for _ in range(3))
-            for a in (self.g, self.flux_x, self.flux_y):
-                a.fill(0.0)
-            self.force_planes = tuple(sorted(
-                set(b.force_planes) | {k for k, _ in V.terms}))
+        if not fields.b.is_zero:
+            self.g = empty_map(shape)
 
 
 def action_value(vals: np.ndarray, grid: SurfaceGrid,
@@ -204,35 +195,37 @@ def _bfield_force(work: Workspace, vals: np.ndarray, target: TargetManifold,
         g^k = C_kij ux^i uy^j - D0x(b_kj uy^j) - D0y(ux^i b_ik),
     which converges to Omega_kij ux^i uy^j.  In the flow, e^{-2 lam} P(u) g
     = Z(du(e1) ^ du(e2)) + O(dx^2).  ux, uy are the centred differences
-    already in the workspace stencil; its scratch buffer takes the flux
-    differences, then the projected force.  Only the planes that the terms
-    of b (and V's gradient) write are zeroed (work.force_planes), and only
-    the flux planes of b are differenced (b.flux_planes); the workspace
-    zeroed the others once.
+    already in the workspace stencil.  Each term (k, i, j, c) of b adds its
+    wedge to g^k and differences its four fluxes straight into g:
+        g^i -= D0x(c u^k uy^j),  g^j += D0x(c u^k uy^i),
+        g^j -= D0y(c u^k ux^i),  g^i += D0y(c u^k ux^j),
+    each flux and its difference formed in two planes of the stencil's
+    scratch, which then takes the projected force.  g is zeroed whole per
+    call, so a plane that no term writes is 0 and may be scaled by
+    e^{-2 lam} with the rest.  When no k of b is another term's i or j, as
+    for y4, each plane gets the operations of summing the fluxes over the
+    terms and differencing the sums, bit for bit.
     """
     st = work.stencil
     grid = st.grid
     ux, uy = st.gx, st.gy
-    g, fx, fy = work.g, work.flux_x, work.flux_y
-    span = b.flux_planes
-    for k in work.force_planes:
-        g[..., k].fill(0.0)
-    fx[..., span].fill(0.0)
-    fy[..., span].fill(0.0)
+    g = work.g
+    flux, diff = st.tmp[..., 0], st.tmp[..., 1]
+    g.fill(0.0)
     for k, i, j, c in b.terms:          # C_kij = c = -C_kji
         g[..., k] += c * wedge(ux, uy, i, j)
         cu = c * vals[..., k]
-        fx[..., i] += cu * uy[..., j]
-        fx[..., j] -= cu * uy[..., i]
-        fy[..., j] += cu * ux[..., i]
-        fy[..., i] -= cu * ux[..., j]
-    diff = st.tmp[..., span]
-    g[..., span] -= centred(fx[..., span], 0, grid.dx, out=diff)
-    g[..., span] -= centred(fy[..., span], 1, grid.dy, out=diff)
+        g[..., i] -= centred(np.multiply(cu, uy[..., j], out=flux), 0,
+                             grid.dx, out=diff)
+        g[..., j] += centred(np.multiply(cu, uy[..., i], out=flux), 0,
+                             grid.dx, out=diff)
+        g[..., j] -= centred(np.multiply(cu, ux[..., i], out=flux), 1,
+                             grid.dy, out=diff)
+        g[..., i] += centred(np.multiply(cu, ux[..., j], out=flux), 1,
+                             grid.dy, out=diff)
     if V is not None:
         if not grid.is_flat:
-            for k in b.force_planes:
-                g[..., k] *= grid.em2l
+            g *= grid.em2l[..., None]
         for k, a_k in V.terms:
             g[..., k] += a_k
     return tangent_project(target, vals, g, out=st.tmp)
@@ -393,6 +386,11 @@ class FlowConfig:
     snapshot_cap: int = 32          # dyadic ring size
 
     def validate(self, grid: SurfaceGrid):
+        if not self.t_end > 0.0:
+            raise GridError(f"t_end must be positive, got {self.t_end}")
+        if self.record_every < 1:
+            raise GridError(f"record_every must be at least 1, got "
+                            f"{self.record_every}")
         if not (0.0 < self.cfl <= 1.0):
             raise GridError(f"cfl must be in (0, 1], got {self.cfl}")
         bound = cfl_bound(grid, self.cfl)

@@ -6,7 +6,7 @@ import copy
 import json
 
 from .action import FlowConfig
-from .errors import ConfigError
+from .errors import ConfigError, GridError
 from .fields import POTENTIALS, TWO_FORMS, FieldBackground
 from .grid import build_grid
 from .initial_data import MAP_BUILDERS
@@ -44,16 +44,17 @@ _SCHEMA = {
         "energy": (float, 0.01),
         "point": ((list, type(None)), None),
     },
-    "flow": {
-        "t_end": (float, 1.0),
-        "cfl": (float, 0.2),
-        "dt_init": ((float, type(None)), None),
-        "dt_min": (float, 1e-9),
-        "delta1": (float, 0.5),
-        "ball_radius": (float, 0.5),
-        "conv_tol": (float, 0.0),
-        "record_every": (int, 10),
-    },
+    # each default is FlowConfig's own
+    "flow": {key: (types, getattr(FlowConfig(), key)) for key, types in {
+        "t_end": float,
+        "cfl": float,
+        "dt_init": (float, type(None)),
+        "dt_min": float,
+        "delta1": float,
+        "ball_radius": float,
+        "conv_tol": float,
+        "record_every": int,
+    }.items()},
 }
 
 # "section.key" of each kind -> the registry of its builders
@@ -66,14 +67,8 @@ _KINDS = {
 
 
 def _check_type(value, types, path):
-    if isinstance(types, tuple):
-        ok = isinstance(value, types)
-    else:
-        ok = isinstance(value, types)
-    # bool is an int subclass; reject bool where int is expected
-    if ok and isinstance(value, bool) and types is int:
-        ok = False
-    if not ok:
+    # bool is an int subclass, but no key takes a bool
+    if isinstance(value, bool) or not isinstance(value, types):
         raise ConfigError(f"{path}: expected {types}, got {type(value).__name__}")
 
 
@@ -132,22 +127,26 @@ def save_config(cfg: dict, path: str):
 
 
 def build_objects(cfg: dict):
-    """(grid, target, fields, u0, flow_config) from a validated config."""
+    """(grid, target, fields, u0, flow_config) from a validated config.
+
+    A grid, initial map or flow setting that the grid rules out (GridError)
+    is a ConfigError here, as a bad key or type is."""
     cfg = validate_config(cfg)
     g = cfg["grid"]
-    grid = build_grid(g["nx"], g["ny"], Lx=g["Lx"], Ly=g["Ly"], lam=g["lam"])
     t, f, i = cfg["target"], cfg["fields"], cfg["initial"]
     target = build_kind(TARGETS, "target.kind", t["kind"], t)
     fields = FieldBackground(
         b=build_kind(TWO_FORMS, "fields.b_kind", f["b_kind"], f, q=target.q),
         V=build_kind(POTENTIALS, "fields.v_kind", f["v_kind"], f, q=target.q))
-    u0 = build_kind(MAP_BUILDERS, "initial.kind", i["kind"], i, grid=grid,
-                    target=target)
-    fl = cfg["flow"]
-    flow_cfg = FlowConfig(t_end=fl["t_end"], cfl=fl["cfl"], dt_init=fl["dt_init"],
-                          dt_min=fl["dt_min"], delta1=fl["delta1"],
-                          ball_radius=fl["ball_radius"], conv_tol=fl["conv_tol"],
-                          record_every=fl["record_every"])
+    flow_cfg = FlowConfig(**cfg["flow"])
+    try:
+        grid = build_grid(g["nx"], g["ny"], Lx=g["Lx"], Ly=g["Ly"],
+                          lam=g["lam"])
+        u0 = build_kind(MAP_BUILDERS, "initial.kind", i["kind"], i, grid=grid,
+                        target=target)
+        flow_cfg.validate(grid)
+    except GridError as e:
+        raise ConfigError(str(e)) from e
     return grid, target, fields, u0, flow_cfg
 
 

@@ -32,16 +32,12 @@ class TwoFormField:
     `C` has shape (q, q, q) and must be skew in its last two indices.  The
     contractions below loop over `terms`, the nonzero C_kij with i < j (the
     skew partner C_kji = -C_kij is folded in), each a few whole-plane
-    multiply-adds.  The B-force writes its fluxes only in the planes
-    `flux_planes` (a slice over every i and j of the terms) and its
-    gradient only in `force_planes` (every k, i and j).
+    multiply-adds.
     """
 
     name: str
     C: np.ndarray
     terms: tuple = field(init=False, repr=False)
-    flux_planes: slice = field(init=False, repr=False)
-    force_planes: tuple = field(init=False, repr=False)
     Omega: np.ndarray = field(init=False, repr=False)
     is_zero: bool = field(init=False, repr=False)
 
@@ -59,10 +55,6 @@ class TwoFormField:
         self.C, self.Omega = C, Omega
         self.terms = tuple((int(k), int(i), int(j), float(C[k, i, j]))
                            for k, i, j in zip(*np.nonzero(C)) if i < j)
-        flux = sorted({p for _, i, j, _ in self.terms for p in (i, j)})
-        self.flux_planes = slice(flux[0], flux[-1] + 1) if flux else slice(0)
-        self.force_planes = tuple(sorted({t[0] for t in self.terms}
-                                         | set(flux)))
         self.is_zero = not C.any()
 
     @property

@@ -242,7 +242,7 @@ class Stencil:
     directions at once, the plus pair `shifts[:2]` against the minus pair
     `shifts[2:]` or against f, with the x and y grid constants broadcast
     along the stack axis.  `scratch` is one more component-first buffer.
-    The attributes xp, yp, xm, ym, gx, gy and tmp are the same buffers in
+    The attributes gx, gy and tmp are the gradient and scratch buffers in
     the logical (nx, ny, q) layout, as `empty_map` gives them.
 
     `load(f)` fills the shifts by slicing; a component-major f gives its y
@@ -276,8 +276,6 @@ class Stencil:
         self.grads = np.empty((2,) + planes)
         self.scratch = np.empty(planes)
         self._plus, self._minus = self.shifts[:2], self.shifts[2:]
-        self.xp, self.yp, self.xm, self.ym = (self._logical(a)
-                                              for a in self.shifts)
         self.gx, self.gy = (self._logical(a) for a in self.grads)
         self.tmp = self._logical(self.scratch)
         self._F = None

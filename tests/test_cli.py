@@ -51,6 +51,27 @@ def test_run_unknown_kind_is_a_config_error(tmp_path, capsys, section, key):
     assert not os.path.exists(tmp_path / "o" / "run_ledger.csv")
 
 
+@pytest.mark.parametrize("command", ["run", "check"])
+@pytest.mark.parametrize("section,key,value", [
+    ("grid", "nx", 4),
+    ("grid", "lam", True),
+    ("flow", "cfl", 2.0),
+    ("flow", "t_end", -1),
+    ("flow", "record_every", 0),
+    ("initial", "point", [1.0, 0.0]),
+])
+def test_bad_config_value_is_a_config_error(tmp_path, capsys, command,
+                                            section, key, value):
+    # exit 1 with a one-line message, not a numeric failure, a traceback or
+    # a run of zero steps
+    cfgp = small_cfg(tmp_path, **{section: {key: value}})
+    out = tmp_path / "o"
+    assert main([command, "--config", cfgp, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: ") and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_check_hypothesis_warning_exit_two(tmp_path, capsys):
     # beta large enough that |B|_inf >= 1/2
     cfgp = small_cfg(tmp_path, fields={"b_kind": "y4", "beta": 2.0})

@@ -11,6 +11,11 @@ def test_default_config_complete():
     assert cfg["grid"]["nx"] == 64
     assert cfg["target"]["kind"] == "sphere"
     assert cfg["flow"]["cfl"] == 0.2
+    # the flow section's defaults are FlowConfig's, and build one back
+    flow = sf.FlowConfig()
+    assert cfg["flow"] == {key: getattr(flow, key) for key in cfg["flow"]}
+    _, _, _, _, built = sf.build_objects({"grid": {"nx": 16, "ny": 16}})
+    assert built == flow
 
 
 def test_unknown_section_and_key_rejected():

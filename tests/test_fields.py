@@ -184,15 +184,42 @@ def test_bfield_force_and_pullback_match_dense_formulas(sphere, lam):
         assert np.max(np.abs(force - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
-def test_bfield_force_zeroes_and_differences_only_the_planes_it_writes():
-    # y4 writes g in planes {0, 1, 3} and the fluxes in {0, 1}; a skew C
-    # with every entry nonzero writes all of them
-    y4 = y4_two_form(0.3)
-    assert y4.force_planes == (0, 1, 3) and y4.flux_planes == slice(0, 2)
-    rng = np.random.default_rng(21)
-    C = rng.standard_normal((4, 4, 4))
-    b = sf.TwoFormField("dense", 0.1 * (C - np.swapaxes(C, 1, 2)))
-    assert b.force_planes == (0, 1, 2, 3) and b.flux_planes == slice(0, 4)
+def _flux_sum_bfield_force(u, b, g, target, V):
+    """The B-force as fluxes summed over the terms of b, then differenced
+    once, by np.roll; with V, e^{-2 lam} g + a is projected."""
+    ux, uy = _d0(u, 0, g.dx), _d0(u, 1, g.dy)
+    grad, fx, fy = (np.zeros(u.shape) for _ in range(3))
+    for k, i, j, c in b.terms:
+        grad[..., k] += c * (ux[..., i] * uy[..., j] - ux[..., j] * uy[..., i])
+        cu = c * u[..., k]
+        fx[..., i] += cu * uy[..., j]
+        fx[..., j] -= cu * uy[..., i]
+        fy[..., j] += cu * ux[..., i]
+        fy[..., i] -= cu * ux[..., j]
+    grad -= _d0(fx, 0, g.dx)
+    grad -= _d0(fy, 1, g.dy)
+    if V is not None:
+        grad *= g.em2l[..., None]
+        grad += V.a
+    return tangent_project(target, u, grad)
+
+
+@pytest.mark.parametrize("v_kind", [None, "zero", "height"])
+@pytest.mark.parametrize("lam", [None, lambda x, y: 0.3 * np.sin(x) * np.cos(y)])
+def test_bfield_force_of_y4_is_the_flux_sum_bitwise(sphere, lam, v_kind):
+    # y4's one term has k = 3, neither i nor j, so differencing each flux
+    # into g gives each plane the operations of the summed fluxes, in order
+    g = sf.build_grid(24, 20, lam=lam)
+    V = None if v_kind is None else sf.make_potential(v_kind, 4, epsilon=0.1)
+    b = y4_two_form(0.3)
+    work = Workspace(g, (24, 20, 4),
+                     sf.FieldBackground(b=b, V=sf.zero_potential(4)))
+    for seed in (0, 1):
+        # component-major, as in a run
+        u = sf.random_smooth_map(g, sphere, seed=seed, amplitude=0.4).values
+        work.stencil.load(u).centred()
+        force = _bfield_force(work, u, sphere, b, V)
+        assert np.array_equal(force, _flux_sum_bfield_force(u, b, g, sphere, V))
 
 
 @pytest.mark.parametrize("layout", ["C", "component-major"])
