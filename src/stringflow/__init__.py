@@ -6,8 +6,8 @@ from .action import (CONSTRAINT_TOL, LEDGER_COLUMNS, EnergyLedger,
                      EnergyRecord, EnergyTerms, FlowConfig, FlowState,
                      MapField, Workspace, action_value, cfl_bound,
                      dirichlet_energy, el_residual, energies, flow_rhs,
-                     gradient_consistency_check, init_state, local_energy,
-                     local_energy_map, monotonicity_check, run, step)
+                     gradient_consistency_check, init_state, local_energy_map,
+                     monotonicity_check, run, step)
 from .cli import compare_runs, main, run_scenario
 from .config import (PRESETS, build_objects, default_config, load_config,
                      preset_config, save_config, validate_config)

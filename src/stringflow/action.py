@@ -33,8 +33,10 @@ Discretization notes (the choices here are load-bearing):
   and S_tilde = 0.5*E + B + V, in that order.  action_value, which every
   step's acceptance test evaluates, and the ledger record both take it from
   there, so a ledger row's S_tilde is the S_current that the step accepted,
-  bit for bit.  The ledger's |du|^2 density is grid.Stencil.grad_sq, the
-  contraction that the rhs's II term uses.
+  bit for bit.  The ledger's ball map sums grid.Stencil.energy_density,
+  |du|^2 dvol from the contraction that the rhs's II term uses; the dt_min
+  event (local_energy_map) and singular.concentration_scan sum the same
+  density, so all three agree bit for bit.
 """
 
 from __future__ import annotations
@@ -46,18 +48,12 @@ import numpy as np
 
 from .errors import GridError, NonFiniteStateError
 from .fields import (FieldBackground, ScalarPotential, TwoFormField,
-                     delta_constants, tangential_grad_V, wedge)
-from .grid import (Stencil, SurfaceGrid, ball_mask, ball_sum_map, centred,
-                   component_first, empty_map, grad_sq_density, l2_inner,
+                     tangential_grad_V, wedge)
+from .grid import (Stencil, SurfaceGrid, ball_sum_map, centred,
+                   component_first, empty_map, energy_density, l2_inner,
                    l2_norm)
+from .singular import SingularEvent, convergence_probe
 from .targets import TargetManifold, tangent_project
-
-__all__ = [
-    "MapField", "FlowConfig", "FlowState", "Workspace", "EnergyTerms",
-    "EnergyRecord", "EnergyLedger", "energies", "action_value",
-    "local_energy", "flow_rhs", "gradient_consistency_check", "step", "run",
-    "el_residual", "monotonicity_check", "delta_constants", "cfl_bound",
-]
 
 CONSTRAINT_TOL = 1e-9
 
@@ -170,17 +166,10 @@ def action_value(vals: np.ndarray, grid: SurfaceGrid,
     return _action_terms(work.stencil.load(vals), vals, fields)[3]
 
 
-def local_energy(u: MapField, grid: SurfaceGrid, x0, R: float) -> float:
-    """int_{B_R(x0)} |du|^2 dmu (centered frame derivatives)."""
-    mask = ball_mask(grid, x0, R)
-    dens = grad_sq_density(u.values, grid)
-    return float(np.sum(dens[mask] * grid.w[mask]))
-
-
 def local_energy_map(u: MapField, grid: SurfaceGrid, R: float) -> np.ndarray:
-    """Ball energy around every node at once (FFT convolution)."""
-    dens = grad_sq_density(u.values, grid) * grid.w
-    return ball_sum_map(dens, grid, R)
+    """Ball energy int_{B_R} |du|^2 dvol around every node at once (FFT
+    convolution of grid.energy_density)."""
+    return ball_sum_map(energy_density(u.values, grid), grid, R)
 
 
 # -- flow right-hand side ---------------------------------------------------------
@@ -456,15 +445,13 @@ def init_state(u0: MapField, grid: SurfaceGrid, target: TargetManifold,
 def _record(state: FlowState):
     """Append a ledger row; every column comes from one load of the
     workspace stencil, and E and S_tilde from the action's own formula.
-    The ball map sums |du|^2 dvol, which is conformally invariant:
-    grad_sq * dx dy, from the centred differences that the pullback formed
-    when there is a two-form."""
+    The ball map sums Stencil.energy_density, from the centred differences
+    that the pullback formed when there is a two-form."""
     grid, vals = state.grid, state.u.values
     st = state.work.stencil.load(vals)
     E, B_term, V_term, S = _action_terms(st, vals, state.fields)
-    dens = st.grad_sq()
-    dens *= grid.dx * grid.dy
-    sup_loc = float(np.max(ball_sum_map(dens, grid, state.config.ball_radius)))
+    sup_loc = float(np.max(ball_sum_map(st.energy_density(), grid,
+                                        state.config.ball_radius)))
     hd = float(np.sum(st.hessian_sq() * grid.w))
     state.ledger.append(EnergyRecord(
         t=state.t, E=E, dirichlet=0.5 * E, B_term=B_term, V_term=V_term,
@@ -558,7 +545,6 @@ def step(state: FlowState) -> FlowState:
     state.steps += 1
 
     if collapsed:
-        from .singular import SingularEvent  # avoid a module cycle
         loc = local_energy_map(state.u, state.grid, cfg.ball_radius)
         ix, iy = np.unravel_index(int(np.argmax(loc)), loc.shape)
         le = float(loc[ix, iy])
@@ -584,8 +570,6 @@ def step(state: FlowState) -> FlowState:
 def run(u0: MapField, grid: SurfaceGrid, target: TargetManifold,
         fields: FieldBackground, config: FlowConfig) -> FlowState:
     """Advance the flow to exactly t_end (or convergence).  Deterministic."""
-    from .singular import convergence_probe
-
     state = init_state(u0, grid, target, fields, config)
     while state.t < config.t_end and not state.converged:
         step(state)

@@ -1,7 +1,8 @@
 """Command-line entry point.
 
 Subcommands: run, check, scan, rescale, compare.  Exit codes: 0 success,
-1 bad configuration, 2 hypothesis warning, 3 numeric failure.
+1 bad configuration (a bad key, value or argument, or a missing input
+file), 2 hypothesis warning, 3 numeric failure.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import numpy as np
 from .action import energies, monotonicity_check, run
 from .config import (PRESETS, load_config, preset_config, save_config,
                      validate_config)
-from .errors import ConfigError, HypothesisError, StringFlowError
+from .errors import ConfigError, GridError, HypothesisError, StringFlowError
 from .fields import delta_constants, smallness_report, sup_norms
 from .grid import build_grid
 from .io import (read_ledger_csv, read_snapshot, write_events_jsonl,
@@ -66,11 +67,17 @@ def _hypothesis_report(grid, target, fields, u0, flow_cfg) -> dict:
     return report
 
 
-def cmd_run(args) -> int:
+def _build(args):
+    """The config that run and check load, the objects built from it and
+    their hypothesis report."""
     cfg = _load_cfg(args)
     from .config import build_objects
-    grid, target, fields, u0, flow_cfg = build_objects(cfg)
-    report = _hypothesis_report(grid, target, fields, u0, flow_cfg)
+    objects = build_objects(cfg)
+    return cfg, objects, _hypothesis_report(*objects)
+
+
+def cmd_run(args) -> int:
+    cfg, (grid, target, fields, u0, flow_cfg), report = _build(args)
 
     state = run(u0, grid, target, fields, flow_cfg)
 
@@ -100,10 +107,7 @@ def cmd_run(args) -> int:
 
 
 def cmd_check(args) -> int:
-    cfg = _load_cfg(args)
-    from .config import build_objects
-    grid, target, fields, u0, flow_cfg = build_objects(cfg)
-    report = _hypothesis_report(grid, target, fields, u0, flow_cfg)
+    report = _build(args)[2]
     text = json.dumps(report, indent=2)
     if args.out:
         os.makedirs(args.out, exist_ok=True)
@@ -113,9 +117,24 @@ def cmd_check(args) -> int:
     return EXIT_OK if report.get("ok", False) else EXIT_HYPOTHESIS
 
 
-def cmd_scan(args) -> int:
+def _read_snapshot_grid(args):
+    """The snapshot's values and header, and the grid of its node counts
+    and the --Lx, --Ly periods; periods it rules out are a ConfigError."""
     values, header = read_snapshot(args.snapshot)
-    grid = build_grid(header["nx"], header["ny"], Lx=args.Lx, Ly=args.Ly)
+    try:
+        grid = build_grid(header["nx"], header["ny"], Lx=args.Lx, Ly=args.Ly)
+    except GridError as e:
+        raise ConfigError(str(e)) from e
+    return values, header, grid
+
+
+def cmd_scan(args) -> int:
+    values, header, grid = _read_snapshot_grid(args)
+    if not 0.0 < args.radius < grid.inj_radius:
+        raise ConfigError(f"--radius {args.radius} outside "
+                          f"(0, {grid.inj_radius})")
+    if not args.delta1 > 0.0:
+        raise ConfigError(f"--delta1 {args.delta1} is not positive")
     hits = concentration_scan(values, grid, args.delta1, args.radius)
     events = [SingularEvent(t=header["t"], ix=ix, iy=iy, R=args.radius,
                             local_energy=e, kind="concentration")
@@ -130,8 +149,11 @@ def cmd_scan(args) -> int:
 
 
 def cmd_rescale(args) -> int:
-    values, header = read_snapshot(args.snapshot)
-    grid = build_grid(header["nx"], header["ny"], Lx=args.Lx, Ly=args.Ly)
+    values, header, grid = _read_snapshot_grid(args)
+    if not args.r >= 2.0 * max(grid.dx, grid.dy):
+        raise ConfigError(f"--r {args.r} below 2*dx")
+    if not (0 <= args.ix < grid.nx and 0 <= args.iy < grid.ny):
+        raise ConfigError(f"node ({args.ix}, {args.iy}) not on the grid")
     t0 = float(header["t"])
     snaps = [(t0 - args.r ** 2, values), (t0, values)]
     out_grid = rescale_out_grid(grid, args.r)
@@ -252,7 +274,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as e:
+    except (ConfigError, FileNotFoundError) as e:
         print(f"configuration error: {e}", file=sys.stderr)
         return EXIT_BAD_CONFIG
     except HypothesisError as e:

@@ -6,7 +6,7 @@ import copy
 import json
 
 from .action import FlowConfig
-from .errors import ConfigError, GridError
+from .errors import ConfigError, ProjectionError
 from .fields import POTENTIALS, TWO_FORMS, FieldBackground
 from .grid import build_grid
 from .initial_data import MAP_BUILDERS
@@ -129,23 +129,24 @@ def save_config(cfg: dict, path: str):
 def build_objects(cfg: dict):
     """(grid, target, fields, u0, flow_config) from a validated config.
 
-    A grid, initial map or flow setting that the grid rules out (GridError)
+    A value that a builder, the grid or the flow settings rule out (a
+    ValueError, GridError among them, or a point the target cannot project)
     is a ConfigError here, as a bad key or type is."""
     cfg = validate_config(cfg)
     g = cfg["grid"]
     t, f, i = cfg["target"], cfg["fields"], cfg["initial"]
-    target = build_kind(TARGETS, "target.kind", t["kind"], t)
-    fields = FieldBackground(
-        b=build_kind(TWO_FORMS, "fields.b_kind", f["b_kind"], f, q=target.q),
-        V=build_kind(POTENTIALS, "fields.v_kind", f["v_kind"], f, q=target.q))
     flow_cfg = FlowConfig(**cfg["flow"])
     try:
+        target = build_kind(TARGETS, "target.kind", t["kind"], t)
+        b = build_kind(TWO_FORMS, "fields.b_kind", f["b_kind"], f, q=target.q)
+        V = build_kind(POTENTIALS, "fields.v_kind", f["v_kind"], f, q=target.q)
+        fields = FieldBackground(b=b, V=V)
         grid = build_grid(g["nx"], g["ny"], Lx=g["Lx"], Ly=g["Ly"],
                           lam=g["lam"])
         u0 = build_kind(MAP_BUILDERS, "initial.kind", i["kind"], i, grid=grid,
                         target=target)
         flow_cfg.validate(grid)
-    except GridError as e:
+    except (ValueError, ProjectionError) as e:
         raise ConfigError(str(e)) from e
     return grid, target, fields, u0, flow_cfg
 

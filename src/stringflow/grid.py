@@ -30,9 +30,12 @@ Each energy quantity has one formula.  The Dirichlet energy is
 scales each direction's sum once; the action, the ledger and
 `dirichlet_energy` all take it from there.  The |du|^2 density is
 `Stencil.grad_sq`, the centred differences contracted with themselves as
-the II term of the flow contracts them.  Both work in the stencil's
-component-first buffers, so their bits do not depend on the layout of the
-input.
+the II term of the flow contracts them.  The ball-energy density |du|^2 dvol
+is `Stencil.energy_density`, grad_sq * dx dy: the ledger's
+sup_local_energy, the dt_min event, `concentration_scan` and the energy
+sums of the diagnostics all take it from there, so they agree bit for bit.
+All three work in the stencil's component-first buffers, so their bits do
+not depend on the layout of the input.
 
 A `Stencil` forms the centred differences once per load and hands the same
 stack to every later caller; its Laplacian and Hessian work in the shift
@@ -389,16 +392,24 @@ class Stencil:
 
         This is the coordinate density; the frame density |df|^2 is
         e^{-2 lam} times it, so |df|^2 dvol = grad_sq * dx dy on any
-        conformal grid.  The centred differences come from `centred`, so
-        ones already formed for this load are reused, and a map's are
-        contracted with themselves as the II term of the flow contracts
-        them (`SphereTarget.sff_trace`); a node scalar's are squared.
+        conformal grid (`energy_density`).  The centred differences come
+        from `centred`, so ones already formed for this load are reused,
+        and a map's are contracted with themselves as the II term of the
+        flow contracts them (`SphereTarget.sff_trace`); a node scalar's are
+        squared.
         """
         gx, gy = self.centred()
         if not self._is_map:
             return gx * gx + gy * gy
         d = component_dot(gx, gx)
         d += component_dot(gy, gy)
+        return d
+
+    def energy_density(self) -> np.ndarray:
+        """|df|^2 dvol at each node, grad_sq * dx dy: the one density of
+        every ball energy and every sum of |df|^2 dvol."""
+        d = self.grad_sq()
+        d *= self.grid.dx * self.grid.dy
         return d
 
     def hessian_sq(self) -> np.ndarray:
@@ -455,6 +466,11 @@ def grad_sq_density(u: np.ndarray, grid: SurfaceGrid) -> np.ndarray:
     if not grid.is_flat:
         d *= grid.em2l
     return d
+
+
+def energy_density(u: np.ndarray, grid: SurfaceGrid) -> np.ndarray:
+    """Pointwise |du|^2 dvol (Stencil.energy_density)."""
+    return Stencil(grid, u.shape).load(u).energy_density()
 
 
 def hessian_sq_density(u: np.ndarray, grid: SurfaceGrid) -> np.ndarray:

@@ -21,8 +21,8 @@ def _basepoint(target: TargetManifold, point=None) -> np.ndarray:
         p[0] = 1.0
         return p
     p = np.asarray(point, dtype=float)
-    if p.shape != (target.q,):
-        raise GridError(f"basepoint must have shape ({target.q},)")
+    if p.shape != (target.q,) or not np.all(np.isfinite(p)):
+        raise GridError(f"basepoint must be {target.q} finite numbers")
     return target.project(p)
 
 

@@ -12,17 +12,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GridError, UnsupportedConfigurationError
-from .fields import FieldBackground
+from .fields import FieldBackground, pullback_density
 from .grid import (SurfaceGrid, ball_sum_map, build_grid, component_first,
-                   empty_map, grad_sq_density, hessian_sq_density,
-                   periodic_delta)
-
-__all__ = [
-    "SingularEvent", "concentration_scan", "k_bound",
-    "choose_R1_T1", "convergence_probe", "parabolic_rescale",
-    "RescaledSequence",
-    "ladyzhenskaya_ratio", "local_action_density",
-]
+                   empty_map, energy_density, grad_sq_density,
+                   hessian_sq_density, periodic_delta)
 
 
 @dataclass
@@ -51,10 +44,10 @@ def concentration_scan(u_values: np.ndarray, grid: SurfaceGrid,
 
     Candidates are clustered greedily by descending energy with exclusion
     radius 2R (overlapping balls belong to one cluster).  Returns a list of
-    ((ix, iy), local_energy) pairs.
+    ((ix, iy), local_energy) pairs.  The ball energies are those of the
+    ledger's sup_local_energy and the dt_min event (grid.energy_density).
     """
-    dens = grad_sq_density(u_values, grid) * grid.w
-    S = ball_sum_map(dens, grid, R)
+    S = ball_sum_map(energy_density(u_values, grid), grid, R)
     hits = np.argwhere(S >= delta1)
     if hits.size == 0:
         return []
@@ -80,8 +73,7 @@ def k_bound(S0: float, delta1: float, delta2: float) -> int:
 def local_action_density(u_values: np.ndarray, grid: SurfaceGrid,
                          fields: FieldBackground) -> np.ndarray:
     """Node weights of the shifted action: ball sums give S_tilde(u, B_R)."""
-    from .fields import pullback_density
-    dens = 0.5 * grad_sq_density(u_values, grid) * grid.w
+    dens = 0.5 * energy_density(u_values, grid)
     if not fields.b.is_zero:
         dens = dens + pullback_density(u_values, fields.b, grid) * (grid.dx * grid.dy)
     if not fields.V.is_zero:
@@ -248,10 +240,11 @@ def ladyzhenskaya_ratio(v_values: np.ndarray, grid: SurfaceGrid,
     if not grid.is_flat:
         raise UnsupportedConfigurationError("ladyzhenskaya_ratio needs lam == 0")
     g2 = grad_sq_density(v_values, grid)
+    dens = energy_density(v_values, grid)
     num = float(np.sum(g2 ** 2 * grid.w))
-    sup_loc = float(np.max(ball_sum_map(g2 * grid.w, grid, R)))
+    sup_loc = float(np.max(ball_sum_map(dens, grid, R)))
     h2 = float(np.sum(hessian_sq_density(v_values, grid) * grid.w))
-    e2 = float(np.sum(g2 * grid.w))
+    e2 = float(np.sum(dens))
     denom = sup_loc * (h2 + e2 / R ** 2)
     if denom == 0.0:
         return 0.0

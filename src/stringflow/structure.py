@@ -14,10 +14,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .action import MapField, flow_rhs
 from .errors import UnsupportedConfigurationError
 from .fields import FieldBackground, tangential_grad_V
-from .grid import (Stencil, SurfaceGrid, grad_sq_density, hessian_sq_density,
-                   l2_norm, laplace_beltrami)
+from .grid import (Stencil, SurfaceGrid, energy_density, grad_sq_density,
+                   hessian_sq_density, l2_norm, laplace_beltrami)
 from .targets import TargetManifold
 
 
@@ -111,7 +112,7 @@ def gap_check(u_values: np.ndarray, grid: SurfaceGrid, target: TargetManifold,
     ||P grad V(u)||_{L^{4/3}}; when grad V vanishes and the energy is below
     eps_energy the map is expected to be constant (small-energy triviality).
     """
-    du_l2 = float(np.sqrt(np.sum(grad_sq_density(u_values, grid) * grid.w)))
+    du_l2 = float(np.sqrt(np.sum(energy_density(u_values, grid))))
     centered = u_values - np.mean(u_values, axis=(0, 1))
     semi = w2_43_seminorm(centered, grid)
     gv = tangential_grad_V(u_values, fields.V, target)
@@ -167,7 +168,6 @@ def bochner_density(u_values: np.ndarray, grid: SurfaceGrid,
     """
     if not grid.is_flat:
         raise UnsupportedConfigurationError("bochner_density needs a flat grid")
-    from .action import MapField, flow_rhs
     g2 = grad_sq_density(u_values, grid)
     lap_half = laplace_beltrami(0.5 * g2, grid)
     hess2 = hessian_sq_density(u_values, grid)

@@ -59,6 +59,10 @@ def test_run_unknown_kind_is_a_config_error(tmp_path, capsys, section, key):
     ("flow", "t_end", -1),
     ("flow", "record_every", 0),
     ("initial", "point", [1.0, 0.0]),
+    ("initial", "point", ["a", 0, 0, 0]),
+    ("initial", "point", [1, 0, 0, None]),
+    ("initial", "point", [0, 0, 0, 0]),
+    ("target", "q", 3),
 ])
 def test_bad_config_value_is_a_config_error(tmp_path, capsys, command,
                                             section, key, value):
@@ -67,6 +71,31 @@ def test_bad_config_value_is_a_config_error(tmp_path, capsys, command,
     cfgp = small_cfg(tmp_path, **{section: {key: value}})
     out = tmp_path / "o"
     assert main([command, "--config", cfgp, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: ") and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["scan", "{snap}", "--radius", "10"],
+    ["scan", "{snap}", "--delta1", "-1"],
+    ["scan", "{missing}"],
+    ["scan", "{snap}", "--Lx", "-1"],
+    ["rescale", "{snap}", "--ix", "16", "--iy", "16", "--r", "0.01"],
+    ["rescale", "{snap}", "--ix", "99", "--iy", "16", "--r", "1.0"],
+], ids=["scan-radius", "scan-delta1", "scan-missing", "scan-Lx", "rescale-r",
+        "rescale-ix"])
+def test_bad_argument_is_a_config_error(tmp_path, capsys, argv):
+    # exit 1 with a one-line message, not a numeric failure, a traceback or
+    # a scan that reports every node
+    g = sf.build_grid(32, 32)
+    snap = str(tmp_path / "u.snap")
+    sf.write_snapshot(snap, sf.bump_map(g, sf.make_target("sphere", 4),
+                                        scale=0.4).values, 1.0, "sphere")
+    paths = {"snap": snap, "missing": str(tmp_path / "missing.snap")}
+    out = tmp_path / "o"
+    argv = [a.format(**paths) for a in argv] + ["--out", str(out)]
+    assert main(argv) == 1
     err = capsys.readouterr().err
     assert err.startswith("configuration error: ") and "Traceback" not in err
     assert not out.exists()

@@ -5,7 +5,7 @@ import stringflow as sf
 from stringflow.errors import GridError, ShapeError, UnsupportedConfigurationError
 from stringflow.grid import (Stencil, _sum_components, ball_kernel_transform,
                              ball_mask, ball_sum_map, component_dot,
-                             frame_derivatives)
+                             energy_density, frame_derivatives)
 from stringflow.fields import pullback_density
 
 
@@ -199,6 +199,24 @@ def test_density_wrappers_match_roll_formulas(shape):
     assert np.allclose(sf.grad_sq_density(f, g), grad2, rtol=1e-13, atol=0.0)
     assert np.allclose(sf.hessian_sq_density(f, g), hess2, rtol=1e-13,
                        atol=0.0)
+
+
+@pytest.mark.parametrize("shape", [(24, 20), (24, 20, 3)])
+@pytest.mark.parametrize("lam", [None, lambda x, y: 0.3 * np.cos(x) * np.sin(y)],
+                         ids=["flat", "conformal"])
+def test_energy_density_is_grad_sq_density_times_the_weight(lam, shape):
+    # |du|^2 dvol = grad_sq * dx dy; |du|^2 * e^{2 lam} dx dy is the same
+    # bits on a flat grid (w = dx dy exactly) and rounds on a conformal one
+    rng = np.random.default_rng(11)
+    g = sf.build_grid(24, 20, lam=lam)
+    f = rng.standard_normal(shape)
+    d = energy_density(f, g)
+    assert np.array_equal(d, Stencil(g, shape).load(f).energy_density())
+    ref = sf.grad_sq_density(f, g) * g.w
+    if lam is None:
+        assert np.array_equal(d, ref)
+    else:
+        assert np.all(np.abs(d - ref) <= 1e-14 * np.abs(ref))
 
 
 def _six_decades(rng, shape):

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 import stringflow as sf
+from stringflow.action import _record
 from stringflow.errors import GridError
-from stringflow.grid import periodic_delta
+from stringflow.grid import energy_density, periodic_delta
 from stringflow.singular import local_action_density
 
 
@@ -143,12 +144,31 @@ def test_dt_min_collapse_records_event_and_is_not_an_error(sphere):
     sf.step(st)
     assert st.dt == 1e-12 and st.t == 1e-12
     assert [ev.kind for ev in st.events] in (["stiffness"], ["concentration"])
-    # the event's energy is the largest ball energy, from the one ball map
-    loc = sf.local_energy_map(st.u, g, cfg.ball_radius)
+    # the event's energy is the largest ball energy of the one density
+    loc = sf.ball_sum_map(energy_density(st.u.values, g), g, cfg.ball_radius)
     assert st.events[0].local_energy == float(np.max(loc))
     # the rhs carried to the next step is that of the accepted map
     assert np.array_equal(st.rhs, sf.flow_rhs(st.u, g, sphere,
                                               sf.zero_background(4)))
+
+
+@pytest.mark.parametrize("lam", [None, lambda x, y: 0.3 * np.sin(x) * np.cos(y)],
+                         ids=["flat", "conformal"])
+def test_event_scan_and_ledger_share_the_ball_energy_bitwise(sphere, lam):
+    # the dt_min event, the top site of concentration_scan and the ledger's
+    # sup_local_energy sum one |du|^2 dvol density over one ball map, so
+    # they agree bit for bit at delta1 also on a conformal grid
+    g = sf.build_grid(32, 32, lam=lam)
+    u = sf.bump_map(g, sphere, scale=0.3)
+    R = 0.4
+    cfg = sf.FlowConfig(t_end=1.0, dt_min=1e-12, tol_up=-1e3, ball_radius=R)
+    st = sf.init_state(u, g, sphere, sf.zero_background(4), cfg)
+    sf.step(st)
+    _record(st)
+    (ev,) = st.events
+    assert ev.local_energy == sf.concentration_scan(st.u.values, g, 0.0,
+                                                    R)[0][1]
+    assert ev.local_energy == st.ledger.records[-1].sup_local_energy
 
 
 def _bilinear_reference(vals, grid, px, py):
