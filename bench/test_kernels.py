@@ -19,7 +19,7 @@ import numpy as np  # noqa: E402
 import pytest  # noqa: E402
 
 import stringflow as sf  # noqa: E402
-from stringflow.action import _bfield_force  # noqa: E402
+from stringflow.action import _bfield_force, _record  # noqa: E402
 from stringflow.grid import Stencil, component_dot  # noqa: E402
 
 SIZES = (48, 64, 128)
@@ -42,8 +42,9 @@ def test_stencil_load(benchmark, case):
 
 def _per_load(benchmark, st, u, op, *args):
     """Time op(*args) on a freshly loaded stencil each round (the load is
-    untimed): the Laplacian spends the shifts, and the centred differences
-    are formed once per load, so a repeated call would time a cache hit."""
+    untimed): the Laplacian's second differences and the centred
+    differences are formed once per load, so a repeated call would time a
+    cache hit."""
     def setup():
         st.load(u)
         return args, {}
@@ -119,6 +120,21 @@ def test_step(benchmark, case):
                           sf.zero_background(4),
                           sf.FlowConfig(t_end=1e9, record_every=10**9))
     benchmark(sf.step, state)
+
+
+def test_record(benchmark, case):
+    # zero fields: a ledger record after a step (untimed), which reads the
+    # action terms, centred and second differences that the step left
+    grid, sphere, u = case
+    state = sf.init_state(sf.MapField(u, sphere), grid, sphere,
+                          sf.zero_background(4),
+                          sf.FlowConfig(t_end=1e9, record_every=10**9))
+
+    def setup():
+        sf.step(state)
+        return (state,), {}
+
+    benchmark.pedantic(_record, setup=setup, rounds=200, warmup_rounds=5)
 
 
 @pytest.fixture(params=(64, 128), ids=lambda n: f"{n}x{n}")

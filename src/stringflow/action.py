@@ -12,31 +12,34 @@ Discretization notes (the choices here are load-bearing):
   Z(du(e1) ^ du(e2)) up to O(dx^2).  This makes the discrete flow an exact
   gradient flow of the ledger action, so the dissipation identity defect is
   pure O(dt) and the gradient-consistency check is exact up to O(eps^2).
-* flow_rhs, action_value and each ledger record shift u once
-  (grid.Stencil) and take every difference from those shifts.  Their
-  buffers live in a Workspace that a run allocates once; called on their
-  own, flow_rhs and action_value build a fresh one.  Inside a run the map
-  is component-major (grid.empty_map).  A run never writes a map in
-  place, so values are carried forward, not re-derived: a step forms the
-  rhs of its new map from the shifts that the accepted trial's
-  action_value loaded, and keeps it in FlowState.rhs for the next step
-  and the convergence probe; init_state forms the first one with
-  flow_rhs, which loads u0 itself.  action_value forms the centred differences
-  last, so with a two-form that rhs also uses those; the rhs takes them
-  before its Laplacian, which spends the shifts.  A ledger record loads
-  its own shifts, and the snapshot ring keeps the run's maps by
-  reference.
+* flow_rhs and action_value shift u once (grid.Stencil) and take every
+  difference from those shifts.  Their buffers live in a Workspace that a
+  run allocates once; called on their own, flow_rhs and action_value
+  build a fresh one.  Inside a run the map is component-major
+  (grid.empty_map).  A run never writes a map in place, so values are
+  carried forward, not re-derived: a step forms the rhs of its new map
+  from the shifts that the accepted trial's action_value loaded, and
+  keeps it in FlowState.rhs for the next step and the convergence probe;
+  init_state forms the first one with flow_rhs, which loads u0 itself.
+  action_value forms the centred differences last, so with a two-form
+  that rhs also uses those; the rhs takes them before its Laplacian.  A
+  ledger record loads nothing: it reads the action terms that the
+  accepted trial's action_value kept on the workspace, the centred
+  differences of the rhs, and the second differences that the rhs's
+  Laplacian left in the stencil, so a run loads each map's shifts once.
+  The snapshot ring keeps the run's maps by reference.
 * With a two-form, flow_rhs projects the B-force and the potential's force
   (when there is one) once: P(u) is linear, so e^{-2 lam} P(u) g + P(u) a
   = P(u)(e^{-2 lam} g + a).  This moves the rhs by rounding only.
 * The action has one formula, _action_terms: E from grid.Stencil.dirichlet
   and S_tilde = 0.5*E + B + V, in that order.  action_value, which every
-  step's acceptance test evaluates, and the ledger record both take it from
-  there, so a ledger row's S_tilde is the S_current that the step accepted,
-  bit for bit.  The ledger's ball map sums grid.Stencil.energy_density,
-  |du|^2 dvol from the contraction that the rhs's II term uses; the dt_min
-  event (local_energy_map) and singular.concentration_scan sum the same
-  density, so all three agree bit for bit.
+  step's acceptance test evaluates, keeps its terms, and the ledger record
+  reads them, so a ledger row's S_tilde is the S_current that the step
+  accepted, bit for bit.  The ledger's ball map sums
+  grid.Stencil.energy_density, |du|^2 dvol from the contraction that the
+  rhs's II term uses; the dt_min event (from the workspace stencil, as the
+  record) and singular.concentration_scan sum the same density, so all
+  three agree bit for bit.
 """
 
 from __future__ import annotations
@@ -106,7 +109,8 @@ def _action_terms(st: Stencil, vals: np.ndarray,
                   fields: FieldBackground) -> tuple:
     """(E, B_term, V_term, S_tilde) of `vals`, loaded in `st`: E from the
     forward differences, the pullback from the centred ones.  The one
-    formula of the action: action_value and the ledger both sum it here.
+    formula of the action: action_value sums it here, and the ledger
+    reads what action_value kept.
     The centred differences are formed last, for the rhs that a step forms
     from the accepted trial."""
     grid = st.grid
@@ -141,14 +145,18 @@ class Workspace:
     workspace buffers.  flow_rhs writes its II, B-force and potential terms
     into the stencil's scratch `tmp`.
 
-    Every call loads the stencil itself, except the rhs that a step forms
-    from the shifts its accepted trial's action_value just loaded.  The rhs
-    (its Laplacian) and a ledger record (its Hessian) spend the shifts.
+    flow_rhs and action_value load the stencil themselves; the rhs that a
+    step forms and the ledger record after it do not.  The rhs reads the
+    shifts its accepted trial's action_value loaded, and the record reads
+    what the rhs left: the centred differences and the second differences.
+    action_value keeps its map's `_action_terms` in `terms`, and that map
+    in `terms_of`, for the record.  The record's Hessian spends the shifts.
     """
 
     def __init__(self, grid: SurfaceGrid, shape, fields: FieldBackground):
         self.stencil = Stencil(grid, shape)
         self.trial = empty_map(shape)       # u + dt rhs in step
+        self.terms = self.terms_of = None   # (E, B, V, S) of map terms_of
         if not fields.b.is_zero:
             self.g = empty_map(shape)
 
@@ -159,11 +167,13 @@ def action_value(vals: np.ndarray, grid: SurfaceGrid,
     (_action_terms).  Every acceptance test compares values of this
     function; it leaves the stencil holding the centred differences when
     there is a two-form, for the rhs that a step forms from the accepted
-    trial.
+    trial, and keeps the terms on the workspace for the ledger record.
     """
     if work is None:
         work = Workspace(grid, vals.shape, fields)
-    return _action_terms(work.stencil.load(vals), vals, fields)[3]
+    work.terms = _action_terms(work.stencil.load(vals), vals, fields)
+    work.terms_of = vals
+    return work.terms[3]
 
 
 def local_energy_map(u: MapField, grid: SurfaceGrid, R: float) -> np.ndarray:
@@ -245,7 +255,8 @@ def _rhs(work: Workspace, vals: np.ndarray, target: TargetManifold,
          fields: FieldBackground) -> np.ndarray:
     """flow_rhs of vals, whose shifts the workspace stencil holds.  The
     centred differences come first: they may be the ones the stencil
-    already holds, and the Laplacian then spends the shifts."""
+    already holds, and the Laplacian then turns the shifts into second
+    differences."""
     st = work.stencil
     grid = st.grid
     ux, uy = st.centred()
@@ -443,13 +454,17 @@ def init_state(u0: MapField, grid: SurfaceGrid, target: TargetManifold,
 
 
 def _record(state: FlowState):
-    """Append a ledger row; every column comes from one load of the
-    workspace stencil, and E and S_tilde from the action's own formula.
-    The ball map sums Stencil.energy_density, from the centred differences
-    that the pullback formed when there is a two-form."""
-    grid, vals = state.grid, state.u.values
-    st = state.work.stencil.load(vals)
-    E, B_term, V_term, S = _action_terms(st, vals, state.fields)
+    """Append a ledger row from the stencil work of the step just taken
+    (or of init_state), without a load: E, B, V and S_tilde are the terms
+    action_value kept, the ball map sums Stencil.energy_density from the
+    rhs's centred differences, and the Hessian reads the second
+    differences of the rhs's Laplacian.  GridError unless the workspace
+    stencil and terms belong to the state's map."""
+    grid, vals, work = state.grid, state.u.values, state.work
+    st = work.stencil
+    if st.source is not vals or work.terms_of is not vals:
+        raise GridError("the workspace holds another map's stencil or terms")
+    E, B_term, V_term, S = work.terms
     sup_loc = float(np.max(ball_sum_map(st.energy_density(), grid,
                                         state.config.ball_radius)))
     hd = float(np.sum(st.hessian_sq() * grid.w))
@@ -545,7 +560,8 @@ def step(state: FlowState) -> FlowState:
     state.steps += 1
 
     if collapsed:
-        loc = local_energy_map(state.u, state.grid, cfg.ball_radius)
+        loc = ball_sum_map(state.work.stencil.energy_density(), state.grid,
+                           cfg.ball_radius)
         ix, iy = np.unravel_index(int(np.argmax(loc)), loc.shape)
         le = float(loc[ix, iy])
         kind = "concentration" if le >= cfg.delta1 else "stiffness"

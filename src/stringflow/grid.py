@@ -38,8 +38,9 @@ All three work in the stencil's component-first buffers, so their bits do
 not depend on the layout of the input.
 
 A `Stencil` forms the centred differences once per load and hands the same
-stack to every later caller; its Laplacian and Hessian work in the shift
-stack and spend it, so they come last before the next load.
+stack to every later caller.  Its Laplacian leaves the undivided second
+differences in the plus shifts, where the Hessian reads them again, so a
+flow step's rhs and the ledger record that follows it share one load.
 """
 
 from __future__ import annotations
@@ -104,8 +105,8 @@ def build_grid(nx: int, ny: int, Lx: float = TWO_PI, Ly: float = TWO_PI,
     """
     if nx < 8 or ny < 8:
         raise GridError(f"grid must be at least 8x8, got {nx}x{ny}")
-    if Lx <= 0 or Ly <= 0:
-        raise GridError(f"periods must be positive, got Lx={Lx}, Ly={Ly}")
+    if not (math.isfinite(Lx) and Lx > 0 and math.isfinite(Ly) and Ly > 0):
+        raise GridError(f"periods must be finite and > 0: Lx={Lx}, Ly={Ly}")
     dx = Lx / nx
     dy = Ly / ny
     x = np.arange(nx) * dx
@@ -256,17 +257,21 @@ class Stencil:
     divides a full map.  Every result is formed in these component-first
     buffers, so it has the same bits for either layout of f.
 
-    `dirichlet`, `centred` and `hessian_sq` write (gx, gy), each over what
-    the previous one left there; `grad_sq` reads them through `centred`.
-    `centred` remembers that (gx, gy) hold the centred differences of the
-    loaded f and returns them again without a pass, until `load` or another
-    operator writes the stack.  `laplacian` and `hessian_sq` work in the
-    shift stack itself, so they spend the shifts and come last before the
-    next `load`; the Laplacian leaves (gx, gy) alone, so centred
-    differences asked for before it are still valid after it.
-    `laplacian` and `hessian_sq` use tmp as scratch; a caller may use tmp
-    once they are done.  An operator that needs the shifts raises
-    GridError once they are spent.
+    `dirichlet` and `centred` write (gx, gy), each over what the other
+    left there; `grad_sq` reads them through `centred`.  `centred`
+    remembers that (gx, gy) hold the centred differences of the loaded f
+    and returns them again without a pass, until `load` or another
+    operator writes the stack.  `laplacian` and `hessian_sq` share the
+    undivided second differences (xp + xm - 2f, yp + ym - 2f), formed once
+    per load in the plus shifts: from then on `dirichlet`, and `centred`
+    when it was not formed before, raise GridError ("spent"), while a
+    second `laplacian` and `hessian_sq` read them again.  The Laplacian
+    leaves (gx, gy) alone, so centred differences asked for before it are
+    still valid after it.  `hessian_sq` takes its cross term from the
+    centred differences and overwrites them, so it spends everything and
+    comes last before the next `load`.  `laplacian` and `hessian_sq` use
+    tmp as scratch; a caller may use tmp once they are done.  `source` is
+    the array last loaded, kept until the next `load`.
     """
 
     def __init__(self, grid: SurfaceGrid, shape):
@@ -281,8 +286,10 @@ class Stencil:
         self._plus, self._minus = self.shifts[:2], self.shifts[2:]
         self.gx, self.gy = (self._logical(a) for a in self.grads)
         self.tmp = self._logical(self.scratch)
+        self.source = None
         self._F = None
         self._centred = False       # (gx, gy) hold D0 of the loaded f
+        self._second = False        # the plus shifts hold second differences
 
     @functools.cached_property
     def _h(self) -> np.ndarray:
@@ -308,10 +315,11 @@ class Stencil:
         components, or a copy of a node-scalar one."""
         return _sum_components(self._logical(a)) if self._is_map else a.copy()
 
-    def _loaded(self) -> np.ndarray:
-        """The component-first view of the loaded f; GridError once the
-        shifts are spent."""
-        if self._F is None:
+    def _shifts(self) -> np.ndarray:
+        """The component-first view of the loaded f, for an operator that
+        reads the shifts; GridError once the second differences took their
+        place (laplacian) or the Hessian spent them."""
+        if self._F is None or self._second:
             raise GridError("the stencil's shifts are spent (laplacian or "
                             "hessian_sq) or were never loaded; load a field "
                             "first")
@@ -319,7 +327,7 @@ class Stencil:
 
     def _write_grads(self) -> np.ndarray:
         """The gradient stack, for an operator about to overwrite it."""
-        self._loaded()
+        self._shifts()
         self._centred = False
         return self.grads
 
@@ -342,8 +350,8 @@ class Stencil:
             ym[..., 1:] = F[..., :-1]
         yp[..., -1] = F[..., 0]
         ym[..., 0] = F[..., -1]
-        self._F = F
-        self._centred = False
+        self.source, self._F = f, F
+        self._centred = self._second = False
         return self
 
     def dirichlet(self) -> float:
@@ -371,20 +379,27 @@ class Stencil:
             self._centred = True
         return self.gx, self.gy
 
+    def _second_differences(self) -> np.ndarray:
+        """The plus shifts turned, once per load, into the undivided second
+        differences [xp + xm - 2f, yp + ym - 2f]."""
+        if not self._second:
+            F = self._shifts()
+            self._plus += self._minus
+            self._plus -= np.add(F, F, out=self.scratch)
+            self._second = True
+        return self._plus
+
     def laplacian(self, out: np.ndarray) -> np.ndarray:
         """Flat 5-point Laplacian f_xx + f_yy into `out` (no conformal
         factor): ((xp + xm - 2f) / dx^2) + ((yp + ym - 2f) / dy^2).
 
-        Formed in the plus shifts, which spends them; (gx, gy) are left as
-        they were."""
-        F = self._loaded()
-        P, f2 = self._plus, self.scratch
-        P += self._minus
-        np.add(F, F, out=f2)
-        P -= f2
-        P *= self._inv_h2
-        np.add(P[0], P[1], out=out.transpose(2, 0, 1) if self._is_map else out)
-        self._F = None       # the shifts are spent
+        Scales the second differences into `out` and scratch, so they stay
+        in the plus shifts for `hessian_sq`; (gx, gy) are left as they
+        were."""
+        P, c = self._second_differences(), self._inv_h2
+        o = out.transpose(2, 0, 1) if self._is_map else out
+        np.multiply(P[0], c[0], out=o)
+        o += np.multiply(P[1], c[1], out=self.scratch)
         return out
 
     def grad_sq(self) -> np.ndarray:
@@ -415,27 +430,24 @@ class Stencil:
     def hessian_sq(self) -> np.ndarray:
         """Flat Hessian density f_xx^2 + 2 f_xy^2 + f_yy^2, summed over components.
 
-        f_xx and f_yy are the second differences of the shifts; f_xy is the
-        centred 4-corner cross difference D0x(D0y f) = D0y(D0x f), taken
-        along x.  Squares the unscaled differences, then scales.  Spends
-        the shifts.
+        f_xx and f_yy come from the undivided second differences, which a
+        `laplacian` of this load may have formed already; f_xy is the
+        centred cross difference D0x(D0y f), formed from the centred
+        differences into gx.  Squares the unscaled second differences, then
+        scales.  Spends the shifts and the centred differences.
         """
-        grid = self.grid
-        dy_f, nxy = self._write_grads()
-        F, second, f2 = self._F, self._plus, self.scratch
-        np.subtract(self.shifts[1], self.shifts[3], out=dy_f)
-        _centred_diff(dy_f, -2, out=nxy)
-        np.add(F, F, out=f2)
-        second += self._minus
-        second -= f2
+        self.centred()
+        second = self._second_differences()
+        nxy = _centred_diff(self.grads[1], -2, out=self.grads[0])
+        nxy *= nxy
+        nxy *= 0.5 / self.grid.dx ** 2          # 2 (nxy * 0.5/dx)^2
         second *= second
         second *= self._inv_h2 * self._inv_h2
-        nxy *= nxy
-        nxy *= 0.125 / (grid.dx * grid.dy) ** 2
         nxx = second[0]
         nxx += nxy
         nxx += second[1]
         self._F = None       # the shifts are spent
+        self._centred = self._second = False
         return self._node_sum(nxx)
 
 

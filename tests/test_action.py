@@ -350,9 +350,10 @@ def test_ledger_action_is_the_accepted_action_bitwise(sphere, lam, monkeypatch):
 
 def test_step_reuses_only_shifts_it_may_reuse(grid, sphere):
     # step forms the next rhs from the shifts (and, with a two-form, the
-    # centred differences) the accepted trial loaded; a ledger record loads
-    # its own.  Either way the next step must match one that starts from a
-    # fresh workspace and a fresh rhs, on a flat and on a conformal grid.
+    # centred differences) the accepted trial loaded; a ledger record reads
+    # what the rhs left and spends it.  Either way the next step must match
+    # one that starts from a fresh workspace and a fresh rhs, on a flat and
+    # on a conformal grid.
     from dataclasses import replace
     fields = sf.FieldBackground(b=sf.make_two_form("y4", 4, beta=0.2),
                                 V=sf.make_potential("height", 4, epsilon=0.1))
@@ -433,6 +434,90 @@ def test_carried_rhs_is_the_rhs_of_the_map(sphere, lam, with_fields):
     sf.step(st)
     assert st.dt == cfg.dt_min and len(st.events) == 1
     check()
+
+
+def _fresh_record(st):
+    """The ledger row of st from freshly loaded stencils: energies, the
+    ball map of energy_density and hessian_sq_density."""
+    g, v = st.grid, st.u.values
+    e = sf.energies(st.u, g, st.fields)
+    loc = sf.ball_sum_map(energy_density(v, g), g, st.config.ball_radius)
+    return action.EnergyRecord(
+        t=st.t, E=e.E, dirichlet=e.dirichlet, B_term=e.B_term,
+        V_term=e.V_term, S_tilde=e.S_tilde, kinetic=st.last_kinetic,
+        cum_dissipation=st.cum_dissipation,
+        hess_diag=float(np.sum(sf.hessian_sq_density(v, g) * g.w)),
+        sup_local_energy=float(np.max(loc)), dt=st.dt)
+
+
+@pytest.mark.parametrize("lam", [None, lambda x, y: 0.2 * np.sin(x) * np.cos(y)],
+                         ids=["flat", "conformal"])
+@pytest.mark.parametrize("with_fields", [False, True],
+                         ids=["zero_fields", "y4_height"])
+def test_record_matches_a_record_from_a_fresh_load(sphere, lam, with_fields):
+    # a record reads the terms, centred and second differences the step
+    # left in the workspace; after init_state, a plain step, a halved step
+    # and a dt_min collapse every column equals the one from a fresh load
+    # bit for bit, and hess_diag to the last bits
+    from dataclasses import replace
+    g = sf.build_grid(24, 24, lam=lam)
+    fields = sf.zero_background(4)
+    if with_fields:
+        fields = sf.FieldBackground(
+            b=sf.make_two_form("y4", 4, beta=0.2),
+            V=sf.make_potential("height", 4, epsilon=0.1))
+    u0 = sf.random_smooth_map(g, sphere, seed=17, amplitude=0.3)
+    cfg = sf.FlowConfig(t_end=1.0)
+    st = sf.init_state(u0, g, sphere, fields, cfg)
+
+    def check():
+        rec, ref = st.ledger.records[-1], _fresh_record(st)
+        assert rec.t == st.t
+        for c in sf.LEDGER_COLUMNS:
+            if c != "hess_diag":
+                assert getattr(rec, c) == getattr(ref, c), c
+        assert rec.hess_diag == pytest.approx(ref.hess_diag, rel=1e-13)
+
+    check()
+    sf.step(st)
+    _record(st)
+    check()
+    # far above the CFL bound the action rises, so the step halves dt
+    dt0 = st.dt = 64 * sf.cfl_bound(g, cfg.cfl)
+    sf.step(st)
+    assert st.dt < dt0 and not st.events
+    _record(st)
+    check()
+    # no trial can lower the action by this margin, so dt collapses
+    st.config = replace(cfg, tol_up=-1e3)
+    sf.step(st)
+    assert st.dt == cfg.dt_min and len(st.events) == 1
+    _record(st)
+    check()
+
+
+def test_record_of_another_map_in_the_workspace_raises(grid, sphere):
+    # the record reads the workspace, so it refuses one that holds the
+    # stencil or the action terms of a map other than the state's
+    fields = sf.FieldBackground(b=sf.make_two_form("y4", 4, beta=0.2),
+                                V=sf.make_potential("height", 4, epsilon=0.1))
+    u0 = sf.random_smooth_map(grid, sphere, seed=18, amplitude=0.3)
+    other = sf.random_smooth_map(grid, sphere, seed=19, amplitude=0.3)
+    st = sf.init_state(u0, grid, sphere, fields, sf.FlowConfig(t_end=1.0))
+    sf.step(st)
+    sf.action_value(other.values, grid, fields, st.work)
+    with pytest.raises(GridError, match="another map"):
+        _record(st)
+    sf.step(st)
+    st.work.stencil.load(other.values)
+    with pytest.raises(GridError, match="another map"):
+        _record(st)
+    # an equal copy of the map is another map
+    sf.step(st)
+    st.u = sf.MapField(st.u.values.copy(), sphere)
+    with pytest.raises(GridError, match="another map"):
+        _record(st)
+    assert len(st.ledger) == 1
 
 
 def test_snapshot_ring_keeps_the_run_maps_by_reference(grid, sphere):

@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -99,6 +101,40 @@ def test_bad_argument_is_a_config_error(tmp_path, capsys, argv):
     err = capsys.readouterr().err
     assert err.startswith("configuration error: ") and "Traceback" not in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("cmd", [
+    ["scan", "{snap}"],
+    ["rescale", "{snap}", "--ix", "16", "--iy", "16", "--r", "1.0"],
+], ids=["scan", "rescale"])
+@pytest.mark.parametrize("flag, value", [("--Lx", "nan"), ("--Ly", "inf")])
+def test_non_finite_period_is_a_config_error(tmp_path, capsys, cmd, flag,
+                                             value):
+    # exit 1 with a message that names the period, not a grid of NaN nodes
+    g = sf.build_grid(32, 32)
+    snap = str(tmp_path / "u.snap")
+    sf.write_snapshot(snap, sf.bump_map(g, sf.make_target("sphere", 4),
+                                        scale=0.4).values, 1.0, "sphere")
+    out = tmp_path / "o"
+    argv = [a.format(snap=snap) for a in cmd] + [flag, value,
+                                                 "--out", str(out)]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: periods must be finite")
+    assert f"{flag[2:]}={value}" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_python_m_stringflow_runs_the_cli_without_a_warning():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(sf.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    done = subprocess.run([sys.executable, "-W", "error", "-m", "stringflow",
+                           "--help"], env=env, capture_output=True, text=True,
+                          timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("usage: stringflow") and not done.stderr
 
 
 def test_check_hypothesis_warning_exit_two(tmp_path, capsys):

@@ -24,6 +24,15 @@ def test_build_grid_rejects_small_and_bad_lambda():
         sf.build_grid(32, 32, lam=np.inf)
 
 
+@pytest.mark.parametrize("Lx, Ly", [(np.nan, 1.0), (1.0, np.nan), (np.inf, 1.0),
+                                     (1.0, -np.inf), (0.0, 1.0)])
+def test_build_grid_rejects_periods_that_are_not_finite_and_positive(Lx, Ly):
+    # NaN passes a plain `L <= 0` test
+    with pytest.raises(GridError, match=r"periods must be finite and > 0: "
+                                        r"Lx=.*, Ly="):
+        sf.build_grid(16, 16, Lx=Lx, Ly=Ly)
+
+
 def test_laplacian_spectral_accuracy():
     # Delta sin(x) = -sin(x); the 5-point stencil is second order
     errs = []
@@ -391,6 +400,11 @@ def test_centred_after_each_operator_matches_a_fresh_stencil(op):
 
 
 def test_operators_on_spent_shifts_raise_a_grid_error():
+    # the Laplacian leaves the undivided second differences in the plus
+    # shifts: a second Laplacian and the Hessian read them again and match
+    # a fresh load, the Hessian when the centred differences were formed
+    # before them, as the rhs forms them.  An operator that needs the
+    # shifts themselves raises; after the Hessian, every operator raises
     rng = np.random.default_rng(36)
     g = sf.build_grid(24, 20)
     u = _component_major(rng.standard_normal((24, 20, 4)))
@@ -404,8 +418,20 @@ def test_operators_on_spent_shifts_raise_a_grid_error():
     for op in ops:
         with pytest.raises(GridError, match="never loaded"):
             op(st)
-    for spend in (Stencil.hessian_sq, laplacian):
+    for op in ops:
+        Stencil.hessian_sq(st.load(u))
+        with pytest.raises(GridError, match="spent"):
+            op(st)
+    fresh = {op: op(Stencil(g, u.shape).load(u))
+             for op in (laplacian, Stencil.hessian_sq)}
+    for primed in (False, True):
         for op in ops:
-            spend(st.load(u))
-            with pytest.raises(GridError, match="spent"):
-                op(st)
+            st.load(u)
+            if primed:
+                st.centred()
+            laplacian(st)
+            if op in fresh and (primed or op is laplacian):
+                assert np.allclose(op(st), fresh[op], rtol=1e-13, atol=0.0)
+            elif op is Stencil.dirichlet or not primed:
+                with pytest.raises(GridError, match="spent"):
+                    op(st)
