@@ -1,5 +1,7 @@
-"""Microbenchmarks of the per-step kernels, at 48^2, 64^2 and 128^2, and of
-the singular-point analysis at 64^2 and 128^2.
+"""Microbenchmarks of the per-step kernels, at 48^2, 64^2, 96^2 and 128^2,
+and of the singular-point analysis at 64^2 and 128^2.  At q = 4 the first
+two sizes stay on the stencil's copy path and the last two slice the map
+(grid.SLICE_ABOVE_BYTES), so the kernels are timed on both sides.
 
     PYTHONPATH=src python -m pytest bench --benchmark-columns=min,median,iqr
 
@@ -22,7 +24,7 @@ import stringflow as sf  # noqa: E402
 from stringflow.action import _bfield_force, _record  # noqa: E402
 from stringflow.grid import Stencil, component_dot  # noqa: E402
 
-SIZES = (48, 64, 128)
+SIZES = (48, 64, 96, 128)
 
 
 @pytest.fixture(params=SIZES, ids=lambda n: f"{n}x{n}")

@@ -12,13 +12,14 @@ Discretization notes (the choices here are load-bearing):
   Z(du(e1) ^ du(e2)) up to O(dx^2).  This makes the discrete flow an exact
   gradient flow of the ledger action, so the dissipation identity defect is
   pure O(dt) and the gradient-consistency check is exact up to O(eps^2).
-* flow_rhs and action_value shift u once (grid.Stencil) and take every
-  difference from those shifts.  Their buffers live in a Workspace that a
+* flow_rhs and action_value load u into one grid.Stencil and take every
+  difference from it: from four shifts copied once on a small grid, by
+  slicing u on a large one.  Their buffers live in a Workspace that a
   run allocates once; called on their own, flow_rhs and action_value
   build a fresh one.  Inside a run the map is component-major
   (grid.empty_map).  A run never writes a map in place, so values are
   carried forward, not re-derived: a step forms the rhs of its new map
-  from the shifts that the accepted trial's action_value loaded, and
+  from the stencil that the accepted trial's action_value loaded, and
   keeps it in FlowState.rhs for the next step and the convergence probe;
   init_state forms the first one with flow_rhs, which loads u0 itself.
   action_value forms the centred differences last, so with a two-form
@@ -26,7 +27,7 @@ Discretization notes (the choices here are load-bearing):
   ledger record loads nothing: it reads the action terms that the
   accepted trial's action_value kept on the workspace, the centred
   differences of the rhs, and the second differences that the rhs's
-  Laplacian left in the stencil, so a run loads each map's shifts once.
+  Laplacian left in the stencil, so a run loads each map once.
   The snapshot ring keeps the run's maps by reference.
 * With a two-form, flow_rhs projects the B-force and the potential's force
   (when there is one) once: P(u) is linear, so e^{-2 lam} P(u) g + P(u) a
@@ -147,10 +148,13 @@ class Workspace:
 
     flow_rhs and action_value load the stencil themselves; the rhs that a
     step forms and the ledger record after it do not.  The rhs reads the
-    shifts its accepted trial's action_value loaded, and the record reads
+    stencil its accepted trial's action_value loaded, and the record reads
     what the rhs left: the centred differences and the second differences.
     action_value keeps its map's `_action_terms` in `terms`, and that map
-    in `terms_of`, for the record.  The record's Hessian spends the shifts.
+    in `terms_of`, for the record.  On a grid small enough for the
+    stencil's copy path, the rhs's Laplacian and the record's Hessian spend
+    the shifts, which is why the rhs takes the centred differences first
+    and the record comes last; on the sliced path nothing is spent.
     """
 
     def __init__(self, grid: SurfaceGrid, shape, fields: FieldBackground):
@@ -253,10 +257,10 @@ def flow_rhs(u: MapField, grid: SurfaceGrid, target: TargetManifold,
 
 def _rhs(work: Workspace, vals: np.ndarray, target: TargetManifold,
          fields: FieldBackground) -> np.ndarray:
-    """flow_rhs of vals, whose shifts the workspace stencil holds.  The
-    centred differences come first: they may be the ones the stencil
-    already holds, and the Laplacian then turns the shifts into second
-    differences."""
+    """flow_rhs of vals, which the workspace stencil holds.  The centred
+    differences come first: they may be the ones the stencil already
+    holds, and on the copy path the Laplacian then turns the shifts into
+    second differences."""
     st = work.stencil
     grid = st.grid
     ux, uy = st.centred()
@@ -393,6 +397,12 @@ class FlowConfig:
                             f"{self.record_every}")
         if not (0.0 < self.cfl <= 1.0):
             raise GridError(f"cfl must be in (0, 1], got {self.cfl}")
+        if not 0.0 < self.delta1 < math.inf:
+            raise GridError(f"delta1 must be finite and > 0, got {self.delta1}")
+        if not self.dt_min > 0.0:
+            raise GridError(f"dt_min must be positive, got {self.dt_min}")
+        if not self.conv_tol >= 0.0:
+            raise GridError(f"conv_tol must be >= 0, got {self.conv_tol}")
         bound = cfl_bound(grid, self.cfl)
         if self.dt_init is not None and self.dt_init > bound * (1 + 1e-12):
             raise GridError(f"dt_init {self.dt_init} exceeds CFL bound {bound}")
@@ -487,8 +497,8 @@ def _snapshot(state: FlowState):
 
 def _trial(state: FlowState, rhs: np.ndarray, dt: float):
     """Projected Euler candidate pi(u + dt rhs) and its action; the
-    workspace stencil is left holding the candidate's shifts, from which
-    step forms the rhs of the trial it accepts.
+    workspace stencil is left holding the candidate, from which step
+    forms the rhs of the trial it accepts.
 
     Raises NonFiniteStateError, naming t, the step and a node, when the
     action is not finite: every acceptance test would fail on a NaN and dt
@@ -525,7 +535,7 @@ def step(state: FlowState) -> FlowState:
     pass t_end is shortened to end exactly there; that is not a halving,
     so state.dt and the stable-step count are left as they were.  The step
     starts from state.rhs, and replaces it with a fresh array, the rhs of
-    the new map, formed from the shifts the accepted trial loaded.
+    the new map, formed from the stencil the accepted trial loaded.
     """
     cfg = state.config
     vals, rhs = state.u.values, state.rhs

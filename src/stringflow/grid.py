@@ -7,18 +7,22 @@ component-major (`empty_map`): the logical shape stays (nx, ny, q), but each
 component plane is contiguous, so plane-wise arithmetic streams through
 memory.  Every function here accepts either layout and gives the same values.
 
-Every difference of a field comes from a `Stencil`, which loads the four
-periodic shifts once; the free functions below (the Laplace-Beltrami
-operator, the frame derivatives, the densities) load one per call.  The one
-exception is `centred`, a single-axis difference for a field whose other
-shifts are never needed (the flux divergence of the B-force).
+Every difference of a field comes from a `Stencil`; the free functions
+below (the Laplace-Beltrami operator, the frame derivatives, the densities)
+build one per call.  A small field's stencil loads the four periodic shifts
+once and differences them; a field whose shift stack would outgrow the
+cache (SLICE_ABOVE_BYTES) is differenced by slicing it, with no copy.  The
+one exception is `centred`, a single-axis difference for a field whose
+other shifts are never needed (the flux divergence of the B-force), which
+slices as the large-field stencil does.
 
 Hot loops work on the component-first view (`component_first`: (q, nx, ny),
 C-contiguous for a component-major map), where numpy takes its contiguous
-fast path, and the `Stencil` stacks the shifts and differences of both
-directions so that one call serves x and y.  Sums over components go along
-the leading axis of that view, plane by plane in index order in either
-layout (`component_dot`).  On contiguous operands a contraction is one
+fast path.  A small field's `Stencil` stacks the shifts and differences of
+both directions so that one call serves x and y; a large field's takes
+each direction in one call on the flat array plus the wrap rows.  Sums
+over components go along the leading axis of that view, plane by plane in
+index order in either layout (`component_dot`).  On contiguous operands a contraction is one
 `np.einsum`, which writes no product array: einsum adds the planes of two
 C-contiguous (q, nx, ny) operands in index order, bit for bit as
 `np.add.reduce` does, and the tests pin that contract.  Grid constants
@@ -39,8 +43,9 @@ not depend on the layout of the input.
 
 A `Stencil` forms the centred differences once per load and hands the same
 stack to every later caller.  Its Laplacian leaves the undivided second
-differences in the plus shifts, where the Hessian reads them again, so a
-flow step's rhs and the ledger record that follows it share one load.
+differences in the stencil (in the plus shifts of a small field, which they
+spend), where the Hessian reads them again, so a flow step's rhs and the
+ledger record that follows it share one load.
 """
 
 from __future__ import annotations
@@ -54,6 +59,14 @@ import numpy as np
 from .errors import GridError, ShapeError, UnsupportedConfigurationError
 
 TWO_PI = 2.0 * math.pi
+
+# A Stencil slices every difference straight from its field, instead of
+# copying four shifts, when that four-shift stack (32 q nx ny bytes) would
+# pass this size, half of a 2 MiB per-core L2.  Per flow step at q = 4,
+# zero fields (2-core VM, numpy 2.4.6), copy -> slice: 48^2 155 -> 168 us,
+# 64^2 255 -> 256 us (the stack is 512 KiB), 96^2 651 -> 616 us
+# (1.1 MiB), 128^2 1217 -> 1066 us.
+SLICE_ABOVE_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -147,15 +160,27 @@ def conformal_rescale(grid: SurfaceGrid, a: float) -> SurfaceGrid:
 
 # -- stencils -----------------------------------------------------------------
 
-def _centred_diff(f: np.ndarray, axis: int, out=None) -> np.ndarray:
-    """f[i+1] - f[i-1] along `axis`, periodic, by slicing into `out`."""
-    if out is None:
-        out = np.empty_like(f)
-    a = np.moveaxis(f, axis, 0)
-    o = np.moveaxis(out, axis, 0)
-    np.subtract(a[2:], a[:-2], out=o[1:-1])
-    np.subtract(a[1], a[-1], out=o[0])
-    np.subtract(a[0], a[-2], out=o[-1])
+def _neighbours(op, f: np.ndarray, axis: int, out: np.ndarray,
+                back: int = 1) -> np.ndarray:
+    """op(f[i+1], f[i-back]) along `axis`, periodic, by slicing into `out`:
+    back=1 pairs the two neighbours of each node (centred), back=0 the next
+    neighbour with the node itself (forward).
+
+    When f and out are C-contiguous the interior is one call on the flat
+    arrays, the neighbour one step of `axis` away; that call is wrong only
+    in the wrap rows, which are then written again.  Each value is op of
+    the same two operands on either path, so the bits are the same."""
+    a, o = f.swapaxes(axis, 0), out.swapaxes(axis, 0)
+    if f.flags.c_contiguous and out.flags.c_contiguous:
+        s = math.prod(f.shape[axis % f.ndim + 1:])
+        a_flat, o_flat = f.reshape(-1), out.reshape(-1)
+        op(a_flat[(back + 1) * s:], a_flat[:a_flat.size - (back + 1) * s],
+           out=o_flat[back * s:o_flat.size - s])
+    else:
+        op(a[back + 1:], a[:len(a) - 1 - back], out=o[back:-1])
+    op(a[0], a[-1 - back], out=o[-1])
+    if back:
+        op(a[1], a[-1], out=o[0])
     return out
 
 
@@ -164,7 +189,9 @@ def centred(f: np.ndarray, axis: int, h: float, out=None) -> np.ndarray:
     the same operations as Stencil.centred.  For a field whose shifts along
     the other axis are never needed, where loading a Stencil would copy
     four shifts to use one difference."""
-    out = _centred_diff(f, axis, out)
+    if out is None:
+        out = np.empty_like(f)
+    _neighbours(np.subtract, f, axis, out)
     out *= 0.5 / h
     return out
 
@@ -236,26 +263,31 @@ def _comp_weight(a: np.ndarray, f: np.ndarray) -> np.ndarray:
 
 
 class Stencil:
-    """The four periodic neighbour shifts of one field, in reusable buffers.
+    """The periodic neighbour differences of one field, in reusable buffers.
 
     Inside, every buffer is component-first: a map of shape (nx, ny, q) is
     held as (q, nx, ny), a node scalar as (nx, ny), so x is axis -2 and y
-    is axis -1 and each plane is contiguous.  `shifts` stacks
-    [xp, yp, xm, ym] (xp[i] = f[i+1] and xm[i] = f[i-1] along x, yp and ym
-    along y) and `grads` stacks [gx, gy]; an operator works on both
-    directions at once, the plus pair `shifts[:2]` against the minus pair
-    `shifts[2:]` or against f, with the x and y grid constants broadcast
-    along the stack axis.  `scratch` is one more component-first buffer.
-    The attributes gx, gy and tmp are the gradient and scratch buffers in
-    the logical (nx, ny, q) layout, as `empty_map` gives them.
+    is axis -1 and each plane is contiguous.  `grads` stacks [gx, gy], and
+    `scratch` is one more component-first buffer.  The attributes gx, gy
+    and tmp are the gradient and scratch buffers in the logical
+    (nx, ny, q) layout, as `empty_map` gives them.  Grid constants enter as
+    precomputed reciprocals (1/dx^2, 0.5/dx, ...), broadcast along the
+    stack axis, or scale a sum once, so no operator divides a full map.
+    Every result is formed in these component-first buffers, so it has the
+    same bits for either layout of f.
 
-    `load(f)` fills the shifts by slicing; a component-major f gives its y
-    shifts by one flat contiguous copy plus the wrap column.  Every first-
-    and second-order term is then formed from these shifts, so one pass
-    over f serves them all.  Grid constants enter as precomputed
-    reciprocals (1/dx^2, 0.5/dx, ...) or scale a sum once, so no operator
-    divides a full map.  Every result is formed in these component-first
-    buffers, so it has the same bits for either layout of f.
+    The stencil picks one of two paths from the size of the field, and
+    both give the same bits (each value is the same operation on the same
+    operands).  On the copy path, for fields whose four-shift stack stays
+    within SLICE_ABOVE_BYTES, `load(f)` copies `shifts`, the stack
+    [xp, yp, xm, ym] (xp[i] = f[i+1] and xm[i] = f[i-1] along x, yp and ym
+    along y); a component-major f gives its y shifts by one flat copy plus
+    the wrap column.  Each operator then works on both directions in one
+    call, the plus pair `shifts[:2]` against the minus pair `shifts[2:]` or
+    against f.  On the sliced path, for larger fields, `shifts` is None and
+    `load` copies nothing: each operator slices its differences straight
+    from f (`_neighbours`), one call per direction plus the wrap rows, so
+    no stack that outgrows the cache is written and read back.
 
     `dirichlet` and `centred` write (gx, gy), each over what the other
     left there; `grad_sq` reads them through `centred`.  `centred`
@@ -263,12 +295,15 @@ class Stencil:
     and returns them again without a pass, until `load` or another
     operator writes the stack.  `laplacian` and `hessian_sq` share the
     undivided second differences (xp + xm - 2f, yp + ym - 2f), formed once
-    per load in the plus shifts: from then on `dirichlet`, and `centred`
-    when it was not formed before, raise GridError ("spent"), while a
-    second `laplacian` and `hessian_sq` read them again.  The Laplacian
-    leaves (gx, gy) alone, so centred differences asked for before it are
-    still valid after it.  `hessian_sq` takes its cross term from the
-    centred differences and overwrites them, so it spends everything and
+    per load, and a second `laplacian` and `hessian_sq` read them again.
+    The Laplacian leaves (gx, gy) alone, so centred differences asked for
+    before it are still valid after it.  `hessian_sq` takes its cross term
+    from the centred differences and overwrites them.  On the sliced path
+    the second differences have their own 2-map buffer and f is only read,
+    so no operator spends the stencil: any operator may follow any other.
+    On the copy path they are formed in the plus shifts, which they spend:
+    from then on `dirichlet`, and `centred` when it was not formed before,
+    raise GridError ("spent"), and `hessian_sq` spends everything and
     comes last before the next `load`.  `laplacian` and `hessian_sq` use
     tmp as scratch; a caller may use tmp once they are done.  `source` is
     the array last loaded, kept until the next `load`.
@@ -280,16 +315,22 @@ class Stencil:
         self.shape = shape
         self._is_map = len(shape) == 3
         planes = shape[-1:] + shape[:-1] if self._is_map else shape
-        self.shifts = np.empty((4,) + planes)
+        self.sliced = 32 * math.prod(planes) > SLICE_ABOVE_BYTES
+        if self.sliced:
+            self.shifts = None
+            self._second_buf = np.empty((2,) + planes)
+        else:
+            self.shifts = np.empty((4,) + planes)
+            self._plus, self._minus = self.shifts[:2], self.shifts[2:]
+            self._second_buf = self._plus
         self.grads = np.empty((2,) + planes)
         self.scratch = np.empty(planes)
-        self._plus, self._minus = self.shifts[:2], self.shifts[2:]
         self.gx, self.gy = (self._logical(a) for a in self.grads)
         self.tmp = self._logical(self.scratch)
         self.source = None
         self._F = None
         self._centred = False       # (gx, gy) hold D0 of the loaded f
-        self._second = False        # the plus shifts hold second differences
+        self._second = False        # _second_buf holds second differences
 
     @functools.cached_property
     def _h(self) -> np.ndarray:
@@ -317,9 +358,10 @@ class Stencil:
 
     def _shifts(self) -> np.ndarray:
         """The component-first view of the loaded f, for an operator that
-        reads the shifts; GridError once the second differences took their
-        place (laplacian) or the Hessian spent them."""
-        if self._F is None or self._second:
+        reads the shifts; GridError on the copy path once the second
+        differences took their place (laplacian) or the Hessian spent
+        them, and on either path before the first load."""
+        if self._F is None or (self._second and not self.sliced):
             raise GridError("the stencil's shifts are spent (laplacian or "
                             "hessian_sq) or were never loaded; load a field "
                             "first")
@@ -331,25 +373,38 @@ class Stencil:
         self._centred = False
         return self.grads
 
+    def _pairs(self, op, back: int, out: np.ndarray) -> np.ndarray:
+        """op(f[i+1], f[i-back]) along x into out[0] and along y into
+        out[1]: the plus shifts against the minus ones (back=1) or against
+        f (back=0) on the copy path, sliced straight from f otherwise."""
+        F = self._F
+        if self.sliced:
+            _neighbours(op, F, -2, out[0], back)
+            _neighbours(op, F, -1, out[1], back)
+        else:
+            op(self._plus, self._minus if back else F, out=out)
+        return out
+
     def load(self, f: np.ndarray) -> "Stencil":
         if f.shape != self.shape:
             raise ShapeError(f"stencil holds {self.shape}, got {f.shape}")
         F = f.transpose(2, 0, 1) if self._is_map else f
-        xp, yp, xm, ym = self.shifts
-        xp[..., :-1, :] = F[..., 1:, :]
-        xp[..., -1, :] = F[..., 0, :]
-        xm[..., 1:, :] = F[..., :-1, :]
-        xm[..., 0, :] = F[..., -1, :]
-        if F.flags.c_contiguous:
-            # flat copies; only the wrap column is then wrong
-            flat = F.reshape(-1)
-            yp.reshape(-1)[:-1] = flat[1:]
-            ym.reshape(-1)[1:] = flat[:-1]
-        else:
-            yp[..., :-1] = F[..., 1:]
-            ym[..., 1:] = F[..., :-1]
-        yp[..., -1] = F[..., 0]
-        ym[..., 0] = F[..., -1]
+        if not self.sliced:
+            xp, yp, xm, ym = self.shifts
+            xp[..., :-1, :] = F[..., 1:, :]
+            xp[..., -1, :] = F[..., 0, :]
+            xm[..., 1:, :] = F[..., :-1, :]
+            xm[..., 0, :] = F[..., -1, :]
+            if F.flags.c_contiguous:
+                # flat copies; only the wrap column is then wrong
+                flat = F.reshape(-1)
+                yp.reshape(-1)[:-1] = flat[1:]
+                ym.reshape(-1)[1:] = flat[:-1]
+            else:
+                yp[..., :-1] = F[..., 1:]
+                ym[..., 1:] = F[..., :-1]
+            yp[..., -1] = F[..., 0]
+            ym[..., 0] = F[..., -1]
         self.source, self._F = f, F
         self._centred = self._second = False
         return self
@@ -360,8 +415,7 @@ class Stencil:
         undivided differences of each direction with themselves, and each
         direction's sum is scaled once, so no full map is divided or
         squared in place."""
-        G = self._write_grads()
-        np.subtract(self._plus, self._F, out=G)
+        G = self._pairs(np.subtract, 0, self._write_grads())
         Gf = G.reshape(2, -1)
         sx, sy = np.einsum("dk,dk->d", Gf, Gf)
         dx, dy = self.grid.dx, self.grid.dy
@@ -373,29 +427,28 @@ class Stencil:
         Formed once per load: while (gx, gy) still hold them, a second call
         returns them without a pass."""
         if not self._centred:
-            G = self._write_grads()
-            np.subtract(self._plus, self._minus, out=G)
+            G = self._pairs(np.subtract, 1, self._write_grads())
             G *= self._half_inv_h
             self._centred = True
         return self.gx, self.gy
 
     def _second_differences(self) -> np.ndarray:
-        """The plus shifts turned, once per load, into the undivided second
-        differences [xp + xm - 2f, yp + ym - 2f]."""
+        """The undivided second differences [xp + xm - 2f, yp + ym - 2f],
+        formed once per load in the plus shifts (copy path) or in their
+        own buffer (sliced path)."""
         if not self._second:
             F = self._shifts()
-            self._plus += self._minus
-            self._plus -= np.add(F, F, out=self.scratch)
+            S = self._pairs(np.add, 1, self._second_buf)
+            S -= np.add(F, F, out=self.scratch)
             self._second = True
-        return self._plus
+        return self._second_buf
 
     def laplacian(self, out: np.ndarray) -> np.ndarray:
         """Flat 5-point Laplacian f_xx + f_yy into `out` (no conformal
         factor): ((xp + xm - 2f) / dx^2) + ((yp + ym - 2f) / dy^2).
 
         Scales the second differences into `out` and scratch, so they stay
-        in the plus shifts for `hessian_sq`; (gx, gy) are left as they
-        were."""
+        in the stencil for `hessian_sq`; (gx, gy) are left as they were."""
         P, c = self._second_differences(), self._inv_h2
         o = out.transpose(2, 0, 1) if self._is_map else out
         np.multiply(P[0], c[0], out=o)
@@ -434,11 +487,12 @@ class Stencil:
         `laplacian` of this load may have formed already; f_xy is the
         centred cross difference D0x(D0y f), formed from the centred
         differences into gx.  Squares the unscaled second differences, then
-        scales.  Spends the shifts and the centred differences.
+        scales.  Spends the centred differences and the second ones, and
+        on the copy path the shifts.
         """
         self.centred()
         second = self._second_differences()
-        nxy = _centred_diff(self.grads[1], -2, out=self.grads[0])
+        nxy = _neighbours(np.subtract, self.grads[1], -2, self.grads[0])
         nxy *= nxy
         nxy *= 0.5 / self.grid.dx ** 2          # 2 (nxy * 0.5/dx)^2
         second *= second
@@ -446,7 +500,8 @@ class Stencil:
         nxx = second[0]
         nxx += nxy
         nxx += second[1]
-        self._F = None       # the shifts are spent
+        if not self.sliced:
+            self._F = None       # the shifts are spent
         self._centred = self._second = False
         return self._node_sum(nxx)
 

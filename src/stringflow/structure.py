@@ -75,8 +75,9 @@ def rewrite_residual(u_values: np.ndarray, A: AntisymmetricPotential,
 
     Vanishes to O(dx^2) for smooth critical points; `drop_F` ablates the F
     term (negative control).  One stencil gives the centred differences,
-    then the Laplacian, which turns the shifts into second differences but
-    leaves the centred ones alone; the terms are added into the Laplacian
+    then the Laplacian, which leaves the centred ones alone (on a small
+    grid it turns the stencil's copied shifts into second differences, so
+    the centred ones come first); the terms are added into the Laplacian
     in the order written.
     """
     st = Stencil(grid, u_values.shape).load(u_values)

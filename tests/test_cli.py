@@ -65,6 +65,12 @@ def test_run_unknown_kind_is_a_config_error(tmp_path, capsys, section, key):
     ("initial", "point", [1, 0, 0, None]),
     ("initial", "point", [0, 0, 0, 0]),
     ("target", "q", 3),
+    ("flow", "delta1", -1),
+    ("flow", "delta1", float("nan")),
+    ("flow", "delta1", float("inf")),
+    ("flow", "dt_min", -1),
+    ("flow", "conv_tol", -1),
+    ("flow", "conv_tol", float("nan")),
 ])
 def test_bad_config_value_is_a_config_error(tmp_path, capsys, command,
                                             section, key, value):

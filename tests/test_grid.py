@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,17 @@ from stringflow.grid import (Stencil, _sum_components, ball_kernel_transform,
                              ball_mask, ball_sum_map, component_dot,
                              energy_density, frame_derivatives)
 from stringflow.fields import pullback_density
+
+# node shapes on either side of SLICE_ABOVE_BYTES: a 24 x 20 stencil copies
+# its shifts, a 184 x 200 one slices its field, a node scalar included
+SMALL, LARGE = (24, 20), (184, 200)
+
+
+def _both_paths(values):
+    """(value, nodes) parameters: each value on the copy-path shape under
+    its own id, then on the sliced one."""
+    return ([pytest.param(v, SMALL, id=str(v)) for v in values]
+            + [pytest.param(v, LARGE, id=f"{v}-sliced") for v in values])
 
 
 def test_build_grid_basic():
@@ -175,22 +188,28 @@ def _textbook_dirichlet(u, g):
     return float(np.sum(gx * gx + gy * gy) * (g.dx * g.dy))
 
 
-@pytest.mark.parametrize("seed", range(4))
-def test_forward_differences_and_dirichlet_energy_match_roll_bitwise(seed):
+@pytest.mark.parametrize("seed, nodes", _both_paths(range(4)))
+def test_forward_differences_and_dirichlet_energy_match_roll_bitwise(seed,
+                                                                     nodes):
     # values over six decades, so that any change of operation order shows
     rng = np.random.default_rng(seed)
-    g = sf.build_grid(24, 20, Lx=5.0, Ly=3.0)
-    u = rng.standard_normal((24, 20, 4)) * 10.0 ** rng.uniform(-3, 3, (24, 20, 4))
+    g = sf.build_grid(*nodes, Lx=5.0, Ly=3.0)
+    shape = nodes + (4,)
+    assert Stencil(g, shape).sliced == (nodes == LARGE)
+    u = rng.standard_normal(shape) * 10.0 ** rng.uniform(-3, 3, shape)
     E = sf.dirichlet_energy(u, g)
     assert E == _roll_dirichlet(u, g)
-    assert Stencil(g, u.shape).load(u).dirichlet() == E
     assert abs(E - _textbook_dirichlet(u, g)) <= 1e-14 * E
+    for a in (u, _component_major(u)):
+        assert Stencil(g, shape).load(a).dirichlet() == E
 
 
-@pytest.mark.parametrize("shape", [(24, 20), (24, 20, 3)])
+@pytest.mark.parametrize("shape", [SMALL, SMALL + (3,), LARGE, LARGE + (3,)])
 def test_density_wrappers_match_roll_formulas(shape):
     rng = np.random.default_rng(5)
-    g = sf.build_grid(24, 20, lam=lambda x, y: 0.3 * np.cos(x) * np.sin(y))
+    g = sf.build_grid(*shape[:2],
+                      lam=lambda x, y: 0.3 * np.cos(x) * np.sin(y))
+    assert Stencil(g, shape).sliced == (shape[:2] == LARGE)
     f = rng.standard_normal(shape)
 
     def sh(sx, sy):
@@ -278,25 +297,28 @@ def test_component_reductions_sum_planes_in_index_order(layout):
                     float(np.sum(_plane_loop_dot(X, Y) * g.w))
 
 
-@pytest.mark.parametrize("layout", ["C", "component-major"])
-def test_stencil_centred_matches_d0_bitwise(layout):
+@pytest.mark.parametrize("layout, nodes", _both_paths(["C", "component-major"]))
+def test_stencil_centred_matches_d0_bitwise(layout, nodes):
     rng = np.random.default_rng(31)
-    g = sf.build_grid(24, 20, Lx=5.0, Ly=3.0)
-    u = _six_decades(rng, (24, 20, 4))
+    g = sf.build_grid(*nodes, Lx=5.0, Ly=3.0)
+    u = _six_decades(rng, nodes + (4,))
     if layout == "component-major":
         u = _component_major(u)
+    assert Stencil(g, u.shape).sliced == (nodes == LARGE)
     ux, uy = Stencil(g, u.shape).load(u).centred()
     assert np.array_equal(ux, _roll_d0(u, 0, g.dx))
     assert np.array_equal(uy, _roll_d0(u, 1, g.dy))
 
 
-@pytest.mark.parametrize("layout", ["scalar", "C", "component-major"])
-def test_operators_match_roll_formulas_bitwise(layout):
+@pytest.mark.parametrize("layout, nodes",
+                         _both_paths(["scalar", "C", "component-major"]))
+def test_operators_match_roll_formulas_bitwise(layout, nodes):
     # non-square conformal grid (dx != dy), values over six decades
     rng = np.random.default_rng(34)
-    g = sf.build_grid(24, 20, Lx=5.0, Ly=3.0,
+    g = sf.build_grid(*nodes, Lx=5.0, Ly=3.0,
                       lam=lambda x, y: 0.2 * np.sin(x) * np.cos(y))
-    u = _six_decades(rng, (24, 20) if layout == "scalar" else (24, 20, 4))
+    u = _six_decades(rng, nodes if layout == "scalar" else nodes + (4,))
+    assert Stencil(g, u.shape).sliced == (nodes == LARGE)
     if layout == "component-major":
         u = _component_major(u)
 
@@ -315,13 +337,14 @@ def test_operators_match_roll_formulas_bitwise(layout):
         assert np.array_equal(pullback_density(u, b, g), b.pullback(u, ux, uy))
 
 
-@pytest.mark.parametrize("shape", [(24, 20), (24, 20, 3)])
+@pytest.mark.parametrize("shape", [SMALL, SMALL + (3,), LARGE, LARGE + (3,)])
 def test_stencil_laplacian_matches_roll_formula(shape):
     # non-square conformal grid, dx != dy; the stencil Laplacian is flat
     rng = np.random.default_rng(32)
-    g = sf.build_grid(24, 20, Lx=5.0, Ly=3.0,
+    g = sf.build_grid(*shape[:2], Lx=5.0, Ly=3.0,
                       lam=lambda x, y: 0.2 * np.sin(x) * np.cos(y))
     assert g.dx != g.dy
+    assert Stencil(g, shape).sliced == (shape[:2] == LARGE)
     f = rng.standard_normal(shape)
     ref = (np.roll(f, -1, axis=0) + np.roll(f, 1, axis=0) - 2.0 * f) / g.dx ** 2 \
         + (np.roll(f, -1, axis=1) + np.roll(f, 1, axis=1) - 2.0 * f) / g.dy ** 2
@@ -397,6 +420,27 @@ def test_centred_after_each_operator_matches_a_fresh_stencil(op):
     st.shifts[...] = np.nan
     ux, uy = st.centred()
     assert np.array_equal(ux, ref[0]) and np.array_equal(uy, ref[1])
+
+
+def test_sliced_stencil_operators_in_any_order_match_a_fresh_load():
+    # above SLICE_ABOVE_BYTES the stencil reads its field and never spends
+    # it: every operator, after any sequence of the others, gives the bits
+    # of the same operator on a freshly loaded stencil
+    rng = np.random.default_rng(39)
+    g = sf.build_grid(96, 88, Lx=5.0, Ly=3.0)
+    u = _component_major(_six_decades(rng, (96, 88, 4)))
+    ops = {"dirichlet": Stencil.dirichlet,
+           "centred": lambda st: [a.copy() for a in st.centred()],
+           "grad_sq": Stencil.grad_sq, "hessian_sq": Stencil.hessian_sq,
+           "laplacian": lambda st: st.laplacian(sf.empty_map(u.shape))}
+    fresh = {name: op(Stencil(g, u.shape).load(u)) for name, op in ops.items()}
+    st = Stencil(g, u.shape)
+    assert st.sliced and st.shifts is None
+    for order in itertools.permutations(ops):
+        st.load(u)
+        for name in order:
+            assert np.array_equal(ops[name](st), fresh[name]), (order, name)
+    assert st.source is u
 
 
 def test_operators_on_spent_shifts_raise_a_grid_error():
