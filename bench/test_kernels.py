@@ -1,7 +1,9 @@
 """Microbenchmarks of the per-step kernels, at 48^2, 64^2, 96^2 and 128^2,
-and of the singular-point analysis at 64^2 and 128^2.  At q = 4 the first
-two sizes stay on the stencil's copy path and the last two slice the map
-(grid.SLICE_ABOVE_BYTES), so the kernels are timed on both sides.
+of the singular-point analysis at 64^2 and 128^2, and of the start-up work
+a run does once (the sup-norm estimates, a small-energy initial map).  At
+q = 4 the first two sizes stay on the stencil's copy path and the last two
+slice the map (grid.SLICE_ABOVE_BYTES), so the kernels are timed on both
+sides.
 
     PYTHONPATH=src python -m pytest bench --benchmark-columns=min,median,iqr
 
@@ -170,3 +172,24 @@ def test_rescale_window_dirichlet_energy(benchmark, analysis_case):
         return [sf.dirichlet_energy(v, og) for _, v in seq]
 
     benchmark(window)
+
+
+# -- start-up: what a run computes once, before its first step ---------------
+
+@pytest.mark.parametrize("kinds", [("y4", "height"), ("zero", "zero")],
+                         ids=["y4-height", "zero"])
+def test_sup_norms(benchmark, kinds):
+    # the hypothesis estimates of the bfield workload's fields, and of the
+    # zero fields of the others, at the default 4096 points and 4 pairs
+    sphere = sf.make_target("sphere", 4)
+    b = sf.make_two_form(kinds[0], 4, beta=0.2)
+    V = sf.make_potential(kinds[1], 4, epsilon=5e-3)
+    benchmark(sf.sup_norms, b, V, sphere)
+
+
+def test_small_energy_map(benchmark):
+    # the gap workload's initial map: low-pass noise, then a bisection on
+    # the amplitude over 39 Dirichlet energies
+    grid = sf.build_grid(48, 48)
+    sphere = sf.make_target("sphere", 4)
+    benchmark(sf.small_energy_map, grid, sphere, 0.01, seed=4, max_mode=2)

@@ -403,6 +403,11 @@ class FlowConfig:
             raise GridError(f"dt_min must be positive, got {self.dt_min}")
         if not self.conv_tol >= 0.0:
             raise GridError(f"conv_tol must be >= 0, got {self.conv_tol}")
+        if not 0.0 <= self.tol_up < math.inf:
+            raise GridError(f"tol_up must be finite and >= 0, got {self.tol_up}")
+        if self.snapshot_cap < 1:
+            raise GridError(f"snapshot_cap must be at least 1, got "
+                            f"{self.snapshot_cap}")
         bound = cfl_bound(grid, self.cfl)
         if self.dt_init is not None and self.dt_init > bound * (1 + 1e-12):
             raise GridError(f"dt_init {self.dt_init} exceeds CFL bound {bound}")

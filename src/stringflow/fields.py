@@ -238,10 +238,15 @@ def z_operator(u: np.ndarray, xi1: np.ndarray, xi2: np.ndarray,
     """Z(xi1 ^ xi2) = P(u) w with w^k = Omega_kij(u) xi1^i xi2^j.
 
     Defined by <Z(xi1 ^ xi2), eta> = Omega(eta, xi1, xi2) for tangent eta;
-    antisymmetric in (xi1, xi2) and tangent-valued.
+    antisymmetric in (xi1, xi2) and tangent-valued.  u, xi1 and xi2 have
+    one shape.  w is one (..., q^2) @ (q^2, q) product of the outer
+    products xi1^i xi2^j with the constant Omega, so a batch of pairs
+    broadcasts no (q, q, q) tensor.
     """
-    om = b.omega(u)
-    w = np.einsum("...kij,...i,...j->...k", om, xi1, xi2)
+    q = b.q
+    flat = xi1.shape[:-1] + (q * q,)
+    w = (xi1[..., :, None] * xi2[..., None, :]).reshape(flat) \
+        @ b.Omega.reshape(q, q * q).T
     return tangent_project(target, u, w)
 
 
@@ -270,15 +275,32 @@ def _sample_points(target: TargetManifold, n: int, rng) -> np.ndarray:
     return target.project(y)
 
 
-def _orthonormal_tangent_pair(target, u, rng):
-    """One orthonormal tangent pair per sampled point."""
-    n = u.shape[0]
-    a = tangent_project(target, u, rng.standard_normal((n, target.q)))
-    a /= np.linalg.norm(a, axis=-1, keepdims=True)
-    c = tangent_project(target, u, rng.standard_normal((n, target.q)))
-    c -= np.sum(c * a, axis=-1, keepdims=True) * a
-    c /= np.linalg.norm(c, axis=-1, keepdims=True)
-    return a, c
+def _unit_tangents(target, u, raw):
+    """raw projected onto the tangent spaces at u, of the same shape, and
+    normalised."""
+    t = tangent_project(target, u, raw)
+    t /= np.linalg.norm(t, axis=-1, keepdims=True)
+    return t
+
+
+def _orthonormal_pairs(target, u, raw):
+    """(xi1, xi2), the orthonormal tangent pairs at u made from the normals
+    raw[:, 0] and raw[:, 1] by projection and Gram-Schmidt."""
+    xi1 = _unit_tangents(target, u, raw[:, 0])
+    xi2 = tangent_project(target, u, raw[:, 1])
+    xi2 -= np.sum(xi2 * xi1, axis=-1, keepdims=True) * xi1
+    xi2 /= np.linalg.norm(xi2, axis=-1, keepdims=True)
+    return xi1, xi2
+
+
+def _max_comass(b: TwoFormField, target: TargetManifold, u) -> float:
+    """Largest comass of b over the points u: the spectral norm of the
+    tangentially restricted matrix, the root of the top eigenvalue of its
+    Gram matrix."""
+    P = target.tangent_projector(u)
+    rest = P @ b.coeff(u) @ P
+    gram = np.swapaxes(rest, -1, -2) @ rest
+    return math.sqrt(float(np.max(np.linalg.eigvalsh(gram)[:, -1])))
 
 
 def sup_norms(b: TwoFormField, V: ScalarPotential, target: TargetManifold,
@@ -287,25 +309,27 @@ def sup_norms(b: TwoFormField, V: ScalarPotential, target: TargetManifold,
     """Estimate |B|_inf (comass), |Z|_inf, |grad V|_inf, |Hess V|_inf and A1.
 
     Deterministic seeded sampling; estimates are lower bounds of the sup and
-    are reported together with the sample count.
+    are reported together with the sample count.  A nonzero two-form, then
+    a nonzero potential, each draws `pairs_per_point` tangent pairs at every
+    point as one (pairs_per_point, 2, n, q) batch of normals, in the stream
+    order of one pair at a time, and is sampled in one pass over them.
     """
     if n_samples < 1000:
         raise ValueError("need at least 1000 samples for sup-norm estimates")
+    if pairs_per_point < 1:
+        raise ValueError("need at least 1 tangent pair per point")
     rng = np.random.default_rng(seed)
     u = _sample_points(target, n_samples, rng)
+    pairs = (pairs_per_point, 2) + u.shape
+    ub = np.broadcast_to(u, (pairs_per_point,) + u.shape)
 
     B_inf = 0.0
     Z_inf = 0.0
     if not b.is_zero:
-        # comass of b at u: spectral norm of the tangentially restricted matrix
-        P = target.tangent_projector(u)
-        bu = b.coeff(u)
-        rest = np.einsum("...ia,...ab,...bj->...ij", P, bu, P)
-        B_inf = float(np.max(np.linalg.norm(rest, ord=2, axis=(-2, -1))))
-        for _ in range(pairs_per_point):
-            xi1, xi2 = _orthonormal_tangent_pair(target, u, rng)
-            z = z_operator(u, xi1, xi2, b, target)
-            Z_inf = max(Z_inf, float(np.max(np.linalg.norm(z, axis=-1))))
+        B_inf = _max_comass(b, target, u)
+        xi1, xi2 = _orthonormal_pairs(target, ub, rng.standard_normal(pairs))
+        z = z_operator(ub, xi1, xi2, b, target)
+        Z_inf = float(np.max(np.linalg.norm(z, axis=-1)))
 
     gradV_inf = 0.0
     hessV_inf = 0.0
@@ -314,13 +338,12 @@ def sup_norms(b: TwoFormField, V: ScalarPotential, target: TargetManifold,
         gv = tangential_grad_V(u, V, target)
         gradV_inf = float(np.max(np.linalg.norm(gv, axis=-1)))
         A1 = max(A1, float(-np.min(V.value(u))))
-        # intrinsic Hessian on N along tangent X:
-        # X^T Hess_amb X + <grad V, II(X, X)>
-        for _ in range(pairs_per_point):
-            X, _ = _orthonormal_tangent_pair(target, u, rng)
-            h_amb = np.einsum("...i,...ij,...j->...", X, V.hess(u), X)
-            h_ii = np.sum(V.grad(u) * target.sff(u, X, X), axis=-1)
-            hessV_inf = max(hessV_inf, float(np.max(np.abs(h_amb + h_ii))))
+        # intrinsic Hessian on N along the unit tangent X, the first vector
+        # of each pair: X^T Hess_amb X + <grad V, II(X, X)>, whose first
+        # term is 0 for a linear V
+        X = _unit_tangents(target, ub, rng.standard_normal(pairs)[:, 0])
+        h = np.sum(V.grad(ub) * target.sff(ub, X, X), axis=-1)
+        hessV_inf = float(np.max(np.abs(h)))
 
     return SupNorms(B_inf=B_inf, Z_inf=Z_inf, gradV_inf=gradV_inf,
                     hessV_inf=hessV_inf, A1=A1, n_samples=n_samples)

@@ -9,9 +9,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .action import MapField, dirichlet_energy
+from .action import MapField
 from .errors import GridError
-from .grid import SurfaceGrid, empty_map
+from .grid import Stencil, SurfaceGrid, component_first, empty_map
 from .targets import TargetManifold
 
 
@@ -96,11 +96,11 @@ def _lowpass_noise(grid: SurfaceGrid, q: int, seed: int,
     kx = np.fft.fftfreq(grid.nx, d=1.0 / grid.nx)
     ky = np.fft.rfftfreq(grid.ny, d=1.0 / grid.ny)
     mask = (np.abs(kx)[:, None] <= max_mode) & (np.abs(ky)[None, :] <= max_mode)
+    # the q planes in one draw and one batched transform each way; copied
+    # into the map, since numpy 2.4.6's irfft2 ignores its `out` argument
+    spec = np.fft.rfft2(rng.standard_normal((q, grid.nx, grid.ny))) * mask
     out = empty_map((grid.nx, grid.ny, q))
-    for c in range(q):
-        white = rng.standard_normal((grid.nx, grid.ny))
-        spec = np.fft.rfft2(white) * mask
-        out[..., c] = np.fft.irfft2(spec, s=(grid.nx, grid.ny))
+    component_first(out)[...] = np.fft.irfft2(spec, s=(grid.nx, grid.ny))
     m = np.max(np.abs(out))
     return out / m if m > 0 else out
 
@@ -134,10 +134,10 @@ def small_energy_map(grid: SurfaceGrid, target: TargetManifold,
         return constant_map(grid, target, point)
     p = _basepoint(target, point)
     noise = _lowpass_noise(grid, target.q, seed, max_mode)
+    st = Stencil(grid, noise.shape)     # one stencil for every trial energy
 
     def e_of(a):
-        vals = target.project(p + a * noise)
-        return dirichlet_energy(vals, grid)
+        return st.load(target.project(p + a * noise)).dirichlet()
 
     lo, hi = 0.0, 1e-3
     while e_of(hi) < energy:

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -98,6 +100,13 @@ def test_flow_config_validation(grid):
         sf.FlowConfig(dt_init=1.0).validate(grid)
     with pytest.raises(GridError):
         sf.FlowConfig(ball_radius=10.0).validate(grid)
+    # a negative slack rejects every trial, so each step would halve dt down
+    # to dt_min; a cap below 1 would switch off the ring's thinning
+    for bad in ({"tol_up": -1.0}, {"tol_up": math.nan}, {"tol_up": math.inf},
+                {"snapshot_cap": 0}, {"snapshot_cap": -1}):
+        with pytest.raises(GridError):
+            sf.FlowConfig(**bad).validate(grid)
+    sf.FlowConfig(tol_up=0.0, snapshot_cap=1).validate(grid)
 
 
 def test_cfl_bound_scales_with_grid():
@@ -319,6 +328,59 @@ def test_initial_maps_are_component_major_with_row_major_values(monkeypatch):
         assert _is_component_major(built[kind]), kind
         assert row_major.flags.c_contiguous, kind
         assert np.array_equal(built[kind], row_major), kind
+
+
+def _per_plane_noise(grid, q, seed, max_mode):
+    """Low-pass noise one component at a time: a draw and a transform each
+    way per plane."""
+    rng = np.random.default_rng(seed)
+    kx = np.fft.fftfreq(grid.nx, d=1.0 / grid.nx)
+    ky = np.fft.rfftfreq(grid.ny, d=1.0 / grid.ny)
+    mask = (np.abs(kx)[:, None] <= max_mode) & (np.abs(ky)[None, :] <= max_mode)
+    out = sf.empty_map((grid.nx, grid.ny, q))
+    for c in range(q):
+        spec = np.fft.rfft2(rng.standard_normal((grid.nx, grid.ny))) * mask
+        out[..., c] = np.fft.irfft2(spec, s=(grid.nx, grid.ny))
+    return out / np.max(np.abs(out))
+
+
+def _fresh_stencil_small_energy(grid, target, energy, seed, max_mode=2,
+                                tol=1e-12):
+    """small_energy_map's bisection on per-plane noise, each trial energy
+    from dirichlet_energy, which loads a fresh stencil."""
+    p = np.zeros(target.q)
+    p[0] = 1.0
+    noise = _per_plane_noise(grid, target.q, seed, max_mode)
+
+    def e_of(a):
+        return sf.dirichlet_energy(target.project(p + a * noise), grid)
+
+    lo, hi = 0.0, 1e-3
+    while e_of(hi) < energy:
+        hi *= 2.0
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if e_of(mid) < energy:
+            lo = mid
+        else:
+            hi = mid
+        if hi - lo < tol * max(1.0, hi):
+            break
+    return target.project(p + 0.5 * (lo + hi) * noise)
+
+
+@pytest.mark.parametrize("n, q", [(48, 4), (64, 5), (128, 4)])
+def test_initial_noise_and_bisection_match_the_per_plane_build(n, q):
+    # one draw and one batched transform for the q planes, and one stencil
+    # for every energy of the bisection, give the maps of the per-plane,
+    # stencil-per-energy build bit for bit (128^2 takes the sliced stencil)
+    g = sf.build_grid(n, n, Lx=5.0)
+    target = sf.make_target("sphere", q)
+    for seed, max_mode in ((3, 2), (7, 4)):
+        assert np.array_equal(initial_data._lowpass_noise(g, q, seed, max_mode),
+                              _per_plane_noise(g, q, seed, max_mode))
+    assert np.array_equal(sf.small_energy_map(g, target, 0.05, seed=3).values,
+                          _fresh_stencil_small_energy(g, target, 0.05, 3))
 
 
 @pytest.mark.parametrize("lam", [None, lambda x, y: 0.2 * np.sin(x) * np.cos(2 * y)],

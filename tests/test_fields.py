@@ -4,7 +4,7 @@ import pytest
 import stringflow as sf
 from stringflow.action import Workspace, _bfield_force
 from stringflow.errors import HypothesisError
-from stringflow.fields import pullback_density, y4_two_form
+from stringflow.fields import _sample_points, pullback_density, y4_two_form
 from stringflow.targets import tangent_project
 
 
@@ -100,6 +100,80 @@ def test_sup_norms_bounded_by_coefficient(sphere):
     assert 0.0 < norms.B_inf <= 0.2 + 1e-12
     assert norms.Z_inf <= 3 * 0.2 + 1e-9
     assert norms.hessV_inf == 0.0
+
+
+def _orthonormal_tangent_pair(target, u, rng):
+    """One orthonormal tangent pair per sampled point."""
+    n = u.shape[0]
+    a = tangent_project(target, u, rng.standard_normal((n, target.q)))
+    a /= np.linalg.norm(a, axis=-1, keepdims=True)
+    c = tangent_project(target, u, rng.standard_normal((n, target.q)))
+    c -= np.sum(c * a, axis=-1, keepdims=True) * a
+    c /= np.linalg.norm(c, axis=-1, keepdims=True)
+    return a, c
+
+
+def _reference_sup_norms(b, V, target, n_samples=4096, seed=0,
+                         pairs_per_point=4):
+    """(points, B, Z, |grad V|, |Hess V|, A1) one pair at a time: the
+    restricted matrix by a per-point three-operand einsum and its spectral
+    norm by SVD, Z by an einsum over the broadcast Omega tensor, and the
+    Hessian's ambient term included."""
+    rng = np.random.default_rng(seed)
+    u = target.project(rng.standard_normal((n_samples, target.q)))
+    B_inf = Z_inf = gradV_inf = hessV_inf = 0.0
+    if not b.is_zero:
+        P = target.tangent_projector(u)
+        rest = np.einsum("...ia,...ab,...bj->...ij", P, b.coeff(u), P)
+        B_inf = float(np.max(np.linalg.norm(rest, ord=2, axis=(-2, -1))))
+        for _ in range(pairs_per_point):
+            xi1, xi2 = _orthonormal_tangent_pair(target, u, rng)
+            w = np.einsum("...kij,...i,...j->...k", b.omega(u), xi1, xi2)
+            z = tangent_project(target, u, w)
+            Z_inf = max(Z_inf, float(np.max(np.linalg.norm(z, axis=-1))))
+    A1 = V.shift
+    if not V.is_zero:
+        gv = tangent_project(target, u, V.grad(u))
+        gradV_inf = float(np.max(np.linalg.norm(gv, axis=-1)))
+        A1 = max(A1, float(-np.min(V.value(u))))
+        for _ in range(pairs_per_point):
+            X, _ = _orthonormal_tangent_pair(target, u, rng)
+            h_amb = np.einsum("...i,...ij,...j->...", X, V.hess(u), X)
+            h_ii = np.sum(V.grad(u) * target.sff(u, X, X), axis=-1)
+            hessV_inf = max(hessV_inf, float(np.max(np.abs(h_amb + h_ii))))
+    return u, B_inf, Z_inf, gradV_inf, hessV_inf, A1
+
+
+@pytest.mark.parametrize("seed", [0, 3])
+@pytest.mark.parametrize("v_kind", ["zero", "height"])
+@pytest.mark.parametrize("b_kind", ["zero", "y4"])
+@pytest.mark.parametrize("q", [4, 5, 6])
+def test_sup_norms_match_the_per_pair_reference(q, b_kind, v_kind, seed):
+    # the batched pass draws the same points and pairs; the contractions
+    # sum in another order, so the estimates agree to rounding
+    target = sf.make_target("sphere", q)
+    b = sf.make_two_form(b_kind, q, beta=0.2)
+    V = sf.make_potential(v_kind, q, epsilon=0.1)
+    u, *ref = _reference_sup_norms(b, V, target, seed=seed)
+    assert np.array_equal(
+        _sample_points(target, 4096, np.random.default_rng(seed)), u)
+    norms = sf.sup_norms(b, V, target, seed=seed)
+    got = (norms.B_inf, norms.Z_inf, norms.gradV_inf, norms.hessV_inf,
+           norms.A1)
+    for g, r in zip(got, ref):
+        assert abs(g - r) <= 1e-15 * abs(r)
+    assert (norms.B_inf > 0) == (b_kind == "y4")
+    assert (norms.hessV_inf > 0) == (v_kind == "height")
+
+
+def test_sup_norms_rejects_too_few_samples_or_pairs(sphere):
+    b, V = y4_two_form(0.2), sf.make_potential("height", 4, epsilon=0.1)
+    for bad in ({"n_samples": 999}, {"pairs_per_point": 0},
+                {"pairs_per_point": -1}):
+        with pytest.raises(ValueError):
+            sf.sup_norms(b, V, sphere, **bad)
+    norms = sf.sup_norms(b, V, sphere, n_samples=1000, pairs_per_point=1)
+    assert norms.Z_inf > 0 and norms.hessV_inf > 0
 
 
 def test_pullback_density_antisymmetry_zero_for_rank_one(sphere):

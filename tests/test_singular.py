@@ -1,4 +1,5 @@
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -134,13 +135,14 @@ def test_stiffness_event_on_dt_collapse(sphere):
 
 def test_dt_min_collapse_records_event_and_is_not_an_error(sphere):
     # a stationary map cannot decrease the action by the demanded margin
-    # (tol_up < 0), so every halving fails and dt collapses to dt_min; the
-    # state stays finite, so the step is accepted with an event
+    # (tol_up < 0, which validate rejects, so it is set on the running
+    # state), so every halving fails and dt collapses to dt_min; the state
+    # stays finite, so the step is accepted with an event
     g = sf.build_grid(32, 32)
     u = sf.geodesic_wrap(g, sphere, m=1, n=0)
-    cfg = sf.FlowConfig(t_end=1.0, dt_min=1e-12, tol_up=-1e-12,
-                        ball_radius=0.4)
+    cfg = sf.FlowConfig(t_end=1.0, dt_min=1e-12, ball_radius=0.4)
     st = sf.init_state(u, g, sphere, sf.zero_background(4), cfg)
+    st.config = replace(cfg, tol_up=-1e-12)
     sf.step(st)
     assert st.dt == 1e-12 and st.t == 1e-12
     assert [ev.kind for ev in st.events] in (["stiffness"], ["concentration"])
@@ -161,8 +163,9 @@ def test_event_scan_and_ledger_share_the_ball_energy_bitwise(sphere, lam):
     g = sf.build_grid(32, 32, lam=lam)
     u = sf.bump_map(g, sphere, scale=0.3)
     R = 0.4
-    cfg = sf.FlowConfig(t_end=1.0, dt_min=1e-12, tol_up=-1e3, ball_radius=R)
+    cfg = sf.FlowConfig(t_end=1.0, dt_min=1e-12, ball_radius=R)
     st = sf.init_state(u, g, sphere, sf.zero_background(4), cfg)
+    st.config = replace(cfg, tol_up=-1e3)
     sf.step(st)
     _record(st)
     (ev,) = st.events
