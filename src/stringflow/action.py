@@ -13,21 +13,20 @@ Discretization notes (the choices here are load-bearing):
   gradient flow of the ledger action, so the dissipation identity defect is
   pure O(dt) and the gradient-consistency check is exact up to O(eps^2).
 * flow_rhs and action_value load u into one grid.Stencil and take every
-  difference from it: from four shifts copied once on a small grid, by
-  slicing u on a large one.  Their buffers live in a Workspace that a
-  run allocates once; called on their own, flow_rhs and action_value
-  build a fresh one.  Inside a run the map is component-major
-  (grid.empty_map).  A run never writes a map in place, so values are
-  carried forward, not re-derived: a step forms the rhs of its new map
-  from the stencil that the accepted trial's action_value loaded, and
-  keeps it in FlowState.rhs for the next step and the convergence probe;
-  init_state forms the first one with flow_rhs, which loads u0 itself.
+  difference from it.  Their buffers live in a Workspace that a run
+  allocates once; called on their own, flow_rhs and action_value build a
+  fresh one.  Inside a run the map is component-major (grid.empty_map).
+  A run never writes a map in place, so values are carried forward, not
+  re-derived: a step forms the rhs of its new map from the stencil that
+  the accepted trial's action_value loaded, and keeps it in
+  FlowState.rhs for the next step and the convergence probe; init_state
+  forms the first one with flow_rhs, which loads u0 itself.
   action_value forms the centred differences last, so with a two-form
-  that rhs also uses those; the rhs takes them before its Laplacian.  A
-  ledger record loads nothing: it reads the action terms that the
-  accepted trial's action_value kept on the workspace, the centred
-  differences of the rhs, and the second differences that the rhs's
-  Laplacian left in the stencil, so a run loads each map once.
+  that rhs also uses those.  A ledger record loads nothing: it reads the
+  action terms that the accepted trial's action_value kept on the
+  workspace, the centred differences of the rhs, and the second
+  differences that the rhs's Laplacian left in the stencil, so a run
+  loads each map once.
   The snapshot ring keeps the run's maps by reference.
 * With a two-form, flow_rhs projects the B-force and the potential's force
   (when there is one) once: P(u) is linear, so e^{-2 lam} P(u) g + P(u) a
@@ -151,10 +150,7 @@ class Workspace:
     stencil its accepted trial's action_value loaded, and the record reads
     what the rhs left: the centred differences and the second differences.
     action_value keeps its map's `_action_terms` in `terms`, and that map
-    in `terms_of`, for the record.  On a grid small enough for the
-    stencil's copy path, the rhs's Laplacian and the record's Hessian spend
-    the shifts, which is why the rhs takes the centred differences first
-    and the record comes last; on the sliced path nothing is spent.
+    in `terms_of`, for the record.
     """
 
     def __init__(self, grid: SurfaceGrid, shape, fields: FieldBackground):
@@ -257,10 +253,8 @@ def flow_rhs(u: MapField, grid: SurfaceGrid, target: TargetManifold,
 
 def _rhs(work: Workspace, vals: np.ndarray, target: TargetManifold,
          fields: FieldBackground) -> np.ndarray:
-    """flow_rhs of vals, which the workspace stencil holds.  The centred
-    differences come first: they may be the ones the stencil already
-    holds, and on the copy path the Laplacian then turns the shifts into
-    second differences."""
+    """flow_rhs of vals, which the workspace stencil holds; the centred
+    differences may be the ones the stencil already holds."""
     st = work.stencil
     grid = st.grid
     ux, uy = st.centred()
@@ -390,8 +384,8 @@ class FlowConfig:
     snapshot_cap: int = 32          # dyadic ring size
 
     def validate(self, grid: SurfaceGrid):
-        if not self.t_end > 0.0:
-            raise GridError(f"t_end must be positive, got {self.t_end}")
+        if not 0.0 < self.t_end < math.inf:
+            raise GridError(f"t_end must be finite and > 0, got {self.t_end}")
         if self.record_every < 1:
             raise GridError(f"record_every must be at least 1, got "
                             f"{self.record_every}")
@@ -399,18 +393,18 @@ class FlowConfig:
             raise GridError(f"cfl must be in (0, 1], got {self.cfl}")
         if not 0.0 < self.delta1 < math.inf:
             raise GridError(f"delta1 must be finite and > 0, got {self.delta1}")
-        if not self.dt_min > 0.0:
-            raise GridError(f"dt_min must be positive, got {self.dt_min}")
-        if not self.conv_tol >= 0.0:
-            raise GridError(f"conv_tol must be >= 0, got {self.conv_tol}")
+        if not 0.0 < self.dt_min < math.inf:
+            raise GridError(f"dt_min must be finite and > 0, got {self.dt_min}")
+        if not 0.0 <= self.conv_tol < math.inf:
+            raise GridError(f"conv_tol must be finite and >= 0, got {self.conv_tol}")
         if not 0.0 <= self.tol_up < math.inf:
             raise GridError(f"tol_up must be finite and >= 0, got {self.tol_up}")
         if self.snapshot_cap < 1:
             raise GridError(f"snapshot_cap must be at least 1, got "
                             f"{self.snapshot_cap}")
         bound = cfl_bound(grid, self.cfl)
-        if self.dt_init is not None and self.dt_init > bound * (1 + 1e-12):
-            raise GridError(f"dt_init {self.dt_init} exceeds CFL bound {bound}")
+        if self.dt_init is not None and not self.dt_init <= bound * (1 + 1e-12):
+            raise GridError(f"dt_init must be <= CFL bound {bound}, got {self.dt_init}")
         dt0 = self.dt_init if self.dt_init is not None else bound
         if self.dt_min >= dt0:
             raise GridError("dt_min must be smaller than the initial dt")

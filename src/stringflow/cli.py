@@ -1,8 +1,8 @@
 """Command-line entry point.
 
 Subcommands: run, check, scan, rescale, compare.  Exit codes: 0 success,
-1 bad configuration (a bad key, value or argument, or a missing input
-file), 2 hypothesis warning, 3 numeric failure.
+1 bad configuration (a bad key, value or argument, or a missing or corrupt
+input file), 2 hypothesis warning, 3 numeric failure.
 """
 
 from __future__ import annotations
@@ -18,7 +18,8 @@ import numpy as np
 from .action import energies, monotonicity_check, run
 from .config import (PRESETS, load_config, preset_config, save_config,
                      validate_config)
-from .errors import ConfigError, GridError, HypothesisError, StringFlowError
+from .errors import (ConfigError, GridError, HypothesisError, SnapshotError,
+                     StringFlowError)
 from .fields import delta_constants, smallness_report, sup_norms
 from .grid import build_grid
 from .io import (read_ledger_csv, read_snapshot, write_events_jsonl,
@@ -274,7 +275,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, FileNotFoundError) as e:
+    except (ConfigError, FileNotFoundError, SnapshotError) as e:
         print(f"configuration error: {e}", file=sys.stderr)
         return EXIT_BAD_CONFIG
     except HypothesisError as e:

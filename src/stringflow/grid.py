@@ -43,9 +43,9 @@ not depend on the layout of the input.
 
 A `Stencil` forms the centred differences once per load and hands the same
 stack to every later caller.  Its Laplacian leaves the undivided second
-differences in the stencil (in the plus shifts of a small field, which they
-spend), where the Hessian reads them again, so a flow step's rhs and the
-ledger record that follows it share one load.
+differences in the stencil, where the Hessian reads them again, so a flow
+step's rhs and the ledger record that follows it share one load.  After a
+load its operators may come in any order.
 """
 
 from __future__ import annotations
@@ -289,24 +289,25 @@ class Stencil:
     from f (`_neighbours`), one call per direction plus the wrap rows, so
     no stack that outgrows the cache is written and read back.
 
-    `dirichlet` and `centred` write (gx, gy), each over what the other
-    left there; `grad_sq` reads them through `centred`.  `centred`
-    remembers that (gx, gy) hold the centred differences of the loaded f
-    and returns them again without a pass, until `load` or another
+    After a `load`, any operator may follow any other, and each gives the
+    bits it gives on a freshly loaded stencil; before the first load each
+    raises GridError.  `dirichlet` and `centred` write (gx, gy), each over
+    what the other left there; `grad_sq` reads them through `centred`.
+    `centred` remembers that (gx, gy) hold the centred differences of the
+    loaded f and returns them again without a pass, until `load` or another
     operator writes the stack.  `laplacian` and `hessian_sq` share the
     undivided second differences (xp + xm - 2f, yp + ym - 2f), formed once
     per load, and a second `laplacian` and `hessian_sq` read them again.
     The Laplacian leaves (gx, gy) alone, so centred differences asked for
     before it are still valid after it.  `hessian_sq` takes its cross term
-    from the centred differences and overwrites them.  On the sliced path
-    the second differences have their own 2-map buffer and f is only read,
-    so no operator spends the stencil: any operator may follow any other.
-    On the copy path they are formed in the plus shifts, which they spend:
-    from then on `dirichlet`, and `centred` when it was not formed before,
-    raise GridError ("spent"), and `hessian_sq` spends everything and
-    comes last before the next `load`.  `laplacian` and `hessian_sq` use
-    tmp as scratch; a caller may use tmp once they are done.  `source` is
-    the array last loaded, kept until the next `load`.
+    from the centred differences and overwrites them and the second
+    differences.  On the sliced path the second differences have their
+    own 2-map buffer.  On the copy path they are formed in the plus
+    shifts, and an operator that reads the shifts after that loads
+    `source` again; the run's order (centred differences, Laplacian,
+    Hessian) never does.  `laplacian` and `hessian_sq` use tmp as
+    scratch; a caller may use tmp once they are done.  `source` is the
+    array last loaded, kept until the next `load`.
     """
 
     def __init__(self, grid: SurfaceGrid, shape):
@@ -322,6 +323,10 @@ class Stencil:
         else:
             self.shifts = np.empty((4,) + planes)
             self._plus, self._minus = self.shifts[:2], self.shifts[2:]
+            # the second differences take the plus shifts' place: a 2-map
+            # buffer of their own cost 6-11% of the gap and bubble
+            # benchmarks' run_s (48^2 and 64^2, q = 4; 2-core VM, numpy
+            # 2.4.6)
             self._second_buf = self._plus
         self.grads = np.empty((2,) + planes)
         self.scratch = np.empty(planes)
@@ -331,6 +336,7 @@ class Stencil:
         self._F = None
         self._centred = False       # (gx, gy) hold D0 of the loaded f
         self._second = False        # _second_buf holds second differences
+        self._plus_stale = False    # second differences in the plus shifts
 
     @functools.cached_property
     def _h(self) -> np.ndarray:
@@ -358,13 +364,13 @@ class Stencil:
 
     def _shifts(self) -> np.ndarray:
         """The component-first view of the loaded f, for an operator that
-        reads the shifts; GridError on the copy path once the second
-        differences took their place (laplacian) or the Hessian spent
-        them, and on either path before the first load."""
-        if self._F is None or (self._second and not self.sliced):
-            raise GridError("the stencil's shifts are spent (laplacian or "
-                            "hessian_sq) or were never loaded; load a field "
-                            "first")
+        reads it or the shifts; loads f again on the copy path once the
+        second differences took the plus shifts' place, and raises
+        GridError before the first load."""
+        if self._F is None:
+            raise GridError("the stencil was never loaded; load a field first")
+        if self._plus_stale:
+            self.load(self.source)
         return self._F
 
     def _write_grads(self) -> np.ndarray:
@@ -406,7 +412,7 @@ class Stencil:
             yp[..., -1] = F[..., 0]
             ym[..., 0] = F[..., -1]
         self.source, self._F = f, F
-        self._centred = self._second = False
+        self._centred = self._second = self._plus_stale = False
         return self
 
     def dirichlet(self) -> float:
@@ -441,6 +447,7 @@ class Stencil:
             S = self._pairs(np.add, 1, self._second_buf)
             S -= np.add(F, F, out=self.scratch)
             self._second = True
+            self._plus_stale = not self.sliced
         return self._second_buf
 
     def laplacian(self, out: np.ndarray) -> np.ndarray:
@@ -487,8 +494,7 @@ class Stencil:
         `laplacian` of this load may have formed already; f_xy is the
         centred cross difference D0x(D0y f), formed from the centred
         differences into gx.  Squares the unscaled second differences, then
-        scales.  Spends the centred differences and the second ones, and
-        on the copy path the shifts.
+        scales, so a later operator forms both kinds again.
         """
         self.centred()
         second = self._second_differences()
@@ -500,8 +506,6 @@ class Stencil:
         nxx = second[0]
         nxx += nxy
         nxx += second[1]
-        if not self.sliced:
-            self._F = None       # the shifts are spent
         self._centred = self._second = False
         return self._node_sum(nxx)
 

@@ -29,14 +29,20 @@ def write_ledger_csv(ledger: EnergyLedger, path: str):
 
 
 def read_ledger_csv(path: str) -> EnergyLedger:
+    """SnapshotError, naming the file and the line, for a wrong header or a
+    row that is not one float per column."""
     ledger = EnergyLedger()
     with open(path, newline="") as f:
         r = csv.reader(f)
-        header = next(r)
+        header = next(r, None)
         if header != LEDGER_COLUMNS:
             raise SnapshotError(f"unexpected ledger columns in {path}: {header}")
         for row in r:
-            vals = dict(zip(LEDGER_COLUMNS, (float(v) for v in row)))
+            try:
+                vals = dict(zip(LEDGER_COLUMNS, map(float, row), strict=True))
+            except ValueError as e:
+                raise SnapshotError(f"{path}, line {r.line_num}: not "
+                                    f"{len(LEDGER_COLUMNS)} floats ({e})") from e
             ledger.append(EnergyRecord(**vals))
     return ledger
 
@@ -59,14 +65,13 @@ def read_snapshot(path: str):
         line = f.readline()
         try:
             header = json.loads(line.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as e:
-            raise SnapshotError(f"bad snapshot header in {path}: {e}") from e
-        for key in ("nx", "ny", "q", "t", "endianness"):
-            if key not in header:
-                raise SnapshotError(f"snapshot header missing {key!r} in {path}")
-        if header["endianness"] != "little":
-            raise SnapshotError(f"unsupported endianness {header['endianness']!r}")
-        nx, ny, q = int(header["nx"]), int(header["ny"]), int(header["q"])
+            nx, ny, q = (int(header[key]) for key in ("nx", "ny", "q"))
+            header["t"] = float(header["t"])
+        except (ValueError, KeyError, TypeError) as e:
+            raise SnapshotError(f"bad snapshot header in {path} "
+                                f"({type(e).__name__}: {e})") from e
+        if header.get("endianness") != "little" or min(nx, ny, q) < 1:
+            raise SnapshotError(f"bad snapshot header in {path}: {header}")
         raw = f.read()
     expected = nx * ny * q * 8
     if len(raw) != expected:

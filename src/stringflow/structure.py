@@ -74,11 +74,9 @@ def rewrite_residual(u_values: np.ndarray, A: AntisymmetricPotential,
     """L2 norm of Delta u + F . u_x + G . u_y - P grad V(u).
 
     Vanishes to O(dx^2) for smooth critical points; `drop_F` ablates the F
-    term (negative control).  One stencil gives the centred differences,
-    then the Laplacian, which leaves the centred ones alone (on a small
-    grid it turns the stencil's copied shifts into second differences, so
-    the centred ones come first); the terms are added into the Laplacian
-    in the order written.
+    term (negative control).  One stencil gives the centred differences
+    and the Laplacian; the terms are added into the Laplacian in the order
+    written.
     """
     st = Stencil(grid, u_values.shape).load(u_values)
     ux, uy = st.centred()

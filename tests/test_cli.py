@@ -1,5 +1,6 @@
 import json
 import os
+import shutil
 import subprocess
 import sys
 
@@ -71,6 +72,7 @@ def test_run_unknown_kind_is_a_config_error(tmp_path, capsys, section, key):
     ("flow", "dt_min", -1),
     ("flow", "conv_tol", -1),
     ("flow", "conv_tol", float("nan")),
+    ("flow", "dt_init", float("nan")),
 ])
 def test_bad_config_value_is_a_config_error(tmp_path, capsys, command,
                                             section, key, value):
@@ -107,6 +109,51 @@ def test_bad_argument_is_a_config_error(tmp_path, capsys, argv):
     err = capsys.readouterr().err
     assert err.startswith("configuration error: ") and "Traceback" not in err
     assert not out.exists()
+
+
+def _corrupt_snapshot(path, data):
+    path.write_bytes(data[:-17])
+
+
+def _garbage_header(path, data):
+    path.write_bytes(b"not json\n" + data.split(b"\n", 1)[1])
+
+
+def _wrong_ledger_header(path, data):
+    path.write_text("time,energy\n0,1\n")
+
+
+def _ledger_cell_not_a_float(path, data):
+    lines = data.decode().splitlines()
+    lines[2] = "x" + lines[2]
+    path.write_text("\n".join(lines) + "\n")
+
+
+@pytest.mark.parametrize("corrupt, name, message", [
+    (_corrupt_snapshot, "run_final.snap", "truncated"),
+    (_garbage_header, "run_final.snap", "bad snapshot header"),
+    (_wrong_ledger_header, "run_ledger.csv", "unexpected ledger columns"),
+    (_ledger_cell_not_a_float, "run_ledger.csv", "line 3: not 11 floats"),
+], ids=["truncated-snapshot", "garbage-header", "ledger-header",
+        "ledger-cell"])
+def test_corrupt_input_file_is_a_config_error(tmp_path, capsys, corrupt,
+                                              name, message):
+    # exit 1 with a one-line message naming the file, not a numeric failure
+    # or a traceback: scan for a snapshot, compare for either file
+    a, b = tmp_path / "a", tmp_path / "b"
+    assert main(["run", "--config", small_cfg(tmp_path), "--out", str(a)]) == 0
+    shutil.copytree(a, b)
+    bad = b / name
+    corrupt(bad, bad.read_bytes())
+    capsys.readouterr()
+    argvs = [["compare", str(a), str(b)]]
+    if name.endswith(".snap"):
+        argvs.append(["scan", str(bad)])
+    for argv in argvs:
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: ") and message in err
+        assert str(bad) in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("cmd", [

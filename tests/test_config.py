@@ -115,6 +115,21 @@ def test_unknown_kind_is_a_config_error(section, key, kinds):
         assert u0.values.shape == (16, 16, target.q)
 
 
+@pytest.mark.parametrize("key, value", [
+    ("t_end", float("inf")), ("dt_init", float("nan")),
+    ("conv_tol", float("inf"))])
+def test_non_finite_flow_setting_is_a_config_error(tmp_path, key, value):
+    # JSON's Infinity and NaN load as floats; build_objects rejects them, so
+    # a run never starts that would not stop, fail at its first step or
+    # converge at its first record
+    p = tmp_path / "c.json"
+    p.write_text(json.dumps({"grid": {"nx": 16, "ny": 16},
+                             "flow": {key: value}}))
+    cfg = sf.load_config(str(p))
+    with pytest.raises(ConfigError, match=f"^{key} must"):
+        sf.build_objects(cfg)
+
+
 def test_height_with_zero_epsilon_builds_a_zero_potential():
     _, _, fields, _, _ = sf.build_objects(
         {"grid": {"nx": 16, "ny": 16},
