@@ -1,6 +1,7 @@
 """Microbenchmarks of the per-step kernels, at 32^2, 48^2, 64^2, 96^2 and
-128^2, of the singular-point analysis at 64^2 and 128^2, and of the
-start-up work a run does once (the sup-norm estimates, a small-energy
+128^2, of the singular-point analysis at 64^2 and 128^2 (and the bubble
+workload's whole read-back at 64^2), of a one-shot free function, and of
+the start-up work a run does once (the sup-norm estimates, a small-energy
 initial map).  At q = 4 the first three sizes stay on the stencil's copy
 path, where it is faster than slicing, and the last two slice the map
 (grid.SLICE_ABOVE_BYTES), so the kernels are timed on both sides.
@@ -189,6 +190,59 @@ def test_rescale_window_dirichlet_energy(benchmark, analysis_case):
         return [sf.dirichlet_energy(v, og) for _, v in seq]
 
     benchmark(window)
+
+
+def _bubble_64():
+    grid = sf.build_grid(64, 64)
+    sphere = sf.make_target("sphere", 4)
+    u = sf.empty_map((64, 64, 4))
+    u[...] = sf.bump_map(grid, sphere, scale=0.3).values
+    return grid, sphere, u
+
+
+def test_bubble_read_back_64(benchmark):
+    # the bubble workload's read-back of a 64-entry ring ending at t0 = 0.6:
+    # every radius k*dx (k >= 2) whose window the ring covers (6 of them),
+    # each entry rescaled onto the commensurate out-grid and its energy
+    # taken
+    grid, _, u = _bubble_64()
+    t0 = 0.6
+    snaps = [(t, u) for t in np.linspace(0.12, t0, 64)]
+    radii = [k * grid.dx for k in range(2, grid.nx // 2)
+             if t0 - (k * grid.dx) ** 2 >= snaps[0][0]]
+    assert len(radii) == 6
+
+    def read_back():
+        for r in radii:
+            og = sf.rescale_out_grid(grid, r)
+            seq = sf.parabolic_rescale(snaps, ((20, 41), t0), r, grid,
+                                       og)["sequence"]
+            for _, v in seq:
+                sf.dirichlet_energy(v, og)
+
+    benchmark(read_back)
+
+
+def test_assemble_A_and_rewrite_residual_64(benchmark):
+    # the bubble workload's rewritten Euler-Lagrange check (zero fields)
+    grid, sphere, u = _bubble_64()
+    fields = sf.zero_background(4)
+
+    def rewrite():
+        A = sf.assemble_A(u, grid, sphere, fields)
+        return sf.rewrite_residual(u, A, grid, sphere, fields)
+
+    benchmark(rewrite)
+
+
+@pytest.mark.parametrize("n", (48, 64, 128), ids=lambda n: f"{n}x{n}")
+def test_one_shot_dirichlet_energy(benchmark, n):
+    # a free-function call: a one-shot stencil that slices the map
+    grid = sf.build_grid(n, n)
+    u = sf.empty_map((n, n, 4))
+    u[...] = sf.random_smooth_map(grid, sf.make_target("sphere", 4), seed=0,
+                                  amplitude=0.3).values
+    benchmark(sf.dirichlet_energy, u, grid)
 
 
 # -- start-up: what a run computes once, before its first step ---------------

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import copy
 import json
+import math
 
 from .action import FlowConfig
 from .errors import ConfigError, ProjectionError
@@ -130,11 +131,18 @@ def build_objects(cfg: dict):
     """(grid, target, fields, u0, flow_config) from a validated config.
 
     A value that a builder, the grid or the flow settings rule out (a
-    ValueError, GridError among them, or a point the target cannot project)
-    is a ConfigError here, as a bad key or type is."""
+    ValueError, GridError among them, a point the target cannot project, or
+    a non-finite number in the fields or initial section) is a ConfigError
+    here, as a bad key or type is."""
     cfg = validate_config(cfg)
     g = cfg["grid"]
     t, f, i = cfg["target"], cfg["fields"], cfg["initial"]
+    # JSON's Infinity and NaN load as floats; the field and initial-map
+    # builders take them as numbers, so they are refused here
+    for section, sec in (("fields", f), ("initial", i)):
+        for key, val in sec.items():
+            if isinstance(val, float) and not math.isfinite(val):
+                raise ConfigError(f"{section}.{key} must be finite, got {val}")
     flow_cfg = FlowConfig(**cfg["flow"])
     try:
         target = build_kind(TARGETS, "target.kind", t["kind"], t)

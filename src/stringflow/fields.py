@@ -224,7 +224,7 @@ def pullback_density(u: np.ndarray, b: TwoFormField,
     The pullback integral is sum(density) * dx * dy, with no conformal
     weight: the B-term is conformally invariant.
     """
-    return b.pullback(u, *Stencil(grid, u.shape).load(u).centred())
+    return b.pullback(u, *Stencil.once(grid, u).centred())
 
 
 def pullback_integral(u: np.ndarray, b: TwoFormField, grid: SurfaceGrid) -> float:

@@ -7,14 +7,16 @@ component-major (`empty_map`): the logical shape stays (nx, ny, q), but each
 component plane is contiguous, so plane-wise arithmetic streams through
 memory.  Every function here accepts either layout and gives the same values.
 
-Every difference of a field comes from a `Stencil`; the free functions
-below (the Laplace-Beltrami operator, the frame derivatives, the densities)
-build one per call.  A small field's stencil loads the four periodic shifts
-once and differences them; a field whose shift stack would outgrow the
-cache (SLICE_ABOVE_BYTES) is differenced by slicing it, with no copy.  The
-one exception is `centred`, a single-axis difference for a field whose
-other shifts are never needed (the flux divergence of the B-force), which
-slices as the large-field stencil does.
+Every difference of a field comes from a `Stencil`.  A run's stencil,
+which several operators share per load, copies the four periodic shifts of
+a small field once and differences them; a field whose shift stack would
+outgrow the cache (SLICE_ABOVE_BYTES) is differenced by slicing it, with
+no copy.  The free functions below (the Laplace-Beltrami operator, the
+frame derivatives, the densities) apply one operator per call, so each
+takes a one-shot stencil (`Stencil.once`) that slices at every size and
+allocates only the buffers of its operator.  The other exception is
+`centred`, a single-axis difference for a field whose other shifts are
+never needed (the flux divergence of the B-force), which slices as well.
 
 Hot loops work on the component-first view (`component_first`: (q, nx, ny),
 C-contiguous for a component-major map), where numpy takes its contiguous
@@ -274,11 +276,17 @@ class Stencil:
     precomputed reciprocals (1/dx^2, 0.5/dx, ...), broadcast along the
     stack axis, or scale a sum once, so no operator divides a full map.
     Every result is formed in these component-first buffers, so it has the
-    same bits for either layout of f.
+    same bits for either layout of f.  Each buffer is allocated when an
+    operator first needs it (or all at once by `allocate`), so a stencil
+    holds only what its operators have used: a lone `dirichlet` or
+    `centred` allocates just (gx, gy).
 
-    The stencil picks one of two paths from the size of the field, and
-    both give the same bits (each value is the same operation on the same
-    operands).  On the copy path, for fields whose four-shift stack stays
+    The stencil takes one of two paths, and both give the same bits (each
+    value is the same operation on the same operands).  By default the
+    size of the field picks it; `sliced` forces one, and `Stencil.once`
+    slices for a caller that applies a single operator, since copying
+    shifts pays only when several operators share one load, as in a run.
+    On the copy path, for fields whose four-shift stack stays
     within SLICE_ABOVE_BYTES, `load(f)` copies `shifts`, the stack
     [xp, yp, xm, ym] (xp[i] = f[i+1] and xm[i] = f[i-1] along x, yp and ym
     along y); a component-major f gives its y shifts by one flat copy plus
@@ -310,40 +318,76 @@ class Stencil:
     array last loaded, kept until the next `load`.
     """
 
-    def __init__(self, grid: SurfaceGrid, shape):
+    def __init__(self, grid: SurfaceGrid, shape, *,
+                 sliced: bool | None = None):
         shape = tuple(shape)
         self.grid = grid
         self.shape = shape
         self._is_map = len(shape) == 3
-        planes = shape[-1:] + shape[:-1] if self._is_map else shape
-        self.sliced = 32 * math.prod(planes) > SLICE_ABOVE_BYTES
-        if self.sliced:
-            self.shifts = None
-            self._second_buf = np.empty((2,) + planes)
-        else:
-            self.shifts = np.empty((4,) + planes)
-            self._plus, self._minus = self.shifts[:2], self.shifts[2:]
-            # the second differences take the plus shifts' place: a 2-map
-            # buffer of their own cost 6-11% of the gap and bubble
-            # benchmarks' run_s (48^2 and 64^2, q = 4; 2-core VM, numpy
-            # 2.4.6)
-            self._second_buf = self._plus
-        self.grads = np.empty((2,) + planes)
-        self.scratch = np.empty(planes)
-        self.gx, self.gy = (self._logical(a) for a in self.grads)
-        self.tmp = self._logical(self.scratch)
+        self._planes = shape[-1:] + shape[:-1] if self._is_map else shape
+        if sliced is None:
+            sliced = 32 * math.prod(self._planes) > SLICE_ABOVE_BYTES
+        self.sliced = sliced
         self.source = None
         self._F = None
         self._centred = False       # (gx, gy) hold D0 of the loaded f
         self._second = False        # _second_buf holds second differences
         self._plus_stale = False    # second differences in the plus shifts
 
+    def allocate(self) -> "Stencil":
+        """Allocate every buffer of the stencil's path now, for a stencil
+        whose operators will need them all."""
+        for name in ("shifts", "_second_buf", "grads", "scratch"):
+            getattr(self, name)
+        return self
+
+    @classmethod
+    def once(cls, grid: SurfaceGrid, f: np.ndarray) -> "Stencil":
+        """A stencil loaded with f for a caller that applies one operator:
+        it slices f at every size, since a shift stack pays for itself only
+        when several operators share one load."""
+        return cls(grid, f.shape, sliced=True).load(f)
+
+    @functools.cached_property
+    def shifts(self) -> np.ndarray | None:
+        return None if self.sliced else np.empty((4,) + self._planes)
+
+    @functools.cached_property
+    def _second_buf(self) -> np.ndarray:
+        # on the copy path the second differences take the plus shifts'
+        # place: a 2-map buffer of their own cost 6-11% of the gap and
+        # bubble benchmarks' run_s (48^2 and 64^2, q = 4; 2-core VM, numpy
+        # 2.4.6)
+        if self.sliced:
+            return np.empty((2,) + self._planes)
+        return self.shifts[:2]
+
+    @functools.cached_property
+    def grads(self) -> np.ndarray:
+        return np.empty((2,) + self._planes)
+
+    @functools.cached_property
+    def scratch(self) -> np.ndarray:
+        return np.empty(self._planes)
+
+    @functools.cached_property
+    def gx(self) -> np.ndarray:
+        return self._logical(self.grads[0])
+
+    @functools.cached_property
+    def gy(self) -> np.ndarray:
+        return self._logical(self.grads[1])
+
+    @functools.cached_property
+    def tmp(self) -> np.ndarray:
+        return self._logical(self.scratch)
+
     @functools.cached_property
     def _h(self) -> np.ndarray:
         """(dx, dy), shaped to broadcast along the stack axis; made on first
         use, so that building a stencil does no arithmetic."""
         return np.array([self.grid.dx, self.grid.dy]).reshape(
-            (2,) + (1,) * self.scratch.ndim)
+            (2,) + (1,) * len(self._planes))
 
     @functools.cached_property
     def _half_inv_h(self) -> np.ndarray:
@@ -388,7 +432,8 @@ class Stencil:
             _neighbours(op, F, -2, out[0], back)
             _neighbours(op, F, -1, out[1], back)
         else:
-            op(self._plus, self._minus if back else F, out=out)
+            S = self.shifts
+            op(S[:2], S[2:] if back else F, out=out)
         return out
 
     def load(self, f: np.ndarray) -> "Stencil":
@@ -516,7 +561,7 @@ def laplace_beltrami(f: np.ndarray, grid: SurfaceGrid) -> np.ndarray:
 
     Self-adjoint in the e^{2 lam}-weighted inner product by construction.
     """
-    lap = Stencil(grid, f.shape).load(f).laplacian(np.empty_like(f))
+    lap = Stencil.once(grid, f).laplacian(np.empty_like(f))
     if not grid.is_flat:
         lap *= _comp_weight(grid.em2l, f)
     return lap
@@ -526,14 +571,14 @@ def frame_derivatives(u: np.ndarray, grid: SurfaceGrid):
     """Orthonormal-frame derivatives du(e1), du(e2), e_alpha = e^{-lam} d/dx_alpha."""
     # no caller in the package: kept because the benchmark's tracer wraps
     # it by name
-    ux, uy = Stencil(grid, u.shape).load(u).centred()
+    ux, uy = Stencil.once(grid, u).centred()
     s = _comp_weight(grid.eml, u)
     return s * ux, s * uy
 
 
 def grad_sq_density(u: np.ndarray, grid: SurfaceGrid) -> np.ndarray:
     """Pointwise |du|^2 = |du(e1)|^2 + |du(e2)|^2 (centered differences)."""
-    d = Stencil(grid, u.shape).load(u).grad_sq()
+    d = Stencil.once(grid, u).grad_sq()
     if not grid.is_flat:
         d *= grid.em2l
     return d
@@ -541,12 +586,12 @@ def grad_sq_density(u: np.ndarray, grid: SurfaceGrid) -> np.ndarray:
 
 def energy_density(u: np.ndarray, grid: SurfaceGrid) -> np.ndarray:
     """Pointwise |du|^2 dvol (Stencil.energy_density)."""
-    return Stencil(grid, u.shape).load(u).energy_density()
+    return Stencil.once(grid, u).energy_density()
 
 
 def hessian_sq_density(u: np.ndarray, grid: SurfaceGrid) -> np.ndarray:
     """Pointwise |flat Hessian|^2 = u_xx^2 + 2 u_xy^2 + u_yy^2."""
-    return Stencil(grid, u.shape).load(u).hessian_sq()
+    return Stencil.once(grid, u).hessian_sq()
 
 
 def l2_inner(f: np.ndarray, g: np.ndarray, grid: SurfaceGrid) -> float:

@@ -121,6 +121,27 @@ def convergence_probe(kinetic: float, el_residual_l2: float,
 
 # -- parabolic rescaling -----------------------------------------------------------
 
+# a zoom point within this many index units of a node is that node: the
+# commensurate out-grid lands on nodes up to the rounding of r * dx'
+NODE_SNAP = 1e-9
+
+
+def _axis_corners(p: np.ndarray, h: float, n: int):
+    """The (index, weight) pairs of the two nodes around each coordinate p
+    along one axis: (i0, 1 - t) and (i1, t).  A coordinate within NODE_SNAP
+    of a node snaps to it (t = 0); when every point does, the lone pair
+    (i0, None) stands for a weight of 1."""
+    f = (p / h) % n
+    near = np.rint(f)
+    f = np.where(np.abs(f - near) <= NODE_SNAP, near, f)
+    i0 = np.floor(f)
+    t = f - i0
+    i0 = i0.astype(int) % n
+    if not t.any():
+        return [(i0, None)]
+    return [(i0, 1 - t), ((i0 + 1) % n, t)]
+
+
 def _bilinear_periodic(grid: SurfaceGrid, px: np.ndarray, py: np.ndarray):
     """Periodic bilinear interpolation at the points (px, py).
 
@@ -129,30 +150,30 @@ def _bilinear_periodic(grid: SurfaceGrid, px: np.ndarray, py: np.ndarray):
     component-major: every plane of the component-first view (a flat
     reshape, no copy, for a component-major snapshot) is gathered at once
     by `np.take` along axis 1, so later stencils read it contiguously.
+    Points within NODE_SNAP of a node are that node.  Along an axis where
+    every point is a node, the corners of weight 0 are not gathered and the
+    weight 1 is not multiplied, so the commensurate zoom, whose points are
+    all nodes, is one gather of the node values.
     """
-    fx = (px / grid.dx) % grid.nx
-    fy = (py / grid.dy) % grid.ny
-    i0 = np.floor(fx).astype(int) % grid.nx
-    j0 = np.floor(fy).astype(int) % grid.ny
-    i1 = (i0 + 1) % grid.nx
-    j1 = (j0 + 1) % grid.ny
-    tx = fx - np.floor(fx)
-    ty = fy - np.floor(fy)
-    # corner (flat node index, weight) pairs; each weight keeps the
-    # product order ((1 - tx) * (1 - ty)) * v00 of the plain formula
-    corners = [(i * grid.ny + j, w) for (i, j), w in (
-        ((i0, j0), (1 - tx) * (1 - ty)), ((i1, j0), tx * (1 - ty)),
-        ((i0, j1), (1 - tx) * ty), ((i1, j1), tx * ty))]
+    xs = _axis_corners(px, grid.dx, grid.nx)
+    ys = _axis_corners(py, grid.dy, grid.ny)
+    # corner (flat node index, weight) pairs in the order (i0, j0), (i1, j0),
+    # (i0, j1), (i1, j1); each weight keeps the product order
+    # ((1 - tx) * (1 - ty)) * v00 of the plain formula
+    corners = [(i * grid.ny + j,
+                wy if wx is None else wx if wy is None else wx * wy)
+               for j, wy in ys for i, wx in xs]
 
     def interpolate(vals: np.ndarray) -> np.ndarray:
         V = component_first(vals).reshape(vals.shape[-1], -1)
         out = empty_map(px.shape + vals.shape[-1:])
         O = component_first(out)
-        T = np.empty(O.shape)
         # the indices are in range; "clip" spares the default mode's copy
         (k, w), *rest = corners
         np.take(V, k, axis=1, out=O, mode="clip")
-        O *= w
+        if w is not None:
+            O *= w
+        T = np.empty(O.shape) if rest else None
         for k, w in rest:
             np.take(V, k, axis=1, out=T, mode="clip")
             T *= w

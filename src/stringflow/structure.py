@@ -43,27 +43,33 @@ def assemble_A(u_values: np.ndarray, grid: SurfaceGrid, target: TargetManifold,
     with K^m_i(X) = sum_{l,j} (dnu_l^i/dy^j nu_l^m - dnu_l^m/dy^j nu_l^i) X^j.
     Then A . grad u = -II(du, du) - Omega(., du_x, du_y), each term skew.
 
-    K(X) = T - T^T with T^m_i = sum_l a_l^i nu_l^m and a_l^i = dnu_l^i/dy^j
-    X^j, so no per-node (q, q, q) tensor is formed: the memory per node is
-    O(q^2).  Omega is constant and contracts with u_x and u_y directly.
+    K(X) = T - T^T with T^m_i = sum_l a_l^i nu_l^m and a = dnu(X), the
+    target's `frame_derivative`, so no per-node (q, q, q) tensor is formed:
+    the memory per node is O(q^2).  One (q, q) scratch per node serves F
+    and G, and each difference is written straight to its result.  Omega
+    is constant and contracts with u_x and u_y directly.
     """
     if not grid.is_flat:
         raise UnsupportedConfigurationError("assemble_A requires a flat grid")
-    ux, uy = Stencil(grid, u_values.shape).load(u_values).centred()
+    ux, uy = Stencil.once(grid, u_values).centred()
     nu = target.normal_frame(u_values)          # (..., L, q)
-    dnu = target.frame_jacobian(u_values)       # (..., L, q, q) [l, i, j]
+    # the scratch in the layout einsum gives these products, each (m, i)
+    # plane contiguous; F and G inherit it
+    q = u_values.shape[-1]
+    T = np.empty((q, q) + u_values.shape[:-1]).transpose(2, 3, 0, 1)
 
     def K(X):
-        a = np.einsum("...lij,...j->...li", dnu, X)
-        T = np.einsum("...li,...lm->...mi", a, nu)
-        return T - np.swapaxes(T, -1, -2)
+        np.einsum("...li,...lm->...mi", target.frame_derivative(u_values, X),
+                  nu, out=T)
+        return np.subtract(T, np.swapaxes(T, -1, -2))
 
     F, G = K(ux), K(uy)
     if not fields.b.is_zero:
-        # 0.5 Omega is exact, so this is 0.5 (Omega . X) bit for bit
+        # 0.5 Omega is exact, so this is 0.5 (Omega . X) bit for bit; each
+        # product is formed in the scratch
         half_om = 0.5 * fields.b.Omega            # (m, i, j)
-        F -= np.einsum("mij,...j->...mi", half_om, uy)
-        G += np.einsum("mij,...j->...mi", half_om, ux)
+        F -= np.einsum("mij,...j->...mi", half_om, uy, out=T)
+        G += np.einsum("mij,...j->...mi", half_om, ux, out=T)
     return AntisymmetricPotential(F=F, G=G)
 
 
@@ -78,7 +84,7 @@ def rewrite_residual(u_values: np.ndarray, A: AntisymmetricPotential,
     and the Laplacian; the terms are added into the Laplacian in the order
     written.
     """
-    st = Stencil(grid, u_values.shape).load(u_values)
+    st = Stencil.once(grid, u_values)
     ux, uy = st.centred()
     res = st.laplacian(np.empty_like(u_values))
     if not grid.is_flat:

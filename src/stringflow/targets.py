@@ -82,6 +82,12 @@ class TargetManifold(ABC):
             out[..., :, :, j] = (fp - fm) / (2.0 * step)
         return out
 
+    def frame_derivative(self, u: np.ndarray, X: np.ndarray) -> np.ndarray:
+        """(..., q - n, q) array dnu(X)[l, i] = d nu_l^i / d y^j X^j, the
+        derivative of the normal frame along X; contracts frame_jacobian
+        unless a subclass has a closed form."""
+        return np.einsum("...lij,...j->...li", self.frame_jacobian(u), X)
+
     # -- checked public wrappers ---------------------------------------------
 
     def check_on_manifold(self, u: np.ndarray, tol: float = ON_MANIFOLD_TOL):
@@ -190,6 +196,12 @@ class SphereTarget(TargetManifold):
         eye = np.eye(self.q)
         J = eye - u[..., :, None] * u[..., None, :]
         return J[..., None, :, :]  # (..., 1, q, q)
+
+    def frame_derivative(self, u, X):
+        """(X - u <u, X>)[..., None, :]: the frame is u itself, so its
+        derivative along X is the tangent part of X, and no (q, q)
+        Jacobian is formed."""
+        return self.tangent_project(u, X)[..., None, :]
 
 
 def tangent_project(target: TargetManifold, u: np.ndarray, X: np.ndarray,

@@ -621,6 +621,49 @@ def test_snapshot_ring_keeps_the_run_maps_by_reference(grid, sphere):
     assert len(st.snapshots) == 4
 
 
+@pytest.mark.parametrize("n", [24, 96], ids=["24", "96-sliced"])
+@pytest.mark.parametrize("with_fields", [False, True],
+                         ids=["zero_fields", "y4_height"])
+def test_steps_after_run_match_steps_in_the_run_workspace(sphere, n,
+                                                          with_fields,
+                                                          monkeypatch):
+    # run() returns without its workspace; a step from the returned state
+    # builds a fresh one and gives the map, rhs and ledger rows that the
+    # run's own workspace would have given, bit for bit
+    from dataclasses import replace
+    kept = {}
+    init_state = action.init_state
+
+    def keep_work(*args):
+        st = init_state(*args)
+        kept["work"] = st.work
+        return st
+
+    monkeypatch.setattr(action, "init_state", keep_work)
+    g = sf.build_grid(n, n)
+    fields = sf.zero_background(4)
+    if with_fields:
+        fields = sf.FieldBackground(
+            b=sf.make_two_form("y4", 4, beta=0.2),
+            V=sf.make_potential("height", 4, epsilon=0.1))
+    u0 = sf.random_smooth_map(g, sphere, seed=21, amplitude=0.3)
+    st = sf.run(u0, g, sphere, fields,
+                sf.FlowConfig(t_end=5e-3, record_every=3))
+    assert st.work is None and kept["work"] is not None
+    ref = replace(st, work=kept["work"],
+                  ledger=sf.EnergyLedger(list(st.ledger.records)))
+    for _ in range(3):
+        sf.step(st)
+        sf.step(ref)
+        _record(st)
+        _record(ref)
+        assert np.array_equal(st.u.values, ref.u.values)
+        assert np.array_equal(st.rhs, ref.rhs)
+        assert (st.t, st.dt, st.S_current) == (ref.t, ref.dt, ref.S_current)
+    assert st.work is not kept["work"]
+    assert np.array_equal(st.ledger.as_array(), ref.ledger.as_array())
+
+
 def _conformal(grid):
     return sf.build_grid(grid.nx, grid.ny,
                          lam=lambda x, y: 0.2 * np.sin(x) * np.cos(y))

@@ -73,6 +73,11 @@ def test_run_unknown_kind_is_a_config_error(tmp_path, capsys, section, key):
     ("flow", "conv_tol", -1),
     ("flow", "conv_tol", float("nan")),
     ("flow", "dt_init", float("nan")),
+    ("initial", "scale", float("inf")),
+    ("initial", "energy", float("nan")),
+    ("initial", "amplitude", float("nan")),
+    ("fields", "epsilon", float("inf")),
+    ("fields", "beta", float("nan")),
 ])
 def test_bad_config_value_is_a_config_error(tmp_path, capsys, command,
                                             section, key, value):

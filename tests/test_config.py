@@ -130,6 +130,26 @@ def test_non_finite_flow_setting_is_a_config_error(tmp_path, key, value):
         sf.build_objects(cfg)
 
 
+@pytest.mark.parametrize("section, key, value, kinds", [
+    ("initial", "scale", float("inf"), {"kind": "bump"}),
+    ("initial", "energy", float("nan"), {"kind": "small_energy"}),
+    ("initial", "amplitude", float("nan"), {"kind": "random_smooth"}),
+    ("fields", "epsilon", float("inf"), {"v_kind": "height"}),
+    ("fields", "beta", float("nan"), {"b_kind": "y4"}),
+])
+def test_non_finite_field_or_initial_value_is_a_config_error(
+        tmp_path, section, key, value, kinds):
+    # the builders take Infinity and NaN as numbers: unchecked, a bump of
+    # infinite scale runs as a constant map and a NaN two-form fails as
+    # "not skew"
+    p = tmp_path / "c.json"
+    p.write_text(json.dumps({"grid": {"nx": 16, "ny": 16},
+                             section: {key: value, **kinds}}))
+    cfg = sf.load_config(str(p))
+    with pytest.raises(ConfigError, match=f"^{section}.{key} must be finite"):
+        sf.build_objects(cfg)
+
+
 def test_height_with_zero_epsilon_builds_a_zero_potential():
     _, _, fields, _, _ = sf.build_objects(
         {"grid": {"nx": 16, "ny": 16},

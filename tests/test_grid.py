@@ -442,3 +442,65 @@ def test_stencil_operators_in_any_order_match_a_fresh_load(shape):
             for _ in range(2):
                 assert np.array_equal(ops[name](st), fresh[name]), (order, name)
     assert st.source is u
+
+
+@pytest.mark.parametrize("shape", [SMALL, SMALL + (4,), (96, 88), (96, 88, 4)],
+                         ids=["scalar", "map", "scalar-96", "map-sliced"])
+def test_one_shot_operators_match_the_workspace_stencil(shape):
+    # a one-shot stencil slices at every size and allocates only what its
+    # operator needs; each operator and each free function built on it
+    # gives the bits of the size-ruled stencil a run's Workspace holds
+    rng = np.random.default_rng(41)
+    g = sf.build_grid(*shape[:2], Lx=5.0, Ly=3.0,
+                      lam=lambda x, y: 0.2 * np.sin(x) * np.cos(y))
+    u = _component_major(_six_decades(rng, shape))
+    if len(shape) == 3:
+        work = sf.Workspace(g, shape, sf.zero_background(4)).stencil
+    else:
+        work = Stencil(g, shape)
+    assert work.sliced == (shape == (96, 88, 4))
+    ops = {"dirichlet": Stencil.dirichlet,
+           "centred": lambda st: [a.copy() for a in st.centred()],
+           "grad_sq": Stencil.grad_sq, "hessian_sq": Stencil.hessian_sq,
+           "energy_density": Stencil.energy_density,
+           "laplacian": lambda st: st.laplacian(sf.empty_map(u.shape))}
+    for name, op in ops.items():
+        once = Stencil.once(g, u)
+        assert once.sliced and once.shifts is None
+        assert np.array_equal(op(once), op(work.load(u))), name
+    node = g.em2l if u.ndim == 2 else g.em2l[..., None]
+    lap = work.load(u).laplacian(sf.empty_map(u.shape)) * node
+    assert np.array_equal(sf.laplace_beltrami(u, g), lap)
+    assert sf.dirichlet_energy(u, g) == work.load(u).dirichlet()
+    assert np.array_equal(sf.grad_sq_density(u, g),
+                          work.load(u).grad_sq() * g.em2l)
+    assert np.array_equal(energy_density(u, g), work.load(u).energy_density())
+    assert np.array_equal(sf.hessian_sq_density(u, g),
+                          work.load(u).hessian_sq())
+    ux, uy = (a.copy() for a in work.load(u).centred())
+    e = g.eml if u.ndim == 2 else g.eml[..., None]
+    du1, du2 = frame_derivatives(u, g)
+    assert np.array_equal(du1, e * ux) and np.array_equal(du2, e * uy)
+    if u.ndim == 3:
+        b = sf.make_two_form("y4", 4, beta=0.3)
+        assert np.array_equal(pullback_density(u, b, g), b.pullback(u, ux, uy))
+
+
+def test_one_shot_dirichlet_energy_allocates_two_maps():
+    # the forward differences of both directions and nothing else: no
+    # shift stack, second differences or scratch (a copy-path stencil with
+    # all its buffers holds 7 maps)
+    import tracemalloc
+    g = sf.build_grid(64, 64)
+    u = sf.empty_map((64, 64, 4))
+    u[...] = sf.random_smooth_map(g, sf.make_target("sphere", 4), seed=2,
+                                  amplitude=0.3).values
+    E = sf.dirichlet_energy(u, g)
+    tracemalloc.start()
+    try:
+        assert sf.dirichlet_energy(u, g) == E
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # plus about 8 KiB of Python objects (the stencil, its dict, views)
+    assert peak <= 2 * u.nbytes + 16 * 1024

@@ -28,6 +28,21 @@ def test_ledger_roundtrip_exact(run_state, tmp_path):
     assert np.array_equal(a, b)  # repr() round-trips float64 exactly
 
 
+def test_slotted_ledger_rows_round_trip_unchanged(run_state, tmp_path):
+    # rows carry slots, not a dict each; a CSV written from the rows read
+    # back is the file itself, byte for byte
+    rec = run_state.ledger.records[0]
+    assert not hasattr(rec, "__dict__")
+    with pytest.raises(AttributeError):
+        rec.extra = 1.0
+    p, q = tmp_path / "a.csv", tmp_path / "b.csv"
+    sf.write_ledger_csv(run_state.ledger, str(p))
+    back = sf.read_ledger_csv(str(p))
+    assert back.records == run_state.ledger.records
+    sf.write_ledger_csv(back, str(q))
+    assert q.read_bytes() == p.read_bytes()
+
+
 def test_ledger_rejects_wrong_header(tmp_path):
     p = tmp_path / "bad.csv"
     p.write_text("time,energy\n0,1\n")

@@ -93,6 +93,23 @@ def test_parabolic_rescale_exact_on_commensurate_grid(sphere):
     assert res["gradV_factor"] == pytest.approx(1.0 / r ** 2)
 
 
+@pytest.mark.parametrize("k", [2, 5, 11])
+def test_commensurate_zoom_is_a_roll_of_the_snapshot(sphere, k):
+    # on the default out-grid every zoom point is a node (up to the
+    # rounding of r * dx', which snaps), so the zoom gathers node values:
+    # the snapshot rolled to put the zoom node at the centre, exactly
+    g = sf.build_grid(32, 24, Lx=5.0, Ly=4.0)
+    u = sf.empty_map((32, 24, 4))
+    u[...] = sf.random_smooth_map(g, sphere, seed=5, amplitude=0.3).values
+    r = k * max(g.dx, g.dy)
+    (ix, iy), og = (7, 19), sf.rescale_out_grid(g, r)
+    res = sf.parabolic_rescale([(0.0, u), (r * r, u)], ((ix, iy), r * r), r,
+                               g, og)
+    cx, cy = res["center"]
+    for _, v in res["sequence"]:
+        assert np.array_equal(v, np.roll(u, (cx - ix, cy - iy), axis=(0, 1)))
+
+
 def test_parabolic_rescale_requires_coverage_and_scale(sphere):
     g = sf.build_grid(32, 32)
     u = sf.constant_map(g, sphere)

@@ -71,6 +71,21 @@ def test_frame_jacobian_matches_fd_oracle(sphere):
     assert np.max(np.abs(closed - fd)) < 1e-6
 
 
+def test_frame_derivative_closed_form_matches_the_jacobian(sphere):
+    # the sphere's tangent-part closed form against the base class, which
+    # contracts the Jacobian: the sphere's closed-form one, and the
+    # finite-difference one
+    u = rand_points(sphere, n=10, seed=3)
+    X = np.random.default_rng(6).standard_normal(u.shape)
+    closed = sphere.frame_derivative(u, X)
+    assert closed.shape == u.shape[:-1] + (1, sphere.q)
+    assert np.allclose(closed, sf.TargetManifold.frame_derivative(sphere, u, X),
+                       rtol=0, atol=1e-14)
+    fd = np.einsum("...lij,...j->...li",
+                   sf.TargetManifold.frame_jacobian(sphere, u), X)
+    assert np.max(np.abs(closed - fd)) < 1e-6
+
+
 def test_tangent_project_fast_path_matches_projector(sphere):
     u = rand_points(sphere, n=10, seed=4)
     rng = np.random.default_rng(5)
