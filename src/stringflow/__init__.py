@@ -6,7 +6,7 @@ from .action import (CONSTRAINT_TOL, LEDGER_COLUMNS, EnergyLedger,
                      EnergyRecord, EnergyTerms, FlowConfig, FlowState,
                      MapField, Workspace, action_value, cfl_bound,
                      dirichlet_energy, el_residual, energies, flow_rhs,
-                     gradient_consistency_check, init_state, local_energy_map,
+                     gradient_consistency_check, init_state,
                      monotonicity_check, run, step)
 from .cli import compare_runs, main, run_scenario
 from .config import (PRESETS, build_objects, default_config, load_config,
@@ -26,9 +26,9 @@ from .grid import (SurfaceGrid, ball_mask, ball_sum_map, build_grid,
                    ricci_identity_check)
 from .initial_data import (bump_map, constant_map, geodesic_wrap, noisy_wrap,
                            random_smooth_map, small_energy_map)
-from .io import (export_csv, export_snapshot, read_events_jsonl,
-                 read_ledger_csv, read_snapshot, write_events_jsonl,
-                 write_ledger_csv, write_run_outputs, write_snapshot)
+from .io import (read_events_jsonl, read_ledger_csv, read_snapshot,
+                 write_events_jsonl, write_ledger_csv, write_run_outputs,
+                 write_snapshot)
 from .singular import (SingularEvent, choose_R1_T1, concentration_scan,
                        convergence_probe, k_bound, ladyzhenskaya_ratio,
                        parabolic_rescale, rescale_out_grid)

@@ -54,8 +54,7 @@ from .errors import GridError, NonFiniteStateError
 from .fields import (FieldBackground, ScalarPotential, TwoFormField,
                      tangential_grad_V, wedge)
 from .grid import (Stencil, SurfaceGrid, ball_sum_map, centred,
-                   component_first, empty_map, energy_density, l2_inner,
-                   l2_norm)
+                   component_first, empty_map, l2_inner, l2_norm)
 from .singular import SingularEvent, convergence_probe
 from .targets import TargetManifold, tangent_project
 
@@ -81,11 +80,8 @@ class MapField:
     def constraint_defect(self) -> float:
         return float(np.max(self.target.distance(self.values)))
 
-    def check(self, tol: float = CONSTRAINT_TOL):
-        self.target.check_on_manifold(self.values, tol)
-
-    def copy(self) -> "MapField":
-        return MapField(self.values.copy(), self.target)
+    def check(self):
+        self.target.check_on_manifold(self.values, CONSTRAINT_TOL)
 
 
 # -- energies -------------------------------------------------------------------
@@ -97,7 +93,6 @@ class EnergyTerms:
     B_term: float
     V_term: float       # int tilde(V)(u) dvol
     S_tilde: float
-    S_raw: float        # S_tilde - A1 * vol(M)
 
 
 def dirichlet_energy(u: np.ndarray, grid: SurfaceGrid) -> float:
@@ -132,7 +127,7 @@ def energies(u: MapField, grid: SurfaceGrid, fields: FieldBackground) -> EnergyT
     E, B_term, V_term, S = _action_terms(Stencil.once(grid, vals),
                                          vals, fields)
     return EnergyTerms(E=E, dirichlet=0.5 * E, B_term=B_term, V_term=V_term,
-                       S_tilde=S, S_raw=S - fields.V.shift * grid.total_volume)
+                       S_tilde=S)
 
 
 class Workspace:
@@ -179,12 +174,6 @@ def action_value(vals: np.ndarray, grid: SurfaceGrid,
     work.terms = _action_terms(work.stencil.load(vals), vals, fields)
     work.terms_of = vals
     return work.terms[3]
-
-
-def local_energy_map(u: MapField, grid: SurfaceGrid, R: float) -> np.ndarray:
-    """Ball energy int_{B_R} |du|^2 dvol around every node at once (FFT
-    convolution of grid.energy_density)."""
-    return ball_sum_map(energy_density(u.values, grid), grid, R)
 
 
 # -- flow right-hand side ---------------------------------------------------------
@@ -284,18 +273,18 @@ def el_residual(u: MapField, grid: SurfaceGrid, target: TargetManifold,
 
 
 def gradient_consistency_check(u: MapField, v: np.ndarray, grid: SurfaceGrid,
-                               target: TargetManifold, fields: FieldBackground,
-                               eps_list=(1e-3, 1e-4, 1e-5)) -> dict:
+                               target: TargetManifold,
+                               fields: FieldBackground) -> dict:
     """Compare central differences of the discrete action against the flow RHS.
 
     D(eps) = [S(pi(u + eps v)) - S(pi(u - eps v))] / (2 eps) is matched
-    against -<flow_rhs(u), v> for tangent v.
+    against -<flow_rhs(u), v> for tangent v, at eps = 1e-3, 1e-4, 1e-5.
     """
     v = tangent_project(target, u.values, v)
     work = Workspace(grid, u.values.shape, fields)
     inner = -l2_inner(flow_rhs(u, grid, target, fields, work), v, grid)
     rows = []
-    for eps in eps_list:
+    for eps in (1e-3, 1e-4, 1e-5):
         up = target.project(u.values + eps * v)
         um = target.project(u.values - eps * v)
         fd = (action_value(up, grid, fields, work)
@@ -618,10 +607,9 @@ def run(u0: MapField, grid: SurfaceGrid, target: TargetManifold,
             _record(state)
             _snapshot(state)
             if config.conv_tol > 0.0:
-                probe = convergence_probe(state.last_kinetic,
-                                          l2_norm(state.rhs, grid),
-                                          config.conv_tol)
-                state.converged = probe["converged"]
+                state.converged = convergence_probe(state.last_kinetic,
+                                                    l2_norm(state.rhs, grid),
+                                                    config.conv_tol)
     if state.ledger.records[-1].t < state.t:
         _record(state)
         _snapshot(state)

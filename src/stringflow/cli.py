@@ -12,6 +12,7 @@ import json
 import math
 import os
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
@@ -53,7 +54,7 @@ def _hypothesis_report(grid, target, fields, u0, flow_cfg) -> dict:
         report["delta3"] = d3
         small = smallness_report(u0.values, grid, fields, flow_cfg.delta1,
                                  norms.B_inf)
-        report["smallness"] = small.to_dict()
+        report["smallness"] = asdict(small)
         report["smallness_ok"] = small.passes
         terms = energies(u0, grid, fields)
         report["S0"] = terms.S_tilde
@@ -141,7 +142,7 @@ def cmd_scan(args) -> int:
                             local_energy=e, kind="concentration")
               for (ix, iy), e in hits]
     for ev in events:
-        print(json.dumps(ev.to_dict()))
+        print(json.dumps(asdict(ev)))
     if args.out:
         os.makedirs(args.out, exist_ok=True)
         write_events_jsonl(events, os.path.join(args.out, "scan_events.jsonl"))

@@ -6,6 +6,8 @@ import copy
 import json
 import math
 
+import numpy as np
+
 from .action import FlowConfig
 from .errors import ConfigError, ProjectionError
 from .fields import POTENTIALS, TWO_FORMS, FieldBackground
@@ -131,9 +133,10 @@ def build_objects(cfg: dict):
     """(grid, target, fields, u0, flow_config) from a validated config.
 
     A value that a builder, the grid or the flow settings rule out (a
-    ValueError, GridError among them, a point the target cannot project, or
-    a non-finite number in the fields or initial section) is a ConfigError
-    here, as a bad key or type is."""
+    ValueError, GridError among them, a point the target cannot project, a
+    non-finite number in the fields or initial section, or an initial map
+    with a non-finite value) is a ConfigError here, as a bad key or type
+    is."""
     cfg = validate_config(cfg)
     g = cfg["grid"]
     t, f, i = cfg["target"], cfg["fields"], cfg["initial"]
@@ -156,6 +159,8 @@ def build_objects(cfg: dict):
         flow_cfg.validate(grid)
     except (ValueError, ProjectionError) as e:
         raise ConfigError(str(e)) from e
+    if not np.isfinite(u0.values).all():
+        raise ConfigError(f"initial.kind {i['kind']!r} gives non-finite values")
     return grid, target, fields, u0, flow_cfg
 
 

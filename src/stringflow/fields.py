@@ -368,23 +368,8 @@ class SmallnessReport:
     required_bound: float      # delta1 / delta2
     B_inf: float
     passes_bfield: bool
-    passes_potential: bool
-
-    @property
-    def passes(self) -> bool:
-        return self.passes_bfield and self.passes_potential
-
-    def to_dict(self) -> dict:
-        return {
-            "integral_tilde_V": self.integral_tilde_V,
-            "delta1": self.delta1,
-            "delta2": self.delta2,
-            "required_bound": self.required_bound,
-            "B_inf": self.B_inf,
-            "passes_bfield": self.passes_bfield,
-            "passes_potential": self.passes_potential,
-            "passes": self.passes,
-        }
+    passes_potential: bool     # requires passes_bfield
+    passes: bool               # both hypotheses: passes_potential
 
 
 def smallness_report(u0: np.ndarray, grid: SurfaceGrid, fields: FieldBackground,
@@ -397,6 +382,7 @@ def smallness_report(u0: np.ndarray, grid: SurfaceGrid, fields: FieldBackground,
     else:
         delta2 = math.inf
     bound = delta1 / delta2 if passes_b else 0.0
+    passes = passes_b and integral <= bound
     return SmallnessReport(
         integral_tilde_V=integral,
         delta1=delta1,
@@ -404,5 +390,6 @@ def smallness_report(u0: np.ndarray, grid: SurfaceGrid, fields: FieldBackground,
         required_bound=bound,
         B_inf=B_inf,
         passes_bfield=passes_b,
-        passes_potential=passes_b and integral <= bound,
+        passes_potential=passes,
+        passes=passes,
     )

@@ -139,10 +139,12 @@ def build_grid(nx: int, ny: int, Lx: float = TWO_PI, Ly: float = TWO_PI,
         if lam_arr.shape != (nx, ny):
             raise GridError(f"lambda array shape {lam_arr.shape} != {(nx, ny)}")
         lam_arr = lam_arr.copy()
-    if not np.all(np.isfinite(lam_arr)):
-        raise GridError("conformal exponent contains non-finite values")
-    e2l = np.exp(2.0 * lam_arr)
-    em2l = np.exp(-2.0 * lam_arr)
+    # a NaN or infinite lam fails this check too
+    with np.errstate(over="ignore"):
+        e2l = np.exp(2.0 * lam_arr)
+        em2l = np.exp(-2.0 * lam_arr)
+    if not (np.isfinite(e2l).all() and np.isfinite(em2l).all()):
+        raise GridError(f"lam {lam_arr.min()}..{lam_arr.max()}: e^(2|lam|) is not finite")
     eml = np.exp(-lam_arr)
     w = e2l * (dx * dy)
     for a in (lam_arr, x, y, e2l, em2l, eml, w):

@@ -34,38 +34,37 @@ def constant_map(grid: SurfaceGrid, target: TargetManifold,
 
 
 def geodesic_wrap(grid: SurfaceGrid, target: TargetManifold,
-                  m: int = 1, n: int = 0, plane=(0, 1),
-                  phase: float = 0.0) -> MapField:
-    """u = (cos theta, sin theta) in coordinate plane `plane`, theta = m x + n y.
+                  m: int = 1, n: int = 0) -> MapField:
+    """u = (cos theta, sin theta, 0, ...), theta = m x + n y.
 
     A closed geodesic wrap of the sphere; a critical point of the Dirichlet
     energy, and of the full action whenever the background fields vanish on
     the wrapped circle.
     """
-    i, j = plane
     theta = (m * 2.0 * np.pi / grid.Lx) * grid.x[:, None] \
-        + (n * 2.0 * np.pi / grid.Ly) * grid.y[None, :] + phase
+        + (n * 2.0 * np.pi / grid.Ly) * grid.y[None, :]
     vals = empty_map((grid.nx, grid.ny, target.q))
     vals.fill(0.0)
-    vals[..., i] = np.cos(theta)
-    vals[..., j] = np.sin(theta)
+    vals[..., 0] = np.cos(theta)
+    vals[..., 1] = np.sin(theta)
     return MapField(vals, target)
 
 
 def bump_map(grid: SurfaceGrid, target: TargetManifold,
-             center=None, scale: float = 0.5,
-             support: float = None) -> MapField:
+             center=None, scale: float = 0.5) -> MapField:
     """Inverse-stereographic bubble in the first three coordinates.
 
-    Inside radius `support` of `center` the map covers a cap of the 2-sphere
-    {u4 = ... = 0}; outside it sits at the pole (0, 0, 1, 0, ...).  Smaller
-    `scale` concentrates more Dirichlet energy near the center.
+    Inside radius 0.45 min(Lx, Ly) of `center` the map covers a cap of the
+    2-sphere {u4 = ... = 0}; outside it sits at the pole (0, 0, 1, 0, ...).
+    Smaller |scale| concentrates more Dirichlet energy near the center; a
+    negative scale mirrors the bubble, and 0 is a GridError.
     """
     if target.q < 3:
         raise GridError("bump_map needs an ambient dimension of at least 3")
+    if scale == 0:
+        raise GridError("bump scale must be nonzero")
     x0 = (0.5 * grid.Lx, 0.5 * grid.Ly) if center is None else center
-    if support is None:
-        support = 0.45 * min(grid.Lx, grid.Ly)
+    support = 0.45 * min(grid.Lx, grid.Ly)
     X = grid.x[:, None] - x0[0]
     Y = grid.y[None, :] - x0[1]
     # periodic-aware displacement
@@ -124,7 +123,7 @@ def noisy_wrap(grid: SurfaceGrid, target: TargetManifold,
 
 def small_energy_map(grid: SurfaceGrid, target: TargetManifold,
                      energy: float, seed: int = 0, max_mode: int = 2,
-                     point=None, tol: float = 1e-12) -> MapField:
+                     point=None) -> MapField:
     """Perturbed constant map whose Dirichlet energy equals `energy`.
 
     The amplitude of a fixed low-pass perturbation is found by bisection;
@@ -150,7 +149,7 @@ def small_energy_map(grid: SurfaceGrid, target: TargetManifold,
             lo = mid
         else:
             hi = mid
-        if hi - lo < tol * max(1.0, hi):
+        if hi - lo < 1e-12 * max(1.0, hi):
             break
     a = 0.5 * (lo + hi)
     return MapField(target.project(p + a * noise), target)

@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import json
 import os
+from dataclasses import asdict
 
 import numpy as np
 
@@ -87,32 +88,29 @@ def read_snapshot(path: str):
 def write_events_jsonl(events, path: str):
     with open(path, "w") as f:
         for ev in events:
-            f.write(json.dumps(ev.to_dict()) + "\n")
+            f.write(json.dumps(asdict(ev)) + "\n")
 
 
 def read_events_jsonl(path: str):
+    """SnapshotError, naming the file and the line, for a line that is not
+    one event's JSON object."""
     events = []
     with open(path) as f:
-        for line in f:
+        for n, line in enumerate(f, 1):
             line = line.strip()
             if not line:
                 continue
-            d = json.loads(line)
-            events.append(SingularEvent(t=d["t"], ix=d["ix"], iy=d["iy"],
-                                        R=d["R"], local_energy=d["local_energy"],
-                                        kind=d["kind"]))
+            try:
+                events.append(SingularEvent(**json.loads(line)))
+            except (ValueError, TypeError) as e:
+                raise SnapshotError(f"{path}, line {n}: bad event ({e})") from e
     return events
 
 
-# aliases matching the external-interface naming
-export_csv = write_ledger_csv
-export_snapshot = write_snapshot
-
-
-def write_run_outputs(state, out_dir: str, prefix: str = "run"):
+def write_run_outputs(state, out_dir: str):
     """Ledger, final snapshot, and events for a completed flow state."""
     os.makedirs(out_dir, exist_ok=True)
-    write_ledger_csv(state.ledger, os.path.join(out_dir, f"{prefix}_ledger.csv"))
-    write_snapshot(os.path.join(out_dir, f"{prefix}_final.snap"),
+    write_ledger_csv(state.ledger, os.path.join(out_dir, "run_ledger.csv"))
+    write_snapshot(os.path.join(out_dir, "run_final.snap"),
                    state.u.values, state.t, state.target.name)
-    write_events_jsonl(state.events, os.path.join(out_dir, f"{prefix}_events.jsonl"))
+    write_events_jsonl(state.events, os.path.join(out_dir, "run_events.jsonl"))

@@ -27,10 +27,6 @@ class SingularEvent:
     local_energy: float
     kind: str   # "concentration" | "stiffness"
 
-    def to_dict(self) -> dict:
-        return {"t": self.t, "ix": self.ix, "iy": self.iy, "R": self.R,
-                "local_energy": self.local_energy, "kind": self.kind}
-
 
 def _torus_dist2(grid: SurfaceGrid, a, b) -> float:
     dx = periodic_delta(np.array([grid.x[a[0]]]), grid.x[b[0]], grid.Lx)[0]
@@ -82,23 +78,23 @@ def local_action_density(u_values: np.ndarray, grid: SurfaceGrid,
 
 
 def choose_R1_T1(u0_values: np.ndarray, grid: SurfaceGrid,
-                 fields: FieldBackground, delta1: float, delta2: float,
-                 c_hat: float = 1.0, n_radii: int = 24):
+                 fields: FieldBackground, delta1: float, delta2: float):
     """Largest radius R1 with sup_x S_tilde(u0, B_{2 R1}(x)) < delta1/(2 delta2),
-    and the local-control horizon T1 = delta1 R1^2 / (2 c_hat delta2^2 S0).
+    and the local-control horizon T1 = delta1 R1^2 / (2 delta2^2 S0)
+    (c_hat = 1).
 
-    Falls back to the smallest grid radius (with warned=True) when no tested
-    radius is admissible.
+    Tests 24 radii, geometric from 1.5 max(dx, dy) to 0.49 of the injectivity
+    radius, and falls back to the smallest (with warned=True) when none is
+    admissible.
     """
     dens = local_action_density(u0_values, grid, fields)
     S0 = float(np.sum(dens))
+    r_max = 0.49 * grid.inj_radius
     if S0 <= 0:
-        R1 = 0.49 * grid.inj_radius
-        return R1, math.inf, False
+        return r_max, math.inf, False
     bound = delta1 / (2.0 * delta2)
     r_min = 1.5 * max(grid.dx, grid.dy)
-    r_max = 0.49 * grid.inj_radius
-    radii = np.geomspace(r_min, r_max, n_radii)
+    radii = np.geomspace(r_min, r_max, 24)
     R1 = None
     for R in radii[::-1]:
         if float(np.max(ball_sum_map(dens, grid, 2.0 * R))) < bound:
@@ -107,16 +103,14 @@ def choose_R1_T1(u0_values: np.ndarray, grid: SurfaceGrid,
     warned = R1 is None
     if warned:
         R1 = float(radii[0])
-    T1 = delta1 * R1 ** 2 / (2.0 * c_hat * delta2 ** 2 * S0)
+    T1 = delta1 * R1 ** 2 / (2.0 * delta2 ** 2 * S0)
     return R1, T1, warned
 
 
 def convergence_probe(kinetic: float, el_residual_l2: float,
-                      conv_tol: float) -> dict:
+                      conv_tol: float) -> bool:
     """Converged when int |du/dt|^2 <= conv_tol^2 and EL residual <= 10 conv_tol."""
-    converged = kinetic <= conv_tol ** 2 and el_residual_l2 <= 10.0 * conv_tol
-    return {"converged": bool(converged), "kinetic_norm": kinetic,
-            "el_residual_norm": el_residual_l2}
+    return bool(kinetic <= conv_tol ** 2 and el_residual_l2 <= 10.0 * conv_tol)
 
 
 # -- parabolic rescaling -----------------------------------------------------------
@@ -183,11 +177,10 @@ def _bilinear_periodic(grid: SurfaceGrid, px: np.ndarray, py: np.ndarray):
     return interpolate
 
 
-def rescale_out_grid(grid: SurfaceGrid, r: float, nx: int | None = None,
-                     ny: int | None = None) -> SurfaceGrid:
-    """Flat grid covering the zoomed window; default is the commensurate
-    choice (same node count, periods L/r) for which the resampling is exact."""
-    return build_grid(nx or grid.nx, ny or grid.ny, grid.Lx / r, grid.Ly / r)
+def rescale_out_grid(grid: SurfaceGrid, r: float) -> SurfaceGrid:
+    """Flat grid covering the zoomed window: the commensurate choice (same
+    node count, periods L/r) for which the resampling is exact."""
+    return build_grid(grid.nx, grid.ny, grid.Lx / r, grid.Ly / r)
 
 
 class RescaledSequence:
@@ -197,8 +190,9 @@ class RescaledSequence:
     one shows in its entry) and the interpolation from `_bilinear_periodic`;
     `seq[k]` interpolates entry k afresh each time it is asked for, so
     iterating holds one rescaled map at a time.  Supports len, integer
-    indices (negative ones too) and repeated iteration; entry k is
-    (s_k, v_k) with s_k = (t_k - t0) / r^2.
+    indices (negative ones too) and repeated iteration, which the sequence
+    protocol gives from the IndexError past the end; entry k is (s_k, v_k)
+    with s_k = (t_k - t0) / r^2.
     """
 
     def __init__(self, kept, t0: float, r: float, interpolate):
@@ -213,13 +207,9 @@ class RescaledSequence:
         t, vals = self._kept[operator.index(k)]
         return (t - self._t0) / self._r2, self._interpolate(vals)
 
-    def __iter__(self):
-        for k in range(len(self._kept)):
-            yield self[k]
-
 
 def parabolic_rescale(snapshots, z0, r: float, grid: SurfaceGrid,
-                      out_grid: SurfaceGrid, fields: FieldBackground | None = None):
+                      out_grid: SurfaceGrid):
     """Zoom v(x, t) = u(x0 + r x, t0 + r^2 t) onto out_grid.
 
     `snapshots` is a time-sorted list of (t, values); z0 = ((ix, iy), t0).
@@ -245,8 +235,7 @@ def parabolic_rescale(snapshots, z0, r: float, grid: SurfaceGrid,
     seq = RescaledSequence(kept, t0, r, _bilinear_periodic(grid, px, py))
     gradV_factor = 1.0 / r ** 2
     return {"sequence": seq, "center": (cx, cy), "r": r,
-            "gradV_factor": gradV_factor,
-            "potential_active": fields is not None and not fields.V.is_zero}
+            "gradV_factor": gradV_factor}
 
 
 # -- local Sobolev diagnostic -------------------------------------------------------

@@ -131,7 +131,6 @@ def gap_check(u_values: np.ndarray, grid: SurfaceGrid, target: TargetManifold,
         "gradV_l43": gv_norm,
         "ratio": ratio,
         "small_energy": small,
-        "gap_applicable": small,
         "expect_constant": bool(small and fields.V.is_zero),
     }
 
@@ -143,23 +142,24 @@ def scalar_curvature(grid: SurfaceGrid) -> np.ndarray:
 
 def triviality_condition(u_values: np.ndarray, grid: SurfaceGrid,
                          fields: FieldBackground, kappa_N: float,
-                         Z_inf: float, hessV_inf: float,
-                         tol: float = 1e-6) -> dict:
+                         Z_inf: float, hessV_inf: float) -> dict:
     """Pointwise margin Scal/2 - (|Z|^2 + kappa) |du|^2 - |Hess V|.
 
-    The condition holds iff the margin is nonnegative everywhere; when it
-    holds, |du|^2 is subharmonic hence expected constant for critical maps.
+    The condition holds iff the margin is nonnegative everywhere, up to
+    1e-6; when it holds, |du|^2 is subharmonic hence expected constant for
+    critical maps.  |du|^2 counts as constant when its spread is within
+    1e-6 of max(1, max |du|^2).
     """
     g2 = grad_sq_density(u_values, grid)
     margin = 0.5 * scalar_curvature(grid) - (Z_inf ** 2 + kappa_N) * g2 - hessV_inf
-    holds = bool(np.all(margin >= -tol))
+    holds = bool(np.all(margin >= -1e-6))
     spread = float(np.max(g2) - np.min(g2))
     return {
         "condition_holds_everywhere": holds,
         "margin_field": margin,
         "min_margin": float(np.min(margin)),
         "grad_sq_spread": spread,
-        "grad_sq_constant": bool(spread <= tol * max(1.0, float(np.max(g2)))),
+        "grad_sq_constant": bool(spread <= 1e-6 * max(1.0, float(np.max(g2)))),
     }
 
 

@@ -95,20 +95,20 @@ class TargetManifold(ABC):
         if d > tol:
             raise OffManifoldError(f"max dist to target {d:.3e} > {tol:.1e}")
 
-    def check_tangent(self, u: np.ndarray, X: np.ndarray,
-                      tol: float = TANGENT_TOL):
+    def check_tangent(self, u: np.ndarray, X: np.ndarray):
         P = self.tangent_projector(u)
         r = np.einsum("...ij,...j->...i", P, X) - X
         defect = float(np.max(np.linalg.norm(r, axis=-1)))
         scale = max(float(np.max(np.linalg.norm(X, axis=-1))), 1.0)
-        if defect > tol * scale:
+        if defect > TANGENT_TOL * scale:
             raise TangencyError(f"normal component {defect:.3e} beyond tolerance")
 
-    def second_fundamental_form(self, u, X, Y, check: bool = True) -> np.ndarray:
-        if check:
-            self.check_on_manifold(u)
-            self.check_tangent(u, X)
-            self.check_tangent(u, Y)
+    def second_fundamental_form(self, u, X, Y) -> np.ndarray:
+        """II(X, Y) after checking that u is on N (OffManifoldError) and X,
+        Y are tangent at u (TangencyError)."""
+        self.check_on_manifold(u)
+        self.check_tangent(u, X)
+        self.check_tangent(u, Y)
         return self.sff(u, X, Y)
 
     def second_fundamental_form_fd(self, u, X, Y, h: float | None = None,

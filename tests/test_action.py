@@ -124,7 +124,7 @@ def test_local_energy_map_matches_direct(grid, sphere):
     # the FFT ball map against a masked sum of the same |du|^2 dvol density
     u = sf.bump_map(grid, sphere, scale=0.4)
     R = 0.6
-    m = sf.local_energy_map(u, grid, R)
+    m = sf.ball_sum_map(energy_density(u.values, grid), grid, R)
     direct = float(np.sum(energy_density(u.values, grid)[
         ball_mask(grid, (16, 16), R)]))
     assert m[16, 16] == pytest.approx(direct, rel=1e-10, abs=1e-12)

@@ -3,6 +3,7 @@ import os
 import shutil
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -78,6 +79,8 @@ def test_run_unknown_kind_is_a_config_error(tmp_path, capsys, section, key):
     ("initial", "amplitude", float("nan")),
     ("fields", "epsilon", float("inf")),
     ("fields", "beta", float("nan")),
+    ("grid", "lam", 400),
+    ("grid", "lam", -400),
 ])
 def test_bad_config_value_is_a_config_error(tmp_path, capsys, command,
                                             section, key, value):
@@ -204,11 +207,23 @@ def test_check_hypothesis_warning_exit_two(tmp_path, capsys):
 
 
 def test_check_ok_exit_zero(tmp_path, capsys):
-    cfgp = small_cfg(tmp_path, fields={"b_kind": "y4", "beta": 0.2})
+    cfgp = small_cfg(tmp_path, fields={"b_kind": "y4", "beta": 0.2,
+                                       "v_kind": "height", "epsilon": 1e-3})
     assert main(["check", "--config", cfgp]) == 0
     report = json.loads(capsys.readouterr().out)
     assert report["delta2"] > 2.0
     assert report["k_bound"] >= 0
+    # the smallness object keeps its keys, order and values
+    grid, target, fields, u0, flow_cfg = sf.build_objects(sf.load_config(cfgp))
+    B_inf = sf.sup_norms(fields.b, fields.V, target).B_inf
+    s = sf.smallness_report(u0.values, grid, fields, flow_cfg.delta1, B_inf)
+    literal = {"integral_tilde_V": s.integral_tilde_V, "delta1": s.delta1,
+               "delta2": s.delta2, "required_bound": s.required_bound,
+               "B_inf": s.B_inf, "passes_bfield": s.passes_bfield,
+               "passes_potential": s.passes_potential,
+               "passes": s.passes_bfield and s.passes_potential}
+    assert json.dumps(report["smallness"]) == json.dumps(literal)
+    assert s.integral_tilde_V > 0.0 and report["smallness_ok"] is True
 
 
 def test_scan_subcommand(tmp_path, capsys):
@@ -220,8 +235,18 @@ def test_scan_subcommand(tmp_path, capsys):
     out = str(tmp_path / "scan")
     assert main(["scan", snap, "--delta1", "0.5", "--radius", "0.5",
                  "--out", out]) == 0
-    assert os.path.exists(os.path.join(out, "scan_events.jsonl"))
-    assert "concentration site" in capsys.readouterr().out
+    printed = capsys.readouterr().out
+    assert "concentration site" in printed
+    # each event is one JSON line, printed and written, in the key order
+    # t, ix, iy, R, local_energy, kind
+    hits = sf.concentration_scan(sf.read_snapshot(snap)[0], g, 0.5, 0.5)
+    lines = [json.dumps({"t": 0.0, "ix": ix, "iy": iy, "R": 0.5,
+                         "local_energy": e, "kind": "concentration"}) + "\n"
+             for (ix, iy), e in hits]
+    assert lines
+    with open(os.path.join(out, "scan_events.jsonl")) as f:
+        assert f.read() == "".join(lines)
+    assert printed.startswith("".join(lines))
 
 
 def test_rescale_subcommand(tmp_path):
@@ -281,6 +306,21 @@ def test_run_with_preset(tmp_path):
     code = main(["check", "--preset", "gap_smallness", "--out", out])
     assert code == 0
     assert os.path.exists(os.path.join(out, "hypothesis.json"))
+
+
+@pytest.mark.parametrize("command", ["run", "check"])
+def test_initial_map_with_non_finite_values_is_a_config_error(
+        tmp_path, capsys, command):
+    # a zero bump scale divides by zero: exit 1 naming it, with no numpy
+    # warning, not a NaN in hypothesis.json or a failure at step 1
+    cfgp = small_cfg(tmp_path, initial={"kind": "bump", "scale": 0})
+    out = tmp_path / "o"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main([command, "--config", cfgp, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: ") and "scale" in err
+    assert not out.exists()
 
 
 def test_run_non_finite_initial_map_exit_three(tmp_path, monkeypatch, capsys):

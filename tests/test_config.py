@@ -1,8 +1,10 @@
 import json
 
+import numpy as np
 import pytest
 
 import stringflow as sf
+from stringflow import initial_data
 from stringflow.errors import ConfigError
 
 
@@ -155,3 +157,16 @@ def test_height_with_zero_epsilon_builds_a_zero_potential():
         {"grid": {"nx": 16, "ny": 16},
          "fields": {"v_kind": "height", "epsilon": 0.0}})
     assert fields.V.name == "height" and fields.V.is_zero
+
+
+def test_initial_map_with_a_non_finite_value_is_a_config_error(monkeypatch):
+    def with_nan(grid, target, point=None):
+        u = sf.constant_map(grid, target, point)
+        u.values[1, 2, 0] = np.nan
+        return u
+
+    monkeypatch.setitem(initial_data.MAP_BUILDERS, "constant",
+                        (with_nan, ("point",)))
+    with pytest.raises(ConfigError, match="initial.kind 'constant' gives "
+                                          "non-finite values"):
+        sf.build_objects({"grid": {"nx": 16, "ny": 16}})

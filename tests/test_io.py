@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -99,6 +100,29 @@ def test_events_roundtrip(tmp_path):
     sf.write_events_jsonl(evs, str(p))
     back = sf.read_events_jsonl(str(p))
     assert back == evs
+    # one JSON line per event, keys in the order t, ix, iy, R,
+    # local_energy, kind
+    assert p.read_text() == "".join(
+        json.dumps({"t": e.t, "ix": e.ix, "iy": e.iy, "R": e.R,
+                    "local_energy": e.local_energy, "kind": e.kind}) + "\n"
+        for e in evs)
+
+
+@pytest.mark.parametrize("bad", [
+    "not json",
+    '{"t": 0.1, "ix": 3}',
+    '{"t": 0.1, "ix": 3, "iy": 4, "R": 0.5, "local_energy": 0.7, '
+    '"kind": "concentration", "dt": 1.0}',
+    "[0.1, 3, 4, 0.5, 0.7]",
+], ids=["not-json", "missing-key", "unknown-key", "not-an-object"])
+def test_events_reader_names_the_bad_line(tmp_path, bad):
+    good = ('{"t": 0.1, "ix": 3, "iy": 4, "R": 0.5, "local_energy": 0.7, '
+            '"kind": "concentration"}')
+    p = tmp_path / "ev.jsonl"
+    p.write_text(good + "\n\n" + bad + "\n")
+    with pytest.raises(SnapshotError,
+                       match=re.escape(f"{p}, line 3: bad event")):
+        sf.read_events_jsonl(str(p))
 
 
 def test_write_run_outputs(run_state, tmp_path):

@@ -253,9 +253,10 @@ def test_rescaled_sequence_len_indices_and_repeated_iteration(sphere):
         with pytest.raises(IndexError):
             seq[k]
     first, second = list(seq), list(seq)
-    assert len(first) == len(second) == len(seq)
-    for (sa, va), (sb, vb) in zip(first, second):
-        assert sa == sb and va.tobytes() == vb.tobytes()
+    indexed = [seq[k] for k in range(len(seq))]
+    assert len(first) == len(second) == len(indexed) == len(seq)
+    for (sa, va), (sb, vb), (sk, vk) in zip(first, second, indexed):
+        assert sa == sb == sk and va.tobytes() == vb.tobytes() == vk.tobytes()
     # every entry is a fresh component-major map
     assert first[0][1] is not second[0][1]
     assert sf.grid.component_first(v0).flags.c_contiguous

@@ -51,9 +51,14 @@ def test_sff_matches_projection_hessian_oracle(sphere):
 
 def test_checked_sff_rejects_nontangent_arguments(sphere):
     u = rand_points(sphere, n=5)
-    X = np.ones_like(u)  # generically not tangent
-    with pytest.raises(sf.TangencyError):
-        sphere.second_fundamental_form(u, X, X)
+    T = tangent_project(sphere, u, np.ones_like(u))
+    # np.ones is generically not tangent; u itself is the sphere's normal
+    for X in (np.ones_like(u), u.copy()):
+        for args in ((X, X), (T, X), (X, T)):
+            with pytest.raises(sf.TangencyError):
+                sphere.second_fundamental_form(u, *args)
+    assert np.array_equal(sphere.second_fundamental_form(u, T, T),
+                          sphere.sff(u, T, T))
 
 
 def test_check_on_manifold(sphere):
