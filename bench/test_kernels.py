@@ -178,7 +178,7 @@ def test_assemble_A(benchmark, analysis_case):
 
 def test_rescale_window_dirichlet_energy(benchmark, analysis_case):
     # the bubble workload's analysis of one radius: a 16-entry window on the
-    # commensurate out-grid, each entry interpolated and its energy taken
+    # commensurate out-grid, each entry rolled and its energy taken
     grid, _, u = analysis_case
     r = 4 * grid.dx
     snaps = [(r * r * k / 15, u) for k in range(16)]
@@ -203,8 +203,7 @@ def _bubble_64():
 def test_bubble_read_back_64(benchmark):
     # the bubble workload's read-back of a 64-entry ring ending at t0 = 0.6:
     # every radius k*dx (k >= 2) whose window the ring covers (6 of them),
-    # each entry rescaled onto the commensurate out-grid and its energy
-    # taken
+    # each entry rolled onto the commensurate out-grid and its energy taken
     grid, _, u = _bubble_64()
     t0 = 0.6
     snaps = [(t, u) for t in np.linspace(0.12, t0, 64)]

@@ -610,8 +610,5 @@ def run(u0: MapField, grid: SurfaceGrid, target: TargetManifold,
                 state.converged = convergence_probe(state.last_kinetic,
                                                     l2_norm(state.rhs, grid),
                                                     config.conv_tol)
-    if state.ledger.records[-1].t < state.t:
-        _record(state)
-        _snapshot(state)
     state.work = None
     return state

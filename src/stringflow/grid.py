@@ -88,7 +88,6 @@ class SurfaceGrid:
     dy: float
     x: np.ndarray        # (nx,) node coordinates
     y: np.ndarray        # (ny,)
-    e2l: np.ndarray      # e^{2 lam}
     em2l: np.ndarray     # e^{-2 lam}
     eml: np.ndarray      # e^{-lam}
     w: np.ndarray        # quadrature weights e^{2 lam} dx dy
@@ -141,16 +140,16 @@ def build_grid(nx: int, ny: int, Lx: float = TWO_PI, Ly: float = TWO_PI,
         lam_arr = lam_arr.copy()
     # a NaN or infinite lam fails this check too
     with np.errstate(over="ignore"):
-        e2l = np.exp(2.0 * lam_arr)
         em2l = np.exp(-2.0 * lam_arr)
-    if not (np.isfinite(e2l).all() and np.isfinite(em2l).all()):
-        raise GridError(f"lam {lam_arr.min()}..{lam_arr.max()}: e^(2|lam|) is not finite")
+        w = np.exp(2.0 * lam_arr) * (dx * dy)
+    if not (np.isfinite(w).all() and np.isfinite(em2l).all()):
+        raise GridError(f"lam {lam_arr.min()}..{lam_arr.max()}: e^(2|lam|) dx dy "
+                        "is not finite")
     eml = np.exp(-lam_arr)
-    w = e2l * (dx * dy)
-    for a in (lam_arr, x, y, e2l, em2l, eml, w):
+    for a in (lam_arr, x, y, em2l, eml, w):
         a.setflags(write=False)
     return SurfaceGrid(nx=nx, ny=ny, Lx=float(Lx), Ly=float(Ly), lam=lam_arr,
-                       dx=dx, dy=dy, x=x, y=y, e2l=e2l, em2l=em2l, eml=eml, w=w,
+                       dx=dx, dy=dy, x=x, y=y, em2l=em2l, eml=eml, w=w,
                        lam_min=float(np.min(lam_arr)))
 
 

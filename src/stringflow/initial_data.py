@@ -115,14 +115,14 @@ def random_smooth_map(grid: SurfaceGrid, target: TargetManifold,
 
 def noisy_wrap(grid: SurfaceGrid, target: TargetManifold,
                m: int = 1, n: int = 0, seed: int = 0,
-               amplitude: float = 1e-3, max_mode: int = 4) -> MapField:
+               amplitude: float = 0.3, max_mode: int = 4) -> MapField:
     base = geodesic_wrap(grid, target, m=m, n=n).values
     vals = target.project(base + amplitude * _lowpass_noise(grid, target.q, seed, max_mode))
     return MapField(vals, target)
 
 
 def small_energy_map(grid: SurfaceGrid, target: TargetManifold,
-                     energy: float, seed: int = 0, max_mode: int = 2,
+                     energy: float, seed: int = 0, max_mode: int = 4,
                      point=None) -> MapField:
     """Perturbed constant map whose Dirichlet energy equals `energy`.
 

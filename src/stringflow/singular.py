@@ -13,9 +13,8 @@ import numpy as np
 
 from .errors import GridError, UnsupportedConfigurationError
 from .fields import FieldBackground, pullback_density
-from .grid import (SurfaceGrid, ball_sum_map, build_grid, component_first,
-                   empty_map, energy_density, grad_sq_density,
-                   hessian_sq_density, periodic_delta)
+from .grid import (SurfaceGrid, ball_sum_map, build_grid, energy_density,
+                   grad_sq_density, hessian_sq_density, periodic_delta)
 
 
 @dataclass
@@ -115,68 +114,6 @@ def convergence_probe(kinetic: float, el_residual_l2: float,
 
 # -- parabolic rescaling -----------------------------------------------------------
 
-# a zoom point within this many index units of a node is that node: the
-# commensurate out-grid lands on nodes up to the rounding of r * dx'
-NODE_SNAP = 1e-9
-
-
-def _axis_corners(p: np.ndarray, h: float, n: int):
-    """The (index, weight) pairs of the two nodes around each coordinate p
-    along one axis: (i0, 1 - t) and (i1, t).  A coordinate within NODE_SNAP
-    of a node snaps to it (t = 0); when every point does, the lone pair
-    (i0, None) stands for a weight of 1."""
-    f = (p / h) % n
-    near = np.rint(f)
-    f = np.where(np.abs(f - near) <= NODE_SNAP, near, f)
-    i0 = np.floor(f)
-    t = f - i0
-    i0 = i0.astype(int) % n
-    if not t.any():
-        return [(i0, None)]
-    return [(i0, 1 - t), ((i0 + 1) % n, t)]
-
-
-def _bilinear_periodic(grid: SurfaceGrid, px: np.ndarray, py: np.ndarray):
-    """Periodic bilinear interpolation at the points (px, py).
-
-    Builds the corner indices and weights once and returns the function
-    that applies them to a node field of shape (nx, ny, q).  The result is
-    component-major: every plane of the component-first view (a flat
-    reshape, no copy, for a component-major snapshot) is gathered at once
-    by `np.take` along axis 1, so later stencils read it contiguously.
-    Points within NODE_SNAP of a node are that node.  Along an axis where
-    every point is a node, the corners of weight 0 are not gathered and the
-    weight 1 is not multiplied, so the commensurate zoom, whose points are
-    all nodes, is one gather of the node values.
-    """
-    xs = _axis_corners(px, grid.dx, grid.nx)
-    ys = _axis_corners(py, grid.dy, grid.ny)
-    # corner (flat node index, weight) pairs in the order (i0, j0), (i1, j0),
-    # (i0, j1), (i1, j1); each weight keeps the product order
-    # ((1 - tx) * (1 - ty)) * v00 of the plain formula
-    corners = [(i * grid.ny + j,
-                wy if wx is None else wx if wy is None else wx * wy)
-               for j, wy in ys for i, wx in xs]
-
-    def interpolate(vals: np.ndarray) -> np.ndarray:
-        V = component_first(vals).reshape(vals.shape[-1], -1)
-        out = empty_map(px.shape + vals.shape[-1:])
-        O = component_first(out)
-        # the indices are in range; "clip" spares the default mode's copy
-        (k, w), *rest = corners
-        np.take(V, k, axis=1, out=O, mode="clip")
-        if w is not None:
-            O *= w
-        T = np.empty(O.shape) if rest else None
-        for k, w in rest:
-            np.take(V, k, axis=1, out=T, mode="clip")
-            T *= w
-            O += T
-        return out
-
-    return interpolate
-
-
 def rescale_out_grid(grid: SurfaceGrid, r: float) -> SurfaceGrid:
     """Flat grid covering the zoomed window: the commensurate choice (same
     node count, periods L/r) for which the resampling is exact."""
@@ -187,54 +124,63 @@ class RescaledSequence:
     """The rescaled maps (s, v) of a parabolic window, made on access.
 
     Holds the window's (t, values) snapshots by reference (a later write to
-    one shows in its entry) and the interpolation from `_bilinear_periodic`;
-    `seq[k]` interpolates entry k afresh each time it is asked for, so
-    iterating holds one rescaled map at a time.  Supports len, integer
-    indices (negative ones too) and repeated iteration, which the sequence
-    protocol gives from the IndexError past the end; entry k is (s_k, v_k)
-    with s_k = (t_k - t0) / r^2.
+    one shows in its entry).  On the commensurate out-grid every zoom point
+    is a node, so v_k is snapshot k rolled by `shift` along the two grid
+    axes, a fresh array in the snapshot's layout; `seq[k]` rolls entry k
+    afresh each time it is asked for, so iterating holds one rescaled map
+    at a time.  Supports len, integer indices (negative ones too) and
+    repeated iteration, which the sequence protocol gives from the
+    IndexError past the end; entry k is (s_k, v_k) with
+    s_k = (t_k - t0) / r^2.
     """
 
-    def __init__(self, kept, t0: float, r: float, interpolate):
+    def __init__(self, kept, t0: float, r: float, shift):
         self._kept = tuple(kept)
         self._t0, self._r2 = t0, r ** 2
-        self._interpolate = interpolate
+        self._shift = shift
 
     def __len__(self) -> int:
         return len(self._kept)
 
     def __getitem__(self, k: int):
         t, vals = self._kept[operator.index(k)]
-        return (t - self._t0) / self._r2, self._interpolate(vals)
+        return (t - self._t0) / self._r2, np.roll(vals, self._shift,
+                                                  axis=(0, 1))
 
 
 def parabolic_rescale(snapshots, z0, r: float, grid: SurfaceGrid,
                       out_grid: SurfaceGrid):
     """Zoom v(x, t) = u(x0 + r x, t0 + r^2 t) onto out_grid.
 
-    `snapshots` is a time-sorted list of (t, values); z0 = ((ix, iy), t0).
-    The zoom center lands on the out-grid node (nx/2, ny/2).  Requires
-    r >= 2 dx and snapshot coverage of [t0 - r^2, t0].  Returns a dict with
-    the rescaled sequence (a lazy `RescaledSequence` over the snapshots in
-    the window), the center node, and the 1/r^2 factor multiplying grad V
-    in the rescaled equation (the tool does not evolve v).
+    `snapshots` is a time-sorted list of (t, values); z0 = ((ix, iy), t0)
+    with (ix, iy) a node of `grid`.  out_grid must be
+    `rescale_out_grid(grid, r)`, on which every zoom point is a node, so
+    the zoom is exact: each snapshot rolled to put node (ix, iy) at the
+    out-grid node (nx/2, ny/2).  Requires r >= 2 dx and snapshot coverage
+    of [t0 - r^2, t0].  Returns a dict with the rescaled sequence (a lazy
+    `RescaledSequence` over the snapshots in the window), the center node,
+    and the 1/r^2 factor multiplying grad V in the rescaled equation (the
+    tool does not evolve v).
     """
     if r < 2.0 * max(grid.dx, grid.dy):
         raise GridError(f"rescale radius {r} below 2*dx")
     (ix, iy), t0 = z0
+    if not (0 <= ix < grid.nx and 0 <= iy < grid.ny):
+        raise GridError(f"zoom node ({ix}, {iy}) not on the "
+                        f"{grid.nx}x{grid.ny} grid")
+    if ((out_grid.nx, out_grid.ny, out_grid.Lx, out_grid.Ly, out_grid.is_flat)
+            != (grid.nx, grid.ny, grid.Lx / r, grid.Ly / r, True)):
+        raise GridError("out_grid is not the commensurate rescale_out_grid"
+                        f"(grid, {r})")
     times = [t for t, _ in snapshots]
     if not times or min(times) > t0 - r * r + 1e-12 * max(1.0, t0) or max(times) < t0 - 1e-12:
         raise GridError("snapshots do not cover [t0 - r^2, t0]")
     cx, cy = out_grid.nx // 2, out_grid.ny // 2
-    dxs = periodic_delta(out_grid.x, out_grid.x[cx], out_grid.Lx)
-    dys = periodic_delta(out_grid.y, out_grid.y[cy], out_grid.Ly)
-    px = (grid.x[ix] + r * dxs)[:, None] + np.zeros((1, out_grid.ny))
-    py = (grid.y[iy] + r * dys)[None, :] + np.zeros((out_grid.nx, 1))
     kept = [(t, vals) for t, vals in snapshots
             if t0 - r * r - 1e-12 <= t <= t0 + 1e-12]
-    seq = RescaledSequence(kept, t0, r, _bilinear_periodic(grid, px, py))
+    seq = RescaledSequence(kept, t0, r, (cx - ix, cy - iy))
     gradV_factor = 1.0 / r ** 2
-    return {"sequence": seq, "center": (cx, cy), "r": r,
+    return {"sequence": seq, "center": (cx, cy),
             "gradV_factor": gradV_factor}
 
 

@@ -92,7 +92,8 @@ class TargetManifold(ABC):
 
     def check_on_manifold(self, u: np.ndarray, tol: float = ON_MANIFOLD_TOL):
         d = float(np.max(self.distance(u)))
-        if d > tol:
+        # `not <=`, so that a NaN distance is rejected too (as in check_tangent)
+        if not d <= tol:
             raise OffManifoldError(f"max dist to target {d:.3e} > {tol:.1e}")
 
     def check_tangent(self, u: np.ndarray, X: np.ndarray):
@@ -100,7 +101,7 @@ class TargetManifold(ABC):
         r = np.einsum("...ij,...j->...i", P, X) - X
         defect = float(np.max(np.linalg.norm(r, axis=-1)))
         scale = max(float(np.max(np.linalg.norm(X, axis=-1))), 1.0)
-        if defect > TANGENT_TOL * scale:
+        if not defect <= TANGENT_TOL * scale:
             raise TangencyError(f"normal component {defect:.3e} beyond tolerance")
 
     def second_fundamental_form(self, u, X, Y) -> np.ndarray:

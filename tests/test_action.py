@@ -43,6 +43,11 @@ def test_mapfield_constraint_enforced(grid, sphere):
     vals = np.ones((32, 32, 4))
     with pytest.raises(sf.OffManifoldError):
         sf.MapField(vals, sphere).check()
+    # one NaN value in an otherwise constant map
+    u = sf.constant_map(sf.build_grid(16, 16), sphere)
+    u.values[5, 9, 2] = np.nan
+    with pytest.raises(sf.OffManifoldError):
+        u.check()
 
 
 def test_flow_rhs_is_tangent_up_to_truncation(grid, sphere):
@@ -141,12 +146,32 @@ def test_run_convergence_probe_stops_early(grid, sphere, monkeypatch):
         return laplacian(self, out)
 
     monkeypatch.setattr(Stencil, "laplacian", counted)
-    u0 = sf.small_energy_map(grid, sphere, energy=1e-4, seed=6)
+    u0 = sf.small_energy_map(grid, sphere, energy=1e-4, seed=6,
+                             max_mode=2)
     cfg = sf.FlowConfig(t_end=50.0, record_every=20, conv_tol=1e-8)
     st = sf.run(u0, grid, sphere, sf.zero_background(4), cfg)
     assert st.converged and st.t < 50.0
     assert st.steps == 6440
     assert len(laplacians) == st.steps + 1
+
+
+@pytest.mark.parametrize("exit_by", ["t_end", "conv_tol"])
+def test_run_ends_on_a_ledger_row_and_a_snapshot(grid, sphere, exit_by):
+    # the loop records when t reaches t_end, and probes convergence only
+    # right after a record, so either exit leaves the final state recorded
+    if exit_by == "t_end":
+        u0 = sf.random_smooth_map(grid, sphere, seed=3, amplitude=0.3)
+        cfg = sf.FlowConfig(t_end=0.01, record_every=7)
+    else:
+        u0 = sf.geodesic_wrap(grid, sphere)
+        cfg = sf.FlowConfig(t_end=1.0, record_every=7, conv_tol=1e-2)
+    st = sf.run(u0, grid, sphere, sf.zero_background(4), cfg)
+    if exit_by == "t_end":
+        assert st.t == cfg.t_end and st.steps % cfg.record_every != 0
+    else:
+        assert st.converged and st.t < cfg.t_end
+    assert st.ledger.records[-1].t == st.t
+    assert st.snapshots[-1][0] == st.t and st.snapshots[-1][1] is st.u.values
 
 
 def test_flow_rhs_result_is_not_a_workspace_buffer(grid, sphere):
@@ -324,7 +349,8 @@ def test_initial_maps_are_component_major_with_row_major_values(monkeypatch):
         "bump": lambda: sf.bump_map(g, s5, scale=0.3),
         "random_smooth": lambda: sf.random_smooth_map(g, s5, seed=3),
         "noisy_wrap": lambda: sf.noisy_wrap(g, s5, seed=3, amplitude=0.1),
-        "small_energy": lambda: sf.small_energy_map(g, s5, 0.01, seed=2),
+        "small_energy": lambda: sf.small_energy_map(g, s5, 0.01, seed=2,
+                                                    max_mode=2),
     }
     built = {kind: b().values for kind, b in builds.items()}
     monkeypatch.setattr(initial_data, "empty_map", np.empty)
@@ -384,7 +410,8 @@ def test_initial_noise_and_bisection_match_the_per_plane_build(n, q):
     for seed, max_mode in ((3, 2), (7, 4)):
         assert np.array_equal(initial_data._lowpass_noise(g, q, seed, max_mode),
                               _per_plane_noise(g, q, seed, max_mode))
-    assert np.array_equal(sf.small_energy_map(g, target, 0.05, seed=3).values,
+    assert np.array_equal(sf.small_energy_map(g, target, 0.05, seed=3,
+                                              max_mode=2).values,
                           _fresh_stencil_small_energy(g, target, 0.05, 3))
 
 

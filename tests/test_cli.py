@@ -275,7 +275,7 @@ def test_compare_identical_runs_bitwise(tmp_path):
     assert out["max_abs_diff"] == 0.0
 
 
-def test_compare_different_runs(tmp_path):
+def test_compare_different_runs(tmp_path, capsys):
     cfg_a = small_cfg(tmp_path)
     a = str(tmp_path / "a")
     main(["run", "--config", cfg_a, "--out", a])
@@ -285,6 +285,29 @@ def test_compare_different_runs(tmp_path):
     out = sf.compare_runs(a, b)
     assert not out["bitwise_identical"]
     assert out["max_abs_diff"] > 0
+    # the subcommand prints the summary line and writes the same report
+    capsys.readouterr()
+    cmp_dir = tmp_path / "cmp"
+    assert main(["compare", a, b, "--out", str(cmp_dir)]) == 0
+    assert json.loads((cmp_dir / "compare.json").read_text()) == out
+    rate = (f"rate={out['separation_rate']:.4g}"
+            if out["separation_rate"] is not None else "rate=n/a")
+    assert capsys.readouterr().out == (
+        f"compare: bitwise=False max_abs_diff={out['max_abs_diff']:.3e} "
+        f"{rate}\n")
+
+
+@pytest.mark.parametrize("raw, message", [
+    ([{"grid": {"nx": 16}}], "config must be a dict, got list"),
+    ({"grid": 16}, "grid: expected a mapping"),
+], ids=["config", "section"])
+def test_config_that_is_not_a_mapping_exit_one(tmp_path, capsys, raw,
+                                               message):
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(raw))
+    assert main(["run", "--config", str(p), "--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err == f"configuration error: {message}\n"
+    assert not (tmp_path / "o").exists()
 
 
 def test_run_scenario_hypothesis_warning_still_runs(tmp_path):

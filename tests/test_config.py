@@ -65,6 +65,16 @@ def test_every_registered_initial_kind_builds():
         u0.check()
 
 
+@pytest.mark.parametrize("kind", sorted(initial_data.MAP_BUILDERS))
+def test_config_defaults_of_each_initial_kind_are_its_builders(kind):
+    # `stringflow run` fills every initial key from the schema; a builder
+    # called with no optional keyword must give the same map
+    grid, target, _, u0, _ = sf.build_objects({"initial": {"kind": kind}})
+    builder = initial_data.MAP_BUILDERS[kind][0]
+    required = {"energy": 0.01} if kind == "small_energy" else {}
+    assert np.array_equal(u0.values, builder(grid, target, **required).values)
+
+
 def test_all_presets_validate_and_build():
     for name in sf.PRESETS:
         cfg = sf.preset_config(name)

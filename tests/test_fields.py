@@ -188,7 +188,7 @@ def test_smallness_report(sphere):
     g = sf.build_grid(24, 24)
     fields = sf.FieldBackground(b=sf.make_two_form("y4", 4, beta=0.1),
                                 V=sf.make_potential("height", 4, epsilon=1e-4))
-    u = sf.small_energy_map(g, sphere, energy=0.01, seed=6)
+    u = sf.small_energy_map(g, sphere, energy=0.01, seed=6, max_mode=2)
     rep = sf.smallness_report(u.values, g, fields, 0.5, 0.1)
     assert rep.passes
     # shrinking delta1 makes the shifted-potential budget fail

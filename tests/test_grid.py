@@ -37,6 +37,14 @@ def test_build_grid_rejects_small_and_bad_lambda():
         sf.build_grid(32, 32, lam=np.inf)
 
 
+@pytest.mark.filterwarnings("error")
+def test_build_grid_rejects_lambda_whose_weights_overflow():
+    # e^(2 lam) and e^(-2 lam) are finite at lam = 354, but the quadrature
+    # weight e^(2 lam) dx dy is not: a GridError naming lam, no warning
+    with pytest.raises(GridError, match=r"lam 354\.0\.\.354\.0"):
+        sf.build_grid(8, 8, Lx=1000.0, Ly=1000.0, lam=354.0)
+
+
 @pytest.mark.parametrize("Lx, Ly", [(np.nan, 1.0), (1.0, np.nan), (np.inf, 1.0),
                                      (1.0, -np.inf), (0.0, 1.0)])
 def test_build_grid_rejects_periods_that_are_not_finite_and_positive(Lx, Ly):

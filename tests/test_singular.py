@@ -7,7 +7,7 @@ import pytest
 import stringflow as sf
 from stringflow.action import _record
 from stringflow.errors import GridError
-from stringflow.grid import energy_density, periodic_delta
+from stringflow.grid import energy_density
 from stringflow.singular import local_action_density
 
 
@@ -51,7 +51,7 @@ def test_concentration_scan_deterministic(sphere):
 
 def test_choose_R1_T1_small_data(sphere):
     g = sf.build_grid(32, 32)
-    u = sf.small_energy_map(g, sphere, energy=0.01, seed=0)
+    u = sf.small_energy_map(g, sphere, energy=0.01, seed=0, max_mode=2)
     R1, T1, warned = sf.choose_R1_T1(u.values, g, sf.zero_background(4), 0.5, 2.0)
     assert R1 > 0 and T1 > 0
     assert not warned
@@ -191,39 +191,32 @@ def test_event_scan_and_ledger_share_the_ball_energy_bitwise(sphere, lam):
     assert ev.local_energy == st.ledger.records[-1].sup_local_energy
 
 
-def _bilinear_reference(vals, grid, px, py):
-    """Per-snapshot bilinear interpolation, every index and weight rebuilt."""
-    fx = (px / grid.dx) % grid.nx
-    fy = (py / grid.dy) % grid.ny
-    i0 = np.floor(fx).astype(int) % grid.nx
-    j0 = np.floor(fy).astype(int) % grid.ny
-    i1 = (i0 + 1) % grid.nx
-    j1 = (j0 + 1) % grid.ny
-    tx = (fx - np.floor(fx))[..., None]
-    ty = (fy - np.floor(fy))[..., None]
-    return ((1 - tx) * (1 - ty) * vals[i0, j0] + tx * (1 - ty) * vals[i1, j0]
-            + (1 - tx) * ty * vals[i0, j1] + tx * ty * vals[i1, j1])
-
-
-def test_parabolic_rescale_matches_per_snapshot_interpolation(sphere):
-    # a non-commensurate out-grid, so every bilinear weight is in play
+@pytest.mark.parametrize("og", [
+    lambda g, r: sf.build_grid(20, 18, Lx=3.3, Ly=2.9),
+    lambda g, r: sf.build_grid(g.nx, g.ny, Lx=g.Lx / r, Ly=1.01 * g.Ly / r),
+    lambda g, r: sf.build_grid(g.nx, g.ny, Lx=g.Lx / r, Ly=g.Ly / r, lam=0.1),
+], ids=["other-nodes", "other-period", "conformal"])
+def test_non_commensurate_out_grid_is_a_grid_error(sphere, og):
+    # the zoom is a roll of the snapshot, exact only on rescale_out_grid;
+    # any other out-grid would need interpolation, which is not offered
     g = sf.build_grid(32, 24, Lx=5.0, Ly=4.0)
-    snaps = [(0.03 * k, sf.random_smooth_map(g, sphere, seed=k,
-                                             amplitude=0.3).values)
-             for k in range(8)]
-    r, (ix, iy), t0 = 0.37, (5, 19), 0.18
-    og = sf.build_grid(20, 18, Lx=3.3, Ly=2.9)
-    res = sf.parabolic_rescale(snaps, ((ix, iy), t0), r, g, og)
-    cx, cy = res["center"]
-    px = (g.x[ix] + r * periodic_delta(og.x, og.x[cx], og.Lx))[:, None] \
-        + np.zeros((1, og.ny))
-    py = (g.y[iy] + r * periodic_delta(og.y, og.y[cy], og.Ly))[None, :] \
-        + np.zeros((og.nx, 1))
-    kept = [(t, v) for t, v in snaps if t0 - r * r - 1e-12 <= t <= t0 + 1e-12]
-    assert len(res["sequence"]) == len(kept) >= 2
-    for (s, v), (t, vals) in zip(res["sequence"], kept):
-        assert s == (t - t0) / r ** 2
-        assert np.array_equal(v, _bilinear_reference(vals, g, px, py))
+    u = sf.random_smooth_map(g, sphere, seed=1, amplitude=0.3).values
+    r = 0.37
+    with pytest.raises(GridError, match="rescale_out_grid"):
+        sf.parabolic_rescale([(0.0, u), (r * r, u)], ((5, 19), r * r), r, g,
+                             og(g, r))
+
+
+@pytest.mark.parametrize("node", [(-1, 3), (16, 3), (3, 40)],
+                         ids=["-1,3", "16,3", "3,40"])
+def test_zoom_node_off_the_grid_is_a_grid_error(sphere, node):
+    # a roll would wrap any integer node silently
+    g = sf.build_grid(16, 16)
+    u = sf.constant_map(g, sphere).values
+    r = 4 * g.dx
+    with pytest.raises(GridError, match=rf"\({node[0]}, {node[1]}\)"):
+        sf.parabolic_rescale([(0.0, u), (r * r, u)], (node, r * r), r, g,
+                             sf.rescale_out_grid(g, r))
 
 
 def _window(sphere, n_snaps, dt):
@@ -263,9 +256,8 @@ def test_rescaled_sequence_len_indices_and_repeated_iteration(sphere):
 
 
 def test_iterating_a_rescale_window_holds_few_maps(sphere):
-    # the sequence keeps the snapshots and interpolates an entry when it is
-    # asked for, so a pass over a 40-entry window holds a few maps at once
-    # (the corner indices and weights, the entry, its scratch), not 40
+    # the sequence keeps the snapshots and rolls an entry when it is asked
+    # for, so a pass over a 40-entry window holds a few maps at once, not 40
     g, snaps = _window(sphere, 40, 0.02)
     t0 = snaps[-1][0]
     r = np.sqrt(t0)

@@ -68,6 +68,27 @@ def test_check_on_manifold(sphere):
         sphere.check_on_manifold(1.5 * u)
 
 
+def test_nan_fails_the_manifold_and_tangent_checks(sphere):
+    # a NaN distance or normal component compares False against any
+    # tolerance, so each check must reject rather than pass it
+    u = rand_points(sphere, n=5)
+    T = tangent_project(sphere, u, np.ones_like(u))
+    bad_u = u.copy()
+    bad_u[2, 1] = np.nan
+    bad_T = T.copy()
+    bad_T[3, 0] = np.nan
+    with pytest.raises(sf.OffManifoldError):
+        sphere.check_on_manifold(bad_u)
+    for X in (bad_T, np.full_like(u, np.nan)):
+        with pytest.raises(sf.TangencyError):
+            sphere.check_tangent(u, X)
+    with pytest.raises(sf.OffManifoldError):
+        sphere.second_fundamental_form(bad_u, T, T)
+    for args in ((bad_T, T), (T, bad_T)):
+        with pytest.raises(sf.TangencyError):
+            sphere.second_fundamental_form(u, *args)
+
+
 def test_frame_jacobian_matches_fd_oracle(sphere):
     u = rand_points(sphere, n=10, seed=3)
     closed = sphere.frame_jacobian(u)
