@@ -29,12 +29,10 @@ from .initial_data import (bump_map, constant_map, geodesic_wrap, noisy_wrap,
 from .io import (read_events_jsonl, read_ledger_csv, read_snapshot,
                  write_events_jsonl, write_ledger_csv, write_run_outputs,
                  write_snapshot)
-from .singular import (SingularEvent, choose_R1_T1, concentration_scan,
-                       convergence_probe, k_bound, ladyzhenskaya_ratio,
-                       parabolic_rescale, rescale_out_grid)
+from .singular import (SingularEvent, concentration_scan, convergence_probe,
+                       k_bound, parabolic_rescale, rescale_out_grid)
 from .structure import (AntisymmetricPotential, assemble_A, bochner_density,
-                        gap_check, rewrite_residual, scalar_curvature,
-                        triviality_condition, w2_43_seminorm)
+                        gap_check, rewrite_residual, w2_43_seminorm)
 from .targets import SphereTarget, TargetManifold, make_target, tangent_project
 
 __version__ = "0.1.0"

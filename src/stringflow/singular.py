@@ -1,6 +1,5 @@
-"""Energy-concentration detection, the finite-singularity bound, local-control
-radius/time selection, convergence probing, parabolic rescaling, and the
-local Sobolev (Ladyzhenskaya) diagnostic.
+"""Energy-concentration detection, the finite-singularity bound, convergence
+probing and parabolic rescaling.
 """
 
 from __future__ import annotations
@@ -11,10 +10,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GridError, UnsupportedConfigurationError
-from .fields import FieldBackground, pullback_density
+from .errors import GridError
 from .grid import (SurfaceGrid, ball_sum_map, build_grid, energy_density,
-                   grad_sq_density, hessian_sq_density, periodic_delta)
+                   periodic_delta)
 
 
 @dataclass
@@ -63,47 +61,6 @@ def k_bound(S0: float, delta1: float, delta2: float) -> int:
     if S0 <= 0:
         return 0
     return int(math.floor(2.0 * delta2 * S0 / delta1))
-
-
-def local_action_density(u_values: np.ndarray, grid: SurfaceGrid,
-                         fields: FieldBackground) -> np.ndarray:
-    """Node weights of the shifted action: ball sums give S_tilde(u, B_R)."""
-    dens = 0.5 * energy_density(u_values, grid)
-    if not fields.b.is_zero:
-        dens = dens + pullback_density(u_values, fields.b, grid) * (grid.dx * grid.dy)
-    if not fields.V.is_zero:
-        dens = dens + fields.V.shifted(u_values) * grid.w
-    return dens
-
-
-def choose_R1_T1(u0_values: np.ndarray, grid: SurfaceGrid,
-                 fields: FieldBackground, delta1: float, delta2: float):
-    """Largest radius R1 with sup_x S_tilde(u0, B_{2 R1}(x)) < delta1/(2 delta2),
-    and the local-control horizon T1 = delta1 R1^2 / (2 delta2^2 S0)
-    (c_hat = 1).
-
-    Tests 24 radii, geometric from 1.5 max(dx, dy) to 0.49 of the injectivity
-    radius, and falls back to the smallest (with warned=True) when none is
-    admissible.
-    """
-    dens = local_action_density(u0_values, grid, fields)
-    S0 = float(np.sum(dens))
-    r_max = 0.49 * grid.inj_radius
-    if S0 <= 0:
-        return r_max, math.inf, False
-    bound = delta1 / (2.0 * delta2)
-    r_min = 1.5 * max(grid.dx, grid.dy)
-    radii = np.geomspace(r_min, r_max, 24)
-    R1 = None
-    for R in radii[::-1]:
-        if float(np.max(ball_sum_map(dens, grid, 2.0 * R))) < bound:
-            R1 = float(R)
-            break
-    warned = R1 is None
-    if warned:
-        R1 = float(radii[0])
-    T1 = delta1 * R1 ** 2 / (2.0 * delta2 ** 2 * S0)
-    return R1, T1, warned
 
 
 def convergence_probe(kinetic: float, el_residual_l2: float,
@@ -182,26 +139,3 @@ def parabolic_rescale(snapshots, z0, r: float, grid: SurfaceGrid,
     gradV_factor = 1.0 / r ** 2
     return {"sequence": seq, "center": (cx, cy),
             "gradV_factor": gradV_factor}
-
-
-# -- local Sobolev diagnostic -------------------------------------------------------
-
-def ladyzhenskaya_ratio(v_values: np.ndarray, grid: SurfaceGrid,
-                        R: float) -> float:
-    """int |dv|^4 / [sup_x E(v, B_R(x)) * (int |Hess v|^2 + R^-2 int |dv|^2)].
-
-    Flat grids only; 0 for constant v.  Diagnostic, not asserted against a
-    fixed constant.
-    """
-    if not grid.is_flat:
-        raise UnsupportedConfigurationError("ladyzhenskaya_ratio needs lam == 0")
-    g2 = grad_sq_density(v_values, grid)
-    dens = energy_density(v_values, grid)
-    num = float(np.sum(g2 ** 2 * grid.w))
-    sup_loc = float(np.max(ball_sum_map(dens, grid, R)))
-    h2 = float(np.sum(hessian_sq_density(v_values, grid) * grid.w))
-    e2 = float(np.sum(dens))
-    denom = sup_loc * (h2 + e2 / R ** 2)
-    if denom == 0.0:
-        return 0.0
-    return num / denom

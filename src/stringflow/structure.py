@@ -1,11 +1,12 @@
 """The antisymmetric-potential rewriting of the Euler-Lagrange equation and
-the gap / triviality / Bochner diagnostics.
+the gap and Bochner diagnostics.
 
 The critical-point equation Delta u = II(du, du) + Z(du_x ^ du_y) + P grad V
 can be rewritten as -Delta u = A . grad u - P grad V with A = (F, G) built
 from normal-frame derivatives and the dB coefficients; F and G are skew by
 construction.  This module assembles A, measures the residual of the
-rewritten equation, and evaluates the pointwise triviality condition.
+rewritten equation, and evaluates the small-energy gap and the pointwise
+Bochner formula.
 """
 
 from __future__ import annotations
@@ -98,7 +99,7 @@ def rewrite_residual(u_values: np.ndarray, A: AntisymmetricPotential,
     return l2_norm(res, grid)
 
 
-# -- gap / triviality ---------------------------------------------------------------
+# -- gap / Bochner -------------------------------------------------------------------
 
 def _lp_norm(density: np.ndarray, grid: SurfaceGrid, p: float) -> float:
     return float(np.sum(density ** p * grid.w)) ** (1.0 / p)
@@ -132,34 +133,6 @@ def gap_check(u_values: np.ndarray, grid: SurfaceGrid, target: TargetManifold,
         "ratio": ratio,
         "small_energy": small,
         "expect_constant": bool(small and fields.V.is_zero),
-    }
-
-
-def scalar_curvature(grid: SurfaceGrid) -> np.ndarray:
-    """Scal = -2 e^{-2 lam} Delta_flat lam = -2 Delta_h lam."""
-    return -2.0 * laplace_beltrami(grid.lam, grid)
-
-
-def triviality_condition(u_values: np.ndarray, grid: SurfaceGrid,
-                         fields: FieldBackground, kappa_N: float,
-                         Z_inf: float, hessV_inf: float) -> dict:
-    """Pointwise margin Scal/2 - (|Z|^2 + kappa) |du|^2 - |Hess V|.
-
-    The condition holds iff the margin is nonnegative everywhere, up to
-    1e-6; when it holds, |du|^2 is subharmonic hence expected constant for
-    critical maps.  |du|^2 counts as constant when its spread is within
-    1e-6 of max(1, max |du|^2).
-    """
-    g2 = grad_sq_density(u_values, grid)
-    margin = 0.5 * scalar_curvature(grid) - (Z_inf ** 2 + kappa_N) * g2 - hessV_inf
-    holds = bool(np.all(margin >= -1e-6))
-    spread = float(np.max(g2) - np.min(g2))
-    return {
-        "condition_holds_everywhere": holds,
-        "margin_field": margin,
-        "min_margin": float(np.min(margin)),
-        "grad_sq_spread": spread,
-        "grad_sq_constant": bool(spread <= 1e-6 * max(1.0, float(np.max(g2)))),
     }
 
 

@@ -140,6 +140,8 @@ class TargetManifold(ABC):
 class SphereTarget(TargetManifold):
     """Unit sphere S^{q-1} in R^q with closed-form geometry."""
 
+    radius = 1.0           # |y| on N, which fields.sup_norms scales by
+
     def __init__(self, q: int = 4):
         if q < 4:
             raise ValueError("sphere target needs q >= 4 (dim N >= 3)")

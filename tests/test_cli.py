@@ -199,11 +199,14 @@ def test_python_m_stringflow_runs_the_cli_without_a_warning():
 
 
 def test_check_hypothesis_warning_exit_two(tmp_path, capsys):
-    # beta large enough that |B|_inf >= 1/2
-    cfgp = small_cfg(tmp_path, fields={"b_kind": "y4", "beta": 2.0})
-    assert main(["check", "--config", cfgp]) == 2
-    report = json.loads(capsys.readouterr().out)
-    assert not report["ok"]
+    # |B|_inf = beta >= 1/2; at 0.501 a sampled |B| can read below 1/2
+    for beta in (2.0, 0.501):
+        cfgp = small_cfg(tmp_path, fields={"b_kind": "y4", "beta": beta,
+                                           "v_kind": "zero"})
+        assert main(["check", "--config", cfgp]) == 2
+        report = json.loads(capsys.readouterr().out)
+        assert not report["ok"] and report["B_inf"] == beta
+        assert report["error"] == f"|B|_inf = {beta} outside [0, 1/2)"
 
 
 def test_check_ok_exit_zero(tmp_path, capsys):

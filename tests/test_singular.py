@@ -8,7 +8,6 @@ import stringflow as sf
 from stringflow.action import _record
 from stringflow.errors import GridError
 from stringflow.grid import energy_density
-from stringflow.singular import local_action_density
 
 
 @pytest.fixture
@@ -49,37 +48,6 @@ def test_concentration_scan_deterministic(sphere):
     assert a == b
 
 
-def test_choose_R1_T1_small_data(sphere):
-    g = sf.build_grid(32, 32)
-    u = sf.small_energy_map(g, sphere, energy=0.01, seed=0, max_mode=2)
-    R1, T1, warned = sf.choose_R1_T1(u.values, g, sf.zero_background(4), 0.5, 2.0)
-    assert R1 > 0 and T1 > 0
-    assert not warned
-
-
-def test_choose_R1_T1_concentrated_warns(sphere):
-    g = sf.build_grid(64, 64)
-    u = sf.bump_map(g, sphere, scale=4 * g.dx)
-    R1, _, warned = sf.choose_R1_T1(u.values, g, sf.zero_background(4), 0.5, 2.0)
-    assert warned or R1 < 0.5
-
-
-def test_local_action_density_sums_to_action(sphere):
-    g = sf.build_grid(24, 24)
-    fields = sf.FieldBackground(b=sf.make_two_form("y4", 4, beta=0.2),
-                                V=sf.make_potential("height", 4, epsilon=0.1))
-    u = sf.random_smooth_map(g, sphere, seed=1, amplitude=0.1)
-    dens = local_action_density(u.values, g, fields)
-    from stringflow.fields import pullback_density
-    expected = (0.5 * float(np.sum(sf.grad_sq_density(u.values, g) * g.w))
-                + float(np.sum(pullback_density(u.values, fields.b, g))) * g.dx * g.dy
-                + float(np.sum(fields.V.shifted(u.values) * g.w)))
-    assert float(np.sum(dens)) == pytest.approx(expected, rel=1e-12)
-    # and it agrees with the ledger action up to stencil truncation
-    terms = sf.energies(u, g, fields)
-    assert float(np.sum(dens)) == pytest.approx(terms.S_tilde, rel=0.05)
-
-
 def test_parabolic_rescale_exact_on_commensurate_grid(sphere):
     g = sf.build_grid(32, 32)
     u = sf.bump_map(g, sphere, scale=0.4)
@@ -95,8 +63,7 @@ def test_parabolic_rescale_exact_on_commensurate_grid(sphere):
 
 @pytest.mark.parametrize("k", [2, 5, 11])
 def test_commensurate_zoom_is_a_roll_of_the_snapshot(sphere, k):
-    # on the default out-grid every zoom point is a node (up to the
-    # rounding of r * dx', which snaps), so the zoom gathers node values:
+    # on the default out-grid every zoom point is a node, so the zoom is
     # the snapshot rolled to put the zoom node at the centre, exactly
     g = sf.build_grid(32, 24, Lx=5.0, Ly=4.0)
     u = sf.empty_map((32, 24, 4))
@@ -119,21 +86,6 @@ def test_parabolic_rescale_requires_coverage_and_scale(sphere):
     with pytest.raises(GridError):
         sf.parabolic_rescale([(0.0, u.values)], ((0, 0), 0.0), 0.5 * g.dx,
                              g, g)
-
-
-def test_ladyzhenskaya_ratio_zero_for_constant(sphere):
-    g = sf.build_grid(24, 24)
-    u = sf.constant_map(g, sphere)
-    assert sf.ladyzhenskaya_ratio(u.values, g, 0.5) == 0.0
-
-
-def test_ladyzhenskaya_ratio_bounded_on_smooth_maps(sphere):
-    g = sf.build_grid(32, 32)
-    vals = []
-    for seed in range(3):
-        u = sf.random_smooth_map(g, sphere, seed=seed, amplitude=0.4)
-        vals.append(sf.ladyzhenskaya_ratio(u.values, g, 0.5))
-    assert all(0 < v < 100 for v in vals)
 
 
 def test_stiffness_event_on_dt_collapse(sphere):

@@ -151,25 +151,6 @@ def test_gap_check_large_map_not_small(sphere):
     assert not out["small_energy"]
 
 
-def test_triviality_condition_flat_zero_fields(sphere):
-    # flat torus: Scal = 0, so the margin needs |du| = 0 and Hess V = 0
-    g = sf.build_grid(24, 24)
-    u = sf.constant_map(g, sphere)
-    out = sf.triviality_condition(u.values, g, sf.zero_background(4),
-                                  kappa_N=1.0, Z_inf=0.0, hessV_inf=0.0)
-    assert out["condition_holds_everywhere"]
-    assert out["grad_sq_constant"]
-    uw = sf.geodesic_wrap(g, sphere)
-    out2 = sf.triviality_condition(uw.values, g, sf.zero_background(4),
-                                   kappa_N=1.0, Z_inf=0.0, hessV_inf=0.0)
-    assert not out2["condition_holds_everywhere"]
-
-
-def test_scalar_curvature_constant_lambda_is_flat():
-    g = sf.build_grid(24, 24, lam=0.7)
-    assert np.max(np.abs(sf.scalar_curvature(g))) < 1e-12
-
-
 def test_bochner_density_wrap_truncation(sphere):
     # wrap: |du|^2 is constant, |Hess u|^2 = kappa |du|^4, so the density is
     # O(dx^2) pure truncation error
