@@ -24,7 +24,7 @@ import numpy as np  # noqa: E402
 import pytest  # noqa: E402
 
 import stringflow as sf  # noqa: E402
-from stringflow.action import _bfield_force, _record  # noqa: E402
+from stringflow.action import _bfield_force, _record, _trial  # noqa: E402
 from stringflow.grid import Stencil, component_dot  # noqa: E402
 
 SIZES = (32, 48, 64, 96, 128)
@@ -142,6 +142,19 @@ def test_step(benchmark, case):
                           sf.zero_background(4),
                           sf.FlowConfig(t_end=1e9, record_every=10**9))
     benchmark(sf.step, state)
+
+
+def test_trial(benchmark, case):
+    # the bfield workload's fields: one candidate u + dt rhs in a fresh
+    # map, its in-place projection and its action (pullback and potential
+    # included), from the state init_state leaves (untimed)
+    grid, sphere, u = case
+    fields = sf.FieldBackground(b=sf.make_two_form("y4", 4, beta=0.2),
+                                V=sf.make_potential("height", 4,
+                                                    epsilon=5e-3))
+    state = sf.init_state(sf.MapField(u, sphere), grid, sphere, fields,
+                          sf.FlowConfig(t_end=1e9, record_every=10**9))
+    benchmark(_trial, state, state.rhs, state.dt)
 
 
 def test_record(benchmark, case):

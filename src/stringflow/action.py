@@ -17,11 +17,15 @@ Discretization notes (the choices here are load-bearing):
   allocates once and drops when it returns; called on their own,
   flow_rhs and action_value build a fresh one.  Inside a run the map is
   component-major (grid.empty_map).
-  A run never writes a map in place, so values are carried forward, not
-  re-derived: a step forms the rhs of its new map from the stencil that
-  the accepted trial's action_value loaded, and keeps it in
-  FlowState.rhs for the next step and the convergence probe; init_state
-  forms the first one with flow_rhs, which loads u0 itself.
+  A step builds each candidate in a fresh map, u + dt rhs projected in
+  place, and keeps the one it accepts, so the run holds no trial buffer;
+  the kinetic difference u_new - u goes into the stencil scratch, which
+  is free once the new rhs is formed.  A map that a state holds is never
+  written again, so values are carried forward, not re-derived: a step
+  forms the rhs of its new map from the stencil that the accepted
+  trial's action_value loaded, and keeps it in FlowState.rhs for the next
+  step and the convergence probe; init_state forms the first one with
+  flow_rhs, which loads u0 itself.
   action_value forms the centred differences last, so with a two-form
   that rhs also uses those.  A ledger record loads nothing: it reads the
   action terms that the accepted trial's action_value kept on the
@@ -118,7 +122,9 @@ def _action_terms(st: Stencil, vals: np.ndarray,
                        * grid.dx * grid.dy)
     V_term = 0.0
     if not fields.V.is_zero:
-        V_term = float(np.sum(fields.V.shifted(vals) * grid.w))
+        Vw = fields.V.shifted(vals)
+        Vw *= grid.w
+        V_term = float(np.sum(Vw))
     return E, B_term, V_term, 0.5 * E + B_term + V_term
 
 
@@ -132,8 +138,10 @@ def energies(u: MapField, grid: SurfaceGrid, fields: FieldBackground) -> EnergyT
 
 class Workspace:
     """Buffers reused by the flow_rhs, action_value and ledger-record calls
-    of one run, all component-major: the stencil, the trial map of a step
-    and, with a two-form, the B-force's gradient g.
+    of one run, all component-major: the stencil and, with a two-form, the
+    B-force's gradient g.  There is no trial map: a step builds each
+    candidate in the map it keeps, and forms its kinetic difference in the
+    stencil's scratch `tmp`.
 
     init_state allocates one per run, the steps and records of the run
     share it, and run drops it when it returns.  flow_rhs and action_value
@@ -155,7 +163,6 @@ class Workspace:
         # on first use, between those, they raised bfield_128's peak RSS
         # by 0.14 MB (2-core VM, numpy 2.4.6)
         self.stencil = Stencil(grid, shape).allocate()
-        self.trial = empty_map(shape)       # u + dt rhs in step
         self.terms = self.terms_of = None   # (E, B, V, S) of map terms_of
         if not fields.b.is_zero:
             self.g = empty_map(shape)
@@ -206,7 +213,9 @@ def _bfield_force(work: Workspace, vals: np.ndarray, target: TargetManifold,
     flux, diff = st.tmp[..., 0], st.tmp[..., 1]
     g.fill(0.0)
     for k, i, j, c in b.terms:          # C_kij = c = -C_kji
-        g[..., k] += c * wedge(ux, uy, i, j)
+        w = wedge(ux, uy, i, j)
+        w *= c
+        g[..., k] += w
         cu = c * vals[..., k]
         g[..., i] -= centred(np.multiply(cu, uy[..., j], out=flux), 0,
                              grid.dx, out=diff)
@@ -411,12 +420,13 @@ class FlowConfig:
 class FlowState:
     """The state of a run between steps.
 
-    A run never writes a map in place, and neither may its caller: u.values
-    is the newest entry of the snapshot ring, which holds the run's maps by
-    reference, and rhs is flow_rhs(u), which the next step starts from.  A
-    caller that wants to alter a map writes to a copy and, to go on, starts
-    a new run from it.  `work` is the run's Workspace while it steps; the
-    state that `run` returns has none, and `step` builds one on demand.
+    A run never writes a map that a state holds, and neither may its
+    caller: u.values is the newest entry of the snapshot ring, which holds
+    the run's maps by reference, and rhs is flow_rhs(u), which the next
+    step starts from.  A caller that wants to alter a map writes to a copy
+    and, to go on, starts a new run from it.  `work` is the run's
+    Workspace while it steps; the state that `run` returns has none, and
+    `step` builds one on demand.
     """
     t: float
     u: MapField
@@ -444,7 +454,7 @@ def init_state(u0: MapField, grid: SurfaceGrid, target: TargetManifold,
     config.validate(grid)
     vals = empty_map(u0.values.shape)
     vals[...] = u0.values
-    u = MapField(target.project(vals), target)
+    u = MapField(target.project(vals, out=vals), target)
     work = Workspace(grid, vals.shape, fields)
     S0 = action_value(u.values, grid, fields, work)
     rhs = flow_rhs(u, grid, target, fields, work)
@@ -480,7 +490,7 @@ def _record(state: FlowState):
 
 
 def _snapshot(state: FlowState):
-    """Keep the map by reference: a run never writes a map in place."""
+    """Keep the map by reference: a run never writes a map it holds."""
     state.snapshots.append((state.t, state.u.values))
     cap = state.config.snapshot_cap
     if len(state.snapshots) > 2 * cap:
@@ -490,7 +500,9 @@ def _snapshot(state: FlowState):
 
 
 def _trial(state: FlowState, rhs: np.ndarray, dt: float):
-    """Projected Euler candidate pi(u + dt rhs) and its action; the
+    """Projected Euler candidate pi(u + dt rhs) and its action.  The
+    candidate is a fresh map: u + dt rhs is written into it and projected
+    in place, so the map a step accepts is the one it built.  The
     workspace stencil is left holding the candidate, from which step
     forms the rhs of the trial it accepts.
 
@@ -498,11 +510,11 @@ def _trial(state: FlowState, rhs: np.ndarray, dt: float):
     action is not finite: every acceptance test would fail on a NaN and dt
     would collapse to dt_min without end.
     """
-    trial = state.work.trial
-    T = component_first(trial)
+    new_vals = empty_map(rhs.shape)
+    T = component_first(new_vals)
     np.multiply(component_first(rhs), dt, out=T)
     T += component_first(state.u.values)
-    new_vals = state.target.project(trial)
+    state.target.project(new_vals, out=new_vals)
     S_new = action_value(new_vals, state.grid, state.fields, state.work)
     if not math.isfinite(S_new):
         where = "no non-finite node"
@@ -529,10 +541,11 @@ def step(state: FlowState) -> FlowState:
     pass t_end is shortened to end exactly there; that is not a halving,
     so state.dt and the stable-step count are left as they were.  The step
     starts from state.rhs, and replaces it with a fresh array, the rhs of
-    the new map, formed from the stencil the accepted trial loaded.  A
-    state without a workspace (one that `run` returned) gets a fresh one:
-    every trial loads its own map, so no step reads what an earlier one
-    left there.
+    the new map, formed from the stencil the accepted trial loaded; the
+    kinetic difference u_new - u is then formed in the stencil's scratch
+    `tmp`, which that rhs no longer needs.  A state without a workspace
+    (one that `run` returned) gets a fresh one: every trial loads its own
+    map, so no step reads what an earlier one left there.
     """
     cfg = state.config
     vals, rhs = state.u.values, state.rhs
@@ -557,7 +570,7 @@ def step(state: FlowState) -> FlowState:
     state.rhs = rhs = None
     state.rhs = _rhs(state.work, new_vals, state.target, state.fields)
 
-    diff = state.work.trial
+    diff = state.work.stencil.tmp
     np.subtract(component_first(new_vals), component_first(vals),
                 out=component_first(diff))
     kinetic = l2_inner(diff, diff, state.grid) / dt**2

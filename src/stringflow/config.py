@@ -181,6 +181,16 @@ PRESETS = {
                     "amplitude": 0.1},
         "flow": {"t_end": 1.0, "record_every": 20},
     },
+    # the same fields on a Clifford torus, where the two-form acts (|B_term|
+    # ~ 0.08 against ~1e-5 on the wrap of bfield_s3)
+    "bfield_clifford": {
+        "grid": {"nx": 64, "ny": 64},
+        "target": {"kind": "sphere", "q": 4},
+        "fields": {"b_kind": "y4", "beta": 0.2, "v_kind": "height",
+                   "epsilon": 5e-3},
+        "initial": {"kind": "clifford", "m": 1, "n": 1},
+        "flow": {"t_end": 1.0, "record_every": 20},
+    },
     # descent in a linear height potential from a constant map
     "potential_descent": {
         "grid": {"nx": 48, "ny": 48},

@@ -604,7 +604,8 @@ def l2_inner(f: np.ndarray, g: np.ndarray, grid: SurfaceGrid) -> float:
     if f.shape != g.shape:
         raise ShapeError(f"shape mismatch: {f.shape} vs {g.shape}")
     pw = component_dot(f, g) if f.ndim == 3 else f * g
-    return float(np.sum(pw * grid.w))
+    pw *= grid.w
+    return float(np.sum(pw))
 
 
 def l2_norm(f: np.ndarray, grid: SurfaceGrid) -> float:

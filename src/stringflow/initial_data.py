@@ -1,5 +1,5 @@
-"""Canonical initial maps: constants, geodesic wraps, stereographic bubbles,
-and seeded smooth random perturbations.
+"""Canonical initial maps: constants, geodesic wraps, Clifford tori,
+stereographic bubbles, and seeded smooth random perturbations.
 
 Every map is built component-major (grid.empty_map), the layout a run
 uses, so the stencils that read it (the `small_energy` bisection, a run's
@@ -47,6 +47,29 @@ def geodesic_wrap(grid: SurfaceGrid, target: TargetManifold,
     vals.fill(0.0)
     vals[..., 0] = np.cos(theta)
     vals[..., 1] = np.sin(theta)
+    return MapField(vals, target)
+
+
+def clifford_map(grid: SurfaceGrid, target: TargetManifold,
+                 m: int = 1, n: int = 0) -> MapField:
+    """u = (cos mx, sin mx, cos ny, sin ny, 0, ...) / sqrt 2, with x and y
+    scaled to the periods as in geodesic_wrap.
+
+    For m, n != 0 a harmonic map onto a Clifford torus of S^3 with du of
+    rank 2 and u^4 != 0, so a two-form such as y4 acts on it where it
+    nearly vanishes on a wrap; GridError unless q >= 4.
+    """
+    if target.q < 4:
+        raise GridError("clifford_map needs an ambient dimension of at least 4")
+    tx = (m * 2.0 * np.pi / grid.Lx) * grid.x
+    ty = (n * 2.0 * np.pi / grid.Ly) * grid.y
+    r = 1.0 / np.sqrt(2.0)
+    vals = empty_map((grid.nx, grid.ny, target.q))
+    vals.fill(0.0)
+    vals[..., 0] = r * np.cos(tx)[:, None]
+    vals[..., 1] = r * np.sin(tx)[:, None]
+    vals[..., 2] = r * np.cos(ty)[None, :]
+    vals[..., 3] = r * np.sin(ty)[None, :]
     return MapField(vals, target)
 
 
@@ -159,6 +182,7 @@ def small_energy_map(grid: SurfaceGrid, target: TargetManifold,
 MAP_BUILDERS = {
     "constant": (constant_map, ("point",)),
     "geodesic_wrap": (geodesic_wrap, ("m", "n")),
+    "clifford": (clifford_map, ("m", "n")),
     "bump": (bump_map, ("scale",)),
     "random_smooth": (random_smooth_map,
                       ("seed", "amplitude", "max_mode", "point")),

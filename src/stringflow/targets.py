@@ -27,8 +27,10 @@ class TargetManifold(ABC):
     name: str = "target"
 
     @abstractmethod
-    def project(self, y: np.ndarray) -> np.ndarray:
-        """Nearest point on N; raises ProjectionError outside the tube."""
+    def project(self, y: np.ndarray, out=None) -> np.ndarray:
+        """Nearest point on N; raises ProjectionError outside the tube.
+        Into `out` when given, which may be y itself (an in-place
+        projection); an error leaves `out` unwritten."""
 
     @abstractmethod
     def distance(self, y: np.ndarray) -> np.ndarray:
@@ -150,13 +152,15 @@ class SphereTarget(TargetManifold):
         self.tubular_radius = 1.0
         self.name = "sphere"
 
-    def project(self, y: np.ndarray) -> np.ndarray:
-        """y * (1 / |y|), a fresh array in the layout of y; the reciprocal
-        is taken once per point."""
-        out = np.empty_like(y, dtype=float)
+    def project(self, y: np.ndarray, out=None) -> np.ndarray:
+        """y * (1 / |y|), into `out` or a fresh array in the layout of y;
+        the reciprocal is taken once per point.  The norms and the centre
+        check come before the one write, so `out` may be y."""
         r = np.sqrt(component_dot(y, y))
         if r.min() < 1e-8:
             raise ProjectionError("projection undefined near the sphere center")
+        if out is None:
+            out = np.empty_like(y, dtype=float)
         np.multiply(component_first(y), 1.0 / r, out=component_first(out))
         return out
 

@@ -346,6 +346,7 @@ def test_initial_maps_are_component_major_with_row_major_values(monkeypatch):
     builds = {
         "constant": lambda: sf.constant_map(g, s5, point=[1, 2, 3, 4, 5]),
         "geodesic_wrap": lambda: sf.geodesic_wrap(g, s5, m=2, n=1),
+        "clifford": lambda: sf.clifford_map(g, s5, m=2, n=1),
         "bump": lambda: sf.bump_map(g, s5, scale=0.3),
         "random_smooth": lambda: sf.random_smooth_map(g, s5, seed=3),
         "noisy_wrap": lambda: sf.noisy_wrap(g, s5, seed=3, amplitude=0.1),
@@ -359,6 +360,28 @@ def test_initial_maps_are_component_major_with_row_major_values(monkeypatch):
         assert _is_component_major(built[kind]), kind
         assert row_major.flags.c_contiguous, kind
         assert np.array_equal(built[kind], row_major), kind
+
+
+def test_clifford_map_is_a_harmonic_torus_of_the_three_sphere():
+    # (cos mx, sin mx, cos ny, sin ny) / sqrt 2 on the periods, zero above
+    # the fourth component; at m = n = 1 on the square torus it is
+    # harmonic, so its Euler-Lagrange residual is a truncation error
+    g = sf.build_grid(24, 20, Lx=5.0, Ly=3.0)
+    u = sf.clifford_map(g, sf.make_target("sphere", 5), m=2, n=1).values
+    tx = 2 * 2 * np.pi / g.Lx * g.x[:, None]
+    ty = 2 * np.pi / g.Ly * g.y[None, :]
+    for c, ref in enumerate((np.cos(tx), np.sin(tx), np.cos(ty), np.sin(ty))):
+        assert np.allclose(u[..., c], ref / np.sqrt(2), rtol=0, atol=1e-15)
+    assert np.all(u[..., 4] == 0.0)
+    from types import SimpleNamespace
+    with pytest.raises(GridError, match="at least 4"):
+        sf.clifford_map(g, SimpleNamespace(q=3))
+    g = sf.build_grid(32, 32)
+    sphere = sf.make_target("sphere", 4)
+    u = sf.clifford_map(g, sphere, m=1, n=1)
+    u.check()
+    _, _, linf = sf.el_residual(u, g, sphere, sf.zero_background(4))
+    assert linf <= g.dx ** 2
 
 
 def _per_plane_noise(grid, q, seed, max_mode):
@@ -630,22 +653,53 @@ def test_record_of_another_map_in_the_workspace_raises(grid, sphere):
     assert len(st.ledger) == 1
 
 
+def _workspace_buffers(work):
+    """Every array a workspace and its stencil own, not the maps that they
+    refer to (the loaded map and the map of the kept terms)."""
+    refs = (work.stencil.source, work.terms_of)
+    arrays = list(vars(work).values()) + list(vars(work.stencil).values())
+    return [a for a in arrays if isinstance(a, np.ndarray)
+            and not any(np.may_share_memory(a, r) for r in refs)]
+
+
 def test_snapshot_ring_keeps_the_run_maps_by_reference(grid, sphere):
-    # a run never writes a map in place, so the ring holds the maps
-    # themselves, and a later step leaves every earlier entry as it was
-    u0 = sf.random_smooth_map(grid, sphere, seed=16, amplitude=0.3)
-    st = sf.init_state(u0, grid, sphere, sf.zero_background(4),
-                       sf.FlowConfig(t_end=1.0))
-    assert st.snapshots[-1][1] is st.u.values
-    kept = [(t, v.copy()) for t, v in st.snapshots]
-    for _ in range(3):
-        sf.step(st)
-        _snapshot(st)
+    # a run never writes a map it holds, so the ring holds the maps
+    # themselves, and a later step leaves every earlier entry as it was.
+    # Each step builds its map in memory of its own, shared with no ring
+    # entry and no workspace buffer: plain steps at 32^2, then a step whose
+    # first trial is rejected, and steps at 96^2 with a two-form, where the
+    # stencil slices the map
+    y4_height = sf.FieldBackground(b=sf.make_two_form("y4", 4, beta=0.2),
+                                   V=sf.make_potential("height", 4,
+                                                       epsilon=0.1))
+    for g, fields, steps in ((grid, sf.zero_background(4), 4),
+                             (sf.build_grid(96, 96), y4_height, 3)):
+        u0 = sf.random_smooth_map(g, sphere, seed=16, amplitude=0.3)
+        st = sf.init_state(u0, g, sphere, fields, sf.FlowConfig(t_end=1.0))
+        assert st.work.stencil.sliced == (g.nx == 96)
         assert st.snapshots[-1][1] is st.u.values
-        for (t, v), (t_kept, v_kept) in zip(st.snapshots, kept):
-            assert t == t_kept and np.array_equal(v, v_kept)
         kept = [(t, v.copy()) for t, v in st.snapshots]
-    assert len(st.snapshots) == 4
+        for k in range(steps):
+            if k == 3:
+                # far above the CFL bound the action rises, so the step
+                # rejects its first trial and halves dt
+                dt0 = st.dt = 64 * sf.cfl_bound(g, st.config.cfl)
+            prev = st.u.values
+            sf.step(st)
+            if k == 3:
+                assert st.dt < dt0 and not st.events
+            new = st.u.values
+            assert new is not prev
+            for (t, v), (t_kept, v_kept) in zip(st.snapshots, kept):
+                assert t == t_kept and np.array_equal(v, v_kept)
+                assert not np.may_share_memory(new, v)
+            assert np.array_equal(prev, kept[-1][1])
+            assert not any(np.may_share_memory(new, a)
+                           for a in _workspace_buffers(st.work))
+            _snapshot(st)
+            assert st.snapshots[-1][1] is new
+            kept = [(t, v.copy()) for t, v in st.snapshots]
+        assert len(st.snapshots) == steps + 1
 
 
 @pytest.mark.parametrize("n", [24, 96], ids=["24", "96-sliced"])

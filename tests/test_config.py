@@ -53,8 +53,8 @@ def test_bad_initial_kind():
 def test_every_registered_initial_kind_builds():
     from stringflow.initial_data import MAP_BUILDERS
     kinds = sorted(MAP_BUILDERS)
-    assert kinds == ["bump", "constant", "geodesic_wrap", "noisy_wrap",
-                     "random_smooth", "small_energy"]
+    assert kinds == ["bump", "clifford", "constant", "geodesic_wrap",
+                     "noisy_wrap", "random_smooth", "small_energy"]
     with pytest.raises(ConfigError) as err:
         sf.validate_config({"initial": {"kind": "vortex"}})
     assert str(err.value) == f"initial.kind must be one of {kinds}"

@@ -28,6 +28,19 @@ def test_projection_normalizes_and_rejects_center(sphere):
     assert np.allclose(sphere.project(y), [0.6, 0.8, 0.0, 0.0])
     with pytest.raises(ProjectionError):
         sphere.project(np.zeros(4))
+    # in place (out=y) gives the bits of a fresh projection in either
+    # layout, and the centre check comes before the write
+    rng = np.random.default_rng(3)
+    for y in (rng.standard_normal((12, 10, 4)), sf.empty_map((12, 10, 4))):
+        y[...] = rng.standard_normal((12, 10, 4))
+        fresh = sphere.project(y)
+        assert sphere.project(y, out=y) is y
+        assert np.array_equal(y, fresh)
+        y[3, 4] = 0.0
+        kept = y.copy()
+        with pytest.raises(ProjectionError):
+            sphere.project(y, out=y)
+        assert np.array_equal(y, kept)
 
 
 def test_tangent_projector_idempotent_and_kills_normal(sphere):
