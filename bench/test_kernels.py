@@ -41,58 +41,47 @@ def case(request):
 
 
 def test_stencil_load(benchmark, case):
+    # the shift copies (copy path) and both difference stacks: the centred
+    # and the undivided second differences
     grid, _, u = case
     benchmark(Stencil(grid, u.shape).load, u)
 
 
-def _per_load(benchmark, st, u, op, *args):
-    """Time op(*args) on a freshly loaded stencil each round (the load is
-    untimed): the Laplacian's second differences and the centred
-    differences are formed once per load, so a repeated call would time a
-    cache hit."""
-    def setup():
-        st.load(u)
-        return args, {}
-
-    benchmark.pedantic(op, setup=setup, rounds=200, warmup_rounds=5)
-
+# every operator below reads the stacks of one untimed load, and none but
+# hessian_sq writes them, so a repeated call times the same work
 
 def test_stencil_dirichlet(benchmark, case):
+    # one contraction of each stack
     grid, _, u = case
     benchmark(Stencil(grid, u.shape).load(u).dirichlet)
 
 
 def test_stencil_centred(benchmark, case):
+    # hands out the stack the load formed: the cost of an operator call
     grid, _, u = case
-    st = Stencil(grid, u.shape)
-    _per_load(benchmark, st, u, st.centred)
+    benchmark(Stencil(grid, u.shape).load(u).centred)
 
 
 def test_stencil_grad_sq(benchmark, case):
-    # the centred differences and their contraction, as a ledger record
-    # without a two-form forms them
+    # the contraction of the centred differences, as a ledger record
+    # without a two-form takes it
     grid, _, u = case
-    st = Stencil(grid, u.shape)
-    _per_load(benchmark, st, u, st.grad_sq)
+    benchmark(Stencil(grid, u.shape).load(u).grad_sq)
 
 
 def test_stencil_laplacian(benchmark, case):
     grid, _, u = case
-    st = Stencil(grid, u.shape)
-    _per_load(benchmark, st, u, st.laplacian, sf.empty_map(u.shape))
+    benchmark(Stencil(grid, u.shape).load(u).laplacian, sf.empty_map(u.shape))
 
 
 def test_stencil_hessian_sq(benchmark, case):
-    # after the centred differences and the Laplacian (untimed), the order
-    # of a ledger record, whose Hessian reads the second differences that
-    # the rhs's Laplacian formed
+    # consumes the stacks, so each round loads first (untimed), as a ledger
+    # record takes the Hessian after the step's load
     grid, _, u = case
     st = Stencil(grid, u.shape)
-    lap = sf.empty_map(u.shape)
 
     def setup():
-        st.load(u).centred()
-        st.laplacian(lap)
+        st.load(u)
         return (), {}
 
     benchmark.pedantic(st.hessian_sq, setup=setup, rounds=200,
@@ -159,7 +148,7 @@ def test_trial(benchmark, case):
 
 def test_record(benchmark, case):
     # zero fields: a ledger record after a step (untimed), which reads the
-    # action terms, centred and second differences that the step left
+    # action terms and the two stacks of the step's load
     grid, sphere, u = case
     state = sf.init_state(sf.MapField(u, sphere), grid, sphere,
                           sf.zero_background(4),

@@ -5,8 +5,9 @@ Discretization notes (the choices here are load-bearing):
 
 * The Dirichlet term is E = sum(|D+x u|^2 + |D+y u|^2) dx dy with forward
   differences, whose exact gradient in the e^{2 lam}-weighted inner product
-  is -laplace_beltrami(u).  Both the Dirichlet and B terms carry no
-  conformal weight (conformal invariance).
+  is -laplace_beltrami(u); grid.Stencil.dirichlet takes it from the
+  centred and second differences by summation by parts.  Both the
+  Dirichlet and B terms carry no conformal weight (conformal invariance).
 * The B-field force in flow_rhs is the exact discrete gradient of the
   discrete pullback integral; it equals the Z-operator term
   Z(du(e1) ^ du(e2)) up to O(dx^2).  This makes the discrete flow an exact
@@ -26,12 +27,12 @@ Discretization notes (the choices here are load-bearing):
   trial's action_value loaded, and keeps it in FlowState.rhs for the next
   step and the convergence probe; init_state forms the first one with
   flow_rhs, which loads u0 itself.
-  action_value forms the centred differences last, so with a two-form
-  that rhs also uses those.  A ledger record loads nothing: it reads the
-  action terms that the accepted trial's action_value kept on the
-  workspace, the centred differences of the rhs, and the second
-  differences that the rhs's Laplacian left in the stencil, so a run
-  loads each map once.
+  A load forms the centred and the second differences, and action_value,
+  the rhs and the ledger record all read them.  A ledger record loads
+  nothing: it reads the action terms that the accepted trial's
+  action_value kept on the workspace and the stencil's two stacks, which
+  its Hessian consumes last, so a run loads each map once, and u0 twice
+  (its action_value and flow_rhs).
   The snapshot ring keeps the run's maps by reference.
 * With a two-form, flow_rhs projects the B-force and the potential's force
   (when there is one) once: P(u) is linear, so e^{-2 lam} P(u) g + P(u) a
@@ -108,11 +109,9 @@ def dirichlet_energy(u: np.ndarray, grid: SurfaceGrid) -> float:
 def _action_terms(st: Stencil, vals: np.ndarray,
                   fields: FieldBackground) -> tuple:
     """(E, B_term, V_term, S_tilde) of `vals`, loaded in `st`: E from the
-    forward differences, the pullback from the centred ones.  The one
-    formula of the action: action_value sums it here, and the ledger
-    reads what action_value kept.
-    The centred differences are formed last, for the rhs that a step forms
-    from the accepted trial."""
+    centred and second differences (Stencil.dirichlet), the pullback from
+    the centred ones.  The one formula of the action: action_value sums it
+    here, and the ledger reads what action_value kept."""
     grid = st.grid
     E = st.dirichlet()
     B_term = 0.0
@@ -150,19 +149,14 @@ class Workspace:
     B-force and potential terms into the stencil's scratch `tmp`.
 
     flow_rhs and action_value load the stencil themselves; the rhs that a
-    step forms and the ledger record after it do not.  The rhs reads the
-    stencil its accepted trial's action_value loaded, and the record reads
-    what the rhs left: the centred differences and the second differences.
+    step forms and the ledger record after it do not.  Both read the two
+    stacks of the load of the accepted trial's action_value.
     action_value keeps its map's `_action_terms` in `terms`, and that map
     in `terms_of`, for the record.
     """
 
     def __init__(self, grid: SurfaceGrid, shape, fields: FieldBackground):
-        # a run uses every stencil buffer at each step, so they are
-        # allocated here, before the first step's temporaries: allocated
-        # on first use, between those, they raised bfield_128's peak RSS
-        # by 0.14 MB (2-core VM, numpy 2.4.6)
-        self.stencil = Stencil(grid, shape).allocate()
+        self.stencil = Stencil(grid, shape)
         self.terms = self.terms_of = None   # (E, B, V, S) of map terms_of
         if not fields.b.is_zero:
             self.g = empty_map(shape)
@@ -172,9 +166,9 @@ def action_value(vals: np.ndarray, grid: SurfaceGrid,
                  fields: FieldBackground, work: Workspace | None = None) -> float:
     """Shifted action S_tilde, the S_tilde of the ledger bit for bit
     (_action_terms).  Every acceptance test compares values of this
-    function; it leaves the stencil holding the centred differences when
-    there is a two-form, for the rhs that a step forms from the accepted
-    trial, and keeps the terms on the workspace for the ledger record.
+    function; it leaves the stencil loaded with vals, for the rhs that a
+    step forms from the accepted trial, and keeps the terms on the
+    workspace for the ledger record.
     """
     if work is None:
         work = Workspace(grid, vals.shape, fields)
@@ -256,8 +250,7 @@ def flow_rhs(u: MapField, grid: SurfaceGrid, target: TargetManifold,
 
 def _rhs(work: Workspace, vals: np.ndarray, target: TargetManifold,
          fields: FieldBackground) -> np.ndarray:
-    """flow_rhs of vals, which the workspace stencil holds; the centred
-    differences may be the ones the stencil already holds."""
+    """flow_rhs of vals, which the workspace stencil holds."""
     st = work.stencil
     grid = st.grid
     ux, uy = st.centred()
@@ -470,10 +463,10 @@ def init_state(u0: MapField, grid: SurfaceGrid, target: TargetManifold,
 def _record(state: FlowState):
     """Append a ledger row from the stencil work of the step just taken
     (or of init_state), without a load: E, B, V and S_tilde are the terms
-    action_value kept, the ball map sums Stencil.energy_density from the
-    rhs's centred differences, and the Hessian reads the second
-    differences of the rhs's Laplacian.  GridError unless the workspace
-    stencil and terms belong to the state's map."""
+    action_value kept, the ball map sums Stencil.energy_density, and the
+    Hessian consumes the stencil's stacks, those of the load that the rhs
+    read.  GridError unless the workspace stencil and terms belong to the
+    state's map."""
     grid, vals, work = state.grid, state.u.values, state.work
     st = work.stencil
     if st.source is not vals or work.terms_of is not vals:

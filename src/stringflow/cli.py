@@ -1,8 +1,9 @@
 """Command-line entry point.
 
 Subcommands: run, check, scan, rescale, compare.  Exit codes: 0 success,
-1 bad configuration (a bad key, value or argument, or a missing or corrupt
-input file), 2 hypothesis warning, 3 numeric failure.
+1 bad configuration (a bad key, value or argument, a missing, unreadable or
+corrupt input file, or a path of the wrong kind), 2 hypothesis warning,
+3 numeric failure.
 """
 
 from __future__ import annotations
@@ -19,8 +20,7 @@ import numpy as np
 from .action import energies, monotonicity_check, run
 from .config import (PRESETS, load_config, preset_config, save_config,
                      validate_config)
-from .errors import (ConfigError, GridError, HypothesisError, SnapshotError,
-                     StringFlowError)
+from .errors import ConfigError, GridError, HypothesisError, StringFlowError
 from .fields import delta_constants, smallness_report, sup_norms
 from .grid import build_grid
 from .io import (read_ledger_csv, read_snapshot, write_events_jsonl,
@@ -174,10 +174,19 @@ def cmd_rescale(args) -> int:
 
 
 def _separation_series(dir_a: str, dir_b: str):
+    """(t, |E_a - E_b|) over the ledger rows the two runs share; a
+    ConfigError, naming the CSV line of the first such row and both its
+    times, unless the two ledgers were recorded at the same times."""
     la = read_ledger_csv(os.path.join(dir_a, "run_ledger.csv"))
     lb = read_ledger_csv(os.path.join(dir_b, "run_ledger.csv"))
     n = min(len(la), len(lb))
-    t = la.column("t")[:n]
+    t, tb = la.column("t")[:n], lb.column("t")[:n]
+    differ = np.flatnonzero(t != tb)
+    if differ.size:
+        k = int(differ[0])
+        raise ConfigError(f"ledgers recorded at different times: line "
+                          f"{k + 2} has t={float(t[k])!r} in {dir_a} and "
+                          f"t={float(tb[k])!r} in {dir_b}")
     sep = np.abs(la.column("E")[:n] - lb.column("E")[:n])
     return t, sep
 
@@ -276,7 +285,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, FileNotFoundError, SnapshotError) as e:
+    except (ConfigError, OSError) as e:      # a SnapshotError is an OSError
         print(f"configuration error: {e}", file=sys.stderr)
         return EXIT_BAD_CONFIG
     except HypothesisError as e:

@@ -13,10 +13,10 @@ a small field once and differences them; a field whose shift stack would
 outgrow the cache (SLICE_ABOVE_BYTES) is differenced by slicing it, with
 no copy.  The free functions below (the Laplace-Beltrami operator, the
 frame derivatives, the densities) apply one operator per call, so each
-takes a one-shot stencil (`Stencil.once`) that slices at every size and
-allocates only the buffers of its operator.  The other exception is
-`centred`, a single-axis difference for a field whose other shifts are
-never needed (the flux divergence of the B-force), which slices as well.
+takes a one-shot stencil (`Stencil.once`) that slices at every size.  The
+other exception is `centred`, a single-axis difference for a field of
+which nothing else is needed (the flux divergence of the B-force), which
+slices as well.
 
 Hot loops work on the component-first view (`component_first`: (q, nx, ny),
 C-contiguous for a component-major map), where numpy takes its contiguous
@@ -31,9 +31,10 @@ C-contiguous (q, nx, ny) operands in index order, bit for bit as
 enter as precomputed reciprocals (a multiply costs about half a divide),
 and no full map is divided.
 
-Each energy quantity has one formula.  The Dirichlet energy is
-`Stencil.dirichlet`, which contracts the undivided forward differences and
-scales each direction's sum once; the action, the ledger and
+Each energy quantity has one formula.  The Dirichlet energy of the
+forward differences is `Stencil.dirichlet`, which takes it by summation by
+parts from the centred and second differences, one contraction of each
+stack, each sum scaled once; the action, the ledger and
 `dirichlet_energy` all take it from there.  The |du|^2 density is
 `Stencil.grad_sq`, the centred differences contracted with themselves as
 the II term of the flow contracts them.  The ball-energy density |du|^2 dvol
@@ -43,11 +44,11 @@ sums of the diagnostics all take it from there, so they agree bit for bit.
 All three work in the stencil's component-first buffers, so their bits do
 not depend on the layout of the input.
 
-A `Stencil` forms the centred differences once per load and hands the same
-stack to every later caller.  Its Laplacian leaves the undivided second
-differences in the stencil, where the Hessian reads them again, so a flow
-step's rhs and the ledger record that follows it share one load.  After a
-load its operators may come in any order.
+A `Stencil` load forms both difference stacks, the centred differences
+and the undivided second differences, and every operator reads them, so a
+flow step's action, its rhs and the ledger record that follows share one
+load.  Only `hessian_sq` consumes the stacks; the operator after it loads
+the field again.  After a load its operators may come in any order.
 """
 
 from __future__ import annotations
@@ -65,9 +66,9 @@ TWO_PI = 2.0 * math.pi
 # A Stencil slices every difference straight from its field, instead of
 # copying four shifts, when that four-shift stack (32 q nx ny bytes) would
 # pass this size, half of a 2 MiB per-core L2.  Per flow step at q = 4,
-# zero fields (2-core VM, numpy 2.4.6), copy -> slice: 48^2 155 -> 168 us,
-# 64^2 255 -> 256 us (the stack is 512 KiB), 96^2 651 -> 616 us
-# (1.1 MiB), 128^2 1217 -> 1066 us.
+# zero fields (2-core VM, numpy 2.4.6; medians of 11 alternating runs),
+# copy -> slice: 48^2 316 -> 336 us, 64^2 463 -> 499 us (the stack is
+# 512 KiB), 96^2 1054 -> 1037 us (1.1 MiB), 128^2 1942 -> 1774 us.
 SLICE_ABOVE_BYTES = 1 << 20
 
 
@@ -163,35 +164,31 @@ def conformal_rescale(grid: SurfaceGrid, a: float) -> SurfaceGrid:
 
 # -- stencils -----------------------------------------------------------------
 
-def _neighbours(op, f: np.ndarray, axis: int, out: np.ndarray,
-                back: int = 1) -> np.ndarray:
-    """op(f[i+1], f[i-back]) along `axis`, periodic, by slicing into `out`:
-    back=1 pairs the two neighbours of each node (centred), back=0 the next
-    neighbour with the node itself (forward).
+def _neighbours(op, f: np.ndarray, axis: int, out: np.ndarray) -> np.ndarray:
+    """op(f[i+1], f[i-1]) along `axis`, periodic, by slicing into `out`.
 
     When f and out are C-contiguous the interior is one call on the flat
-    arrays, the neighbour one step of `axis` away; that call is wrong only
+    arrays, the neighbours one step of `axis` away; that call is wrong only
     in the wrap rows, which are then written again.  Each value is op of
     the same two operands on either path, so the bits are the same."""
     a, o = f.swapaxes(axis, 0), out.swapaxes(axis, 0)
     if f.flags.c_contiguous and out.flags.c_contiguous:
         s = math.prod(f.shape[axis % f.ndim + 1:])
         a_flat, o_flat = f.reshape(-1), out.reshape(-1)
-        op(a_flat[(back + 1) * s:], a_flat[:a_flat.size - (back + 1) * s],
-           out=o_flat[back * s:o_flat.size - s])
+        op(a_flat[2 * s:], a_flat[:a_flat.size - 2 * s],
+           out=o_flat[s:o_flat.size - s])
     else:
-        op(a[back + 1:], a[:len(a) - 1 - back], out=o[back:-1])
-    op(a[0], a[-1 - back], out=o[-1])
-    if back:
-        op(a[1], a[-1], out=o[0])
+        op(a[2:], a[:-2], out=o[1:-1])
+    op(a[0], a[-2], out=o[-1])
+    op(a[1], a[-1], out=o[0])
     return out
 
 
 def centred(f: np.ndarray, axis: int, h: float, out=None) -> np.ndarray:
     """(f[i+1] - f[i-1]) * (0.5/h) along one axis, by slicing into `out`;
-    the same operations as Stencil.centred.  For a field whose shifts along
-    the other axis are never needed, where loading a Stencil would copy
-    four shifts to use one difference."""
+    the same operations as the centred differences of Stencil.load.  For a
+    field of which only this difference is needed, where loading a Stencil
+    would form both stacks in both directions to use one difference."""
     if out is None:
         out = np.empty_like(f)
     _neighbours(np.subtract, f, axis, out)
@@ -268,55 +265,43 @@ def _comp_weight(a: np.ndarray, f: np.ndarray) -> np.ndarray:
 class Stencil:
     """The periodic neighbour differences of one field, in reusable buffers.
 
-    Inside, every buffer is component-first: a map of shape (nx, ny, q) is
-    held as (q, nx, ny), a node scalar as (nx, ny), so x is axis -2 and y
-    is axis -1 and each plane is contiguous.  `grads` stacks [gx, gy], and
-    `scratch` is one more component-first buffer.  The attributes gx, gy
-    and tmp are the gradient and scratch buffers in the logical
-    (nx, ny, q) layout, as `empty_map` gives them.  Grid constants enter as
-    precomputed reciprocals (1/dx^2, 0.5/dx, ...), broadcast along the
-    stack axis, or scale a sum once, so no operator divides a full map.
-    Every result is formed in these component-first buffers, so it has the
-    same bits for either layout of f.  Each buffer is allocated when an
-    operator first needs it (or all at once by `allocate`), so a stencil
-    holds only what its operators have used: a lone `dirichlet` or
-    `centred` allocates just (gx, gy).
+    A `load(f)` forms both difference stacks of f at once: `grads`, the
+    centred differences [D0x f, D0y f] = [(xp - xm) * (0.5/dx),
+    (yp - ym) * (0.5/dy)], and `second`, the undivided second differences
+    [xp + xm - 2f, yp + ym - 2f] (xp[i] = f[i+1] and xm[i] = f[i-1] along
+    x, yp and ym along y).  Every operator after the load only reads them,
+    except `hessian_sq`, which consumes both; the next operator then loads
+    `source`, the array last loaded, again.  So after a `load` any operator
+    may follow any other, and each gives the bits it gives on a freshly
+    loaded stencil; before the first load each raises GridError.
 
-    The stencil takes one of two paths, and both give the same bits (each
+    Every buffer is component-first: a map of shape (nx, ny, q) is held as
+    (q, nx, ny), a node scalar as (nx, ny), so x is axis -2 and y is axis
+    -1 and each plane is contiguous.  `scratch` is one more such buffer.
+    The attributes gx, gy and tmp are the centred differences and the
+    scratch in the logical (nx, ny, q) layout, as `empty_map` gives them.
+    Grid constants enter as precomputed reciprocals (1/dx^2, 0.5/dx, ...),
+    broadcast along the stack axis, or scale a sum once, so no operator
+    divides a full map.  Every result is formed in these component-first
+    buffers, so it has the same bits for either layout of f.
+    `laplacian` and `hessian_sq` use tmp as scratch; a caller may use tmp
+    once they are done.
+
+    The load takes one of two paths, and both give the same bits (each
     value is the same operation on the same operands).  By default the
     size of the field picks it; `sliced` forces one, and `Stencil.once`
     slices for a caller that applies a single operator, since copying
     shifts pays only when several operators share one load, as in a run.
-    On the copy path, for fields whose four-shift stack stays
-    within SLICE_ABOVE_BYTES, `load(f)` copies `shifts`, the stack
-    [xp, yp, xm, ym] (xp[i] = f[i+1] and xm[i] = f[i-1] along x, yp and ym
-    along y); a component-major f gives its y shifts by one flat copy plus
-    the wrap column.  Each operator then works on both directions in one
-    call, the plus pair `shifts[:2]` against the minus pair `shifts[2:]` or
-    against f.  On the sliced path, for larger fields, `shifts` is None and
-    `load` copies nothing: each operator slices its differences straight
-    from f (`_neighbours`), one call per direction plus the wrap rows, so
-    no stack that outgrows the cache is written and read back.
-
-    After a `load`, any operator may follow any other, and each gives the
-    bits it gives on a freshly loaded stencil; before the first load each
-    raises GridError.  `dirichlet` and `centred` write (gx, gy), each over
-    what the other left there; `grad_sq` reads them through `centred`.
-    `centred` remembers that (gx, gy) hold the centred differences of the
-    loaded f and returns them again without a pass, until `load` or another
-    operator writes the stack.  `laplacian` and `hessian_sq` share the
-    undivided second differences (xp + xm - 2f, yp + ym - 2f), formed once
-    per load, and a second `laplacian` and `hessian_sq` read them again.
-    The Laplacian leaves (gx, gy) alone, so centred differences asked for
-    before it are still valid after it.  `hessian_sq` takes its cross term
-    from the centred differences and overwrites them and the second
-    differences.  On the sliced path the second differences have their
-    own 2-map buffer.  On the copy path they are formed in the plus
-    shifts, and an operator that reads the shifts after that loads
-    `source` again; the run's order (centred differences, Laplacian,
-    Hessian) never does.  `laplacian` and `hessian_sq` use tmp as
-    scratch; a caller may use tmp once they are done.  `source` is the
-    array last loaded, kept until the next `load`.
+    On the copy path, for fields whose four-shift stack stays within
+    SLICE_ABOVE_BYTES, the load copies `shifts`, the stack [xp, yp, xm, ym]
+    (a component-major f gives its y shifts by one flat copy plus the wrap
+    column), and forms both directions of each stack in one call, the plus
+    pair `shifts[:2]` against the minus pair `shifts[2:]`.  The second
+    differences are written over the plus shifts, so the shifts are used
+    up by the load.  On the sliced path, for larger fields, `shifts` is
+    None: the load slices both stacks straight from f (`_neighbours`), one
+    call per direction plus the wrap rows, so no stack that outgrows the
+    cache is written and read back, and `second` has its own buffer.
     """
 
     def __init__(self, grid: SurfaceGrid, shape, *,
@@ -325,22 +310,29 @@ class Stencil:
         self.grid = grid
         self.shape = shape
         self._is_map = len(shape) == 3
-        self._planes = shape[-1:] + shape[:-1] if self._is_map else shape
+        planes = shape[-1:] + shape[:-1] if self._is_map else shape
         if sliced is None:
-            sliced = 32 * math.prod(self._planes) > SLICE_ABOVE_BYTES
+            sliced = 32 * math.prod(planes) > SLICE_ABOVE_BYTES
         self.sliced = sliced
         self.source = None
-        self._F = None
-        self._centred = False       # (gx, gy) hold D0 of the loaded f
-        self._second = False        # _second_buf holds second differences
-        self._plus_stale = False    # second differences in the plus shifts
-
-    def allocate(self) -> "Stencil":
-        """Allocate every buffer of the stencil's path now, for a stencil
-        whose operators will need them all."""
-        for name in ("shifts", "_second_buf", "grads", "scratch"):
-            getattr(self, name)
-        return self
+        self._spent = False         # hessian_sq consumed the stacks
+        # two blocks: the centred differences, which a caller may keep past
+        # the stencil, and [scratch, second x, second y (, xm, ym)].  On
+        # the copy path the second differences take the plus shifts'
+        # place: a 2-map buffer of their own cost 6-11% of the gap and
+        # bubble benchmarks' run_s (48^2 and 64^2, q = 4; 2-core VM, numpy
+        # 2.4.6).  Separate arrays would be trimmed from the heap and
+        # faulted in again on every one-shot call (640 minor faults per
+        # hessian_sq_density at 128^2, against 0)
+        self.grads = np.empty((2,) + planes)
+        buf = np.empty((3 if sliced else 5,) + planes)
+        self.scratch, self.second = buf[0], buf[1:3]
+        self.shifts = None if sliced else buf[1:]
+        self.gx, self.gy = (self._logical(g) for g in self.grads)
+        self.tmp = self._logical(self.scratch)
+        h = np.array([grid.dx, grid.dy]).reshape((2,) + (1,) * len(planes))
+        self._half_inv_h = 0.5 / h
+        self._inv_h2 = 1.0 / (h * h)
 
     @classmethod
     def once(cls, grid: SurfaceGrid, f: np.ndarray) -> "Stencil":
@@ -348,55 +340,6 @@ class Stencil:
         it slices f at every size, since a shift stack pays for itself only
         when several operators share one load."""
         return cls(grid, f.shape, sliced=True).load(f)
-
-    @functools.cached_property
-    def shifts(self) -> np.ndarray | None:
-        return None if self.sliced else np.empty((4,) + self._planes)
-
-    @functools.cached_property
-    def _second_buf(self) -> np.ndarray:
-        # on the copy path the second differences take the plus shifts'
-        # place: a 2-map buffer of their own cost 6-11% of the gap and
-        # bubble benchmarks' run_s (48^2 and 64^2, q = 4; 2-core VM, numpy
-        # 2.4.6)
-        if self.sliced:
-            return np.empty((2,) + self._planes)
-        return self.shifts[:2]
-
-    @functools.cached_property
-    def grads(self) -> np.ndarray:
-        return np.empty((2,) + self._planes)
-
-    @functools.cached_property
-    def scratch(self) -> np.ndarray:
-        return np.empty(self._planes)
-
-    @functools.cached_property
-    def gx(self) -> np.ndarray:
-        return self._logical(self.grads[0])
-
-    @functools.cached_property
-    def gy(self) -> np.ndarray:
-        return self._logical(self.grads[1])
-
-    @functools.cached_property
-    def tmp(self) -> np.ndarray:
-        return self._logical(self.scratch)
-
-    @functools.cached_property
-    def _h(self) -> np.ndarray:
-        """(dx, dy), shaped to broadcast along the stack axis; made on first
-        use, so that building a stencil does no arithmetic."""
-        return np.array([self.grid.dx, self.grid.dy]).reshape(
-            (2,) + (1,) * len(self._planes))
-
-    @functools.cached_property
-    def _half_inv_h(self) -> np.ndarray:
-        return 0.5 / self._h
-
-    @functools.cached_property
-    def _inv_h2(self) -> np.ndarray:
-        return 1.0 / (self._h * self._h)
 
     def _logical(self, a: np.ndarray) -> np.ndarray:
         """The (nx, ny, q) view of a component-first buffer."""
@@ -407,42 +350,28 @@ class Stencil:
         components, or a copy of a node-scalar one."""
         return _sum_components(self._logical(a)) if self._is_map else a.copy()
 
-    def _shifts(self) -> np.ndarray:
-        """The component-first view of the loaded f, for an operator that
-        reads it or the shifts; loads f again on the copy path once the
-        second differences took the plus shifts' place, and raises
-        GridError before the first load."""
-        if self._F is None:
+    def _stacks(self):
+        """(grads, second) of the loaded f; loads `source` again once
+        `hessian_sq` consumed them, and raises GridError before the first
+        load."""
+        if self.source is None:
             raise GridError("the stencil was never loaded; load a field first")
-        if self._plus_stale:
+        if self._spent:
             self.load(self.source)
-        return self._F
-
-    def _write_grads(self) -> np.ndarray:
-        """The gradient stack, for an operator about to overwrite it."""
-        self._shifts()
-        self._centred = False
-        return self.grads
-
-    def _pairs(self, op, back: int, out: np.ndarray) -> np.ndarray:
-        """op(f[i+1], f[i-back]) along x into out[0] and along y into
-        out[1]: the plus shifts against the minus ones (back=1) or against
-        f (back=0) on the copy path, sliced straight from f otherwise."""
-        F = self._F
-        if self.sliced:
-            _neighbours(op, F, -2, out[0], back)
-            _neighbours(op, F, -1, out[1], back)
-        else:
-            S = self.shifts
-            op(S[:2], S[2:] if back else F, out=out)
-        return out
+        return self.grads, self.second
 
     def load(self, f: np.ndarray) -> "Stencil":
         if f.shape != self.shape:
             raise ShapeError(f"stencil holds {self.shape}, got {f.shape}")
         F = f.transpose(2, 0, 1) if self._is_map else f
-        if not self.sliced:
-            xp, yp, xm, ym = self.shifts
+        G, P = self.grads, self.second
+        if self.sliced:
+            for d in (0, 1):
+                _neighbours(np.subtract, F, d - 2, G[d])
+                _neighbours(np.add, F, d - 2, P[d])
+        else:
+            S = self.shifts
+            xp, yp, xm, ym = S
             xp[..., :-1, :] = F[..., 1:, :]
             xp[..., -1, :] = F[..., 0, :]
             xm[..., 1:, :] = F[..., :-1, :]
@@ -457,52 +386,49 @@ class Stencil:
                 ym[..., 1:] = F[..., :-1]
             yp[..., -1] = F[..., 0]
             ym[..., 0] = F[..., -1]
-        self.source, self._F = f, F
-        self._centred = self._second = self._plus_stale = False
+            np.subtract(S[:2], S[2:], out=G)
+            np.add(S[:2], S[2:], out=P)
+        G *= self._half_inv_h
+        P -= np.add(F, F, out=self.scratch)
+        self.source = f
+        self._spent = False
         return self
 
     def dirichlet(self) -> float:
         """sum(|D+x f|^2 + |D+y f|^2) dx dy, the Dirichlet energy of the
-        forward differences D+x f = (xp - f) / dx.  One einsum contracts the
-        undivided differences of each direction with themselves, and each
-        direction's sum is scaled once, so no full map is divided or
-        squared in place."""
-        G = self._pairs(np.subtract, 0, self._write_grads())
-        Gf = G.reshape(2, -1)
-        sx, sy = np.einsum("dk,dk->d", Gf, Gf)
+        forward differences D+x f = (xp - f) / dx, from the two stacks.
+
+        On the periodic grid, summation by parts gives, along each axis,
+            sum |f[i+1] - f[i]|^2 = sum |(f[i+1] - f[i-1]) / 2|^2
+                                    + 1/4 sum |f[i+1] + f[i-1] - 2 f[i]|^2
+        exactly, so
+            E = dx dy sum(|D0x f|^2 + |D0y f|^2)
+                + 1/4 ((dy/dx) sum |d2x f|^2 + (dx/dy) sum |d2y f|^2),
+        with d2 the undivided second differences.  One einsum contracts
+        each stack with itself, and each sum is scaled once, so no full map
+        is divided or squared in place."""
+        G, P = self._stacks()
+        Gf, Pf = G.reshape(2, -1), P.reshape(2, -1)
+        cx, cy = np.einsum("dk,dk->d", Gf, Gf)
+        sx, sy = np.einsum("dk,dk->d", Pf, Pf)
         dx, dy = self.grid.dx, self.grid.dy
-        return float(sx * (dy / dx) + sy * (dx / dy))
+        return float((cx + cy) * (dx * dy)
+                     + 0.25 * (sx * (dy / dx) + sy * (dx / dy)))
 
     def centred(self):
-        """(D0x f, D0y f) = ((xp - xm) * (0.5/dx), (yp - ym) * (0.5/dy)).
-
-        Formed once per load: while (gx, gy) still hold them, a second call
-        returns them without a pass."""
-        if not self._centred:
-            G = self._pairs(np.subtract, 1, self._write_grads())
-            G *= self._half_inv_h
-            self._centred = True
+        """(D0x f, D0y f) = ((xp - xm) * (0.5/dx), (yp - ym) * (0.5/dy)),
+        the stack the load formed, as the views (gx, gy)."""
+        self._stacks()
         return self.gx, self.gy
-
-    def _second_differences(self) -> np.ndarray:
-        """The undivided second differences [xp + xm - 2f, yp + ym - 2f],
-        formed once per load in the plus shifts (copy path) or in their
-        own buffer (sliced path)."""
-        if not self._second:
-            F = self._shifts()
-            S = self._pairs(np.add, 1, self._second_buf)
-            S -= np.add(F, F, out=self.scratch)
-            self._second = True
-            self._plus_stale = not self.sliced
-        return self._second_buf
 
     def laplacian(self, out: np.ndarray) -> np.ndarray:
         """Flat 5-point Laplacian f_xx + f_yy into `out` (no conformal
         factor): ((xp + xm - 2f) / dx^2) + ((yp + ym - 2f) / dy^2).
 
-        Scales the second differences into `out` and scratch, so they stay
-        in the stencil for `hessian_sq`; (gx, gy) are left as they were."""
-        P, c = self._second_differences(), self._inv_h2
+        Scales the second differences into `out` and scratch, so the
+        stacks stay as they were."""
+        _, P = self._stacks()
+        c = self._inv_h2
         o = out.transpose(2, 0, 1) if self._is_map else out
         np.multiply(P[0], c[0], out=o)
         o += np.multiply(P[1], c[1], out=self.scratch)
@@ -513,11 +439,9 @@ class Stencil:
 
         This is the coordinate density; the frame density |df|^2 is
         e^{-2 lam} times it, so |df|^2 dvol = grad_sq * dx dy on any
-        conformal grid (`energy_density`).  The centred differences come
-        from `centred`, so ones already formed for this load are reused,
-        and a map's are contracted with themselves as the II term of the
-        flow contracts them (`SphereTarget.sff_trace`); a node scalar's are
-        squared.
+        conformal grid (`energy_density`).  A map's centred differences are
+        contracted with themselves as the II term of the flow contracts
+        them (`SphereTarget.sff_trace`); a node scalar's are squared.
         """
         gx, gy = self.centred()
         if not self._is_map:
@@ -536,15 +460,14 @@ class Stencil:
     def hessian_sq(self) -> np.ndarray:
         """Flat Hessian density f_xx^2 + 2 f_xy^2 + f_yy^2, summed over components.
 
-        f_xx and f_yy come from the undivided second differences, which a
-        `laplacian` of this load may have formed already; f_xy is the
-        centred cross difference D0x(D0y f), formed from the centred
-        differences into gx.  Squares the unscaled second differences, then
-        scales, so a later operator forms both kinds again.
+        f_xx and f_yy come from the undivided second differences; f_xy is
+        the centred cross difference D0x(D0y f), formed from the centred
+        differences into gx.  Squares the unscaled second differences in
+        place, then scales, so it consumes both stacks, and the next
+        operator loads `source` again.
         """
-        self.centred()
-        second = self._second_differences()
-        nxy = _neighbours(np.subtract, self.grads[1], -2, self.grads[0])
+        G, second = self._stacks()
+        nxy = _neighbours(np.subtract, G[1], -2, G[0])
         nxy *= nxy
         nxy *= 0.5 / self.grid.dx ** 2          # 2 (nxy * 0.5/dx)^2
         second *= second
@@ -552,7 +475,7 @@ class Stencil:
         nxx = second[0]
         nxx += nxy
         nxx += second[1]
-        self._centred = self._second = False
+        self._spent = True
         return self._node_sum(nxx)
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import os
 from dataclasses import asdict
 
@@ -61,7 +62,10 @@ def write_snapshot(path: str, values: np.ndarray, t: float, target_name: str):
 
 
 def read_snapshot(path: str):
-    """Returns (values, header_dict); values is a component-major map."""
+    """Returns (values, header_dict); values is a component-major map.
+    SnapshotError, naming the file, for a header that is not JSON, lacks a
+    key, has a non-positive size or a non-finite t, or for a payload of the
+    wrong length."""
     with open(path, "rb") as f:
         line = f.readline()
         try:
@@ -71,7 +75,8 @@ def read_snapshot(path: str):
         except (ValueError, KeyError, TypeError) as e:
             raise SnapshotError(f"bad snapshot header in {path} "
                                 f"({type(e).__name__}: {e})") from e
-        if header.get("endianness") != "little" or min(nx, ny, q) < 1:
+        if (header.get("endianness") != "little" or min(nx, ny, q) < 1
+                or not math.isfinite(header["t"])):
             raise SnapshotError(f"bad snapshot header in {path}: {header}")
         raw = f.read()
     expected = nx * ny * q * 8

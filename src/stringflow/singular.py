@@ -122,6 +122,8 @@ def parabolic_rescale(snapshots, z0, r: float, grid: SurfaceGrid,
     if r < 2.0 * max(grid.dx, grid.dy):
         raise GridError(f"rescale radius {r} below 2*dx")
     (ix, iy), t0 = z0
+    if not math.isfinite(t0):
+        raise GridError(f"zoom time t0={t0} is not finite")
     if not (0 <= ix < grid.nx and 0 <= iy < grid.ny):
         raise GridError(f"zoom node ({ix}, {iy}) not on the "
                         f"{grid.nx}x{grid.ny} grid")

@@ -247,12 +247,19 @@ def test_record_matches_separate_formulas(sphere, lam):
     _record(st)
     rec, v = st.ledger.records[-1], st.u.values
 
-    # E division-free: the undivided forward differences, component-first,
-    # contracted by one einsum and each direction's sum scaled once
-    D = np.stack([_shift(v, 1, 0) - v, _shift(v, 0, 1) - v])
-    D = np.ascontiguousarray(np.moveaxis(D, -1, 1)).reshape(2, -1)
-    sx, sy = np.einsum("dk,dk->d", D, D)
-    E = float(sx * (g.dy / g.dx) + sy * (g.dx / g.dy))
+    # E by summation by parts: the centred and the undivided second
+    # differences, component-first, each stack contracted by one einsum
+    # and each sum scaled once
+    G = np.stack([(_shift(v, 1, 0) - _shift(v, -1, 0)) * (0.5 / g.dx),
+                  (_shift(v, 0, 1) - _shift(v, 0, -1)) * (0.5 / g.dy)])
+    P = np.stack([_shift(v, 1, 0) + _shift(v, -1, 0) - 2.0 * v,
+                  _shift(v, 0, 1) + _shift(v, 0, -1) - 2.0 * v])
+    G = np.ascontiguousarray(np.moveaxis(G, -1, 1)).reshape(2, -1)
+    P = np.ascontiguousarray(np.moveaxis(P, -1, 1)).reshape(2, -1)
+    cx, cy = np.einsum("dk,dk->d", G, G)
+    sx, sy = np.einsum("dk,dk->d", P, P)
+    E = float((cx + cy) * (g.dx * g.dy)
+              + 0.25 * (sx * (g.dy / g.dx) + sy * (g.dx / g.dy)))
     B = sf.pullback_integral(v, fields.b, g)
     V = float(np.sum(fields.V.shifted(v) * g.w))
     assert (rec.E, rec.dirichlet, rec.B_term, rec.V_term, rec.S_tilde) == \
@@ -576,22 +583,28 @@ def _fresh_record(st):
                          ids=["zero_fields", "y4_height"])
 def test_record_matches_a_record_from_a_fresh_load(sphere, lam, n,
                                                    with_fields, monkeypatch):
-    # a record reads the terms, centred and second differences the step
-    # left in the workspace; after init_state, a plain step, a halved step
+    # a record reads the terms and the two stacks of the load of the
+    # step's accepted trial; after init_state, a plain step, a halved step
     # and a dt_min collapse every column equals the one from a fresh load
     # bit for bit.  A 96^2 stencil slices the map instead of copying its
-    # shifts.  The rhs forms the centred differences before its Laplacian
-    # and the record takes the Hessian last, so no operator finds the copy
-    # path's plus shifts holding second differences and loads again
+    # shifts.  Each trial loads its candidate once, and neither the rhs
+    # nor the record loads: the record takes the Hessian, which consumes
+    # the stacks, last
     from dataclasses import replace
-    reloads = []
-    shifts = Stencil._shifts
+    loads, trials = [], []
+    load, trial = Stencil.load, action._trial
 
-    def counted(self):
-        reloads.append(self._plus_stale)
-        return shifts(self)
+    def counted_load(self, f):
+        loads.append(f)
+        return load(self, f)
 
-    monkeypatch.setattr(Stencil, "_shifts", counted)
+    def counted_trial(state, rhs, dt):
+        new_vals, S_new = trial(state, rhs, dt)
+        trials.append(new_vals)
+        return new_vals, S_new
+
+    monkeypatch.setattr(Stencil, "load", counted_load)
+    monkeypatch.setattr(action, "_trial", counted_trial)
     g = sf.build_grid(n, n, lam=lam)
     fields = sf.zero_background(4)
     if with_fields:
@@ -602,6 +615,16 @@ def test_record_matches_a_record_from_a_fresh_load(sphere, lam, n,
     cfg = sf.FlowConfig(t_end=1.0)
     st = sf.init_state(u0, g, sphere, fields, cfg)
     assert st.work.stencil.sliced == (n == 96)
+    assert loads and all(f is st.u.values for f in loads)
+
+    def step_and_record():
+        loads.clear()
+        trials.clear()
+        sf.step(st)
+        _record(st)
+        assert len(loads) == len(trials)
+        assert all(f is t for f, t in zip(loads, trials))
+        return len(trials)
 
     def check():
         rec, ref = st.ledger.records[-1], _fresh_record(st)
@@ -610,23 +633,19 @@ def test_record_matches_a_record_from_a_fresh_load(sphere, lam, n,
             assert getattr(rec, c) == getattr(ref, c), c
 
     check()
-    sf.step(st)
-    _record(st)
+    assert step_and_record() == 1
     check()
     # far above the CFL bound the action rises, so the step halves dt (the
     # bound scales as dx^2, so this is the same dt on either grid)
     dt0 = st.dt = 64 * (n / 24) ** 2 * sf.cfl_bound(g, cfg.cfl)
-    sf.step(st)
+    assert step_and_record() > 1
     assert st.dt < dt0 and not st.events
-    _record(st)
     check()
     # no trial can lower the action by this margin, so dt collapses
     st.config = replace(cfg, tol_up=-1e3)
-    sf.step(st)
+    assert step_and_record() > 1
     assert st.dt == cfg.dt_min and len(st.events) == 1
-    _record(st)
     check()
-    assert reloads and not any(reloads)
 
 
 def test_record_of_another_map_in_the_workspace_raises(grid, sphere):

@@ -127,6 +127,13 @@ def _garbage_header(path, data):
     path.write_bytes(b"not json\n" + data.split(b"\n", 1)[1])
 
 
+def _nan_time(path, data):
+    head, payload = data.split(b"\n", 1)
+    header = json.loads(head)
+    header["t"] = float("nan")
+    path.write_bytes(json.dumps(header).encode() + b"\n" + payload)
+
+
 def _wrong_ledger_header(path, data):
     path.write_text("time,energy\n0,1\n")
 
@@ -140,14 +147,17 @@ def _ledger_cell_not_a_float(path, data):
 @pytest.mark.parametrize("corrupt, name, message", [
     (_corrupt_snapshot, "run_final.snap", "truncated"),
     (_garbage_header, "run_final.snap", "bad snapshot header"),
+    (_nan_time, "run_final.snap", "bad snapshot header"),
     (_wrong_ledger_header, "run_ledger.csv", "unexpected ledger columns"),
     (_ledger_cell_not_a_float, "run_ledger.csv", "line 3: not 11 floats"),
-], ids=["truncated-snapshot", "garbage-header", "ledger-header",
+], ids=["truncated-snapshot", "garbage-header", "nan-time", "ledger-header",
         "ledger-cell"])
 def test_corrupt_input_file_is_a_config_error(tmp_path, capsys, corrupt,
                                               name, message):
     # exit 1 with a one-line message naming the file, not a numeric failure
-    # or a traceback: scan for a snapshot, compare for either file
+    # or a traceback: scan and rescale for a snapshot, compare for either
+    # file.  A snapshot at t = NaN would give an empty rescaling window and
+    # scan events at t = NaN
     a, b = tmp_path / "a", tmp_path / "b"
     assert main(["run", "--config", small_cfg(tmp_path), "--out", str(a)]) == 0
     shutil.copytree(a, b)
@@ -156,12 +166,29 @@ def test_corrupt_input_file_is_a_config_error(tmp_path, capsys, corrupt,
     capsys.readouterr()
     argvs = [["compare", str(a), str(b)]]
     if name.endswith(".snap"):
-        argvs.append(["scan", str(bad)])
+        argvs += [["scan", str(bad)], ["rescale", str(bad), "--ix", "8",
+                                       "--iy", "8", "--r", "1.0"]]
     for argv in argvs:
         assert main(argv) == 1
         err = capsys.readouterr().err
         assert err.startswith("configuration error: ") and message in err
         assert str(bad) in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "--config", "{dir}"],
+    ["scan", "{dir}"],
+    ["check", "--config", "{cfg}", "--out", "{file}"],
+    ["run", "--config", "{cfg}", "--out", "{file}"],
+], ids=["run-config-dir", "scan-dir", "check-out-file", "run-out-file"])
+def test_path_of_the_wrong_kind_is_a_config_error(tmp_path, capsys, argv):
+    # a directory where a file is read, a file where an output directory
+    # is made: exit 1 with a one-line message, not a traceback
+    cfg = small_cfg(tmp_path)
+    paths = {"dir": str(tmp_path), "cfg": cfg, "file": cfg}
+    assert main([a.format(**paths) for a in argv]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: ") and "Traceback" not in err
 
 
 @pytest.mark.parametrize("cmd", [
@@ -298,6 +325,27 @@ def test_compare_different_runs(tmp_path, capsys):
     assert capsys.readouterr().out == (
         f"compare: bitwise=False max_abs_diff={out['max_abs_diff']:.3e} "
         f"{rate}\n")
+
+
+def test_compare_ledgers_recorded_at_different_times(tmp_path, capsys):
+    # rows are paired by index, so a separation rate from rows at different
+    # t would be meaningless: exit 1, naming the first such row's times
+    a, b = str(tmp_path / "a"), str(tmp_path / "b")
+    assert main(["run", "--config", small_cfg(tmp_path), "--out", a]) == 0
+    assert main(["run", "--config",
+                 small_cfg(tmp_path, flow={"record_every": 1}),
+                 "--out", b]) == 0
+    ta = sf.read_ledger_csv(os.path.join(a, "run_ledger.csv")).column("t")
+    tb = sf.read_ledger_csv(os.path.join(b, "run_ledger.csv")).column("t")
+    assert ta[0] == tb[0] and ta[1] != tb[1]
+    with pytest.raises(sf.ConfigError, match="different times"):
+        sf.compare_runs(a, b)
+    capsys.readouterr()
+    assert main(["compare", a, b]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: ledgers recorded at "
+                          f"different times: line 3 has t={float(ta[1])!r} "
+                          f"in {a} and t={float(tb[1])!r} in {b}")
 
 
 @pytest.mark.parametrize("raw, message", [

@@ -178,15 +178,22 @@ def test_ball_sum_map_cache_keys_on_grid_and_radius():
 
 
 def _roll_dirichlet(u, g):
-    """The Dirichlet sum from np.roll forward differences, division-free:
-    the undivided differences of each direction, component-first,
-    contracted by one einsum, each direction's sum scaled once."""
-    D = np.stack([np.roll(u, -1, axis) - u for axis in (0, 1)])
+    """The forward-difference Dirichlet sum by summation by parts, from
+    np.roll centred and undivided second differences, component-first:
+    each stack contracted by one einsum, each sum scaled once,
+        dx dy sum |D0 u|^2 + 1/4 ((dy/dx) sum |d2x u|^2
+                                  + (dx/dy) sum |d2y u|^2)."""
+    G = np.stack([_roll_d0(u, 0, g.dx), _roll_d0(u, 1, g.dy)])
+    P = np.stack([np.roll(u, -1, axis) + np.roll(u, 1, axis) - 2.0 * u
+                  for axis in (0, 1)])
     if u.ndim == 3:
-        D = np.moveaxis(D, -1, 1)
-    D = np.ascontiguousarray(D).reshape(2, -1)
-    sx, sy = np.einsum("dk,dk->d", D, D)
-    return float(sx * (g.dy / g.dx) + sy * (g.dx / g.dy))
+        G, P = np.moveaxis(G, -1, 1), np.moveaxis(P, -1, 1)
+    G = np.ascontiguousarray(G).reshape(2, -1)
+    P = np.ascontiguousarray(P).reshape(2, -1)
+    cx, cy = np.einsum("dk,dk->d", G, G)
+    sx, sy = np.einsum("dk,dk->d", P, P)
+    return float((cx + cy) * (g.dx * g.dy)
+                 + 0.25 * (sx * (g.dy / g.dx) + sy * (g.dx / g.dy)))
 
 
 def _textbook_dirichlet(u, g):
@@ -199,7 +206,9 @@ def _textbook_dirichlet(u, g):
 @pytest.mark.parametrize("seed, nodes", _both_paths(range(4)))
 def test_forward_differences_and_dirichlet_energy_match_roll_bitwise(seed,
                                                                      nodes):
-    # values over six decades, so that any change of operation order shows
+    # E by summation by parts equals the np.roll formula bit for bit and
+    # the forward-difference sum to rounding; values over six decades, so
+    # that any change of operation order shows
     rng = np.random.default_rng(seed)
     g = sf.build_grid(*nodes, Lx=5.0, Ly=3.0)
     shape = nodes + (4,)
@@ -339,7 +348,12 @@ def test_operators_match_roll_formulas_bitwise(layout, nodes):
     du1, du2 = frame_derivatives(u, g)
     assert np.array_equal(du1, node(g.eml) * ux)
     assert np.array_equal(du2, node(g.eml) * uy)
-    assert sf.dirichlet_energy(u, g) == _roll_dirichlet(u, g)
+    # E by summation by parts, on the one-shot (sliced) stencil and on the
+    # size-ruled one, equals the forward-difference sum to rounding
+    E = _roll_dirichlet(u, g)
+    assert sf.dirichlet_energy(u, g) == E
+    assert Stencil(g, u.shape).load(u).dirichlet() == E
+    assert abs(E - _textbook_dirichlet(u, g)) <= 1e-12 * E
     if u.ndim == 3:
         b = sf.make_two_form("y4", 4, beta=0.3)
         assert np.array_equal(pullback_density(u, b, g), b.pullback(u, ux, uy))
@@ -400,8 +414,8 @@ def test_energy_and_density_bits_do_not_depend_on_the_layout(lam):
 @pytest.mark.parametrize("op", ["load", "dirichlet", "grad_sq", "hessian_sq",
                                 "laplacian"])
 def test_centred_after_each_operator_matches_a_fresh_stencil(op):
-    # centred() hands back the stack it formed for this load while that
-    # stack is intact; a load or an operator that writes (gx, gy) forgets it
+    # centred() hands back the stack the load formed; after hessian_sq,
+    # which consumes it, the stencil loads its field again
     rng = np.random.default_rng(35)
     g = sf.build_grid(24, 20, Lx=5.0, Ly=3.0)
     u, v = (_component_major(_six_decades(rng, (24, 20, 4)))
@@ -455,8 +469,8 @@ def test_stencil_operators_in_any_order_match_a_fresh_load(shape):
 @pytest.mark.parametrize("shape", [SMALL, SMALL + (4,), (96, 88), (96, 88, 4)],
                          ids=["scalar", "map", "scalar-96", "map-sliced"])
 def test_one_shot_operators_match_the_workspace_stencil(shape):
-    # a one-shot stencil slices at every size and allocates only what its
-    # operator needs; each operator and each free function built on it
+    # a one-shot stencil slices at every size; each operator and each free
+    # function built on it
     # gives the bits of the size-ruled stencil a run's Workspace holds
     rng = np.random.default_rng(41)
     g = sf.build_grid(*shape[:2], Lx=5.0, Ly=3.0,
@@ -494,10 +508,9 @@ def test_one_shot_operators_match_the_workspace_stencil(shape):
         assert np.array_equal(pullback_density(u, b, g), b.pullback(u, ux, uy))
 
 
-def test_one_shot_dirichlet_energy_allocates_two_maps():
-    # the forward differences of both directions and nothing else: no
-    # shift stack, second differences or scratch (a copy-path stencil with
-    # all its buffers holds 7 maps)
+def test_one_shot_dirichlet_energy_allocates_both_stacks_and_scratch():
+    # the centred and second differences of both directions and one scratch
+    # map, 5 maps: no shift stack (a copy-path stencil holds 7 maps)
     import tracemalloc
     g = sf.build_grid(64, 64)
     u = sf.empty_map((64, 64, 4))
@@ -511,4 +524,4 @@ def test_one_shot_dirichlet_energy_allocates_two_maps():
     finally:
         tracemalloc.stop()
     # plus about 8 KiB of Python objects (the stencil, its dict, views)
-    assert peak <= 2 * u.nbytes + 16 * 1024
+    assert peak <= 5 * u.nbytes + 16 * 1024

@@ -171,6 +171,17 @@ def test_zoom_node_off_the_grid_is_a_grid_error(sphere, node):
                              sf.rescale_out_grid(g, r))
 
 
+@pytest.mark.parametrize("t0", [np.nan, np.inf], ids=["nan", "inf"])
+def test_non_finite_zoom_time_is_a_grid_error(sphere, t0):
+    # a NaN t0 passes the coverage test and would leave the window empty
+    g = sf.build_grid(16, 16)
+    u = sf.constant_map(g, sphere).values
+    r = 4 * g.dx
+    with pytest.raises(GridError, match="t0=.* is not finite"):
+        sf.parabolic_rescale([(0.0, u), (r * r, u)], ((3, 3), t0), r, g,
+                             sf.rescale_out_grid(g, r))
+
+
 def _window(sphere, n_snaps, dt):
     """A 32^2 grid and n_snaps component-major snapshots dt apart."""
     g = sf.build_grid(32, 32)
