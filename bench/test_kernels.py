@@ -1,15 +1,18 @@
 """Microbenchmarks of the per-step kernels, at 32^2, 48^2, 64^2, 96^2 and
 128^2, of the singular-point analysis at 64^2 and 128^2 (and the bubble
 workload's whole read-back at 64^2), of a one-shot free function, and of
-the start-up work a run does once (the sup-norm estimates, a small-energy
-initial map).  At q = 4 the first three sizes stay on the stencil's copy
-path, where it is faster than slicing, and the last two slice the map
-(grid.SLICE_ABOVE_BYTES), so the kernels are timed on both sides.
+the start-up work a run does once (the closed-form sup norms, a
+small-energy initial map).  At q = 4 the first three sizes stay on the
+stencil's copy path, where it is faster than slicing, and the last two
+slice the map (grid.SLICE_ABOVE_BYTES), so the kernels are timed on both
+sides.
 
     PYTHONPATH=src python -m pytest bench --benchmark-columns=min,median,iqr
 
 Kept out of the tier-1 suite (pyproject `testpaths` is `tests`).  Every
-map is a component-major unit map with q = 4, as inside a run.  numpy's
+map is a component-major unit map with q = 4, as inside a run, except in
+the two benchmarks of the stencil's other inputs (a row-major map, which
+the load copies once, and a node scalar).  numpy's
 elementwise kernels run on one thread; the thread variables below also
 keep any BLAS or OpenMP pool to one thread when this module is the first
 to import numpy.
@@ -45,6 +48,27 @@ def test_stencil_load(benchmark, case):
     # and the undivided second differences
     grid, _, u = case
     benchmark(Stencil(grid, u.shape).load, u)
+
+
+@pytest.mark.parametrize("n", (48, 128), ids=lambda n: f"{n}x{n}")
+def test_stencil_load_row_major(benchmark, n):
+    # a row-major map's component-first view is strided, so the load first
+    # copies it into the stencil's scratch
+    grid = sf.build_grid(n, n)
+    u = np.ascontiguousarray(sf.random_smooth_map(
+        grid, sf.make_target("sphere", 4), seed=0, amplitude=0.3).values)
+    benchmark(Stencil(grid, u.shape).load, u)
+
+
+@pytest.mark.parametrize("n", (48, 128), ids=lambda n: f"{n}x{n}")
+def test_laplace_beltrami_node_scalar(benchmark, n):
+    # a node scalar is held as one plane: bochner_density's Laplacian of
+    # |du|^2 / 2 (a flat grid)
+    grid = sf.build_grid(n, n)
+    u = sf.random_smooth_map(grid, sf.make_target("sphere", 4), seed=0,
+                             amplitude=0.3).values
+    f = 0.5 * sf.grad_sq_density(u, grid)
+    benchmark(sf.laplace_beltrami, f, grid)
 
 
 # every operator below reads the stacks of one untimed load, and none but
@@ -236,14 +260,21 @@ def test_assemble_A_and_rewrite_residual_64(benchmark):
     benchmark(rewrite)
 
 
+@pytest.mark.parametrize("sliced", (True, False), ids=["sliced", "copy"])
 @pytest.mark.parametrize("n", (48, 64, 128), ids=lambda n: f"{n}x{n}")
-def test_one_shot_dirichlet_energy(benchmark, n):
-    # a free-function call: a one-shot stencil that slices the map
+def test_one_shot_dirichlet_energy(benchmark, n, sliced):
+    # a free-function call builds a one-shot stencil, which slices the map
+    # (`Stencil.once`, 5 maps); the same call on a copy-path stencil holds
+    # 7 maps, and is the faster one where the size rule copies
     grid = sf.build_grid(n, n)
     u = sf.empty_map((n, n, 4))
     u[...] = sf.random_smooth_map(grid, sf.make_target("sphere", 4), seed=0,
                                   amplitude=0.3).values
-    benchmark(sf.dirichlet_energy, u, grid)
+    if sliced:
+        benchmark(sf.dirichlet_energy, u, grid)
+    else:
+        benchmark(lambda: Stencil(grid, u.shape, sliced=False).load(u)
+                  .dirichlet())
 
 
 # -- start-up: what a run computes once, before its first step ---------------
@@ -251,8 +282,8 @@ def test_one_shot_dirichlet_energy(benchmark, n):
 @pytest.mark.parametrize("kinds", [("y4", "height"), ("zero", "zero")],
                          ids=["y4-height", "zero"])
 def test_sup_norms(benchmark, kinds):
-    # the hypothesis estimates of the bfield workload's fields, and of the
-    # zero fields of the others, at the default 4096 points and 4 pairs
+    # the closed-form sup norms of the bfield workload's fields, and of the
+    # zero fields of the others
     sphere = sf.make_target("sphere", 4)
     b = sf.make_two_form(kinds[0], 4, beta=0.2)
     V = sf.make_potential(kinds[1], 4, epsilon=5e-3)

@@ -152,12 +152,14 @@ def cmd_scan(args) -> int:
 
 def cmd_rescale(args) -> int:
     values, header, grid = _read_snapshot_grid(args)
-    if not args.r >= 2.0 * max(grid.dx, grid.dy):
-        raise ConfigError(f"--r {args.r} below 2*dx")
+    # r ** 2 raises OverflowError where r * r is inf
+    if not (args.r >= 2.0 * max(grid.dx, grid.dy)
+            and math.isfinite(args.r * args.r)):
+        raise ConfigError(f"--r {args.r} below 2*dx or its square not finite")
     if not (0 <= args.ix < grid.nx and 0 <= args.iy < grid.ny):
         raise ConfigError(f"node ({args.ix}, {args.iy}) not on the grid")
     t0 = float(header["t"])
-    snaps = [(t0 - args.r ** 2, values), (t0, values)]
+    snaps = [(t0 - args.r * args.r, values), (t0, values)]
     out_grid = rescale_out_grid(grid, args.r)
     res = parabolic_rescale(snaps, ((args.ix, args.iy), t0), args.r,
                             grid, out_grid)

@@ -5,18 +5,24 @@ Lx x Ly.  Fields live on an nx x ny node grid; axis 0 is x, axis 1 is y.
 Vector fields carry a trailing component axis.  Inside a run every map is
 component-major (`empty_map`): the logical shape stays (nx, ny, q), but each
 component plane is contiguous, so plane-wise arithmetic streams through
-memory.  Every function here accepts either layout and gives the same values.
+memory.  Every function here but `centred` accepts either layout and gives
+the same values.
 
-Every difference of a field comes from a `Stencil`.  A run's stencil,
-which several operators share per load, copies the four periodic shifts of
-a small field once and differences them; a field whose shift stack would
-outgrow the cache (SLICE_ABOVE_BYTES) is differenced by slicing it, with
-no copy.  The free functions below (the Laplace-Beltrami operator, the
-frame derivatives, the densities) apply one operator per call, so each
-takes a one-shot stencil (`Stencil.once`) that slices at every size.  The
-other exception is `centred`, a single-axis difference for a field of
-which nothing else is needed (the flux divergence of the B-force), which
-slices as well.
+Every difference of a field comes from a `Stencil`, which holds one
+field form: a C-contiguous component-first stack (q, nx, ny).  A node
+scalar is one plane, and a field whose component-first view is strided,
+such as a row-major map, is copied once into the stencil's scratch at
+load.  A run's stencil, which several operators share per load, copies the
+four periodic shifts of a small field once and differences them; a field
+whose shift stack would outgrow the cache (SLICE_ABOVE_BYTES) is
+differenced by slicing it, with no copy.  The free functions below (the
+Laplace-Beltrami operator, the frame derivatives, the densities) apply one
+operator per call, so each takes a one-shot stencil (`Stencil.once`) that
+slices at every size: it holds 5 maps where a copy-path stencil holds 7,
+although a one-shot copy-path load is the faster one at the sizes the size
+rule copies.  The other exception is `centred`, a single-axis difference
+for a contiguous field of which nothing else is needed (the flux
+divergence of the B-force), which slices as well.
 
 Hot loops work on the component-first view (`component_first`: (q, nx, ny),
 C-contiguous for a component-major map), where numpy takes its contiguous
@@ -165,32 +171,28 @@ def conformal_rescale(grid: SurfaceGrid, a: float) -> SurfaceGrid:
 # -- stencils -----------------------------------------------------------------
 
 def _neighbours(op, f: np.ndarray, axis: int, out: np.ndarray) -> np.ndarray:
-    """op(f[i+1], f[i-1]) along `axis`, periodic, by slicing into `out`.
+    """op(f[i+1], f[i-1]) along `axis`, periodic, by slicing into `out`;
+    f and out must be C-contiguous.
 
-    When f and out are C-contiguous the interior is one call on the flat
-    arrays, the neighbours one step of `axis` away; that call is wrong only
-    in the wrap rows, which are then written again.  Each value is op of
-    the same two operands on either path, so the bits are the same."""
+    The interior is one call on the flat arrays, the neighbours one step of
+    `axis` away; that call is wrong only in the wrap rows, which are then
+    written again."""
+    s = math.prod(f.shape[axis % f.ndim + 1:])
+    a_flat, o_flat = f.reshape(-1), out.reshape(-1)
+    op(a_flat[2 * s:], a_flat[:a_flat.size - 2 * s],
+       out=o_flat[s:o_flat.size - s])
     a, o = f.swapaxes(axis, 0), out.swapaxes(axis, 0)
-    if f.flags.c_contiguous and out.flags.c_contiguous:
-        s = math.prod(f.shape[axis % f.ndim + 1:])
-        a_flat, o_flat = f.reshape(-1), out.reshape(-1)
-        op(a_flat[2 * s:], a_flat[:a_flat.size - 2 * s],
-           out=o_flat[s:o_flat.size - s])
-    else:
-        op(a[2:], a[:-2], out=o[1:-1])
     op(a[0], a[-2], out=o[-1])
     op(a[1], a[-1], out=o[0])
     return out
 
 
-def centred(f: np.ndarray, axis: int, h: float, out=None) -> np.ndarray:
+def centred(f: np.ndarray, axis: int, h: float, out: np.ndarray) -> np.ndarray:
     """(f[i+1] - f[i-1]) * (0.5/h) along one axis, by slicing into `out`;
-    the same operations as the centred differences of Stencil.load.  For a
-    field of which only this difference is needed, where loading a Stencil
-    would form both stacks in both directions to use one difference."""
-    if out is None:
-        out = np.empty_like(f)
+    f and out must be C-contiguous.  The same operations as the centred
+    differences of Stencil.load, for a field of which only this difference
+    is needed, where loading a Stencil would form both stacks in both
+    directions to use one difference."""
     _neighbours(np.subtract, f, axis, out)
     out *= 0.5 / h
     return out
@@ -250,16 +252,15 @@ def component_dot(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     return _plane_sum(np.multiply(x, y, out=np.empty(x.shape)))
 
 
-def _sum_components(a: np.ndarray) -> np.ndarray:
-    """Fresh sum over the trailing component axis, in index order as
-    component_dot sums; a row-major map is copied component-first, since
-    numpy sums a contiguous component axis pairwise."""
-    return _plane_sum(np.ascontiguousarray(component_first(a)))
-
-
 def _comp_weight(a: np.ndarray, f: np.ndarray) -> np.ndarray:
     """Broadcast a node-scalar over an optional trailing component axis."""
     return a if f.ndim == 2 else a[..., None]
+
+
+def _planes(f: np.ndarray) -> np.ndarray:
+    """The component-first view (q, nx, ny) of a field: a map's planes, or
+    a node scalar as one plane (q = 1).  Always a view, never a copy."""
+    return f.reshape(f.shape[:2] + (-1,)).transpose(2, 0, 1)
 
 
 class Stencil:
@@ -275,33 +276,36 @@ class Stencil:
     may follow any other, and each gives the bits it gives on a freshly
     loaded stencil; before the first load each raises GridError.
 
-    Every buffer is component-first: a map of shape (nx, ny, q) is held as
-    (q, nx, ny), a node scalar as (nx, ny), so x is axis -2 and y is axis
-    -1 and each plane is contiguous.  `scratch` is one more such buffer.
-    The attributes gx, gy and tmp are the centred differences and the
-    scratch in the logical (nx, ny, q) layout, as `empty_map` gives them.
+    The stencil holds one field form: a C-contiguous component-first stack
+    (q, nx, ny), so x is axis -2 and y is axis -1 and each plane is
+    contiguous.  A map of shape (nx, ny, q) is held as its q planes, a node
+    scalar (nx, ny) as one plane.  A field whose component-first view is
+    not C-contiguous, such as a row-major map, is copied once into
+    `scratch`, one more such buffer, and differenced from there.  The
+    attributes gx, gy and tmp are the centred differences and the scratch
+    as views in the field's shape, laid out as `empty_map` gives it.
     Grid constants enter as precomputed reciprocals (1/dx^2, 0.5/dx, ...),
     broadcast along the stack axis, or scale a sum once, so no operator
     divides a full map.  Every result is formed in these component-first
     buffers, so it has the same bits for either layout of f.
-    `laplacian` and `hessian_sq` use tmp as scratch; a caller may use tmp
-    once they are done.
+    `laplacian` uses tmp as scratch; a caller may use tmp once the
+    operators it needs are done.
 
     The load takes one of two paths, and both give the same bits (each
     value is the same operation on the same operands).  By default the
     size of the field picks it; `sliced` forces one, and `Stencil.once`
-    slices for a caller that applies a single operator, since copying
-    shifts pays only when several operators share one load, as in a run.
+    slices for a caller that applies a single operator, since a sliced
+    stencil holds 5 maps where a copy-path one holds 7.
     On the copy path, for fields whose four-shift stack stays within
     SLICE_ABOVE_BYTES, the load copies `shifts`, the stack [xp, yp, xm, ym]
-    (a component-major f gives its y shifts by one flat copy plus the wrap
-    column), and forms both directions of each stack in one call, the plus
-    pair `shifts[:2]` against the minus pair `shifts[2:]`.  The second
-    differences are written over the plus shifts, so the shifts are used
-    up by the load.  On the sliced path, for larger fields, `shifts` is
-    None: the load slices both stacks straight from f (`_neighbours`), one
-    call per direction plus the wrap rows, so no stack that outgrows the
-    cache is written and read back, and `second` has its own buffer.
+    (the y shifts by one flat copy plus the wrap column), and forms both
+    directions of each stack in one call, the plus pair `shifts[:2]`
+    against the minus pair `shifts[2:]`.  The second differences are
+    written over the plus shifts, so the shifts are used up by the load.
+    On the sliced path, for larger fields, `shifts` is None: the load
+    slices both stacks straight from f (`_neighbours`), one call per
+    direction plus the wrap rows, so no stack that outgrows the cache is
+    written and read back, and `second` has its own buffer.
     """
 
     def __init__(self, grid: SurfaceGrid, shape, *,
@@ -309,8 +313,7 @@ class Stencil:
         shape = tuple(shape)
         self.grid = grid
         self.shape = shape
-        self._is_map = len(shape) == 3
-        planes = shape[-1:] + shape[:-1] if self._is_map else shape
+        planes = (math.prod(shape[2:]),) + shape[:2]
         if sliced is None:
             sliced = 32 * math.prod(planes) > SLICE_ABOVE_BYTES
         self.sliced = sliced
@@ -328,27 +331,20 @@ class Stencil:
         buf = np.empty((3 if sliced else 5,) + planes)
         self.scratch, self.second = buf[0], buf[1:3]
         self.shifts = None if sliced else buf[1:]
-        self.gx, self.gy = (self._logical(g) for g in self.grads)
-        self.tmp = self._logical(self.scratch)
+        # views in the field's shape: a node scalar drops its one plane
+        self.gx, self.gy, self.tmp = (a.transpose(1, 2, 0).reshape(shape)
+                                      for a in (*self.grads, self.scratch))
         h = np.array([grid.dx, grid.dy]).reshape((2,) + (1,) * len(planes))
         self._half_inv_h = 0.5 / h
         self._inv_h2 = 1.0 / (h * h)
 
     @classmethod
     def once(cls, grid: SurfaceGrid, f: np.ndarray) -> "Stencil":
-        """A stencil loaded with f for a caller that applies one operator:
-        it slices f at every size, since a shift stack pays for itself only
-        when several operators share one load."""
+        """A stencil loaded with f for a caller that applies one operator.
+        It slices f at every size: a sliced stencil holds 5 maps (both
+        stacks and the scratch) where a copy-path one holds 7, although
+        copying is the faster one-shot load where the size rule copies."""
         return cls(grid, f.shape, sliced=True).load(f)
-
-    def _logical(self, a: np.ndarray) -> np.ndarray:
-        """The (nx, ny, q) view of a component-first buffer."""
-        return a.transpose(1, 2, 0) if self._is_map else a
-
-    def _node_sum(self, a: np.ndarray) -> np.ndarray:
-        """Fresh node scalar: a component-first buffer summed over its
-        components, or a copy of a node-scalar one."""
-        return _sum_components(self._logical(a)) if self._is_map else a.copy()
 
     def _stacks(self):
         """(grads, second) of the loaded f; loads `source` again once
@@ -363,7 +359,10 @@ class Stencil:
     def load(self, f: np.ndarray) -> "Stencil":
         if f.shape != self.shape:
             raise ShapeError(f"stencil holds {self.shape}, got {f.shape}")
-        F = f.transpose(2, 0, 1) if self._is_map else f
+        F = _planes(f)
+        if not F.flags.c_contiguous:
+            np.copyto(self.scratch, F)
+            F = self.scratch
         G, P = self.grads, self.second
         if self.sliced:
             for d in (0, 1):
@@ -376,14 +375,10 @@ class Stencil:
             xp[..., -1, :] = F[..., 0, :]
             xm[..., 1:, :] = F[..., :-1, :]
             xm[..., 0, :] = F[..., -1, :]
-            if F.flags.c_contiguous:
-                # flat copies; only the wrap column is then wrong
-                flat = F.reshape(-1)
-                yp.reshape(-1)[:-1] = flat[1:]
-                ym.reshape(-1)[1:] = flat[:-1]
-            else:
-                yp[..., :-1] = F[..., 1:]
-                ym[..., 1:] = F[..., :-1]
+            # flat copies; only the wrap column is then wrong
+            flat = F.reshape(-1)
+            yp.reshape(-1)[:-1] = flat[1:]
+            ym.reshape(-1)[1:] = flat[:-1]
             yp[..., -1] = F[..., 0]
             ym[..., 0] = F[..., -1]
             np.subtract(S[:2], S[2:], out=G)
@@ -428,10 +423,8 @@ class Stencil:
         Scales the second differences into `out` and scratch, so the
         stacks stay as they were."""
         _, P = self._stacks()
-        c = self._inv_h2
-        o = out.transpose(2, 0, 1) if self._is_map else out
-        np.multiply(P[0], c[0], out=o)
-        o += np.multiply(P[1], c[1], out=self.scratch)
+        o = np.multiply(P[0], self._inv_h2[0], out=_planes(out))
+        o += np.multiply(P[1], self._inv_h2[1], out=self.scratch)
         return out
 
     def grad_sq(self) -> np.ndarray:
@@ -439,15 +432,14 @@ class Stencil:
 
         This is the coordinate density; the frame density |df|^2 is
         e^{-2 lam} times it, so |df|^2 dvol = grad_sq * dx dy on any
-        conformal grid (`energy_density`).  A map's centred differences are
-        contracted with themselves as the II term of the flow contracts
-        them (`SphereTarget.sff_trace`); a node scalar's are squared.
+        conformal grid (`energy_density`).  Each component-first stack is
+        contracted with itself by one einsum, the call `component_dot`
+        makes on contiguous operands, as the II term of the flow contracts
+        the centred differences (`SphereTarget.sff_trace`).
         """
-        gx, gy = self.centred()
-        if not self._is_map:
-            return gx * gx + gy * gy
-        d = component_dot(gx, gx)
-        d += component_dot(gy, gy)
+        G, _ = self._stacks()
+        d = np.einsum("i...,i...->...", G[0], G[0])
+        d += np.einsum("i...,i...->...", G[1], G[1])
         return d
 
     def energy_density(self) -> np.ndarray:
@@ -476,7 +468,7 @@ class Stencil:
         nxx += nxy
         nxx += second[1]
         self._spent = True
-        return self._node_sum(nxx)
+        return _plane_sum(nxx)
 
 
 def laplace_beltrami(f: np.ndarray, grid: SurfaceGrid) -> np.ndarray:

@@ -101,8 +101,10 @@ def test_bad_config_value_is_a_config_error(tmp_path, capsys, command,
     ["scan", "{snap}", "--Lx", "-1"],
     ["rescale", "{snap}", "--ix", "16", "--iy", "16", "--r", "0.01"],
     ["rescale", "{snap}", "--ix", "99", "--iy", "16", "--r", "1.0"],
+    ["rescale", "{snap}", "--ix", "16", "--iy", "16", "--r", "inf"],
+    ["rescale", "{snap}", "--ix", "16", "--iy", "16", "--r", "1e200"],
 ], ids=["scan-radius", "scan-delta1", "scan-missing", "scan-Lx", "rescale-r",
-        "rescale-ix"])
+        "rescale-ix", "rescale-r-inf", "rescale-r-squared-overflows"])
 def test_bad_argument_is_a_config_error(tmp_path, capsys, argv):
     # exit 1 with a one-line message, not a numeric failure, a traceback or
     # a scan that reports every node
@@ -144,14 +146,30 @@ def _ledger_cell_not_a_float(path, data):
     path.write_text("\n".join(lines) + "\n")
 
 
+def _ledger_time(t):
+    """Replaces the t of the ledger's second row (CSV line 3); "{}" stands
+    for the first row's t."""
+    def corrupt(path, data):
+        lines = data.decode().splitlines()
+        cells = lines[2].split(",")
+        cells[0] = t.format(lines[1].split(",", 1)[0])
+        lines[2] = ",".join(cells)
+        path.write_text("\n".join(lines) + "\n")
+    return corrupt
+
+
 @pytest.mark.parametrize("corrupt, name, message", [
     (_corrupt_snapshot, "run_final.snap", "truncated"),
     (_garbage_header, "run_final.snap", "bad snapshot header"),
     (_nan_time, "run_final.snap", "bad snapshot header"),
     (_wrong_ledger_header, "run_ledger.csv", "unexpected ledger columns"),
     (_ledger_cell_not_a_float, "run_ledger.csv", "line 3: not 11 floats"),
+    (_ledger_time("nan"), "run_ledger.csv", "line 3: t=nan"),
+    (_ledger_time("{}"), "run_ledger.csv", "line 3: t="),
+    (_ledger_time("-1.0"), "run_ledger.csv", "line 3: t=-1.0"),
 ], ids=["truncated-snapshot", "garbage-header", "nan-time", "ledger-header",
-        "ledger-cell"])
+        "ledger-cell", "ledger-nan-t", "ledger-repeated-t",
+        "ledger-decreasing-t"])
 def test_corrupt_input_file_is_a_config_error(tmp_path, capsys, corrupt,
                                               name, message):
     # exit 1 with a one-line message naming the file, not a numeric failure

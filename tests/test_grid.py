@@ -5,9 +5,10 @@ import pytest
 
 import stringflow as sf
 from stringflow.errors import GridError, ShapeError, UnsupportedConfigurationError
-from stringflow.grid import (Stencil, _sum_components, ball_kernel_transform,
+from stringflow.grid import (Stencil, _plane_sum, ball_kernel_transform,
                              ball_mask, ball_sum_map, component_dot,
-                             energy_density, frame_derivatives)
+                             component_first, energy_density,
+                             frame_derivatives)
 from stringflow.fields import pullback_density
 
 # node shapes on either side of SLICE_ABOVE_BYTES: a 24 x 20 stencil copies
@@ -306,7 +307,9 @@ def test_component_reductions_sum_planes_in_index_order(layout):
                 X, Y = _component_major(X), _component_major(Y)
             assert np.array_equal(component_dot(X, Y), _plane_loop_dot(X, Y))
             assert np.array_equal(component_dot(X, X), _plane_loop_dot(X, X))
-            assert np.array_equal(_sum_components(X), _plane_loop_sum(X))
+            assert np.array_equal(
+                _plane_sum(np.ascontiguousarray(component_first(X))),
+                _plane_loop_sum(X))
             if len(shape) == 3:
                 g = sf.build_grid(*node_shape,
                                   lam=lambda x, y: 0.3 * np.cos(x) * np.sin(y))
@@ -525,3 +528,47 @@ def test_one_shot_dirichlet_energy_allocates_both_stacks_and_scratch():
         tracemalloc.stop()
     # plus about 8 KiB of Python objects (the stencil, its dict, views)
     assert peak <= 5 * u.nbytes + 16 * 1024
+
+
+@pytest.mark.parametrize("shape", [SMALL, SMALL + (4,), LARGE, LARGE + (4,)],
+                         ids=["scalar", "map", "scalar-sliced", "map-sliced"])
+def test_stencil_holds_one_plane_stack_and_views_in_the_field_shape(shape):
+    # one field form: every buffer is a C-contiguous (q, nx, ny) stack, a
+    # node scalar one plane; gx, gy and tmp are views of those buffers in
+    # the field's shape, for both shapes and on both paths
+    g = sf.build_grid(*shape[:2], Lx=5.0, Ly=3.0)
+    st = Stencil(g, shape)
+    assert st.sliced == (shape[:2] == LARGE)
+    planes = (shape[2] if len(shape) == 3 else 1,) + shape[:2]
+    assert st.grads.shape == (2,) + planes and st.scratch.shape == planes
+    assert st.grads.flags.c_contiguous and st.scratch.flags.c_contiguous
+    for view, buf in ((st.gx, st.grads[0]), (st.gy, st.grads[1]),
+                      (st.tmp, st.scratch)):
+        assert view.shape == shape and np.shares_memory(view, buf)
+    u = _six_decades(np.random.default_rng(43), shape)
+    st.load(u)
+    assert np.array_equal(st.gx, _roll_d0(u, 0, g.dx))
+    assert np.array_equal(st.gy, _roll_d0(u, 1, g.dy))
+
+
+@pytest.mark.parametrize("nodes", [(64, 64), LARGE], ids=["copy", "sliced"])
+def test_loading_a_row_major_map_copies_it_into_the_scratch(nodes):
+    # a map whose component-first view is not C-contiguous is copied once
+    # into the stencil's scratch, not into a fresh array, and differenced
+    # from there: the load allocates less than one map
+    import tracemalloc
+    g = sf.build_grid(*nodes, Lx=5.0, Ly=3.0)
+    u = _six_decades(np.random.default_rng(44), nodes + (4,))
+    assert u.flags.c_contiguous
+    st = Stencil(g, u.shape)
+    ref = Stencil(g, u.shape).load(_component_major(u))
+    st.load(u)
+    tracemalloc.start()
+    try:
+        st.load(u)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < u.nbytes, peak
+    assert np.array_equal(st.grads, ref.grads)
+    assert np.array_equal(st.second, ref.second)

@@ -51,6 +51,23 @@ def test_ledger_rejects_wrong_header(tmp_path):
         sf.read_ledger_csv(str(p))
 
 
+@pytest.mark.parametrize("t", ["nan", "inf", "{t1}", "-1.0"],
+                         ids=["nan", "inf", "repeated", "decreasing"])
+def test_ledger_rejects_a_time_that_is_not_finite_and_increasing(run_state,
+                                                                 tmp_path, t):
+    # a SnapshotError naming the file and the CSV line, not the GridError of
+    # EnergyLedger.append or a NaN row that later compares as a time
+    p = tmp_path / "ledger.csv"
+    sf.write_ledger_csv(run_state.ledger, str(p))
+    lines = p.read_text().splitlines()
+    cells = lines[2].split(",")
+    cells[0] = t.format(t1=lines[1].split(",", 1)[0])
+    lines[2] = ",".join(cells)
+    p.write_text("\n".join(lines) + "\n")
+    with pytest.raises(SnapshotError, match=re.escape(f"{p}, line 3: t=")):
+        sf.read_ledger_csv(str(p))
+
+
 def test_snapshot_roundtrip_bitwise(run_state, tmp_path):
     p = tmp_path / "m.snap"
     sf.write_snapshot(str(p), run_state.u.values, run_state.t, "sphere")
