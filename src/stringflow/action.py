@@ -25,14 +25,13 @@ Discretization notes (the choices here are load-bearing):
   written again, so values are carried forward, not re-derived: a step
   forms the rhs of its new map from the stencil that the accepted
   trial's action_value loaded, and keeps it in FlowState.rhs for the next
-  step and the convergence probe; init_state forms the first one with
-  flow_rhs, which loads u0 itself.
+  step and the convergence probe; init_state forms the first one from
+  the load of u0's action_value.
   A load forms the centred and the second differences, and action_value,
   the rhs and the ledger record all read them.  A ledger record loads
   nothing: it reads the action terms that the accepted trial's
   action_value kept on the workspace and the stencil's two stacks, which
-  its Hessian consumes last, so a run loads each map once, and u0 twice
-  (its action_value and flow_rhs).
+  its Hessian consumes last, so a run loads each map once.
   The snapshot ring keeps the run's maps by reference.
 * With a two-form, flow_rhs projects the B-force and the potential's force
   (when there is one) once: P(u) is linear, so e^{-2 lam} P(u) g + P(u) a
@@ -148,9 +147,10 @@ class Workspace:
     they return are never workspace buffers.  flow_rhs writes its II,
     B-force and potential terms into the stencil's scratch `tmp`.
 
-    flow_rhs and action_value load the stencil themselves; the rhs that a
-    step forms and the ledger record after it do not.  Both read the two
-    stacks of the load of the accepted trial's action_value.
+    action_value loads the stencil itself; flow_rhs loads it unless the
+    workspace `holds` the map, and the ledger record never does.  So the
+    rhs that a step forms and the record after it both read the two stacks
+    of the load of the accepted trial's action_value.
     action_value keeps its map's `_action_terms` in `terms`, and that map
     in `terms_of`, for the record.
     """
@@ -160,6 +160,12 @@ class Workspace:
         self.terms = self.terms_of = None   # (E, B, V, S) of map terms_of
         if not fields.b.is_zero:
             self.g = empty_map(shape)
+
+    def holds(self, vals: np.ndarray) -> bool:
+        """True when the last action_value was of vals and the stencil
+        still holds its load.  Under FlowState's rule (no one writes a held
+        map in place) that load and those terms are those of vals now."""
+        return self.terms_of is vals and self.stencil.source is vals
 
 
 def action_value(vals: np.ndarray, grid: SurfaceGrid,
@@ -240,19 +246,20 @@ def flow_rhs(u: MapField, grid: SurfaceGrid, target: TargetManifold,
     Each term is formed in the stencil's scratch and subtracted, plane by
     plane on the component-first views; the rhs itself is a fresh array in
     the layout of u.
+
+    When the workspace `holds` u.values, as after action_value(u.values,
+    ..., work), the rhs reads that load instead of loading again.  That
+    relies on the rule of FlowState: no one writes a held map in place, so
+    a load of the same array is the load of the same values.  A caller
+    that has written u since action_value loaded it must pass no
+    workspace, or one that holds another map.
     """
     vals = u.values
     if work is None:
         work = Workspace(grid, vals.shape, fields)
-    work.stencil.load(vals)
-    return _rhs(work, vals, target, fields)
-
-
-def _rhs(work: Workspace, vals: np.ndarray, target: TargetManifold,
-         fields: FieldBackground) -> np.ndarray:
-    """flow_rhs of vals, which the workspace stencil holds."""
     st = work.stencil
-    grid = st.grid
+    if not work.holds(vals):
+        st.load(vals)
     ux, uy = st.centred()
     rhs = st.laplacian(np.empty_like(vals))
     R = component_first(rhs)
@@ -322,8 +329,13 @@ class EnergyLedger:
     records: list = dc_field(default_factory=list)
 
     def append(self, rec: EnergyRecord):
-        if self.records and rec.t <= self.records[-1].t:
-            raise GridError("ledger timestamps must be strictly increasing")
+        """GridError, naming both times, unless rec.t is finite and above
+        the last record's t (NaN fails every comparison, so it is refused
+        too)."""
+        last = self.records[-1].t if self.records else -math.inf
+        if not last < rec.t < math.inf:
+            raise GridError(f"t={rec.t!r} must be finite and above the last "
+                            f"row's t={last!r}")
         self.records.append(rec)
 
     def __len__(self):
@@ -336,8 +348,7 @@ class EnergyLedger:
         return np.array([r.row() for r in self.records])
 
 
-def monotonicity_check(ledger: EnergyLedger, delta2: float, S0: float,
-                       identity_tol: float | None = None) -> dict:
+def monotonicity_check(ledger: EnergyLedger, delta2: float, S0: float) -> dict:
     """E(u_t) <= delta2 * S0 at every record, plus the dissipation identity."""
     E = ledger.column("E")
     S = ledger.column("S_tilde")
@@ -346,7 +357,7 @@ def monotonicity_check(ledger: EnergyLedger, delta2: float, S0: float,
     violations = E - bound
     defect = abs(S[-1] + diss[-1] - S0)
     steps_ok = bool(np.all(np.diff(S) <= 1e-10 * (1.0 + S0)))
-    report = {
+    return {
         "energy_bound_ok": bool(np.all(violations <= 0.0)),
         "max_energy_excess": float(np.max(violations)),
         "monotone_ok": steps_ok,
@@ -354,9 +365,6 @@ def monotonicity_check(ledger: EnergyLedger, delta2: float, S0: float,
         "delta2": delta2,
         "S0": S0,
     }
-    if identity_tol is not None:
-        report["identity_ok"] = bool(defect <= identity_tol)
-    return report
 
 
 # -- time stepping -----------------------------------------------------------------
@@ -416,10 +424,12 @@ class FlowState:
     A run never writes a map that a state holds, and neither may its
     caller: u.values is the newest entry of the snapshot ring, which holds
     the run's maps by reference, and rhs is flow_rhs(u), which the next
-    step starts from.  A caller that wants to alter a map writes to a copy
-    and, to go on, starts a new run from it.  `work` is the run's
-    Workspace while it steps; the state that `run` returns has none, and
-    `step` builds one on demand.
+    step starts from.  flow_rhs relies on the rule too: it reads a
+    workspace stencil that holds u.values without loading it again.  A
+    caller that wants to alter a map writes to a copy and, to go on,
+    starts a new run from it.  `work` is the run's Workspace while it
+    steps; the state that `run` returns has none, and `step` builds one on
+    demand.
     """
     t: float
     u: MapField
@@ -450,7 +460,7 @@ def init_state(u0: MapField, grid: SurfaceGrid, target: TargetManifold,
     u = MapField(target.project(vals, out=vals), target)
     work = Workspace(grid, vals.shape, fields)
     S0 = action_value(u.values, grid, fields, work)
-    rhs = flow_rhs(u, grid, target, fields, work)
+    rhs = flow_rhs(u, grid, target, fields, work)     # reads that load
     dt = config.dt_init if config.dt_init is not None else cfl_bound(grid, config.cfl)
     state = FlowState(t=0.0, u=u, dt=dt, grid=grid, target=target,
                       fields=fields, config=config, S_current=S0, S0=S0,
@@ -469,7 +479,7 @@ def _record(state: FlowState):
     state's map."""
     grid, vals, work = state.grid, state.u.values, state.work
     st = work.stencil
-    if st.source is not vals or work.terms_of is not vals:
+    if not work.holds(vals):
         raise GridError("the workspace holds another map's stencil or terms")
     E, B_term, V_term, S = work.terms
     sup_loc = float(np.max(ball_sum_map(st.energy_density(), grid,
@@ -561,7 +571,9 @@ def step(state: FlowState) -> FlowState:
             break
     # free the old rhs first, so that the new one can take its memory
     state.rhs = rhs = None
-    state.rhs = _rhs(state.work, new_vals, state.target, state.fields)
+    u = MapField(new_vals, state.target)
+    state.rhs = flow_rhs(u, state.grid, state.target, state.fields,
+                         state.work)
 
     diff = state.work.stencil.tmp
     np.subtract(component_first(new_vals), component_first(vals),
@@ -569,7 +581,7 @@ def step(state: FlowState) -> FlowState:
     kinetic = l2_inner(diff, diff, state.grid) / dt**2
     state.cum_dissipation += kinetic * dt
     state.last_kinetic = kinetic
-    state.u = MapField(new_vals, state.target)
+    state.u = u
     state.t = cfg.t_end if dt == remaining else state.t + dt
     state.S_current = S_new
     state.steps += 1

@@ -119,22 +119,25 @@ def cmd_check(args) -> int:
     return EXIT_OK if report.get("ok", False) else EXIT_HYPOTHESIS
 
 
-def _read_snapshot_grid(args):
-    """The snapshot's values and header, and the grid of its node counts
-    and the --Lx, --Ly periods; periods it rules out are a ConfigError."""
-    values, header = read_snapshot(args.snapshot)
-    try:
-        grid = build_grid(header["nx"], header["ny"], Lx=args.Lx, Ly=args.Ly)
-    except GridError as e:
-        raise ConfigError(str(e)) from e
-    return values, header, grid
+def _on_snapshot(command):
+    """A scan or rescale subcommand: `command(args, values, header, grid)`
+    on the snapshot's values and header and the grid of its node counts
+    and the --Lx, --Ly periods.  The library checks the arguments; a
+    GridError, for periods, a radius, an r or a node that it rules out, is
+    a ConfigError."""
+    def cmd(args) -> int:
+        values, header = read_snapshot(args.snapshot)
+        try:
+            grid = build_grid(header["nx"], header["ny"], Lx=args.Lx,
+                              Ly=args.Ly)
+            return command(args, values, header, grid)
+        except GridError as e:
+            raise ConfigError(str(e)) from e
+    return cmd
 
 
-def cmd_scan(args) -> int:
-    values, header, grid = _read_snapshot_grid(args)
-    if not 0.0 < args.radius < grid.inj_radius:
-        raise ConfigError(f"--radius {args.radius} outside "
-                          f"(0, {grid.inj_radius})")
+@_on_snapshot
+def cmd_scan(args, values, header, grid) -> int:
     if not args.delta1 > 0.0:
         raise ConfigError(f"--delta1 {args.delta1} is not positive")
     hits = concentration_scan(values, grid, args.delta1, args.radius)
@@ -150,15 +153,9 @@ def cmd_scan(args) -> int:
     return EXIT_OK
 
 
-def cmd_rescale(args) -> int:
-    values, header, grid = _read_snapshot_grid(args)
-    # r ** 2 raises OverflowError where r * r is inf
-    if not (args.r >= 2.0 * max(grid.dx, grid.dy)
-            and math.isfinite(args.r * args.r)):
-        raise ConfigError(f"--r {args.r} below 2*dx or its square not finite")
-    if not (0 <= args.ix < grid.nx and 0 <= args.iy < grid.ny):
-        raise ConfigError(f"node ({args.ix}, {args.iy}) not on the grid")
-    t0 = float(header["t"])
+@_on_snapshot
+def cmd_rescale(args, values, header, grid) -> int:
+    t0 = header["t"]
     snaps = [(t0 - args.r * args.r, values), (t0, values)]
     out_grid = rescale_out_grid(grid, args.r)
     res = parabolic_rescale(snaps, ((args.ix, args.iy), t0), args.r,

@@ -17,7 +17,7 @@ from dataclasses import asdict
 import numpy as np
 
 from .action import LEDGER_COLUMNS, EnergyLedger, EnergyRecord
-from .errors import SnapshotError
+from .errors import GridError, SnapshotError
 from .grid import empty_map
 from .singular import SingularEvent
 
@@ -32,26 +32,24 @@ def write_ledger_csv(ledger: EnergyLedger, path: str):
 
 def read_ledger_csv(path: str) -> EnergyLedger:
     """SnapshotError, naming the file and the line, for a wrong header, a
-    row that is not one float per column, or a t that is not finite or not
-    above the previous row's."""
+    row that is not one float per column, or a t that EnergyLedger.append
+    refuses (not finite, or not above the previous row's)."""
     ledger = EnergyLedger()
     with open(path, newline="") as f:
         r = csv.reader(f)
         header = next(r, None)
         if header != LEDGER_COLUMNS:
             raise SnapshotError(f"unexpected ledger columns in {path}: {header}")
-        last_t = -math.inf
         for row in r:
             try:
                 vals = dict(zip(LEDGER_COLUMNS, map(float, row), strict=True))
             except ValueError as e:
                 raise SnapshotError(f"{path}, line {r.line_num}: not "
                                     f"{len(LEDGER_COLUMNS)} floats ({e})") from e
-            if not last_t < vals["t"] < math.inf:        # NaN fails too
-                raise SnapshotError(f"{path}, line {r.line_num}: t={vals['t']!r}"
-                                    " must be finite and above the last row's")
-            last_t = vals["t"]
-            ledger.append(EnergyRecord(**vals))
+            try:
+                ledger.append(EnergyRecord(**vals))
+            except GridError as e:
+                raise SnapshotError(f"{path}, line {r.line_num}: {e}") from e
     return ledger
 
 

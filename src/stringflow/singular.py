@@ -71,9 +71,20 @@ def convergence_probe(kinetic: float, el_residual_l2: float,
 
 # -- parabolic rescaling -----------------------------------------------------------
 
+def _check_radius(grid: SurfaceGrid, r: float):
+    """GridError, naming r, unless r >= 2 dx and r^2 is finite (a NaN r
+    fails too)."""
+    # r ** 2 raises OverflowError where r * r is inf
+    if not (r >= 2.0 * max(grid.dx, grid.dy) and math.isfinite(r * r)):
+        raise GridError(f"rescale radius r={r} below 2*dx or its square "
+                        "not finite")
+
+
 def rescale_out_grid(grid: SurfaceGrid, r: float) -> SurfaceGrid:
     """Flat grid covering the zoomed window: the commensurate choice (same
-    node count, periods L/r) for which the resampling is exact."""
+    node count, periods L/r) for which the resampling is exact.  The
+    radius must be one that parabolic_rescale takes."""
+    _check_radius(grid, r)
     return build_grid(grid.nx, grid.ny, grid.Lx / r, grid.Ly / r)
 
 
@@ -113,14 +124,14 @@ def parabolic_rescale(snapshots, z0, r: float, grid: SurfaceGrid,
     with (ix, iy) a node of `grid`.  out_grid must be
     `rescale_out_grid(grid, r)`, on which every zoom point is a node, so
     the zoom is exact: each snapshot rolled to put node (ix, iy) at the
-    out-grid node (nx/2, ny/2).  Requires r >= 2 dx and snapshot coverage
-    of [t0 - r^2, t0].  Returns a dict with the rescaled sequence (a lazy
-    `RescaledSequence` over the snapshots in the window), the center node,
-    and the 1/r^2 factor multiplying grad V in the rescaled equation (the
-    tool does not evolve v).
+    out-grid node (nx/2, ny/2).  Requires r >= 2 dx with r^2 finite (a
+    NaN r fails too) and snapshot coverage of [t0 - r^2, t0].  Returns a
+    dict with the rescaled sequence (a lazy `RescaledSequence` over the
+    snapshots in the window), the center node, and the 1/r^2 factor
+    multiplying grad V in the rescaled equation (the tool does not evolve
+    v).
     """
-    if r < 2.0 * max(grid.dx, grid.dy):
-        raise GridError(f"rescale radius {r} below 2*dx")
+    _check_radius(grid, r)
     (ix, iy), t0 = z0
     if not math.isfinite(t0):
         raise GridError(f"zoom time t0={t0} is not finite")

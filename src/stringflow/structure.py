@@ -76,14 +76,13 @@ def assemble_A(u_values: np.ndarray, grid: SurfaceGrid, target: TargetManifold,
 
 def rewrite_residual(u_values: np.ndarray, A: AntisymmetricPotential,
                      grid: SurfaceGrid, target: TargetManifold,
-                     fields: FieldBackground,
-                     drop_F: bool = False) -> float:
+                     fields: FieldBackground) -> float:
     """L2 norm of Delta u + F . u_x + G . u_y - P grad V(u).
 
-    Vanishes to O(dx^2) for smooth critical points; `drop_F` ablates the F
-    term (negative control).  One stencil gives the centred differences
-    and the Laplacian; the terms are added into the Laplacian in the order
-    written.
+    Vanishes to O(dx^2) for smooth critical points; an A whose F is zero
+    ablates the F term (negative control).  One stencil gives the centred
+    differences and the Laplacian; the terms are added into the Laplacian
+    in the order written.
     """
     st = Stencil.once(grid, u_values)
     ux, uy = st.centred()
@@ -91,8 +90,7 @@ def rewrite_residual(u_values: np.ndarray, A: AntisymmetricPotential,
     if not grid.is_flat:
         res *= grid.em2l[..., None]          # as laplace_beltrami does
     term = st.tmp
-    if not drop_F:
-        res += np.einsum("...mi,...i->...m", A.F, ux, out=term)
+    res += np.einsum("...mi,...i->...m", A.F, ux, out=term)
     res += np.einsum("...mi,...i->...m", A.G, uy, out=term)
     if not fields.V.is_zero:
         res -= tangential_grad_V(u_values, fields.V, target)
@@ -115,13 +113,13 @@ def gap_check(u_values: np.ndarray, grid: SurfaceGrid, target: TargetManifold,
               fields: FieldBackground, eps_energy: float) -> dict:
     """Small-energy gap diagnostics.
 
-    Reports ||du||_L2, the W^{2,4/3} seminorm of u - mean(u), and
-    ||P grad V(u)||_{L^{4/3}}; when grad V vanishes and the energy is below
-    eps_energy the map is expected to be constant (small-energy triviality).
+    Reports ||du||_L2, the W^{2,4/3} seminorm of u (second differences do
+    not see u's mean), and ||P grad V(u)||_{L^{4/3}}; when grad V vanishes
+    and the energy is below eps_energy the map is expected to be constant
+    (small-energy triviality).
     """
     du_l2 = float(np.sqrt(np.sum(energy_density(u_values, grid))))
-    centered = u_values - np.mean(u_values, axis=(0, 1))
-    semi = w2_43_seminorm(centered, grid)
+    semi = w2_43_seminorm(u_values, grid)
     gv = tangential_grad_V(u_values, fields.V, target)
     gv_norm = _lp_norm(np.linalg.norm(gv, axis=-1), grid, 4.0 / 3.0)
     small = du_l2 < eps_energy

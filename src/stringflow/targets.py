@@ -114,24 +114,22 @@ class TargetManifold(ABC):
         self.check_tangent(u, Y)
         return self.sff(u, X, Y)
 
-    def second_fundamental_form_fd(self, u, X, Y, h: float | None = None,
-                                   richardson: bool = True) -> np.ndarray:
+    def second_fundamental_form_fd(self, u, X, Y) -> np.ndarray:
         """Finite-difference oracle for II via second differences of project.
 
-        II(X, X) = (pi(u + hX) + pi(u - hX) - 2u) / h^2 + O(h^2); mixed
-        arguments by polarization.  Independent of the analytic sff.
+        II(X, X) = (pi(u + hX) + pi(u - hX) - 2u) / h^2 + O(h^2), at
+        h = 1e-4 tubular radii and Richardson-extrapolated against h/2 to
+        O(h^4); mixed arguments by polarization.  Independent of the
+        analytic sff.
         """
-        if h is None:
-            h = 1e-4 * self.tubular_radius
+        h = 1e-4 * self.tubular_radius
+
+        def d2(Z, h):
+            return (self.project(u + h * Z) + self.project(u - h * Z)
+                    - 2.0 * u) / h**2
 
         def diag(Z):
-            d2 = (self.project(u + h * Z) + self.project(u - h * Z) - 2.0 * u) / h**2
-            if richardson:
-                h2 = 0.5 * h
-                d2h = (self.project(u + h2 * Z) + self.project(u - h2 * Z)
-                       - 2.0 * u) / h2**2
-                d2 = (4.0 * d2h - d2) / 3.0
-            return d2
+            return (4.0 * d2(Z, 0.5 * h) - d2(Z, h)) / 3.0
 
         XY_same = X is Y or (np.shape(X) == np.shape(Y) and np.array_equal(X, Y))
         if XY_same:

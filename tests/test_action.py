@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -96,6 +97,24 @@ def test_ledger_columns_and_monotonicity_check(grid, sphere):
     assert list(sf.LEDGER_COLUMNS[:3]) == ["t", "E", "dirichlet"]
     mono = sf.monotonicity_check(st.ledger, 2.0, st.S0)
     assert mono["monotone_ok"] and mono["energy_bound_ok"]
+
+
+@pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf, 1.0, 0.5],
+                         ids=["nan", "inf", "-inf", "equal", "decreasing"])
+def test_ledger_refuses_a_time_not_above_the_last(t):
+    # the one time-order check of a ledger, in memory as on read: a NaN
+    # fails every comparison, so neither it nor any t after it gets in
+    def rec(t):
+        return sf.EnergyRecord(t, *range(10))
+    ledger = sf.EnergyLedger()
+    ledger.append(rec(1.0))
+    with pytest.raises(GridError, match=re.escape(f"t={t!r} must be finite")):
+        ledger.append(rec(t))
+    ledger.append(rec(2.0))
+    assert ledger.column("t").tolist() == [1.0, 2.0]
+    if not math.isfinite(t):
+        with pytest.raises(GridError):
+            sf.EnergyLedger().append(rec(t))
 
 
 def test_flow_config_validation(grid):
@@ -615,7 +634,8 @@ def test_record_matches_a_record_from_a_fresh_load(sphere, lam, n,
     cfg = sf.FlowConfig(t_end=1.0)
     st = sf.init_state(u0, g, sphere, fields, cfg)
     assert st.work.stencil.sliced == (n == 96)
-    assert loads and all(f is st.u.values for f in loads)
+    # action_value loads u0, and flow_rhs reads that load
+    assert len(loads) == 1 and loads[0] is st.u.values
 
     def step_and_record():
         loads.clear()

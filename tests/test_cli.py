@@ -103,8 +103,12 @@ def test_bad_config_value_is_a_config_error(tmp_path, capsys, command,
     ["rescale", "{snap}", "--ix", "99", "--iy", "16", "--r", "1.0"],
     ["rescale", "{snap}", "--ix", "16", "--iy", "16", "--r", "inf"],
     ["rescale", "{snap}", "--ix", "16", "--iy", "16", "--r", "1e200"],
+    ["rescale", "{snap}", "--ix", "16", "--iy", "16", "--r", "nan"],
+    ["scan", "{snap}", "--radius", "nan"],
+    ["rescale", "{snap}", "--ix", "16", "--iy", "16", "--r", "0"],
 ], ids=["scan-radius", "scan-delta1", "scan-missing", "scan-Lx", "rescale-r",
-        "rescale-ix", "rescale-r-inf", "rescale-r-squared-overflows"])
+        "rescale-ix", "rescale-r-inf", "rescale-r-squared-overflows",
+        "rescale-r-nan", "scan-radius-nan", "rescale-r-zero"])
 def test_bad_argument_is_a_config_error(tmp_path, capsys, argv):
     # exit 1 with a one-line message, not a numeric failure, a traceback or
     # a scan that reports every node
@@ -119,6 +123,18 @@ def test_bad_argument_is_a_config_error(tmp_path, capsys, argv):
     err = capsys.readouterr().err
     assert err.startswith("configuration error: ") and "Traceback" not in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("r", ["0", "-0.0", "-1", "0.01", "nan", "inf", "1e200"])
+def test_rescale_names_the_bad_r(tmp_path, capsys, r):
+    # the message names --r, not the periods of the out-grid built from it
+    g = sf.build_grid(32, 32)
+    snap = str(tmp_path / "u.snap")
+    sf.write_snapshot(snap, sf.bump_map(g, sf.make_target("sphere", 4),
+                                        scale=0.4).values, 1.0, "sphere")
+    assert main(["rescale", snap, "--ix", "16", "--iy", "16", "--r", r]) == 1
+    err = capsys.readouterr().err
+    assert f"rescale radius r={float(r)!r} below 2*dx" in err, err
 
 
 def _corrupt_snapshot(path, data):

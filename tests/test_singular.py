@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 from dataclasses import replace
 
@@ -86,6 +87,24 @@ def test_parabolic_rescale_requires_coverage_and_scale(sphere):
     with pytest.raises(GridError):
         sf.parabolic_rescale([(0.0, u.values)], ((0, 0), 0.0), 0.5 * g.dx,
                              g, g)
+    # a NaN r passes r < 2 dx, and r = 1e200 has a commensurate out-grid,
+    # but r * r is inf: each is named as the radius it is
+    big = sf.build_grid(g.nx, g.ny, g.Lx / 1e200, g.Ly / 1e200)
+    for r, og in ((np.nan, g), (1e200, big)):
+        with pytest.raises(GridError,
+                           match=re.escape(f"radius r={r!r} below 2*dx")):
+            sf.parabolic_rescale([(0.0, u.values), (1.0, u.values)],
+                                 ((0, 0), 1.0), r, g, og)
+
+
+@pytest.mark.parametrize("r", [0.0, -0.0, -1.0, 0.01, np.nan, np.inf, 1e200])
+def test_rescale_out_grid_names_a_radius_parabolic_rescale_refuses(r):
+    # the out-grid is built before parabolic_rescale sees r: a zero r must
+    # not divide by zero, nor a NaN one surface as a period
+    g = sf.build_grid(32, 32)
+    with pytest.raises(GridError,
+                       match=re.escape(f"radius r={r!r} below 2*dx")):
+        sf.rescale_out_grid(g, r)
 
 
 def test_stiffness_event_on_dt_collapse(sphere):
