@@ -31,7 +31,7 @@ Discretization notes (the choices here are load-bearing):
   the rhs and the ledger record all read them.  A ledger record loads
   nothing: it reads the action terms that the accepted trial's
   action_value kept on the workspace and the stencil's two stacks, which
-  its Hessian consumes last, so a run loads each map once.
+  no operator writes, so a run loads each map once.
   The snapshot ring keeps the run's maps by reference.
 * With a two-form, flow_rhs projects the B-force and the potential's force
   (when there is one) once: P(u) is linear, so e^{-2 lam} P(u) g + P(u) a
@@ -473,8 +473,8 @@ def init_state(u0: MapField, grid: SurfaceGrid, target: TargetManifold,
 def _record(state: FlowState):
     """Append a ledger row from the stencil work of the step just taken
     (or of init_state), without a load: E, B, V and S_tilde are the terms
-    action_value kept, the ball map sums Stencil.energy_density, and the
-    Hessian consumes the stencil's stacks, those of the load that the rhs
+    action_value kept; the ball map sums Stencil.energy_density, and the
+    Hessian reads the stencil's stacks, those of the load that the rhs
     read.  GridError unless the workspace stencil and terms belong to the
     state's map."""
     grid, vals, work = state.grid, state.u.values, state.work

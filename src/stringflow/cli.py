@@ -44,6 +44,13 @@ def _load_cfg(args) -> dict:
     return validate_config({})
 
 
+def _write_report(out: str, name: str, report: dict):
+    """Write a JSON report into out/name, indented and ending in a newline:
+    the one writer of every report the commands write."""
+    with open(os.path.join(out, name), "w") as f:
+        f.write(json.dumps(report, indent=2) + "\n")
+
+
 def _hypothesis_report(grid, target, fields, u0, flow_cfg) -> dict:
     norms = sup_norms(fields.b, fields.V, target)
     report = {"B_inf": norms.B_inf, "Z_inf": norms.Z_inf,
@@ -87,16 +94,14 @@ def cmd_run(args) -> int:
     os.makedirs(out, exist_ok=True)
     save_config(cfg, os.path.join(out, "config.json"))
     write_run_outputs(state, out)
-    with open(os.path.join(out, "hypothesis.json"), "w") as f:
-        json.dump(report, f, indent=2)
+    _write_report(out, "hypothesis.json", report)
 
     if not np.all(np.isfinite(state.u.values)):
         print("run: FAILED (non-finite map values)")
         return EXIT_NUMERIC
     if "delta2" in report:
         mono = monotonicity_check(state.ledger, report["delta2"], state.S0)
-        with open(os.path.join(out, "monotonicity.json"), "w") as f:
-            json.dump(mono, f, indent=2)
+        _write_report(out, "monotonicity.json", mono)
         if not (mono["monotone_ok"] and mono["energy_bound_ok"]):
             print("run: FAILED (energy monotonicity violated)")
             return EXIT_NUMERIC
@@ -110,12 +115,10 @@ def cmd_run(args) -> int:
 
 def cmd_check(args) -> int:
     report = _build(args)[2]
-    text = json.dumps(report, indent=2)
     if args.out:
         os.makedirs(args.out, exist_ok=True)
-        with open(os.path.join(args.out, "hypothesis.json"), "w") as f:
-            f.write(text + "\n")
-    print(text)
+        _write_report(args.out, "hypothesis.json", report)
+    print(json.dumps(report, indent=2))
     return EXIT_OK if report.get("ok", False) else EXIT_HYPOTHESIS
 
 
@@ -216,8 +219,7 @@ def cmd_compare(args) -> int:
     gamma = out["separation_rate"]
     if args.out:
         os.makedirs(args.out, exist_ok=True)
-        with open(os.path.join(args.out, "compare.json"), "w") as f:
-            json.dump(out, f, indent=2)
+        _write_report(args.out, "compare.json", out)
     print(f"compare: bitwise={bitwise} max_abs_diff={max_diff:.3e} "
           + (f"rate={gamma:.4g}" if gamma is not None else "rate=n/a"))
     return EXIT_OK

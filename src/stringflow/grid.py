@@ -53,8 +53,8 @@ not depend on the layout of the input.
 A `Stencil` load forms both difference stacks, the centred differences
 and the undivided second differences, and every operator reads them, so a
 flow step's action, its rhs and the ledger record that follows share one
-load.  Only `hessian_sq` consumes the stacks; the operator after it loads
-the field again.  After a load its operators may come in any order.
+load.  No operator writes the stacks, so after a load the operators may
+come in any order, and each gives the bits of a fresh load.
 """
 
 from __future__ import annotations
@@ -270,11 +270,11 @@ class Stencil:
     centred differences [D0x f, D0y f] = [(xp - xm) * (0.5/dx),
     (yp - ym) * (0.5/dy)], and `second`, the undivided second differences
     [xp + xm - 2f, yp + ym - 2f] (xp[i] = f[i+1] and xm[i] = f[i-1] along
-    x, yp and ym along y).  Every operator after the load only reads them,
-    except `hessian_sq`, which consumes both; the next operator then loads
-    `source`, the array last loaded, again.  So after a `load` any operator
-    may follow any other, and each gives the bits it gives on a freshly
-    loaded stencil; before the first load each raises GridError.
+    x, yp and ym along y).  `source` is the array last loaded.  Every
+    operator after the load only reads the stacks, and writes at most the
+    scratch and its own result, so after a `load` any operator may follow
+    any other, and each gives the bits it gives on a freshly loaded
+    stencil; before the first load each raises GridError.
 
     The stencil holds one field form: a C-contiguous component-first stack
     (q, nx, ny), so x is axis -2 and y is axis -1 and each plane is
@@ -288,8 +288,8 @@ class Stencil:
     broadcast along the stack axis, or scale a sum once, so no operator
     divides a full map.  Every result is formed in these component-first
     buffers, so it has the same bits for either layout of f.
-    `laplacian` uses tmp as scratch; a caller may use tmp once the
-    operators it needs are done.
+    `laplacian` and `hessian_sq` use tmp as scratch; a caller may use tmp
+    once the operators it needs are done.
 
     The load takes one of two paths, and both give the same bits (each
     value is the same operation on the same operands).  By default the
@@ -318,7 +318,6 @@ class Stencil:
             sliced = 32 * math.prod(planes) > SLICE_ABOVE_BYTES
         self.sliced = sliced
         self.source = None
-        self._spent = False         # hessian_sq consumed the stacks
         # two blocks: the centred differences, which a caller may keep past
         # the stencil, and [scratch, second x, second y (, xm, ym)].  On
         # the copy path the second differences take the plus shifts'
@@ -347,13 +346,10 @@ class Stencil:
         return cls(grid, f.shape, sliced=True).load(f)
 
     def _stacks(self):
-        """(grads, second) of the loaded f; loads `source` again once
-        `hessian_sq` consumed them, and raises GridError before the first
+        """(grads, second) of the loaded f; GridError before the first
         load."""
         if self.source is None:
             raise GridError("the stencil was never loaded; load a field first")
-        if self._spent:
-            self.load(self.source)
         return self.grads, self.second
 
     def load(self, f: np.ndarray) -> "Stencil":
@@ -386,7 +382,6 @@ class Stencil:
         G *= self._half_inv_h
         P -= np.add(F, F, out=self.scratch)
         self.source = f
-        self._spent = False
         return self
 
     def dirichlet(self) -> float:
@@ -453,22 +448,22 @@ class Stencil:
         """Flat Hessian density f_xx^2 + 2 f_xy^2 + f_yy^2, summed over components.
 
         f_xx and f_yy come from the undivided second differences; f_xy is
-        the centred cross difference D0x(D0y f), formed from the centred
-        differences into gx.  Squares the unscaled second differences in
-        place, then scales, so it consumes both stacks, and the next
-        operator loads `source` again.
+        the centred cross difference D0x(D0y f), whose undivided form nxy
+        is formed from the centred y differences into scratch.  Each term
+        is one einsum of its component-first stack with itself, as in
+        `grad_sq`, scaled once, so the stacks stay as they were.
         """
-        G, second = self._stacks()
-        nxy = _neighbours(np.subtract, G[1], -2, G[0])
-        nxy *= nxy
-        nxy *= 0.5 / self.grid.dx ** 2          # 2 (nxy * 0.5/dx)^2
-        second *= second
-        second *= self._inv_h2 * self._inv_h2
-        nxx = second[0]
-        nxx += nxy
-        nxx += second[1]
-        self._spent = True
-        return _plane_sum(nxx)
+        G, P = self._stacks()
+        nxy = _neighbours(np.subtract, G[1], -2, self.scratch)
+        ix2, iy2 = self._inv_h2.flat
+        d = np.einsum("i...,i...->...", P[0], P[0])
+        d *= ix2 * ix2
+        # 2 (nxy * 0.5/dx)^2 = nxy^2 * 0.5/dx^2
+        for A, c in ((nxy, 0.5 * ix2), (P[1], iy2 * iy2)):
+            t = np.einsum("i...,i...->...", A, A)
+            t *= c
+            d += t
+        return d
 
 
 def laplace_beltrami(f: np.ndarray, grid: SurfaceGrid) -> np.ndarray:

@@ -607,8 +607,7 @@ def test_record_matches_a_record_from_a_fresh_load(sphere, lam, n,
     # and a dt_min collapse every column equals the one from a fresh load
     # bit for bit.  A 96^2 stencil slices the map instead of copying its
     # shifts.  Each trial loads its candidate once, and neither the rhs
-    # nor the record loads: the record takes the Hessian, which consumes
-    # the stacks, last
+    # nor the record loads
     from dataclasses import replace
     loads, trials = [], []
     load, trial = Stencil.load, action._trial

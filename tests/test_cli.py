@@ -290,6 +290,17 @@ def test_check_ok_exit_zero(tmp_path, capsys):
     assert s.integral_tilde_V > 0.0 and report["smallness_ok"] is True
 
 
+def test_run_and_check_write_the_same_hypothesis_report(tmp_path):
+    cfgp = small_cfg(tmp_path, fields={"b_kind": "y4", "beta": 0.2,
+                                       "v_kind": "height", "epsilon": 1e-3})
+    for command in ("run", "check"):
+        out = str(tmp_path / command)
+        assert main([command, "--config", cfgp, "--out", out]) == 0
+    run, check = ((tmp_path / d / "hypothesis.json").read_bytes()
+                  for d in ("run", "check"))
+    assert run == check and run.endswith(b"}\n")
+
+
 def test_scan_subcommand(tmp_path, capsys):
     g = sf.build_grid(48, 48)
     tgt = sf.make_target("sphere", 4)

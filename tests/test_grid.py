@@ -417,8 +417,8 @@ def test_energy_and_density_bits_do_not_depend_on_the_layout(lam):
 @pytest.mark.parametrize("op", ["load", "dirichlet", "grad_sq", "hessian_sq",
                                 "laplacian"])
 def test_centred_after_each_operator_matches_a_fresh_stencil(op):
-    # centred() hands back the stack the load formed; after hessian_sq,
-    # which consumes it, the stencil loads its field again
+    # centred() hands back the stack the load formed, which no operator
+    # writes
     rng = np.random.default_rng(35)
     g = sf.build_grid(24, 20, Lx=5.0, Ly=3.0)
     u, v = (_component_major(_six_decades(rng, (24, 20, 4)))
@@ -446,8 +446,9 @@ def test_centred_after_each_operator_matches_a_fresh_stencil(op):
 def test_stencil_operators_in_any_order_match_a_fresh_load(shape):
     # on either path, every operator, after any sequence of the others and
     # again straight after itself, gives the bits of the same operator on a
-    # freshly loaded stencil; a node scalar needs a larger grid than a map
-    # to take the sliced path.  Before its first load every operator raises
+    # freshly loaded stencil, from one load: no operator writes the stacks
+    # or loads again.  A node scalar needs a larger grid than a map to take
+    # the sliced path.  Before its first load every operator raises
     rng = np.random.default_rng(39)
     g = sf.build_grid(*shape[:2], Lx=5.0, Ly=3.0)
     u = _component_major(_six_decades(rng, shape))
@@ -461,11 +462,19 @@ def test_stencil_operators_in_any_order_match_a_fresh_load(shape):
     for op in ops.values():
         with pytest.raises(GridError, match="never loaded"):
             op(st)
+    st.load(u)
+    stacks = st.grads.tobytes(), st.second.tobytes()
+
+    def no_load(f):
+        raise AssertionError("an operator loaded the stencil again")
+
+    st.load = no_load
     for order in itertools.permutations(ops):
-        st.load(u)
         for name in order:
             for _ in range(2):
                 assert np.array_equal(ops[name](st), fresh[name]), (order, name)
+                assert (st.grads.tobytes(), st.second.tobytes()) == stacks, \
+                    (order, name)
     assert st.source is u
 
 
