@@ -33,9 +33,10 @@ Discretization notes (the choices here are load-bearing):
   action_value kept on the workspace and the stencil's two stacks, which
   no operator writes, so a run loads each map once.
   The snapshot ring keeps the run's maps by reference.
-* With a two-form, flow_rhs projects the B-force and the potential's force
-  (when there is one) once: P(u) is linear, so e^{-2 lam} P(u) g + P(u) a
-  = P(u)(e^{-2 lam} g + a).  This moves the rhs by rounding only.
+* The background fields have one force, _bfield_force: flow_rhs projects
+  the B-force and the potential's force once, whenever either acts.  P(u)
+  is linear, so e^{-2 lam} P(u) g + P(u) a = P(u)(e^{-2 lam} g + a); this
+  moves the rhs by rounding only, and not at all for a zero form (g = 0).
 * The action has one formula, _action_terms: E from grid.Stencil.dirichlet
   and S_tilde = 0.5*E + B + V, in that order.  action_value, which every
   step's acceptance test evaluates, keeps its terms, and the ledger record
@@ -55,8 +56,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .errors import GridError, NonFiniteStateError
-from .fields import (FieldBackground, ScalarPotential, TwoFormField,
-                     tangential_grad_V, wedge)
+from .fields import FieldBackground, wedge
 from .grid import (Stencil, SurfaceGrid, ball_sum_map, centred,
                    component_first, empty_map, l2_inner, l2_norm)
 from .singular import SingularEvent, convergence_probe
@@ -136,16 +136,16 @@ def energies(u: MapField, grid: SurfaceGrid, fields: FieldBackground) -> EnergyT
 
 class Workspace:
     """Buffers reused by the flow_rhs, action_value and ledger-record calls
-    of one run, all component-major: the stencil and, with a two-form, the
-    B-force's gradient g.  There is no trial map: a step builds each
-    candidate in the map it keeps, and forms its kinetic difference in the
-    stencil's scratch `tmp`.
+    of one run, all component-major: the stencil and, when either
+    background field acts, the force sum g of _bfield_force.  There is no
+    trial map: a step builds each candidate in the map it keeps, and forms
+    its kinetic difference in the stencil's scratch `tmp`.
 
     init_state allocates one per run, the steps and records of the run
     share it, and run drops it when it returns.  flow_rhs and action_value
     called without one build a fresh workspace; either way, the arrays
-    they return are never workspace buffers.  flow_rhs writes its II,
-    B-force and potential terms into the stencil's scratch `tmp`.
+    they return are never workspace buffers.  flow_rhs writes its II term
+    and the projected force into the stencil's scratch `tmp`.
 
     action_value loads the stencil itself; flow_rhs loads it unless the
     workspace `holds` the map, and the ledger record never does.  So the
@@ -158,7 +158,7 @@ class Workspace:
     def __init__(self, grid: SurfaceGrid, shape, fields: FieldBackground):
         self.stencil = Stencil(grid, shape)
         self.terms = self.terms_of = None   # (E, B, V, S) of map terms_of
-        if not fields.b.is_zero:
+        if not (fields.b.is_zero and fields.V.is_zero):
             self.g = empty_map(shape)
 
     def holds(self, vals: np.ndarray) -> bool:
@@ -186,10 +186,14 @@ def action_value(vals: np.ndarray, grid: SurfaceGrid,
 # -- flow right-hand side ---------------------------------------------------------
 
 def _bfield_force(work: Workspace, vals: np.ndarray, target: TargetManifold,
-                  b: TwoFormField, V: ScalarPotential | None = None) -> np.ndarray:
-    """P(u) g, with g the coordinate gradient of the discrete B-term; given
-    the run's potential V (zero or not), as flow_rhs gives it,
-    P(u)(e^{-2 lam} g + a), both ambient forces in one projection.
+                  fields: FieldBackground) -> np.ndarray:
+    """P(u)(e^{-2 lam} g + a), the one force of the background fields: g
+    the coordinate gradient of the discrete B-term, a the potential's
+    gradient, both ambient forces in one projection.  In order: g is
+    zeroed, takes the wedges and flux differences of the two-form's terms
+    (none for a zero form), is scaled by e^{-2 lam} on a conformal grid,
+    takes a, and is projected once into the stencil's scratch.  For a zero
+    form g is exactly a, since 0 * e^{-2 lam} = 0.
 
     Gradient of sum_n (D0x u)^T b(u) (D0y u), b_ij(u) = u^k C_kij:
         g^k = C_kij ux^i uy^j - D0x(b_kj uy^j) - D0y(ux^i b_ik),
@@ -201,8 +205,8 @@ def _bfield_force(work: Workspace, vals: np.ndarray, target: TargetManifold,
         g^j -= D0y(c u^k ux^i),  g^i += D0y(c u^k ux^j),
     each flux and its difference formed in two planes of the stencil's
     scratch, which then takes the projected force.  g is zeroed whole per
-    call, so a plane that no term writes is 0 and may be scaled by
-    e^{-2 lam} with the rest.  When no k of b is another term's i or j, as
+    call, so a plane that no term writes is 0 and is scaled by e^{-2 lam}
+    with the rest.  When no k of b is another term's i or j, as
     for y4, each plane gets the operations of summing the fluxes over the
     terms and differencing the sums, bit for bit.
     """
@@ -212,7 +216,7 @@ def _bfield_force(work: Workspace, vals: np.ndarray, target: TargetManifold,
     g = work.g
     flux, diff = st.tmp[..., 0], st.tmp[..., 1]
     g.fill(0.0)
-    for k, i, j, c in b.terms:          # C_kij = c = -C_kji
+    for k, i, j, c in fields.b.terms:   # C_kij = c = -C_kji
         w = wedge(ux, uy, i, j)
         w *= c
         g[..., k] += w
@@ -225,11 +229,10 @@ def _bfield_force(work: Workspace, vals: np.ndarray, target: TargetManifold,
                              grid.dy, out=diff)
         g[..., i] += centred(np.multiply(cu, ux[..., j], out=flux), 1,
                              grid.dy, out=diff)
-    if V is not None:
-        if not grid.is_flat:
-            g *= grid.em2l[..., None]
-        for k, a_k in V.terms:
-            g[..., k] += a_k
+    if not grid.is_flat:
+        g *= grid.em2l[..., None]
+    for k, a_k in fields.V.terms:
+        g[..., k] += a_k
     return tangent_project(target, vals, g, out=st.tmp)
 
 
@@ -241,8 +244,9 @@ def flow_rhs(u: MapField, grid: SurfaceGrid, target: TargetManifold,
     balances the II term up to truncation error.  All metric weights are
     one factor e^{-2 lam}: with du(e_a) = e^{-lam} D0 u and II bilinear,
     the rhs is e^{-2 lam} (lap u - II(ux, ux) - II(uy, uy) - P g) - P a.
-    With a two-form it is formed as e^{-2 lam} (lap u - II) -
-    P(e^{-2 lam} g + a), one projection for both forces (P is linear).
+    It is formed as e^{-2 lam} (lap u - II) - P(e^{-2 lam} g + a), one
+    projection for both forces (P is linear), _bfield_force, which runs
+    whenever either field acts.
     Each term is formed in the stencil's scratch and subtracted, plane by
     plane on the component-first views; the rhs itself is a fresh array in
     the layout of u.
@@ -266,11 +270,8 @@ def flow_rhs(u: MapField, grid: SurfaceGrid, target: TargetManifold,
     R -= component_first(target.sff_trace(vals, ux, uy, out=st.tmp))
     if not grid.is_flat:
         R *= grid.em2l
-    b, V = fields.b, fields.V
-    if not b.is_zero:
-        R -= component_first(_bfield_force(work, vals, target, b, V))
-    elif not V.is_zero:
-        R -= component_first(tangential_grad_V(vals, V, target, out=st.tmp))
+    if not (fields.b.is_zero and fields.V.is_zero):
+        R -= component_first(_bfield_force(work, vals, target, fields))
     return rhs
 
 
@@ -407,8 +408,9 @@ class FlowConfig:
             raise GridError(f"snapshot_cap must be at least 1, got "
                             f"{self.snapshot_cap}")
         bound = cfl_bound(grid, self.cfl)
-        if self.dt_init is not None and not self.dt_init <= bound * (1 + 1e-12):
-            raise GridError(f"dt_init must be <= CFL bound {bound}, got {self.dt_init}")
+        if self.dt_init is not None and not 0.0 < self.dt_init <= bound * (1 + 1e-12):
+            raise GridError(f"dt_init must be in (0, CFL bound {bound}], got "
+                            f"{self.dt_init}")
         dt0 = self.dt_init if self.dt_init is not None else bound
         if self.dt_min >= dt0:
             raise GridError("dt_min must be smaller than the initial dt")

@@ -251,9 +251,10 @@ def z_operator(u: np.ndarray, xi1: np.ndarray, xi2: np.ndarray,
 
 
 def tangential_grad_V(u: np.ndarray, V: ScalarPotential,
-                      target: TargetManifold, out=None) -> np.ndarray:
-    """P(u) grad V(u), into `out` when given (not aliasing u)."""
-    return tangent_project(target, u, V.grad(u), out=out)
+                      target: TargetManifold) -> np.ndarray:
+    """P(u) grad V(u), a fresh array, for the diagnostics; the flow's rhs
+    takes the potential's force from action._bfield_force."""
+    return tangent_project(target, u, V.grad(u))
 
 
 # -- sup norms -----------------------------------------------------------------

@@ -54,8 +54,12 @@ def read_ledger_csv(path: str) -> EnergyLedger:
 
 
 def write_snapshot(path: str, values: np.ndarray, t: float, target_name: str):
+    """SnapshotError, before the file is opened, for values that are not a
+    map or a t that read_snapshot would refuse (not finite)."""
     if values.ndim != 3:
         raise SnapshotError(f"snapshot values must be (nx, ny, q), got {values.shape}")
+    if not math.isfinite(t):
+        raise SnapshotError(f"snapshot {path}: t must be finite, got {t!r}")
     nx, ny, q = values.shape
     header = {"nx": nx, "ny": ny, "q": q, "t": float(t),
               "target": target_name, "endianness": "little"}

@@ -118,23 +118,20 @@ def test_ledger_refuses_a_time_not_above_the_last(t):
 
 
 def test_flow_config_validation(grid):
-    with pytest.raises(GridError):
-        sf.FlowConfig(cfl=2.0).validate(grid)
-    with pytest.raises(GridError):
-        sf.FlowConfig(dt_init=1.0).validate(grid)
-    with pytest.raises(GridError):
-        sf.FlowConfig(ball_radius=10.0).validate(grid)
     # a negative slack rejects every trial, so each step would halve dt down
     # to dt_min; a cap below 1 would switch off the ring's thinning.  An
     # infinite t_end never stops, a NaN dt_init fails at the first step and
-    # an infinite conv_tol "converges" at the first record
-    for bad in ({"tol_up": -1.0}, {"tol_up": math.nan}, {"tol_up": math.inf},
+    # an infinite conv_tol "converges" at the first record.  Each message
+    # names the key at fault
+    for bad in ({"cfl": 2.0}, {"dt_init": 1.0}, {"ball_radius": 10.0},
+                {"tol_up": -1.0}, {"tol_up": math.nan}, {"tol_up": math.inf},
                 {"snapshot_cap": 0}, {"snapshot_cap": -1},
                 {"t_end": math.inf}, {"t_end": math.nan},
-                {"dt_init": math.nan}, {"dt_init": -1e-3},
+                {"dt_init": math.nan}, {"dt_init": -1e-3}, {"dt_init": 0.0},
                 {"dt_min": math.inf}, {"dt_min": math.nan},
                 {"conv_tol": math.inf}, {"conv_tol": math.nan}):
-        with pytest.raises(GridError):
+        (key,) = bad
+        with pytest.raises(GridError, match=key):
             sf.FlowConfig(**bad).validate(grid)
     sf.FlowConfig(tol_up=0.0, snapshot_cap=1).validate(grid)
 
@@ -790,15 +787,18 @@ def _conformal(grid):
 
 def _two_projection_rhs(u, g, target, fields):
     """e^{-2 lam} (lap u - II - P g) - P a, each force projected on its
-    own, in flow_rhs's order of operations."""
+    own, in flow_rhs's order of operations.  P g is the two-form's force
+    on the flat grid of g's size and periods, which _bfield_force does not
+    scale by e^{-2 lam}."""
     b_only = sf.FieldBackground(fields.b, sf.zero_potential(4))
-    work = sf.Workspace(g, u.shape, b_only)
+    work = sf.Workspace(sf.build_grid(g.nx, g.ny, g.Lx, g.Ly), u.shape,
+                        b_only)
     st = work.stencil.load(u)
     ux, uy = st.centred()
     rhs = st.laplacian(np.empty_like(u))
     rhs -= target.sff_trace(u, ux, uy)
     if not fields.b.is_zero:
-        rhs -= _bfield_force(work, u, target, fields.b)
+        rhs -= _bfield_force(work, u, target, b_only)
     if not g.is_flat:
         rhs *= g.em2l[..., None]
     if not fields.V.is_zero:
@@ -810,8 +810,9 @@ def _two_projection_rhs(u, g, target, fields):
 def test_flow_rhs_projects_both_ambient_forces_at_once(grid, sphere, kinds):
     # with a two-form, P(e^{-2 lam} g + a) in one projection equals the
     # two-projection formula up to rounding; on a flat grid a two-form
-    # alone has no factor to move, and a potential alone keeps the
-    # formula's arithmetic, so those match bit for bit
+    # alone has no factor to move, and for a potential alone g is exactly
+    # a, whose projection has the bits of the formula's P a
+    # (grid.component_dot), so those match bit for bit
     b = sf.make_two_form("y4", 4, beta=0.2 if kinds != "potential" else 0.0)
     V = sf.make_potential("height", 4,
                           epsilon=0.1 if kinds != "two-form" else 0.0)

@@ -270,6 +270,15 @@ def test_check_hypothesis_warning_exit_two(tmp_path, capsys):
         assert report["error"] == f"|B|_inf = {beta} outside [0, 1/2)"
 
 
+def test_check_names_a_dt_init_that_is_not_positive(tmp_path, capsys):
+    # the message names the key at fault, not dt_min, which a dt_init of 0
+    # also makes fail its own check
+    cfgp = small_cfg(tmp_path, flow={"dt_init": 0})
+    assert main(["check", "--config", cfgp]) == 1
+    err = capsys.readouterr().err
+    assert "dt_init must be in (0, CFL bound" in err and "dt_min" not in err
+
+
 def test_check_ok_exit_zero(tmp_path, capsys):
     cfgp = small_cfg(tmp_path, fields={"b_kind": "y4", "beta": 0.2,
                                        "v_kind": "height", "epsilon": 1e-3})

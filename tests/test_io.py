@@ -1,4 +1,5 @@
 import json
+import math
 import re
 
 import numpy as np
@@ -99,6 +100,16 @@ def test_snapshot_truncation_detected(run_state, tmp_path):
     p.write_bytes(data[:-17])
     with pytest.raises(SnapshotError, match="truncated"):
         sf.read_snapshot(str(p))
+
+
+def test_snapshot_writer_refuses_a_time_the_reader_refuses(run_state,
+                                                            tmp_path):
+    # a NaN t would be written as "t": NaN, which read_snapshot refuses
+    p = tmp_path / "m.snap"
+    with pytest.raises(SnapshotError, match=re.escape(f"{p}: t must be "
+                                                       "finite, got nan")):
+        sf.write_snapshot(str(p), run_state.u.values, math.nan, "sphere")
+    assert not p.exists()
 
 
 def test_snapshot_bad_header_detected(tmp_path):
