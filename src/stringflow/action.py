@@ -51,7 +51,7 @@ Discretization notes (the choices here are load-bearing):
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, fields as dc_fields
 
 import numpy as np
 
@@ -64,9 +64,13 @@ from .targets import TargetManifold, tangent_project
 
 CONSTRAINT_TOL = 1e-9
 
-LEDGER_COLUMNS = ["t", "E", "dirichlet", "B_term", "V_term", "S_tilde",
-                  "kinetic", "cum_dissipation", "hess_diag",
-                  "sup_local_energy", "dt"]
+# Constants of the stepper, which no config sets: the relative slack of the
+# per-step acceptance test S_new <= S + TOL_UP (1 + S0), the stable steps
+# before dt grows 1.1x, and the newest snapshots the ring keeps at full
+# density (it thins the older ones dyadically past 2 * SNAPSHOT_CAP).
+TOL_UP = 1e-10
+GROW_AFTER = 50
+SNAPSHOT_CAP = 32
 
 
 @dataclass
@@ -325,6 +329,10 @@ class EnergyRecord:
         return [getattr(self, c) for c in LEDGER_COLUMNS]
 
 
+# the run_ledger.csv header: EnergyRecord's fields, in order
+LEDGER_COLUMNS = [f.name for f in dc_fields(EnergyRecord)]
+
+
 @dataclass
 class EnergyLedger:
     records: list = dc_field(default_factory=list)
@@ -376,6 +384,9 @@ def cfl_bound(grid: SurfaceGrid, cfl: float) -> float:
 
 @dataclass
 class FlowConfig:
+    """The `flow` section of a run config, key for key.  The stepper's
+    TOL_UP, GROW_AFTER and SNAPSHOT_CAP are constants, not settings."""
+
     t_end: float = 1.0
     cfl: float = 0.2
     dt_init: float | None = None    # defaults to the CFL bound
@@ -384,9 +395,6 @@ class FlowConfig:
     ball_radius: float = 0.5
     conv_tol: float = 0.0           # 0 disables the convergence probe
     record_every: int = 10
-    tol_up: float = 1e-10           # relative slack for per-step S increase
-    grow_after: int = 50            # stable steps before dt growth
-    snapshot_cap: int = 32          # dyadic ring size
 
     def validate(self, grid: SurfaceGrid):
         if not 0.0 < self.t_end < math.inf:
@@ -402,11 +410,6 @@ class FlowConfig:
             raise GridError(f"dt_min must be finite and > 0, got {self.dt_min}")
         if not 0.0 <= self.conv_tol < math.inf:
             raise GridError(f"conv_tol must be finite and >= 0, got {self.conv_tol}")
-        if not 0.0 <= self.tol_up < math.inf:
-            raise GridError(f"tol_up must be finite and >= 0, got {self.tol_up}")
-        if self.snapshot_cap < 1:
-            raise GridError(f"snapshot_cap must be at least 1, got "
-                            f"{self.snapshot_cap}")
         bound = cfl_bound(grid, self.cfl)
         if self.dt_init is not None and not 0.0 < self.dt_init <= bound * (1 + 1e-12):
             raise GridError(f"dt_init must be in (0, CFL bound {bound}], got "
@@ -497,11 +500,11 @@ def _record(state: FlowState):
 def _snapshot(state: FlowState):
     """Keep the map by reference: a run never writes a map it holds."""
     state.snapshots.append((state.t, state.u.values))
-    cap = state.config.snapshot_cap
-    if len(state.snapshots) > 2 * cap:
-        # dyadic thinning: keep the newest cap entries, halve the older ones
-        old = state.snapshots[:-cap]
-        state.snapshots = old[::2] + state.snapshots[-cap:]
+    if len(state.snapshots) > 2 * SNAPSHOT_CAP:
+        # dyadic thinning: keep the newest SNAPSHOT_CAP entries, halve the
+        # older ones
+        old = state.snapshots[:-SNAPSHOT_CAP]
+        state.snapshots = old[::2] + state.snapshots[-SNAPSHOT_CAP:]
 
 
 def _trial(state: FlowState, rhs: np.ndarray, dt: float):
@@ -539,24 +542,24 @@ def _trial(state: FlowState, rhs: np.ndarray, dt: float):
 def step(state: FlowState) -> FlowState:
     """One projected explicit Euler step with adaptive dt.
 
-    Halves dt (and retries) when S_tilde increases beyond tolerance; grows dt
-    1.1x after `grow_after` stable steps, capped by the CFL bound.  A dt
-    collapse below dt_min raises a stiffness event and the step is accepted,
-    matching the restart-past-singular-time semantics.  A step that would
-    pass t_end is shortened to end exactly there; that is not a halving,
-    so state.dt and the stable-step count are left as they were.  The step
-    starts from state.rhs, and replaces it with a fresh array, the rhs of
-    the new map, formed from the stencil the accepted trial loaded; the
-    kinetic difference u_new - u is then formed in the stencil's scratch
-    `tmp`, which that rhs no longer needs.  A state without a workspace
-    (one that `run` returned) gets a fresh one: every trial loads its own
-    map, so no step reads what an earlier one left there.
+    Halves dt (and retries) when S_tilde increases beyond TOL_UP (1 + S0);
+    grows dt 1.1x after GROW_AFTER stable steps, capped by the CFL bound.
+    A dt collapse below dt_min raises a stiffness event and the step is
+    accepted, matching the restart-past-singular-time semantics.  A step
+    that would pass t_end is shortened to end exactly there; that is not a
+    halving, so state.dt and the stable-step count are left as they were.
+    The step starts from state.rhs, and replaces it with a fresh array, the
+    rhs of the new map, formed from the stencil the accepted trial loaded;
+    the kinetic difference u_new - u is then formed in the stencil's
+    scratch `tmp`, which that rhs no longer needs.  A state without a
+    workspace (one that `run` returned) gets a fresh one: every trial loads
+    its own map, so no step reads what an earlier one left there.
     """
     cfg = state.config
     vals, rhs = state.u.values, state.rhs
     if state.work is None:
         state.work = Workspace(state.grid, vals.shape, state.fields)
-    tol_up = cfg.tol_up * (1.0 + state.S0)
+    tol_up = TOL_UP * (1.0 + state.S0)
     remaining = cfg.t_end - state.t
     dt0 = min(state.dt, remaining) if remaining > 0.0 else state.dt
     dt = dt0
@@ -606,7 +609,7 @@ def step(state: FlowState) -> FlowState:
         state.dt = dt
     elif dt0 == state.dt:
         state.stable_steps += 1
-        if state.stable_steps >= cfg.grow_after:
+        if state.stable_steps >= GROW_AFTER:
             state.dt = min(state.dt * 1.1, cfl_bound(state.grid, cfg.cfl))
             state.stable_steps = 0
     return state

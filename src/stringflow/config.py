@@ -76,7 +76,9 @@ def _check_type(value, types, path):
 
 
 def validate_config(raw: dict) -> dict:
-    """Validate a nested config dict; unknown keys are errors.
+    """Validate a nested config dict; unknown keys are errors, and so is a
+    key of `target`, `fields` or `initial` that none of its section's
+    chosen kinds takes, unless it holds its default.
 
     Returns a fully-populated copy with defaults filled in.  Integer values
     are accepted for float keys and converted.
@@ -104,9 +106,22 @@ def validate_config(raw: dict) -> dict:
                 _check_type(val, types, f"{section}.{key}")
             sec[key] = copy.deepcopy(val)
         out[section] = sec
+    # a key that none of its section's chosen kinds takes may hold only its
+    # default, which keeps a saved config.json (every key) loadable
+    taken, chosen = {}, {}
     for path, registry in _KINDS.items():
         section, key = path.split(".")
-        check_kind(registry, path, out[section][key])
+        kind = out[section][key]
+        check_kind(registry, path, kind)
+        taken.setdefault(section, set()).update((key, *registry[kind][1]))
+        chosen.setdefault(section, []).append(f"{key} {kind!r}")
+    for section, keys in taken.items():
+        for key, (_, default) in _SCHEMA[section].items():
+            val = out[section][key]
+            if key not in keys and val != default:
+                raise ConfigError(
+                    f"{section}.{key} = {val!r} does nothing under "
+                    f"{', '.join(chosen[section])}; leave it at {default!r}")
     return out
 
 

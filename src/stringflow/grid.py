@@ -125,7 +125,8 @@ def build_grid(nx: int, ny: int, Lx: float = TWO_PI, Ly: float = TWO_PI,
     lam(X, Y) evaluated on the node mesh.
     """
     if nx < 8 or ny < 8:
-        raise GridError(f"grid must be at least 8x8, got {nx}x{ny}")
+        raise GridError(f"nx and ny must be at least 8, got nx={nx}, "
+                        f"ny={ny}")
     if not (math.isfinite(Lx) and Lx > 0 and math.isfinite(Ly) and Ly > 0):
         raise GridError(f"periods must be finite and > 0: Lx={Lx}, Ly={Ly}")
     dx = Lx / nx

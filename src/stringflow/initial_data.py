@@ -10,20 +10,26 @@ from __future__ import annotations
 import numpy as np
 
 from .action import MapField
-from .errors import GridError
+from .errors import GridError, ProjectionError
 from .grid import Stencil, SurfaceGrid, component_first, empty_map
 from .targets import TargetManifold
 
 
 def _basepoint(target: TargetManifold, point=None) -> np.ndarray:
+    """e1 by default, else the projection of `point`; GridError naming
+    `point` unless it is q finite numbers that the target can project."""
     if point is None:
         p = np.zeros(target.q)
         p[0] = 1.0
         return p
-    p = np.asarray(point, dtype=float)
-    if p.shape != (target.q,) or not np.all(np.isfinite(p)):
-        raise GridError(f"basepoint must be {target.q} finite numbers")
-    return target.project(p)
+    try:
+        p = np.asarray(point, dtype=float)
+        if p.shape == (target.q,) and np.all(np.isfinite(p)):
+            return target.project(p)
+    except (TypeError, ValueError, ProjectionError):
+        pass
+    raise GridError(f"point must be {target.q} finite numbers that the target "
+                    f"can project, got {point!r}")
 
 
 def constant_map(grid: SurfaceGrid, target: TargetManifold,

@@ -43,6 +43,9 @@ def assemble_A(u_values: np.ndarray, grid: SurfaceGrid, target: TargetManifold,
     G^m_i = K^m_i(u_y) + 1/2 Omega_mij u_x^j,
     with K^m_i(X) = sum_{l,j} (dnu_l^i/dy^j nu_l^m - dnu_l^m/dy^j nu_l^i) X^j.
     Then A . grad u = -II(du, du) - Omega(., du_x, du_y), each term skew.
+    On a conformal grid F and G carry the metric's e^{-2 lam}, as the
+    Laplacian of rewrite_residual does, so the rewritten equation is the
+    flow's e^{-2 lam} (Delta u - II - Omega) - P grad V.
 
     K(X) = T - T^T with T^m_i = sum_l a_l^i nu_l^m and a = dnu(X), the
     target's `frame_derivative`, so no per-node (q, q, q) tensor is formed:
@@ -50,8 +53,6 @@ def assemble_A(u_values: np.ndarray, grid: SurfaceGrid, target: TargetManifold,
     and G, and each difference is written straight to its result.  Omega
     is constant and contracts with u_x and u_y directly.
     """
-    if not grid.is_flat:
-        raise UnsupportedConfigurationError("assemble_A requires a flat grid")
     ux, uy = Stencil.once(grid, u_values).centred()
     nu = target.normal_frame(u_values)          # (..., L, q)
     # the scratch in the layout einsum gives these products, each (m, i)
@@ -71,6 +72,9 @@ def assemble_A(u_values: np.ndarray, grid: SurfaceGrid, target: TargetManifold,
         half_om = 0.5 * fields.b.Omega            # (m, i, j)
         F -= np.einsum("mij,...j->...mi", half_om, uy, out=T)
         G += np.einsum("mij,...j->...mi", half_om, ux, out=T)
+    if not grid.is_flat:
+        F *= grid.em2l[..., None, None]
+        G *= grid.em2l[..., None, None]
     return AntisymmetricPotential(F=F, G=G)
 
 

@@ -28,8 +28,8 @@ def _full_and_half(cfg):
     grid, target, fields, u0, _ = build_objects(cfg)
     out = {}
     for label, scale in (("full", 1.0), ("half", 0.5)):
-        fc = sf.FlowConfig(t_end=1.0, dt_init=sf.cfl_bound(grid, 0.2) * scale,
-                           record_every=20, grow_after=10**9)
+        # dt starts at the CFL bound and never grows past it
+        fc = sf.FlowConfig(t_end=1.0, cfl=0.2 * scale, record_every=20)
         out[label] = sf.run(u0, grid, target, fields, fc)
     out["grid"], out["target"], out["fields"] = grid, target, fields
     return out
@@ -236,8 +236,7 @@ def test_A10_concentration_and_k_bound(sphere):
 def test_A11_parabolic_rescale_invariance(sphere):
     grid = sf.build_grid(64, 64)
     u0 = sf.bump_map(grid, sphere, scale=0.3)
-    cfg = sf.FlowConfig(t_end=2.6, record_every=20, ball_radius=0.4,
-                        snapshot_cap=512)
+    cfg = sf.FlowConfig(t_end=2.6, record_every=20, ball_radius=0.4)
     st = sf.run(u0, grid, sphere, sf.zero_background(4), cfg)
     dens = sf.grad_sq_density(st.u.values, grid) * grid.w
     ix, iy = np.unravel_index(int(np.argmax(dens)), dens.shape)

@@ -12,12 +12,17 @@ from stringflow.cli import main
 
 
 def small_cfg(tmp_path, **overrides):
+    """A 16^2 run config; an override that sets initial.kind replaces the
+    initial section, since only random_smooth takes seed and amplitude
+    together."""
     cfg = {
         "grid": {"nx": 16, "ny": 16},
         "initial": {"kind": "random_smooth", "seed": 1, "amplitude": 0.2},
         "flow": {"t_end": 0.02, "record_every": 5},
     }
     for sec, kv in overrides.items():
+        if sec == "initial" and "kind" in kv:
+            cfg[sec] = {}
         cfg.setdefault(sec, {}).update(kv)
     p = tmp_path / "cfg.json"
     p.write_text(json.dumps(cfg))
@@ -66,6 +71,7 @@ def test_run_unknown_kind_is_a_config_error(tmp_path, capsys, section, key):
     ("initial", "point", ["a", 0, 0, 0]),
     ("initial", "point", [1, 0, 0, None]),
     ("initial", "point", [0, 0, 0, 0]),
+    ("initial", "point", [{}, 0, 0, 0]),
     ("target", "q", 3),
     ("flow", "delta1", -1),
     ("flow", "delta1", float("nan")),
@@ -84,13 +90,17 @@ def test_run_unknown_kind_is_a_config_error(tmp_path, capsys, section, key):
 ])
 def test_bad_config_value_is_a_config_error(tmp_path, capsys, command,
                                             section, key, value):
-    # exit 1 with a one-line message, not a numeric failure, a traceback or
-    # a run of zero steps
-    cfgp = small_cfg(tmp_path, **{section: {key: value}})
+    # exit 1 with a one-line message that names the key, not a numeric
+    # failure, a traceback or a run of zero steps.  A key that the default
+    # kinds do not take is set under a kind that takes it
+    kind = {"scale": {"kind": "bump"}, "energy": {"kind": "small_energy"},
+            "epsilon": {"v_kind": "height"}, "beta": {"b_kind": "y4"}}
+    cfgp = small_cfg(tmp_path, **{section: {**kind.get(key, {}), key: value}})
     out = tmp_path / "o"
     assert main([command, "--config", cfgp, "--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("configuration error: ") and "Traceback" not in err
+    assert key in err, err
     assert not out.exists()
 
 
@@ -413,6 +423,27 @@ def test_config_that_is_not_a_mapping_exit_one(tmp_path, capsys, raw,
     assert main(["run", "--config", str(p), "--out", str(tmp_path / "o")]) == 1
     assert capsys.readouterr().err == f"configuration error: {message}\n"
     assert not (tmp_path / "o").exists()
+
+
+def test_two_form_size_without_its_kind_is_a_config_error(tmp_path, capsys):
+    # beta acts only under b_kind y4; alone it would check the zero form
+    cfgp = small_cfg(tmp_path, fields={"beta": 0.6})
+    assert main(["check", "--config", cfgp, "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: fields.beta = 0.6 ")
+
+
+def test_saved_config_reruns_to_the_same_ledger(tmp_path):
+    # config.json lists every key, those that bump does not take at their
+    # defaults, so it loads and runs again bit for bit
+    a, b = str(tmp_path / "a"), str(tmp_path / "b")
+    cfgp = small_cfg(tmp_path, initial={"kind": "bump", "scale": 0.4})
+    assert main(["run", "--config", cfgp, "--out", a]) == 0
+    assert main(["run", "--config", os.path.join(a, "config.json"),
+                 "--out", b]) == 0
+    ledgers = [open(os.path.join(d, "run_ledger.csv"), "rb").read()
+               for d in (a, b)]
+    assert ledgers[0] == ledgers[1]
 
 
 def test_run_scenario_hypothesis_warning_still_runs(tmp_path):

@@ -1,10 +1,11 @@
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
 import stringflow as sf
-from stringflow import initial_data
+from stringflow import config, initial_data
 from stringflow.errors import ConfigError
 
 
@@ -13,8 +14,11 @@ def test_default_config_complete():
     assert cfg["grid"]["nx"] == 64
     assert cfg["target"]["kind"] == "sphere"
     assert cfg["flow"]["cfl"] == 0.2
-    # the flow section's defaults are FlowConfig's, and build one back
+    # the flow section is FlowConfig key for key, so no setting is hidden;
+    # its defaults are FlowConfig's, and build one back
     flow = sf.FlowConfig()
+    assert [f.name for f in dataclasses.fields(flow)] == list(
+        config._SCHEMA["flow"])
     assert cfg["flow"] == {key: getattr(flow, key) for key in cfg["flow"]}
     _, _, _, _, built = sf.build_objects({"grid": {"nx": 16, "ny": 16}})
     assert built == flow
@@ -38,6 +42,22 @@ def test_type_errors_report_path():
     # bool is not accepted where int is expected
     with pytest.raises(ConfigError, match="grid.nx"):
         sf.validate_config({"grid": {"nx": True}})
+
+
+@pytest.mark.parametrize("section, key, value, kinds", [
+    ("fields", "beta", 0.6, {}),
+    ("fields", "epsilon", 0.1, {"b_kind": "y4"}),
+    ("initial", "seed", 3, {"kind": "bump"}),
+    ("initial", "scale", 0.2, {}),
+    ("initial", "point", [0, 1, 0, 0], {"kind": "geodesic_wrap"}),
+])
+def test_key_that_no_chosen_kind_takes_holds_its_default(section, key, value,
+                                                         kinds):
+    # such a key would be ignored: only its default passes
+    with pytest.raises(ConfigError, match=f"^{section}.{key} = "):
+        sf.validate_config({section: {key: value, **kinds}})
+    default = config._SCHEMA[section][key][1]
+    sf.validate_config({section: {key: default, **kinds}})
 
 
 def test_int_promoted_to_float():

@@ -1,11 +1,11 @@
 import re
 import tracemalloc
-from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import stringflow as sf
+from stringflow import action
 from stringflow.action import _record
 from stringflow.errors import GridError
 from stringflow.grid import energy_density
@@ -121,16 +121,16 @@ def test_stiffness_event_on_dt_collapse(sphere):
         assert ev.kind in ("concentration", "stiffness")
 
 
-def test_dt_min_collapse_records_event_and_is_not_an_error(sphere):
+def test_dt_min_collapse_records_event_and_is_not_an_error(sphere,
+                                                           monkeypatch):
     # a stationary map cannot decrease the action by the demanded margin
-    # (tol_up < 0, which validate rejects, so it is set on the running
-    # state), so every halving fails and dt collapses to dt_min; the state
-    # stays finite, so the step is accepted with an event
+    # (a negative TOL_UP), so every halving fails and dt collapses to
+    # dt_min; the state stays finite, so the step is accepted with an event
     g = sf.build_grid(32, 32)
     u = sf.geodesic_wrap(g, sphere, m=1, n=0)
     cfg = sf.FlowConfig(t_end=1.0, dt_min=1e-12, ball_radius=0.4)
     st = sf.init_state(u, g, sphere, sf.zero_background(4), cfg)
-    st.config = replace(cfg, tol_up=-1e-12)
+    monkeypatch.setattr(action, "TOL_UP", -1e-12)
     sf.step(st)
     assert st.dt == 1e-12 and st.t == 1e-12
     assert [ev.kind for ev in st.events] in (["stiffness"], ["concentration"])
@@ -144,7 +144,8 @@ def test_dt_min_collapse_records_event_and_is_not_an_error(sphere):
 
 @pytest.mark.parametrize("lam", [None, lambda x, y: 0.3 * np.sin(x) * np.cos(y)],
                          ids=["flat", "conformal"])
-def test_event_scan_and_ledger_share_the_ball_energy_bitwise(sphere, lam):
+def test_event_scan_and_ledger_share_the_ball_energy_bitwise(sphere, lam,
+                                                            monkeypatch):
     # the dt_min event, the top site of concentration_scan and the ledger's
     # sup_local_energy sum one |du|^2 dvol density over one ball map, so
     # they agree bit for bit at delta1 also on a conformal grid
@@ -153,7 +154,7 @@ def test_event_scan_and_ledger_share_the_ball_energy_bitwise(sphere, lam):
     R = 0.4
     cfg = sf.FlowConfig(t_end=1.0, dt_min=1e-12, ball_radius=R)
     st = sf.init_state(u, g, sphere, sf.zero_background(4), cfg)
-    st.config = replace(cfg, tol_up=-1e3)
+    monkeypatch.setattr(action, "TOL_UP", -1e3)
     sf.step(st)
     _record(st)
     (ev,) = st.events

@@ -5,7 +5,6 @@ import pytest
 
 import stringflow as sf
 from stringflow import structure
-from stringflow.errors import UnsupportedConfigurationError
 from stringflow.grid import Stencil
 
 
@@ -68,8 +67,43 @@ def test_assemble_A_matches_the_rank3_formula(sphere, b_kind):
         assert np.max(np.abs(A.F - F)) <= 1e-15 * scale
         assert np.max(np.abs(A.G - G)) <= 1e-15 * scale
         assert A.skew_defect() == 0.0
-    with pytest.raises(UnsupportedConfigurationError):
-        sf.assemble_A(u, sf.build_grid(32, 24, lam=0.1), sphere, fields)
+
+
+def _smooth_map(grid):
+    """One smooth map R^2 -> R^4 on every grid: modes |k|, |l| <= 2 with
+    seeded coefficients, of size about 1."""
+    X, Y = grid.meshgrid()
+    rng = np.random.default_rng(0)
+    out = np.zeros(X.shape + (4,))
+    for k in range(3):
+        for l in range(-2, 3):
+            a, b = rng.standard_normal((2, 4)) / 10
+            out += (np.cos(k * X + l * Y)[..., None] * a
+                    + np.sin(k * X + l * Y)[..., None] * b)
+    return out
+
+
+def test_assemble_A_on_a_conformal_grid_rewrites_the_flow(sphere,
+                                                          monkeypatch):
+    # with F and G scaled by e^{-2 lam}, the rewritten equation's residual
+    # e^{-2 lam} Delta_h u + F u_x + G u_y - P grad V matches flow_rhs in
+    # its tangent part to second order (the rewriting keeps the normal part
+    # of the Omega term, so the normal parts differ by O(1))
+    fields = sf.FieldBackground(b=sf.make_two_form("y4", 4, beta=0.2),
+                                V=sf.make_potential("height", 4,
+                                                    epsilon=5e-3))
+    monkeypatch.setattr(structure, "l2_norm", lambda res, grid: res.copy())
+    errs = []
+    for n in (32, 64, 128):
+        g = sf.build_grid(n, n, lam=lambda x, y: 0.2 * np.sin(x) * np.sin(y))
+        u = sphere.project(sf.clifford_map(g, sphere, m=1, n=1).values
+                           + 0.3 * _smooth_map(g))
+        A = sf.assemble_A(u, g, sphere, fields)
+        res = sf.rewrite_residual(u, A, g, sphere, fields)
+        rhs = sf.flow_rhs(sf.MapField(u, sphere), g, sphere, fields)
+        errs.append(sf.l2_norm(sf.tangent_project(sphere, u, res - rhs), g))
+    orders = np.log2(np.array(errs[:-1]) / errs[1:])
+    assert np.all(orders >= 1.8), (errs, orders)
 
 
 def test_assemble_A_memory_is_quadratic_in_q_per_node(sphere):
