@@ -128,7 +128,7 @@ def test_flow_rhs_two_form_and_potential(benchmark, case, b_kind):
                                 V=sf.make_potential("height", 4,
                                                     epsilon=5e-3))
     work = sf.Workspace(grid, u.shape, fields)
-    benchmark(sf.flow_rhs, sf.MapField(u, sphere), grid, sphere, fields, work)
+    benchmark(sf.flow_rhs, u, grid, sphere, fields, work)
 
 
 def test_bfield_force(benchmark, case):

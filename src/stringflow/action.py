@@ -130,8 +130,8 @@ def _action_terms(st: Stencil, vals: np.ndarray,
     return E, B_term, V_term, 0.5 * E + B_term + V_term
 
 
-def energies(u: MapField, grid: SurfaceGrid, fields: FieldBackground) -> EnergyTerms:
-    vals = u.values
+def energies(vals: np.ndarray, grid: SurfaceGrid,
+             fields: FieldBackground) -> EnergyTerms:
     E, B_term, V_term, S = _action_terms(Stencil.once(grid, vals),
                                          vals, fields)
     return EnergyTerms(E=E, dirichlet=0.5 * E, B_term=B_term, V_term=V_term,
@@ -240,7 +240,7 @@ def _bfield_force(work: Workspace, vals: np.ndarray, target: TargetManifold,
     return tangent_project(target, vals, g, out=st.tmp)
 
 
-def flow_rhs(u: MapField, grid: SurfaceGrid, target: TargetManifold,
+def flow_rhs(vals: np.ndarray, grid: SurfaceGrid, target: TargetManifold,
              fields: FieldBackground, work: Workspace | None = None) -> np.ndarray:
     """Delta_h u - II(du, du) - Z(du(e1) ^ du(e2)) - P grad V(u).
 
@@ -253,16 +253,15 @@ def flow_rhs(u: MapField, grid: SurfaceGrid, target: TargetManifold,
     whenever either field acts.
     Each term is formed in the stencil's scratch and subtracted, plane by
     plane on the component-first views; the rhs itself is a fresh array in
-    the layout of u.
+    the layout of vals.
 
-    When the workspace `holds` u.values, as after action_value(u.values,
-    ..., work), the rhs reads that load instead of loading again.  That
-    relies on the rule of FlowState: no one writes a held map in place, so
-    a load of the same array is the load of the same values.  A caller
-    that has written u since action_value loaded it must pass no
-    workspace, or one that holds another map.
+    When the workspace `holds` vals, as after action_value(vals, ...,
+    work), the rhs reads that load instead of loading again.  That relies
+    on the rule of FlowState: no one writes a held map in place, so a load
+    of the same array is the load of the same values.  A caller that has
+    written vals since action_value loaded it must pass no workspace, or
+    one that holds another map.
     """
-    vals = u.values
     if work is None:
         work = Workspace(grid, vals.shape, fields)
     st = work.stencil
@@ -279,28 +278,28 @@ def flow_rhs(u: MapField, grid: SurfaceGrid, target: TargetManifold,
     return rhs
 
 
-def el_residual(u: MapField, grid: SurfaceGrid, target: TargetManifold,
+def el_residual(vals: np.ndarray, grid: SurfaceGrid, target: TargetManifold,
                 fields: FieldBackground):
     """Euler-Lagrange residual field with its L2 and Linf norms."""
-    r = flow_rhs(u, grid, target, fields)
+    r = flow_rhs(vals, grid, target, fields)
     return r, l2_norm(r, grid), float(np.max(np.abs(r)))
 
 
-def gradient_consistency_check(u: MapField, v: np.ndarray, grid: SurfaceGrid,
-                               target: TargetManifold,
+def gradient_consistency_check(vals: np.ndarray, v: np.ndarray,
+                               grid: SurfaceGrid, target: TargetManifold,
                                fields: FieldBackground) -> dict:
     """Compare central differences of the discrete action against the flow RHS.
 
     D(eps) = [S(pi(u + eps v)) - S(pi(u - eps v))] / (2 eps) is matched
     against -<flow_rhs(u), v> for tangent v, at eps = 1e-3, 1e-4, 1e-5.
     """
-    v = tangent_project(target, u.values, v)
-    work = Workspace(grid, u.values.shape, fields)
-    inner = -l2_inner(flow_rhs(u, grid, target, fields, work), v, grid)
+    v = tangent_project(target, vals, v)
+    work = Workspace(grid, vals.shape, fields)
+    inner = -l2_inner(flow_rhs(vals, grid, target, fields, work), v, grid)
     rows = []
     for eps in (1e-3, 1e-4, 1e-5):
-        up = target.project(u.values + eps * v)
-        um = target.project(u.values - eps * v)
+        up = target.project(vals + eps * v)
+        um = target.project(vals - eps * v)
         fd = (action_value(up, grid, fields, work)
               - action_value(um, grid, fields, work)) / (2 * eps)
         rel = abs(fd - inner) / max(abs(inner), 1e-300)
@@ -408,15 +407,21 @@ class FlowConfig:
             raise GridError(f"delta1 must be finite and > 0, got {self.delta1}")
         if not 0.0 < self.dt_min < math.inf:
             raise GridError(f"dt_min must be finite and > 0, got {self.dt_min}")
-        if not 0.0 <= self.conv_tol < math.inf:
-            raise GridError(f"conv_tol must be finite and >= 0, got {self.conv_tol}")
+        # convergence_probe forms conv_tol ** 2, which raises OverflowError
+        # where conv_tol * conv_tol is inf
+        if not (self.conv_tol >= 0.0
+                and math.isfinite(self.conv_tol * self.conv_tol)):
+            raise GridError(f"conv_tol must be >= 0 with a finite square, "
+                            f"got {self.conv_tol}")
         bound = cfl_bound(grid, self.cfl)
         if self.dt_init is not None and not 0.0 < self.dt_init <= bound * (1 + 1e-12):
             raise GridError(f"dt_init must be in (0, CFL bound {bound}], got "
                             f"{self.dt_init}")
         dt0 = self.dt_init if self.dt_init is not None else bound
         if self.dt_min >= dt0:
-            raise GridError("dt_min must be smaller than the initial dt")
+            raise GridError(f"dt_min {self.dt_min} must be smaller than the "
+                            f"initial dt {dt0}: dt_init, or the CFL bound of "
+                            "cfl, lam and the spacings Lx/nx, Ly/ny")
         if not (0.0 < self.ball_radius < grid.inj_radius):
             raise GridError(f"ball_radius {self.ball_radius} outside "
                             f"(0, {grid.inj_radius})")
@@ -465,7 +470,7 @@ def init_state(u0: MapField, grid: SurfaceGrid, target: TargetManifold,
     u = MapField(target.project(vals, out=vals), target)
     work = Workspace(grid, vals.shape, fields)
     S0 = action_value(u.values, grid, fields, work)
-    rhs = flow_rhs(u, grid, target, fields, work)     # reads that load
+    rhs = flow_rhs(u.values, grid, target, fields, work)  # reads that load
     dt = config.dt_init if config.dt_init is not None else cfl_bound(grid, config.cfl)
     state = FlowState(t=0.0, u=u, dt=dt, grid=grid, target=target,
                       fields=fields, config=config, S_current=S0, S0=S0,
@@ -576,17 +581,20 @@ def step(state: FlowState) -> FlowState:
             break
     # free the old rhs first, so that the new one can take its memory
     state.rhs = rhs = None
-    u = MapField(new_vals, state.target)
-    state.rhs = flow_rhs(u, state.grid, state.target, state.fields,
+    state.rhs = flow_rhs(new_vals, state.grid, state.target, state.fields,
                          state.work)
 
     diff = state.work.stencil.tmp
     np.subtract(component_first(new_vals), component_first(vals),
                 out=component_first(diff))
-    kinetic = l2_inner(diff, diff, state.grid) / dt**2
+    dt2 = dt**2
+    if dt2 == 0.0:
+        raise NonFiniteStateError(f"step {state.steps + 1} from "
+                                  f"t={state.t:.9g}: dt={dt:.3g} squares to 0")
+    kinetic = l2_inner(diff, diff, state.grid) / dt2
     state.cum_dissipation += kinetic * dt
     state.last_kinetic = kinetic
-    state.u = u
+    state.u = MapField(new_vals, state.target)
     state.t = cfg.t_end if dt == remaining else state.t + dt
     state.S_current = S_new
     state.steps += 1

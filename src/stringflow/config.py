@@ -16,8 +16,9 @@ from .initial_data import MAP_BUILDERS
 from .registry import build_kind, check_kind
 from .targets import TARGETS
 
-# schema: section -> key -> (type(s), default).  Defaults of None mean the
-# key is optional with no value; a missing section uses all defaults.
+# schema: section -> key -> (type(s), default).  A key takes null only if
+# its types list NoneType (lam, point, dt_init), whose default None means
+# no value; a missing section uses all defaults.
 _SCHEMA = {
     "grid": {
         "nx": (int, 64),
@@ -80,8 +81,9 @@ def validate_config(raw: dict) -> dict:
     key of `target`, `fields` or `initial` that none of its section's
     chosen kinds takes, unless it holds its default.
 
-    Returns a fully-populated copy with defaults filled in.  Integer values
-    are accepted for float keys and converted.
+    Returns a fully-populated copy with defaults filled in.  Every value,
+    null included, must match its schema types; integer values are
+    accepted for float keys and converted.
     """
     if not isinstance(raw, dict):
         raise ConfigError(f"config must be a dict, got {type(raw).__name__}")
@@ -99,11 +101,10 @@ def validate_config(raw: dict) -> dict:
         sec = {}
         for key, (types, default) in keys.items():
             val = src.get(key, default)
-            if val is not None:
-                base = types if isinstance(types, tuple) else (types,)
-                if float in base and isinstance(val, int) and not isinstance(val, bool):
-                    val = float(val)
-                _check_type(val, types, f"{section}.{key}")
+            base = types if isinstance(types, tuple) else (types,)
+            if float in base and isinstance(val, int) and not isinstance(val, bool):
+                val = float(val)
+            _check_type(val, types, f"{section}.{key}")
             sec[key] = copy.deepcopy(val)
         out[section] = sec
     # a key that none of its section's chosen kinds takes may hold only its
@@ -175,7 +176,9 @@ def build_objects(cfg: dict):
     except (ValueError, ProjectionError) as e:
         raise ConfigError(str(e)) from e
     if not np.isfinite(u0.values).all():
-        raise ConfigError(f"initial.kind {i['kind']!r} gives non-finite values")
+        given = ", ".join(f"{k}={i[k]!r}" for k in MAP_BUILDERS[i["kind"]][1])
+        raise ConfigError(f"initial.kind {i['kind']!r} gives non-finite values "
+                          f"from {given}")
     return grid, target, fields, u0, flow_cfg
 
 

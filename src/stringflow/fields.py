@@ -277,10 +277,13 @@ def _skew_bound(X: np.ndarray) -> float:
     the skew part of xi1 xi2^T, of Frobenius norm 1/sqrt(2) for an
     orthonormal pair, so maps it to a vector of norm at most
     sigma_max / sqrt(2).  sigma_max^2 is the top eigenvalue of the (q, q)
-    Gram matrix.
+    Gram matrix.  M is scaled by its largest |entry| s, and the root by s,
+    so the Gram matrix neither overflows nor underflows for any finite X.
     """
     M = X.reshape(X.shape[0], -1)
-    return math.sqrt(float(np.linalg.eigvalsh(M @ M.T)[-1]) / 2.0)
+    s = float(np.max(np.abs(M))) or 1.0
+    M = M / s
+    return s * math.sqrt(float(np.linalg.eigvalsh(M @ M.T)[-1]) / 2.0)
 
 
 def sup_norms(b: TwoFormField, V: ScalarPotential,

@@ -127,6 +127,8 @@ def build_grid(nx: int, ny: int, Lx: float = TWO_PI, Ly: float = TWO_PI,
     if nx < 8 or ny < 8:
         raise GridError(f"nx and ny must be at least 8, got nx={nx}, "
                         f"ny={ny}")
+    if nx * ny > np.iinfo(np.intp).max // 8:
+        raise GridError(f"nx*ny = {nx * ny} nodes: more than numpy can index")
     if not (math.isfinite(Lx) and Lx > 0 and math.isfinite(Ly) and Ly > 0):
         raise GridError(f"periods must be finite and > 0: Lx={Lx}, Ly={Ly}")
     dx = Lx / nx
@@ -553,7 +555,8 @@ def ball_mask(grid: SurfaceGrid, x0, R: float) -> np.ndarray:
     for lam != 0 this is a documented approximation.
     """
     if not (0.0 < R < grid.inj_radius):
-        raise GridError(f"ball radius {R} outside (0, {grid.inj_radius})")
+        raise GridError(f"ball radius {R} outside (0, {grid.inj_radius}), "
+                        "half the smaller period of Lx, Ly")
     ix, iy = x0
     ddx = periodic_delta(grid.x, grid.x[int(ix) % grid.nx], grid.Lx)
     ddy = periodic_delta(grid.y, grid.y[int(iy) % grid.ny], grid.Ly)

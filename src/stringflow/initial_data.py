@@ -120,6 +120,8 @@ def bump_map(grid: SurfaceGrid, target: TargetManifold,
 def _lowpass_noise(grid: SurfaceGrid, q: int, seed: int,
                    max_mode: int = 4) -> np.ndarray:
     """Seeded real periodic noise with Fourier support |k| <= max_mode."""
+    if seed < 0:
+        raise GridError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     kx = np.fft.fftfreq(grid.nx, d=1.0 / grid.nx)
     ky = np.fft.rfftfreq(grid.ny, d=1.0 / grid.ny)

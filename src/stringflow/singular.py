@@ -25,9 +25,10 @@ class SingularEvent:
     kind: str   # "concentration" | "stiffness"
 
 
-def _torus_dist2(grid: SurfaceGrid, a, b) -> float:
-    dx = periodic_delta(np.array([grid.x[a[0]]]), grid.x[b[0]], grid.Lx)[0]
-    dy = periodic_delta(np.array([grid.y[a[1]]]), grid.y[b[1]], grid.Ly)[0]
+def _torus_dist2(grid: SurfaceGrid, a, bx, by) -> np.ndarray:
+    """Squared flat periodic distances from node a to the nodes (bx, by)."""
+    dx = periodic_delta(grid.x[a[0]], grid.x[bx], grid.Lx)
+    dy = periodic_delta(grid.y[a[1]], grid.y[by], grid.Ly)
     return dx * dx + dy * dy
 
 
@@ -45,22 +46,25 @@ def concentration_scan(u_values: np.ndarray, grid: SurfaceGrid,
     if hits.size == 0:
         return []
     order = np.lexsort((hits[:, 1], hits[:, 0], -S[hits[:, 0], hits[:, 1]]))
-    reps = []
+    reps, rx, ry = [], [], []
     for k in order:
         ix, iy = int(hits[k, 0]), int(hits[k, 1])
-        if all(_torus_dist2(grid, (ix, iy), r) > (2.0 * R) ** 2
-               for (r, _) in reps):
+        if np.all(_torus_dist2(grid, (ix, iy), rx, ry) > (2.0 * R) ** 2):
             reps.append(((ix, iy), float(S[ix, iy])))
+            rx.append(ix)
+            ry.append(iy)
     return reps
 
 
-def k_bound(S0: float, delta1: float, delta2: float) -> int:
-    """floor(2 * delta2 * S0 / delta1), the singularity-count bound."""
+def k_bound(S0: float, delta1: float, delta2: float) -> int | None:
+    """floor(2 * delta2 * S0 / delta1), the singularity-count bound, or
+    None where that is not finite (a non-finite S0, or an overflow)."""
     if delta1 <= 0:
         raise GridError(f"delta1 must be positive, got {delta1}")
     if S0 <= 0:
         return 0
-    return int(math.floor(2.0 * delta2 * S0 / delta1))
+    bound = 2.0 * delta2 * S0 / delta1
+    return int(math.floor(bound)) if math.isfinite(bound) else None
 
 
 def convergence_probe(kinetic: float, el_residual_l2: float,
@@ -77,7 +81,8 @@ def _check_radius(grid: SurfaceGrid, r: float):
     # r ** 2 raises OverflowError where r * r is inf
     if not (r >= 2.0 * max(grid.dx, grid.dy) and math.isfinite(r * r)):
         raise GridError(f"rescale radius r={r} below 2*dx or its square "
-                        "not finite")
+                        f"not finite (dx = max(Lx/nx, Ly/ny) = "
+                        f"{max(grid.dx, grid.dy)})")
 
 
 def rescale_out_grid(grid: SurfaceGrid, r: float) -> SurfaceGrid:
@@ -136,7 +141,7 @@ def parabolic_rescale(snapshots, z0, r: float, grid: SurfaceGrid,
     if not math.isfinite(t0):
         raise GridError(f"zoom time t0={t0} is not finite")
     if not (0 <= ix < grid.nx and 0 <= iy < grid.ny):
-        raise GridError(f"zoom node ({ix}, {iy}) not on the "
+        raise GridError(f"zoom node (ix, iy) = ({ix}, {iy}) not on the "
                         f"{grid.nx}x{grid.ny} grid")
     if ((out_grid.nx, out_grid.ny, out_grid.Lx, out_grid.Ly, out_grid.is_flat)
             != (grid.nx, grid.ny, grid.Lx / r, grid.Ly / r, True)):

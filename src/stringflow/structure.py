@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .action import MapField, flow_rhs
+from .action import flow_rhs
 from .errors import UnsupportedConfigurationError
 from .fields import FieldBackground, tangential_grad_V
 from .grid import (Stencil, SurfaceGrid, energy_density, grad_sq_density,
@@ -152,7 +152,7 @@ def bochner_density(u_values: np.ndarray, grid: SurfaceGrid,
     g2 = grad_sq_density(u_values, grid)
     lap_half = laplace_beltrami(0.5 * g2, grid)
     hess2 = hessian_sq_density(u_values, grid)
-    tau = flow_rhs(MapField(u_values, target), grid, target, fields)
+    tau = flow_rhs(u_values, grid, target, fields)
     tau_norm = np.linalg.norm(tau, axis=-1)
     bracket = (hess2 - kappa_N * g2 ** 2 - Z_inf * g2 * tau_norm
                - hessV_inf * g2)

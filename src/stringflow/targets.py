@@ -145,6 +145,9 @@ class SphereTarget(TargetManifold):
     def __init__(self, q: int = 4):
         if q < 4:
             raise ValueError("sphere target needs q >= 4 (dim N >= 3)")
+        if q ** 3 > np.iinfo(np.intp).max // 8:
+            raise ValueError(f"q={q}: a two-form's (q, q, q) tensor is more "
+                             "than numpy can index")
         self.q = q
         self.n = q - 1
         self.tubular_radius = 1.0

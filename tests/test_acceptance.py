@@ -93,7 +93,7 @@ def test_A3_gradient_consistency(sphere):
     for seed in (0, 1, 2):
         u = sf.random_smooth_map(grid, sphere, seed=seed, amplitude=0.3)
         v = np.random.default_rng(100 + seed).standard_normal(u.values.shape)
-        out = sf.gradient_consistency_check(u, v, grid, sphere, fields)
+        out = sf.gradient_consistency_check(u.values, v, grid, sphere, fields)
         worst = max(worst, out["min_rel_err"])
     report("A3 gradient consistency", worst <= 1e-3,
            f"worst min-over-eps rel err={worst:.3e}")
@@ -107,7 +107,7 @@ def test_A4_stationary_geodesic_wrap(sphere):
     for _ in range(1000):
         sf.step(state)
     drift = float(np.max(np.abs(state.u.values - u0.values)))
-    _, _, linf = sf.el_residual(u0, grid, sphere, fields)
+    _, _, linf = sf.el_residual(u0.values, grid, sphere, fields)
     ok = drift <= 1e-6 and linf <= 5 * grid.dx ** 2
     report("A4 stationary wrap", ok,
            f"drift={drift:.3e} <= 1e-6, EL Linf={linf:.3e} <= "
@@ -189,8 +189,8 @@ def test_A8_conformal_rescaling(sphere):
     fields = sf.FieldBackground(b=sf.make_two_form("y4", 4, beta=0.2),
                                 V=sf.make_potential("height", 4, epsilon=0.1))
     u = sf.random_smooth_map(grid, sphere, seed=8, amplitude=0.3)
-    t1 = sf.energies(u, grid, fields)
-    t4 = sf.energies(u, grid4, fields)
+    t1 = sf.energies(u.values, grid, fields)
+    t4 = sf.energies(u.values, grid4, fields)
     bitwise = t1.E == t4.E and t1.B_term == t4.B_term
     v_defect = abs(t4.V_term - 4.0 * t1.V_term) / abs(t1.V_term)
     ok = bitwise and v_defect <= 1e-12
@@ -225,7 +225,7 @@ def test_A10_concentration_and_k_bound(sphere):
     grid = sf.build_grid(64, 64)
     u = sf.bump_map(grid, sphere, scale=6 * grid.dx)
     assert float(np.max(np.abs(u.values[..., 3]))) == 0.0  # equatorial S^2
-    S0 = sf.energies(u, grid, sf.zero_background(4)).S_tilde
+    S0 = sf.energies(u.values, grid, sf.zero_background(4)).S_tilde
     hits = sf.concentration_scan(u.values, grid, 0.5, 0.5)
     kb = sf.k_bound(S0, 0.5, 2.0)
     ok = len(hits) >= 1 and len(hits) <= kb

@@ -33,7 +33,7 @@ def test_energies_terms_consistent(grid, sphere):
     fields = sf.FieldBackground(b=sf.make_two_form("y4", 4, beta=0.2),
                                 V=sf.make_potential("height", 4, epsilon=0.1))
     u = sf.random_smooth_map(grid, sphere, seed=0, amplitude=0.3)
-    terms = sf.energies(u, grid, fields)
+    terms = sf.energies(u.values, grid, fields)
     assert terms.dirichlet == pytest.approx(terms.E / 2.0, rel=1e-14)
     assert terms.S_tilde == pytest.approx(
         terms.dirichlet + terms.B_term + terms.V_term, rel=1e-12)
@@ -55,7 +55,7 @@ def test_flow_rhs_is_tangent_up_to_truncation(grid, sphere):
     fields = sf.FieldBackground(b=sf.make_two_form("y4", 4, beta=0.2),
                                 V=sf.make_potential("height", 4, epsilon=0.1))
     u = sf.random_smooth_map(grid, sphere, seed=1, amplitude=0.3)
-    rhs = sf.flow_rhs(u, grid, sphere, fields)
+    rhs = sf.flow_rhs(u.values, grid, sphere, fields)
     normal = np.sum(rhs * u.values, axis=-1)
     # the B and V forces are projected; the remaining normal part is the
     # O(dx^2)-consistent radial residue of the discrete tension field
@@ -67,13 +67,13 @@ def test_gradient_consistency_all_terms(grid, sphere):
                                 V=sf.make_potential("height", 4, epsilon=0.1))
     u = sf.random_smooth_map(grid, sphere, seed=2, amplitude=0.3)
     v = np.random.default_rng(3).standard_normal(u.values.shape)
-    out = sf.gradient_consistency_check(u, v, grid, sphere, fields)
+    out = sf.gradient_consistency_check(u.values, v, grid, sphere, fields)
     assert out["min_rel_err"] < 1e-6
 
 
 def test_el_residual_small_on_wrap(grid, sphere):
     u = sf.geodesic_wrap(grid, sphere, m=1, n=0)
-    _, l2, linf = sf.el_residual(u, grid, sphere, sf.zero_background(4))
+    _, l2, linf = sf.el_residual(u.values, grid, sphere, sf.zero_background(4))
     assert linf <= 5.0 * grid.dx ** 2
 
 
@@ -197,14 +197,15 @@ def test_flow_rhs_result_is_not_a_workspace_buffer(grid, sphere):
     u2 = sf.random_smooth_map(grid, sphere, seed=8, amplitude=0.3)
     work = sf.Workspace(grid, u1.values.shape, fields)
     for w in (None, work):
-        r1 = sf.flow_rhs(u1, grid, sphere, fields, w)
+        r1 = sf.flow_rhs(u1.values, grid, sphere, fields, w)
         kept = r1.copy()
         sf.action_value(u2.values, grid, fields, w)
-        r2 = sf.flow_rhs(u2, grid, sphere, fields, w)
+        r2 = sf.flow_rhs(u2.values, grid, sphere, fields, w)
         assert np.array_equal(r1, kept)
         assert not np.array_equal(r1, r2)
     # a shared workspace gives the same numbers as a fresh one
-    assert np.array_equal(sf.flow_rhs(u1, grid, sphere, fields, work), kept)
+    assert np.array_equal(sf.flow_rhs(u1.values, grid, sphere, fields, work),
+                          kept)
     assert sf.action_value(u1.values, grid, fields, work) == \
         sf.action_value(u1.values, grid, fields)
 
@@ -324,13 +325,13 @@ def test_results_do_not_depend_on_the_map_layout(sphere, lam, tmp_path):
         sf.random_smooth_map(g, sphere, seed=11, amplitude=0.3).values)
     cm = _component_major(c)
     assert c.flags.c_contiguous and _is_component_major(cm)
-    rc = sf.flow_rhs(sf.MapField(c, sphere), g, sphere, fields)
-    rcm = sf.flow_rhs(sf.MapField(cm, sphere), g, sphere, fields)
+    rc = sf.flow_rhs(c, g, sphere, fields)
+    rcm = sf.flow_rhs(cm, g, sphere, fields)
     assert np.array_equal(rc, rcm)
     assert _is_component_major(rcm)          # the rhs keeps the layout of u
     assert _is_component_major(sphere.project(cm))
-    ec = sf.energies(sf.MapField(c, sphere), g, fields)
-    ecm = sf.energies(sf.MapField(cm, sphere), g, fields)
+    ec = sf.energies(c, g, fields)
+    ecm = sf.energies(cm, g, fields)
     for name in ("E", "B_term", "V_term", "S_tilde"):
         a, b = getattr(ec, name), getattr(ecm, name)
         assert abs(a - b) <= 1e-15 * abs(a), name
@@ -403,7 +404,7 @@ def test_clifford_map_is_a_harmonic_torus_of_the_three_sphere():
     sphere = sf.make_target("sphere", 4)
     u = sf.clifford_map(g, sphere, m=1, n=1)
     u.check()
-    _, _, linf = sf.el_residual(u, g, sphere, sf.zero_background(4))
+    _, _, linf = sf.el_residual(u.values, g, sphere, sf.zero_background(4))
     assert linf <= g.dx ** 2
 
 
@@ -506,7 +507,7 @@ def test_step_reuses_only_shifts_it_may_reuse(grid, sphere):
                 _record(st)
             fresh = replace(st, work=sf.Workspace(g, st.u.values.shape,
                                                   fields),
-                            rhs=sf.flow_rhs(st.u, g, sphere, fields))
+                            rhs=sf.flow_rhs(st.u.values, g, sphere, fields))
             sf.step(st)
             sf.step(fresh)
             assert np.array_equal(st.u.values, fresh.u.values)
@@ -527,7 +528,7 @@ def test_el_residual_in_the_run_workspace_matches_a_fresh_one(grid, sphere):
         sf.step(st)
         if spend:
             _record(st)
-        fresh, l2, _ = sf.el_residual(st.u, grid, sphere, fields)
+        fresh, l2, _ = sf.el_residual(st.u.values, grid, sphere, fields)
         assert np.array_equal(st.rhs, fresh)
         assert sf.l2_norm(st.rhs, grid) == l2
         other = replace(st, work=sf.Workspace(grid, st.u.values.shape, fields))
@@ -557,7 +558,8 @@ def test_carried_rhs_is_the_rhs_of_the_map(sphere, lam, with_fields,
     st = sf.init_state(u0, g, sphere, fields, cfg)
 
     def check():
-        assert np.array_equal(st.rhs, sf.flow_rhs(st.u, g, sphere, fields))
+        assert np.array_equal(st.rhs,
+                              sf.flow_rhs(st.u.values, g, sphere, fields))
 
     check()
     sf.step(st)
@@ -580,7 +582,7 @@ def _fresh_record(st):
     """The ledger row of st from freshly loaded stencils: energies, the
     ball map of energy_density and hessian_sq_density."""
     g, v = st.grid, st.u.values
-    e = sf.energies(st.u, g, st.fields)
+    e = sf.energies(v, g, st.fields)
     loc = sf.ball_sum_map(energy_density(v, g), g, st.config.ball_radius)
     return action.EnergyRecord(
         t=st.t, E=e.E, dirichlet=e.dirichlet, B_term=e.B_term,
@@ -819,7 +821,7 @@ def test_flow_rhs_projects_both_ambient_forces_at_once(grid, sphere, kinds):
     for g in (grid, _conformal(grid)):
         for seed in (16, 17):
             u = sf.random_smooth_map(g, sphere, seed=seed, amplitude=0.3)
-            rhs = sf.flow_rhs(u, g, sphere, fields)
+            rhs = sf.flow_rhs(u.values, g, sphere, fields)
             ref = _two_projection_rhs(u.values, g, sphere, fields)
             if kinds == "potential" or (kinds == "two-form" and g.is_flat):
                 assert np.array_equal(rhs, ref)

@@ -87,6 +87,23 @@ def test_run_unknown_kind_is_a_config_error(tmp_path, capsys, section, key):
     ("fields", "beta", float("nan")),
     ("grid", "lam", 400),
     ("grid", "lam", -400),
+    # a null is a value like any other: only lam, dt_init and point take it
+    ("grid", "nx", None),
+    ("target", "q", None),
+    ("fields", "beta", None),
+    ("initial", "seed", None),
+    ("flow", "t_end", None),
+    # conv_tol ** 2 overflows in the convergence probe
+    ("flow", "conv_tol", 1e308),
+    # a CFL bound below dt_min
+    ("grid", "Lx", 1e-320),
+    ("flow", "cfl", 1e-320),
+    # numpy's own refusal, or a map of NaN, named by the key
+    ("initial", "seed", -1),
+    ("initial", "scale", 1e-320),
+    # arrays too large for numpy to index
+    ("grid", "nx", 2 ** 62),
+    ("target", "q", 2 ** 62),
 ])
 def test_bad_config_value_is_a_config_error(tmp_path, capsys, command,
                                             section, key, value):
@@ -439,6 +456,10 @@ def test_saved_config_reruns_to_the_same_ledger(tmp_path):
     a, b = str(tmp_path / "a"), str(tmp_path / "b")
     cfgp = small_cfg(tmp_path, initial={"kind": "bump", "scale": 0.4})
     assert main(["run", "--config", cfgp, "--out", a]) == 0
+    # the three keys whose types list NoneType are saved, and load, as null
+    saved = json.load(open(os.path.join(a, "config.json")))
+    assert saved["grid"]["lam"] is saved["initial"]["point"] is \
+        saved["flow"]["dt_init"] is None
     assert main(["run", "--config", os.path.join(a, "config.json"),
                  "--out", b]) == 0
     ledgers = [open(os.path.join(d, "run_ledger.csv"), "rb").read()
@@ -480,6 +501,41 @@ def test_initial_map_with_non_finite_values_is_a_config_error(
     err = capsys.readouterr().err
     assert err.startswith("configuration error: ") and "scale" in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["run", "check"])
+@pytest.mark.parametrize("beta", [1e308, -1e308])
+def test_largest_two_form_is_a_hypothesis_warning(tmp_path, capsys, command,
+                                                  beta):
+    # |B| = |beta| is read exactly, not lost to an overflowing Gram matrix
+    cfgp = small_cfg(tmp_path, fields={"b_kind": "y4", "beta": beta},
+                     initial={"kind": "constant"})
+    out = tmp_path / "o"
+    assert main([command, "--config", cfgp, "--out", str(out)]) == 2
+    report = json.load(open(out / "hypothesis.json"))
+    assert report["B_inf"] == report["Z_inf"] == 1e308
+
+
+@pytest.mark.parametrize("overrides, code", [
+    ({"flow": {"delta1": 1e-320}}, 0),
+    ({"grid": {"Ly": 1e308}}, 0),
+    ({"fields": {"v_kind": "height", "epsilon": -1e308}}, 2),
+], ids=["delta1", "Ly", "epsilon"])
+def test_check_with_a_singularity_bound_that_overflows(tmp_path, capsys,
+                                                       overrides, code):
+    # 2 delta2 S0 / delta1 is inf: no bound, not an OverflowError
+    cfgp = small_cfg(tmp_path, **overrides)
+    out = tmp_path / "o"
+    assert main(["check", "--config", cfgp, "--out", str(out)]) == code
+    assert json.load(open(out / "hypothesis.json"))["k_bound"] is None
+
+
+def test_run_whose_dt_squares_to_zero_exit_three(tmp_path, capsys):
+    # the kinetic term divides by dt ** 2, which underflows to 0
+    cfgp = small_cfg(tmp_path, flow={"t_end": 1e-320})
+    assert main(["run", "--config", cfgp, "--out", str(tmp_path / "o")]) == 3
+    err = capsys.readouterr().err
+    assert "step 1 from t=0: dt=1e-320 squares to 0" in err
 
 
 def test_run_non_finite_initial_map_exit_three(tmp_path, monkeypatch, capsys):

@@ -1,4 +1,5 @@
 import dataclasses
+import inspect
 import json
 
 import numpy as np
@@ -42,6 +43,30 @@ def test_type_errors_report_path():
     # bool is not accepted where int is expected
     with pytest.raises(ConfigError, match="grid.nx"):
         sf.validate_config({"grid": {"nx": True}})
+    # nor null where the types do not list NoneType: default_rng(None)
+    # would draw fresh entropy, so the run's own config.json could not
+    # reproduce it
+    with pytest.raises(ConfigError, match="^initial.seed: expected"):
+        sf.validate_config({"initial": {"kind": "random_smooth",
+                                        "seed": None}})
+
+
+def test_builder_defaults_are_the_schema_defaults():
+    # `stringflow run` fills every key from the schema, and a library call
+    # takes the builder's keyword default; the two must agree
+    pairs = 0
+    for path, registry in config._KINDS.items():
+        section = path.split(".")[0]
+        for kind, (builder, keys) in registry.items():
+            params = inspect.signature(builder).parameters
+            for key in keys:
+                default = params[key].default
+                if default is inspect.Parameter.empty:
+                    continue
+                pairs += 1
+                assert default == config._SCHEMA[section][key][1], \
+                    (kind, key)
+    assert pairs >= 16
 
 
 @pytest.mark.parametrize("section, key, value, kinds", [

@@ -95,10 +95,12 @@ def test_delta_constants_values_and_hypothesis_error():
 def test_sup_norms_bounded_by_coefficient():
     # the bounds are attained: |b_12| = beta |y4| at y = e4 with the
     # tangent pair (e1, e2), where Omega = beta dy1 ^ dy2 ^ dy4 also gives
-    # |Z| = beta, and |Hess V| = |epsilon <e1, u>| at u = e1
+    # |Z| = beta, and |Hess V| = |epsilon <e1, u>| at u = e1.  They are
+    # exact at every magnitude: unscaled, the Gram matrix of the unfolding
+    # overflows from beta ~ 1e154 and underflows to 0 near 1e-300
     for q in (4, 5, 6):
         target = sf.make_target("sphere", q)
-        for beta in (0.2, 0.501, 2.0):
+        for beta in (0.2, 0.501, 2.0, 1e308, 1e154, 1e-300, 5e-324):
             for epsilon in (5e-3, -0.1):
                 norms = sf.sup_norms(sf.make_two_form("y4", q, beta=beta),
                                      sf.make_potential("height", q,

@@ -22,6 +22,10 @@ def test_k_bound_values():
     assert sf.k_bound(-1.0, 0.5, 2.0) == 0
     with pytest.raises(GridError):
         sf.k_bound(1.0, 0.0, 2.0)
+    # no bound where it is not finite
+    assert sf.k_bound(1e308, 1e-320, 2.0) is None
+    assert sf.k_bound(float("inf"), 0.5, 2.0) is None
+    assert sf.k_bound(float("nan"), 0.5, 2.0) is None
 
 
 def test_concentration_scan_constant_map_empty(sphere):
@@ -138,7 +142,7 @@ def test_dt_min_collapse_records_event_and_is_not_an_error(sphere,
     loc = sf.ball_sum_map(energy_density(st.u.values, g), g, cfg.ball_radius)
     assert st.events[0].local_energy == float(np.max(loc))
     # the rhs carried to the next step is that of the accepted map
-    assert np.array_equal(st.rhs, sf.flow_rhs(st.u, g, sphere,
+    assert np.array_equal(st.rhs, sf.flow_rhs(st.u.values, g, sphere,
                                               sf.zero_background(4)))
 
 
