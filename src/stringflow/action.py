@@ -32,7 +32,13 @@ Discretization notes (the choices here are load-bearing):
   nothing: it reads the action terms that the accepted trial's
   action_value kept on the workspace and the stencil's two stacks, which
   no operator writes, so a run loads each map once.
-  The snapshot ring keeps the run's maps by reference.
+  The snapshot ring keeps the run's maps by reference, within a byte
+  budget, SNAPSHOT_BYTES = 4 MiB: it keeps the newest
+  cap = max(1, SNAPSHOT_BYTES // (2 * map bytes)) maps at full density and
+  halves the older ones past 2 * cap, always keeping t = 0.  At q = 4 that
+  is cap 28 at 48^2, 16 at 64^2, 4 at 128^2 and 1 from 256^2 up, where
+  the ring is t = 0 and the newest map; it holds at most 4 MiB, or those
+  two maps where one pair of maps is larger.
 * The background fields have one force, _bfield_force: flow_rhs projects
   the B-force and the potential's force once, whenever either acts.  P(u)
   is linear, so e^{-2 lam} P(u) g + P(u) a = P(u)(e^{-2 lam} g + a); this
@@ -66,11 +72,10 @@ CONSTRAINT_TOL = 1e-9
 
 # Constants of the stepper, which no config sets: the relative slack of the
 # per-step acceptance test S_new <= S + TOL_UP (1 + S0), the stable steps
-# before dt grows 1.1x, and the newest snapshots the ring keeps at full
-# density (it thins the older ones dyadically past 2 * SNAPSHOT_CAP).
+# before dt grows 1.1x, and the snapshot ring's byte budget (_snapshot).
 TOL_UP = 1e-10
 GROW_AFTER = 50
-SNAPSHOT_CAP = 32
+SNAPSHOT_BYTES = 4 << 20
 
 
 @dataclass
@@ -384,7 +389,7 @@ def cfl_bound(grid: SurfaceGrid, cfl: float) -> float:
 @dataclass
 class FlowConfig:
     """The `flow` section of a run config, key for key.  The stepper's
-    TOL_UP, GROW_AFTER and SNAPSHOT_CAP are constants, not settings."""
+    TOL_UP, GROW_AFTER and SNAPSHOT_BYTES are constants, not settings."""
 
     t_end: float = 1.0
     cfl: float = 0.2
@@ -503,13 +508,18 @@ def _record(state: FlowState):
 
 
 def _snapshot(state: FlowState):
-    """Keep the map by reference: a run never writes a map it holds."""
-    state.snapshots.append((state.t, state.u.values))
-    if len(state.snapshots) > 2 * SNAPSHOT_CAP:
-        # dyadic thinning: keep the newest SNAPSHOT_CAP entries, halve the
-        # older ones
-        old = state.snapshots[:-SNAPSHOT_CAP]
-        state.snapshots = old[::2] + state.snapshots[-SNAPSHOT_CAP:]
+    """Keep the map by reference: a run never writes a map it holds.
+
+    The ring holds at most 2 * cap maps, cap = max(1, SNAPSHOT_BYTES //
+    (2 * map bytes)), so at most SNAPSHOT_BYTES, or t = 0 and the newest
+    map where those two are larger.  Past 2 * cap entries it keeps the
+    newest cap and halves the older ones (old[::2] keeps t = 0)."""
+    vals = state.u.values
+    state.snapshots.append((state.t, vals))
+    cap = max(1, SNAPSHOT_BYTES // (2 * vals.nbytes))
+    if len(state.snapshots) > 2 * cap:
+        old = state.snapshots[:-cap]
+        state.snapshots = old[::2] + state.snapshots[-cap:]
 
 
 def _trial(state: FlowState, rhs: np.ndarray, dt: float):

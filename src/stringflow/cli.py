@@ -26,7 +26,7 @@ from .grid import build_grid
 from .io import (read_ledger_csv, read_snapshot, write_events_jsonl,
                  write_run_outputs, write_snapshot)
 from .singular import (SingularEvent, concentration_scan, k_bound,
-                       parabolic_rescale, rescale_out_grid)
+                       rescale_out_grid, zoom_map)
 
 EXIT_OK = 0
 EXIT_BAD_CONFIG = 1
@@ -155,18 +155,14 @@ def cmd_scan(args, values, header, grid) -> int:
 
 @_on_snapshot
 def cmd_rescale(args, values, header, grid) -> int:
-    t0 = header["t"]
-    snaps = [(t0 - args.r * args.r, values), (t0, values)]
     out_grid = rescale_out_grid(grid, args.r)
-    res = parabolic_rescale(snaps, ((args.ix, args.iy), t0), args.r,
-                            grid, out_grid)
-    v_t0 = res["sequence"][-1][1]
+    v_t0 = zoom_map(values, grid, (args.ix, args.iy))
     if args.out:
         os.makedirs(args.out, exist_ok=True)
         write_snapshot(os.path.join(args.out, "rescaled.snap"), v_t0,
                        0.0, header.get("target", "target"))
     print(f"rescale: r={args.r} center=({args.ix},{args.iy}) "
-          f"gradV_factor={res['gradV_factor']:.6g} "
+          f"gradV_factor={1.0 / args.r ** 2:.6g} "
           f"out_grid={out_grid.nx}x{out_grid.ny} "
           f"periods=({out_grid.Lx:.6g},{out_grid.Ly:.6g})")
     return EXIT_OK
@@ -231,11 +227,20 @@ def run_scenario(name_or_path: str, out: str | None = None) -> int:
     return main(argv)
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argparse parser, subcommand parsers too, whose usage errors (an
+    unknown flag, a value of the wrong type, a missing argument) are
+    ConfigErrors, exit 1: argparse's own exit 2 is the code of a
+    hypothesis warning.  --help still exits 0."""
+
+    def error(self, message):
+        raise ConfigError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(prog="stringflow",
-                                description="Geometric flow simulator for "
-                                "maps of a flat torus with two-form and "
-                                "potential backgrounds.")
+    p = _Parser(prog="stringflow",
+                description="Geometric flow simulator for maps of a flat "
+                "torus with two-form and potential backgrounds.")
     sub = p.add_subparsers(dest="command", required=True)
 
     def common(sp):
@@ -280,8 +285,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = parser.parse_args(argv)
         return args.func(args)
     except (ConfigError, OSError) as e:      # a SnapshotError is an OSError
         print(f"configuration error: {e}", file=sys.stderr)

@@ -61,6 +61,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -133,6 +134,14 @@ def build_grid(nx: int, ny: int, Lx: float = TWO_PI, Ly: float = TWO_PI,
         raise GridError(f"periods must be finite and > 0: Lx={Lx}, Ly={Ly}")
     dx = Lx / nx
     dy = Ly / ny
+    # the stencils divide by dx^2 and dy^2: a square that overflows makes
+    # every difference along that axis 0, one that is subnormal or 0 makes
+    # it inf or loses its precision
+    for name, L, n, h in (("Lx", Lx, nx, dx), ("Ly", Ly, ny, dy)):
+        if not sys.float_info.min <= h * h < math.inf:
+            raise GridError(f"period {name}={L!r} over {n} nodes gives the "
+                            f"spacing {h!r}, whose square {h * h!r} is not "
+                            "a positive normal double")
     x = np.arange(nx) * dx
     y = np.arange(ny) * dy
     if lam is None:
@@ -589,7 +598,13 @@ def ball_sum_map(density: np.ndarray, grid: SurfaceGrid, R: float) -> np.ndarray
     """S[ix, iy] = sum of `density` over the ball of radius R around each node.
 
     Computed by circular FFT convolution with the (symmetric) ball indicator;
-    agrees with direct masked sums to roundoff.
+    agrees with direct masked sums to roundoff.  The transforms are
+    irfft2(rfft2(density) * K, s=density.shape) axis by axis, in the order
+    numpy's rfftn and irfftn take them, so the bits are the same; the
+    complex spectrum is one array, transformed in place.
     """
-    return np.fft.irfft2(np.fft.rfft2(density) * ball_kernel_transform(grid, R),
-                         s=density.shape)
+    F = np.fft.rfft(density, axis=1)
+    np.fft.fft(F, axis=0, out=F)
+    F *= ball_kernel_transform(grid, R)
+    np.fft.ifft(F, axis=0, out=F)
+    return np.fft.irfft(F, n=density.shape[1], axis=1)

@@ -88,37 +88,60 @@ def _check_radius(grid: SurfaceGrid, r: float):
 def rescale_out_grid(grid: SurfaceGrid, r: float) -> SurfaceGrid:
     """Flat grid covering the zoomed window: the commensurate choice (same
     node count, periods L/r) for which the resampling is exact.  The
-    radius must be one that parabolic_rescale takes."""
+    radius must be one that parabolic_rescale takes, and one whose
+    out-grid build_grid takes (a GridError naming r otherwise)."""
     _check_radius(grid, r)
-    return build_grid(grid.nx, grid.ny, grid.Lx / r, grid.Ly / r)
+    try:
+        return build_grid(grid.nx, grid.ny, grid.Lx / r, grid.Ly / r)
+    except GridError as e:
+        raise GridError(f"rescale radius r={r!r} gives no out-grid: {e}") \
+            from e
+
+
+def _check_node(grid: SurfaceGrid, node):
+    """GridError, naming the node, unless it is a node of grid: a roll
+    would wrap any integer node silently."""
+    ix, iy = node
+    if not (0 <= ix < grid.nx and 0 <= iy < grid.ny):
+        raise GridError(f"zoom node (ix, iy) = ({ix}, {iy}) not on the "
+                        f"{grid.nx}x{grid.ny} grid")
+
+
+def zoom_map(vals: np.ndarray, grid: SurfaceGrid, node) -> np.ndarray:
+    """One map's parabolic zoom about node (ix, iy) of grid, onto
+    rescale_out_grid(grid, r) for any r: on that out-grid every zoom point
+    is a node, so the zoom is vals rolled along the two grid axes to put
+    (ix, iy) at the centre node (nx/2, ny/2), a fresh array in the layout
+    of vals.  GridError unless node is a node of grid."""
+    _check_node(grid, node)
+    ix, iy = node
+    return np.roll(vals, (grid.nx // 2 - ix, grid.ny // 2 - iy), axis=(0, 1))
 
 
 class RescaledSequence:
     """The rescaled maps (s, v) of a parabolic window, made on access.
 
     Holds the window's (t, values) snapshots by reference (a later write to
-    one shows in its entry).  On the commensurate out-grid every zoom point
-    is a node, so v_k is snapshot k rolled by `shift` along the two grid
-    axes, a fresh array in the snapshot's layout; `seq[k]` rolls entry k
-    afresh each time it is asked for, so iterating holds one rescaled map
-    at a time.  Supports len, integer indices (negative ones too) and
-    repeated iteration, which the sequence protocol gives from the
+    one shows in its entry).  v_k is zoom_map of snapshot k; `seq[k]` rolls
+    entry k afresh each time it is asked for, so iterating holds one
+    rescaled map at a time.  Supports len, integer indices (negative ones
+    too) and repeated iteration, which the sequence protocol gives from the
     IndexError past the end; entry k is (s_k, v_k) with
     s_k = (t_k - t0) / r^2.
     """
 
-    def __init__(self, kept, t0: float, r: float, shift):
+    def __init__(self, kept, t0: float, r: float, grid: SurfaceGrid, node):
         self._kept = tuple(kept)
         self._t0, self._r2 = t0, r ** 2
-        self._shift = shift
+        self._grid, self._node = grid, node
 
     def __len__(self) -> int:
         return len(self._kept)
 
     def __getitem__(self, k: int):
         t, vals = self._kept[operator.index(k)]
-        return (t - self._t0) / self._r2, np.roll(vals, self._shift,
-                                                  axis=(0, 1))
+        return (t - self._t0) / self._r2, zoom_map(vals, self._grid,
+                                                   self._node)
 
 
 def parabolic_rescale(snapshots, z0, r: float, grid: SurfaceGrid,
@@ -128,21 +151,19 @@ def parabolic_rescale(snapshots, z0, r: float, grid: SurfaceGrid,
     `snapshots` is a time-sorted list of (t, values); z0 = ((ix, iy), t0)
     with (ix, iy) a node of `grid`.  out_grid must be
     `rescale_out_grid(grid, r)`, on which every zoom point is a node, so
-    the zoom is exact: each snapshot rolled to put node (ix, iy) at the
-    out-grid node (nx/2, ny/2).  Requires r >= 2 dx with r^2 finite (a
-    NaN r fails too) and snapshot coverage of [t0 - r^2, t0].  Returns a
-    dict with the rescaled sequence (a lazy `RescaledSequence` over the
-    snapshots in the window), the center node, and the 1/r^2 factor
-    multiplying grad V in the rescaled equation (the tool does not evolve
-    v).
+    the zoom is exact: each snapshot's zoom_map, rolled to put node
+    (ix, iy) at the out-grid node (nx/2, ny/2).  Requires r >= 2 dx with
+    r^2 finite (a NaN r fails too) and snapshot coverage of
+    [t0 - r^2, t0].  Returns a dict with the rescaled sequence (a lazy
+    `RescaledSequence` over the snapshots in the window), the center node,
+    and the 1/r^2 factor multiplying grad V in the rescaled equation (the
+    tool does not evolve v).
     """
     _check_radius(grid, r)
     (ix, iy), t0 = z0
     if not math.isfinite(t0):
         raise GridError(f"zoom time t0={t0} is not finite")
-    if not (0 <= ix < grid.nx and 0 <= iy < grid.ny):
-        raise GridError(f"zoom node (ix, iy) = ({ix}, {iy}) not on the "
-                        f"{grid.nx}x{grid.ny} grid")
+    _check_node(grid, (ix, iy))
     if ((out_grid.nx, out_grid.ny, out_grid.Lx, out_grid.Ly, out_grid.is_flat)
             != (grid.nx, grid.ny, grid.Lx / r, grid.Ly / r, True)):
         raise GridError("out_grid is not the commensurate rescale_out_grid"
@@ -150,10 +171,9 @@ def parabolic_rescale(snapshots, z0, r: float, grid: SurfaceGrid,
     times = [t for t, _ in snapshots]
     if not times or min(times) > t0 - r * r + 1e-12 * max(1.0, t0) or max(times) < t0 - 1e-12:
         raise GridError("snapshots do not cover [t0 - r^2, t0]")
-    cx, cy = out_grid.nx // 2, out_grid.ny // 2
     kept = [(t, vals) for t, vals in snapshots
             if t0 - r * r - 1e-12 <= t <= t0 + 1e-12]
-    seq = RescaledSequence(kept, t0, r, (cx - ix, cy - iy))
+    seq = RescaledSequence(kept, t0, r, grid, (ix, iy))
     gradV_factor = 1.0 / r ** 2
-    return {"sequence": seq, "center": (cx, cy),
+    return {"sequence": seq, "center": (out_grid.nx // 2, out_grid.ny // 2),
             "gradV_factor": gradV_factor}

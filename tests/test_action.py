@@ -1,5 +1,6 @@
 import math
 import re
+import types
 
 import numpy as np
 import pytest
@@ -736,6 +737,83 @@ def test_snapshot_ring_keeps_the_run_maps_by_reference(grid, sphere):
             assert st.snapshots[-1][1] is new
             kept = [(t, v.copy()) for t, v in st.snapshots]
         assert len(st.snapshots) == steps + 1
+
+
+def _rings(shape, records):
+    """The snapshot ring after each of `records` snapshots of fresh maps of
+    `shape` at t = 0, 1, 2, ..., taken as a run takes them."""
+    st = types.SimpleNamespace(t=0.0, u=None, snapshots=[])
+    for k in range(records):
+        st.t = float(k)
+        st.u = types.SimpleNamespace(values=np.zeros(shape))
+        _snapshot(st)
+        yield st.snapshots
+
+
+def _ring_ok(ring, newest_t):
+    """t = 0 and the newest map are kept, and the times strictly increase."""
+    times = [t for t, _ in ring]
+    return times[0] == 0.0 and times[-1] == newest_t and all(
+        a < b for a, b in zip(times, times[1:]))
+
+
+@pytest.mark.parametrize("n, cap", [(64, 16), (128, 4), (48, 28), (45, 32)])
+def test_snapshot_ring_stays_within_its_byte_budget(n, cap):
+    # the ring keeps the newest cap = budget // (2 map bytes) maps and
+    # halves the older ones past 2 cap, so it never holds more than the
+    # budget; at q = 4 the caps are those of the action module's docstring
+    map_bytes = n * n * 4 * 8
+    assert max(1, action.SNAPSHOT_BYTES // (2 * map_bytes)) == cap
+    lengths = []
+    for k, ring in enumerate(_rings((n, n, 4), 6 * cap + 5)):
+        assert _ring_ok(ring, float(k))
+        assert sum(v.nbytes for _, v in ring) <= action.SNAPSHOT_BYTES
+        lengths.append(len(ring))
+    assert max(lengths) == 2 * cap
+    # the newest cap entries are at full density
+    assert [t for t, _ in ring[-cap:]] == [float(6 * cap + 4 - j)
+                                          for j in range(cap - 1, -1, -1)]
+
+
+def test_small_maps_fill_the_byte_budget_with_more_entries():
+    # at 32^2 a map is 32 KiB: the ring holds up to 128 of them, 4 MiB
+    counts = []
+    for k, ring in enumerate(_rings((32, 32, 4), 300)):
+        assert _ring_ok(ring, float(k))
+        assert sum(v.nbytes for _, v in ring) <= action.SNAPSHOT_BYTES
+        counts.append(len(ring))
+    assert max(counts) == 128 and counts[-1] > 64
+
+
+def test_a_map_over_half_the_budget_leaves_the_first_and_newest():
+    # the two-map floor: one pair of maps is larger than the budget
+    shape = (300, 300, 4)
+    assert 2 * np.zeros(shape).nbytes > action.SNAPSHOT_BYTES
+    for k, ring in enumerate(_rings(shape, 7)):
+        assert [t for t, _ in ring] == ([0.0, float(k)] if k else [0.0])
+
+
+def test_a_bounded_ring_covers_every_rescale_window(sphere):
+    # a 64^2 run keeps its newest 16 maps at full density, halves the
+    # older ones and keeps t = 0, so every window [t0 - r^2, t0] with
+    # r >= 2 dx and r^2 <= t0 is covered
+    g = sf.build_grid(64, 64)
+    cfg = sf.FlowConfig(t_end=0.2, record_every=8, ball_radius=0.4)
+    st = sf.run(sf.bump_map(g, sphere, scale=0.3), g, sphere,
+                sf.zero_background(4), cfg)
+    ring = st.snapshots
+    assert len(st.ledger) > 2 * 16 and len(ring) <= 2 * 16
+    assert _ring_ok(ring, st.t)
+    assert sum(v.nbytes for _, v in ring) <= action.SNAPSHOT_BYTES
+    t0 = st.t
+    radii = [k * g.dx for k in range(2, g.nx // 2) if (k * g.dx) ** 2 <= t0]
+    assert len(radii) == 3
+    for r in radii:
+        seq = sf.parabolic_rescale(ring, ((20, 40), t0), r, g,
+                                   sf.rescale_out_grid(g, r))["sequence"]
+        assert len(seq) >= 2 and seq[-1][0] == 0.0
+        assert np.array_equal(seq[-1][1], np.roll(
+            st.u.values, (32 - 20, 32 - 40), axis=(0, 1)))
 
 
 @pytest.mark.parametrize("n", [24, 96], ids=["24", "96-sliced"])

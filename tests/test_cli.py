@@ -164,6 +164,22 @@ def test_rescale_names_the_bad_r(tmp_path, capsys, r):
     assert f"rescale radius r={float(r)!r} below 2*dx" in err, err
 
 
+def test_rescale_names_an_r_whose_out_grid_spacing_underflows(tmp_path,
+                                                              capsys):
+    # r^2 is finite, but the out-grid spacing dx / r squares to a subnormal
+    # number, which build_grid refuses: the message names --r all the same
+    g = sf.build_grid(32, 32)
+    snap = str(tmp_path / "u.snap")
+    sf.write_snapshot(snap, sf.constant_map(g, sf.make_target("sphere",
+                                                              4)).values,
+                      1.0, "sphere")
+    assert main(["rescale", snap, "--ix", "16", "--iy", "16",
+                 "--r", "5e153"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: rescale radius r=5e+153 "
+                          "gives no out-grid: period Lx="), err
+
+
 def _corrupt_snapshot(path, data):
     path.write_bytes(data[:-17])
 
@@ -376,6 +392,29 @@ def test_rescale_subcommand(tmp_path):
         sf.dirichlet_energy(u.values, g), rel=1e-12)
 
 
+@pytest.mark.parametrize("node", [(7, 19), (0, 23), (31, 0)])
+def test_rescale_writes_the_window_zoom_of_its_snapshot(tmp_path, node):
+    # the one-map zoom writes the bytes that parabolic_rescale's last entry
+    # gives for the two-entry window [(t0 - r^2, v), (t0, v)] of the map
+    g = sf.build_grid(32, 24, Lx=5.0, Ly=4.0)
+    snap = str(tmp_path / "u.snap")
+    sf.write_snapshot(snap, sf.random_smooth_map(
+        g, sf.make_target("sphere", 4), seed=5, amplitude=0.3).values,
+        1.5, "sphere")
+    r = 3 * g.dx
+    out = tmp_path / "resc"
+    assert main(["rescale", snap, "--ix", str(node[0]), "--iy", str(node[1]),
+                 "--r", repr(r), "--Lx", "5.0", "--Ly", "4.0",
+                 "--out", str(out)]) == 0
+    vals, header = sf.read_snapshot(snap)
+    t0 = header["t"]
+    seq = sf.parabolic_rescale([(t0 - r * r, vals), (t0, vals)], (node, t0),
+                               r, g, sf.rescale_out_grid(g, r))["sequence"]
+    ref = tmp_path / "ref.snap"
+    sf.write_snapshot(str(ref), seq[-1][1], 0.0, "sphere")
+    assert (out / "rescaled.snap").read_bytes() == ref.read_bytes()
+
+
 def test_compare_identical_runs_bitwise(tmp_path):
     cfgp = small_cfg(tmp_path)
     a, b = str(tmp_path / "a"), str(tmp_path / "b")
@@ -518,9 +557,8 @@ def test_largest_two_form_is_a_hypothesis_warning(tmp_path, capsys, command,
 
 @pytest.mark.parametrize("overrides, code", [
     ({"flow": {"delta1": 1e-320}}, 0),
-    ({"grid": {"Ly": 1e308}}, 0),
     ({"fields": {"v_kind": "height", "epsilon": -1e308}}, 2),
-], ids=["delta1", "Ly", "epsilon"])
+], ids=["delta1", "epsilon"])
 def test_check_with_a_singularity_bound_that_overflows(tmp_path, capsys,
                                                        overrides, code):
     # 2 delta2 S0 / delta1 is inf: no bound, not an OverflowError
@@ -528,6 +566,18 @@ def test_check_with_a_singularity_bound_that_overflows(tmp_path, capsys,
     out = tmp_path / "o"
     assert main(["check", "--config", cfgp, "--out", str(out)]) == code
     assert json.load(open(out / "hypothesis.json"))["k_bound"] is None
+
+
+@pytest.mark.parametrize("command", ["check", "run"])
+@pytest.mark.parametrize("key, value", [("Ly", 1e308), ("Lx", 1e-160)])
+def test_period_whose_spacing_squared_is_not_normal_exit_one(
+        tmp_path, capsys, command, key, value):
+    # dy^2 = inf made every y-difference 0, and check and run exited 0
+    cfgp = small_cfg(tmp_path, grid={key: value})
+    assert main([command, "--config", cfgp, "--out", str(tmp_path / "o")]) \
+        == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"configuration error: period {key}={value!r}"), err
 
 
 def test_run_whose_dt_squares_to_zero_exit_three(tmp_path, capsys):
@@ -555,8 +605,30 @@ def test_run_non_finite_initial_map_exit_three(tmp_path, monkeypatch, capsys):
     assert "numeric failure" in err and "step 1" in err and "(3, 4)" in err
 
 
+@pytest.mark.parametrize("argv, named", [
+    (["rescale", "u.snap", "--ix", "nan", "--iy", "16", "--r", "1"],
+     "argument --ix"),
+    (["scan", "u.snap", "--delta1", "-1e308"], "argument --delta1"),
+    (["check", "--bogus", "1"], "unrecognized arguments: --bogus"),
+    ([], "command"),
+], ids=["ix-nan", "delta1-as-option", "unknown-flag", "no-command"])
+def test_usage_errors_exit_one_naming_the_argument(capsys, argv, named):
+    # argparse's own exit 2 is the code of a hypothesis warning
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: ") and named in err, err
+
+
+def test_help_exits_zero(capsys):
+    for argv in (["--help"], ["rescale", "--help"]):
+        with pytest.raises(SystemExit) as e:
+            main(argv)
+        assert e.value.code == 0
+        assert "usage: stringflow" in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("flag", ["--threads", "--seed"])
-def test_removed_global_flags_are_rejected(tmp_path, flag):
+def test_removed_global_flags_are_rejected(tmp_path, capsys, flag):
     cfgp = small_cfg(tmp_path)
-    with pytest.raises(SystemExit):
-        main([flag, "1", "check", "--config", cfgp])
+    assert main([flag, "1", "check", "--config", cfgp]) == 1
+    assert "configuration error: stringflow: " in capsys.readouterr().err

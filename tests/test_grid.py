@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -29,6 +30,9 @@ def test_build_grid_basic():
     assert np.isclose(g.dx, 2 * np.pi / 32)
     assert np.isclose(g.total_volume, 2 * np.pi ** 2)
     assert g.is_flat
+    # the extreme spacings whose squares are normal doubles
+    for h in (1.5e-154, 1.3e154):
+        assert sf.build_grid(16, 16, Lx=16 * h, Ly=16 * h).dx == h
 
 
 def test_build_grid_rejects_small_and_bad_lambda():
@@ -53,6 +57,16 @@ def test_build_grid_rejects_periods_that_are_not_finite_and_positive(Lx, Ly):
     with pytest.raises(GridError, match=r"periods must be finite and > 0: "
                                         r"Lx=.*, Ly="):
         sf.build_grid(16, 16, Lx=Lx, Ly=Ly)
+
+
+@pytest.mark.parametrize("key, L", [("Ly", 1e308), ("Lx", 1e-160),
+                                    ("Ly", 3e-154), ("Lx", 5e-324)])
+def test_build_grid_rejects_a_spacing_whose_square_is_not_normal(key, L):
+    # the stencils divide by dx^2 and dy^2: an inf square makes every
+    # difference along that axis 0, a subnormal or 0 one makes it inf
+    with pytest.raises(GridError, match=re.escape(f"period {key}={L!r} over "
+                                                  "16 nodes")):
+        sf.build_grid(16, 16, **{key: L})
 
 
 def test_laplacian_spectral_accuracy():
@@ -106,6 +120,19 @@ def test_ball_sum_map_matches_direct_sum():
     for ix, iy in [(0, 0), (5, 17), (23, 1)]:
         direct = float(np.sum(dens[ball_mask(g, (ix, iy), R)]))
         assert m[ix, iy] == pytest.approx(direct, rel=1e-12, abs=1e-12)
+
+
+@pytest.mark.parametrize("shape", [(9, 11), (24, 40)],
+                         ids=["odd", "rectangular"])
+def test_ball_sum_map_is_the_2d_transform_bit_for_bit(shape):
+    # the per-axis transforms are those of rfft2 and irfft2, in their order
+    rng = np.random.default_rng(4)
+    g = sf.build_grid(*shape, Lx=3.0, Ly=5.0)
+    dens = rng.random(shape)
+    for R in (0.5, 1.0):
+        ref = np.fft.irfft2(np.fft.rfft2(dens) * ball_kernel_transform(g, R),
+                            s=shape)
+        assert ball_sum_map(dens, g, R).tobytes() == ref.tobytes()
 
 
 def test_ball_mask_radius_bounds():
