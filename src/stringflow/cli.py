@@ -236,6 +236,16 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise ConfigError(f"{self.prog}: {message}")
 
+    def parse_args(self, args=None, namespace=None):
+        args = sys.argv[1:] if args is None else list(args)
+        # argparse would set an unknown flag before the subcommand aside
+        # and read its value as the subcommand's name
+        if args and args[0].startswith("-") \
+                and args[0] not in ("-h", "--help"):
+            self.error(f"unrecognized argument {args[0]} before the "
+                       f"subcommand; options go after it")
+        return super().parse_args(args, namespace)
+
 
 def build_parser() -> argparse.ArgumentParser:
     p = _Parser(prog="stringflow",

@@ -152,7 +152,7 @@ def build_objects(cfg: dict):
     ValueError, GridError among them, a point the target cannot project, a
     non-finite number in the fields or initial section, or an initial map
     with a non-finite value) is a ConfigError here, as a bad key or type
-    is."""
+    is; so is a MemoryError, named by the keys that size the arrays."""
     cfg = validate_config(cfg)
     g = cfg["grid"]
     t, f, i = cfg["target"], cfg["fields"], cfg["initial"]
@@ -175,6 +175,10 @@ def build_objects(cfg: dict):
         flow_cfg.validate(grid)
     except (ValueError, ProjectionError) as e:
         raise ConfigError(str(e)) from e
+    except MemoryError as e:
+        raise ConfigError(f"target.q = {t['q']}, grid.nx = {g['nx']} and "
+                          f"grid.ny = {g['ny']} need more memory than is "
+                          f"free ({e})") from e
     if not np.isfinite(u0.values).all():
         given = ", ".join(f"{k}={i[k]!r}" for k in MAP_BUILDERS[i["kind"]][1])
         raise ConfigError(f"initial.kind {i['kind']!r} gives non-finite values "

@@ -279,11 +279,20 @@ def _skew_bound(X: np.ndarray) -> float:
     sigma_max / sqrt(2).  sigma_max^2 is the top eigenvalue of the (q, q)
     Gram matrix.  M is scaled by its largest |entry| s, and the root by s,
     so the Gram matrix neither overflows nor underflows for any finite X.
+
+    The Gram matrix is an einsum, not a BLAS product.  When its rows are
+    orthogonal, as for every registered two-form (y4's C and Omega alike),
+    it is diagonal and its top eigenvalue is its largest diagonal entry;
+    only a tensor whose Gram matrix is not diagonal calls LAPACK.
     """
     M = X.reshape(X.shape[0], -1)
     s = float(np.max(np.abs(M))) or 1.0
     M = M / s
-    return s * math.sqrt(float(np.linalg.eigvalsh(M @ M.T)[-1]) / 2.0)
+    G = np.einsum("ik,jk->ij", M, M)
+    d = np.diagonal(G)
+    top = d.max() if np.array_equal(G, np.diag(d)) \
+        else np.linalg.eigvalsh(G)[-1]
+    return s * math.sqrt(float(top) / 2.0)
 
 
 def sup_norms(b: TwoFormField, V: ScalarPotential,
@@ -299,11 +308,11 @@ def sup_norms(b: TwoFormField, V: ScalarPotential,
     r = target.radius
     B_inf = Z_inf = 0.0
     if not b.is_zero:
-        # skipped for a zero form: the first BLAS/LAPACK call of a process
-        # maps about 0.8 MB, which a run with zero fields never needs
+        # skipped for a zero form; a registered form has a diagonal Gram
+        # matrix, so only an unregistered tensor reaches LAPACK, whose first
+        # call maps about 0.8 MB of library pages that a run never needs
         B_inf, Z_inf = r * _skew_bound(b.C), _skew_bound(b.Omega)
-    return SupNorms(B_inf=B_inf, Z_inf=Z_inf,
-                    hessV_inf=float(np.linalg.norm(V.a)) / r)
+    return SupNorms(B_inf=B_inf, Z_inf=Z_inf, hessV_inf=math.hypot(*V.a) / r)
 
 
 # -- hypothesis report -----------------------------------------------------------

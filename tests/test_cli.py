@@ -631,4 +631,46 @@ def test_help_exits_zero(capsys):
 def test_removed_global_flags_are_rejected(tmp_path, capsys, flag):
     cfgp = small_cfg(tmp_path)
     assert main([flag, "1", "check", "--config", cfgp]) == 1
-    assert "configuration error: stringflow: " in capsys.readouterr().err
+    err = capsys.readouterr().err
+    # the flag at fault, not its value read as the subcommand
+    assert err.startswith("configuration error: stringflow: ") and flag in err
+    assert "invalid choice" not in err
+
+
+def test_check_without_a_config_takes_the_default(capsys):
+    assert main(["check"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["ok"] and report["B_inf"] == 0.0
+
+
+def test_run_that_breaks_monotonicity_exit_three(tmp_path, monkeypatch,
+                                                 capsys):
+    import stringflow.cli as cli
+
+    def violated(ledger, delta2, S0):
+        return {"monotone_ok": False, "energy_bound_ok": True}
+
+    monkeypatch.setattr(cli, "monotonicity_check", violated)
+    out = tmp_path / "o"
+    assert main(["run", "--config", small_cfg(tmp_path), "--out",
+                 str(out)]) == 3
+    assert capsys.readouterr().out == \
+        "run: FAILED (energy monotonicity violated)\n"
+    mono = json.loads((out / "monotonicity.json").read_text())
+    assert mono == {"monotone_ok": False, "energy_bound_ok": True}
+
+
+def test_allocation_too_large_is_a_config_error(tmp_path, monkeypatch,
+                                                capsys):
+    # an allocation that memory cannot hold names the keys that size it
+    import stringflow.config as config
+
+    def too_large(q):
+        raise MemoryError("Unable to allocate 59.6 GiB")
+
+    monkeypatch.setitem(config.TWO_FORMS, "zero", (too_large, ()))
+    assert main(["check", "--config", small_cfg(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: target.q = 4, grid.nx = 16 "
+                          "and grid.ny = 16 need more memory"), err
+    assert "Unable to allocate 59.6 GiB" in err

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -110,6 +112,52 @@ def test_sup_norms_bounded_by_coefficient():
                     (beta, beta, abs(epsilon))
         norms = sf.sup_norms(sf.zero_two_form(q), sf.zero_potential(q), target)
         assert (norms.B_inf, norms.Z_inf, norms.hessV_inf) == (0.0, 0.0, 0.0)
+
+
+def test_sup_norms_of_registered_kinds_call_no_linear_algebra(monkeypatch):
+    # every registered two-form has a diagonal Gram matrix, so the values of
+    # the test above come without LAPACK (eigvalsh) or BLAS (norm)
+    def refuse(*args, **kwargs):
+        raise AssertionError("linear-algebra call")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+    monkeypatch.setattr(np.linalg, "norm", refuse)
+    for q in (4, 5, 6):
+        target = sf.make_target("sphere", q)
+        for beta in (0.2, 0.501, 2.0, 1e308, 1e154, 1e-300, 5e-324):
+            for epsilon in (5e-3, -0.1):
+                for b, V in itertools.product(
+                        (sf.zero_two_form(q), sf.make_two_form("y4", q,
+                                                               beta=beta)),
+                        (sf.zero_potential(q),
+                         sf.make_potential("height", q, epsilon=epsilon))):
+                    norms = sf.sup_norms(b, V, target)
+                    B = 0.0 if b.is_zero else beta
+                    assert (norms.B_inf, norms.Z_inf, norms.hessV_inf) == \
+                        (B, B, 0.0 if V.is_zero else abs(epsilon))
+
+
+def test_sup_norms_of_a_dense_two_form_reach_eigvalsh(monkeypatch):
+    # a random skew C has a Gram matrix that is not diagonal
+    q = 4
+    target = sf.make_target("sphere", q)
+    rng = np.random.default_rng(q)
+    C = rng.standard_normal((q, q, q))
+    C -= np.swapaxes(C, 1, 2)
+    C *= 0.45 / sf.sup_norms(sf.TwoFormField("random", C),
+                             sf.zero_potential(q), target).B_inf
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counted(a):
+        calls.append(a.shape)
+        return eigvalsh(a)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    norms = sf.sup_norms(sf.TwoFormField("random", C), sf.zero_potential(q),
+                         target)
+    assert calls == [(q, q), (q, q)]
+    assert norms.B_inf == pytest.approx(0.45, rel=1e-14)
 
 
 def _orthonormal_tangent_pair(target, u, rng):
