@@ -13,25 +13,27 @@ Discretization notes (the choices here are load-bearing):
   Z(du(e1) ^ du(e2)) up to O(dx^2).  This makes the discrete flow an exact
   gradient flow of the ledger action, so the dissipation identity defect is
   pure O(dt) and the gradient-consistency check is exact up to O(eps^2).
-* flow_rhs and action_value load u into one grid.Stencil and take every
-  difference from it.  Their buffers live in a Workspace that a run
-  allocates once and drops when it returns; called on their own,
-  flow_rhs and action_value build a fresh one.  Inside a run the map is
+* action_value and flow_rhs take a map and nothing else: each loads the
+  array it is given into a fresh grid.Stencil and takes every difference
+  from it.  A run owns its load instead.  Its Workspace, which init_state
+  allocates and run drops when it returns, holds the run's stencil (and
+  the force sum g when a field acts).  Inside a run the map is
   component-major (grid.empty_map).
   A step builds each candidate in a fresh map, u + dt rhs projected in
-  place, and keeps the one it accepts, so the run holds no trial buffer;
-  the kinetic difference u_new - u goes into the stencil scratch, which
-  is free once the new rhs is formed.  A map that a state holds is never
-  written again, so values are carried forward, not re-derived: a step
-  forms the rhs of its new map from the stencil that the accepted
-  trial's action_value loaded, and keeps it in FlowState.rhs for the next
-  step and the convergence probe; init_state forms the first one from
-  the load of u0's action_value.
-  A load forms the centred and the second differences, and action_value,
-  the rhs and the ledger record all read them.  A ledger record loads
-  nothing: it reads the action terms that the accepted trial's
-  action_value kept on the workspace and the stencil's two stacks, which
-  no operator writes, so a run loads each map once.
+  place, loads it into the run's stencil, and reads its action terms from
+  that load (_trial); it keeps the candidate it accepts, so the run holds
+  no trial buffer.  The rhs of the accepted map comes from the same load
+  (_loaded_rhs, flow_rhs's body after its load), and the kinetic
+  difference u_new - u goes into the stencil scratch, which is free once
+  that rhs is formed.  A map that a state holds is never written again,
+  so values are carried forward, not re-derived: FlowState.rhs and
+  FlowState.terms are the rhs and action terms of u, which the next step,
+  the convergence probe and the ledger record read; init_state forms both
+  from one load of u0.
+  A load forms the centred and the second differences, and the action
+  terms, the rhs and the ledger record all read them.  A ledger record
+  loads nothing: it reads FlowState.terms and the two stacks of the run's
+  stencil, which no operator writes, so a run loads each map once.
   The snapshot ring keeps the run's maps by reference, within a byte
   budget, SNAPSHOT_BYTES = 4 MiB: it keeps the newest
   cap = max(1, SNAPSHOT_BYTES // (2 * map bytes)) maps at full density and
@@ -44,14 +46,14 @@ Discretization notes (the choices here are load-bearing):
   is linear, so e^{-2 lam} P(u) g + P(u) a = P(u)(e^{-2 lam} g + a); this
   moves the rhs by rounding only, and not at all for a zero form (g = 0).
 * The action has one formula, _action_terms: E from grid.Stencil.dirichlet
-  and S_tilde = 0.5*E + B + V, in that order.  action_value, which every
-  step's acceptance test evaluates, keeps its terms, and the ledger record
-  reads them, so a ledger row's S_tilde is the S_current that the step
-  accepted, bit for bit.  The ledger's ball map sums
-  grid.Stencil.energy_density, |du|^2 dvol from the contraction that the
-  rhs's II term uses; the dt_min event (from the workspace stencil, as the
-  record) and singular.concentration_scan sum the same density, so all
-  three agree bit for bit.
+  and S_tilde = 0.5*E + B + V, in that order.  energies and action_value
+  return it, every step's acceptance test compares its S_tilde, and the
+  ledger record reads the terms the step kept, so a ledger row's S_tilde
+  is the S_current that the step accepted, bit for bit.  The ledger's
+  ball map sums grid.Stencil.energy_density, |du|^2 dvol from the
+  contraction that the rhs's II term uses; the dt_min event (from the
+  run's stencil, as the record) and singular.concentration_scan sum the
+  same density, so all three agree bit for bit.
 """
 
 from __future__ import annotations
@@ -115,11 +117,11 @@ def dirichlet_energy(u: np.ndarray, grid: SurfaceGrid) -> float:
 
 
 def _action_terms(st: Stencil, vals: np.ndarray,
-                  fields: FieldBackground) -> tuple:
-    """(E, B_term, V_term, S_tilde) of `vals`, loaded in `st`: E from the
-    centred and second differences (Stencil.dirichlet), the pullback from
-    the centred ones.  The one formula of the action: action_value sums it
-    here, and the ledger reads what action_value kept."""
+                  fields: FieldBackground) -> EnergyTerms:
+    """The action terms of `vals`, loaded in `st`: E from the centred and
+    second differences (Stencil.dirichlet), the pullback from the centred
+    ones.  The one formula of the action: energies and action_value return
+    it, and a step keeps its accepted candidate's for the ledger."""
     grid = st.grid
     E = st.dirichlet()
     B_term = 0.0
@@ -132,64 +134,39 @@ def _action_terms(st: Stencil, vals: np.ndarray,
         Vw = fields.V.shifted(vals)
         Vw *= grid.w
         V_term = float(np.sum(Vw))
-    return E, B_term, V_term, 0.5 * E + B_term + V_term
+    return EnergyTerms(E=E, dirichlet=0.5 * E, B_term=B_term, V_term=V_term,
+                       S_tilde=0.5 * E + B_term + V_term)
 
 
 def energies(vals: np.ndarray, grid: SurfaceGrid,
              fields: FieldBackground) -> EnergyTerms:
-    E, B_term, V_term, S = _action_terms(Stencil.once(grid, vals),
-                                         vals, fields)
-    return EnergyTerms(E=E, dirichlet=0.5 * E, B_term=B_term, V_term=V_term,
-                       S_tilde=S)
+    return _action_terms(Stencil.once(grid, vals), vals, fields)
+
+
+def action_value(vals: np.ndarray, grid: SurfaceGrid,
+                 fields: FieldBackground) -> float:
+    """Shifted action S_tilde of vals, from a load of its own: the S_tilde
+    of energies and of the ledger, bit for bit (_action_terms)."""
+    return energies(vals, grid, fields).S_tilde
 
 
 class Workspace:
-    """Buffers reused by the flow_rhs, action_value and ledger-record calls
-    of one run, all component-major: the stencil and, when either
-    background field acts, the force sum g of _bfield_force.  There is no
-    trial map: a step builds each candidate in the map it keeps, and forms
-    its kinetic difference in the stencil's scratch `tmp`.
+    """The buffers of one run, all component-major: the stencil that each
+    candidate is loaded into and, when either background field acts, the
+    force sum g of _bfield_force.  There is no trial map: a step builds
+    each candidate in the map it keeps, and forms its kinetic difference
+    in the stencil's scratch `tmp`.  _loaded_rhs writes its II term and
+    the projected force into that scratch too, and returns a fresh array.
 
     init_state allocates one per run, the steps and records of the run
-    share it, and run drops it when it returns.  flow_rhs and action_value
-    called without one build a fresh workspace; either way, the arrays
-    they return are never workspace buffers.  flow_rhs writes its II term
-    and the projected force into the stencil's scratch `tmp`.
-
-    action_value loads the stencil itself; flow_rhs loads it unless the
-    workspace `holds` the map, and the ledger record never does.  So the
-    rhs that a step forms and the record after it both read the two stacks
-    of the load of the accepted trial's action_value.
-    action_value keeps its map's `_action_terms` in `terms`, and that map
-    in `terms_of`, for the record.
+    share it, and run drops it when it returns.  flow_rhs builds a fresh
+    one per call.
     """
 
     def __init__(self, grid: SurfaceGrid, shape, fields: FieldBackground):
         self.stencil = Stencil(grid, shape)
-        self.terms = self.terms_of = None   # (E, B, V, S) of map terms_of
         if not (fields.b.is_zero and fields.V.is_zero):
             self.g = empty_map(shape)
-
-    def holds(self, vals: np.ndarray) -> bool:
-        """True when the last action_value was of vals and the stencil
-        still holds its load.  Under FlowState's rule (no one writes a held
-        map in place) that load and those terms are those of vals now."""
-        return self.terms_of is vals and self.stencil.source is vals
-
-
-def action_value(vals: np.ndarray, grid: SurfaceGrid,
-                 fields: FieldBackground, work: Workspace | None = None) -> float:
-    """Shifted action S_tilde, the S_tilde of the ledger bit for bit
-    (_action_terms).  Every acceptance test compares values of this
-    function; it leaves the stencil loaded with vals, for the rhs that a
-    step forms from the accepted trial, and keeps the terms on the
-    workspace for the ledger record.
-    """
-    if work is None:
-        work = Workspace(grid, vals.shape, fields)
-    work.terms = _action_terms(work.stencil.load(vals), vals, fields)
-    work.terms_of = vals
-    return work.terms[3]
 
 
 # -- flow right-hand side ---------------------------------------------------------
@@ -246,8 +223,9 @@ def _bfield_force(work: Workspace, vals: np.ndarray, target: TargetManifold,
 
 
 def flow_rhs(vals: np.ndarray, grid: SurfaceGrid, target: TargetManifold,
-             fields: FieldBackground, work: Workspace | None = None) -> np.ndarray:
-    """Delta_h u - II(du, du) - Z(du(e1) ^ du(e2)) - P grad V(u).
+             fields: FieldBackground) -> np.ndarray:
+    """Delta_h u - II(du, du) - Z(du(e1) ^ du(e2)) - P grad V(u), from a
+    load of vals in a fresh Workspace (_loaded_rhs).
 
     The result need not be pointwise tangent: the normal part of Delta_h u
     balances the II term up to truncation error.  All metric weights are
@@ -256,22 +234,20 @@ def flow_rhs(vals: np.ndarray, grid: SurfaceGrid, target: TargetManifold,
     It is formed as e^{-2 lam} (lap u - II) - P(e^{-2 lam} g + a), one
     projection for both forces (P is linear), _bfield_force, which runs
     whenever either field acts.
+    """
+    work = Workspace(grid, vals.shape, fields)
+    work.stencil.load(vals)
+    return _loaded_rhs(work, vals, target, fields)
+
+
+def _loaded_rhs(work: Workspace, vals: np.ndarray, target: TargetManifold,
+                fields: FieldBackground) -> np.ndarray:
+    """flow_rhs of vals, read from work's stencil, which holds its load.
     Each term is formed in the stencil's scratch and subtracted, plane by
     plane on the component-first views; the rhs itself is a fresh array in
-    the layout of vals.
-
-    When the workspace `holds` vals, as after action_value(vals, ...,
-    work), the rhs reads that load instead of loading again.  That relies
-    on the rule of FlowState: no one writes a held map in place, so a load
-    of the same array is the load of the same values.  A caller that has
-    written vals since action_value loaded it must pass no workspace, or
-    one that holds another map.
-    """
-    if work is None:
-        work = Workspace(grid, vals.shape, fields)
+    the layout of vals."""
     st = work.stencil
-    if not work.holds(vals):
-        st.load(vals)
+    grid = st.grid
     ux, uy = st.centred()
     rhs = st.laplacian(np.empty_like(vals))
     R = component_first(rhs)
@@ -285,7 +261,10 @@ def flow_rhs(vals: np.ndarray, grid: SurfaceGrid, target: TargetManifold,
 
 def el_residual(vals: np.ndarray, grid: SurfaceGrid, target: TargetManifold,
                 fields: FieldBackground):
-    """Euler-Lagrange residual field with its L2 and Linf norms."""
+    """Euler-Lagrange residual field with its L2 and Linf norms: flow_rhs
+    whole, normal truncation part included, the continuum consistency
+    residual that A4 bounds by 5 dx^2 on the geodesic wrap.  The run's
+    convergence probe reads the rhs's tangent part instead."""
     r = flow_rhs(vals, grid, target, fields)
     return r, l2_norm(r, grid), float(np.max(np.abs(r)))
 
@@ -299,14 +278,13 @@ def gradient_consistency_check(vals: np.ndarray, v: np.ndarray,
     against -<flow_rhs(u), v> for tangent v, at eps = 1e-3, 1e-4, 1e-5.
     """
     v = tangent_project(target, vals, v)
-    work = Workspace(grid, vals.shape, fields)
-    inner = -l2_inner(flow_rhs(vals, grid, target, fields, work), v, grid)
+    inner = -l2_inner(flow_rhs(vals, grid, target, fields), v, grid)
     rows = []
     for eps in (1e-3, 1e-4, 1e-5):
         up = target.project(vals + eps * v)
         um = target.project(vals - eps * v)
-        fd = (action_value(up, grid, fields, work)
-              - action_value(um, grid, fields, work)) / (2 * eps)
+        fd = (action_value(up, grid, fields)
+              - action_value(um, grid, fields)) / (2 * eps)
         rel = abs(fd - inner) / max(abs(inner), 1e-300)
         rows.append({"eps": eps, "fd": fd, "inner": inner, "rel_err": rel})
     return {"rows": rows, "min_rel_err": min(r["rel_err"] for r in rows),
@@ -438,11 +416,11 @@ class FlowState:
 
     A run never writes a map that a state holds, and neither may its
     caller: u.values is the newest entry of the snapshot ring, which holds
-    the run's maps by reference, and rhs is flow_rhs(u), which the next
-    step starts from.  flow_rhs relies on the rule too: it reads a
-    workspace stencil that holds u.values without loading it again.  A
-    caller that wants to alter a map writes to a copy and, to go on,
-    starts a new run from it.  `work` is the run's Workspace while it
+    the run's maps by reference, rhs is flow_rhs(u), which the next step
+    starts from, and terms are energies(u), which the ledger record reads
+    and whose S_tilde is S_current.  Both come from the load of u that the
+    step (or init_state) made.  A caller that wants to alter a map writes
+    to a copy and, to go on, starts a new run from it.  `work` is the run's Workspace while it
     steps; the state that `run` returns has none, and `step` builds one on
     demand.
     """
@@ -460,11 +438,15 @@ class FlowState:
     stable_steps: int = 0
     cum_dissipation: float = 0.0
     last_kinetic: float = 0.0
-    S_current: float = 0.0
     S0: float = 0.0
     converged: bool = False
     work: Workspace | None = dc_field(default=None, repr=False)
     rhs: np.ndarray | None = dc_field(default=None, repr=False)   # flow_rhs(u)
+    terms: EnergyTerms | None = None                              # energies(u)
+
+    @property
+    def S_current(self) -> float:
+        return self.terms.S_tilde
 
 
 def init_state(u0: MapField, grid: SurfaceGrid, target: TargetManifold,
@@ -474,35 +456,32 @@ def init_state(u0: MapField, grid: SurfaceGrid, target: TargetManifold,
     vals[...] = u0.values
     u = MapField(target.project(vals, out=vals), target)
     work = Workspace(grid, vals.shape, fields)
-    S0 = action_value(u.values, grid, fields, work)
-    rhs = flow_rhs(u.values, grid, target, fields, work)  # reads that load
+    terms = _action_terms(work.stencil.load(vals), vals, fields)
+    rhs = _loaded_rhs(work, vals, target, fields)
     dt = config.dt_init if config.dt_init is not None else cfl_bound(grid, config.cfl)
     state = FlowState(t=0.0, u=u, dt=dt, grid=grid, target=target,
-                      fields=fields, config=config, S_current=S0, S0=S0,
-                      work=work, rhs=rhs)
+                      fields=fields, config=config, S0=terms.S_tilde,
+                      work=work, rhs=rhs, terms=terms)
     _record(state)
     _snapshot(state)
     return state
 
 
 def _record(state: FlowState):
-    """Append a ledger row from the stencil work of the step just taken
-    (or of init_state), without a load: E, B, V and S_tilde are the terms
-    action_value kept; the ball map sums Stencil.energy_density, and the
-    Hessian reads the stencil's stacks, those of the load that the rhs
-    read.  GridError unless the workspace stencil and terms belong to the
-    state's map."""
-    grid, vals, work = state.grid, state.u.values, state.work
-    st = work.stencil
-    if not work.holds(vals):
-        raise GridError("the workspace holds another map's stencil or terms")
-    E, B_term, V_term, S = work.terms
+    """Append a ledger row from the load of the step just taken (or of
+    init_state), without a load of its own: E, B, V and S_tilde are
+    state.terms; the ball map sums Stencil.energy_density, and the Hessian
+    reads the stencil's stacks, those of the load that the rhs read.
+    GridError unless the run's stencil last loaded the state's map."""
+    grid, st, T = state.grid, state.work.stencil, state.terms
+    if st.source is not state.u.values:
+        raise GridError("the run's stencil holds another map's load")
     sup_loc = float(np.max(ball_sum_map(st.energy_density(), grid,
                                         state.config.ball_radius)))
     hd = float(np.sum(st.hessian_sq() * grid.w))
     state.ledger.append(EnergyRecord(
-        t=state.t, E=E, dirichlet=0.5 * E, B_term=B_term, V_term=V_term,
-        S_tilde=S, kinetic=state.last_kinetic,
+        t=state.t, E=T.E, dirichlet=T.dirichlet, B_term=T.B_term,
+        V_term=T.V_term, S_tilde=T.S_tilde, kinetic=state.last_kinetic,
         cum_dissipation=state.cum_dissipation, hess_diag=hd,
         sup_local_energy=sup_loc, dt=state.dt))
 
@@ -523,11 +502,11 @@ def _snapshot(state: FlowState):
 
 
 def _trial(state: FlowState, rhs: np.ndarray, dt: float):
-    """Projected Euler candidate pi(u + dt rhs) and its action.  The
+    """Projected Euler candidate pi(u + dt rhs) and its action terms.  The
     candidate is a fresh map: u + dt rhs is written into it and projected
-    in place, so the map a step accepts is the one it built.  The
-    workspace stencil is left holding the candidate, from which step
-    forms the rhs of the trial it accepts.
+    in place, so the map a step accepts is the one it built.  It is loaded
+    into the run's stencil, which is left holding it, so step forms the
+    rhs of the candidate it accepts from this load.
 
     Raises NonFiniteStateError, naming t, the step and a node, when the
     action is not finite: every acceptance test would fail on a NaN and dt
@@ -538,7 +517,9 @@ def _trial(state: FlowState, rhs: np.ndarray, dt: float):
     np.multiply(component_first(rhs), dt, out=T)
     T += component_first(state.u.values)
     state.target.project(new_vals, out=new_vals)
-    S_new = action_value(new_vals, state.grid, state.fields, state.work)
+    terms = _action_terms(state.work.stencil.load(new_vals), new_vals,
+                          state.fields)
+    S_new = terms.S_tilde
     if not math.isfinite(S_new):
         where = "no non-finite node"
         for name, a in (("u", state.u.values), ("rhs", rhs),
@@ -551,7 +532,7 @@ def _trial(state: FlowState, rhs: np.ndarray, dt: float):
         raise NonFiniteStateError(
             f"non-finite action S={S_new} in step {state.steps + 1} from "
             f"t={state.t:.9g} (dt={dt:.3g}); {where}")
-    return new_vals, S_new
+    return new_vals, terms
 
 
 def step(state: FlowState) -> FlowState:
@@ -564,9 +545,10 @@ def step(state: FlowState) -> FlowState:
     that would pass t_end is shortened to end exactly there; that is not a
     halving, so state.dt and the stable-step count are left as they were.
     The step starts from state.rhs, and replaces it with a fresh array, the
-    rhs of the new map, formed from the stencil the accepted trial loaded;
-    the kinetic difference u_new - u is then formed in the stencil's
-    scratch `tmp`, which that rhs no longer needs.  A state without a
+    rhs of the new map, formed from the stencil the accepted trial loaded,
+    and keeps that trial's action terms in state.terms; the kinetic
+    difference u_new - u is then formed in the stencil's scratch `tmp`,
+    which that rhs no longer needs.  A state without a
     workspace (one that `run` returned) gets a fresh one: every trial loads
     its own map, so no step reads what an earlier one left there.
     """
@@ -580,19 +562,18 @@ def step(state: FlowState) -> FlowState:
     dt = dt0
     collapsed = False
     while True:
-        new_vals, S_new = _trial(state, rhs, dt)
-        if S_new <= state.S_current + tol_up:
+        new_vals, terms = _trial(state, rhs, dt)
+        if terms.S_tilde <= state.S_current + tol_up:
             break
         dt *= 0.5
         if dt < cfg.dt_min:
             collapsed = True
             dt = min(cfg.dt_min, dt0)
-            new_vals, S_new = _trial(state, rhs, dt)
+            new_vals, terms = _trial(state, rhs, dt)
             break
     # free the old rhs first, so that the new one can take its memory
     state.rhs = rhs = None
-    state.rhs = flow_rhs(new_vals, state.grid, state.target, state.fields,
-                         state.work)
+    state.rhs = _loaded_rhs(state.work, new_vals, state.target, state.fields)
 
     diff = state.work.stencil.tmp
     np.subtract(component_first(new_vals), component_first(vals),
@@ -606,7 +587,7 @@ def step(state: FlowState) -> FlowState:
     state.last_kinetic = kinetic
     state.u = MapField(new_vals, state.target)
     state.t = cfg.t_end if dt == remaining else state.t + dt
-    state.S_current = S_new
+    state.terms = terms
     state.steps += 1
 
     if collapsed:
@@ -637,10 +618,13 @@ def run(u0: MapField, grid: SurfaceGrid, target: TargetManifold,
         fields: FieldBackground, config: FlowConfig) -> FlowState:
     """Advance the flow to exactly t_end (or convergence).  Deterministic.
 
-    The returned state keeps what a caller reads (u, rhs, the ledger, the
-    events and the snapshot ring) and drops the workspace; a `step` from it
-    builds a fresh one and gives the bits it would have given without the
-    return."""
+    With conv_tol > 0, each record probes convergence from the kinetic
+    energy and the L2 norm of P(u) rhs: the rhs's normal part is O(dx^2)
+    truncation, which does not vanish at a critical point.
+    The returned state keeps what a caller reads (u, rhs, terms, the
+    ledger, the events and the snapshot ring) and drops the workspace; a
+    `step` from it builds a fresh one and gives the bits it would have
+    given without the return."""
     state = init_state(u0, grid, target, fields, config)
     while state.t < config.t_end and not state.converged:
         step(state)
@@ -648,8 +632,9 @@ def run(u0: MapField, grid: SurfaceGrid, target: TargetManifold,
             _record(state)
             _snapshot(state)
             if config.conv_tol > 0.0:
+                tangent = tangent_project(target, state.u.values, state.rhs)
                 state.converged = convergence_probe(state.last_kinetic,
-                                                    l2_norm(state.rhs, grid),
+                                                    l2_norm(tangent, grid),
                                                     config.conv_tol)
     state.work = None
     return state
