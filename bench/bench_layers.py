@@ -2,25 +2,36 @@
 
 For each workload that BENCHMARK.json names, builds the state that
 perfbench/workloads.py's config and initial map give, advances it a few
-steps, and times one step and each of its layers on the same state:
+steps, and times steps from that state, and a ledger record after them,
+with every function that they call wrapped in a span of perfbench's
+tracer (perfbench/tracer.py, which this script only imports).  A layer is
+the self time of one function, its time less that of the spans it calls:
 
-    trial arithmetic  u + dt rhs into a fresh map
-    project           the in-place projection onto the target
-    load              the stencil load of the candidate
-    Dirichlet         E from the two difference stacks
-    B term, V term    the pullback and the potential's integral
-    Laplacian         the rhs's fresh array and its Laplacian
-    II                the II term, subtracted (and the e^{-2 lam} weight)
-    B-force           the one projected force of the fields, subtracted
-    kinetic           u_new - u in the stencil scratch and its L2 norm
-    rest              the acceptance test and the new MapField
+    action.step           the acceptance test, u_new - u and the bookkeeping
+    action._trial         the trial arithmetic u + dt rhs into a fresh map
+    target.project        the in-place projection onto the target
+    Stencil.load          the load of the candidate
+    action._action_terms  the sums of the B and V terms
+    Stencil.dirichlet     E from the two difference stacks
+    two_form.pullback     the pullback of the two-form (B term)
+    potential.shifted     the shifted potential (V term)
+    action._loaded_rhs    the rhs's fresh array, its subtractions and weight
+    Stencil.laplacian     the Laplacian
+    target.sff_trace      the II term
+    action._bfield_force  the wedges and fluxes of the fields' force
+    tangent_project       the force's one projection
+    l2_inner              the kinetic energy's sum
 
-plus the two parts of a ledger record (the ball map of the energy density
-and the Hessian sum).  Layers of a field that does not act are left out.
-Each repeat times every entry once, in turn, so the repeats interleave;
-each time is the mean of `number` back-to-back calls, and the table keeps
-the median and quartiles over the repeats, in microseconds.
-`unaccounted_ratio` is 1 - (sum of the layer medians) / (step median).
+and for the record: action._record, ball_sum_map, Stencil.energy_density
+and Stencil.hessian_sq.  Layers of a field that does not act read 0.
+
+Each repeat steps `number` copies of the state untraced, then `number`
+copies traced, and records once; the table keeps the median and quartiles
+over the repeats of each layer's self time per step, in microseconds, and
+its calls per step.  The layers and the step's own self time add up to
+the traced step; `unaccounted_ratio` is the share of the step's own self
+time in it, and `trace_overhead_ratio` the traced step over the untraced
+one, less 1.
 
     python bench/bench_layers.py [--repeats N] [--seed N] [--workload NAME ...]
 
@@ -52,12 +63,15 @@ sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "perfbench")]
 import numpy as np  # noqa: E402
 
 import stringflow as sf  # noqa: E402
-from stringflow.action import TOL_UP, _bfield_force  # noqa: E402
-from stringflow.grid import component_first  # noqa: E402
+from stringflow import action  # noqa: E402
+from stringflow.grid import Stencil  # noqa: E402
+from tracer import Tracer  # noqa: E402
 from workloads import WORKLOADS  # noqa: E402
 
 WARM_STEPS = 10         # steps from u0 before timing: a running state
 BLOCK_S = 5e-3          # each timed block of `number` steps lasts about this
+RECORD = ("action._record", "ball_sum_map", "Stencil.energy_density",
+          "Stencil.hessian_sq")
 
 
 def _state(name: str, seed: int):
@@ -72,131 +86,104 @@ def _state(name: str, seed: int):
     return state
 
 
-def _entries(state) -> dict:
-    """name -> callable: the layers of a step from `state` and the record's
-    two parts, each on the map that the step accepts when its first trial
-    passes, `cand`, which "load" loads."""
-    grid, target, fields = state.grid, state.target, state.fields
-    work, u, rhs, dt = state.work, state.u.values, state.rhs, state.dt
-    st = work.stencil
-    cf = component_first
-
-    def trial_arithmetic():
-        new = sf.empty_map(rhs.shape)
-        T = cf(new)
-        np.multiply(cf(rhs), dt, out=T)
-        T += cf(u)
-        return new
-
-    cand = target.project(trial_arithmetic())
-    y = trial_arithmetic()
-    R = cf(np.empty_like(u))     # the rhs that II and the B-force reduce
-    terms = sf.energies(cand, grid, fields)
-    tol_up = TOL_UP * (1.0 + state.S0)
-
-    def b_term():
-        ux, uy = st.centred()
-        return float(np.sum(fields.b.pullback(cand, ux, uy))
-                     * grid.dx * grid.dy)
-
-    def v_term():
-        Vw = fields.V.shifted(cand)
-        Vw *= grid.w
-        return float(np.sum(Vw))
-
-    def ii():
-        ux, uy = st.centred()
-        R[...] -= cf(target.sff_trace(cand, ux, uy, out=st.tmp))
-        if not grid.is_flat:
-            R[...] *= grid.em2l
-
-    def b_force():
-        R[...] -= cf(_bfield_force(work, cand, target, fields))
-
-    def kinetic():
-        diff = st.tmp
-        np.subtract(cf(cand), cf(u), out=cf(diff))
-        return sf.l2_inner(diff, diff, grid) / (dt * dt)
-
-    def rest():
-        if not math.isfinite(terms.S_tilde):
-            raise sf.NonFiniteStateError("non-finite action")
-        sf.MapField(cand, target)
-        return terms.S_tilde <= state.S_current + tol_up
-
-    entries = {
-        "trial_arithmetic": trial_arithmetic,
-        "project": lambda: target.project(y, out=y),
-        "load": lambda: st.load(cand),
-        "dirichlet": st.dirichlet,
-        "B_term": b_term,
-        "V_term": v_term,
-        "laplacian": lambda: st.laplacian(np.empty_like(cand)),
-        "II": ii,
-        "B_force": b_force,
-        "kinetic": kinetic,
-        "rest": rest,
-        "record_ball_map": lambda: float(np.max(sf.ball_sum_map(
-            st.energy_density(), grid, state.config.ball_radius))),
-        "record_hessian": lambda: float(np.sum(st.hessian_sq() * grid.w)),
+def _layers(state) -> dict:
+    """layer -> (owner, attribute): the functions that a step and a record
+    of `state` call, as they look them up."""
+    target, fields = type(state.target), state.fields
+    return {
+        "action.step": (action, "step"),
+        "action._trial": (action, "_trial"),
+        "target.project": (target, "project"),
+        "Stencil.load": (Stencil, "load"),
+        "action._action_terms": (action, "_action_terms"),
+        "Stencil.dirichlet": (Stencil, "dirichlet"),
+        "two_form.pullback": (type(fields.b), "pullback"),
+        "potential.shifted": (type(fields.V), "shifted"),
+        "action._loaded_rhs": (action, "_loaded_rhs"),
+        "Stencil.laplacian": (Stencil, "laplacian"),
+        "target.sff_trace": (target, "sff_trace"),
+        "action._bfield_force": (action, "_bfield_force"),
+        "tangent_project": (action, "tangent_project"),
+        "l2_inner": (action, "l2_inner"),
+        "action._record": (action, "_record"),
+        "ball_sum_map": (action, "ball_sum_map"),
+        "Stencil.energy_density": (Stencil, "energy_density"),
+        "Stencil.hessian_sq": (Stencil, "hessian_sq"),
     }
-    if fields.b.is_zero:
-        del entries["B_term"]
-    if fields.V.is_zero:
-        del entries["V_term"]
-    if fields.b.is_zero and fields.V.is_zero:
-        del entries["B_force"]
-    return entries
 
 
-def _time(f, number: int) -> float:
-    t0 = time.perf_counter()
-    for _ in range(number):
-        f()
-    return (time.perf_counter() - t0) / number
+def _quartiles(xs: list) -> dict:
+    q1, med, q3 = statistics.quantiles(xs, n=4, method="inclusive")
+    return {"median_us": med, "q1_us": q1, "q3_us": q3}
 
 
 def layer_table(name: str, seed: int, repeats: int) -> dict:
     state = _state(name, seed)
-    copies = []
+    layers = _layers(state)
+    tracer = Tracer()
+    originals = {k: getattr(o, a) for k, (o, a) in layers.items()}
+    wrapped = {k: tracer.span(k, f) for k, f in originals.items()}
 
-    def step():
-        # each call steps its own copy of the state, made before the block
-        sf.step(copies.pop())
+    def bind(fns):
+        for k, (owner, attr) in layers.items():
+            setattr(owner, attr, fns[k])
 
-    def steps(number):
-        copies[:] = [replace(state, ledger=sf.EnergyLedger(), events=[],
-                             snapshots=[]) for _ in range(number)]
-        return _time(step, number)
+    def copies(number):
+        return [replace(state, ledger=sf.EnergyLedger(), events=[],
+                        snapshots=[]) for _ in range(number)]
 
-    number = max(1, math.ceil(BLOCK_S / min(steps(1) for _ in range(3))))
-    entries = {"step": lambda: steps(number), **_entries(state)}
-    samples = {k: [] for k in entries}
-    for _ in range(repeats):
-        for k, f in entries.items():
-            samples[k].append(1e6 * (f() if k == "step" else _time(f, number)))
-            if k == "step":     # the layers read the candidate's load
-                entries["load"]()
-    table = {}
-    for k, xs in samples.items():
-        q1, med, q3 = statistics.quantiles(xs, n=4, method="inclusive")
-        table[k] = {"median_us": statistics.median(xs), "q1_us": q1,
-                    "q3_us": q3}
-    layers = [k for k in entries if k != "step" and not k.startswith("record")]
-    layer_sum = sum(table[k]["median_us"] for k in layers)
-    step_us = table["step"]["median_us"]
+    def block(number):
+        """Seconds per step over `number` copies of the state, and the last
+        copy, whose map the run's stencil holds."""
+        states = copies(number)
+        t0 = time.perf_counter()
+        for s in states:
+            action.step(s)      # the module's name, which bind() rebinds
+        return (time.perf_counter() - t0) / number, states[-1]
+
+    number = max(1, math.ceil(BLOCK_S / min(block(1)[0] for _ in range(3))))
+    step_s, ratios, self_us, calls = [], [], {k: [] for k in layers}, {}
+    try:
+        for _ in range(repeats):
+            step_s.append(block(number)[0])
+            bind(wrapped)
+            before = tracer.snapshot()
+            _, last = block(number)
+            action._record(last)
+            after = tracer.snapshot()
+            bind(originals)
+            def spent(kind, k):
+                return after[kind].get(k, 0.0) - before[kind].get(k, 0.0)
+
+            per_step = {k: spent("self", k) / number
+                        for k in layers if k not in RECORD}
+            per_step.update({k: spent("self", k) for k in RECORD})
+            for k, v in per_step.items():
+                self_us[k].append(1e6 * v)
+            step_total = spent("total", "action.step") / number
+            ratios.append((per_step["action.step"] / step_total, step_total))
+    finally:
+        bind(originals)
+    for k in layers:
+        n = tracer.calls.get(k, 0) / repeats
+        calls[k] = n if k in RECORD else n / number
+    table = {k: {**_quartiles(xs), "calls": calls[k]}
+             for k, xs in self_us.items()}
+    step_us = 1e6 * statistics.median(step_s)
+    traced_us = 1e6 * statistics.median(t for _, t in ratios)
     g = state.grid
     return {
         "grid": [g.nx, g.ny], "q": state.target.q,
         "two_form": not state.fields.b.is_zero,
         "potential": not state.fields.V.is_zero,
         "conformal": not g.is_flat,
-        "calls_per_sample": number,
+        "steps_per_sample": number,
         "step_us": step_us,
-        "layers": {k: table[k] for k in layers},
-        "record": {k: table[k] for k in entries if k.startswith("record")},
-        "layer_sum_us": layer_sum,
-        "unaccounted_ratio": 1.0 - layer_sum / step_us,
+        "traced_step_us": traced_us,
+        "trace_overhead_ratio": traced_us / step_us - 1.0,
+        "layers": {k: v for k, v in table.items() if k not in RECORD},
+        "record": {k: table[k] for k in RECORD},
+        "unaccounted_ratio": statistics.median(r for r, _ in ratios),
     }
 
 
@@ -240,8 +227,8 @@ def main(argv=None) -> int:
         f.write("\n")
     print(path)
     for name, t in result["workloads"].items():
-        print(f"{name}: step {t['step_us']:.0f} us, layers "
-              f"{t['layer_sum_us']:.0f} us, unaccounted "
+        print(f"{name}: step {t['step_us']:.0f} us (traced "
+              f"{t['traced_step_us']:.0f} us), unaccounted "
               f"{t['unaccounted_ratio']:.3f}")
     return 0
 

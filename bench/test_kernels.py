@@ -130,7 +130,7 @@ def test_flow_rhs_two_form_and_potential(benchmark, case, b_kind):
                                                     epsilon=5e-3))
     work = sf.Workspace(grid, u.shape, fields)
     work.stencil.load(u)
-    benchmark(_loaded_rhs, work, u, sphere, fields)
+    benchmark(_loaded_rhs, work, sphere, fields)
 
 
 def test_bfield_force(benchmark, case):

@@ -28,12 +28,14 @@ Discretization notes (the choices here are load-bearing):
   that rhs is formed.  A map that a state holds is never written again,
   so values are carried forward, not re-derived: FlowState.rhs and
   FlowState.terms are the rhs and action terms of u, which the next step,
-  the convergence probe and the ledger record read; init_state forms both
-  from one load of u0.
+  the convergence probe and the ledger record read.  init_state takes
+  them for u0 from the public energies and flow_rhs, which the benchmark's
+  tracer times, and then loads u0 into the run's stencil for the first
+  record: three loads of u0, once per run.
   A load forms the centred and the second differences, and the action
   terms, the rhs and the ledger record all read them.  A ledger record
   loads nothing: it reads FlowState.terms and the two stacks of the run's
-  stencil, which no operator writes, so a run loads each map once.
+  stencil, which no operator writes, so a step loads each candidate once.
   The snapshot ring keeps the run's maps by reference, within a byte
   budget, SNAPSHOT_BYTES = 4 MiB: it keeps the newest
   cap = max(1, SNAPSHOT_BYTES // (2 * map bytes)) maps at full density and
@@ -237,18 +239,19 @@ def flow_rhs(vals: np.ndarray, grid: SurfaceGrid, target: TargetManifold,
     """
     work = Workspace(grid, vals.shape, fields)
     work.stencil.load(vals)
-    return _loaded_rhs(work, vals, target, fields)
+    return _loaded_rhs(work, target, fields)
 
 
-def _loaded_rhs(work: Workspace, vals: np.ndarray, target: TargetManifold,
+def _loaded_rhs(work: Workspace, target: TargetManifold,
                 fields: FieldBackground) -> np.ndarray:
-    """flow_rhs of vals, read from work's stencil, which holds its load.
-    Each term is formed in the stencil's scratch and subtracted, plane by
-    plane on the component-first views; the rhs itself is a fresh array in
-    the layout of vals."""
+    """flow_rhs of the map that work's stencil last loaded (its `source`),
+    read from that load.  Each term is formed in the stencil's scratch and
+    subtracted, plane by plane on the component-first views; the rhs
+    itself is a fresh array in the layout of the map."""
     st = work.stencil
     grid = st.grid
     ux, uy = st.centred()
+    vals = st.source
     rhs = st.laplacian(np.empty_like(vals))
     R = component_first(rhs)
     R -= component_first(target.sff_trace(vals, ux, uy, out=st.tmp))
@@ -418,11 +421,11 @@ class FlowState:
     caller: u.values is the newest entry of the snapshot ring, which holds
     the run's maps by reference, rhs is flow_rhs(u), which the next step
     starts from, and terms are energies(u), which the ledger record reads
-    and whose S_tilde is S_current.  Both come from the load of u that the
-    step (or init_state) made.  A caller that wants to alter a map writes
-    to a copy and, to go on, starts a new run from it.  `work` is the run's Workspace while it
-    steps; the state that `run` returns has none, and `step` builds one on
-    demand.
+    and whose S_tilde is S_current.  A step takes both from its load of
+    u; init_state calls energies and flow_rhs.  A caller that wants to
+    alter a map writes to a copy and, to go on, starts a new run from it.
+    `work` is the run's Workspace while it steps; the state that `run`
+    returns has none, and `step` builds one on demand.
     """
     t: float
     u: MapField
@@ -455,9 +458,18 @@ def init_state(u0: MapField, grid: SurfaceGrid, target: TargetManifold,
     vals = empty_map(u0.values.shape)
     vals[...] = u0.values
     u = MapField(target.project(vals, out=vals), target)
+    # u0's terms and rhs from the public operators, so that the benchmark's
+    # tracer times this work as it times a step's; the record at t = 0
+    # reads the run's own load.  The order is measured: the run's buffers
+    # come after the stencil that energies frees, whose pages they reuse
+    # (allocated first, the untraced load below faulted them in, and the
+    # smoke workload's unaccounted share rose 0.08 -> 0.10), and before
+    # flow_rhs's, which would leave them in the heap (bubble_probe_64's
+    # peak RSS +0.35 MB)
+    terms = energies(vals, grid, fields)
     work = Workspace(grid, vals.shape, fields)
-    terms = _action_terms(work.stencil.load(vals), vals, fields)
-    rhs = _loaded_rhs(work, vals, target, fields)
+    rhs = flow_rhs(vals, grid, target, fields)
+    work.stencil.load(vals)
     dt = config.dt_init if config.dt_init is not None else cfl_bound(grid, config.cfl)
     state = FlowState(t=0.0, u=u, dt=dt, grid=grid, target=target,
                       fields=fields, config=config, S0=terms.S_tilde,
@@ -573,7 +585,7 @@ def step(state: FlowState) -> FlowState:
             break
     # free the old rhs first, so that the new one can take its memory
     state.rhs = rhs = None
-    state.rhs = _loaded_rhs(state.work, new_vals, state.target, state.fields)
+    state.rhs = _loaded_rhs(state.work, state.target, state.fields)
 
     diff = state.work.stencil.tmp
     np.subtract(component_first(new_vals), component_first(vals),

@@ -67,10 +67,13 @@ def k_bound(S0: float, delta1: float, delta2: float) -> int | None:
     return int(math.floor(bound)) if math.isfinite(bound) else None
 
 
-def convergence_probe(kinetic: float, el_residual_l2: float,
+def convergence_probe(kinetic: float, tangent_rhs_l2: float,
                       conv_tol: float) -> bool:
-    """Converged when int |du/dt|^2 <= conv_tol^2 and EL residual <= 10 conv_tol."""
-    return bool(kinetic <= conv_tol ** 2 and el_residual_l2 <= 10.0 * conv_tol)
+    """Converged when int |du/dt|^2 <= conv_tol^2 and the L2 norm of the
+    rhs's tangent part, P(u) rhs, is <= 10 conv_tol.  The tangent part
+    vanishes at a critical point; the whole rhs (action.el_residual) keeps
+    an O(dx^2) normal truncation part there."""
+    return bool(kinetic <= conv_tol ** 2 and tangent_rhs_l2 <= 10.0 * conv_tol)
 
 
 # -- parabolic rescaling -----------------------------------------------------------

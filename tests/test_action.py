@@ -616,11 +616,12 @@ def test_record_matches_a_record_from_a_fresh_load(sphere, lam, n,
     # bit for bit.  A 96^2 stencil slices the map instead of copying its
     # shifts.  Each trial loads its candidate once, and neither the rhs
     # nor the record loads
-    loads, trials = [], []
+    loads, stencils, trials = [], [], []
     load, trial = Stencil.load, action._trial
 
     def counted_load(self, f):
         loads.append(f)
+        stencils.append(self)
         return load(self, f)
 
     def counted_trial(state, rhs, dt):
@@ -640,8 +641,10 @@ def test_record_matches_a_record_from_a_fresh_load(sphere, lam, n,
     cfg = sf.FlowConfig(t_end=1.0)
     st = sf.init_state(u0, g, sphere, fields, cfg)
     assert st.work.stencil.sliced == (n == 96)
-    # init_state loads u0 once, for its action terms and its rhs
-    assert len(loads) == 1 and loads[0] is st.u.values
+    # energies and flow_rhs load u0 into stencils of their own, and
+    # init_state loads it into the run's stencil once, for the record
+    assert all(f is st.u.values for f in loads)
+    assert [s for s in stencils if s is st.work.stencil] == [st.work.stencil]
 
     def step_and_record():
         loads.clear()
