@@ -11,14 +11,15 @@ the self time of one function, its time less that of the spans it calls:
     action._trial         the trial arithmetic u + dt rhs into a fresh map
     target.project        the in-place projection onto the target
     Stencil.load          the load of the candidate
-    action._action_terms  the sums of the B and V terms
+    action._action_terms  the sums of the B and V terms (the fields' integral)
     Stencil.dirichlet     E from the two difference stacks
     two_form.pullback     the pullback of the two-form (B term)
     potential.shifted     the shifted potential (V term)
     action._loaded_rhs    the rhs's fresh array, its subtractions and weight
     Stencil.laplacian     the Laplacian
     target.sff_trace      the II term
-    action._bfield_force  the wedges and fluxes of the fields' force
+    action._bfield_force  the force sum's zeroing, weight and potential fold
+    two_form.add_gradient the wedges and fluxes of the B-force
     tangent_project       the force's one projection
     l2_inner              the kinetic energy's sum
 
@@ -32,6 +33,11 @@ its calls per step.  The layers and the step's own self time add up to
 the traced step; `unaccounted_ratio` is the share of the step's own self
 time in it, and `trace_overhead_ratio` the traced step over the untraced
 one, less 1.
+
+The `presets` section times every preset of stringflow.config.PRESETS end
+to end: `run()` from the preset's built objects, the presets taken in turn
+within each repeat, with the median and quartiles of its wall time in
+seconds, its step count and the steps per second at the median.
 
     python bench/bench_layers.py [--repeats N] [--seed N] [--workload NAME ...]
 
@@ -103,6 +109,7 @@ def _layers(state) -> dict:
         "Stencil.laplacian": (Stencil, "laplacian"),
         "target.sff_trace": (target, "sff_trace"),
         "action._bfield_force": (action, "_bfield_force"),
+        "two_form.add_gradient": (type(fields.b), "add_gradient"),
         "tangent_project": (action, "tangent_project"),
         "l2_inner": (action, "l2_inner"),
         "action._record": (action, "_record"),
@@ -112,9 +119,29 @@ def _layers(state) -> dict:
     }
 
 
-def _quartiles(xs: list) -> dict:
+def _quartiles(xs: list, unit: str = "us") -> dict:
     q1, med, q3 = statistics.quantiles(xs, n=4, method="inclusive")
-    return {"median_us": med, "q1_us": q1, "q3_us": q3}
+    return {f"median_{unit}": med, f"q1_{unit}": q1, f"q3_{unit}": q3}
+
+
+def preset_table(repeats: int) -> dict:
+    """Wall time of run() per preset, over `repeats` rounds that each run
+    every preset once, and its steps per second at the median."""
+    built = {name: sf.build_objects(sf.preset_config(name))
+             for name in sf.PRESETS}
+    times, steps = {name: [] for name in built}, {}
+    for _ in range(repeats):
+        for name, (grid, target, fields, u0, flow_cfg) in built.items():
+            t0 = time.perf_counter()
+            state = sf.run(u0, grid, target, fields, flow_cfg)
+            times[name].append(time.perf_counter() - t0)
+            steps[name] = state.steps
+    table = {}
+    for name, xs in times.items():
+        row = _quartiles(xs, "s")
+        table[name] = {**row, "steps": steps[name],
+                       "steps_per_s": steps[name] / row["median_s"]}
+    return table
 
 
 def layer_table(name: str, seed: int, repeats: int) -> dict:
@@ -220,6 +247,7 @@ def main(argv=None) -> int:
         "warm_steps": WARM_STEPS,
         "workloads": {name: layer_table(name, args.seed, args.repeats)
                       for name in names},
+        "presets": preset_table(args.repeats),
     }
     path = os.path.join(ROOT, f"BENCH_{sha[:12]}.json")
     with open(path, "w") as f:
@@ -230,6 +258,9 @@ def main(argv=None) -> int:
         print(f"{name}: step {t['step_us']:.0f} us (traced "
               f"{t['traced_step_us']:.0f} us), unaccounted "
               f"{t['unaccounted_ratio']:.3f}")
+    for name, t in result["presets"].items():
+        print(f"preset {name}: {t['median_s']:.3f} s, {t['steps']} steps, "
+              f"{t['steps_per_s']:.0f} steps/s")
     return 0
 
 

@@ -142,7 +142,7 @@ def test_bfield_force(benchmark, case):
                                                     epsilon=5e-3))
     work = sf.Workspace(grid, u.shape, fields)
     work.stencil.load(u).centred()
-    benchmark(_bfield_force, work, u, sphere, fields)
+    benchmark(_bfield_force, work, sphere, fields)
 
 
 def test_step(benchmark, case):

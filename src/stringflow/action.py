@@ -10,9 +10,12 @@ Discretization notes (the choices here are load-bearing):
   Dirichlet and B terms carry no conformal weight (conformal invariance).
 * The B-field force in flow_rhs is the exact discrete gradient of the
   discrete pullback integral; it equals the Z-operator term
-  Z(du(e1) ^ du(e2)) up to O(dx^2).  This makes the discrete flow an exact
-  gradient flow of the ledger action, so the dissipation identity defect is
-  pure O(dt) and the gradient-consistency check is exact up to O(eps^2).
+  Z(du(e1) ^ du(e2)) up to O(dx^2).  Both live on the two-form, beside
+  each other: TwoFormField.integral is the sum and
+  TwoFormField.add_gradient its gradient.  This makes the discrete flow an
+  exact gradient flow of the ledger action, so the dissipation identity
+  defect is pure O(dt) and the gradient-consistency check is exact up to
+  O(eps^2).
 * action_value and flow_rhs take a map and nothing else: each loads the
   array it is given into a fresh grid.Stencil and takes every difference
   from it.  A run owns its load instead.  Its Workspace, which init_state
@@ -47,8 +50,12 @@ Discretization notes (the choices here are load-bearing):
   the B-force and the potential's force once, whenever either acts.  P(u)
   is linear, so e^{-2 lam} P(u) g + P(u) a = P(u)(e^{-2 lam} g + a); this
   moves the rhs by rounding only, and not at all for a zero form (g = 0).
-* The action has one formula, _action_terms: E from grid.Stencil.dirichlet
-  and S_tilde = 0.5*E + B + V, in that order.  energies and action_value
+  g comes from TwoFormField.add_gradient and a from
+  ScalarPotential.add_gradient; _bfield_force only zeroes g, weights it
+  and projects the sum.
+* The action has one formula, _action_terms: E from grid.Stencil.dirichlet,
+  B from TwoFormField.integral, V from ScalarPotential.integral, and
+  S_tilde = 0.5*E + B + V, in that order.  energies and action_value
   return it, every step's acceptance test compares its S_tilde, and the
   ledger record reads the terms the step kept, so a ledger row's S_tilde
   is the S_current that the step accepted, bit for bit.  The ledger's
@@ -66,9 +73,9 @@ from dataclasses import dataclass, field as dc_field, fields as dc_fields
 import numpy as np
 
 from .errors import GridError, NonFiniteStateError
-from .fields import FieldBackground, wedge
-from .grid import (Stencil, SurfaceGrid, ball_sum_map, centred,
-                   component_first, empty_map, l2_inner, l2_norm)
+from .fields import FieldBackground
+from .grid import (Stencil, SurfaceGrid, ball_sum_map, component_first,
+                   empty_map, l2_inner, l2_norm)
 from .singular import SingularEvent, convergence_probe
 from .targets import TargetManifold, tangent_project
 
@@ -118,31 +125,23 @@ def dirichlet_energy(u: np.ndarray, grid: SurfaceGrid) -> float:
     return Stencil.once(grid, u).dirichlet()
 
 
-def _action_terms(st: Stencil, vals: np.ndarray,
-                  fields: FieldBackground) -> EnergyTerms:
-    """The action terms of `vals`, loaded in `st`: E from the centred and
-    second differences (Stencil.dirichlet), the pullback from the centred
-    ones.  The one formula of the action: energies and action_value return
-    it, and a step keeps its accepted candidate's for the ledger."""
-    grid = st.grid
+def _action_terms(st: Stencil, fields: FieldBackground) -> EnergyTerms:
+    """The action terms of the map that `st` last loaded (its `source`): E
+    from the centred and second differences (Stencil.dirichlet), B and V
+    from the fields' own terms (TwoFormField.integral, the pullback of the
+    centred differences, and ScalarPotential.integral).  The one formula
+    of the action: energies and action_value return it, and a step keeps
+    its accepted candidate's for the ledger."""
     E = st.dirichlet()
-    B_term = 0.0
-    if not fields.b.is_zero:
-        ux, uy = st.centred()
-        B_term = float(np.sum(fields.b.pullback(vals, ux, uy))
-                       * grid.dx * grid.dy)
-    V_term = 0.0
-    if not fields.V.is_zero:
-        Vw = fields.V.shifted(vals)
-        Vw *= grid.w
-        V_term = float(np.sum(Vw))
+    B_term = fields.b.integral(st)
+    V_term = fields.V.integral(st.source, st.grid)
     return EnergyTerms(E=E, dirichlet=0.5 * E, B_term=B_term, V_term=V_term,
                        S_tilde=0.5 * E + B_term + V_term)
 
 
 def energies(vals: np.ndarray, grid: SurfaceGrid,
              fields: FieldBackground) -> EnergyTerms:
-    return _action_terms(Stencil.once(grid, vals), vals, fields)
+    return _action_terms(Stencil.once(grid, vals), fields)
 
 
 def action_value(vals: np.ndarray, grid: SurfaceGrid,
@@ -173,55 +172,27 @@ class Workspace:
 
 # -- flow right-hand side ---------------------------------------------------------
 
-def _bfield_force(work: Workspace, vals: np.ndarray, target: TargetManifold,
+def _bfield_force(work: Workspace, target: TargetManifold,
                   fields: FieldBackground) -> np.ndarray:
-    """P(u)(e^{-2 lam} g + a), the one force of the background fields: g
-    the coordinate gradient of the discrete B-term, a the potential's
-    gradient, both ambient forces in one projection.  In order: g is
-    zeroed, takes the wedges and flux differences of the two-form's terms
-    (none for a zero form), is scaled by e^{-2 lam} on a conformal grid,
-    takes a, and is projected once into the stencil's scratch.  For a zero
-    form g is exactly a, since 0 * e^{-2 lam} = 0.
-
-    Gradient of sum_n (D0x u)^T b(u) (D0y u), b_ij(u) = u^k C_kij:
-        g^k = C_kij ux^i uy^j - D0x(b_kj uy^j) - D0y(ux^i b_ik),
-    which converges to Omega_kij ux^i uy^j.  In the flow, e^{-2 lam} P(u) g
-    = Z(du(e1) ^ du(e2)) + O(dx^2).  ux, uy are the centred differences
-    already in the workspace stencil.  Each term (k, i, j, c) of b adds its
-    wedge to g^k and differences its four fluxes straight into g:
-        g^i -= D0x(c u^k uy^j),  g^j += D0x(c u^k uy^i),
-        g^j -= D0y(c u^k ux^i),  g^i += D0y(c u^k ux^j),
-    each flux and its difference formed in two planes of the stencil's
-    scratch, which then takes the projected force.  g is zeroed whole per
-    call, so a plane that no term writes is 0 and is scaled by e^{-2 lam}
-    with the rest.  When no k of b is another term's i or j, as
-    for y4, each plane gets the operations of summing the fluxes over the
-    terms and differencing the sums, bit for bit.
+    """P(u)(e^{-2 lam} g + a), the one force of the background fields, at
+    the map u that work's stencil last loaded: g the coordinate gradient of
+    the discrete B-term, a the potential's gradient, both ambient forces in
+    one projection.  In order: g is zeroed, takes the two-form's wedges and
+    flux differences (TwoFormField.add_gradient, nothing for a zero form),
+    is scaled by e^{-2 lam} on a conformal grid, takes a
+    (ScalarPotential.add_gradient), and is projected once into the
+    stencil's scratch.  For a zero form g is exactly a, since
+    0 * e^{-2 lam} = 0.  g is zeroed whole per call, so a plane that no
+    term writes is 0 and is scaled with the rest.
     """
     st = work.stencil
-    grid = st.grid
-    ux, uy = st.gx, st.gy
     g = work.g
-    flux, diff = st.tmp[..., 0], st.tmp[..., 1]
     g.fill(0.0)
-    for k, i, j, c in fields.b.terms:   # C_kij = c = -C_kji
-        w = wedge(ux, uy, i, j)
-        w *= c
-        g[..., k] += w
-        cu = c * vals[..., k]
-        g[..., i] -= centred(np.multiply(cu, uy[..., j], out=flux), 0,
-                             grid.dx, out=diff)
-        g[..., j] += centred(np.multiply(cu, uy[..., i], out=flux), 0,
-                             grid.dx, out=diff)
-        g[..., j] -= centred(np.multiply(cu, ux[..., i], out=flux), 1,
-                             grid.dy, out=diff)
-        g[..., i] += centred(np.multiply(cu, ux[..., j], out=flux), 1,
-                             grid.dy, out=diff)
-    if not grid.is_flat:
-        g *= grid.em2l[..., None]
-    for k, a_k in fields.V.terms:
-        g[..., k] += a_k
-    return tangent_project(target, vals, g, out=st.tmp)
+    fields.b.add_gradient(g, st)
+    if not st.grid.is_flat:
+        g *= st.grid.em2l[..., None]
+    fields.V.add_gradient(g)
+    return tangent_project(target, st.source, g, out=st.tmp)
 
 
 def flow_rhs(vals: np.ndarray, grid: SurfaceGrid, target: TargetManifold,
@@ -258,7 +229,7 @@ def _loaded_rhs(work: Workspace, target: TargetManifold,
     if not grid.is_flat:
         R *= grid.em2l
     if not (fields.b.is_zero and fields.V.is_zero):
-        R -= component_first(_bfield_force(work, vals, target, fields))
+        R -= component_first(_bfield_force(work, target, fields))
     return rhs
 
 
@@ -343,14 +314,15 @@ class EnergyLedger:
 
 
 def monotonicity_check(ledger: EnergyLedger, delta2: float, S0: float) -> dict:
-    """E(u_t) <= delta2 * S0 at every record, plus the dissipation identity."""
+    """E(u_t) <= delta2 * S0 at every record, plus the dissipation identity
+    and monotone S_tilde within the stepper's slack TOL_UP (1 + S0)."""
     E = ledger.column("E")
     S = ledger.column("S_tilde")
     diss = ledger.column("cum_dissipation")
     bound = delta2 * S0 * (1.0 + 1e-9)
     violations = E - bound
     defect = abs(S[-1] + diss[-1] - S0)
-    steps_ok = bool(np.all(np.diff(S) <= 1e-10 * (1.0 + S0)))
+    steps_ok = bool(np.all(np.diff(S) <= TOL_UP * (1.0 + S0)))
     return {
         "energy_bound_ok": bool(np.all(violations <= 0.0)),
         "max_energy_excess": float(np.max(violations)),
@@ -522,18 +494,20 @@ def _trial(state: FlowState, rhs: np.ndarray, dt: float):
 
     Raises NonFiniteStateError, naming t, the step and a node, when the
     action is not finite: every acceptance test would fail on a NaN and dt
-    would collapse to dt_min without end.
+    would collapse to dt_min without end.  Where no node of u, rhs or the
+    candidate is non-finite (a term overflowed), it names the candidate's
+    E, B_term and V_term instead.
     """
     new_vals = empty_map(rhs.shape)
     T = component_first(new_vals)
     np.multiply(component_first(rhs), dt, out=T)
     T += component_first(state.u.values)
     state.target.project(new_vals, out=new_vals)
-    terms = _action_terms(state.work.stencil.load(new_vals), new_vals,
-                          state.fields)
+    terms = _action_terms(state.work.stencil.load(new_vals), state.fields)
     S_new = terms.S_tilde
     if not math.isfinite(S_new):
-        where = "no non-finite node"
+        where = (f"no non-finite node; E={terms.E:.9g}, "
+                 f"B_term={terms.B_term:.9g}, V_term={terms.V_term:.9g}")
         for name, a in (("u", state.u.values), ("rhs", rhs),
                         ("trial map", new_vals)):
             bad = np.argwhere(~np.isfinite(a))

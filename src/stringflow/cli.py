@@ -297,7 +297,11 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.func(args)
+        # every hostile value has its own check and exit code below, which
+        # numpy's RuntimeWarnings would only precede; library callers keep
+        # numpy's default
+        with np.errstate(all="ignore"):
+            return args.func(args)
     except (ConfigError, OSError) as e:      # a SnapshotError is an OSError
         print(f"configuration error: {e}", file=sys.stderr)
         return EXIT_BAD_CONFIG

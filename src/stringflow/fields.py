@@ -8,6 +8,14 @@ b_ij(y) = y^k C_kij with a constant tensor C skew in (i, j), so d_k b_ij =
 C_kij and the three-form Omega = dB has the constant coefficients
 Omega_kij = C_kij + C_ijk + C_jki.  Every potential is linear too,
 V(y) = <a, y>, with the constant gradient a.
+
+Each field owns its discrete term of the action and that term's exact
+gradient, the one formula of each: TwoFormField.integral is the B term of
+a loaded map and TwoFormField.add_gradient its coordinate gradient, the
+wedges and flux differences; ScalarPotential.integral is int tilde(V) dvol
+and ScalarPotential.add_gradient folds its gradient a in.  The action
+(action._action_terms), its force (action._bfield_force), pullback_integral
+and smallness_report all call them.
 """
 
 from __future__ import annotations
@@ -18,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import HypothesisError
-from .grid import Stencil, SurfaceGrid
+from .grid import Stencil, SurfaceGrid, centred
 from .registry import build_kind
 from .targets import TargetManifold, tangent_project
 
@@ -89,6 +97,51 @@ class TwoFormField:
         for k, i, j, c in self.terms:
             dens += (c * u[..., k]) * wedge(ux, uy, i, j)
         return dens
+
+    def integral(self, st: Stencil) -> float:
+        """The B term sum_n (D0x u)^T b(u) (D0y u) dx dy of u, the map that
+        `st` last loaded (its `source`), from its centred differences; 0.0
+        for a zero form.  No conformal weight: the B term is conformally
+        invariant."""
+        if self.is_zero:
+            return 0.0
+        dens = self.pullback(st.source, *st.centred())
+        return float(np.sum(dens) * st.grid.dx * st.grid.dy)
+
+    def add_gradient(self, g: np.ndarray, st: Stencil):
+        """g += the coordinate gradient of `integral` / (dx dy) at the map
+        that `st` last loaded, in place.
+
+        Gradient of sum_n (D0x u)^T b(u) (D0y u), b_ij(u) = u^k C_kij:
+            g^k = C_kij ux^i uy^j - D0x(b_kj uy^j) - D0y(ux^i b_ik),
+        which converges to Omega_kij ux^i uy^j.  In the flow, e^{-2 lam}
+        P(u) g = Z(du(e1) ^ du(e2)) + O(dx^2).  ux, uy are the stencil's
+        centred differences.  Each term (k, i, j, c) adds its wedge to g^k
+        and differences its four fluxes straight into g:
+            g^i -= D0x(c u^k uy^j),  g^j += D0x(c u^k uy^i),
+            g^j -= D0y(c u^k ux^i),  g^i += D0y(c u^k ux^j),
+        each flux and its difference formed in the first two planes of the
+        stencil's scratch `tmp`.  When no k of b is another term's i or j,
+        as for y4, each plane gets the operations of summing the fluxes
+        over the terms and differencing the sums, bit for bit.  A zero
+        form adds nothing.
+        """
+        grid = st.grid
+        ux, uy, u = st.gx, st.gy, st.source
+        flux, diff = st.tmp[..., 0], st.tmp[..., 1]
+        for k, i, j, c in self.terms:   # C_kij = c = -C_kji
+            w = wedge(ux, uy, i, j)
+            w *= c
+            g[..., k] += w
+            cu = c * u[..., k]
+            g[..., i] -= centred(np.multiply(cu, uy[..., j], out=flux), 0,
+                                 grid.dx, out=diff)
+            g[..., j] += centred(np.multiply(cu, uy[..., i], out=flux), 0,
+                                 grid.dx, out=diff)
+            g[..., j] -= centred(np.multiply(cu, ux[..., i], out=flux), 1,
+                                 grid.dy, out=diff)
+            g[..., i] += centred(np.multiply(cu, ux[..., j], out=flux), 1,
+                                 grid.dy, out=diff)
 
 
 def wedge(ux: np.ndarray, uy: np.ndarray, i: int, j: int) -> np.ndarray:
@@ -171,6 +224,21 @@ class ScalarPotential:
     def shifted(self, y: np.ndarray) -> np.ndarray:
         return self.value(y) + self.shift
 
+    def integral(self, u: np.ndarray, grid: SurfaceGrid) -> float:
+        """int tilde(V)(u) dvol = sum (V(u) + shift) e^{2 lam} dx dy, the V
+        term of the action; 0.0 for a zero potential (whose shift is 0)."""
+        if self.is_zero:
+            return 0.0
+        Vw = self.shifted(u)
+        Vw *= grid.w
+        return float(np.sum(Vw))
+
+    def add_gradient(self, g: np.ndarray):
+        """g += a, the gradient of V at every node, in place over the
+        nonzero a_k."""
+        for k, a_k in self.terms:
+            g[..., k] += a_k
+
     def grad_fd(self, y: np.ndarray, step: float = 1e-6) -> np.ndarray:
         out = np.zeros(y.shape[:-1] + (self.q,))
         for k in range(self.q):
@@ -228,9 +296,9 @@ def pullback_density(u: np.ndarray, b: TwoFormField,
 
 
 def pullback_integral(u: np.ndarray, b: TwoFormField, grid: SurfaceGrid) -> float:
-    if b.is_zero:
-        return 0.0
-    return float(np.sum(pullback_density(u, b, grid)) * grid.dx * grid.dy)
+    """The B term of u from a load of its own: TwoFormField.integral, the
+    sum that the action reads."""
+    return b.integral(Stencil.once(grid, u))
 
 
 def z_operator(u: np.ndarray, xi1: np.ndarray, xi2: np.ndarray,
@@ -253,7 +321,8 @@ def z_operator(u: np.ndarray, xi1: np.ndarray, xi2: np.ndarray,
 def tangential_grad_V(u: np.ndarray, V: ScalarPotential,
                       target: TargetManifold) -> np.ndarray:
     """P(u) grad V(u), a fresh array, for the diagnostics; the flow's rhs
-    takes the potential's force from action._bfield_force."""
+    folds a into the B-force's sum with ScalarPotential.add_gradient and
+    projects both at once (action._bfield_force)."""
     return tangent_project(target, u, V.grad(u))
 
 
@@ -340,14 +409,13 @@ class SmallnessReport:
 
 def smallness_report(u0: np.ndarray, grid: SurfaceGrid, fields: FieldBackground,
                      delta1: float, B_inf: float) -> SmallnessReport:
-    """Check the hypotheses |B|_inf < 1/2 and int tilde(V)(u0) <= d1/d2."""
-    integral = float(np.sum(fields.V.shifted(u0) * grid.w))
+    """Check the hypotheses |B|_inf < 1/2 and int tilde(V)(u0) <= d1/d2,
+    the integral the action's V term is (ScalarPotential.integral); where
+    |B|_inf >= 1/2, delta2 is inf and the bound 0."""
+    integral = fields.V.integral(u0, grid)
     passes_b = B_inf < 0.5
-    if passes_b:
-        delta2, _ = delta_constants(B_inf)
-    else:
-        delta2 = math.inf
-    bound = delta1 / delta2 if passes_b else 0.0
+    delta2 = delta_constants(B_inf)[0] if passes_b else math.inf
+    bound = delta1 / delta2
     passes = passes_b and integral <= bound
     return SmallnessReport(
         integral_tilde_V=integral,

@@ -884,7 +884,7 @@ def _two_projection_rhs(u, g, target, fields):
     rhs = st.laplacian(np.empty_like(u))
     rhs -= target.sff_trace(u, ux, uy)
     if not fields.b.is_zero:
-        rhs -= _bfield_force(work, u, target, b_only)
+        rhs -= _bfield_force(work, target, b_only)
     if not g.is_flat:
         rhs *= g.em2l[..., None]
     if not fields.V.is_zero:

@@ -530,16 +530,43 @@ def test_run_with_preset(tmp_path):
 @pytest.mark.parametrize("command", ["run", "check"])
 def test_initial_map_with_non_finite_values_is_a_config_error(
         tmp_path, capsys, command):
-    # a zero bump scale divides by zero: exit 1 naming it, with no numpy
-    # warning, not a NaN in hypothesis.json or a failure at step 1
-    cfgp = small_cfg(tmp_path, initial={"kind": "bump", "scale": 0})
-    out = tmp_path / "o"
+    # a zero bump scale divides by zero, a subnormal one overflows: exit 1
+    # naming it, with no numpy warning, not a NaN in hypothesis.json or a
+    # failure at step 1
+    for scale in (0, 1e-320):
+        cfgp = small_cfg(tmp_path, initial={"kind": "bump", "scale": scale})
+        out = tmp_path / "o"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main([command, "--config", cfgp, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: ") and "scale" in err
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("command, code", [("check", 2), ("run", 3)])
+def test_overflowing_potential_exits_with_its_code_and_no_numpy_warning(
+        tmp_path, capsys, command, code):
+    # V + shift overflows in numpy; the hypothesis report and the stepper's
+    # finiteness check give the exit code, with no RuntimeWarning printed
+    # before the message
+    cfgp = small_cfg(tmp_path, fields={"v_kind": "height", "epsilon": 1e308})
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert main([command, "--config", cfgp, "--out", str(out)]) == 1
+        assert main([command, "--config", cfgp, "--out",
+                     str(tmp_path / "o")]) == code
+
+
+def test_run_whose_action_overflows_on_finite_nodes_names_the_term(
+        tmp_path, capsys):
+    # every node stays finite and the V sum is inf: the message names the
+    # candidate's terms, not only "no non-finite node"
+    cfgp = small_cfg(tmp_path, fields={"v_kind": "height", "epsilon": 1e308})
+    assert main(["run", "--config", cfgp, "--out", str(tmp_path / "o")]) == 3
     err = capsys.readouterr().err
-    assert err.startswith("configuration error: ") and "scale" in err
-    assert not out.exists()
+    assert err.startswith("numeric failure: non-finite action S=inf in "
+                          "step 1"), err
+    assert "no non-finite node" in err and "V_term=inf" in err, err
 
 
 @pytest.mark.parametrize("command", ["run", "check"])

@@ -307,7 +307,7 @@ def test_bfield_force_and_pullback_match_dense_formulas(sphere, lam):
 
         work = Workspace(g, u.shape, fields)
         work.stencil.load(u).centred()
-        force = _bfield_force(work, u, sphere, fields)
+        force = _bfield_force(work, sphere, fields)
         ref = _parent_bfield_force(u, b, g, sphere)
         assert np.max(np.abs(force - ref)) <= 1e-13 * np.max(np.abs(ref))
 
@@ -345,7 +345,7 @@ def test_bfield_force_of_y4_is_the_flux_sum_bitwise(sphere, lam, v_kind):
         # component-major, as in a run
         u = sf.random_smooth_map(g, sphere, seed=seed, amplitude=0.4).values
         work.stencil.load(u).centred()
-        force = _bfield_force(work, u, sphere, fields)
+        force = _bfield_force(work, sphere, fields)
         assert np.array_equal(force, _flux_sum_bfield_force(u, b, g, sphere, V))
 
 
@@ -367,7 +367,7 @@ def test_bfield_force_of_a_dense_two_form_matches_dense_formula(sphere, lam,
             cm[...] = u
             u = cm
         work.stencil.load(u).centred()
-        force = _bfield_force(work, u, sphere, fields)
+        force = _bfield_force(work, sphere, fields)
         ref = _parent_bfield_force(u, b, g, sphere)
         assert np.max(np.abs(force - ref)) <= 1e-13 * np.max(np.abs(ref))
 
