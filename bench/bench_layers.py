@@ -34,12 +34,20 @@ the traced step; `unaccounted_ratio` is the share of the step's own self
 time in it, and `trace_overhead_ratio` the traced step over the untraced
 one, less 1.
 
+The `kernels` section times the stencil work of one load at 32^2, 48^2,
+64^2, 96^2, 128^2 and 256^2 (q = 4, a component-major unit map, as in a
+run): `Stencil.load`, then `dirichlet`, `laplacian` and `centred` on the
+stencil that a run's workspace builds, with the median and quartiles in
+microseconds, the sizes taken in turn within each repeat.
+
 The `presets` section times every preset of stringflow.config.PRESETS end
 to end: `run()` from the preset's built objects, the presets taken in turn
 within each repeat, with the median and quartiles of its wall time in
 seconds, its step count and the steps per second at the median.
 
-    python bench/bench_layers.py [--repeats N] [--seed N] [--workload NAME ...]
+    python bench/bench_layers.py [--repeats N] [--seed N] [--workload NAME]...
+
+Repeat --workload for each workload to time (--workload A --workload B).
 
 Writes BENCH_<sha>.json at the repository root (the sha of HEAD, with
 `dirty` set when src/ or bench/ differ from it) and prints its path.
@@ -122,6 +130,41 @@ def _layers(state) -> dict:
 def _quartiles(xs: list, unit: str = "us") -> dict:
     q1, med, q3 = statistics.quantiles(xs, n=4, method="inclusive")
     return {f"median_{unit}": med, f"q1_{unit}": q1, f"q3_{unit}": q3}
+
+
+def _per_call_s(fn, number: int) -> float:
+    t0 = time.perf_counter()
+    for _ in range(number):
+        fn()
+    return (time.perf_counter() - t0) / number
+
+
+def kernel_table(repeats: int) -> dict:
+    """Microseconds of one load and the operators a step applies to it,
+    per size, over `repeats` rounds that each time every size once."""
+    sphere = sf.make_target("sphere", 4)
+    work = {}
+    for n in (32, 48, 64, 96, 128, 256):
+        grid = sf.build_grid(n, n)
+        u = sf.empty_map((n, n, 4))
+        u[...] = sf.random_smooth_map(grid, sphere, seed=0,
+                                      amplitude=0.3).values
+        st, lap = Stencil(grid, u.shape), sf.empty_map(u.shape)
+
+        def once(st=st, u=u, lap=lap):
+            st.load(u)
+            st.dirichlet()
+            st.laplacian(lap)
+            st.centred()
+
+        number = max(1, math.ceil(BLOCK_S / min(_per_call_s(once, 1)
+                                                for _ in range(3))))
+        work[f"{n}x{n}"] = (once, number, [])
+    for _ in range(repeats):
+        for once, number, us in work.values():
+            us.append(1e6 * _per_call_s(once, number))
+    return {size: {**_quartiles(us), "calls_per_sample": number}
+            for size, (_, number, us) in work.items()}
 
 
 def preset_table(repeats: int) -> dict:
@@ -247,6 +290,7 @@ def main(argv=None) -> int:
         "warm_steps": WARM_STEPS,
         "workloads": {name: layer_table(name, args.seed, args.repeats)
                       for name in names},
+        "kernels": kernel_table(args.repeats),
         "presets": preset_table(args.repeats),
     }
     path = os.path.join(ROOT, f"BENCH_{sha[:12]}.json")
@@ -258,6 +302,9 @@ def main(argv=None) -> int:
         print(f"{name}: step {t['step_us']:.0f} us (traced "
               f"{t['traced_step_us']:.0f} us), unaccounted "
               f"{t['unaccounted_ratio']:.3f}")
+    for size, t in result["kernels"].items():
+        print(f"kernels {size}: {t['median_us']:.1f} us "
+              f"({t['q1_us']:.1f}-{t['q3_us']:.1f})")
     for name, t in result["presets"].items():
         print(f"preset {name}: {t['median_s']:.3f} s, {t['steps']} steps, "
               f"{t['steps_per_s']:.0f} steps/s")

@@ -10,7 +10,10 @@ VmRSS (now) and ru_maxrss (peak so far), in MB, after each phase:
     run       run
     outputs   write_run_outputs, monotonicity_check and the analysis
 
-    python bench/rss_phases.py [--seed N] [--workload NAME ...]
+    python bench/rss_phases.py [--seed N] [--workload NAME]...
+
+Repeat --workload for each workload to probe (--workload A --workload B);
+with none given, every workload is probed.
 
 The workloads and the child environment come from perfbench/workloads.py
 and perfbench/run.py, which this script only reads.  VmRSS is read from

@@ -2,10 +2,8 @@
 128^2, of the singular-point analysis at 64^2 and 128^2 (and the bubble
 workload's whole read-back at 64^2), of a one-shot free function, and of
 the start-up work a run does once (the closed-form sup norms, a
-small-energy initial map).  At q = 4 the first three sizes stay on the
-stencil's copy path, where it is faster than slicing, and the last two
-slice the map (grid.SLICE_ABOVE_BYTES), so the kernels are timed on both
-sides.
+small-energy initial map).  The sizes run from maps whose stencil stays
+in a per-core L2 to maps whose stencil outgrows it.
 
     PYTHONPATH=src python -m pytest bench --benchmark-columns=min,median,iqr
 
@@ -45,8 +43,8 @@ def case(request):
 
 
 def test_stencil_load(benchmark, case):
-    # the shift copies (copy path) and both difference stacks: the centred
-    # and the undivided second differences
+    # both difference stacks: the centred and the undivided second
+    # differences
     grid, _, u = case
     benchmark(Stencil(grid, u.shape).load, u)
 
@@ -258,21 +256,15 @@ def test_assemble_A_and_rewrite_residual_64(benchmark):
     benchmark(rewrite)
 
 
-@pytest.mark.parametrize("sliced", (True, False), ids=["sliced", "copy"])
 @pytest.mark.parametrize("n", (48, 64, 128), ids=lambda n: f"{n}x{n}")
-def test_one_shot_dirichlet_energy(benchmark, n, sliced):
-    # a free-function call builds a one-shot stencil, which slices the map
-    # (`Stencil.once`, 5 maps); the same call on a copy-path stencil holds
-    # 7 maps, and is the faster one where the size rule copies
+def test_one_shot_dirichlet_energy(benchmark, n):
+    # a free-function call builds a one-shot stencil (`Stencil.once`, 5
+    # maps), loads the map and applies one operator
     grid = sf.build_grid(n, n)
     u = sf.empty_map((n, n, 4))
     u[...] = sf.random_smooth_map(grid, sf.make_target("sphere", 4), seed=0,
                                   amplitude=0.3).values
-    if sliced:
-        benchmark(sf.dirichlet_energy, u, grid)
-    else:
-        benchmark(lambda: Stencil(grid, u.shape, sliced=False).load(u)
-                  .dirichlet())
+    benchmark(sf.dirichlet_energy, u, grid)
 
 
 # -- start-up: what a run computes once, before its first step ---------------

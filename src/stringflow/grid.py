@@ -12,25 +12,21 @@ Every difference of a field comes from a `Stencil`, which holds one
 field form: a C-contiguous component-first stack (q, nx, ny).  A node
 scalar is one plane, and a field whose component-first view is strided,
 such as a row-major map, is copied once into the stencil's scratch at
-load.  A run's stencil, which several operators share per load, copies the
-four periodic shifts of a small field once and differences them; a field
-whose shift stack would outgrow the cache (SLICE_ABOVE_BYTES) is
-differenced by slicing it, with no copy.  The free functions below (the
-Laplace-Beltrami operator, the frame derivatives, the densities) apply one
-operator per call, so each takes a one-shot stencil (`Stencil.once`) that
-slices at every size: it holds 5 maps where a copy-path stencil holds 7,
-although a one-shot copy-path load is the faster one at the sizes the size
-rule copies.  The other exception is `centred`, a single-axis difference
-for a contiguous field of which nothing else is needed (the flux
-divergence of the B-force), which slices as well.
+load.  The stencil differences its field by slicing it, with no copy of a
+shift, at every size: a run's stencil, which several operators share per
+load, and the one-shot stencil (`Stencil.once`) of each free function
+below (the Laplace-Beltrami operator, the frame derivatives, the
+densities), which applies one operator per call.  The one exception is
+`centred`, a single-axis difference for a contiguous field of which
+nothing else is needed (the flux divergence of the B-force), which slices
+in the same way.
 
 Hot loops work on the component-first view (`component_first`: (q, nx, ny),
 C-contiguous for a component-major map), where numpy takes its contiguous
-fast path.  A small field's `Stencil` stacks the shifts and differences of
-both directions so that one call serves x and y; a large field's takes
-each direction in one call on the flat array plus the wrap rows.  Sums
-over components go along the leading axis of that view, plane by plane in
-index order in either layout (`component_dot`).  On contiguous operands a contraction is one
+fast path.  A `Stencil` takes each direction in one call per stack on the
+flat array plus the wrap rows.  Sums over components go along the leading
+axis of that view, plane by plane in index order in either layout
+(`component_dot`).  On contiguous operands a contraction is one
 `np.einsum`, which writes no product array: einsum adds the planes of two
 C-contiguous (q, nx, ny) operands in index order, bit for bit as
 `np.add.reduce` does, and the tests pin that contract.  Grid constants
@@ -69,14 +65,6 @@ import numpy as np
 from .errors import GridError, ShapeError, UnsupportedConfigurationError
 
 TWO_PI = 2.0 * math.pi
-
-# A Stencil slices every difference straight from its field, instead of
-# copying four shifts, when that four-shift stack (32 q nx ny bytes) would
-# pass this size, half of a 2 MiB per-core L2.  Per flow step at q = 4,
-# zero fields (2-core VM, numpy 2.4.6; medians of 11 alternating runs),
-# copy -> slice: 48^2 316 -> 336 us, 64^2 463 -> 499 us (the stack is
-# 512 KiB), 96^2 1054 -> 1037 us (1.1 MiB), 128^2 1942 -> 1774 us.
-SLICE_ABOVE_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -182,20 +170,34 @@ def conformal_rescale(grid: SurfaceGrid, a: float) -> SurfaceGrid:
 
 # -- stencils -----------------------------------------------------------------
 
+# cached: `centred` asks for the same calls at each flux of every B-force
+@functools.lru_cache(maxsize=64)
+def _wrap_calls(shape: tuple, axis: int) -> tuple:
+    """The three calls of op(f[i+1], f[i-1]) along `axis`, periodic, on
+    C-contiguous arrays of `shape`, each as (form, result key, key of the
+    operand after, key of the operand before), where form 0 indexes the
+    flat arrays and form 1 the arrays themselves.
+
+    The flat call writes the interior of the result from the operands one
+    step of `axis` after and before it; it is wrong only in the wrap rows,
+    which the row calls then write again, the last row and then the
+    first."""
+    ax = axis % len(shape)
+    s, n = math.prod(shape[ax + 1:]), math.prod(shape)
+    tail = (slice(None),) * (len(shape) - 1 - ax)
+    row = [(Ellipsis, i) + tail for i in (-2, -1, 0, 1)]
+    return ((0, slice(s, n - s), slice(2 * s, None), slice(None, n - 2 * s)),
+            (1, row[1], row[2], row[0]), (1, row[2], row[3], row[1]))
+
+
 def _neighbours(op, f: np.ndarray, axis: int, out: np.ndarray) -> np.ndarray:
     """op(f[i+1], f[i-1]) along `axis`, periodic, by slicing into `out`;
-    f and out must be C-contiguous.
-
-    The interior is one call on the flat arrays, the neighbours one step of
-    `axis` away; that call is wrong only in the wrap rows, which are then
-    written again."""
-    s = math.prod(f.shape[axis % f.ndim + 1:])
-    a_flat, o_flat = f.reshape(-1), out.reshape(-1)
-    op(a_flat[2 * s:], a_flat[:a_flat.size - 2 * s],
-       out=o_flat[s:o_flat.size - s])
-    a, o = f.swapaxes(axis, 0), out.swapaxes(axis, 0)
-    op(a[0], a[-2], out=o[-1])
-    op(a[1], a[-1], out=o[0])
+    f and out must be C-contiguous.  The operations of Stencil.load, for
+    `centred` and the Hessian's cross difference."""
+    forms = (f.reshape(-1), out.reshape(-1)), (f, out)
+    for form, ko, ka, kb in _wrap_calls(f.shape, axis):
+        a, o = forms[form]
+        op(a[ka], a[kb], out=o[ko])
     return out
 
 
@@ -303,45 +305,42 @@ class Stencil:
     `laplacian` and `hessian_sq` use tmp as scratch; a caller may use tmp
     once the operators it needs are done.
 
-    The load takes one of two paths, and both give the same bits (each
-    value is the same operation on the same operands).  By default the
-    size of the field picks it; `sliced` forces one, and `Stencil.once`
-    slices for a caller that applies a single operator, since a sliced
-    stencil holds 5 maps where a copy-path one holds 7.
-    On the copy path, for fields whose four-shift stack stays within
-    SLICE_ABOVE_BYTES, the load copies `shifts`, the stack [xp, yp, xm, ym]
-    (the y shifts by one flat copy plus the wrap column), and forms both
-    directions of each stack in one call, the plus pair `shifts[:2]`
-    against the minus pair `shifts[2:]`.  The second differences are
-    written over the plus shifts, so the shifts are used up by the load.
-    On the sliced path, for larger fields, `shifts` is None: the load
-    slices both stacks straight from f (`_neighbours`), one call per
-    direction plus the wrap rows, so no stack that outgrows the cache is
-    written and read back, and `second` has its own buffer.
+    The load slices both stacks straight from f, with no copy of a shift:
+    per direction, one call per stack on the flat field, the neighbours one
+    step of that direction apart, then one per wrap row, the operations of
+    `_neighbours`.  The result views and the keys of f's views are formed
+    when the stencil is built, so a load only indexes f and calls numpy,
+    which keeps its per-call work small on small maps.  A stencil holds 5
+    maps: both stacks and the scratch.
     """
 
-    def __init__(self, grid: SurfaceGrid, shape, *,
-                 sliced: bool | None = None):
+    def __init__(self, grid: SurfaceGrid, shape):
         shape = tuple(shape)
+        if shape[:2] != (grid.nx, grid.ny):
+            raise ShapeError(f"field of shape {shape} on a {grid.nx} x "
+                             f"{grid.ny} grid: its nodes must be the grid's")
         self.grid = grid
         self.shape = shape
         planes = (math.prod(shape[2:]),) + shape[:2]
-        if sliced is None:
-            sliced = 32 * math.prod(planes) > SLICE_ABOVE_BYTES
-        self.sliced = sliced
         self.source = None
         # two blocks: the centred differences, which a caller may keep past
-        # the stencil, and [scratch, second x, second y (, xm, ym)].  On
-        # the copy path the second differences take the plus shifts'
-        # place: a 2-map buffer of their own cost 6-11% of the gap and
-        # bubble benchmarks' run_s (48^2 and 64^2, q = 4; 2-core VM, numpy
-        # 2.4.6).  Separate arrays would be trimmed from the heap and
-        # faulted in again on every one-shot call (640 minor faults per
-        # hessian_sq_density at 128^2, against 0)
+        # the stencil, and [scratch, second x, second y].  Separate arrays
+        # would be trimmed from the heap and faulted in again on every
+        # one-shot call (640 minor faults per hessian_sq_density at 128^2,
+        # against 0)
         self.grads = np.empty((2,) + planes)
-        buf = np.empty((3 if sliced else 5,) + planes)
-        self.scratch, self.second = buf[0], buf[1:3]
-        self.shifts = None if sliced else buf[1:]
+        buf = np.empty((3,) + planes)
+        self.scratch, self.second = buf[0], buf[1:]
+        # the six calls of a load, three per direction (x is axis -2, y
+        # axis -1): the form and keys of the operands, and the result views
+        # in both stacks, formed once
+        self._calls = []
+        for d in (0, 1):
+            G, P = self.grads[d], self.second[d]
+            forms = (G.reshape(-1), P.reshape(-1)), (G, P)
+            for form, ko, ka, kb in _wrap_calls(planes, d - 2):
+                g, p = forms[form]
+                self._calls.append((form, ka, kb, g[ko], p[ko]))
         # views in the field's shape: a node scalar drops its one plane
         self.gx, self.gy, self.tmp = (a.transpose(1, 2, 0).reshape(shape)
                                       for a in (*self.grads, self.scratch))
@@ -351,11 +350,8 @@ class Stencil:
 
     @classmethod
     def once(cls, grid: SurfaceGrid, f: np.ndarray) -> "Stencil":
-        """A stencil loaded with f for a caller that applies one operator.
-        It slices f at every size: a sliced stencil holds 5 maps (both
-        stacks and the scratch) where a copy-path one holds 7, although
-        copying is the faster one-shot load where the size rule copies."""
-        return cls(grid, f.shape, sliced=True).load(f)
+        """A stencil loaded with f, for a caller that applies one operator."""
+        return cls(grid, f.shape).load(f)
 
     def _stacks(self):
         """(grads, second) of the loaded f; GridError before the first
@@ -371,26 +367,12 @@ class Stencil:
         if not F.flags.c_contiguous:
             np.copyto(self.scratch, F)
             F = self.scratch
+        forms = F.reshape(-1), F
+        for form, ka, kb, g, p in self._calls:
+            a, b = forms[form][ka], forms[form][kb]
+            np.subtract(a, b, out=g)
+            np.add(a, b, out=p)
         G, P = self.grads, self.second
-        if self.sliced:
-            for d in (0, 1):
-                _neighbours(np.subtract, F, d - 2, G[d])
-                _neighbours(np.add, F, d - 2, P[d])
-        else:
-            S = self.shifts
-            xp, yp, xm, ym = S
-            xp[..., :-1, :] = F[..., 1:, :]
-            xp[..., -1, :] = F[..., 0, :]
-            xm[..., 1:, :] = F[..., :-1, :]
-            xm[..., 0, :] = F[..., -1, :]
-            # flat copies; only the wrap column is then wrong
-            flat = F.reshape(-1)
-            yp.reshape(-1)[:-1] = flat[1:]
-            ym.reshape(-1)[1:] = flat[:-1]
-            yp[..., -1] = F[..., 0]
-            ym[..., 0] = F[..., -1]
-            np.subtract(S[:2], S[2:], out=G)
-            np.add(S[:2], S[2:], out=P)
         G *= self._half_inv_h
         P -= np.add(F, F, out=self.scratch)
         self.source = f

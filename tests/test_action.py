@@ -460,7 +460,7 @@ def _fresh_stencil_small_energy(grid, target, energy, seed, max_mode=2,
 def test_initial_noise_and_bisection_match_the_per_plane_build(n, q):
     # one draw and one batched transform for the q planes, and one stencil
     # for every energy of the bisection, give the maps of the per-plane,
-    # stencil-per-energy build bit for bit (128^2 takes the sliced stencil)
+    # stencil-per-energy build bit for bit
     g = sf.build_grid(n, n, Lx=5.0)
     target = sf.make_target("sphere", q)
     for seed, max_mode in ((3, 2), (7, 4)):
@@ -499,11 +499,11 @@ def test_ledger_action_is_the_accepted_action_bitwise(sphere, lam, monkeypatch):
 
 
 def test_step_reuses_only_shifts_it_may_reuse(grid, sphere):
-    # step forms the next rhs from the shifts (and, with a two-form, the
-    # centred differences) the accepted trial loaded; a ledger record reads
-    # what the rhs left and spends it.  Either way the next step must match
-    # one that starts from a fresh workspace and a fresh rhs, on a flat and
-    # on a conformal grid.
+    # step forms the next rhs from the second differences (and, with a
+    # two-form, the centred differences) the accepted trial loaded; a
+    # ledger record reads what the rhs left and spends it.  Either way the
+    # next step must match one that starts from a fresh workspace and a
+    # fresh rhs, on a flat and on a conformal grid.
     from dataclasses import replace
     fields = sf.FieldBackground(b=sf.make_two_form("y4", 4, beta=0.2),
                                 V=sf.make_potential("height", 4, epsilon=0.1))
@@ -613,9 +613,9 @@ def test_record_matches_a_record_from_a_fresh_load(sphere, lam, n,
     # a record reads the terms and the two stacks of the load of the
     # step's accepted trial; after init_state, a plain step, a halved step
     # and a dt_min collapse every column equals the one from a fresh load
-    # bit for bit.  A 96^2 stencil slices the map instead of copying its
-    # shifts.  Each trial loads its candidate once, and neither the rhs
-    # nor the record loads
+    # bit for bit, on a small and a large map (the large cases keep their
+    # "-sliced" ids).  Each trial loads its candidate once, and neither the
+    # rhs nor the record loads
     loads, stencils, trials = [], [], []
     load, trial = Stencil.load, action._trial
 
@@ -640,7 +640,6 @@ def test_record_matches_a_record_from_a_fresh_load(sphere, lam, n,
     u0 = sf.random_smooth_map(g, sphere, seed=17, amplitude=0.3)
     cfg = sf.FlowConfig(t_end=1.0)
     st = sf.init_state(u0, g, sphere, fields, cfg)
-    assert st.work.stencil.sliced == (n == 96)
     # energies and flow_rhs load u0 into stencils of their own, and
     # init_state loads it into the run's stencil once, for the record
     assert all(f is st.u.values for f in loads)
@@ -711,8 +710,7 @@ def test_snapshot_ring_keeps_the_run_maps_by_reference(grid, sphere):
     # themselves, and a later step leaves every earlier entry as it was.
     # Each step builds its map in memory of its own, shared with no ring
     # entry and no workspace buffer: plain steps at 32^2, then a step whose
-    # first trial is rejected, and steps at 96^2 with a two-form, where the
-    # stencil slices the map
+    # first trial is rejected, and steps at 96^2 with a two-form
     y4_height = sf.FieldBackground(b=sf.make_two_form("y4", 4, beta=0.2),
                                    V=sf.make_potential("height", 4,
                                                        epsilon=0.1))
@@ -720,7 +718,6 @@ def test_snapshot_ring_keeps_the_run_maps_by_reference(grid, sphere):
                              (sf.build_grid(96, 96), y4_height, 3)):
         u0 = sf.random_smooth_map(g, sphere, seed=16, amplitude=0.3)
         st = sf.init_state(u0, g, sphere, fields, sf.FlowConfig(t_end=1.0))
-        assert st.work.stencil.sliced == (g.nx == 96)
         assert st.snapshots[-1][1] is st.u.values
         kept = [(t, v.copy()) for t, v in st.snapshots]
         for k in range(steps):
