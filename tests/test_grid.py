@@ -179,7 +179,7 @@ def test_a_field_of_another_grid_size_is_refused(grid_nodes, map_nodes):
              "energies": lambda: sf.energies(u, g, fields),
              "dirichlet_energy": lambda: sf.dirichlet_energy(u, g)}
     sizes = re.escape(f"{u.shape}") + ".*" + "{} x {}".format(*grid_nodes)
-    for name, call in calls.items():
+    for call in calls.values():
         with pytest.raises(ShapeError, match=sizes):
             call()
 
