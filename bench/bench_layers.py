@@ -1,8 +1,9 @@
 """Layer table of one flow step on each benchmark workload.
 
 For each workload that BENCHMARK.json names, builds the state that
-perfbench/workloads.py's config and initial map give, advances it a few
-steps, and times steps from that state, and a ledger record after them,
+perfbench/workloads.py's config and initial map give, and for each extra
+row of ROWS the state of its config; advances it a few steps, and times
+steps from that state, and a ledger record after them,
 with every function that they call wrapped in a span of perfbench's
 tracer (perfbench/tracer.py, which this script only imports).  A layer is
 the self time of one function, its time less that of the spans it calls:
@@ -47,7 +48,8 @@ seconds, its step count and the steps per second at the median.
 
     python bench/bench_layers.py [--repeats N] [--seed N] [--workload NAME]...
 
-Repeat --workload for each workload to time (--workload A --workload B).
+Repeat --workload for each workload to time (--workload A --workload B);
+a name is a workload of perfbench/workloads.py or a row of ROWS.
 
 Writes BENCH_<sha>.json at the repository root (the sha of HEAD, with
 `dirty` set when src/ or bench/ differ from it) and prints its path.
@@ -88,11 +90,27 @@ RECORD = ("action._record", "ball_sum_map", "Stencil.energy_density",
           "Stencil.hessian_sq")
 
 
+def _clifford_128(seed: int) -> dict:
+    """The bfield_clifford preset (its fields and Clifford map) at 128^2,
+    with bfield_128's t_end: the row where the two-form acts (|B_term|
+    about 0.08, against about 1e-5 on bfield_128's wrap).  The map has no
+    seed."""
+    cfg = sf.preset_config("bfield_clifford")
+    cfg["grid"].update(nx=128, ny=128)
+    cfg["flow"]["t_end"] = 0.02
+    return cfg
+
+
+# layer rows beyond the benchmark's workloads: name -> seed -> raw config
+ROWS = {"bfield_clifford": _clifford_128}
+
+
 def _state(name: str, seed: int):
-    workload = WORKLOADS[name]
-    cfg = sf.validate_config(workload.config(seed))
+    workload = WORKLOADS.get(name)
+    config = ROWS[name] if workload is None else workload.config
+    cfg = sf.validate_config(config(seed))
     grid, target, fields, u0, flow_cfg = sf.build_objects(cfg)
-    if workload.initial_map is not None:
+    if workload is not None and workload.initial_map is not None:
         u0 = workload.initial_map(sf, grid, target, seed)
     state = sf.init_state(u0, grid, target, fields, flow_cfg)
     for _ in range(WARM_STEPS):
@@ -267,9 +285,11 @@ def main(argv=None) -> int:
     p.add_argument("--repeats", type=int, default=21,
                    help="interleaved repeats per entry (at least 5)")
     p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--workload", action="append", choices=sorted(WORKLOADS),
+    p.add_argument("--workload", action="append",
+                   choices=sorted(WORKLOADS) + sorted(ROWS),
                    help="a workload to time (repeatable; default: the "
-                        "workloads of BENCHMARK.json)")
+                        "workloads of BENCHMARK.json, then the rows of "
+                        "ROWS)")
     args = p.parse_args(argv)
     if args.repeats < 5:
         p.error("--repeats must be at least 5")
@@ -277,6 +297,7 @@ def main(argv=None) -> int:
     if not names:
         with open(os.path.join(ROOT, "BENCHMARK.json")) as f:
             names = [w["name"] for w in json.load(f)["workloads"]]
+        names += list(ROWS)
     sha = _git("rev-parse", "HEAD")
     result = {
         "git_sha": sha,

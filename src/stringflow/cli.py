@@ -77,11 +77,13 @@ def _hypothesis_report(grid, target, fields, vals, flow_cfg) -> dict:
 
 def _build(args):
     """The config that run and check load, the objects built from it and
-    their hypothesis report."""
+    their hypothesis report.  The report reads the projected initial map,
+    the map init_state starts from, so its S0 is the run's bit for bit."""
     cfg = _load_cfg(args)
     from .config import build_objects
     grid, target, fields, u0, flow_cfg = objects = build_objects(cfg)
-    return cfg, objects, _hypothesis_report(grid, target, fields, u0.values,
+    return cfg, objects, _hypothesis_report(grid, target, fields,
+                                            target.project(u0.values),
                                             flow_cfg)
 
 

@@ -103,6 +103,7 @@ class TwoFormField:
         `st` last loaded (its `source`), from its centred differences; 0.0
         for a zero form.  No conformal weight: the B term is conformally
         invariant."""
+        # zero-field fast path: the sum is 4 us a trial at 48^2, this 0.06 us
         if self.is_zero:
             return 0.0
         dens = self.pullback(st.source, *st.centred())
@@ -226,7 +227,10 @@ class ScalarPotential:
 
     def integral(self, u: np.ndarray, grid: SurfaceGrid) -> float:
         """int tilde(V)(u) dvol = sum (V(u) + shift) e^{2 lam} dx dy, the V
-        term of the action; 0.0 for a zero potential (whose shift is 0)."""
+        term of the action; 0.0 for a zero potential (whose shift is 0).
+        ShapeError unless u lives on the grid's nodes."""
+        grid.check_nodes(u.shape)
+        # zero-field fast path: the sum is 6 us a trial at 48^2, this 0.06 us
         if self.is_zero:
             return 0.0
         Vw = self.shifted(u)
@@ -350,9 +354,11 @@ def _skew_bound(X: np.ndarray) -> float:
     so the Gram matrix neither overflows nor underflows for any finite X.
 
     The Gram matrix is an einsum, not a BLAS product.  When its rows are
-    orthogonal, as for every registered two-form (y4's C and Omega alike),
-    it is diagonal and its top eigenvalue is its largest diagonal entry;
-    only a tensor whose Gram matrix is not diagonal calls LAPACK.
+    orthogonal, as for every registered two-form (y4's C and Omega alike)
+    and for a zero tensor (whose Gram matrix is 0, so the bound is 0.0),
+    it is diagonal and its top eigenvalue is its largest diagonal entry.
+    Only a tensor whose Gram matrix is not diagonal calls LAPACK, whose
+    first call maps about 0.8 MB of library pages that a run never needs.
     """
     M = X.reshape(X.shape[0], -1)
     s = float(np.max(np.abs(M))) or 1.0
@@ -372,16 +378,12 @@ def sup_norms(b: TwoFormField, V: ScalarPotential,
     |B|_inf <= r * _skew_bound(C), since b(y) = y^k C_k with |y| = r;
     |Z|_inf <= _skew_bound(Omega), since |Z(xi1 ^ xi2)| <= |w|; and
     |Hess V|_inf = |a| / r, since Hess V(X, X) = <a, II(X, X)> =
-    -<a, u> |X|^2 / r^2.  All three are exact for `y4` and `height`.
+    -<a, u> |X|^2 / r^2.  All three are exact for `y4` and `height`, and
+    0.0 for a zero form or potential, with no LAPACK call (_skew_bound).
     """
     r = target.radius
-    B_inf = Z_inf = 0.0
-    if not b.is_zero:
-        # skipped for a zero form; a registered form has a diagonal Gram
-        # matrix, so only an unregistered tensor reaches LAPACK, whose first
-        # call maps about 0.8 MB of library pages that a run never needs
-        B_inf, Z_inf = r * _skew_bound(b.C), _skew_bound(b.Omega)
-    return SupNorms(B_inf=B_inf, Z_inf=Z_inf, hessV_inf=math.hypot(*V.a) / r)
+    return SupNorms(B_inf=r * _skew_bound(b.C), Z_inf=_skew_bound(b.Omega),
+                    hessV_inf=math.hypot(*V.a) / r)
 
 
 # -- hypothesis report -----------------------------------------------------------

@@ -93,6 +93,14 @@ class SurfaceGrid:
     def is_flat(self) -> bool:
         return bool(np.all(self.lam == 0.0))
 
+    def check_nodes(self, shape):
+        """ShapeError unless a field of `shape` lives on this grid's nodes:
+        its first two axes must be (nx, ny).  The one home of that check,
+        for every operator that takes a field with its grid."""
+        if tuple(shape[:2]) != (self.nx, self.ny):
+            raise ShapeError(f"field of shape {tuple(shape)} on a {self.nx} "
+                             f"x {self.ny} grid: its nodes must be the grid's")
+
     @functools.cached_property
     def total_volume(self) -> float:
         return float(np.sum(self.w))
@@ -316,9 +324,7 @@ class Stencil:
 
     def __init__(self, grid: SurfaceGrid, shape):
         shape = tuple(shape)
-        if shape[:2] != (grid.nx, grid.ny):
-            raise ShapeError(f"field of shape {shape} on a {grid.nx} x "
-                             f"{grid.ny} grid: its nodes must be the grid's")
+        grid.check_nodes(shape)
         self.grid = grid
         self.shape = shape
         planes = (math.prod(shape[2:]),) + shape[:2]
@@ -465,10 +471,10 @@ def laplace_beltrami(f: np.ndarray, grid: SurfaceGrid) -> np.ndarray:
     layout of f.
 
     Self-adjoint in the e^{2 lam}-weighted inner product by construction.
+    The weight is applied on every grid: on a flat one it is 1.0 exactly.
     """
     lap = Stencil.once(grid, f).laplacian(np.empty_like(f))
-    if not grid.is_flat:
-        lap *= _comp_weight(grid.em2l, f)
+    lap *= _comp_weight(grid.em2l, f)
     return lap
 
 
@@ -484,8 +490,7 @@ def frame_derivatives(u: np.ndarray, grid: SurfaceGrid):
 def grad_sq_density(u: np.ndarray, grid: SurfaceGrid) -> np.ndarray:
     """Pointwise |du|^2 = |du(e1)|^2 + |du(e2)|^2 (centered differences)."""
     d = Stencil.once(grid, u).grad_sq()
-    if not grid.is_flat:
-        d *= grid.em2l
+    d *= grid.em2l
     return d
 
 
@@ -507,6 +512,7 @@ def l2_inner(f: np.ndarray, g: np.ndarray, grid: SurfaceGrid) -> float:
     """
     if f.shape != g.shape:
         raise ShapeError(f"shape mismatch: {f.shape} vs {g.shape}")
+    grid.check_nodes(f.shape)
     pw = component_dot(f, g) if f.ndim == 3 else f * g
     pw *= grid.w
     return float(np.sum(pw))
@@ -585,6 +591,7 @@ def ball_sum_map(density: np.ndarray, grid: SurfaceGrid, R: float) -> np.ndarray
     numpy's rfftn and irfftn take them, so the bits are the same; the
     complex spectrum is one array, transformed in place.
     """
+    grid.check_nodes(density.shape)
     F = np.fft.rfft(density, axis=1)
     np.fft.fft(F, axis=0, out=F)
     F *= ball_kernel_transform(grid, R)

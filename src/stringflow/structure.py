@@ -20,7 +20,7 @@ from .errors import UnsupportedConfigurationError
 from .fields import FieldBackground, tangential_grad_V
 from .grid import (Stencil, SurfaceGrid, energy_density, grad_sq_density,
                    hessian_sq_density, l2_norm, laplace_beltrami)
-from .targets import TargetManifold
+from .targets import TargetManifold, tangent_project
 
 
 @dataclass
@@ -51,7 +51,9 @@ def assemble_A(u_values: np.ndarray, grid: SurfaceGrid, target: TargetManifold,
     target's `frame_derivative`, so no per-node (q, q, q) tensor is formed:
     the memory per node is O(q^2).  One (q, q) scratch per node serves F
     and G, and each difference is written straight to its result.  Omega
-    is constant and contracts with u_x and u_y directly.
+    is constant and contracts with u_x and u_y directly.  One formula
+    serves every grid and form: a zero form adds exact zeros, and a flat
+    grid's weight is exactly 1.0.
     """
     ux, uy = Stencil.once(grid, u_values).centred()
     nu = target.normal_frame(u_values)          # (..., L, q)
@@ -66,15 +68,13 @@ def assemble_A(u_values: np.ndarray, grid: SurfaceGrid, target: TargetManifold,
         return np.subtract(T, np.swapaxes(T, -1, -2))
 
     F, G = K(ux), K(uy)
-    if not fields.b.is_zero:
-        # 0.5 Omega is exact, so this is 0.5 (Omega . X) bit for bit; each
-        # product is formed in the scratch
-        half_om = 0.5 * fields.b.Omega            # (m, i, j)
-        F -= np.einsum("mij,...j->...mi", half_om, uy, out=T)
-        G += np.einsum("mij,...j->...mi", half_om, ux, out=T)
-    if not grid.is_flat:
-        F *= grid.em2l[..., None, None]
-        G *= grid.em2l[..., None, None]
+    # 0.5 Omega is exact, so this is 0.5 (Omega . X) bit for bit; each
+    # product is formed in the scratch
+    half_om = 0.5 * fields.b.Omega            # (m, i, j)
+    F -= np.einsum("mij,...j->...mi", half_om, uy, out=T)
+    G += np.einsum("mij,...j->...mi", half_om, ux, out=T)
+    F *= grid.em2l[..., None, None]
+    G *= grid.em2l[..., None, None]
     return AntisymmetricPotential(F=F, G=G)
 
 
@@ -86,18 +86,19 @@ def rewrite_residual(u_values: np.ndarray, A: AntisymmetricPotential,
     Vanishes to O(dx^2) for smooth critical points; an A whose F is zero
     ablates the F term (negative control).  One stencil gives the centred
     differences and the Laplacian; the terms are added into the Laplacian
-    in the order written.
+    in the order written, each formed in the stencil's scratch, so the
+    residual allocates one map.  One formula serves every grid and
+    potential: a flat grid's weight is exactly 1.0 and a zero potential's
+    P grad V is exactly 0.
     """
     st = Stencil.once(grid, u_values)
     ux, uy = st.centred()
     res = st.laplacian(np.empty_like(u_values))
-    if not grid.is_flat:
-        res *= grid.em2l[..., None]          # as laplace_beltrami does
+    res *= grid.em2l[..., None]          # as laplace_beltrami does
     term = st.tmp
     res += np.einsum("...mi,...i->...m", A.F, ux, out=term)
     res += np.einsum("...mi,...i->...m", A.G, uy, out=term)
-    if not fields.V.is_zero:
-        res -= tangential_grad_V(u_values, fields.V, target)
+    res -= tangent_project(target, u_values, fields.V.grad(u_values), out=term)
     return l2_norm(res, grid)
 
 

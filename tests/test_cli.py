@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import shutil
@@ -8,7 +9,7 @@ import warnings
 import pytest
 
 import stringflow as sf
-from stringflow.cli import main
+from stringflow.cli import _build, main
 
 
 def small_cfg(tmp_path, **overrides):
@@ -351,6 +352,16 @@ def test_run_and_check_write_the_same_hypothesis_report(tmp_path):
     run, check = ((tmp_path / d / "hypothesis.json").read_bytes()
                   for d in ("run", "check"))
     assert run == check and run.endswith(b"}\n")
+
+
+@pytest.mark.parametrize("preset", list(sf.PRESETS))
+def test_hypothesis_report_s0_is_the_runs_s0(preset):
+    # the report reads the projected initial map, the map the run starts
+    # from, so its S0 is the run's bit for bit; no step is taken
+    args = argparse.Namespace(preset=preset, config=None)
+    _, (grid, target, fields, u0, flow_cfg), report = _build(args)
+    state = sf.init_state(u0, grid, target, fields, flow_cfg)
+    assert report["S0"].hex() == state.S0.hex()
 
 
 def test_scan_subcommand(tmp_path, capsys):

@@ -184,6 +184,31 @@ def test_a_field_of_another_grid_size_is_refused(grid_nodes, map_nodes):
             call()
 
 
+@pytest.mark.parametrize("call", [
+    lambda u, g: sf.l2_inner(u, u, g),
+    lambda u, g: sf.l2_norm(u, g),
+    lambda u, g: sf.ball_sum_map(np.ones(u.shape[:2]), g, 0.5),
+    lambda u, g: sf.make_potential("height", 4, epsilon=0.1).integral(u, g),
+    lambda u, g: sf.zero_potential(4).integral(u, g),
+    lambda u, g: sf.smallness_report(u, g, sf.FieldBackground(
+        sf.zero_two_form(4), sf.make_potential("height", 4, epsilon=0.1)),
+        0.5, 0.0),
+], ids=["l2_inner", "l2_norm", "ball_sum_map", "potential_integral",
+        "zero_potential_integral", "smallness_report"])
+@pytest.mark.parametrize("map_nodes", [(64, 64), (32, 33)],
+                         ids=["64-on-32", "32x33-on-32"])
+def test_integrals_and_ball_sums_refuse_a_field_of_another_grid(call,
+                                                                map_nodes):
+    # these take a field with its grid but no stencil, and used to give
+    # numpy's raw broadcast error; a 32 x 33 density went through
+    # ball_sum_map silently, since its rfft length is that of 32 nodes
+    g = sf.build_grid(32, 32)
+    u = np.full(map_nodes + (4,), 0.5)
+    sizes = re.escape("({}, {}".format(*map_nodes)) + ".* 32 x 32 grid"
+    with pytest.raises(ShapeError, match=sizes):
+        call(u, g)
+
+
 def _roll_d0(f, axis, h):
     """Centred difference (f[i+1] - f[i-1]) * (0.5/h), by np.roll."""
     return (np.roll(f, -1, axis) - np.roll(f, 1, axis)) * (0.5 / h)

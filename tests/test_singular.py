@@ -149,6 +149,25 @@ def test_dt_min_collapse_records_event_and_is_not_an_error(sphere,
                                               sf.zero_background(4)))
 
 
+def test_consecutive_dt_min_collapses_each_record_an_event(sphere,
+                                                           monkeypatch):
+    # every step collapses, as in the test above; from the second step on
+    # the step starts at dt0 == dt_min, so its collapse retries at dt0
+    # itself, and only the collapse (not dt < dt0) resets the stable count
+    g = sf.build_grid(32, 32)
+    u = sf.geodesic_wrap(g, sphere, m=1, n=0)
+    cfg = sf.FlowConfig(t_end=1.0, dt_min=1e-12, ball_radius=0.4)
+    st = sf.init_state(u, g, sphere, sf.zero_background(4), cfg)
+    monkeypatch.setattr(action, "TOL_UP", -1e-12)
+    t = 0.0
+    for k in (1, 2, 3):
+        sf.step(st)
+        t += 1e-12
+        assert (st.steps, st.t, st.dt, st.stable_steps) == (k, t, 1e-12, 0)
+        assert len(st.events) == k and st.events[-1].t == t
+    assert {ev.kind for ev in st.events} <= {"stiffness", "concentration"}
+
+
 @pytest.mark.parametrize("lam", [None, lambda x, y: 0.3 * np.sin(x) * np.cos(y)],
                          ids=["flat", "conformal"])
 def test_event_scan_and_ledger_share_the_ball_energy_bitwise(sphere, lam,
