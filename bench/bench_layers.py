@@ -41,6 +41,9 @@ run): `Stencil.load`, then `dirichlet`, `laplacian` and `centred` on the
 stencil that a run's workspace builds, with the median and quartiles in
 microseconds, the sizes taken in turn within each repeat.
 
+The `code_lines` section holds `bench/code_lines.py`'s count of the code
+lines of src/stringflow: the total and the count per file.
+
 The `presets` section times every preset of stringflow.config.PRESETS end
 to end: `run()` from the preset's built objects, the presets taken in turn
 within each repeat, with the median and quartiles of its wall time in
@@ -71,6 +74,7 @@ import subprocess  # noqa: E402
 import sys  # noqa: E402
 import time  # noqa: E402
 from dataclasses import replace  # noqa: E402
+from pathlib import Path  # noqa: E402
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(HERE)
@@ -80,6 +84,7 @@ import numpy as np  # noqa: E402
 
 import stringflow as sf  # noqa: E402
 from stringflow import action  # noqa: E402
+from code_lines import file_counts  # noqa: E402
 from stringflow.grid import Stencil  # noqa: E402
 from tracer import Tracer  # noqa: E402
 from workloads import WORKLOADS  # noqa: E402
@@ -167,7 +172,7 @@ def kernel_table(repeats: int) -> dict:
         u = sf.empty_map((n, n, 4))
         u[...] = sf.random_smooth_map(grid, sphere, seed=0,
                                       amplitude=0.3).values
-        st, lap = Stencil(grid, u.shape), sf.empty_map(u.shape)
+        st, lap = Stencil(grid, u), sf.empty_map(u.shape)
 
         def once(st=st, u=u, lap=lap):
             st.load(u)
@@ -275,6 +280,14 @@ def layer_table(name: str, seed: int, repeats: int) -> dict:
     }
 
 
+def code_line_table() -> dict:
+    """The code lines of src/stringflow (bench/code_lines.py): the total
+    and the count per file, keyed by its path from the repository root."""
+    counts = file_counts(Path(ROOT, "src", "stringflow"))
+    return {"total": sum(counts.values()),
+            "files": {str(p.relative_to(ROOT)): n for p, n in counts.items()}}
+
+
 def _git(*args) -> str:
     return subprocess.run(["git", *args], cwd=ROOT, capture_output=True,
                           text=True, check=True).stdout.strip()
@@ -312,6 +325,7 @@ def main(argv=None) -> int:
         "workloads": {name: layer_table(name, args.seed, args.repeats)
                       for name in names},
         "kernels": kernel_table(args.repeats),
+        "code_lines": code_line_table(),
         "presets": preset_table(args.repeats),
     }
     path = os.path.join(ROOT, f"BENCH_{sha[:12]}.json")
@@ -326,6 +340,7 @@ def main(argv=None) -> int:
     for size, t in result["kernels"].items():
         print(f"kernels {size}: {t['median_us']:.1f} us "
               f"({t['q1_us']:.1f}-{t['q3_us']:.1f})")
+    print(f"code lines: {result['code_lines']['total']}")
     for name, t in result["presets"].items():
         print(f"preset {name}: {t['median_s']:.3f} s, {t['steps']} steps, "
               f"{t['steps_per_s']:.0f} steps/s")

@@ -46,11 +46,15 @@ def code_lines(path: Path) -> int:
     return len(lines - skip)
 
 
+def file_counts(root: Path) -> dict:
+    """path -> code lines, for every .py file under `root`, sorted."""
+    return {p: code_lines(p) for p in sorted(root.rglob("*.py"))}
+
+
 def main(argv: list) -> int:
     show_files = "--files" in argv
     args = [a for a in argv if a != "--files"]
-    root = Path(args[0] if args else "src/stringflow")
-    counts = {p: code_lines(p) for p in sorted(root.rglob("*.py"))}
+    counts = file_counts(Path(args[0] if args else "src/stringflow"))
     print(sum(counts.values()))
     if show_files:
         for p, n in counts.items():

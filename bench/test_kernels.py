@@ -46,7 +46,7 @@ def test_stencil_load(benchmark, case):
     # both difference stacks: the centred and the undivided second
     # differences
     grid, _, u = case
-    benchmark(Stencil(grid, u.shape).load, u)
+    benchmark(Stencil(grid, u).load, u)
 
 
 @pytest.mark.parametrize("n", (48, 128), ids=lambda n: f"{n}x{n}")
@@ -56,7 +56,7 @@ def test_stencil_load_row_major(benchmark, n):
     grid = sf.build_grid(n, n)
     u = np.ascontiguousarray(sf.random_smooth_map(
         grid, sf.make_target("sphere", 4), seed=0, amplitude=0.3).values)
-    benchmark(Stencil(grid, u.shape).load, u)
+    benchmark(Stencil(grid, u).load, u)
 
 
 @pytest.mark.parametrize("n", (48, 128), ids=lambda n: f"{n}x{n}")
@@ -76,32 +76,32 @@ def test_laplace_beltrami_node_scalar(benchmark, n):
 def test_stencil_dirichlet(benchmark, case):
     # one contraction of each stack
     grid, _, u = case
-    benchmark(Stencil(grid, u.shape).load(u).dirichlet)
+    benchmark(Stencil(grid, u).dirichlet)
 
 
 def test_stencil_centred(benchmark, case):
     # hands out the stack the load formed: the cost of an operator call
     grid, _, u = case
-    benchmark(Stencil(grid, u.shape).load(u).centred)
+    benchmark(Stencil(grid, u).centred)
 
 
 def test_stencil_grad_sq(benchmark, case):
     # the contraction of the centred differences, as a ledger record
     # without a two-form takes it
     grid, _, u = case
-    benchmark(Stencil(grid, u.shape).load(u).grad_sq)
+    benchmark(Stencil(grid, u).grad_sq)
 
 
 def test_stencil_laplacian(benchmark, case):
     grid, _, u = case
-    benchmark(Stencil(grid, u.shape).load(u).laplacian, sf.empty_map(u.shape))
+    benchmark(Stencil(grid, u).laplacian, sf.empty_map(u.shape))
 
 
 def test_stencil_hessian_sq(benchmark, case):
     # the cross difference into scratch and one contraction of each term,
     # as a ledger record takes it
     grid, _, u = case
-    benchmark(Stencil(grid, u.shape).load(u).hessian_sq)
+    benchmark(Stencil(grid, u).hessian_sq)
 
 
 def test_component_dot(benchmark, case):
@@ -126,8 +126,7 @@ def test_flow_rhs_two_form_and_potential(benchmark, case, b_kind):
     fields = sf.FieldBackground(b=sf.make_two_form(b_kind, 4, beta=0.2),
                                 V=sf.make_potential("height", 4,
                                                     epsilon=5e-3))
-    work = sf.Workspace(grid, u.shape, fields)
-    work.stencil.load(u)
+    work = sf.Workspace(grid, u, fields)
     benchmark(_loaded_rhs, work, sphere, fields)
 
 
@@ -138,8 +137,7 @@ def test_bfield_force(benchmark, case):
     fields = sf.FieldBackground(b=sf.make_two_form("y4", 4, beta=0.2),
                                 V=sf.make_potential("height", 4,
                                                     epsilon=5e-3))
-    work = sf.Workspace(grid, u.shape, fields)
-    work.stencil.load(u).centred()
+    work = sf.Workspace(grid, u, fields)
     benchmark(_bfield_force, work, sphere, fields)
 
 
@@ -258,8 +256,8 @@ def test_assemble_A_and_rewrite_residual_64(benchmark):
 
 @pytest.mark.parametrize("n", (48, 64, 128), ids=lambda n: f"{n}x{n}")
 def test_one_shot_dirichlet_energy(benchmark, n):
-    # a free-function call builds a one-shot stencil (`Stencil.once`, 5
-    # maps), loads the map and applies one operator
+    # a free-function call builds a stencil from the map (5 maps, and
+    # its load) and applies one operator
     grid = sf.build_grid(n, n)
     u = sf.empty_map((n, n, 4))
     u[...] = sf.random_smooth_map(grid, sf.make_target("sphere", 4), seed=0,

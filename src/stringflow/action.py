@@ -16,25 +16,25 @@ Discretization notes (the choices here are load-bearing):
   exact gradient flow of the ledger action, so the dissipation identity
   defect is pure O(dt) and the gradient-consistency check is exact up to
   O(eps^2).
-* action_value and flow_rhs take a map and nothing else: each loads the
-  array it is given into a fresh grid.Stencil and takes every difference
-  from it.  A run owns its load instead.  Its Workspace, which init_state
-  allocates and run drops when it returns, holds the run's stencil (and
-  the force sum g when a field acts).  Inside a run the map is
-  component-major (grid.empty_map).
+* action_value and flow_rhs take a map and nothing else: each builds a
+  fresh grid.Stencil from the array it is given and takes every
+  difference from it.  A run owns its load instead.  Its Workspace, which
+  init_state builds from u0 and run drops when it returns, holds the
+  run's stencil (and the force sum g when a field acts).  Inside a run
+  the map is component-major (grid.empty_map).
   A step builds each candidate in a fresh map, u + dt rhs projected in
   place, loads it into the run's stencil, and reads its action terms from
   that load (_trial); it keeps the candidate it accepts, so the run holds
   no trial buffer.  The rhs of the accepted map comes from the same load
-  (_loaded_rhs, flow_rhs's body after its load), and the kinetic
+  (_loaded_rhs, flow_rhs's body after its workspace), and the kinetic
   difference u_new - u goes into the stencil scratch, which is free once
   that rhs is formed.  A map that a state holds is never written again,
   so values are carried forward, not re-derived: FlowState.rhs and
   FlowState.terms are the rhs and action terms of u, which the next step,
   the convergence probe and the ledger record read.  init_state takes
   them for u0 from the public energies and flow_rhs, which the benchmark's
-  tracer times, and then loads u0 into the run's stencil for the first
-  record: three loads of u0, once per run.
+  tracer times, and then builds the run's Workspace from u0, whose load
+  the first record reads: three loads of u0, once per run.
   A load forms the centred and the second differences, and the action
   terms, the rhs and the ledger record all read them.  A ledger record
   loads nothing: it reads FlowState.terms and the two stacks of the run's
@@ -57,8 +57,9 @@ Discretization notes (the choices here are load-bearing):
   whose terms are exact zeros, so one formula serves every case.  Only
   the step keeps shortcuts, each commented with its measured saving:
   _loaded_rhs and _bfield_force skip the weight on a flat grid, and
-  Workspace and _loaded_rhs skip the force where both fields are zero
-  (as the fields' `integral` methods skip their sums).
+  where both fields are zero Workspace holds no g and _loaded_rhs, which
+  reads that, skips the force (as the fields' `integral` methods skip
+  their sums).
 * The action has one formula, _action_terms: E from grid.Stencil.dirichlet,
   B from TwoFormField.integral, V from ScalarPotential.integral, and
   S_tilde = 0.5*E + B + V, in that order.  energies and action_value
@@ -128,7 +129,7 @@ class EnergyTerms:
 def dirichlet_energy(u: np.ndarray, grid: SurfaceGrid) -> float:
     """int |du|^2 dvol with forward differences; conformally invariant, and
     the same bits for either layout of u (grid.Stencil.dirichlet)."""
-    return Stencil.once(grid, u).dirichlet()
+    return Stencil(grid, u).dirichlet()
 
 
 def _action_terms(st: Stencil, fields: FieldBackground) -> EnergyTerms:
@@ -147,7 +148,7 @@ def _action_terms(st: Stencil, fields: FieldBackground) -> EnergyTerms:
 
 def energies(vals: np.ndarray, grid: SurfaceGrid,
              fields: FieldBackground) -> EnergyTerms:
-    return _action_terms(Stencil.once(grid, vals), fields)
+    return _action_terms(Stencil(grid, vals), fields)
 
 
 def action_value(vals: np.ndarray, grid: SurfaceGrid,
@@ -158,23 +159,26 @@ def action_value(vals: np.ndarray, grid: SurfaceGrid,
 
 
 class Workspace:
-    """The buffers of one run, all component-major: the stencil that each
-    candidate is loaded into and, when either background field acts, the
-    force sum g of _bfield_force.  There is no trial map: a step builds
-    each candidate in the map it keeps, and forms its kinetic difference
-    in the stencil's scratch `tmp`.  _loaded_rhs writes its II term and
-    the projected force into that scratch too, and returns a fresh array.
+    """The buffers of one run, built from the map they hold, all
+    component-major: the stencil, built from vals, that each candidate is
+    then loaded into and, when either background field acts, the force sum
+    g of _bfield_force; g is None when neither acts.  There is no trial
+    map: a step builds each candidate in the map it keeps, and forms its
+    kinetic difference in the stencil's scratch `tmp`.  _loaded_rhs writes
+    its II term and the projected force into that scratch too, and returns
+    a fresh array.
 
-    init_state allocates one per run, the steps and records of the run
-    share it, and run drops it when it returns.  flow_rhs builds a fresh
-    one per call.
+    init_state builds one per run from u0, the steps and records of the
+    run share it, and run drops it when it returns.  flow_rhs builds a
+    fresh one per call.
     """
 
-    def __init__(self, grid: SurfaceGrid, shape, fields: FieldBackground):
-        self.stencil = Stencil(grid, shape)
+    def __init__(self, grid: SurfaceGrid, vals: np.ndarray,
+                 fields: FieldBackground):
+        self.stencil = Stencil(grid, vals)
         # zero-field fast path: zero fields have no force, so no g (a map)
-        if not (fields.b.is_zero and fields.V.is_zero):
-            self.g = empty_map(shape)
+        self.g = (None if fields.b.is_zero and fields.V.is_zero
+                  else empty_map(vals.shape))
 
 
 # -- flow right-hand side ---------------------------------------------------------
@@ -205,7 +209,7 @@ def _bfield_force(work: Workspace, target: TargetManifold,
 def flow_rhs(vals: np.ndarray, grid: SurfaceGrid, target: TargetManifold,
              fields: FieldBackground) -> np.ndarray:
     """Delta_h u - II(du, du) - Z(du(e1) ^ du(e2)) - P grad V(u), from a
-    load of vals in a fresh Workspace (_loaded_rhs).
+    fresh Workspace built from vals (_loaded_rhs).
 
     The result need not be pointwise tangent: the normal part of Delta_h u
     balances the II term up to truncation error.  All metric weights are
@@ -215,9 +219,7 @@ def flow_rhs(vals: np.ndarray, grid: SurfaceGrid, target: TargetManifold,
     projection for both forces (P is linear), _bfield_force, which runs
     whenever either field acts.
     """
-    work = Workspace(grid, vals.shape, fields)
-    work.stencil.load(vals)
-    return _loaded_rhs(work, target, fields)
+    return _loaded_rhs(Workspace(grid, vals, fields), target, fields)
 
 
 def _loaded_rhs(work: Workspace, target: TargetManifold,
@@ -237,7 +239,7 @@ def _loaded_rhs(work: Workspace, target: TargetManifold,
     if not grid.is_flat:
         R *= grid.em2l
     # zero-field fast path: that force is 32 us of a 156 us step at 48^2
-    if not (fields.b.is_zero and fields.V.is_zero):
+    if work.g is not None:
         R -= component_first(_bfield_force(work, target, fields))
     return rhs
 
@@ -406,7 +408,7 @@ class FlowState:
     u; init_state calls energies and flow_rhs.  A caller that wants to
     alter a map writes to a copy and, to go on, starts a new run from it.
     `work` is the run's Workspace while it steps; the state that `run`
-    returns has none, and `step` builds one on demand.
+    returns has none, and `step` builds one from u.values.
     """
     t: float
     u: MapField
@@ -448,9 +450,8 @@ def init_state(u0: MapField, grid: SurfaceGrid, target: TargetManifold,
     # flow_rhs's, which would leave them in the heap (bubble_probe_64's
     # peak RSS +0.35 MB)
     terms = energies(vals, grid, fields)
-    work = Workspace(grid, vals.shape, fields)
     rhs = flow_rhs(vals, grid, target, fields)
-    work.stencil.load(vals)
+    work = Workspace(grid, vals, fields)
     dt = config.dt_init if config.dt_init is not None else cfl_bound(grid, config.cfl)
     state = FlowState(t=0.0, u=u, dt=dt, grid=grid, target=target,
                       fields=fields, config=config, S0=terms.S_tilde,
@@ -548,14 +549,14 @@ def step(state: FlowState) -> FlowState:
     rhs of the new map, formed from the stencil the accepted trial loaded,
     and keeps that trial's action terms in state.terms; the kinetic
     difference u_new - u is then formed in the stencil's scratch `tmp`,
-    which that rhs no longer needs.  A state without a
-    workspace (one that `run` returned) gets a fresh one: every trial loads
+    which that rhs no longer needs.  A state without a workspace (one that
+    `run` returned) gets a fresh one built from its map: every trial loads
     its own map, so no step reads what an earlier one left there.
     """
     cfg = state.config
     vals, rhs = state.u.values, state.rhs
     if state.work is None:
-        state.work = Workspace(state.grid, vals.shape, state.fields)
+        state.work = Workspace(state.grid, vals, state.fields)
     tol_up = TOL_UP * (1.0 + state.S0)
     remaining = cfg.t_end - state.t
     dt = dt0 = min(state.dt, remaining) if remaining > 0.0 else state.dt

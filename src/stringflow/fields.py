@@ -296,13 +296,13 @@ def pullback_density(u: np.ndarray, b: TwoFormField,
     The pullback integral is sum(density) * dx * dy, with no conformal
     weight: the B-term is conformally invariant.
     """
-    return b.pullback(u, *Stencil.once(grid, u).centred())
+    return b.pullback(u, *Stencil(grid, u).centred())
 
 
 def pullback_integral(u: np.ndarray, b: TwoFormField, grid: SurfaceGrid) -> float:
     """The B term of u from a load of its own: TwoFormField.integral, the
     sum that the action reads."""
-    return b.integral(Stencil.once(grid, u))
+    return b.integral(Stencil(grid, u))
 
 
 def z_operator(u: np.ndarray, xi1: np.ndarray, xi2: np.ndarray,

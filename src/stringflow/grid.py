@@ -12,14 +12,14 @@ Every difference of a field comes from a `Stencil`, which holds one
 field form: a C-contiguous component-first stack (q, nx, ny).  A node
 scalar is one plane, and a field whose component-first view is strided,
 such as a row-major map, is copied once into the stencil's scratch at
-load.  The stencil differences its field by slicing it, with no copy of a
-shift, at every size: a run's stencil, which several operators share per
-load, and the one-shot stencil (`Stencil.once`) of each free function
-below (the Laplace-Beltrami operator, the frame derivatives, the
-densities), which applies one operator per call.  The one exception is
-`centred`, a single-axis difference for a contiguous field of which
-nothing else is needed (the flux divergence of the B-force), which slices
-in the same way.
+load.  A stencil is built from the field it holds, `Stencil(grid, f)`,
+and differences it by slicing it, with no copy of a shift, at every size:
+a run's stencil, which several operators share per load and which each
+candidate reloads, and the stencil that each free function below (the
+Laplace-Beltrami operator, the frame derivatives, the densities) builds
+to apply one operator.  The one exception is `centred`, a single-axis
+difference for a contiguous field of which nothing else is needed (the
+flux divergence of the B-force), which slices in the same way.
 
 Hot loops work on the component-first view (`component_first`: (q, nx, ny),
 C-contiguous for a component-major map), where numpy takes its contiguous
@@ -49,8 +49,8 @@ not depend on the layout of the input.
 A `Stencil` load forms both difference stacks, the centred differences
 and the undivided second differences, and every operator reads them, so a
 flow step's action, its rhs and the ledger record that follows share one
-load.  No operator writes the stacks, so after a load the operators may
-come in any order, and each gives the bits of a fresh load.
+load.  No operator writes the stacks, so the operators may come in any
+order, and each gives the bits of a stencil freshly built from the field.
 """
 
 from __future__ import annotations
@@ -288,15 +288,16 @@ def _planes(f: np.ndarray) -> np.ndarray:
 class Stencil:
     """The periodic neighbour differences of one field, in reusable buffers.
 
-    A `load(f)` forms both difference stacks of f at once: `grads`, the
+    `Stencil(grid, f)` allocates the buffers for fields of f's shape and
+    loads f; `load(f)` reloads them with another field of that shape.  A
+    load forms both difference stacks of f at once: `grads`, the
     centred differences [D0x f, D0y f] = [(xp - xm) * (0.5/dx),
     (yp - ym) * (0.5/dy)], and `second`, the undivided second differences
     [xp + xm - 2f, yp + ym - 2f] (xp[i] = f[i+1] and xm[i] = f[i-1] along
     x, yp and ym along y).  `source` is the array last loaded.  Every
-    operator after the load only reads the stacks, and writes at most the
-    scratch and its own result, so after a `load` any operator may follow
-    any other, and each gives the bits it gives on a freshly loaded
-    stencil; before the first load each raises GridError.
+    operator only reads the stacks, and writes at most the scratch and its
+    own result, so any operator may follow any other, and each gives the
+    bits it gives on a stencil freshly built from the field.
 
     The stencil holds one field form: a C-contiguous component-first stack
     (q, nx, ny), so x is axis -2 and y is axis -1 and each plane is
@@ -322,13 +323,12 @@ class Stencil:
     maps: both stacks and the scratch.
     """
 
-    def __init__(self, grid: SurfaceGrid, shape):
-        shape = tuple(shape)
+    def __init__(self, grid: SurfaceGrid, f: np.ndarray):
+        shape = f.shape
         grid.check_nodes(shape)
         self.grid = grid
         self.shape = shape
         planes = (math.prod(shape[2:]),) + shape[:2]
-        self.source = None
         # two blocks: the centred differences, which a caller may keep past
         # the stencil, and [scratch, second x, second y].  Separate arrays
         # would be trimmed from the heap and faulted in again on every
@@ -353,18 +353,7 @@ class Stencil:
         h = np.array([grid.dx, grid.dy]).reshape((2,) + (1,) * len(planes))
         self._half_inv_h = 0.5 / h
         self._inv_h2 = 1.0 / (h * h)
-
-    @classmethod
-    def once(cls, grid: SurfaceGrid, f: np.ndarray) -> "Stencil":
-        """A stencil loaded with f, for a caller that applies one operator."""
-        return cls(grid, f.shape).load(f)
-
-    def _stacks(self):
-        """(grads, second) of the loaded f; GridError before the first
-        load."""
-        if self.source is None:
-            raise GridError("the stencil was never loaded; load a field first")
-        return self.grads, self.second
+        self.load(f)
 
     def load(self, f: np.ndarray) -> "Stencil":
         if f.shape != self.shape:
@@ -397,8 +386,7 @@ class Stencil:
         with d2 the undivided second differences.  One einsum contracts
         each stack with itself, and each sum is scaled once, so no full map
         is divided or squared in place."""
-        G, P = self._stacks()
-        Gf, Pf = G.reshape(2, -1), P.reshape(2, -1)
+        Gf, Pf = self.grads.reshape(2, -1), self.second.reshape(2, -1)
         cx, cy = np.einsum("dk,dk->d", Gf, Gf)
         sx, sy = np.einsum("dk,dk->d", Pf, Pf)
         dx, dy = self.grid.dx, self.grid.dy
@@ -408,7 +396,6 @@ class Stencil:
     def centred(self):
         """(D0x f, D0y f) = ((xp - xm) * (0.5/dx), (yp - ym) * (0.5/dy)),
         the stack the load formed, as the views (gx, gy)."""
-        self._stacks()
         return self.gx, self.gy
 
     def laplacian(self, out: np.ndarray) -> np.ndarray:
@@ -417,7 +404,7 @@ class Stencil:
 
         Scales the second differences into `out` and scratch, so the
         stacks stay as they were."""
-        _, P = self._stacks()
+        P = self.second
         o = np.multiply(P[0], self._inv_h2[0], out=_planes(out))
         o += np.multiply(P[1], self._inv_h2[1], out=self.scratch)
         return out
@@ -432,7 +419,7 @@ class Stencil:
         makes on contiguous operands, as the II term of the flow contracts
         the centred differences (`SphereTarget.sff_trace`).
         """
-        G, _ = self._stacks()
+        G = self.grads
         d = np.einsum("i...,i...->...", G[0], G[0])
         d += np.einsum("i...,i...->...", G[1], G[1])
         return d
@@ -453,8 +440,8 @@ class Stencil:
         is one einsum of its component-first stack with itself, as in
         `grad_sq`, scaled once, so the stacks stay as they were.
         """
-        G, P = self._stacks()
-        nxy = _neighbours(np.subtract, G[1], -2, self.scratch)
+        P = self.second
+        nxy = _neighbours(np.subtract, self.grads[1], -2, self.scratch)
         ix2, iy2 = self._inv_h2.flat
         d = np.einsum("i...,i...->...", P[0], P[0])
         d *= ix2 * ix2
@@ -473,7 +460,7 @@ def laplace_beltrami(f: np.ndarray, grid: SurfaceGrid) -> np.ndarray:
     Self-adjoint in the e^{2 lam}-weighted inner product by construction.
     The weight is applied on every grid: on a flat one it is 1.0 exactly.
     """
-    lap = Stencil.once(grid, f).laplacian(np.empty_like(f))
+    lap = Stencil(grid, f).laplacian(np.empty_like(f))
     lap *= _comp_weight(grid.em2l, f)
     return lap
 
@@ -482,26 +469,26 @@ def frame_derivatives(u: np.ndarray, grid: SurfaceGrid):
     """Orthonormal-frame derivatives du(e1), du(e2), e_alpha = e^{-lam} d/dx_alpha."""
     # no caller in the package: kept because the benchmark's tracer wraps
     # it by name
-    ux, uy = Stencil.once(grid, u).centred()
+    ux, uy = Stencil(grid, u).centred()
     s = _comp_weight(grid.eml, u)
     return s * ux, s * uy
 
 
 def grad_sq_density(u: np.ndarray, grid: SurfaceGrid) -> np.ndarray:
     """Pointwise |du|^2 = |du(e1)|^2 + |du(e2)|^2 (centered differences)."""
-    d = Stencil.once(grid, u).grad_sq()
+    d = Stencil(grid, u).grad_sq()
     d *= grid.em2l
     return d
 
 
 def energy_density(u: np.ndarray, grid: SurfaceGrid) -> np.ndarray:
     """Pointwise |du|^2 dvol (Stencil.energy_density)."""
-    return Stencil.once(grid, u).energy_density()
+    return Stencil(grid, u).energy_density()
 
 
 def hessian_sq_density(u: np.ndarray, grid: SurfaceGrid) -> np.ndarray:
     """Pointwise |flat Hessian|^2 = u_xx^2 + 2 u_xy^2 + u_yy^2."""
-    return Stencil.once(grid, u).hessian_sq()
+    return Stencil(grid, u).hessian_sq()
 
 
 def l2_inner(f: np.ndarray, g: np.ndarray, grid: SurfaceGrid) -> float:

@@ -164,7 +164,7 @@ def small_energy_map(grid: SurfaceGrid, target: TargetManifold,
         return constant_map(grid, target, point)
     p = _basepoint(target, point)
     noise = _lowpass_noise(grid, target.q, seed, max_mode)
-    st = Stencil(grid, noise.shape)     # one stencil for every trial energy
+    st = Stencil(grid, noise)     # one stencil, reloaded by every trial energy
 
     def e_of(a):
         return st.load(target.project(p + a * noise)).dirichlet()

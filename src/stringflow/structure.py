@@ -55,7 +55,7 @@ def assemble_A(u_values: np.ndarray, grid: SurfaceGrid, target: TargetManifold,
     serves every grid and form: a zero form adds exact zeros, and a flat
     grid's weight is exactly 1.0.
     """
-    ux, uy = Stencil.once(grid, u_values).centred()
+    ux, uy = Stencil(grid, u_values).centred()
     nu = target.normal_frame(u_values)          # (..., L, q)
     # the scratch in the layout einsum gives these products, each (m, i)
     # plane contiguous; F and G inherit it
@@ -91,7 +91,7 @@ def rewrite_residual(u_values: np.ndarray, A: AntisymmetricPotential,
     potential: a flat grid's weight is exactly 1.0 and a zero potential's
     P grad V is exactly 0.
     """
-    st = Stencil.once(grid, u_values)
+    st = Stencil(grid, u_values)
     ux, uy = st.centred()
     res = st.laplacian(np.empty_like(u_values))
     res *= grid.em2l[..., None]          # as laplace_beltrami does

@@ -7,7 +7,7 @@ import pytest
 
 import stringflow as sf
 from stringflow import action, initial_data
-from stringflow.action import _bfield_force, _record, _snapshot
+from stringflow.action import _bfield_force, _loaded_rhs, _record, _snapshot
 from stringflow.errors import GridError
 from stringflow.grid import Stencil, ball_mask, energy_density
 
@@ -514,8 +514,7 @@ def test_step_reuses_only_shifts_it_may_reuse(grid, sphere):
             sf.step(st)
             if spend:
                 _record(st)
-            fresh = replace(st, work=sf.Workspace(g, st.u.values.shape,
-                                                  fields),
+            fresh = replace(st, work=sf.Workspace(g, st.u.values, fields),
                             rhs=sf.flow_rhs(st.u.values, g, sphere, fields))
             sf.step(st)
             sf.step(fresh)
@@ -540,7 +539,7 @@ def test_el_residual_in_the_run_workspace_matches_a_fresh_one(grid, sphere):
         fresh, l2, _ = sf.el_residual(st.u.values, grid, sphere, fields)
         assert np.array_equal(st.rhs, fresh)
         assert sf.l2_norm(st.rhs, grid) == l2
-        other = replace(st, work=sf.Workspace(grid, st.u.values.shape, fields))
+        other = replace(st, work=sf.Workspace(grid, st.u.values, fields))
         sf.step(st)
         assert np.array_equal(other.rhs, fresh)
         sf.step(other)
@@ -555,7 +554,9 @@ def test_el_residual_in_the_run_workspace_matches_a_fresh_one(grid, sphere):
 def test_carried_rhs_is_the_rhs_of_the_map(sphere, lam, with_fields,
                                            monkeypatch):
     # after a plain step, a record, a halved step and a dt_min collapse the
-    # carried rhs equals a fresh flow_rhs of the state's map, bit for bit
+    # carried rhs equals a fresh flow_rhs of the state's map, bit for bit,
+    # and so does _loaded_rhs of a workspace built from that map, which
+    # holds a force sum g exactly when a field acts
     g = sf.build_grid(24, 24, lam=lam)
     fields = sf.zero_background(4)
     if with_fields:
@@ -567,8 +568,12 @@ def test_carried_rhs_is_the_rhs_of_the_map(sphere, lam, with_fields,
     st = sf.init_state(u0, g, sphere, fields, cfg)
 
     def check():
-        assert np.array_equal(st.rhs,
-                              sf.flow_rhs(st.u.values, g, sphere, fields))
+        rhs = sf.flow_rhs(st.u.values, g, sphere, fields)
+        assert np.array_equal(st.rhs, rhs)
+        work = sf.Workspace(g, st.u.values, fields)
+        assert work.stencil.source is st.u.values
+        assert (work.g is None) is not with_fields
+        assert np.array_equal(_loaded_rhs(work, sphere, fields), rhs)
 
     check()
     sf.step(st)
@@ -874,9 +879,8 @@ def _two_projection_rhs(u, g, target, fields):
     on the flat grid of g's size and periods, which _bfield_force does not
     scale by e^{-2 lam}."""
     b_only = sf.FieldBackground(fields.b, sf.zero_potential(4))
-    work = sf.Workspace(sf.build_grid(g.nx, g.ny, g.Lx, g.Ly), u.shape,
-                        b_only)
-    st = work.stencil.load(u)
+    work = sf.Workspace(sf.build_grid(g.nx, g.ny, g.Lx, g.Ly), u, b_only)
+    st = work.stencil
     ux, uy = st.centred()
     rhs = st.laplacian(np.empty_like(u))
     rhs -= target.sff_trace(u, ux, uy)
@@ -905,6 +909,8 @@ def test_flow_rhs_projects_both_ambient_forces_at_once(grid, sphere, kinds):
             u = sf.random_smooth_map(g, sphere, seed=seed, amplitude=0.3)
             rhs = sf.flow_rhs(u.values, g, sphere, fields)
             ref = _two_projection_rhs(u.values, g, sphere, fields)
+            # one field acting is enough for the force sum
+            assert sf.Workspace(g, u.values, fields).g is not None
             if kinds == "potential" or (kinds == "two-form" and g.is_flat):
                 assert np.array_equal(rhs, ref)
             else:

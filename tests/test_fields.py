@@ -305,8 +305,7 @@ def test_bfield_force_and_pullback_match_dense_formulas(sphere, lam):
         ref = _parent_pullback_density(u, b, g)
         assert np.max(np.abs(dens - ref)) <= 1e-13 * np.max(np.abs(ref))
 
-        work = Workspace(g, u.shape, fields)
-        work.stencil.load(u).centred()
+        work = Workspace(g, u, fields)
         force = _bfield_force(work, sphere, fields)
         ref = _parent_bfield_force(u, b, g, sphere)
         assert np.max(np.abs(force - ref)) <= 1e-13 * np.max(np.abs(ref))
@@ -340,11 +339,12 @@ def test_bfield_force_of_y4_is_the_flux_sum_bitwise(sphere, lam, v_kind):
     V = sf.make_potential(v_kind, 4, epsilon=0.1)
     b = y4_two_form(0.3)
     fields = sf.FieldBackground(b=b, V=V)
-    work = Workspace(g, (24, 20, 4), fields)
-    for seed in (0, 1):
-        # component-major, as in a run
-        u = sf.random_smooth_map(g, sphere, seed=seed, amplitude=0.4).values
-        work.stencil.load(u).centred()
+    # component-major, as in a run
+    maps = [sf.random_smooth_map(g, sphere, seed=seed, amplitude=0.4).values
+            for seed in (0, 1)]
+    work = Workspace(g, maps[-1], fields)
+    for u in maps:
+        work.stencil.load(u)
         force = _bfield_force(work, sphere, fields)
         assert np.array_equal(force, _flux_sum_bfield_force(u, b, g, sphere, V))
 
@@ -358,15 +358,18 @@ def test_bfield_force_of_a_dense_two_form_matches_dense_formula(sphere, lam,
     C = rng.standard_normal((4, 4, 4))
     b = sf.TwoFormField("dense", 0.1 * (C - np.swapaxes(C, 1, 2)))
     fields = sf.FieldBackground(b=b, V=sf.zero_potential(4))
-    work = Workspace(g, (24, 20, 4), fields)
-    # one workspace for several maps: no plane may carry a stale value
+    maps = []
     for seed in (3, 4, 5):
         u = sf.random_smooth_map(g, sphere, seed=seed, amplitude=0.4).values
         if layout != "C":
             cm = sf.empty_map(u.shape)
             cm[...] = u
             u = cm
-        work.stencil.load(u).centred()
+        maps.append(u)
+    # one workspace for several maps: no plane may carry a stale value
+    work = Workspace(g, maps[-1], fields)
+    for u in maps:
+        work.stencil.load(u)
         force = _bfield_force(work, sphere, fields)
         ref = _parent_bfield_force(u, b, g, sphere)
         assert np.max(np.abs(force - ref)) <= 1e-13 * np.max(np.abs(ref))

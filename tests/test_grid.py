@@ -295,7 +295,7 @@ def test_forward_differences_and_dirichlet_energy_match_roll_bitwise(seed,
     assert E == _roll_dirichlet(u, g)
     assert abs(E - _textbook_dirichlet(u, g)) <= 1e-14 * E
     for a in (u, _component_major(u)):
-        assert Stencil(g, shape).load(a).dirichlet() == E
+        assert Stencil(g, a).dirichlet() == E
 
 
 @pytest.mark.parametrize("shape", [SMALL, SMALL + (3,), LARGE, LARGE + (3,)])
@@ -332,7 +332,7 @@ def test_energy_density_is_grad_sq_density_times_the_weight(lam, shape):
     g = sf.build_grid(24, 20, lam=lam)
     f = rng.standard_normal(shape)
     d = energy_density(f, g)
-    assert np.array_equal(d, Stencil(g, shape).load(f).energy_density())
+    assert np.array_equal(d, Stencil(g, f).energy_density())
     ref = sf.grad_sq_density(f, g) * g.w
     if lam is None:
         assert np.array_equal(d, ref)
@@ -399,7 +399,7 @@ def test_stencil_centred_matches_d0_bitwise(layout, nodes):
     u = _six_decades(rng, nodes + (4,))
     if layout == "component-major":
         u = _component_major(u)
-    ux, uy = Stencil(g, u.shape).load(u).centred()
+    ux, uy = Stencil(g, u).centred()
     assert np.array_equal(ux, _roll_d0(u, 0, g.dx))
     assert np.array_equal(uy, _roll_d0(u, 1, g.dy))
 
@@ -428,7 +428,7 @@ def test_operators_match_roll_formulas_bitwise(layout, nodes):
     # for the field, equals the forward-difference sum to rounding
     E = _roll_dirichlet(u, g)
     assert sf.dirichlet_energy(u, g) == E
-    assert Stencil(g, u.shape).load(u).dirichlet() == E
+    assert Stencil(g, u).dirichlet() == E
     assert abs(E - _textbook_dirichlet(u, g)) <= 1e-12 * E
     if u.ndim == 3:
         b = sf.make_two_form("y4", 4, beta=0.3)
@@ -446,7 +446,7 @@ def test_stencil_laplacian_matches_roll_formula(shape):
     ref = (np.roll(f, -1, axis=0) + np.roll(f, 1, axis=0) - 2.0 * f) / g.dx ** 2 \
         + (np.roll(f, -1, axis=1) + np.roll(f, 1, axis=1) - 2.0 * f) / g.dy ** 2
     for a in (f, _component_major(f) if f.ndim == 3 else f):
-        lap = Stencil(g, shape).load(a).laplacian(np.empty_like(a))
+        lap = Stencil(g, a).laplacian(np.empty_like(a))
         assert np.max(np.abs(lap - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
@@ -460,7 +460,7 @@ def test_stencil_dirichlet_matches_forward_differences(layout):
     if layout == "component-major":
         u = _component_major(u)
     ref = _textbook_dirichlet(u, g)
-    E = Stencil(g, u.shape).load(u).dirichlet()
+    E = Stencil(g, u).dirichlet()
     assert abs(E - ref) <= 1e-14 * ref
 
 
@@ -495,13 +495,13 @@ def test_centred_after_each_operator_matches_a_fresh_stencil(op):
     g = sf.build_grid(24, 20, Lx=5.0, Ly=3.0)
     u, v = (_component_major(_six_decades(rng, (24, 20, 4)))
             for _ in range(2))
-    ref = [a.copy() for a in Stencil(g, u.shape).load(u).centred()]
+    ref = [a.copy() for a in Stencil(g, u).centred()]
     run = {"load": lambda st: st.load(u),
            "dirichlet": Stencil.dirichlet,
            "grad_sq": Stencil.grad_sq, "hessian_sq": Stencil.hessian_sq,
            "laplacian": lambda st: st.laplacian(sf.empty_map(u.shape))}[op]
     for primed in (False, True):
-        st = Stencil(g, u.shape).load(v if op == "load" else u)
+        st = Stencil(g, v if op == "load" else u)
         if primed:
             st.centred()
         run(st)
@@ -516,23 +516,26 @@ def test_centred_after_each_operator_matches_a_fresh_stencil(op):
 @pytest.mark.parametrize("shape", [SMALL, SMALL + (4,), (96, 88, 4), LARGE],
                          ids=["scalar", "map", "map-sliced", "scalar-sliced"])
 def test_stencil_operators_in_any_order_match_a_fresh_load(shape):
-    # on a small and a large field, every operator, after any sequence of
-    # the others and again straight after itself, gives the bits of the
-    # same operator on a freshly loaded stencil, from one load: no operator
-    # writes the stacks or loads again.  Before its first load every
-    # operator raises
+    # on a small and a large field, every operator of a stencil built
+    # from another field of the shape and then loaded with u, after any
+    # sequence of the others and again straight after itself, gives the
+    # bits of the same operator on a stencil freshly built from u, from
+    # one load: no operator writes the stacks or loads again
     rng = np.random.default_rng(39)
     g = sf.build_grid(*shape[:2], Lx=5.0, Ly=3.0)
-    u = _component_major(_six_decades(rng, shape))
+    u, v = (_component_major(_six_decades(rng, shape)) for _ in range(2))
     ops = {"dirichlet": Stencil.dirichlet,
            "centred": lambda st: [a.copy() for a in st.centred()],
            "grad_sq": Stencil.grad_sq, "hessian_sq": Stencil.hessian_sq,
+           "energy_density": Stencil.energy_density,
            "laplacian": lambda st: st.laplacian(sf.empty_map(u.shape))}
-    fresh = {name: op(Stencil(g, u.shape).load(u)) for name, op in ops.items()}
-    st = Stencil(g, u.shape)
-    for op in ops.values():
-        with pytest.raises(GridError, match="never loaded"):
-            op(st)
+    fresh = {}
+    for name, op in ops.items():
+        built = Stencil(g, u)
+        assert built.source is u
+        fresh[name] = op(built)
+    st = Stencil(g, v)
+    assert st.source is v
     st.load(u)
     stacks = st.grads.tobytes(), st.second.tobytes()
 
@@ -552,24 +555,24 @@ def test_stencil_operators_in_any_order_match_a_fresh_load(shape):
 @pytest.mark.parametrize("shape", [SMALL, SMALL + (4,), (96, 88), (96, 88, 4)],
                          ids=["scalar", "map", "scalar-96", "map-sliced"])
 def test_one_shot_operators_match_the_workspace_stencil(shape):
-    # each operator of a one-shot stencil, and each free function built on
-    # it, gives the bits of the stencil a run's Workspace holds
+    # each operator of a stencil built from u, and each free function
+    # built on one, gives the bits of the stencil a run's Workspace holds,
+    # built from another map and reloaded with u
     rng = np.random.default_rng(41)
     g = sf.build_grid(*shape[:2], Lx=5.0, Ly=3.0,
                       lam=lambda x, y: 0.2 * np.sin(x) * np.cos(y))
-    u = _component_major(_six_decades(rng, shape))
+    u, v = (_component_major(_six_decades(rng, shape)) for _ in range(2))
     if len(shape) == 3:
-        work = sf.Workspace(g, shape, sf.zero_background(4)).stencil
+        work = sf.Workspace(g, v, sf.zero_background(4)).stencil
     else:
-        work = Stencil(g, shape)
+        work = Stencil(g, v)
     ops = {"dirichlet": Stencil.dirichlet,
            "centred": lambda st: [a.copy() for a in st.centred()],
            "grad_sq": Stencil.grad_sq, "hessian_sq": Stencil.hessian_sq,
            "energy_density": Stencil.energy_density,
            "laplacian": lambda st: st.laplacian(sf.empty_map(u.shape))}
     for name, op in ops.items():
-        once = Stencil.once(g, u)
-        assert np.array_equal(op(once), op(work.load(u))), name
+        assert np.array_equal(op(Stencil(g, u)), op(work.load(u))), name
     node = g.em2l if u.ndim == 2 else g.em2l[..., None]
     lap = work.load(u).laplacian(sf.empty_map(u.shape)) * node
     assert np.array_equal(sf.laplace_beltrami(u, g), lap)
@@ -614,15 +617,14 @@ def test_stencil_holds_one_plane_stack_and_views_in_the_field_shape(shape):
     # node scalar one plane; gx, gy and tmp are views of those buffers in
     # the field's shape, for a small and a large field
     g = sf.build_grid(*shape[:2], Lx=5.0, Ly=3.0)
-    st = Stencil(g, shape)
+    u = _six_decades(np.random.default_rng(43), shape)
+    st = Stencil(g, u)
     planes = (shape[2] if len(shape) == 3 else 1,) + shape[:2]
     assert st.grads.shape == (2,) + planes and st.scratch.shape == planes
     assert st.grads.flags.c_contiguous and st.scratch.flags.c_contiguous
     for view, buf in ((st.gx, st.grads[0]), (st.gy, st.grads[1]),
                       (st.tmp, st.scratch)):
         assert view.shape == shape and np.shares_memory(view, buf)
-    u = _six_decades(np.random.default_rng(43), shape)
-    st.load(u)
     assert np.array_equal(st.gx, _roll_d0(u, 0, g.dx))
     assert np.array_equal(st.gy, _roll_d0(u, 1, g.dy))
 
@@ -636,9 +638,8 @@ def test_loading_a_row_major_map_copies_it_into_the_scratch(nodes):
     g = sf.build_grid(*nodes, Lx=5.0, Ly=3.0)
     u = _six_decades(np.random.default_rng(44), nodes + (4,))
     assert u.flags.c_contiguous
-    st = Stencil(g, u.shape)
-    ref = Stencil(g, u.shape).load(_component_major(u))
-    st.load(u)
+    st = Stencil(g, u)
+    ref = Stencil(g, _component_major(u))
     tracemalloc.start()
     try:
         st.load(u)

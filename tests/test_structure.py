@@ -161,7 +161,7 @@ def test_rewrite_residual_matches_the_term_by_term_sum(sphere, monkeypatch,
                                       G=rng.standard_normal(u.shape + (4,)))
         # einsum's sums depend on the operands' strides, so the terms take
         # the centred differences in the stencil's own layout
-        ux, uy = Stencil(g, u.shape).load(u).centred()
+        ux, uy = Stencil(g, u).centred()
         Fux = np.einsum("...mi,...i->...m", A.F, ux)
         Guy = np.einsum("...mi,...i->...m", A.G, uy)
         gv = sf.tangential_grad_V(u, fields.V, sphere)
