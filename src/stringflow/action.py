@@ -443,12 +443,12 @@ def init_state(u0: MapField, grid: SurfaceGrid, target: TargetManifold,
     u = MapField(target.project(vals, out=vals), target)
     # u0's terms and rhs from the public operators, so that the benchmark's
     # tracer times this work as it times a step's; the record at t = 0
-    # reads the run's own load.  The order is measured: the run's buffers
-    # come after the stencil that energies frees, whose pages they reuse
-    # (allocated first, the untraced load below faulted them in, and the
-    # smoke workload's unaccounted share rose 0.08 -> 0.10), and before
-    # flow_rhs's, which would leave them in the heap (bubble_probe_64's
-    # peak RSS +0.35 MB)
+    # reads the load of the run's workspace.  The order is measured: built
+    # last, the workspace reuses the pages of flow_rhs's, and the smoke
+    # workload's unaccounted share reads 0.094 (median of 10 alternating
+    # traced runs, 2-core VM), against 0.095 built between energies and
+    # flow_rhs; peak RSS is the same either way (bench/rss_phases.py, 4
+    # runs each: bubble_probe_64 44.19-44.32 against 44.20-44.31 MB)
     terms = energies(vals, grid, fields)
     rhs = flow_rhs(vals, grid, target, fields)
     work = Workspace(grid, vals, fields)

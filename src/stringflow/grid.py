@@ -576,9 +576,13 @@ def ball_sum_map(density: np.ndarray, grid: SurfaceGrid, R: float) -> np.ndarray
     agrees with direct masked sums to roundoff.  The transforms are
     irfft2(rfft2(density) * K, s=density.shape) axis by axis, in the order
     numpy's rfftn and irfftn take them, so the bits are the same; the
-    complex spectrum is one array, transformed in place.
+    complex spectrum is one array, transformed in place.  ShapeError
+    unless the density is a node scalar of shape (nx, ny).
     """
     grid.check_nodes(density.shape)
+    if density.ndim != 2:
+        raise ShapeError(f"density of shape {density.shape}: the ball sum "
+                         "takes a node scalar (nx, ny)")
     F = np.fft.rfft(density, axis=1)
     np.fft.fft(F, axis=0, out=F)
     F *= ball_kernel_transform(grid, R)

@@ -89,8 +89,11 @@ def rewrite_residual(u_values: np.ndarray, A: AntisymmetricPotential,
     in the order written, each formed in the stencil's scratch, so the
     residual allocates one map.  One formula serves every grid and
     potential: a flat grid's weight is exactly 1.0 and a zero potential's
-    P grad V is exactly 0.
+    P grad V is exactly 0.  ShapeError unless F and G live on the grid's
+    nodes.
     """
+    for slot in (A.F, A.G):
+        grid.check_nodes(slot.shape)
     st = Stencil(grid, u_values)
     ux, uy = st.centred()
     res = st.laplacian(np.empty_like(u_values))

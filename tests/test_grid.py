@@ -124,6 +124,14 @@ def test_ball_sum_map_matches_direct_sum():
         assert m[ix, iy] == pytest.approx(direct, rel=1e-12, abs=1e-12)
 
 
+def test_ball_sum_map_refuses_a_density_with_a_component_axis():
+    # a ball sum is of a node scalar; a (nx, ny, q) density used to reach
+    # the kernel product and give numpy's broadcast error
+    g = sf.build_grid(32, 32)
+    with pytest.raises(ShapeError, match=re.escape("(32, 32, 4)")):
+        ball_sum_map(np.ones((32, 32, 4)), g, 0.5)
+
+
 @pytest.mark.parametrize("shape", [(9, 11), (24, 40)],
                          ids=["odd", "rectangular"])
 def test_ball_sum_map_is_the_2d_transform_bit_for_bit(shape):

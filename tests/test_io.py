@@ -112,6 +112,16 @@ def test_snapshot_writer_refuses_a_time_the_reader_refuses(run_state,
     assert not p.exists()
 
 
+@pytest.mark.parametrize("shape", [(4, 4, 0), (0, 4, 4), (4, 0, 4)])
+def test_snapshot_writer_refuses_an_empty_axis(tmp_path, shape):
+    # read_snapshot refuses a header with nx, ny or q below 1, so the
+    # writer refuses such values before it opens the file
+    p = tmp_path / "m.snap"
+    with pytest.raises(SnapshotError, match=re.escape(f"got {shape}")):
+        sf.write_snapshot(str(p), np.zeros(shape), 0.0, "sphere")
+    assert not p.exists()
+
+
 def test_snapshot_bad_header_detected(tmp_path):
     p = tmp_path / "m.snap"
     p.write_bytes(b"not json\n" + b"\x00" * 64)

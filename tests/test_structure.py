@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 
 import stringflow as sf
 from stringflow import structure
+from stringflow.errors import ShapeError
 from stringflow.grid import Stencil
 
 
@@ -171,6 +173,23 @@ def test_rewrite_residual_matches_the_term_by_term_sum(sphere, monkeypatch,
         for A_, ref in ((A, lap + Fux + Guy - gv), (no_F, lap + Guy - gv)):
             res = sf.rewrite_residual(u, A_, g, sphere, fields)
             assert np.array_equal(res, ref)
+
+def test_rewrite_residual_refuses_an_A_of_another_grid(sphere):
+    # F or G assembled on a 16^2 grid used to give numpy's broadcast error
+    # against a 32^2 map
+    from dataclasses import replace
+    fields = sf.zero_background(4)
+    g16, g32 = sf.build_grid(16, 16), sf.build_grid(32, 32)
+    u16, u32 = (sf.random_smooth_map(g, sphere, seed=3, amplitude=0.3).values
+                for g in (g16, g32))
+    A16 = sf.assemble_A(u16, g16, sphere, fields)
+    A32 = sf.assemble_A(u32, g32, sphere, fields)
+    for slot in ("F", "G"):
+        A = replace(A32, **{slot: getattr(A16, slot)})
+        with pytest.raises(ShapeError,
+                           match=re.escape("(16, 16, 4, 4)") + ".* 32 x 32"):
+            sf.rewrite_residual(u32, A, g32, sphere, fields)
+
 
 def test_gap_check_constant_map(sphere):
     g = sf.build_grid(24, 24)
