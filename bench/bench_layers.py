@@ -84,8 +84,8 @@ import numpy as np  # noqa: E402
 
 import stringflow as sf  # noqa: E402
 from stringflow import action  # noqa: E402
-from code_lines import file_counts  # noqa: E402
 from stringflow.grid import Stencil  # noqa: E402
+from code_lines import file_counts  # noqa: E402
 from tracer import Tracer  # noqa: E402
 from workloads import WORKLOADS  # noqa: E402
 

@@ -26,15 +26,16 @@ Discretization notes (the choices here are load-bearing):
   place, loads it into the run's stencil, and reads its action terms from
   that load (_trial); it keeps the candidate it accepts, so the run holds
   no trial buffer.  The rhs of the accepted map comes from the same load
-  (_loaded_rhs, flow_rhs's body after its workspace), and the kinetic
-  difference u_new - u goes into the stencil scratch, which is free once
-  that rhs is formed.  A map that a state holds is never written again,
-  so values are carried forward, not re-derived: FlowState.rhs and
-  FlowState.terms are the rhs and action terms of u, which the next step,
-  the convergence probe and the ledger record read.  init_state takes
-  them for u0 from the public energies and flow_rhs, which the benchmark's
-  tracer times, and then builds the run's Workspace from u0, whose load
-  the first record reads: three loads of u0, once per run.
+  (_loaded_rhs, which flow_rhs calls on a fresh workspace), and the
+  kinetic difference u_new - u goes into the stencil scratch, which is
+  free once that rhs is formed.  A map that a state holds is never
+  written again, so values are carried forward, not re-derived:
+  FlowState.rhs and FlowState.terms are the rhs and action terms of u,
+  which the next step, the convergence probe and the ledger record read.
+  init_state takes them for u0 from the public energies and flow_rhs,
+  which the benchmark's tracer times, and then builds the run's Workspace
+  from u0, whose load the first record reads: three loads of u0, once
+  per run.
   A load forms the centred and the second differences, and the action
   terms, the rhs and the ledger record all read them.  A ledger record
   loads nothing: it reads FlowState.terms and the two stacks of the run's
@@ -159,14 +160,14 @@ def action_value(vals: np.ndarray, grid: SurfaceGrid,
 
 
 class Workspace:
-    """The buffers of one run, built from the map they hold, all
-    component-major: the stencil, built from vals, that each candidate is
-    then loaded into and, when either background field acts, the force sum
-    g of _bfield_force; g is None when neither acts.  There is no trial
-    map: a step builds each candidate in the map it keeps, and forms its
-    kinetic difference in the stencil's scratch `tmp`.  _loaded_rhs writes
-    its II term and the projected force into that scratch too, and returns
-    a fresh array.
+    """The buffers of one run, built from the map vals, all
+    component-major: the stencil, loaded with vals and then with each
+    candidate, and, when either background field acts, the force sum g of
+    _bfield_force (None when neither acts).  There is no trial map: a step
+    builds each candidate in the map it keeps, and forms its kinetic
+    difference in the stencil's scratch `tmp`.  _loaded_rhs writes its II
+    term and the projected force into that scratch too, and returns a
+    fresh array.
 
     init_state builds one per run from u0, the steps and records of the
     run share it, and run drops it when it returns.  flow_rhs builds a
