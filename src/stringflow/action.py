@@ -348,7 +348,8 @@ def monotonicity_check(ledger: EnergyLedger, delta2: float, S0: float) -> dict:
 # -- time stepping -----------------------------------------------------------------
 
 def cfl_bound(grid: SurfaceGrid, cfl: float) -> float:
-    return cfl * min(grid.dx, grid.dy) ** 2 * math.exp(2.0 * grid.lam_min) / 4.0
+    return (cfl * min(grid.dx, grid.dy) ** 2
+            * math.exp(2.0 * float(grid.lam.min())) / 4.0)
 
 
 @dataclass
@@ -365,12 +366,17 @@ class FlowConfig:
     conv_tol: float = 0.0           # 0 disables the convergence probe
     record_every: int = 10
 
-    def validate(self, grid: SurfaceGrid):
+    def validate(self, grid: SurfaceGrid) -> float:
+        """GridError naming the first setting that this grid rules out;
+        else the initial dt, dt_init or the CFL bound."""
         if not 0.0 < self.t_end < math.inf:
             raise GridError(f"t_end must be finite and > 0, got {self.t_end}")
-        if self.record_every < 1:
-            raise GridError(f"record_every must be at least 1, got "
-                            f"{self.record_every}")
+        # a step count: bool is an int subclass, but True is not a count
+        if (isinstance(self.record_every, bool)
+                or not isinstance(self.record_every, (int, np.integer))
+                or self.record_every < 1):
+            raise GridError(f"record_every must be an int of at least 1, got "
+                            f"{self.record_every!r}")
         if not (0.0 < self.cfl <= 1.0):
             raise GridError(f"cfl must be in (0, 1], got {self.cfl}")
         if not 0.0 < self.delta1 < math.inf:
@@ -395,6 +401,7 @@ class FlowConfig:
         if not (0.0 < self.ball_radius < grid.inj_radius):
             raise GridError(f"ball_radius {self.ball_radius} outside "
                             f"(0, {grid.inj_radius})")
+        return dt0
 
 
 @dataclass
@@ -438,7 +445,7 @@ class FlowState:
 
 def init_state(u0: MapField, grid: SurfaceGrid, target: TargetManifold,
                fields: FieldBackground, config: FlowConfig) -> FlowState:
-    config.validate(grid)
+    dt = config.validate(grid)
     vals = empty_map(u0.values.shape)
     vals[...] = u0.values
     u = MapField(target.project(vals, out=vals), target)
@@ -453,7 +460,6 @@ def init_state(u0: MapField, grid: SurfaceGrid, target: TargetManifold,
     terms = energies(vals, grid, fields)
     rhs = flow_rhs(vals, grid, target, fields)
     work = Workspace(grid, vals, fields)
-    dt = config.dt_init if config.dt_init is not None else cfl_bound(grid, config.cfl)
     state = FlowState(t=0.0, u=u, dt=dt, grid=grid, target=target,
                       fields=fields, config=config, S0=terms.S_tilde,
                       work=work, rhs=rhs, terms=terms)

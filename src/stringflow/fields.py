@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import HypothesisError
-from .grid import Stencil, SurfaceGrid, centred
+from .grid import Stencil, SurfaceGrid, centred, check_finite
 from .registry import build_kind
 from .targets import TargetManifold, tangent_project
 
@@ -160,6 +160,7 @@ def y4_two_form(beta: float, q: int = 4) -> TwoFormField:
     """b_12(y) = beta * y^4 (so Omega = beta dy^1 ^ dy^2 ^ dy^4)."""
     if q < 4:
         raise ValueError("y4 two-form needs q >= 4")
+    check_finite(beta=beta)
     C = np.zeros((q, q, q))
     C[3, 0, 1] = beta
     C[3, 1, 0] = -beta
@@ -258,6 +259,7 @@ def zero_potential(q: int) -> ScalarPotential:
 
 def height_potential(epsilon: float, q: int = 4) -> ScalarPotential:
     """V(y) = epsilon * y^1; on the unit sphere min V = -|epsilon|."""
+    check_finite(epsilon=epsilon)
     a = np.zeros(q)
     a[0] = epsilon
     return ScalarPotential("height", a, shift=abs(epsilon))

@@ -85,9 +85,7 @@ class SurfaceGrid:
     x: np.ndarray        # (nx,) node coordinates
     y: np.ndarray        # (ny,)
     em2l: np.ndarray     # e^{-2 lam}
-    eml: np.ndarray      # e^{-lam}
     w: np.ndarray        # quadrature weights e^{2 lam} dx dy
-    lam_min: float       # min lam, which sets the CFL bound
 
     @functools.cached_property
     def is_flat(self) -> bool:
@@ -101,17 +99,19 @@ class SurfaceGrid:
             raise ShapeError(f"field of shape {tuple(shape)} on a {self.nx} "
                              f"x {self.ny} grid: its nodes must be the grid's")
 
-    @functools.cached_property
-    def total_volume(self) -> float:
-        return float(np.sum(self.w))
-
     @property
     def inj_radius(self) -> float:
         # flat-torus value; only used to bound admissible ball radii
         return 0.5 * min(self.Lx, self.Ly)
 
-    def meshgrid(self):
-        return np.meshgrid(self.x, self.y, indexing="ij")
+
+def check_finite(**named):
+    """GridError naming the first of the keyword arguments that is not a
+    finite number or an array of them: the one check of the numbers that
+    the map, two-form and potential builders take."""
+    for name, value in named.items():
+        if not np.isfinite(np.asarray(value, dtype=float)).all():
+            raise GridError(f"{name} must be finite, got {value!r}")
 
 
 def build_grid(nx: int, ny: int, Lx: float = TWO_PI, Ly: float = TWO_PI,
@@ -119,7 +119,8 @@ def build_grid(nx: int, ny: int, Lx: float = TWO_PI, Ly: float = TWO_PI,
     """Build a SurfaceGrid.
 
     `lam` may be None (flat), a scalar, an (nx, ny) array, or a callable
-    lam(X, Y) evaluated on the node mesh.
+    lam(X, Y) evaluated on the node mesh that gives one of the others.
+    Every form takes one path: it is broadcast to (nx, ny) and copied.
     """
     if nx < 8 or ny < 8:
         raise GridError(f"nx and ny must be at least 8, got nx={nx}, "
@@ -140,19 +141,12 @@ def build_grid(nx: int, ny: int, Lx: float = TWO_PI, Ly: float = TWO_PI,
                             "a positive normal double")
     x = np.arange(nx) * dx
     y = np.arange(ny) * dy
-    if lam is None:
-        lam_arr = np.zeros((nx, ny))
-    elif callable(lam):
-        X, Y = np.meshgrid(x, y, indexing="ij")
-        lam_arr = np.asarray(lam(X, Y), dtype=float)
-        lam_arr = np.broadcast_to(lam_arr, (nx, ny)).copy()
-    elif np.isscalar(lam):
-        lam_arr = np.full((nx, ny), float(lam))
-    else:
-        lam_arr = np.asarray(lam, dtype=float)
-        if lam_arr.shape != (nx, ny):
-            raise GridError(f"lambda array shape {lam_arr.shape} != {(nx, ny)}")
-        lam_arr = lam_arr.copy()
+    if callable(lam):
+        lam = lam(*np.meshgrid(x, y, indexing="ij"))
+    lam_arr = np.asarray(0.0 if lam is None else lam, dtype=float)
+    if lam_arr.shape not in ((), (nx, ny)):
+        raise GridError(f"lambda array shape {lam_arr.shape} != {(nx, ny)}")
+    lam_arr = np.broadcast_to(lam_arr, (nx, ny)).copy()
     # a NaN or infinite lam fails this check too
     with np.errstate(over="ignore"):
         em2l = np.exp(-2.0 * lam_arr)
@@ -160,12 +154,10 @@ def build_grid(nx: int, ny: int, Lx: float = TWO_PI, Ly: float = TWO_PI,
     if not (np.isfinite(w).all() and np.isfinite(em2l).all()):
         raise GridError(f"lam {lam_arr.min()}..{lam_arr.max()}: e^(2|lam|) dx dy "
                         "is not finite")
-    eml = np.exp(-lam_arr)
-    for a in (lam_arr, x, y, em2l, eml, w):
+    for a in (lam_arr, x, y, em2l, w):
         a.setflags(write=False)
     return SurfaceGrid(nx=nx, ny=ny, Lx=float(Lx), Ly=float(Ly), lam=lam_arr,
-                       dx=dx, dy=dy, x=x, y=y, em2l=em2l, eml=eml, w=w,
-                       lam_min=float(np.min(lam_arr)))
+                       dx=dx, dy=dy, x=x, y=y, em2l=em2l, w=w)
 
 
 def conformal_rescale(grid: SurfaceGrid, a: float) -> SurfaceGrid:
@@ -470,7 +462,7 @@ def frame_derivatives(u: np.ndarray, grid: SurfaceGrid):
     # no caller in the package: kept because the benchmark's tracer wraps
     # it by name
     ux, uy = Stencil(grid, u).centred()
-    s = _comp_weight(grid.eml, u)
+    s = _comp_weight(np.exp(-grid.lam), u)
     return s * ux, s * uy
 
 

@@ -11,7 +11,8 @@ import numpy as np
 
 from .action import MapField
 from .errors import GridError, ProjectionError
-from .grid import Stencil, SurfaceGrid, component_first, empty_map
+from .grid import (Stencil, SurfaceGrid, check_finite, component_first,
+                   empty_map)
 from .targets import TargetManifold
 
 
@@ -86,13 +87,15 @@ def bump_map(grid: SurfaceGrid, target: TargetManifold,
     Inside radius 0.45 min(Lx, Ly) of `center` the map covers a cap of the
     2-sphere {u4 = ... = 0}; outside it sits at the pole (0, 0, 1, 0, ...).
     Smaller |scale| concentrates more Dirichlet energy near the center; a
-    negative scale mirrors the bubble, and 0 is a GridError.
+    negative scale mirrors the bubble, and 0 or a non-finite scale or
+    center is a GridError.
     """
     if target.q < 3:
         raise GridError("bump_map needs an ambient dimension of at least 3")
+    x0 = (0.5 * grid.Lx, 0.5 * grid.Ly) if center is None else center
+    check_finite(scale=scale, center=x0)
     if scale == 0:
         raise GridError("bump scale must be nonzero")
-    x0 = (0.5 * grid.Lx, 0.5 * grid.Ly) if center is None else center
     support = 0.45 * min(grid.Lx, grid.Ly)
     X = grid.x[:, None] - x0[0]
     Y = grid.y[None, :] - x0[1]
@@ -122,6 +125,8 @@ def _lowpass_noise(grid: SurfaceGrid, q: int, seed: int,
     """Seeded real periodic noise with Fourier support |k| <= max_mode."""
     if seed < 0:
         raise GridError(f"seed must be >= 0, got {seed}")
+    if max_mode < 0:
+        raise GridError(f"max_mode must be >= 0, got {max_mode}")
     rng = np.random.default_rng(seed)
     kx = np.fft.fftfreq(grid.nx, d=1.0 / grid.nx)
     ky = np.fft.rfftfreq(grid.ny, d=1.0 / grid.ny)
@@ -139,6 +144,7 @@ def random_smooth_map(grid: SurfaceGrid, target: TargetManifold,
                       seed: int = 0, amplitude: float = 0.3,
                       max_mode: int = 4, point=None) -> MapField:
     """Projection of basepoint + amplitude * low-pass noise onto the target."""
+    check_finite(amplitude=amplitude)
     p = _basepoint(target, point)
     vals = target.project(p + amplitude * _lowpass_noise(grid, target.q, seed, max_mode))
     return MapField(vals, target)
@@ -147,6 +153,7 @@ def random_smooth_map(grid: SurfaceGrid, target: TargetManifold,
 def noisy_wrap(grid: SurfaceGrid, target: TargetManifold,
                m: int = 1, n: int = 0, seed: int = 0,
                amplitude: float = 0.3, max_mode: int = 4) -> MapField:
+    check_finite(amplitude=amplitude)
     base = geodesic_wrap(grid, target, m=m, n=n).values
     vals = target.project(base + amplitude * _lowpass_noise(grid, target.q, seed, max_mode))
     return MapField(vals, target)
@@ -160,6 +167,7 @@ def small_energy_map(grid: SurfaceGrid, target: TargetManifold,
     The amplitude of a fixed low-pass perturbation is found by bisection;
     energy is monotone in the amplitude over the bracket used.
     """
+    check_finite(energy=energy)
     if energy <= 0:
         return constant_map(grid, target, point)
     p = _basepoint(target, point)

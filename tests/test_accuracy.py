@@ -35,7 +35,7 @@ def sphere():
 
 
 def _theta(grid, t):
-    X, Y = grid.meshgrid()
+    X, Y = np.meshgrid(grid.x, grid.y, indexing="ij")
     return X + 0.5 * np.exp(-4.0 * t) * np.sin(2.0 * Y)
 
 

@@ -135,6 +135,18 @@ def test_flow_config_validation(grid):
         (key,) = bad
         with pytest.raises(GridError, match=key):
             sf.FlowConfig(**bad).validate(grid)
+    # a valid config gives the run's initial dt
+    assert sf.FlowConfig().validate(grid) == sf.cfl_bound(grid, 0.2)
+    assert sf.FlowConfig(dt_init=1e-4).validate(grid) == 1e-4
+
+
+@pytest.mark.parametrize("every", [2.5, 2.0, True], ids=str)
+def test_flow_config_refuses_a_record_every_that_is_not_an_int(grid, every):
+    # 2.5 recorded only t = 0 and t_end, True every step; the config schema
+    # already refuses both
+    with pytest.raises(GridError, match="record_every must be an int"):
+        sf.FlowConfig(record_every=every).validate(grid)
+    sf.FlowConfig(record_every=np.int64(3)).validate(grid)
 
 
 def test_cfl_bound_scales_with_grid():
@@ -304,7 +316,7 @@ def test_record_matches_separate_formulas(sphere, lam):
                         * g.w))
     assert rec.hess_diag == pytest.approx(hess, rel=1e-13)
 
-    e = g.eml[..., None]
+    e = np.exp(-g.lam)[..., None]
     du1 = e * (_shift(v, 1, 0) - _shift(v, -1, 0)) / (2.0 * g.dx)
     du2 = e * (_shift(v, 0, 1) - _shift(v, 0, -1)) / (2.0 * g.dy)
     dens = np.sum(du1 ** 2 + du2 ** 2, axis=-1) * g.w

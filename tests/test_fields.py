@@ -5,8 +5,8 @@ import pytest
 
 import stringflow as sf
 from stringflow.action import Workspace, _bfield_force
-from stringflow.errors import HypothesisError
-from stringflow.fields import pullback_density, y4_two_form
+from stringflow.errors import GridError, HypothesisError
+from stringflow.fields import height_potential, pullback_density, y4_two_form
 from stringflow.targets import tangent_project
 
 
@@ -22,6 +22,29 @@ def tangent_pair(sphere, n=100, seed=0):
     xi2 = tangent_project(sphere, u, rng.standard_normal((n, 4)))
     eta = tangent_project(sphere, u, rng.standard_normal((n, 4)))
     return u, xi1, xi2, eta
+
+
+@pytest.mark.parametrize("build, name", [
+    (lambda g, s: sf.small_energy_map(g, s, energy=np.nan), "energy"),
+    (lambda g, s: sf.small_energy_map(g, s, energy=0.01, max_mode=-1),
+     "max_mode"),
+    (lambda g, s: sf.bump_map(g, s, scale=np.nan), "scale"),
+    (lambda g, s: sf.bump_map(g, s, center=(np.nan, 1.0)), "center"),
+    (lambda g, s: sf.bump_map(g, s, center=(1.0, np.inf)), "center"),
+    (lambda g, s: sf.random_smooth_map(g, s, amplitude=np.inf), "amplitude"),
+    (lambda g, s: sf.random_smooth_map(g, s, max_mode=-1), "max_mode"),
+    (lambda g, s: sf.noisy_wrap(g, s, amplitude=np.nan), "amplitude"),
+    (lambda g, s: height_potential(np.nan), "epsilon"),
+    (lambda g, s: y4_two_form(np.inf), "beta"),
+    (lambda g, s: y4_two_form(np.nan), "beta"),
+], ids=["energy-nan", "energy-max_mode", "bump-scale", "bump-center-nan",
+        "bump-center-inf", "random-amplitude", "random-max_mode",
+        "wrap-amplitude", "height-epsilon", "y4-beta-inf", "y4-beta-nan"])
+def test_builders_refuse_numbers_they_cannot_use(sphere, build, name):
+    # each gave a map, a two-form or a potential, or for a NaN beta a
+    # "must be skew" error; now a GridError names the argument
+    with pytest.raises(GridError, match=f"^{name} must be"):
+        build(sf.build_grid(16, 16), sphere)
 
 
 def test_omega_fully_antisymmetric():

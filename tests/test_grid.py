@@ -30,7 +30,7 @@ def test_build_grid_basic():
     g = sf.build_grid(32, 16, Lx=2 * np.pi, Ly=np.pi)
     assert g.x.shape == (32,) and g.y.shape == (16,)
     assert np.isclose(g.dx, 2 * np.pi / 32)
-    assert np.isclose(g.total_volume, 2 * np.pi ** 2)
+    assert np.isclose(float(np.sum(g.w)), 2 * np.pi ** 2)
     assert g.is_flat
     # the extreme spacings whose squares are normal doubles
     for h in (1.5e-154, 1.3e154):
@@ -42,6 +42,45 @@ def test_build_grid_rejects_small_and_bad_lambda():
         sf.build_grid(4, 32)
     with pytest.raises(GridError):
         sf.build_grid(32, 32, lam=np.inf)
+
+
+def _metric_forms(metric, nx, ny, Lx, Ly):
+    """Every form of `lam` that describes one metric on an nx x ny grid."""
+    X, Y = np.meshgrid(np.arange(nx) * (Lx / nx), np.arange(ny) * (Ly / ny),
+                       indexing="ij")
+    if metric == "zero":
+        return [None, 0.0, np.zeros((nx, ny)), lambda x, y: 0]
+    if metric == "constant":
+        return [0.3, np.full((nx, ny), 0.3), lambda x, y: 0.3]
+    return [lambda x, y: 0.2 * np.sin(x) * np.cos(y),
+            0.2 * np.sin(X) * np.cos(Y)]
+
+
+@pytest.mark.parametrize("metric", ["zero", "constant", "curved"])
+def test_every_form_of_lambda_builds_the_same_grid_bytes(metric):
+    # None, a scalar, an array and a callable take one path to the same
+    # lam, e^{-2 lam} and weights, copied and read-only
+    forms = _metric_forms(metric, 24, 20, 5.0, 3.0)
+    grids = [sf.build_grid(24, 20, Lx=5.0, Ly=3.0, lam=lam) for lam in forms]
+    for g, lam in zip(grids, forms):
+        for a, ref in zip((g.lam, g.em2l, g.w),
+                          (grids[0].lam, grids[0].em2l, grids[0].w)):
+            assert a.dtype == ref.dtype and a.shape == (24, 20)
+            assert a.tobytes() == ref.tobytes() and not a.flags.writeable
+        if isinstance(lam, np.ndarray):
+            assert not np.shares_memory(g.lam, lam)
+        assert g.is_flat == (metric == "zero")
+
+
+@pytest.mark.parametrize("lam, shape", [
+    (np.zeros((20, 24)), (20, 24)), (np.zeros((24, 20, 1)), (24, 20, 1)),
+    ([0.1, 0.2], (2,)), (lambda x, y: x[:, :1], (24, 1))],
+    ids=["transposed", "trailing-axis", "list", "callable-column"])
+def test_build_grid_refuses_a_lambda_of_another_shape(lam, shape):
+    # a callable's value takes the path of the other forms
+    with pytest.raises(GridError, match=re.escape(
+            f"lambda array shape {shape} != (24, 20)")):
+        sf.build_grid(24, 20, lam=lam)
 
 
 @pytest.mark.filterwarnings("error")
@@ -110,7 +149,8 @@ def test_conformal_rescale_shifts_lambda():
     g = sf.build_grid(16, 16)
     g4 = sf.conformal_rescale(g, 4.0)
     assert np.allclose(g4.lam, 0.5 * np.log(4.0))
-    assert g4.total_volume == pytest.approx(4.0 * g.total_volume, rel=1e-14)
+    assert float(np.sum(g4.w)) == pytest.approx(4.0 * float(np.sum(g.w)),
+                                          rel=1e-14)
 
 
 def test_ball_sum_map_matches_direct_sum():
@@ -316,7 +356,7 @@ def test_density_wrappers_match_roll_formulas(shape):
     def sh(sx, sy):
         return np.roll(np.roll(f, -sx, axis=0), -sy, axis=1)
 
-    e = g.eml if f.ndim == 2 else g.eml[..., None]
+    e = np.exp(-g.lam) if f.ndim == 2 else np.exp(-g.lam)[..., None]
     du1 = e * (sh(1, 0) - sh(-1, 0)) / (2.0 * g.dx)
     du2 = e * (sh(0, 1) - sh(0, -1)) / (2.0 * g.dy)
     hxx = (sh(1, 0) + sh(-1, 0) - 2.0 * f) / g.dx ** 2
@@ -430,8 +470,8 @@ def test_operators_match_roll_formulas_bitwise(layout, nodes):
     assert np.array_equal(sf.laplace_beltrami(u, g), lap)
     ux, uy = _roll_d0(u, 0, g.dx), _roll_d0(u, 1, g.dy)
     du1, du2 = frame_derivatives(u, g)
-    assert np.array_equal(du1, node(g.eml) * ux)
-    assert np.array_equal(du2, node(g.eml) * uy)
+    assert np.array_equal(du1, node(np.exp(-g.lam)) * ux)
+    assert np.array_equal(du2, node(np.exp(-g.lam)) * uy)
     # E by summation by parts, on the one-shot stencil and on one built
     # for the field, equals the forward-difference sum to rounding
     E = _roll_dirichlet(u, g)
@@ -591,7 +631,7 @@ def test_one_shot_operators_match_the_workspace_stencil(shape):
     assert np.array_equal(sf.hessian_sq_density(u, g),
                           work.load(u).hessian_sq())
     ux, uy = (a.copy() for a in work.load(u).centred())
-    e = g.eml if u.ndim == 2 else g.eml[..., None]
+    e = np.exp(-g.lam) if u.ndim == 2 else np.exp(-g.lam)[..., None]
     du1, du2 = frame_derivatives(u, g)
     assert np.array_equal(du1, e * ux) and np.array_equal(du2, e * uy)
     if u.ndim == 3:

@@ -33,7 +33,7 @@ def _mode_amplitudes(n, ks, base, fields, rate):
     at the default CFL dt; `fields` adds `rate` to each decay rate."""
     grid = sf.build_grid(n, n)
     sphere = sf.make_target("sphere", 4)
-    X, _ = grid.meshgrid()
+    X, _ = np.meshgrid(grid.x, grid.y, indexing="ij")
     u = np.zeros((n, n, 4))
     u[..., 0] = base
     for j, k in enumerate(ks):

@@ -46,6 +46,16 @@ def test_concentration_scan_finds_bump_center(sphere):
     assert e >= 0.5
 
 
+def test_concentration_scan_refuses_a_nan_threshold(sphere):
+    # a NaN delta1 gave [], as if no ball held the bubble that 0.5 finds
+    g = sf.build_grid(16, 16)
+    u = sf.bump_map(g, sphere, scale=0.3)
+    assert [ix for ix, _ in sf.concentration_scan(u.values, g, 0.5, 0.5)] \
+        == [(8, 8)]
+    with pytest.raises(GridError, match="delta1"):
+        sf.concentration_scan(u.values, g, np.nan, 0.5)
+
+
 def test_concentration_scan_deterministic(sphere):
     g = sf.build_grid(48, 48)
     u = sf.bump_map(g, sphere, scale=0.3)

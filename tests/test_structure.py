@@ -74,7 +74,7 @@ def test_assemble_A_matches_the_rank3_formula(sphere, b_kind):
 def _smooth_map(grid):
     """One smooth map R^2 -> R^4 on every grid: modes |k|, |l| <= 2 with
     seeded coefficients, of size about 1."""
-    X, Y = grid.meshgrid()
+    X, Y = np.meshgrid(grid.x, grid.y, indexing="ij")
     rng = np.random.default_rng(0)
     out = np.zeros(X.shape + (4,))
     for k in range(3):
