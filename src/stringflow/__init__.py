@@ -8,13 +8,13 @@ from .action import (CONSTRAINT_TOL, LEDGER_COLUMNS, EnergyLedger,
                      dirichlet_energy, el_residual, energies, flow_rhs,
                      gradient_consistency_check, init_state,
                      monotonicity_check, run, step)
-from .cli import compare_runs, main, run_scenario
-from .config import (PRESETS, build_objects, default_config, load_config,
-                     preset_config, save_config, validate_config)
+from .cli import compare_runs, main
+from .config import (PRESETS, build_objects, load_config, preset_config,
+                     save_config, validate_config)
 from .errors import (ConfigError, GridError, HypothesisError,
                      NonFiniteStateError, OffManifoldError, ProjectionError,
                      ShapeError, SnapshotError, StringFlowError,
-                     TangencyError, UnsupportedConfigurationError)
+                     TangencyError)
 from .fields import (FieldBackground, ScalarPotential, SupNorms, TwoFormField,
                      delta_constants, make_potential, make_two_form,
                      pullback_integral, smallness_report, sup_norms,

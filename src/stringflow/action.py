@@ -121,7 +121,6 @@ class MapField:
 @dataclass
 class EnergyTerms:
     E: float            # int |du|^2 dvol (forward differences)
-    dirichlet: float    # E / 2
     B_term: float
     V_term: float       # int tilde(V)(u) dvol
     S_tilde: float
@@ -143,7 +142,7 @@ def _action_terms(st: Stencil, fields: FieldBackground) -> EnergyTerms:
     E = st.dirichlet()
     B_term = fields.b.integral(st)
     V_term = fields.V.integral(st.source, st.grid)
-    return EnergyTerms(E=E, dirichlet=0.5 * E, B_term=B_term, V_term=V_term,
+    return EnergyTerms(E=E, B_term=B_term, V_term=V_term,
                        S_tilde=0.5 * E + B_term + V_term)
 
 
@@ -481,7 +480,7 @@ def _record(state: FlowState):
                                         state.config.ball_radius)))
     hd = float(np.sum(st.hessian_sq() * grid.w))
     state.ledger.append(EnergyRecord(
-        t=state.t, E=T.E, dirichlet=T.dirichlet, B_term=T.B_term,
+        t=state.t, E=T.E, dirichlet=0.5 * T.E, B_term=T.B_term,
         V_term=T.V_term, S_tilde=T.S_tilde, kinetic=state.last_kinetic,
         cum_dissipation=state.cum_dissipation, hess_diag=hd,
         sup_local_energy=sup_loc, dt=state.dt))

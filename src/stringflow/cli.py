@@ -18,8 +18,7 @@ from dataclasses import asdict
 import numpy as np
 
 from .action import energies, monotonicity_check, run
-from .config import (PRESETS, load_config, preset_config, save_config,
-                     validate_config)
+from .config import load_config, preset_config, save_config, validate_config
 from .errors import ConfigError, GridError, HypothesisError, StringFlowError
 from .fields import delta_constants, smallness_report, sup_norms
 from .grid import build_grid
@@ -218,15 +217,6 @@ def cmd_compare(args) -> int:
     print(f"compare: bitwise={bitwise} max_abs_diff={max_diff:.3e} "
           + (f"rate={gamma:.4g}" if gamma is not None else "rate=n/a"))
     return EXIT_OK
-
-
-def run_scenario(name_or_path: str, out: str | None = None) -> int:
-    """Run a preset name or config file path; returns the process exit code."""
-    flag = "--preset" if name_or_path in PRESETS else "--config"
-    argv = ["run", flag, name_or_path]
-    if out:
-        argv += ["--out", out]
-    return main(argv)
 
 
 class _Parser(argparse.ArgumentParser):

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import copy
 import json
-import math
 
 import numpy as np
 
@@ -126,10 +125,6 @@ def validate_config(raw: dict) -> dict:
     return out
 
 
-def default_config() -> dict:
-    return validate_config({})
-
-
 def load_config(path: str) -> dict:
     with open(path) as f:
         try:
@@ -156,12 +151,6 @@ def build_objects(cfg: dict):
     cfg = validate_config(cfg)
     g = cfg["grid"]
     t, f, i = cfg["target"], cfg["fields"], cfg["initial"]
-    # JSON's Infinity and NaN load as floats; the field and initial-map
-    # builders take them as numbers, so they are refused here
-    for section, sec in (("fields", f), ("initial", i)):
-        for key, val in sec.items():
-            if isinstance(val, float) and not math.isfinite(val):
-                raise ConfigError(f"{section}.{key} must be finite, got {val}")
     flow_cfg = FlowConfig(**cfg["flow"])
     try:
         target = build_kind(TARGETS, "target.kind", t["kind"], t)

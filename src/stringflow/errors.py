@@ -29,10 +29,6 @@ class HypothesisError(StringFlowError, ValueError):
     """A hypothesis of the method (e.g. |B|_inf < 1/2) fails where it is required."""
 
 
-class UnsupportedConfigurationError(StringFlowError):
-    """Operation requested outside its supported configuration (e.g. non-flat grid)."""
-
-
 class NonFiniteStateError(StringFlowError, FloatingPointError):
     """The flow produced a NaN or infinite value (names t, step and node)."""
 

@@ -73,16 +73,8 @@ class TwoFormField:
         """b(y), shape (..., q, q)."""
         return np.tensordot(y, self.C, axes=(-1, 0))
 
-    def dcoeff(self, y: np.ndarray) -> np.ndarray:
-        """d_k b_ij = C_kij at every point, shape (..., q, q, q) (read-only)."""
-        return np.broadcast_to(self.C, y.shape[:-1] + self.C.shape)
-
-    def omega(self, y: np.ndarray) -> np.ndarray:
-        """Omega_kij = dB coefficients, fully antisymmetric. Shape (..., q, q, q)."""
-        return np.broadcast_to(self.Omega, y.shape[:-1] + self.Omega.shape)
-
     def dcoeff_fd(self, y: np.ndarray, step: float = 1e-6) -> np.ndarray:
-        """Central-difference derivative oracle for dcoeff."""
+        """Central-difference derivative oracle for d_k b_ij = C_kij."""
         out = np.zeros(y.shape[:-1] + (self.q, self.q, self.q))
         for k in range(self.q):
             e = np.zeros(self.q)
@@ -290,16 +282,6 @@ def zero_background(q: int) -> FieldBackground:
 
 
 # -- operations ----------------------------------------------------------------
-
-def pullback_density(u: np.ndarray, b: TwoFormField,
-                     grid: SurfaceGrid) -> np.ndarray:
-    """(d_x u)^T b(u) (d_y u) at each node (coordinate derivatives).
-
-    The pullback integral is sum(density) * dx * dy, with no conformal
-    weight: the B-term is conformally invariant.
-    """
-    return b.pullback(u, *Stencil(grid, u).centred())
-
 
 def pullback_integral(u: np.ndarray, b: TwoFormField, grid: SurfaceGrid) -> float:
     """The B term of u from a load of its own: TwoFormField.integral, the

@@ -62,7 +62,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GridError, ShapeError, UnsupportedConfigurationError
+from .errors import GridError, ShapeError
 
 TWO_PI = 2.0 * math.pi
 
@@ -473,11 +473,6 @@ def grad_sq_density(u: np.ndarray, grid: SurfaceGrid) -> np.ndarray:
     return d
 
 
-def energy_density(u: np.ndarray, grid: SurfaceGrid) -> np.ndarray:
-    """Pointwise |du|^2 dvol (Stencil.energy_density)."""
-    return Stencil(grid, u).energy_density()
-
-
 def hessian_sq_density(u: np.ndarray, grid: SurfaceGrid) -> np.ndarray:
     """Pointwise |flat Hessian|^2 = u_xx^2 + 2 u_xy^2 + u_yy^2."""
     return Stencil(grid, u).hessian_sq()
@@ -508,8 +503,7 @@ def ricci_identity_check(v: np.ndarray, grid: SurfaceGrid):
     the conformal case needs Christoffel symbols and is not supported.
     """
     if not grid.is_flat:
-        raise UnsupportedConfigurationError(
-            "ricci_identity_check requires a flat grid (lam == 0)")
+        raise GridError("ricci_identity_check requires a flat grid (lam == 0)")
     lap = laplace_beltrami(v, grid)
     lhs = l2_inner(lap, lap, grid)
     rhs = float(np.sum(hessian_sq_density(v, grid) * grid.w))

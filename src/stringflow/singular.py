@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GridError
-from .grid import (SurfaceGrid, ball_sum_map, build_grid, energy_density,
+from .grid import (Stencil, SurfaceGrid, ball_sum_map, build_grid,
                    periodic_delta)
 
 
@@ -39,13 +39,13 @@ def concentration_scan(u_values: np.ndarray, grid: SurfaceGrid,
     Candidates are clustered greedily by descending energy with exclusion
     radius 2R (overlapping balls belong to one cluster).  Returns a list of
     ((ix, iy), local_energy) pairs.  The ball energies are those of the
-    ledger's sup_local_energy and the dt_min event (grid.energy_density).
+    ledger's sup_local_energy and the dt_min event (Stencil.energy_density).
     GridError for a NaN delta1, which no energy meets; any other delta1
     is a threshold, and one <= 0 takes every node.
     """
     if math.isnan(delta1):
         raise GridError(f"delta1 must be a number, got {delta1}")
-    S = ball_sum_map(energy_density(u_values, grid), grid, R)
+    S = ball_sum_map(Stencil(grid, u_values).energy_density(), grid, R)
     hits = np.argwhere(S >= delta1)
     if hits.size == 0:
         return []

@@ -16,10 +16,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .action import flow_rhs
-from .errors import UnsupportedConfigurationError
+from .errors import GridError
 from .fields import FieldBackground, tangential_grad_V
-from .grid import (Stencil, SurfaceGrid, energy_density, grad_sq_density,
-                   hessian_sq_density, l2_norm, laplace_beltrami)
+from .grid import (Stencil, SurfaceGrid, grad_sq_density, hessian_sq_density,
+                   l2_norm, laplace_beltrami)
 from .targets import TargetManifold, tangent_project
 
 
@@ -126,7 +126,7 @@ def gap_check(u_values: np.ndarray, grid: SurfaceGrid, target: TargetManifold,
     and the energy is below eps_energy the map is expected to be constant
     (small-energy triviality).
     """
-    du_l2 = float(np.sqrt(np.sum(energy_density(u_values, grid))))
+    du_l2 = float(np.sqrt(np.sum(Stencil(grid, u_values).energy_density())))
     semi = w2_43_seminorm(u_values, grid)
     gv = tangential_grad_V(u_values, fields.V, target)
     gv_norm = _lp_norm(np.linalg.norm(gv, axis=-1), grid, 4.0 / 3.0)
@@ -152,7 +152,7 @@ def bochner_density(u_values: np.ndarray, grid: SurfaceGrid,
                               - |Z| |du|^2 |tau| - |Hess V| |du|^2 ].
     """
     if not grid.is_flat:
-        raise UnsupportedConfigurationError("bochner_density needs a flat grid")
+        raise GridError("bochner_density needs a flat grid")
     g2 = grad_sq_density(u_values, grid)
     lap_half = laplace_beltrami(0.5 * g2, grid)
     hess2 = hessian_sq_density(u_values, grid)

@@ -165,7 +165,7 @@ def test_A7_z_operator_algebra(sphere):
     xi2 = tangent_project(sphere, u, rng.standard_normal((100, 4)))
     eta = tangent_project(sphere, u, rng.standard_normal((100, 4)))
     z = sf.z_operator(u, xi1, xi2, b, sphere)
-    pairing = np.einsum("...kij,...k,...i,...j->...", b.omega(u), eta, xi1, xi2)
+    pairing = np.einsum("...kij,...k,...i,...j->...", b.Omega, eta, xi1, xi2)
     d_pair = float(np.max(np.abs(np.sum(z * eta, axis=-1) - pairing)))
     d_skew = float(np.max(np.abs(z + sf.z_operator(u, xi2, xi1, b, sphere))))
     d_ann = float(np.max(np.abs(sf.z_operator(u, xi1, xi1, b, sphere))))

@@ -9,7 +9,7 @@ import stringflow as sf
 from stringflow import action, initial_data
 from stringflow.action import _bfield_force, _loaded_rhs, _record, _snapshot
 from stringflow.errors import GridError
-from stringflow.grid import Stencil, ball_mask, energy_density
+from stringflow.grid import Stencil, ball_mask
 
 
 @pytest.fixture
@@ -35,9 +35,8 @@ def test_energies_terms_consistent(grid, sphere):
                                 V=sf.make_potential("height", 4, epsilon=0.1))
     u = sf.random_smooth_map(grid, sphere, seed=0, amplitude=0.3)
     terms = sf.energies(u.values, grid, fields)
-    assert terms.dirichlet == pytest.approx(terms.E / 2.0, rel=1e-14)
     assert terms.S_tilde == pytest.approx(
-        terms.dirichlet + terms.B_term + terms.V_term, rel=1e-12)
+        0.5 * terms.E + terms.B_term + terms.V_term, rel=1e-12)
     assert terms.V_term >= 0.0  # shifted potential is nonnegative
 
 
@@ -158,9 +157,9 @@ def test_local_energy_map_matches_direct(grid, sphere):
     # the FFT ball map against a masked sum of the same |du|^2 dvol density
     u = sf.bump_map(grid, sphere, scale=0.4)
     R = 0.6
-    m = sf.ball_sum_map(energy_density(u.values, grid), grid, R)
-    direct = float(np.sum(energy_density(u.values, grid)[
-        ball_mask(grid, (16, 16), R)]))
+    dens = Stencil(grid, u.values).energy_density()
+    m = sf.ball_sum_map(dens, grid, R)
+    direct = float(np.sum(dens[ball_mask(grid, (16, 16), R)]))
     assert m[16, 16] == pytest.approx(direct, rel=1e-10, abs=1e-12)
 
 
@@ -606,12 +605,13 @@ def test_carried_rhs_is_the_rhs_of_the_map(sphere, lam, with_fields,
 
 def _fresh_record(st):
     """The ledger row of st from freshly loaded stencils: energies, the
-    ball map of energy_density and hessian_sq_density."""
+    ball map of Stencil.energy_density and hessian_sq_density."""
     g, v = st.grid, st.u.values
     e = sf.energies(v, g, st.fields)
-    loc = sf.ball_sum_map(energy_density(v, g), g, st.config.ball_radius)
+    loc = sf.ball_sum_map(Stencil(g, v).energy_density(), g,
+                          st.config.ball_radius)
     return action.EnergyRecord(
-        t=st.t, E=e.E, dirichlet=e.dirichlet, B_term=e.B_term,
+        t=st.t, E=e.E, dirichlet=0.5 * e.E, B_term=e.B_term,
         V_term=e.V_term, S_tilde=e.S_tilde, kinetic=st.last_kinetic,
         cum_dissipation=st.cum_dissipation,
         hess_diag=float(np.sum(sf.hessian_sq_density(v, g) * g.w)),

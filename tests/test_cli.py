@@ -522,8 +522,7 @@ def test_run_scenario_hypothesis_warning_still_runs(tmp_path):
     # and the exit code flags the violated hypothesis
     cfgp = small_cfg(tmp_path, fields={"b_kind": "y4", "beta": 1.2})
     out = str(tmp_path / "out")
-    from stringflow.cli import run_scenario
-    assert run_scenario(cfgp, out) == 2
+    assert main(["run", "--config", cfgp, "--out", out]) == 2
     assert os.path.exists(os.path.join(out, "run_ledger.csv"))
     report = json.load(open(os.path.join(out, "hypothesis.json")))
     assert not report["ok"]

@@ -5,12 +5,10 @@ import numpy as np
 import pytest
 
 import stringflow as sf
-from stringflow.errors import GridError, ShapeError, UnsupportedConfigurationError
+from stringflow.errors import GridError, ShapeError
 from stringflow.grid import (Stencil, _plane_sum, ball_kernel_transform,
                              ball_mask, ball_sum_map, component_dot,
-                             component_first, energy_density,
-                             frame_derivatives)
-from stringflow.fields import pullback_density
+                             component_first, frame_derivatives)
 
 # a small and a large node shape, a node scalar included.  The ids that
 # name a load path ("-sliced", "copy") are older than the one load path;
@@ -198,9 +196,19 @@ def test_ricci_identity_flat_only():
     v = np.sin(g.x)[:, None] * np.sin(g.y)[None, :]
     lap2, hess2 = sf.ricci_identity_check(v, g)
     assert lap2 == pytest.approx(hess2, rel=0.05)
+
+
+@pytest.mark.parametrize("check", [
+    lambda u, g: sf.ricci_identity_check(u[..., 0], g),
+    lambda u, g: sf.bochner_density(u, g, sf.make_target("sphere", 4),
+                                    sf.zero_background(4), 1.0, 0.0, 0.0),
+], ids=["ricci_identity_check", "bochner_density"])
+def test_flat_grid_diagnostics_refuse_a_curved_grid(check):
     gc = sf.build_grid(16, 16, lam=0.3)
-    with pytest.raises(UnsupportedConfigurationError):
-        sf.ricci_identity_check(v[:16, :16], gc)
+    u = sf.random_smooth_map(gc, sf.make_target("sphere", 4), seed=0,
+                             amplitude=0.3).values
+    with pytest.raises(GridError, match="flat grid"):
+        check(u, gc)
 
 
 def test_l2_inner_shape_mismatch():
@@ -379,8 +387,7 @@ def test_energy_density_is_grad_sq_density_times_the_weight(lam, shape):
     rng = np.random.default_rng(11)
     g = sf.build_grid(24, 20, lam=lam)
     f = rng.standard_normal(shape)
-    d = energy_density(f, g)
-    assert np.array_equal(d, Stencil(g, f).energy_density())
+    d = Stencil(g, f).energy_density()
     ref = sf.grad_sq_density(f, g) * g.w
     if lam is None:
         assert np.array_equal(d, ref)
@@ -478,9 +485,6 @@ def test_operators_match_roll_formulas_bitwise(layout, nodes):
     assert sf.dirichlet_energy(u, g) == E
     assert Stencil(g, u).dirichlet() == E
     assert abs(E - _textbook_dirichlet(u, g)) <= 1e-12 * E
-    if u.ndim == 3:
-        b = sf.make_two_form("y4", 4, beta=0.3)
-        assert np.array_equal(pullback_density(u, b, g), b.pullback(u, ux, uy))
 
 
 @pytest.mark.parametrize("shape", [SMALL, SMALL + (3,), LARGE, LARGE + (3,)])
@@ -627,16 +631,12 @@ def test_one_shot_operators_match_the_workspace_stencil(shape):
     assert sf.dirichlet_energy(u, g) == work.load(u).dirichlet()
     assert np.array_equal(sf.grad_sq_density(u, g),
                           work.load(u).grad_sq() * g.em2l)
-    assert np.array_equal(energy_density(u, g), work.load(u).energy_density())
     assert np.array_equal(sf.hessian_sq_density(u, g),
                           work.load(u).hessian_sq())
     ux, uy = (a.copy() for a in work.load(u).centred())
     e = np.exp(-g.lam) if u.ndim == 2 else np.exp(-g.lam)[..., None]
     du1, du2 = frame_derivatives(u, g)
     assert np.array_equal(du1, e * ux) and np.array_equal(du2, e * uy)
-    if u.ndim == 3:
-        b = sf.make_two_form("y4", 4, beta=0.3)
-        assert np.array_equal(pullback_density(u, b, g), b.pullback(u, ux, uy))
 
 
 def test_one_shot_dirichlet_energy_allocates_both_stacks_and_scratch():

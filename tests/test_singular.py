@@ -9,7 +9,7 @@ import stringflow as sf
 from stringflow import action
 from stringflow.action import _record
 from stringflow.errors import GridError
-from stringflow.grid import energy_density
+from stringflow.grid import Stencil
 
 
 @pytest.fixture
@@ -152,7 +152,8 @@ def test_dt_min_collapse_records_event_and_is_not_an_error(sphere,
     assert st.dt == 1e-12 and st.t == 1e-12
     assert [ev.kind for ev in st.events] in (["stiffness"], ["concentration"])
     # the event's energy is the largest ball energy of the one density
-    loc = sf.ball_sum_map(energy_density(st.u.values, g), g, cfg.ball_radius)
+    loc = sf.ball_sum_map(Stencil(g, st.u.values).energy_density(), g,
+                          cfg.ball_radius)
     assert st.events[0].local_energy == float(np.max(loc))
     # the rhs carried to the next step is that of the accepted map
     assert np.array_equal(st.rhs, sf.flow_rhs(st.u.values, g, sphere,

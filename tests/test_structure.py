@@ -50,7 +50,7 @@ def _assemble_A_rank3(u, grid, target, fields):
     F = np.einsum("...mij,...j->...mi", C, ux)
     G = np.einsum("...mij,...j->...mi", C, uy)
     if not fields.b.is_zero:
-        om = fields.b.omega(u)
+        om = fields.b.Omega
         F = F - 0.5 * np.einsum("...mij,...j->...mi", om, uy)
         G = G + 0.5 * np.einsum("...mij,...j->...mi", om, ux)
     return F, G
