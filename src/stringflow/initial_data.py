@@ -7,6 +7,8 @@ first copy) stream through contiguous planes."""
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .action import MapField
@@ -88,7 +90,8 @@ def bump_map(grid: SurfaceGrid, target: TargetManifold,
     2-sphere {u4 = ... = 0}; outside it sits at the pole (0, 0, 1, 0, ...).
     Smaller |scale| concentrates more Dirichlet energy near the center; a
     negative scale mirrors the bubble, and 0 or a non-finite scale or
-    center is a GridError.
+    center is a GridError, as is a scale so small that (X / scale)^2
+    overflows at the farthest node, half the period diagonal away.
     """
     if target.q < 3:
         raise GridError("bump_map needs an ambient dimension of at least 3")
@@ -96,6 +99,10 @@ def bump_map(grid: SurfaceGrid, target: TargetManifold,
     check_finite(scale=scale, center=x0)
     if scale == 0:
         raise GridError("bump scale must be nonzero")
+    h = 0.5 * math.hypot(grid.Lx, grid.Ly) / abs(scale)
+    if not math.isfinite(h * h):
+        raise GridError(f"scale must be large enough that (half the period "
+                        f"diagonal / scale)^2 is finite, got {scale!r}")
     support = 0.45 * min(grid.Lx, grid.Ly)
     X = grid.x[:, None] - x0[0]
     Y = grid.y[None, :] - x0[1]

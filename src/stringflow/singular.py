@@ -106,12 +106,20 @@ def rescale_out_grid(grid: SurfaceGrid, r: float) -> SurfaceGrid:
 
 
 def _check_node(grid: SurfaceGrid, node):
-    """GridError, naming the node, unless it is a node of grid: a roll
-    would wrap any integer node silently."""
+    """The node (ix, iy) as two ints; GridError, naming it, unless both are
+    integers (operator.index) and it is a node of grid: a roll would wrap
+    an integer node off the grid, and take a fractional one for another
+    node, silently."""
     ix, iy = node
+    try:
+        ix, iy = operator.index(ix), operator.index(iy)
+    except TypeError:
+        raise GridError(f"zoom node (ix, iy) = ({ix}, {iy}) is not a "
+                        f"pair of integers") from None
     if not (0 <= ix < grid.nx and 0 <= iy < grid.ny):
         raise GridError(f"zoom node (ix, iy) = ({ix}, {iy}) not on the "
                         f"{grid.nx}x{grid.ny} grid")
+    return ix, iy
 
 
 def zoom_map(vals: np.ndarray, grid: SurfaceGrid, node) -> np.ndarray:
@@ -120,8 +128,7 @@ def zoom_map(vals: np.ndarray, grid: SurfaceGrid, node) -> np.ndarray:
     is a node, so the zoom is vals rolled along the two grid axes to put
     (ix, iy) at the centre node (nx/2, ny/2), a fresh array in the layout
     of vals.  GridError unless node is a node of grid."""
-    _check_node(grid, node)
-    ix, iy = node
+    ix, iy = _check_node(grid, node)
     return np.roll(vals, (grid.nx // 2 - ix, grid.ny // 2 - iy), axis=(0, 1))
 
 
@@ -167,10 +174,10 @@ def parabolic_rescale(snapshots, z0, r: float, grid: SurfaceGrid,
     tool does not evolve v).
     """
     _check_radius(grid, r)
-    (ix, iy), t0 = z0
+    node, t0 = z0
     if not math.isfinite(t0):
         raise GridError(f"zoom time t0={t0} is not finite")
-    _check_node(grid, (ix, iy))
+    node = _check_node(grid, node)
     if ((out_grid.nx, out_grid.ny, out_grid.Lx, out_grid.Ly, out_grid.is_flat)
             != (grid.nx, grid.ny, grid.Lx / r, grid.Ly / r, True)):
         raise GridError("out_grid is not the commensurate rescale_out_grid"
@@ -180,7 +187,7 @@ def parabolic_rescale(snapshots, z0, r: float, grid: SurfaceGrid,
         raise GridError("snapshots do not cover [t0 - r^2, t0]")
     kept = [(t, vals) for t, vals in snapshots
             if t0 - r * r - 1e-12 <= t <= t0 + 1e-12]
-    seq = RescaledSequence(kept, t0, r, grid, (ix, iy))
+    seq = RescaledSequence(kept, t0, r, grid, node)
     gradV_factor = 1.0 / r ** 2
     return {"sequence": seq, "center": (out_grid.nx // 2, out_grid.ny // 2),
             "gradV_factor": gradV_factor}

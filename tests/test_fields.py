@@ -1,4 +1,5 @@
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -46,6 +47,20 @@ def test_builders_refuse_numbers_they_cannot_use(sphere, build, name):
     # "must be skew" error; now a GridError names the argument
     with pytest.raises(GridError, match=f"^{name} must be"):
         build(sf.build_grid(16, 16), sphere)
+
+
+@pytest.mark.parametrize("scale", [1e-155, -1e-300, 2.7e-154],
+                         ids=["1e-155", "-1e-300", "corner"])
+def test_bump_scale_whose_square_overflows_is_a_grid_error(sphere, scale):
+    # (X / scale)^2 overflowed and the map came back non-finite, with numpy
+    # warnings; at 2.7e-154 (half the period / scale)^2 is finite, but the
+    # corner node, half the period diagonal away, overflowed
+    g = sf.build_grid(16, 16)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(GridError, match="^scale must be"):
+            sf.bump_map(g, sphere, scale=scale)
+        assert np.isfinite(sf.bump_map(g, sphere, scale=1e-150).values).all()
 
 
 def test_omega_fully_antisymmetric():

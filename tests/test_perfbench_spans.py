@@ -1,12 +1,16 @@
+import ast
 import importlib
 import importlib.util
 from pathlib import Path
 
 import pytest
 
+import stringflow
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
 _spec = importlib.util.spec_from_file_location(
-    "_perfbench_tracer",
-    Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py")
+    "_perfbench_tracer", PERFBENCH / "tracer.py")
 _tracer = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(_tracer)
 SPANS = _tracer.SPANS
@@ -21,3 +25,22 @@ def test_traced_span_resolves_to_a_function(layer):
     for part in attr.split("."):
         owner = getattr(owner, part)
     assert callable(owner)
+
+
+def _sf_names(path):
+    """Every attribute the file reads from the name `sf`, the stringflow
+    package in the benchmark's driver and workloads."""
+    tree = ast.parse(path.read_text())
+    return {node.attr for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name) and node.value.id == "sf"}
+
+
+@pytest.mark.parametrize("name", ["child.py", "workloads.py"])
+def test_benchmark_uses_only_names_the_package_has(name):
+    # deleting a name the benchmark calls would otherwise first fail in a
+    # benchmark run
+    used = _sf_names(PERFBENCH / name)
+    assert used, f"no sf.<name> read in perfbench/{name}"
+    missing = sorted(n for n in used if not hasattr(stringflow, n))
+    assert not missing, f"perfbench/{name} uses {missing}"

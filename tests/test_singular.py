@@ -10,6 +10,7 @@ from stringflow import action
 from stringflow.action import _record
 from stringflow.errors import GridError
 from stringflow.grid import Stencil
+from stringflow.singular import zoom_map
 
 
 @pytest.fixture
@@ -226,6 +227,29 @@ def test_zoom_node_off_the_grid_is_a_grid_error(sphere, node):
     with pytest.raises(GridError, match=rf"\({node[0]}, {node[1]}\)"):
         sf.parabolic_rescale([(0.0, u), (r * r, u)], (node, r * r), r, g,
                              sf.rescale_out_grid(g, r))
+
+
+@pytest.mark.parametrize("node", [(3.5, 4), (4, 4.0), (np.float64(4.0), 4)],
+                         ids=["3.5,4", "4,4.0", "f64-4.0,4"])
+def test_zoom_node_that_is_not_an_integer_is_a_grid_error(sphere, node):
+    # a roll took (3.5, 4) for the node (4, 4), silently
+    g = sf.build_grid(16, 16)
+    u = sf.constant_map(g, sphere).values
+    r = 4 * g.dx
+    match = re.escape(f"({node[0]}, {node[1]}) is not a pair of integers")
+    with pytest.raises(GridError, match=match):
+        zoom_map(u, g, node)
+    with pytest.raises(GridError, match=match):
+        sf.parabolic_rescale([(0.0, u), (r * r, u)], (node, r * r), r, g,
+                             sf.rescale_out_grid(g, r))
+
+
+def test_zoom_node_of_numpy_integers_is_the_node_of_ints(sphere):
+    # np.unravel_index gives np.intp indices
+    g = sf.build_grid(16, 12)
+    u = sf.random_smooth_map(g, sphere, seed=2, amplitude=0.3).values
+    node = np.unravel_index(5 * 12 + 7, (16, 12))
+    assert np.array_equal(zoom_map(u, g, node), zoom_map(u, g, (5, 7)))
 
 
 @pytest.mark.parametrize("t0", [np.nan, np.inf], ids=["nan", "inf"])
