@@ -244,14 +244,6 @@ def test_zoom_node_that_is_not_an_integer_is_a_grid_error(sphere, node):
                              sf.rescale_out_grid(g, r))
 
 
-def test_zoom_node_of_numpy_integers_is_the_node_of_ints(sphere):
-    # np.unravel_index gives np.intp indices
-    g = sf.build_grid(16, 12)
-    u = sf.random_smooth_map(g, sphere, seed=2, amplitude=0.3).values
-    node = np.unravel_index(5 * 12 + 7, (16, 12))
-    assert np.array_equal(zoom_map(u, g, node), zoom_map(u, g, (5, 7)))
-
-
 @pytest.mark.parametrize("t0", [np.nan, np.inf], ids=["nan", "inf"])
 def test_non_finite_zoom_time_is_a_grid_error(sphere, t0):
     # a NaN t0 passes the coverage test and would leave the window empty
