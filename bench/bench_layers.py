@@ -106,8 +106,17 @@ def _clifford_128(seed: int) -> dict:
     return cfg
 
 
+def _bubble_s2_64(seed: int) -> dict:
+    """rescale_probe's centred bump (scale 0.3) at 64^2 on S^2 (q = 3),
+    the target on which the bubble cannot unwind; bubble_probe_64 steps
+    the same bump on S^3 from a seeded centre.  The map has no seed."""
+    cfg = sf.preset_config("rescale_probe")
+    cfg["target"]["q"] = 3
+    return cfg
+
+
 # layer rows beyond the benchmark's workloads: name -> seed -> raw config
-ROWS = {"bfield_clifford": _clifford_128}
+ROWS = {"bfield_clifford": _clifford_128, "bubble_s2": _bubble_s2_64}
 
 
 def _state(name: str, seed: int):

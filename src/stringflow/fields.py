@@ -151,7 +151,7 @@ def zero_two_form(q: int) -> TwoFormField:
 def y4_two_form(beta: float, q: int = 4) -> TwoFormField:
     """b_12(y) = beta * y^4 (so Omega = beta dy^1 ^ dy^2 ^ dy^4)."""
     if q < 4:
-        raise ValueError("y4 two-form needs q >= 4")
+        raise ValueError(f"y4 two-form needs q >= 4, got q = {q}")
     check_finite(beta=beta)
     C = np.zeros((q, q, q))
     C[3, 0, 1] = beta

@@ -69,7 +69,7 @@ def clifford_map(grid: SurfaceGrid, target: TargetManifold,
     nearly vanishes on a wrap; GridError unless q >= 4.
     """
     if target.q < 4:
-        raise GridError("clifford_map needs an ambient dimension of at least 4")
+        raise GridError(f"clifford map needs q >= 4, got q = {target.q}")
     tx = (m * 2.0 * np.pi / grid.Lx) * grid.x
     ty = (n * 2.0 * np.pi / grid.Ly) * grid.y
     r = 1.0 / np.sqrt(2.0)
@@ -87,7 +87,8 @@ def bump_map(grid: SurfaceGrid, target: TargetManifold,
     """Inverse-stereographic bubble in the first three coordinates.
 
     Inside radius 0.45 min(Lx, Ly) of `center` the map covers a cap of the
-    2-sphere {u4 = ... = 0}; outside it sits at the pole (0, 0, 1, 0, ...).
+    great 2-sphere of the first three coordinates, the whole target at
+    q = 3; outside it sits at the pole (0, 0, 1, 0, ...).
     Smaller |scale| concentrates more Dirichlet energy near the center; a
     negative scale mirrors the bubble, and 0 or a non-finite scale or
     center is a GridError, as is a scale so small that (X / scale)^2

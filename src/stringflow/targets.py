@@ -143,8 +143,8 @@ class SphereTarget(TargetManifold):
     radius = 1.0           # |y| on N, which fields.sup_norms scales by
 
     def __init__(self, q: int = 4):
-        if q < 4:
-            raise ValueError("sphere target needs q >= 4 (dim N >= 3)")
+        if q < 3:
+            raise ValueError(f"sphere target needs q >= 3, got q = {q}")
         if q ** 3 > np.iinfo(np.intp).max // 8:
             raise ValueError(f"q={q}: a two-form's (q, q, q) tensor is more "
                              "than numpy can index")

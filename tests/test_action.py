@@ -417,9 +417,8 @@ def test_clifford_map_is_a_harmonic_torus_of_the_three_sphere():
     for c, ref in enumerate((np.cos(tx), np.sin(tx), np.cos(ty), np.sin(ty))):
         assert np.allclose(u[..., c], ref / np.sqrt(2), rtol=0, atol=1e-15)
     assert np.all(u[..., 4] == 0.0)
-    from types import SimpleNamespace
-    with pytest.raises(GridError, match="at least 4"):
-        sf.clifford_map(g, SimpleNamespace(q=3))
+    with pytest.raises(GridError, match="q >= 4, got q = 3"):
+        sf.clifford_map(g, sf.make_target("sphere", 3))
     g = sf.build_grid(32, 32)
     sphere = sf.make_target("sphere", 4)
     u = sf.clifford_map(g, sphere, m=1, n=1)
@@ -835,6 +834,30 @@ def test_a_bounded_ring_covers_every_rescale_window(sphere):
         assert len(seq) >= 2 and seq[-1][0] == 0.0
         assert np.array_equal(seq[-1][1], np.roll(
             st.u.values, (32 - 20, 32 - 40), axis=(0, 1)))
+
+
+@pytest.mark.parametrize("preset", ["rescale_probe", "concentration"])
+def test_a_bubble_on_the_two_sphere_is_the_three_sphere_run_bitwise(preset):
+    # the bump has u^4 = +0.0, which the flow on S^3 keeps, so S^2 gives
+    # its ledger and maps bit for bit.  The rings need not match in length,
+    # since SNAPSHOT_BYTES sets a ring's cap from the map's bytes
+    runs = {}
+    for q in (3, 4):
+        cfg = sf.preset_config(preset)
+        cfg["target"]["q"] = q
+        grid, target, fields, u0, fc = sf.build_objects(cfg)
+        runs[q] = sf.run(u0, grid, target, fields, fc)
+    s2, s3 = runs[3], runs[4]
+    assert s2.ledger.as_array().tobytes() == s3.ledger.as_array().tobytes()
+
+    def same_map(v2, v3):
+        return (v2.tobytes() == v3[..., :3].tobytes()
+                and v3[..., 3].tobytes() == bytes(v3[..., 3].nbytes))
+    assert same_map(s2.u.values, s3.u.values)
+    ring = dict(s2.snapshots)
+    shared = [(t, v) for t, v in s3.snapshots if t in ring]
+    assert shared[0][0] == 0.0 and shared[-1][0] == s3.t
+    assert all(same_map(ring[t], v) for t, v in shared)
 
 
 @pytest.mark.parametrize("n", [24, 96], ids=["24", "96-sliced"])

@@ -73,7 +73,7 @@ def test_run_unknown_kind_is_a_config_error(tmp_path, capsys, section, key):
     ("initial", "point", [1, 0, 0, None]),
     ("initial", "point", [0, 0, 0, 0]),
     ("initial", "point", [{}, 0, 0, 0]),
-    ("target", "q", 3),
+    ("target", "q", 2),
     ("flow", "delta1", -1),
     ("flow", "delta1", float("nan")),
     ("flow", "delta1", float("inf")),
@@ -120,6 +120,40 @@ def test_bad_config_value_is_a_config_error(tmp_path, capsys, command,
     assert err.startswith("configuration error: ") and "Traceback" not in err
     assert key in err, err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("overrides,message", [
+    ({"fields": {"b_kind": "y4"}}, "y4 two-form"),
+    ({"initial": {"kind": "clifford"}}, "clifford map"),
+], ids=["y4", "clifford"])
+def test_a_kind_that_needs_a_fourth_coordinate_refuses_the_two_sphere(
+        tmp_path, capsys, overrides, message):
+    # S^2 is a target; the kinds that read u^4 refuse it themselves
+    cfgp = small_cfg(tmp_path, target={"q": 3}, **overrides)
+    assert main(["check", "--config", cfgp]) == 1
+    assert capsys.readouterr().err == (f"configuration error: {message} "
+                                       "needs q >= 4, got q = 3\n")
+
+
+def test_a_run_on_the_two_sphere_reads_back_through_scan_and_rescale(
+        tmp_path, capsys):
+    cfgp = small_cfg(tmp_path, grid={"nx": 32, "ny": 32}, target={"q": 3},
+                     initial={"kind": "bump", "scale": 0.3})
+    out = tmp_path / "o"
+    assert main(["run", "--config", cfgp, "--out", str(out)]) == 0
+    snap = str(out / "run_final.snap")
+    vals, header = sf.read_snapshot(snap)
+    assert header["q"] == 3 and vals.shape == (32, 32, 3)
+    capsys.readouterr()
+    assert main(["scan", snap, "--delta1", "0.5", "--radius", "0.5",
+                 "--out", str(tmp_path / "scan")]) == 0
+    assert "concentration site" in capsys.readouterr().out
+    r = repr(4 * sf.build_grid(32, 32).dx)
+    assert main(["rescale", snap, "--ix", "16", "--iy", "16", "--r", r,
+                 "--out", str(tmp_path / "resc")]) == 0
+    zoom, zoom_header = sf.read_snapshot(str(tmp_path / "resc"
+                                             / "rescaled.snap"))
+    assert zoom_header["q"] == 3 and zoom.shape == (32, 32, 3)
 
 
 @pytest.mark.parametrize("argv", [

@@ -17,8 +17,10 @@ def rand_points(sphere, n=50, seed=0):
 
 
 def test_constructor_rejects_low_dimension():
-    with pytest.raises(ValueError):
-        SphereTarget(q=3)
+    # S^2 is the smallest target; S^1 is refused
+    assert SphereTarget(q=3).n == 2
+    with pytest.raises(ValueError, match="q = 2"):
+        SphereTarget(q=2)
     with pytest.raises(ValueError):
         sf.make_target("unknown")
 
