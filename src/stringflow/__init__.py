@@ -25,8 +25,7 @@ from .grid import (SurfaceGrid, ball_mask, ball_sum_map, build_grid,
                    hessian_sq_density, l2_inner, l2_norm, laplace_beltrami,
                    ricci_identity_check)
 from .initial_data import (bump_map, clifford_map, constant_map,
-                           geodesic_wrap, noisy_wrap, random_smooth_map,
-                           small_energy_map)
+                           geodesic_wrap, perturb, small_energy_map)
 from .io import (read_events_jsonl, read_ledger_csv, read_snapshot,
                  write_events_jsonl, write_ledger_csv, write_run_outputs,
                  write_snapshot)

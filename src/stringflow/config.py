@@ -12,7 +12,7 @@ from .errors import ConfigError, ProjectionError
 from .fields import POTENTIALS, TWO_FORMS, FieldBackground
 from .grid import build_grid
 from .initial_data import MAP_BUILDERS
-from .registry import build_kind, check_kind
+from .registry import build_kind, check_kinds
 from .targets import TARGETS
 
 # schema: section -> key -> (type(s), default).  A key takes null only if
@@ -60,12 +60,11 @@ _SCHEMA = {
     }.items()},
 }
 
-# "section.key" of each kind -> the registry of its builders
+# section -> the key of each kind it chooses -> the registry of its builders
 _KINDS = {
-    "target.kind": TARGETS,
-    "fields.b_kind": TWO_FORMS,
-    "fields.v_kind": POTENTIALS,
-    "initial.kind": MAP_BUILDERS,
+    "target": {"kind": TARGETS},
+    "fields": {"b_kind": TWO_FORMS, "v_kind": POTENTIALS},
+    "initial": {"kind": MAP_BUILDERS},
 }
 
 
@@ -106,22 +105,9 @@ def validate_config(raw: dict) -> dict:
             _check_type(val, types, f"{section}.{key}")
             sec[key] = copy.deepcopy(val)
         out[section] = sec
-    # a key that none of its section's chosen kinds takes may hold only its
-    # default, which keeps a saved config.json (every key) loadable
-    taken, chosen = {}, {}
-    for path, registry in _KINDS.items():
-        section, key = path.split(".")
-        kind = out[section][key]
-        check_kind(registry, path, kind)
-        taken.setdefault(section, set()).update((key, *registry[kind][1]))
-        chosen.setdefault(section, []).append(f"{key} {kind!r}")
-    for section, keys in taken.items():
-        for key, (_, default) in _SCHEMA[section].items():
-            val = out[section][key]
-            if key not in keys and val != default:
-                raise ConfigError(
-                    f"{section}.{key} = {val!r} does nothing under "
-                    f"{', '.join(chosen[section])}; leave it at {default!r}")
+    for section, kinds in _KINDS.items():
+        defaults = {key: spec[1] for key, spec in _SCHEMA[section].items()}
+        check_kinds(section, out[section], defaults, kinds)
     return out
 
 

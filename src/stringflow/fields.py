@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import HypothesisError
 from .grid import Stencil, SurfaceGrid, centred, check_finite
-from .registry import build_kind
+from .registry import build_kind, check_kinds
 from .targets import TargetManifold, tangent_project
 
 
@@ -167,7 +167,11 @@ TWO_FORMS = {
 
 
 def make_two_form(kind: str, q: int, beta: float = 0.0) -> TwoFormField:
-    return build_kind(TWO_FORMS, "fields.b_kind", kind, {"beta": beta}, q=q)
+    """The two-form of `kind`; a beta that the kind does not take must be
+    0, the config's rule."""
+    params = {"b_kind": kind, "beta": beta}
+    check_kinds("fields", params, {"beta": 0.0}, {"b_kind": TWO_FORMS})
+    return build_kind(TWO_FORMS, "fields.b_kind", kind, params, q=q)
 
 
 # -- scalar potential ----------------------------------------------------------
@@ -265,8 +269,11 @@ POTENTIALS = {
 
 
 def make_potential(kind: str, q: int, epsilon: float = 0.0) -> ScalarPotential:
-    return build_kind(POTENTIALS, "fields.v_kind", kind, {"epsilon": epsilon},
-                      q=q)
+    """The potential of `kind`; an epsilon that the kind does not take must
+    be 0, the config's rule."""
+    params = {"v_kind": kind, "epsilon": epsilon}
+    check_kinds("fields", params, {"epsilon": 0.0}, {"v_kind": POTENTIALS})
+    return build_kind(POTENTIALS, "fields.v_kind", kind, params, q=q)
 
 
 @dataclass

@@ -1,5 +1,7 @@
 """Canonical initial maps: constants, geodesic wraps, Clifford tori,
-stereographic bubbles, and seeded smooth random perturbations.
+stereographic bubbles and small-energy maps, and `perturb`, which adds
+seeded low-pass noise to any of them.  The config kinds `random_smooth`
+and `noisy_wrap` are a constant map and a wrap, perturbed.
 
 Every map is built component-major (grid.empty_map), the layout a run
 uses, so the stencils that read it (the `small_energy` bisection, a run's
@@ -128,43 +130,40 @@ def bump_map(grid: SurfaceGrid, target: TargetManifold,
     return MapField(vals, target)
 
 
-def _lowpass_noise(grid: SurfaceGrid, q: int, seed: int,
+def _lowpass_noise(nx: int, ny: int, q: int, seed: int,
                    max_mode: int = 4) -> np.ndarray:
-    """Seeded real periodic noise with Fourier support |k| <= max_mode."""
+    """Seeded real periodic (nx, ny, q) noise with Fourier support
+    |k| <= max_mode."""
     if seed < 0:
         raise GridError(f"seed must be >= 0, got {seed}")
     if max_mode < 0:
         raise GridError(f"max_mode must be >= 0, got {max_mode}")
     rng = np.random.default_rng(seed)
-    kx = np.fft.fftfreq(grid.nx, d=1.0 / grid.nx)
-    ky = np.fft.rfftfreq(grid.ny, d=1.0 / grid.ny)
+    kx = np.fft.fftfreq(nx, d=1.0 / nx)
+    ky = np.fft.rfftfreq(ny, d=1.0 / ny)
     mask = (np.abs(kx)[:, None] <= max_mode) & (np.abs(ky)[None, :] <= max_mode)
     # the q planes in one draw and one batched transform each way; copied
     # into the map, since numpy 2.4.6's irfft2 ignores its `out` argument
-    spec = np.fft.rfft2(rng.standard_normal((q, grid.nx, grid.ny))) * mask
-    out = empty_map((grid.nx, grid.ny, q))
-    component_first(out)[...] = np.fft.irfft2(spec, s=(grid.nx, grid.ny))
+    spec = np.fft.rfft2(rng.standard_normal((q, nx, ny))) * mask
+    out = empty_map((nx, ny, q))
+    component_first(out)[...] = np.fft.irfft2(spec, s=(nx, ny))
     m = np.max(np.abs(out))
     return out / m if m > 0 else out
 
 
-def random_smooth_map(grid: SurfaceGrid, target: TargetManifold,
-                      seed: int = 0, amplitude: float = 0.3,
-                      max_mode: int = 4, point=None) -> MapField:
-    """Projection of basepoint + amplitude * low-pass noise onto the target."""
-    check_finite(amplitude=amplitude)
-    p = _basepoint(target, point)
-    vals = target.project(p + amplitude * _lowpass_noise(grid, target.q, seed, max_mode))
-    return MapField(vals, target)
+def perturb(u: MapField, seed: int = 0, amplitude: float = 0.3,
+            max_mode: int = 4) -> MapField:
+    """A new map: the projection of u + amplitude * seeded low-pass noise
+    onto u's target.
 
-
-def noisy_wrap(grid: SurfaceGrid, target: TargetManifold,
-               m: int = 1, n: int = 0, seed: int = 0,
-               amplitude: float = 0.3, max_mode: int = 4) -> MapField:
+    Any start can be pushed off the symmetry it was built with, such as
+    the great S^2 that a bump on S^3 never leaves.
+    """
     check_finite(amplitude=amplitude)
-    base = geodesic_wrap(grid, target, m=m, n=n).values
-    vals = target.project(base + amplitude * _lowpass_noise(grid, target.q, seed, max_mode))
-    return MapField(vals, target)
+    # the noise is a temporary, freed before the sum is projected
+    vals = u.values + amplitude * _lowpass_noise(*u.values.shape, seed,
+                                                 max_mode)
+    return MapField(u.target.project(vals), u.target)
 
 
 def small_energy_map(grid: SurfaceGrid, target: TargetManifold,
@@ -179,7 +178,7 @@ def small_energy_map(grid: SurfaceGrid, target: TargetManifold,
     if energy <= 0:
         return constant_map(grid, target, point)
     p = _basepoint(target, point)
-    noise = _lowpass_noise(grid, target.q, seed, max_mode)
+    noise = _lowpass_noise(grid.nx, grid.ny, target.q, seed, max_mode)
     st = Stencil(grid, noise)     # one stencil, reloaded by every trial energy
 
     def e_of(a):
@@ -202,14 +201,26 @@ def small_energy_map(grid: SurfaceGrid, target: TargetManifold,
     return MapField(target.project(p + a * noise), target)
 
 
+# the config kinds that are a base map perturbed, with the config's defaults
+def _random_smooth(grid, target, seed=0, amplitude=0.3, max_mode=4,
+                   point=None):
+    return perturb(constant_map(grid, target, point), seed, amplitude,
+                   max_mode)
+
+
+def _noisy_wrap(grid, target, m=1, n=0, seed=0, amplitude=0.3, max_mode=4):
+    return perturb(geodesic_wrap(grid, target, m, n), seed, amplitude,
+                   max_mode)
+
+
 # initial.kind -> (builder, the `initial` config keys it takes as keywords)
 MAP_BUILDERS = {
     "constant": (constant_map, ("point",)),
     "geodesic_wrap": (geodesic_wrap, ("m", "n")),
     "clifford": (clifford_map, ("m", "n")),
     "bump": (bump_map, ("scale",)),
-    "random_smooth": (random_smooth_map,
+    "random_smooth": (_random_smooth,
                       ("seed", "amplitude", "max_mode", "point")),
-    "noisy_wrap": (noisy_wrap, ("m", "n", "seed", "amplitude", "max_mode")),
+    "noisy_wrap": (_noisy_wrap, ("m", "n", "seed", "amplitude", "max_mode")),
     "small_energy": (small_energy_map, ("energy", "seed", "max_mode", "point")),
 }

@@ -110,11 +110,12 @@ def test_A1_dissipation_identity_s2(s2_run):
 def test_A3_gradient_consistency(sphere, b_kind="y4"):
     grid = sf.build_grid(64, 64)
     q = sphere.q
-    fields = sf.FieldBackground(b=sf.make_two_form(b_kind, q, beta=0.2),
+    b = sf.make_two_form(b_kind, q, beta=0.2 if b_kind == "y4" else 0.0)
+    fields = sf.FieldBackground(b=b,
                                 V=sf.make_potential("height", q, epsilon=0.1))
     worst = 0.0
     for seed in (0, 1, 2):
-        u = sf.random_smooth_map(grid, sphere, seed=seed, amplitude=0.3)
+        u = sf.perturb(sf.constant_map(grid, sphere), seed=seed, amplitude=0.3)
         v = np.random.default_rng(100 + seed).standard_normal(u.values.shape)
         out = sf.gradient_consistency_check(u.values, v, grid, sphere, fields)
         worst = max(worst, out["min_rel_err"])
@@ -143,8 +144,9 @@ def test_A4_stationary_geodesic_wrap(sphere):
 
 def test_A5_small_energy_triviality(sphere, b_kind="y4", n=64):
     grid = sf.build_grid(n, n)
-    fields = sf.FieldBackground(b=sf.make_two_form(b_kind, sphere.q, beta=0.1),
-                                V=sf.zero_potential(sphere.q))
+    b = sf.make_two_form(b_kind, sphere.q,
+                         beta=0.1 if b_kind == "y4" else 0.0)
+    fields = sf.FieldBackground(b=b, V=sf.zero_potential(sphere.q))
     u0 = sf.small_energy_map(grid, sphere, energy=0.01, seed=4, max_mode=2)
     e0 = sf.dirichlet_energy(u0.values, grid)
     st = sf.run(u0, grid, sphere, fields, sf.FlowConfig(t_end=5.0,
@@ -167,7 +169,8 @@ def test_A6_antisymmetric_structure(sphere):
                                 V=sf.zero_potential(4))
     grid = sf.build_grid(64, 64)
     skew = max(sf.assemble_A(
-        sf.random_smooth_map(grid, sphere, seed=s, amplitude=0.4).values,
+        sf.perturb(sf.constant_map(grid, sphere), seed=s,
+                   amplitude=0.4).values,
         grid, sphere, fields).skew_defect() for s in range(10))
     res = []
     for n in (32, 64, 128):
@@ -221,7 +224,7 @@ def test_A8_conformal_rescaling(sphere):
     grid4 = sf.conformal_rescale(grid, 4.0)
     fields = sf.FieldBackground(b=sf.make_two_form("y4", 4, beta=0.2),
                                 V=sf.make_potential("height", 4, epsilon=0.1))
-    u = sf.random_smooth_map(grid, sphere, seed=8, amplitude=0.3)
+    u = sf.perturb(sf.constant_map(grid, sphere), seed=8, amplitude=0.3)
     t1 = sf.energies(u.values, grid, fields)
     t4 = sf.energies(u.values, grid4, fields)
     bitwise = t1.E == t4.E and t1.B_term == t4.B_term
@@ -294,12 +297,10 @@ def test_A12_determinism_and_separation(sphere, tmp_path):
     grid = sf.build_grid(32, 32)
     fields = sf.zero_background(4)
     cfg = dict(t_end=1.0, record_every=20)
-    u0 = sf.random_smooth_map(grid, sphere, seed=12, amplitude=0.3)
-    from stringflow.initial_data import _lowpass_noise
-    pert = sphere.project(u0.values
-                          + 1e-6 * _lowpass_noise(grid, 4, 99, 3))
+    u0 = sf.perturb(sf.constant_map(grid, sphere), seed=12, amplitude=0.3)
+    pert = sf.perturb(u0, seed=99, amplitude=1e-6, max_mode=3)
     dirs = {}
-    for name, start in (("a", u0), ("b", u0), ("c", sf.MapField(pert, sphere))):
+    for name, start in (("a", u0), ("b", u0), ("c", pert)):
         st = sf.run(start, grid, sphere, fields, sf.FlowConfig(**cfg))
         d = tmp_path / name
         sf.write_run_outputs(st, str(d))

@@ -33,7 +33,7 @@ def test_dirichlet_energy_of_wrap_matches_closed_form(grid, sphere):
 def test_energies_terms_consistent(grid, sphere):
     fields = sf.FieldBackground(b=sf.make_two_form("y4", 4, beta=0.2),
                                 V=sf.make_potential("height", 4, epsilon=0.1))
-    u = sf.random_smooth_map(grid, sphere, seed=0, amplitude=0.3)
+    u = sf.perturb(sf.constant_map(grid, sphere), seed=0, amplitude=0.3)
     terms = sf.energies(u.values, grid, fields)
     assert terms.S_tilde == pytest.approx(
         0.5 * terms.E + terms.B_term + terms.V_term, rel=1e-12)
@@ -54,7 +54,7 @@ def test_mapfield_constraint_enforced(grid, sphere):
 def test_flow_rhs_is_tangent_up_to_truncation(grid, sphere):
     fields = sf.FieldBackground(b=sf.make_two_form("y4", 4, beta=0.2),
                                 V=sf.make_potential("height", 4, epsilon=0.1))
-    u = sf.random_smooth_map(grid, sphere, seed=1, amplitude=0.3)
+    u = sf.perturb(sf.constant_map(grid, sphere), seed=1, amplitude=0.3)
     rhs = sf.flow_rhs(u.values, grid, sphere, fields)
     normal = np.sum(rhs * u.values, axis=-1)
     # the B and V forces are projected; the remaining normal part is the
@@ -65,7 +65,7 @@ def test_flow_rhs_is_tangent_up_to_truncation(grid, sphere):
 def test_gradient_consistency_all_terms(grid, sphere):
     fields = sf.FieldBackground(b=sf.make_two_form("y4", 4, beta=0.2),
                                 V=sf.make_potential("height", 4, epsilon=0.1))
-    u = sf.random_smooth_map(grid, sphere, seed=2, amplitude=0.3)
+    u = sf.perturb(sf.constant_map(grid, sphere), seed=2, amplitude=0.3)
     v = np.random.default_rng(3).standard_normal(u.values.shape)
     out = sf.gradient_consistency_check(u.values, v, grid, sphere, fields)
     assert out["min_rel_err"] < 1e-6
@@ -80,7 +80,7 @@ def test_el_residual_small_on_wrap(grid, sphere):
 def test_flow_conserves_constraint_and_decreases_action(grid, sphere):
     fields = sf.FieldBackground(b=sf.make_two_form("y4", 4, beta=0.2),
                                 V=sf.zero_potential(4))
-    u0 = sf.random_smooth_map(grid, sphere, seed=4, amplitude=0.3)
+    u0 = sf.perturb(sf.constant_map(grid, sphere), seed=4, amplitude=0.3)
     st = sf.run(u0, grid, sphere, fields, sf.FlowConfig(t_end=0.05, record_every=10))
     assert st.u.constraint_defect() < 1e-12
     s = st.ledger.column("S_tilde")
@@ -89,7 +89,7 @@ def test_flow_conserves_constraint_and_decreases_action(grid, sphere):
 
 
 def test_ledger_columns_and_monotonicity_check(grid, sphere, tmp_path):
-    u0 = sf.random_smooth_map(grid, sphere, seed=5, amplitude=0.2)
+    u0 = sf.perturb(sf.constant_map(grid, sphere), seed=5, amplitude=0.2)
     st = sf.run(u0, grid, sphere, sf.zero_background(4),
                 sf.FlowConfig(t_end=0.02, record_every=5))
     arr = st.ledger.as_array()
@@ -203,7 +203,7 @@ def test_run_ends_on_a_ledger_row_and_a_snapshot(grid, sphere, exit_by):
     # the loop records when t reaches t_end, and probes convergence only
     # right after a record, so either exit leaves the final state recorded
     if exit_by == "t_end":
-        u0 = sf.random_smooth_map(grid, sphere, seed=3, amplitude=0.3)
+        u0 = sf.perturb(sf.constant_map(grid, sphere), seed=3, amplitude=0.3)
         cfg = sf.FlowConfig(t_end=0.01, record_every=7)
     else:
         u0 = sf.geodesic_wrap(grid, sphere)
@@ -220,8 +220,8 @@ def test_run_ends_on_a_ledger_row_and_a_snapshot(grid, sphere, exit_by):
 def test_flow_rhs_result_is_not_a_workspace_buffer(grid, sphere):
     fields = sf.FieldBackground(b=sf.make_two_form("y4", 4, beta=0.2),
                                 V=sf.make_potential("height", 4, epsilon=0.1))
-    u1 = sf.random_smooth_map(grid, sphere, seed=7, amplitude=0.3)
-    u2 = sf.random_smooth_map(grid, sphere, seed=8, amplitude=0.3)
+    u1 = sf.perturb(sf.constant_map(grid, sphere), seed=7, amplitude=0.3)
+    u2 = sf.perturb(sf.constant_map(grid, sphere), seed=8, amplitude=0.3)
     r1 = sf.flow_rhs(u1.values, grid, sphere, fields)
     kept = r1.copy()
     sf.action_value(u2.values, grid, fields)
@@ -231,7 +231,7 @@ def test_flow_rhs_result_is_not_a_workspace_buffer(grid, sphere):
 
 
 def test_run_stops_exactly_at_t_end(grid, sphere):
-    u0 = sf.random_smooth_map(grid, sphere, seed=5, amplitude=0.2)
+    u0 = sf.perturb(sf.constant_map(grid, sphere), seed=5, amplitude=0.2)
     cfg = sf.FlowConfig(t_end=0.0105, record_every=5)
     dt = sf.cfl_bound(grid, cfg.cfl)
     assert (cfg.t_end / dt) % 1.0 > 0.1      # not a multiple of dt
@@ -249,7 +249,8 @@ def test_run_stops_exactly_at_t_end(grid, sphere):
 
 
 def test_non_finite_map_raises_within_one_step(grid, sphere):
-    vals = sf.random_smooth_map(grid, sphere, seed=9, amplitude=0.2).values
+    vals = sf.perturb(sf.constant_map(grid, sphere), seed=9,
+                      amplitude=0.2).values
     vals[5, 7, 1] = np.nan
     u0 = sf.MapField(vals, sphere)
     state = sf.init_state(u0, grid, sphere, sf.zero_background(4),
@@ -276,7 +277,7 @@ def test_record_matches_separate_formulas(sphere, lam):
     g = sf.build_grid(32, 32, lam=lam)
     fields = sf.FieldBackground(b=sf.make_two_form("y4", 4, beta=0.2),
                                 V=sf.make_potential("height", 4, epsilon=0.1))
-    u0 = sf.random_smooth_map(g, sphere, seed=4, amplitude=0.3)
+    u0 = sf.perturb(sf.constant_map(g, sphere), seed=4, amplitude=0.3)
     cfg = sf.FlowConfig(t_end=1.0, ball_radius=0.5)
     st = sf.init_state(u0, g, sphere, fields, cfg)
     for _ in range(3):
@@ -342,7 +343,7 @@ def test_results_do_not_depend_on_the_map_layout(sphere, lam, tmp_path):
     fields = sf.FieldBackground(b=sf.make_two_form("y4", 4, beta=0.2),
                                 V=sf.make_potential("height", 4, epsilon=0.1))
     c = np.ascontiguousarray(
-        sf.random_smooth_map(g, sphere, seed=11, amplitude=0.3).values)
+        sf.perturb(sf.constant_map(g, sphere), seed=11, amplitude=0.3).values)
     cm = _component_major(c)
     assert c.flags.c_contiguous and _is_component_major(cm)
     rc = sf.flow_rhs(c, g, sphere, fields)
@@ -368,7 +369,8 @@ def test_run_from_either_layout_is_bit_identical(grid, sphere):
     fields = sf.FieldBackground(b=sf.make_two_form("y4", 4, beta=0.2),
                                 V=sf.make_potential("height", 4, epsilon=0.1))
     c = np.ascontiguousarray(
-        sf.random_smooth_map(grid, sphere, seed=12, amplitude=0.3).values)
+        sf.perturb(sf.constant_map(grid, sphere), seed=12,
+                   amplitude=0.3).values)
     assert c.flags.c_contiguous
     cfg = sf.FlowConfig(t_end=0.01, record_every=4)
     st_c = sf.run(sf.MapField(c, sphere), grid, sphere, fields, cfg)
@@ -392,8 +394,9 @@ def test_initial_maps_are_component_major_with_row_major_values(monkeypatch):
         "geodesic_wrap": lambda: sf.geodesic_wrap(g, s5, m=2, n=1),
         "clifford": lambda: sf.clifford_map(g, s5, m=2, n=1),
         "bump": lambda: sf.bump_map(g, s5, scale=0.3),
-        "random_smooth": lambda: sf.random_smooth_map(g, s5, seed=3),
-        "noisy_wrap": lambda: sf.noisy_wrap(g, s5, seed=3, amplitude=0.1),
+        "random_smooth": lambda: sf.perturb(sf.constant_map(g, s5), seed=3),
+        "noisy_wrap": lambda: sf.perturb(sf.geodesic_wrap(g, s5), seed=3,
+                                          amplitude=0.1),
         "small_energy": lambda: sf.small_energy_map(g, s5, 0.01, seed=2,
                                                     max_mode=2),
     }
@@ -474,7 +477,8 @@ def test_initial_noise_and_bisection_match_the_per_plane_build(n, q):
     g = sf.build_grid(n, n, Lx=5.0)
     target = sf.make_target("sphere", q)
     for seed, max_mode in ((3, 2), (7, 4)):
-        assert np.array_equal(initial_data._lowpass_noise(g, q, seed, max_mode),
+        assert np.array_equal(initial_data._lowpass_noise(n, n, q, seed,
+                                                          max_mode),
                               _per_plane_noise(g, q, seed, max_mode))
     assert np.array_equal(sf.small_energy_map(g, target, 0.05, seed=3,
                                               max_mode=2).values,
@@ -489,7 +493,7 @@ def test_ledger_action_is_the_accepted_action_bitwise(sphere, lam, monkeypatch):
     g = sf.build_grid(32, 32, lam=lam)
     fields = sf.FieldBackground(b=sf.make_two_form("y4", 4, beta=0.2),
                                 V=sf.make_potential("height", 4, epsilon=0.1))
-    u0 = sf.random_smooth_map(g, sphere, seed=16, amplitude=0.3)
+    u0 = sf.perturb(sf.constant_map(g, sphere), seed=16, amplitude=0.3)
     accepted = {}
     step = action.step
 
@@ -518,7 +522,7 @@ def test_step_reuses_only_shifts_it_may_reuse(grid, sphere):
     fields = sf.FieldBackground(b=sf.make_two_form("y4", 4, beta=0.2),
                                 V=sf.make_potential("height", 4, epsilon=0.1))
     for g in (grid, _conformal(grid)):
-        u0 = sf.random_smooth_map(g, sphere, seed=13, amplitude=0.3)
+        u0 = sf.perturb(sf.constant_map(g, sphere), seed=13, amplitude=0.3)
         st = sf.init_state(u0, g, sphere, fields, sf.FlowConfig(t_end=1.0))
         for spend in (False, True):
             sf.step(st)
@@ -540,7 +544,7 @@ def test_el_residual_in_the_run_workspace_matches_a_fresh_one(grid, sphere):
     from dataclasses import replace
     fields = sf.FieldBackground(b=sf.make_two_form("y4", 4, beta=0.2),
                                 V=sf.make_potential("height", 4, epsilon=0.1))
-    u0 = sf.random_smooth_map(grid, sphere, seed=14, amplitude=0.3)
+    u0 = sf.perturb(sf.constant_map(grid, sphere), seed=14, amplitude=0.3)
     st = sf.init_state(u0, grid, sphere, fields, sf.FlowConfig(t_end=1.0))
     for spend in (False, True):
         sf.step(st)
@@ -573,7 +577,7 @@ def test_carried_rhs_is_the_rhs_of_the_map(sphere, lam, with_fields,
         fields = sf.FieldBackground(
             b=sf.make_two_form("y4", 4, beta=0.2),
             V=sf.make_potential("height", 4, epsilon=0.1))
-    u0 = sf.random_smooth_map(g, sphere, seed=15, amplitude=0.3)
+    u0 = sf.perturb(sf.constant_map(g, sphere), seed=15, amplitude=0.3)
     cfg = sf.FlowConfig(t_end=1.0)
     st = sf.init_state(u0, g, sphere, fields, cfg)
 
@@ -653,7 +657,7 @@ def test_record_matches_a_record_from_a_fresh_load(sphere, lam, n,
         fields = sf.FieldBackground(
             b=sf.make_two_form("y4", 4, beta=0.2),
             V=sf.make_potential("height", 4, epsilon=0.1))
-    u0 = sf.random_smooth_map(g, sphere, seed=17, amplitude=0.3)
+    u0 = sf.perturb(sf.constant_map(g, sphere), seed=17, amplitude=0.3)
     cfg = sf.FlowConfig(t_end=1.0)
     st = sf.init_state(u0, g, sphere, fields, cfg)
     # energies and flow_rhs load u0 into stencils of their own, and
@@ -697,8 +701,8 @@ def test_record_of_another_map_in_the_workspace_raises(grid, sphere):
     # loaded a map other than the state's
     fields = sf.FieldBackground(b=sf.make_two_form("y4", 4, beta=0.2),
                                 V=sf.make_potential("height", 4, epsilon=0.1))
-    u0 = sf.random_smooth_map(grid, sphere, seed=18, amplitude=0.3)
-    other = sf.random_smooth_map(grid, sphere, seed=19, amplitude=0.3)
+    u0 = sf.perturb(sf.constant_map(grid, sphere), seed=18, amplitude=0.3)
+    other = sf.perturb(sf.constant_map(grid, sphere), seed=19, amplitude=0.3)
     st = sf.init_state(u0, grid, sphere, fields, sf.FlowConfig(t_end=1.0))
     sf.step(st)
     st.work.stencil.load(other.values)
@@ -732,7 +736,7 @@ def test_snapshot_ring_keeps_the_run_maps_by_reference(grid, sphere):
                                                        epsilon=0.1))
     for g, fields, steps in ((grid, sf.zero_background(4), 4),
                              (sf.build_grid(96, 96), y4_height, 3)):
-        u0 = sf.random_smooth_map(g, sphere, seed=16, amplitude=0.3)
+        u0 = sf.perturb(sf.constant_map(g, sphere), seed=16, amplitude=0.3)
         st = sf.init_state(u0, g, sphere, fields, sf.FlowConfig(t_end=1.0))
         assert st.snapshots[-1][1] is st.u.values
         kept = [(t, v.copy()) for t, v in st.snapshots]
@@ -885,7 +889,7 @@ def test_steps_after_run_match_steps_in_the_run_workspace(sphere, n,
         fields = sf.FieldBackground(
             b=sf.make_two_form("y4", 4, beta=0.2),
             V=sf.make_potential("height", 4, epsilon=0.1))
-    u0 = sf.random_smooth_map(g, sphere, seed=21, amplitude=0.3)
+    u0 = sf.perturb(sf.constant_map(g, sphere), seed=21, amplitude=0.3)
     st = sf.run(u0, g, sphere, fields,
                 sf.FlowConfig(t_end=5e-3, record_every=3))
     assert st.work is None and kept["work"] is not None
@@ -941,7 +945,8 @@ def test_flow_rhs_projects_both_ambient_forces_at_once(grid, sphere, kinds):
     fields = sf.FieldBackground(b=b, V=V)
     for g in (grid, _conformal(grid)):
         for seed in (16, 17):
-            u = sf.random_smooth_map(g, sphere, seed=seed, amplitude=0.3)
+            u = sf.perturb(sf.constant_map(g, sphere), seed=seed,
+                           amplitude=0.3)
             rhs = sf.flow_rhs(u.values, g, sphere, fields)
             ref = _two_projection_rhs(u.values, g, sphere, fields)
             # one field acting is enough for the force sum

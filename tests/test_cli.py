@@ -443,9 +443,9 @@ def test_rescale_writes_the_window_zoom_of_its_snapshot(tmp_path, node):
     # gives for the two-entry window [(t0 - r^2, v), (t0, v)] of the map
     g = sf.build_grid(32, 24, Lx=5.0, Ly=4.0)
     snap = str(tmp_path / "u.snap")
-    sf.write_snapshot(snap, sf.random_smooth_map(
-        g, sf.make_target("sphere", 4), seed=5, amplitude=0.3).values,
-        1.5, "sphere")
+    sf.write_snapshot(snap, sf.perturb(
+        sf.constant_map(g, sf.make_target("sphere", 4)), seed=5,
+        amplitude=0.3).values, 1.5, "sphere")
     r = 3 * g.dx
     out = tmp_path / "resc"
     assert main(["rescale", snap, "--ix", str(node[0]), "--iy", str(node[1]),

@@ -55,8 +55,10 @@ def test_builder_defaults_are_the_schema_defaults():
     # `stringflow run` fills every key from the schema, and a library call
     # takes the builder's keyword default; the two must agree
     pairs = 0
-    for path, registry in config._KINDS.items():
-        section = path.split(".")[0]
+    registries = [(section, registry)
+                  for section, kinds in config._KINDS.items()
+                  for registry in kinds.values()]
+    for section, registry in registries:
         for kind, (builder, keys) in registry.items():
             params = inspect.signature(builder).parameters
             for key in keys:

@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -37,9 +38,11 @@ def tangent_pair(sphere, n=100, seed=0):
     (lambda g, s: sf.bump_map(g, s, scale=2.7e-154), "scale"),
     (lambda g, s: sf.bump_map(g, s, center=(np.nan, 1.0)), "center"),
     (lambda g, s: sf.bump_map(g, s, center=(1.0, np.inf)), "center"),
-    (lambda g, s: sf.random_smooth_map(g, s, amplitude=np.inf), "amplitude"),
-    (lambda g, s: sf.random_smooth_map(g, s, max_mode=-1), "max_mode"),
-    (lambda g, s: sf.noisy_wrap(g, s, amplitude=np.nan), "amplitude"),
+    (lambda g, s: sf.perturb(sf.constant_map(g, s), amplitude=np.inf),
+     "amplitude"),
+    (lambda g, s: sf.perturb(sf.constant_map(g, s), max_mode=-1), "max_mode"),
+    (lambda g, s: sf.perturb(sf.geodesic_wrap(g, s), amplitude=np.nan),
+     "amplitude"),
     (lambda g, s: height_potential(np.nan), "epsilon"),
     (lambda g, s: y4_two_form(np.inf), "beta"),
     (lambda g, s: y4_two_form(np.nan), "beta"),
@@ -97,7 +100,7 @@ def test_z_operator_closed_form(sphere):
 
 def test_pullback_integral_conformally_invariant(sphere):
     g = sf.build_grid(24, 24)
-    u = sf.random_smooth_map(g, sphere, seed=4, amplitude=0.3)
+    u = sf.perturb(sf.constant_map(g, sphere), seed=4, amplitude=0.3)
     b = sf.make_two_form("y4", 4, beta=0.2)
     v1 = sf.pullback_integral(u.values, b, g)
     v2 = sf.pullback_integral(u.values, b, sf.conformal_rescale(g, 4.0))
@@ -228,8 +231,9 @@ def test_sup_norms_match_the_per_pair_reference(q, b_kind, v_kind, seed):
     # the closed forms bound the sampled sups from above; these kinds
     # attain their bounds, so 4096 points with 4 pairs each come close
     target = sf.make_target("sphere", q)
-    b = sf.make_two_form(b_kind, q, beta=0.2)
-    V = sf.make_potential(v_kind, q, epsilon=0.1)
+    b = sf.make_two_form(b_kind, q, beta=0.2 if b_kind == "y4" else 0.0)
+    V = sf.make_potential(v_kind, q,
+                          epsilon=0.1 if v_kind == "height" else 0.0)
     ref = _reference_sup_norms(b, V, target, 4096, seed, 4)
     norms = sf.sup_norms(b, V, target)
     for g, r in zip((norms.B_inf, norms.Z_inf, norms.hessV_inf), ref):
@@ -328,7 +332,8 @@ def test_bfield_force_and_pullback_match_dense_formulas(sphere, lam):
                                 V=sf.zero_potential(4))
     b = fields.b
     for seed in (0, 1, 2):
-        u = sf.random_smooth_map(g, sphere, seed=seed, amplitude=0.4).values
+        u = sf.perturb(sf.constant_map(g, sphere), seed=seed,
+                       amplitude=0.4).values
         dens = b.pullback(u, *Stencil(g, u).centred())
         ref = _parent_pullback_density(u, b, g)
         assert np.max(np.abs(dens - ref)) <= 1e-13 * np.max(np.abs(ref))
@@ -364,12 +369,13 @@ def test_bfield_force_of_y4_is_the_flux_sum_bitwise(sphere, lam, v_kind):
     # y4's one term has k = 3, neither i nor j, so differencing each flux
     # into g gives each plane the operations of the summed fluxes, in order
     g = sf.build_grid(24, 20, lam=lam)
-    V = sf.make_potential(v_kind, 4, epsilon=0.1)
+    V = sf.make_potential(v_kind, 4,
+                          epsilon=0.1 if v_kind == "height" else 0.0)
     b = y4_two_form(0.3)
     fields = sf.FieldBackground(b=b, V=V)
     # component-major, as in a run
-    maps = [sf.random_smooth_map(g, sphere, seed=seed, amplitude=0.4).values
-            for seed in (0, 1)]
+    maps = [sf.perturb(sf.constant_map(g, sphere), seed=seed,
+                       amplitude=0.4).values for seed in (0, 1)]
     work = Workspace(g, maps[-1], fields)
     for u in maps:
         work.stencil.load(u)
@@ -388,7 +394,8 @@ def test_bfield_force_of_a_dense_two_form_matches_dense_formula(sphere, lam,
     fields = sf.FieldBackground(b=b, V=sf.zero_potential(4))
     maps = []
     for seed in (3, 4, 5):
-        u = sf.random_smooth_map(g, sphere, seed=seed, amplitude=0.4).values
+        u = sf.perturb(sf.constant_map(g, sphere), seed=seed,
+                       amplitude=0.4).values
         if layout != "C":
             cm = sf.empty_map(u.shape)
             cm[...] = u
@@ -434,3 +441,19 @@ def test_unknown_field_kinds_list_the_kinds():
     with pytest.raises(sf.ConfigError) as err:
         sf.make_potential("quadratic", 4)
     assert str(err.value) == "fields.v_kind must be one of ['height', 'zero']"
+
+
+def test_field_factories_refuse_a_size_their_kind_does_not_take():
+    # each returned the zero field; the config's rule holds here too, so a
+    # size may be passed only at its default where the kind takes none
+    for make, msg in (
+            (lambda: sf.make_two_form("zero", 3, beta=0.2),
+             "fields.beta = 0.2 does nothing under b_kind 'zero'"),
+            (lambda: sf.make_potential("zero", 3, epsilon=0.5),
+             "fields.epsilon = 0.5 does nothing under v_kind 'zero'")):
+        with pytest.raises(ValueError, match=f"^{re.escape(msg)}"):
+            make()
+    assert sf.make_two_form("zero", 4).is_zero
+    assert sf.make_two_form("zero", 4, beta=0.0).is_zero
+    assert not sf.make_two_form("y4", 4, beta=0.2).is_zero
+    assert sf.make_potential("zero", 4, epsilon=0.0).is_zero

@@ -15,7 +15,7 @@ from stringflow.singular import SingularEvent
 def run_state():
     g = sf.build_grid(16, 16)
     tgt = sf.make_target("sphere", 4)
-    u0 = sf.random_smooth_map(g, tgt, seed=0, amplitude=0.2)
+    u0 = sf.perturb(sf.constant_map(g, tgt), seed=0, amplitude=0.2)
     return sf.run(u0, g, tgt, sf.zero_background(4),
                   sf.FlowConfig(t_end=0.02, record_every=5))
 

@@ -1,6 +1,7 @@
 import ast
 import importlib
 import importlib.util
+import sys
 from pathlib import Path
 
 import pytest
@@ -9,11 +10,19 @@ import stringflow
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
-_spec = importlib.util.spec_from_file_location(
-    "_perfbench_tracer", PERFBENCH / "tracer.py")
-_tracer = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(_tracer)
-SPANS = _tracer.SPANS
+
+def _load(name):
+    spec = importlib.util.spec_from_file_location(
+        f"_perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    # registered first: a dataclass looks its module up by name
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+SPANS = _load("tracer").SPANS
+WORKLOADS = _load("workloads").WORKLOADS
 
 
 @pytest.mark.parametrize("layer", sorted(SPANS))
@@ -44,3 +53,13 @@ def test_benchmark_uses_only_names_the_package_has(name):
     assert used, f"no sf.<name> read in perfbench/{name}"
     missing = sorted(n for n in used if not hasattr(stringflow, n))
     assert not missing, f"perfbench/{name} uses {missing}"
+
+
+@pytest.mark.parametrize("seed", [1, 7])
+@pytest.mark.parametrize("name", sorted(WORKLOADS))
+def test_benchmark_configs_build(name, seed):
+    # a renamed or dropped kind or key of a workload's config would
+    # otherwise first fail in a benchmark run
+    cfg = stringflow.validate_config(WORKLOADS[name].config(seed))
+    grid, target, _, u0, _ = stringflow.build_objects(cfg)
+    assert u0.values.shape == (grid.nx, grid.ny, target.q)

@@ -84,7 +84,8 @@ def test_commensurate_zoom_is_a_roll_of_the_snapshot(sphere, k):
     # the snapshot rolled to put the zoom node at the centre, exactly
     g = sf.build_grid(32, 24, Lx=5.0, Ly=4.0)
     u = sf.empty_map((32, 24, 4))
-    u[...] = sf.random_smooth_map(g, sphere, seed=5, amplitude=0.3).values
+    u[...] = sf.perturb(sf.constant_map(g, sphere), seed=5,
+                        amplitude=0.3).values
     r = k * max(g.dx, g.dy)
     (ix, iy), og = (7, 19), sf.rescale_out_grid(g, r)
     res = sf.parabolic_rescale([(0.0, u), (r * r, u)], ((ix, iy), r * r), r,
@@ -210,7 +211,7 @@ def test_non_commensurate_out_grid_is_a_grid_error(sphere, og):
     # the zoom is a roll of the snapshot, exact only on rescale_out_grid;
     # any other out-grid would need interpolation, which is not offered
     g = sf.build_grid(32, 24, Lx=5.0, Ly=4.0)
-    u = sf.random_smooth_map(g, sphere, seed=1, amplitude=0.3).values
+    u = sf.perturb(sf.constant_map(g, sphere), seed=1, amplitude=0.3).values
     r = 0.37
     with pytest.raises(GridError, match="rescale_out_grid"):
         sf.parabolic_rescale([(0.0, u), (r * r, u)], ((5, 19), r * r), r, g,
@@ -261,7 +262,8 @@ def _window(sphere, n_snaps, dt):
     snaps = []
     for k in range(n_snaps):
         v = sf.empty_map((32, 32, 4))
-        v[...] = sf.random_smooth_map(g, sphere, seed=k, amplitude=0.3).values
+        v[...] = sf.perturb(sf.constant_map(g, sphere), seed=k,
+                            amplitude=0.3).values
         snaps.append((dt * k, v))
     return g, snaps
 
@@ -310,3 +312,17 @@ def test_iterating_a_rescale_window_holds_few_maps(sphere):
         tracemalloc.stop()
     assert n == 40
     assert peak < 8 * map_bytes
+
+
+def test_a_perturbed_bump_leaves_its_great_sphere():
+    # rescale_probe's bump on S^3 lies in the great S^2 {u^4 = 0}, which
+    # the flow keeps bit for bit; a 1e-12 perturbation grows off it by
+    # t = 0.6 at 32^2 (0.054; 0.354 at 64^2)
+    cfg = sf.preset_config("rescale_probe")
+    cfg["grid"].update(nx=32, ny=32)
+    cfg["flow"].update(t_end=0.6)
+    grid, sphere, fields, u0, fcfg = sf.build_objects(cfg)
+    off = [float(np.max(np.abs(sf.run(u, grid, sphere, fields,
+                                      fcfg).u.values[..., 3])))
+           for u in (u0, sf.perturb(u0, seed=0, amplitude=1e-12))]
+    assert off[0] == 0.0 and off[1] >= 1e-2, off

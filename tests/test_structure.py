@@ -20,7 +20,7 @@ def test_assemble_A_skew(sphere):
     fields = sf.FieldBackground(b=sf.make_two_form("y4", 4, beta=0.3),
                                 V=sf.zero_potential(4))
     for seed in range(5):
-        u = sf.random_smooth_map(g, sphere, seed=seed, amplitude=0.4)
+        u = sf.perturb(sf.constant_map(g, sphere), seed=seed, amplitude=0.4)
         A = sf.assemble_A(u.values, g, sphere, fields)
         assert A.skew_defect() < 1e-12
 
@@ -28,7 +28,7 @@ def test_assemble_A_skew(sphere):
 def test_assemble_A_matches_sphere_closed_form(sphere):
     # frame term for the sphere: F^m_i = u^m du^i - u^i du^m (no two-form)
     g = sf.build_grid(24, 24)
-    u = sf.random_smooth_map(g, sphere, seed=7, amplitude=0.3)
+    u = sf.perturb(sf.constant_map(g, sphere), seed=7, amplitude=0.3)
     A = sf.assemble_A(u.values, g, sphere, sf.zero_background(4))
     ux = (np.roll(u.values, -1, 0) - np.roll(u.values, 1, 0)) * (0.5 / g.dx)
     expected = (u.values[..., :, None] * ux[..., None, :]
@@ -59,10 +59,11 @@ def _assemble_A_rank3(u, grid, target, fields):
 @pytest.mark.parametrize("b_kind", ["zero", "y4"])
 def test_assemble_A_matches_the_rank3_formula(sphere, b_kind):
     g = sf.build_grid(32, 24)
-    fields = sf.FieldBackground(b=sf.make_two_form(b_kind, 4, beta=0.3),
-                                V=sf.zero_potential(4))
+    b = sf.make_two_form(b_kind, 4, beta=0.3 if b_kind == "y4" else 0.0)
+    fields = sf.FieldBackground(b=b, V=sf.zero_potential(4))
     for seed in range(3):
-        u = sf.random_smooth_map(g, sphere, seed=seed, amplitude=0.4).values
+        u = sf.perturb(sf.constant_map(g, sphere), seed=seed,
+                       amplitude=0.4).values
         A = sf.assemble_A(u, g, sphere, fields)
         F, G = _assemble_A_rank3(u, g, sphere, fields)
         scale = max(np.max(np.abs(F)), np.max(np.abs(G)))
@@ -115,7 +116,8 @@ def test_assemble_A_memory_is_quadratic_in_q_per_node(sphere):
     fields = sf.FieldBackground(b=sf.make_two_form("y4", 4, beta=0.3),
                                 V=sf.zero_potential(4))
     u = sf.empty_map((32, 32, 4))
-    u[...] = sf.random_smooth_map(g, sphere, seed=3, amplitude=0.4).values
+    u[...] = sf.perturb(sf.constant_map(g, sphere), seed=3,
+                        amplitude=0.4).values
     tracemalloc.start()
     try:
         sf.assemble_A(u, g, sphere, fields)
@@ -154,7 +156,8 @@ def test_rewrite_residual_matches_the_term_by_term_sum(sphere, monkeypatch,
     monkeypatch.setattr(structure, "l2_norm", lambda res, grid: res.copy())
     for lam in (0.0, lambda x, y: 0.2 * np.sin(x) * np.cos(y)):
         g = sf.build_grid(24, 20, lam=lam)
-        u = sf.random_smooth_map(g, sphere, seed=5, amplitude=0.4).values
+        u = sf.perturb(sf.constant_map(g, sphere), seed=5,
+                       amplitude=0.4).values
         if component_major:
             u, row_major = sf.empty_map(u.shape), u
             u[...] = row_major
@@ -180,8 +183,8 @@ def test_rewrite_residual_refuses_an_A_of_another_grid(sphere):
     from dataclasses import replace
     fields = sf.zero_background(4)
     g16, g32 = sf.build_grid(16, 16), sf.build_grid(32, 32)
-    u16, u32 = (sf.random_smooth_map(g, sphere, seed=3, amplitude=0.3).values
-                for g in (g16, g32))
+    u16, u32 = (sf.perturb(sf.constant_map(g, sphere), seed=3,
+                           amplitude=0.3).values for g in (g16, g32))
     A16 = sf.assemble_A(u16, g16, sphere, fields)
     A32 = sf.assemble_A(u32, g32, sphere, fields)
     for slot in ("F", "G"):
