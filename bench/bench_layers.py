@@ -38,7 +38,7 @@ one, less 1.
 The `kernels` section times the stencil work of one load at 32^2, 48^2,
 64^2, 96^2, 128^2 and 256^2 (q = 4, a component-major unit map, as in a
 run): `Stencil.load`, then `dirichlet`, `laplacian` and `centred` on the
-stencil that a run's workspace builds, with the median and quartiles in
+stencil that a run builds, with the median and quartiles in
 microseconds, the sizes taken in turn within each repeat.
 
 The `code_lines` section holds `bench/code_lines.py`'s count of the code

@@ -128,19 +128,18 @@ def test_flow_rhs_two_form_and_potential(benchmark, case, b_kind):
     b = sf.make_two_form(b_kind, 4, beta=0.2 if b_kind == "y4" else 0.0)
     fields = sf.FieldBackground(b=b, V=sf.make_potential("height", 4,
                                                          epsilon=5e-3))
-    work = sf.Workspace(grid, u, fields)
-    benchmark(_loaded_rhs, work, sphere, fields)
+    benchmark(_loaded_rhs, Stencil(grid, u), sphere, fields)
 
 
 def test_bfield_force(benchmark, case):
     # the B-force and the potential's force as flow_rhs forms them, from
-    # centred differences formed outside the timed call
+    # centred differences formed outside the timed call; the force sum is
+    # a fresh buffer of each call, as in a step
     grid, sphere, u = case
     fields = sf.FieldBackground(b=sf.make_two_form("y4", 4, beta=0.2),
                                 V=sf.make_potential("height", 4,
                                                     epsilon=5e-3))
-    work = sf.Workspace(grid, u, fields)
-    benchmark(_bfield_force, work, sphere, fields)
+    benchmark(_bfield_force, Stencil(grid, u), sphere, fields)
 
 
 def test_step(benchmark, case):

@@ -4,8 +4,8 @@ and rewriting diagnostics."""
 
 from .action import (CONSTRAINT_TOL, LEDGER_COLUMNS, EnergyLedger,
                      EnergyRecord, EnergyTerms, FlowConfig, FlowState,
-                     MapField, Workspace, action_value, cfl_bound,
-                     dirichlet_energy, el_residual, energies, flow_rhs,
+                     MapField, action_value, cfl_bound, dirichlet_energy,
+                     el_residual, energies, flow_rhs,
                      gradient_consistency_check, init_state,
                      monotonicity_check, run, step)
 from .cli import compare_runs, main

@@ -18,22 +18,21 @@ Discretization notes (the choices here are load-bearing):
   O(eps^2).
 * action_value and flow_rhs take a map and nothing else: each builds a
   fresh grid.Stencil from the array it is given and takes every
-  difference from it.  A run owns its load instead.  Its Workspace, which
-  init_state builds from u0 and run drops when it returns, holds the
-  run's stencil (and the force sum g when a field acts).  Inside a run
-  the map is component-major (grid.empty_map).
+  difference from it.  A run owns its load instead: the run's stencil,
+  FlowState.work, which init_state builds from u0 and run drops when it
+  returns.  Inside a run the map is component-major (grid.empty_map).
   A step builds each candidate in a fresh map, u + dt rhs projected in
   place, loads it into the run's stencil, and reads its action terms from
   that load (_trial); it keeps the candidate it accepts, so the run holds
   no trial buffer.  The rhs of the accepted map comes from the same load
-  (_loaded_rhs, which flow_rhs calls on a fresh workspace), and the
+  (_loaded_rhs, which flow_rhs calls on a fresh stencil), and the
   kinetic difference u_new - u goes into the stencil scratch, which is
   free once that rhs is formed.  A map that a state holds is never
   written again, so values are carried forward, not re-derived:
   FlowState.rhs and FlowState.terms are the rhs and action terms of u,
   which the next step, the convergence probe and the ledger record read.
   init_state takes them for u0 from the public energies and flow_rhs,
-  which the benchmark's tracer times, and then builds the run's Workspace
+  which the benchmark's tracer times, and then builds the run's stencil
   from u0, whose load the first record reads: three loads of u0, once
   per run.
   A load forms the centred and the second differences, and the action
@@ -52,15 +51,15 @@ Discretization notes (the choices here are load-bearing):
   e^{-2 lam} P(u) g + P(u) a = P(u)(e^{-2 lam} g + a); this moves the rhs
   by rounding only, and not at all for a zero form (g = 0).  g comes from
   TwoFormField.add_gradient and a from ScalarPotential.add_gradient;
-  _bfield_force only zeroes g, weights it and projects the sum.
+  _bfield_force only zeroes g, a buffer of its own call, weights it and
+  projects the sum.
 * A flat grid is the conformal grid with lam = 0, whose weight e^{-2 lam}
   is exactly 1.0, and a zero two-form or potential is an ordinary input,
   whose terms are exact zeros, so one formula serves every case.  Only
   the step keeps shortcuts, each commented with its measured saving:
   _loaded_rhs and _bfield_force skip the weight on a flat grid, and
-  where both fields are zero Workspace holds no g and _loaded_rhs, which
-  reads that, skips the force (as the fields' `integral` methods skip
-  their sums).
+  where both fields are zero _loaded_rhs skips the force (as the fields'
+  `integral` methods skip their sums).
 * The action has one formula, _action_terms: E from grid.Stencil.dirichlet,
   B from TwoFormField.integral, V from ScalarPotential.integral, and
   S_tilde = 0.5*E + B + V, in that order.  energies and action_value
@@ -158,45 +157,22 @@ def action_value(vals: np.ndarray, grid: SurfaceGrid,
     return energies(vals, grid, fields).S_tilde
 
 
-class Workspace:
-    """The buffers of one run, built from the map vals, all
-    component-major: the stencil, loaded with vals and then with each
-    candidate, and, when either background field acts, the force sum g of
-    _bfield_force (None when neither acts).  There is no trial map: a step
-    builds each candidate in the map it keeps, and forms its kinetic
-    difference in the stencil's scratch `tmp`.  _loaded_rhs writes its II
-    term and the projected force into that scratch too, and returns a
-    fresh array.
-
-    init_state builds one per run from u0, the steps and records of the
-    run share it, and run drops it when it returns.  flow_rhs builds a
-    fresh one per call.
-    """
-
-    def __init__(self, grid: SurfaceGrid, vals: np.ndarray,
-                 fields: FieldBackground):
-        self.stencil = Stencil(grid, vals)
-        # zero-field fast path: zero fields have no force, so no g (a map)
-        self.g = (None if fields.b.is_zero and fields.V.is_zero
-                  else empty_map(vals.shape))
-
-
 # -- flow right-hand side ---------------------------------------------------------
 
-def _bfield_force(work: Workspace, target: TargetManifold,
+def _bfield_force(st: Stencil, target: TargetManifold,
                   fields: FieldBackground) -> np.ndarray:
     """P(u)(e^{-2 lam} g + a), the one force of the background fields, at
-    the map u that work's stencil last loaded: g the coordinate gradient of
-    the discrete B-term, a the potential's gradient, both ambient forces in
-    one projection.  In order: g is zeroed, takes the two-form's wedges and
-    flux differences (TwoFormField.add_gradient, nothing for a zero form),
-    is scaled by e^{-2 lam} on a conformal grid, takes a
-    (ScalarPotential.add_gradient), and is projected once into the
-    stencil's scratch.  For a zero form g is exactly a, since
-    0 * e^{-2 lam} = 0.  g is zeroed whole per call, so a plane that no
-    term writes is 0 and is scaled with the rest.
+    the map u that st last loaded: g the coordinate gradient of the
+    discrete B-term, a the potential's gradient, both ambient forces in
+    one projection.  In order: g, a fresh component-major map, is zeroed,
+    takes the two-form's wedges and flux differences
+    (TwoFormField.add_gradient, nothing for a zero form), is scaled by
+    e^{-2 lam} on a conformal grid, takes a (ScalarPotential.add_gradient),
+    and is projected once into the stencil's scratch.  For a zero form g
+    is exactly a, since 0 * e^{-2 lam} = 0.  g is zeroed whole, so a plane
+    that no term writes is 0 and is scaled with the rest.
     """
-    st, g = work.stencil, work.g
+    g = empty_map(st.shape)
     g.fill(0.0)
     fields.b.add_gradient(g, st)
     # flat-grid fast path: the weight is 16 us of a 1.7 ms step at 128^2
@@ -209,7 +185,7 @@ def _bfield_force(work: Workspace, target: TargetManifold,
 def flow_rhs(vals: np.ndarray, grid: SurfaceGrid, target: TargetManifold,
              fields: FieldBackground) -> np.ndarray:
     """Delta_h u - II(du, du) - Z(du(e1) ^ du(e2)) - P grad V(u), from a
-    fresh Workspace built from vals (_loaded_rhs).
+    fresh load of vals (_loaded_rhs).
 
     The result need not be pointwise tangent: the normal part of Delta_h u
     balances the II term up to truncation error.  All metric weights are
@@ -219,16 +195,15 @@ def flow_rhs(vals: np.ndarray, grid: SurfaceGrid, target: TargetManifold,
     projection for both forces (P is linear), _bfield_force, which runs
     whenever either field acts.
     """
-    return _loaded_rhs(Workspace(grid, vals, fields), target, fields)
+    return _loaded_rhs(Stencil(grid, vals), target, fields)
 
 
-def _loaded_rhs(work: Workspace, target: TargetManifold,
+def _loaded_rhs(st: Stencil, target: TargetManifold,
                 fields: FieldBackground) -> np.ndarray:
-    """flow_rhs of the map that work's stencil last loaded (its `source`),
-    read from that load.  Each term is formed in the stencil's scratch and
+    """flow_rhs of the map that st last loaded (its `source`), read from
+    that load.  Each term is formed in the stencil's scratch and
     subtracted, plane by plane on the component-first views; the rhs
     itself is a fresh array in the layout of the map."""
-    st = work.stencil
     grid = st.grid
     ux, uy = st.centred()
     vals = st.source
@@ -239,8 +214,8 @@ def _loaded_rhs(work: Workspace, target: TargetManifold,
     if not grid.is_flat:
         R *= grid.em2l
     # zero-field fast path: that force is 32 us of a 156 us step at 48^2
-    if work.g is not None:
-        R -= component_first(_bfield_force(work, target, fields))
+    if not (fields.b.is_zero and fields.V.is_zero):
+        R -= component_first(_bfield_force(st, target, fields))
     return rhs
 
 
@@ -414,8 +389,9 @@ class FlowState:
     and whose S_tilde is S_current.  A step takes both from its load of
     u; init_state calls energies and flow_rhs.  A caller that wants to
     alter a map writes to a copy and, to go on, starts a new run from it.
-    `work` is the run's Workspace while it steps; the state that `run`
-    returns has none, and `step` builds one from u.values.
+    `work` is the run's Stencil while it steps, loaded with u.values or
+    with the candidate last tried; the state that `run` returns has none,
+    and `step` builds one from u.values.
     """
     t: float
     u: MapField
@@ -433,7 +409,7 @@ class FlowState:
     last_kinetic: float = 0.0
     S0: float = 0.0
     converged: bool = False
-    work: Workspace | None = dc_field(default=None, repr=False)
+    work: Stencil | None = dc_field(default=None, repr=False)
     rhs: np.ndarray | None = dc_field(default=None, repr=False)   # flow_rhs(u)
     terms: EnergyTerms | None = None                              # energies(u)
 
@@ -450,15 +426,15 @@ def init_state(u0: MapField, grid: SurfaceGrid, target: TargetManifold,
     u = MapField(target.project(vals, out=vals), target)
     # u0's terms and rhs from the public operators, so that the benchmark's
     # tracer times this work as it times a step's; the record at t = 0
-    # reads the load of the run's workspace.  The order is measured: built
-    # last, the workspace reuses the pages of flow_rhs's, and the smoke
+    # reads the load of the run's stencil.  The order is measured: built
+    # last, the run's stencil reuses the pages of flow_rhs's, and the smoke
     # workload's unaccounted share reads 0.094 (median of 10 alternating
     # traced runs, 2-core VM), against 0.095 built between energies and
     # flow_rhs; peak RSS is the same either way (bench/rss_phases.py, 4
     # runs each: bubble_probe_64 44.19-44.32 against 44.20-44.31 MB)
     terms = energies(vals, grid, fields)
     rhs = flow_rhs(vals, grid, target, fields)
-    work = Workspace(grid, vals, fields)
+    work = Stencil(grid, vals)
     state = FlowState(t=0.0, u=u, dt=dt, grid=grid, target=target,
                       fields=fields, config=config, S0=terms.S_tilde,
                       work=work, rhs=rhs, terms=terms)
@@ -473,7 +449,7 @@ def _record(state: FlowState):
     state.terms; the ball map sums Stencil.energy_density, and the Hessian
     reads the stencil's stacks, those of the load that the rhs read.
     GridError unless the run's stencil last loaded the state's map."""
-    grid, st, T = state.grid, state.work.stencil, state.terms
+    grid, st, T = state.grid, state.work, state.terms
     if st.source is not state.u.values:
         raise GridError("the run's stencil holds another map's load")
     sup_loc = float(np.max(ball_sum_map(st.energy_density(), grid,
@@ -519,7 +495,7 @@ def _trial(state: FlowState, rhs: np.ndarray, dt: float):
     np.multiply(component_first(rhs), dt, out=T)
     T += component_first(state.u.values)
     state.target.project(new_vals, out=new_vals)
-    terms = _action_terms(state.work.stencil.load(new_vals), state.fields)
+    terms = _action_terms(state.work.load(new_vals), state.fields)
     S_new = terms.S_tilde
     if not math.isfinite(S_new):
         where = (f"no non-finite node; E={terms.E:.9g}, "
@@ -555,14 +531,14 @@ def step(state: FlowState) -> FlowState:
     rhs of the new map, formed from the stencil the accepted trial loaded,
     and keeps that trial's action terms in state.terms; the kinetic
     difference u_new - u is then formed in the stencil's scratch `tmp`,
-    which that rhs no longer needs.  A state without a workspace (one that
+    which that rhs no longer needs.  A state without a stencil (one that
     `run` returned) gets a fresh one built from its map: every trial loads
     its own map, so no step reads what an earlier one left there.
     """
     cfg = state.config
     vals, rhs = state.u.values, state.rhs
     if state.work is None:
-        state.work = Workspace(state.grid, vals, state.fields)
+        state.work = Stencil(state.grid, vals)
     tol_up = TOL_UP * (1.0 + state.S0)
     remaining = cfg.t_end - state.t
     dt = dt0 = min(state.dt, remaining) if remaining > 0.0 else state.dt
@@ -579,7 +555,7 @@ def step(state: FlowState) -> FlowState:
     state.rhs = rhs = None
     state.rhs = _loaded_rhs(state.work, state.target, state.fields)
 
-    diff = state.work.stencil.tmp
+    diff = state.work.tmp
     np.subtract(component_first(new_vals), component_first(vals),
                 out=component_first(diff))
     dt2 = dt**2
@@ -595,7 +571,7 @@ def step(state: FlowState) -> FlowState:
     state.steps += 1
 
     if collapsed:
-        loc = ball_sum_map(state.work.stencil.energy_density(), state.grid,
+        loc = ball_sum_map(state.work.energy_density(), state.grid,
                            cfg.ball_radius)
         ix, iy = np.unravel_index(int(np.argmax(loc)), loc.shape)
         le = float(loc[ix, iy])
@@ -622,7 +598,7 @@ def run(u0: MapField, grid: SurfaceGrid, target: TargetManifold,
     energy and the L2 norm of P(u) rhs: the rhs's normal part is O(dx^2)
     truncation, which does not vanish at a critical point.
     The returned state keeps what a caller reads (u, rhs, terms, the
-    ledger, the events and the snapshot ring) and drops the workspace; a
+    ledger, the events and the snapshot ring) and drops its stencil; a
     `step` from it builds a fresh one and gives the bits it would have
     given without the return."""
     state = init_state(u0, grid, target, fields, config)

@@ -297,9 +297,6 @@ def main(argv=None) -> int:
     except (ConfigError, OSError) as e:      # a SnapshotError is an OSError
         print(f"configuration error: {e}", file=sys.stderr)
         return EXIT_BAD_CONFIG
-    except HypothesisError as e:
-        print(f"hypothesis warning: {e}", file=sys.stderr)
-        return EXIT_HYPOTHESIS
     except (StringFlowError, FloatingPointError) as e:
         print(f"numeric failure: {e}", file=sys.stderr)
         return EXIT_NUMERIC

@@ -40,6 +40,17 @@ def test_energies_terms_consistent(grid, sphere):
     assert terms.V_term >= 0.0  # shifted potential is nonnegative
 
 
+@pytest.mark.parametrize("shape", [(32, 32, 3), (32, 32, 5), (32, 32),
+                                   (4, 32, 32)],
+                         ids=["q3", "q5", "no-component-axis", "leading-q"])
+def test_mapfield_refuses_values_whose_last_axis_is_not_q(sphere, shape):
+    # a map's values end in the target's q: a map of another q (or a
+    # component-first stack) would reach the stencil and the projection
+    with pytest.raises(GridError, match=re.escape(
+            f"map values shape {shape} does not end in q=4")):
+        sf.MapField(np.ones(shape), sphere)
+
+
 def test_mapfield_constraint_enforced(grid, sphere):
     vals = np.ones((32, 32, 4))
     with pytest.raises(sf.OffManifoldError):
@@ -516,7 +527,7 @@ def test_step_reuses_only_shifts_it_may_reuse(grid, sphere):
     # step forms the next rhs from the second differences (and, with a
     # two-form, the centred differences) the accepted trial loaded; a
     # ledger record reads what the rhs left and spends it.  Either way the
-    # next step must match one that starts from a fresh workspace and a
+    # next step must match one that starts from a fresh stencil and a
     # fresh rhs, on a flat and on a conformal grid.
     from dataclasses import replace
     fields = sf.FieldBackground(b=sf.make_two_form("y4", 4, beta=0.2),
@@ -528,7 +539,7 @@ def test_step_reuses_only_shifts_it_may_reuse(grid, sphere):
             sf.step(st)
             if spend:
                 _record(st)
-            fresh = replace(st, work=sf.Workspace(g, st.u.values, fields),
+            fresh = replace(st, work=Stencil(g, st.u.values),
                             rhs=sf.flow_rhs(st.u.values, g, sphere, fields))
             sf.step(st)
             sf.step(fresh)
@@ -538,7 +549,7 @@ def test_step_reuses_only_shifts_it_may_reuse(grid, sphere):
 
 
 def test_el_residual_in_the_run_workspace_matches_a_fresh_one(grid, sphere):
-    # the convergence probe reads the rhs that the run's workspace formed;
+    # the convergence probe reads the rhs that the run's stencil formed;
     # it must be el_residual's field from a fresh one.  The next step must
     # not write the carried array in place: a copy of the state shares it
     from dataclasses import replace
@@ -553,12 +564,25 @@ def test_el_residual_in_the_run_workspace_matches_a_fresh_one(grid, sphere):
         fresh, l2, _ = sf.el_residual(st.u.values, grid, sphere, fields)
         assert np.array_equal(st.rhs, fresh)
         assert sf.l2_norm(st.rhs, grid) == l2
-        other = replace(st, work=sf.Workspace(grid, st.u.values, fields))
+        other = replace(st, work=Stencil(grid, st.u.values))
         sf.step(st)
         assert np.array_equal(other.rhs, fresh)
         sf.step(other)
         assert np.array_equal(st.u.values, other.u.values)
         assert st.S_current == other.S_current
+
+
+def _counted_forces(monkeypatch):
+    """A list to which each later call of action._bfield_force appends its
+    arguments."""
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return _bfield_force(*args)
+
+    monkeypatch.setattr(action, "_bfield_force", counted)
+    return calls
 
 
 @pytest.mark.parametrize("lam", [None, lambda x, y: 0.2 * np.sin(x) * np.cos(y)],
@@ -569,8 +593,8 @@ def test_carried_rhs_is_the_rhs_of_the_map(sphere, lam, with_fields,
                                            monkeypatch):
     # after a plain step, a record, a halved step and a dt_min collapse the
     # carried rhs equals a fresh flow_rhs of the state's map, bit for bit,
-    # and so does _loaded_rhs of a workspace built from that map, which
-    # holds a force sum g exactly when a field acts
+    # and so does _loaded_rhs of a stencil built from that map, which forms
+    # the fields' force exactly when a field acts
     g = sf.build_grid(24, 24, lam=lam)
     fields = sf.zero_background(4)
     if with_fields:
@@ -580,14 +604,15 @@ def test_carried_rhs_is_the_rhs_of_the_map(sphere, lam, with_fields,
     u0 = sf.perturb(sf.constant_map(g, sphere), seed=15, amplitude=0.3)
     cfg = sf.FlowConfig(t_end=1.0)
     st = sf.init_state(u0, g, sphere, fields, cfg)
+    forces = _counted_forces(monkeypatch)
 
     def check():
         rhs = sf.flow_rhs(st.u.values, g, sphere, fields)
         assert np.array_equal(st.rhs, rhs)
-        work = sf.Workspace(g, st.u.values, fields)
-        assert work.stencil.source is st.u.values
-        assert (work.g is None) is not with_fields
-        assert np.array_equal(_loaded_rhs(work, sphere, fields), rhs)
+        forces.clear()
+        loaded = _loaded_rhs(Stencil(g, st.u.values), sphere, fields)
+        assert len(forces) == with_fields
+        assert np.array_equal(loaded, rhs)
 
     check()
     sf.step(st)
@@ -622,7 +647,7 @@ def _fresh_record(st):
 
 
 @pytest.mark.parametrize("lam, n", [
-    pytest.param(lam, n, id=name + ("-sliced" if n == 96 else ""))
+    pytest.param(lam, n, id=name + ("-96" if n == 96 else ""))
     for n in (24, 96)
     for name, lam in (("flat", None),
                       ("conformal", lambda x, y: 0.2 * np.sin(x) * np.cos(y)))])
@@ -633,9 +658,9 @@ def test_record_matches_a_record_from_a_fresh_load(sphere, lam, n,
     # a record reads the terms and the two stacks of the load of the
     # step's accepted trial; after init_state, a plain step, a halved step
     # and a dt_min collapse every column equals the one from a fresh load
-    # bit for bit, on a small and a large map (the large cases keep their
-    # "-sliced" ids).  Each trial loads its candidate once, and neither the
-    # rhs nor the record loads
+    # bit for bit, on a small and a large map (the large cases' ids end in
+    # "-96").  Each trial loads its candidate once, and neither the rhs nor
+    # the record loads
     loads, stencils, trials = [], [], []
     load, trial = Stencil.load, action._trial
 
@@ -663,7 +688,7 @@ def test_record_matches_a_record_from_a_fresh_load(sphere, lam, n,
     # energies and flow_rhs load u0 into stencils of their own, and
     # init_state loads it into the run's stencil once, for the record
     assert all(f is st.u.values for f in loads)
-    assert [s for s in stencils if s is st.work.stencil] == [st.work.stencil]
+    assert [s for s in stencils if s is st.work] == [st.work]
 
     def step_and_record():
         loads.clear()
@@ -705,7 +730,7 @@ def test_record_of_another_map_in_the_workspace_raises(grid, sphere):
     other = sf.perturb(sf.constant_map(grid, sphere), seed=19, amplitude=0.3)
     st = sf.init_state(u0, grid, sphere, fields, sf.FlowConfig(t_end=1.0))
     sf.step(st)
-    st.work.stencil.load(other.values)
+    st.work.load(other.values)
     with pytest.raises(GridError, match="another map"):
         _record(st)
     # an equal copy of the map is another map
@@ -716,20 +741,17 @@ def test_record_of_another_map_in_the_workspace_raises(grid, sphere):
     assert len(st.ledger) == 1
 
 
-def _workspace_buffers(work):
-    """Every array a workspace and its stencil own, not the map that the
-    stencil last loaded."""
-    refs = (work.stencil.source,)
-    arrays = list(vars(work).values()) + list(vars(work.stencil).values())
-    return [a for a in arrays if isinstance(a, np.ndarray)
-            and not any(np.may_share_memory(a, r) for r in refs)]
+def _stencil_buffers(st):
+    """Every array a stencil owns, not the map that it last loaded."""
+    return [a for a in vars(st).values() if isinstance(a, np.ndarray)
+            and not np.may_share_memory(a, st.source)]
 
 
 def test_snapshot_ring_keeps_the_run_maps_by_reference(grid, sphere):
     # a run never writes a map it holds, so the ring holds the maps
     # themselves, and a later step leaves every earlier entry as it was.
     # Each step builds its map in memory of its own, shared with no ring
-    # entry and no workspace buffer: plain steps at 32^2, then a step whose
+    # entry and no stencil buffer: plain steps at 32^2, then a step whose
     # first trial is rejected, and steps at 96^2 with a two-form
     y4_height = sf.FieldBackground(b=sf.make_two_form("y4", 4, beta=0.2),
                                    V=sf.make_potential("height", 4,
@@ -756,7 +778,7 @@ def test_snapshot_ring_keeps_the_run_maps_by_reference(grid, sphere):
                 assert not np.may_share_memory(new, v)
             assert np.array_equal(prev, kept[-1][1])
             assert not any(np.may_share_memory(new, a)
-                           for a in _workspace_buffers(st.work))
+                           for a in _stencil_buffers(st.work))
             _snapshot(st)
             assert st.snapshots[-1][1] is new
             kept = [(t, v.copy()) for t, v in st.snapshots]
@@ -864,15 +886,15 @@ def test_a_bubble_on_the_two_sphere_is_the_three_sphere_run_bitwise(preset):
     assert all(same_map(ring[t], v) for t, v in shared)
 
 
-@pytest.mark.parametrize("n", [24, 96], ids=["24", "96-sliced"])
+@pytest.mark.parametrize("n", [24, 96], ids=["24", "96"])
 @pytest.mark.parametrize("with_fields", [False, True],
                          ids=["zero_fields", "y4_height"])
 def test_steps_after_run_match_steps_in_the_run_workspace(sphere, n,
                                                           with_fields,
                                                           monkeypatch):
-    # run() returns without its workspace; a step from the returned state
+    # run() returns without its stencil; a step from the returned state
     # builds a fresh one and gives the map, rhs and ledger rows that the
-    # run's own workspace would have given, bit for bit
+    # run's own stencil would have given, bit for bit
     from dataclasses import replace
     kept = {}
     init_state = action.init_state
@@ -918,13 +940,12 @@ def _two_projection_rhs(u, g, target, fields):
     on the flat grid of g's size and periods, which _bfield_force does not
     scale by e^{-2 lam}."""
     b_only = sf.FieldBackground(fields.b, sf.zero_potential(4))
-    work = sf.Workspace(sf.build_grid(g.nx, g.ny, g.Lx, g.Ly), u, b_only)
-    st = work.stencil
+    st = Stencil(sf.build_grid(g.nx, g.ny, g.Lx, g.Ly), u)
     ux, uy = st.centred()
     rhs = st.laplacian(np.empty_like(u))
     rhs -= target.sff_trace(u, ux, uy)
     if not fields.b.is_zero:
-        rhs -= _bfield_force(work, target, b_only)
+        rhs -= _bfield_force(st, target, b_only)
     if not g.is_flat:
         rhs *= g.em2l[..., None]
     if not fields.V.is_zero:
@@ -933,7 +954,8 @@ def _two_projection_rhs(u, g, target, fields):
 
 
 @pytest.mark.parametrize("kinds", ["both", "two-form", "potential"])
-def test_flow_rhs_projects_both_ambient_forces_at_once(grid, sphere, kinds):
+def test_flow_rhs_projects_both_ambient_forces_at_once(grid, sphere, kinds,
+                                                      monkeypatch):
     # with a two-form, P(e^{-2 lam} g + a) in one projection equals the
     # two-projection formula up to rounding; on a flat grid a two-form
     # alone has no factor to move, and for a potential alone g is exactly
@@ -943,14 +965,16 @@ def test_flow_rhs_projects_both_ambient_forces_at_once(grid, sphere, kinds):
     V = sf.make_potential("height", 4,
                           epsilon=0.1 if kinds != "two-form" else 0.0)
     fields = sf.FieldBackground(b=b, V=V)
+    forces = _counted_forces(monkeypatch)
     for g in (grid, _conformal(grid)):
         for seed in (16, 17):
             u = sf.perturb(sf.constant_map(g, sphere), seed=seed,
                            amplitude=0.3)
+            forces.clear()
             rhs = sf.flow_rhs(u.values, g, sphere, fields)
-            ref = _two_projection_rhs(u.values, g, sphere, fields)
             # one field acting is enough for the force sum
-            assert sf.Workspace(g, u.values, fields).g is not None
+            assert len(forces) == 1
+            ref = _two_projection_rhs(u.values, g, sphere, fields)
             if kinds == "potential" or (kinds == "two-form" and g.is_flat):
                 assert np.array_equal(rhs, ref)
             else:

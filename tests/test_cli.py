@@ -1,6 +1,7 @@
 import argparse
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -490,6 +491,21 @@ def test_compare_different_runs(tmp_path, capsys):
     assert capsys.readouterr().out == (
         f"compare: bitwise=False max_abs_diff={out['max_abs_diff']:.3e} "
         f"{rate}\n")
+
+
+def test_compare_runs_of_different_grid_sizes(tmp_path, capsys):
+    # the final maps have no node in common to diff: exit 1, naming both
+    # shapes, not numpy's broadcast error
+    a, b = str(tmp_path / "a"), str(tmp_path / "b")
+    assert main(["run", "--config", small_cfg(tmp_path), "--out", a]) == 0
+    assert main(["run", "--config", small_cfg(tmp_path, grid={"ny": 20}),
+                 "--out", b]) == 0
+    shapes = "incompatible snapshot shapes (16, 16, 4) vs (16, 20, 4)"
+    with pytest.raises(sf.ConfigError, match=re.escape(shapes)):
+        sf.compare_runs(a, b)
+    capsys.readouterr()
+    assert main(["compare", a, b]) == 1
+    assert capsys.readouterr().err == f"configuration error: {shapes}\n"
 
 
 def test_compare_ledgers_recorded_at_different_times(tmp_path, capsys):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import stringflow as sf
-from stringflow.action import Workspace, _bfield_force
+from stringflow.action import _bfield_force
 from stringflow.errors import GridError, HypothesisError
 from stringflow.fields import height_potential, y4_two_form
 from stringflow.grid import Stencil
@@ -338,8 +338,7 @@ def test_bfield_force_and_pullback_match_dense_formulas(sphere, lam):
         ref = _parent_pullback_density(u, b, g)
         assert np.max(np.abs(dens - ref)) <= 1e-13 * np.max(np.abs(ref))
 
-        work = Workspace(g, u, fields)
-        force = _bfield_force(work, sphere, fields)
+        force = _bfield_force(Stencil(g, u), sphere, fields)
         ref = _parent_bfield_force(u, b, g, sphere)
         assert np.max(np.abs(force - ref)) <= 1e-13 * np.max(np.abs(ref))
 
@@ -376,10 +375,9 @@ def test_bfield_force_of_y4_is_the_flux_sum_bitwise(sphere, lam, v_kind):
     # component-major, as in a run
     maps = [sf.perturb(sf.constant_map(g, sphere), seed=seed,
                        amplitude=0.4).values for seed in (0, 1)]
-    work = Workspace(g, maps[-1], fields)
+    st = Stencil(g, maps[-1])
     for u in maps:
-        work.stencil.load(u)
-        force = _bfield_force(work, sphere, fields)
+        force = _bfield_force(st.load(u), sphere, fields)
         assert np.array_equal(force, _flux_sum_bfield_force(u, b, g, sphere, V))
 
 
@@ -401,11 +399,10 @@ def test_bfield_force_of_a_dense_two_form_matches_dense_formula(sphere, lam,
             cm[...] = u
             u = cm
         maps.append(u)
-    # one workspace for several maps: no plane may carry a stale value
-    work = Workspace(g, maps[-1], fields)
+    # one stencil for several maps: no plane may carry a stale value
+    st = Stencil(g, maps[-1])
     for u in maps:
-        work.stencil.load(u)
-        force = _bfield_force(work, sphere, fields)
+        force = _bfield_force(st.load(u), sphere, fields)
         ref = _parent_bfield_force(u, b, g, sphere)
         assert np.max(np.abs(force - ref)) <= 1e-13 * np.max(np.abs(ref))
 

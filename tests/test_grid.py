@@ -151,6 +151,15 @@ def test_conformal_rescale_shifts_lambda():
                                           rel=1e-14)
 
 
+@pytest.mark.parametrize("a", [0.0, -4.0])
+def test_conformal_rescale_refuses_a_factor_that_is_not_positive(a):
+    # ln(a) has no value there: without the check math.log raises its own
+    # domain error, which names no factor
+    g = sf.build_grid(16, 16)
+    with pytest.raises(GridError, match=f"must be positive, got {a}"):
+        sf.conformal_rescale(g, a)
+
+
 def test_ball_sum_map_matches_direct_sum():
     rng = np.random.default_rng(2)
     g = sf.build_grid(24, 24)
@@ -604,20 +613,34 @@ def test_stencil_operators_in_any_order_match_a_fresh_load(shape):
     assert st.source is u
 
 
+@pytest.mark.parametrize("shape", [SMALL + (3,), SMALL, (20, 24, 4)],
+                         ids=["q3", "scalar", "transposed"])
+def test_stencil_load_refuses_a_field_of_another_shape(shape):
+    # the buffers and the views of a load are formed for one shape, so a
+    # field of any other shape is refused before a buffer is written
+    g = sf.build_grid(*SMALL)
+    u = sf.empty_map(SMALL + (4,))
+    u[...] = np.random.default_rng(43).random(u.shape)
+    st = Stencil(g, u)
+    stacks = (st.grads.tobytes(), st.second.tobytes())
+    with pytest.raises(ShapeError, match=re.escape(
+            f"stencil holds {SMALL + (4,)}, got {shape}")):
+        st.load(np.zeros(shape))
+    assert (st.grads.tobytes(), st.second.tobytes()) == stacks
+    assert st.source is u
+
+
 @pytest.mark.parametrize("shape", [SMALL, SMALL + (4,), (96, 88), (96, 88, 4)],
                          ids=["scalar", "map", "scalar-96", "map-96"])
 def test_one_shot_operators_match_the_workspace_stencil(shape):
     # each operator of a stencil built from u, and each free function
-    # built on one, gives the bits of the stencil a run's Workspace holds,
-    # built from another map and reloaded with u
+    # built on one, gives the bits of a stencil like a run's, built from
+    # another map and reloaded with u
     rng = np.random.default_rng(41)
     g = sf.build_grid(*shape[:2], Lx=5.0, Ly=3.0,
                       lam=lambda x, y: 0.2 * np.sin(x) * np.cos(y))
     u, v = (_component_major(_six_decades(rng, shape)) for _ in range(2))
-    if len(shape) == 3:
-        work = sf.Workspace(g, v, sf.zero_background(4)).stencil
-    else:
-        work = Stencil(g, v)
+    work = Stencil(g, v)
     ops = {"dirichlet": Stencil.dirichlet,
            "centred": lambda st: [a.copy() for a in st.centred()],
            "grad_sq": Stencil.grad_sq, "hessian_sq": Stencil.hessian_sq,

@@ -9,6 +9,7 @@ import pytest
 import stringflow
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+BENCH = PERFBENCH.parent / "bench"
 
 
 def _load(name):
@@ -53,6 +54,37 @@ def test_benchmark_uses_only_names_the_package_has(name):
     assert used, f"no sf.<name> read in perfbench/{name}"
     missing = sorted(n for n in used if not hasattr(stringflow, n))
     assert not missing, f"perfbench/{name} uses {missing}"
+
+
+# the names by which bench/ reads stringflow's modules
+BENCH_MODULES = {"sf": "stringflow", "action": "stringflow.action"}
+
+
+def _bench_names(path):
+    """(module, name) for every name the file reads from stringflow: each
+    sf.<name> and action.<name>, and each name of a `from stringflow...
+    import`."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if (isinstance(node, ast.Attribute)
+                and isinstance(node.value, ast.Name)
+                and node.value.id in BENCH_MODULES):
+            names.add((BENCH_MODULES[node.value.id], node.attr))
+        elif (isinstance(node, ast.ImportFrom) and node.module
+              and node.module.split(".")[0] == "stringflow"):
+            names.update((node.module, a.name) for a in node.names)
+    return names
+
+
+@pytest.mark.parametrize("name", sorted(
+    p.name for p in BENCH.glob("*.py") if _bench_names(p)))
+def test_bench_uses_only_names_the_package_has(name):
+    # `pytest bench` is not tier-1, so deleting a name that bench/ reads
+    # would otherwise first fail outside it
+    used = _bench_names(BENCH / name)
+    missing = sorted(f"{m}.{n}" for m, n in used
+                     if not hasattr(importlib.import_module(m), n))
+    assert not missing, f"bench/{name} uses {missing}"
 
 
 @pytest.mark.parametrize("seed", [1, 7])
